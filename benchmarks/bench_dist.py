@@ -2,10 +2,10 @@
 
 Two experiments feed the committed ``BENCH_dist.json``:
 
-* **fabric sweep** — a driver process ping-pongs payloads across forked
-  echo workers (1, 2, 4 and 8 of them) over each process fabric (pipe,
-  shm, tcp), once with a small dict payload and once with a large
-  ndarray.  Reported as MB/s and rounds/s per (fabric, workers, payload)
+* **fabric sweep** — a driver process ping-pongs payloads across a gang
+  of forked echo workers (1, 2, 4 and 8 of them) over each process
+  fabric (pipe, shm, tcp), once with a small dict payload and once with
+  a large ndarray.  Reported as MB/s and rounds/s per (fabric, workers, payload)
   cell.
 * **monitor coalescing** — two loopback ranks drive
   :class:`~repro.dist.monitor.DistDeterminismMonitor` at window batch 8
@@ -25,7 +25,6 @@ gates are *ratios* measured on the same machine in the same run:
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -47,45 +46,35 @@ def _make_payload(size):
     return np.arange(size, dtype=np.float64)
 
 
-def _echo_main(fabric, rank, workers, rounds):
-    """Forked child: echo a checksum for every round addressed to us."""
+def _echo_main(transport, channel, workers, rounds):
+    """One echo rank: a checksum back for every round addressed to us."""
     import numpy as np
-    fabric.close_other_ends(rank)
-    transport = fabric.transport(rank)
-    try:
-        for rnd in range(rounds):
-            if 1 + rnd % workers != rank:
-                continue
-            payload = transport.recv(0, "bench", 0, rnd)
-            # Touch the data so zero-copy views are actually read, then
-            # drop the reference so shm ring space is reclaimed.
-            ack = float(np.asarray(payload).ravel()[0])
-            del payload
-            transport.send(0, "bench", 1, rnd, ack)
-    finally:
-        transport.close()
+    for rnd in range(rounds):
+        if 1 + rnd % workers != transport.rank:
+            continue
+        payload = transport.recv(0, "bench", 0, rnd)
+        # Touch the data so zero-copy views are actually read, then
+        # drop the reference so shm ring space is reclaimed.
+        ack = float(np.asarray(payload).ravel()[0])
+        del payload
+        transport.send(0, "bench", 1, rnd, ack)
 
 
 def bench_fabric(kind, workers, elems, rounds, repeats=3, deadline_s=60.0):
     """Best-of-``repeats`` ping-pong throughput for one config cell."""
-    from repro.dist.transport import fabric_for_backend
+    from repro.dist.gang import Gang
 
     payload = _make_payload(elems)
     total = rounds + workers          # one warmup round per worker
-    ctx = multiprocessing.get_context("fork")
     best = float("inf")
     extra = {"ring_bytes": RING_BYTES} if kind == "shm" else {}
     for _ in range(repeats):
-        fabric = fabric_for_backend(FABRIC_BACKENDS[kind], workers + 1,
-                                    deadline_s=deadline_s, **extra)
-        procs = [ctx.Process(target=_echo_main,
-                             args=(fabric, r, workers, total), daemon=True)
-                 for r in range(1, workers + 1)]
-        for proc in procs:
-            proc.start()
-        if fabric.parent_must_release:
-            fabric.close_other_ends(0)
-        transport = fabric.transport(0)
+        gang = Gang(FABRIC_BACKENDS[kind], workers + 1, name="bench-echo",
+                    deadline_s=deadline_s, **extra)
+        for rank in range(1, workers + 1):
+            gang.spawn(rank, _echo_main, workers, total)
+        gang.release_parent(keep=0)
+        transport = gang.fabric.transport(0)
         try:
             for rnd in range(workers):               # warmup, untimed
                 peer = 1 + rnd % workers
@@ -99,12 +88,7 @@ def bench_fabric(kind, workers, elems, rounds, repeats=3, deadline_s=60.0):
             best = min(best, time.perf_counter() - t0)
         finally:
             transport.close()
-            for proc in procs:
-                proc.join(timeout=deadline_s)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            fabric.close_all()
+            gang.terminate(grace_s=deadline_s)
     moved = rounds * payload.nbytes
     return {
         "total_s": best,

@@ -227,15 +227,18 @@ class Collectives:
         """Combine per-shard values to ``root`` along a binomial tree.
 
         The tree combine order is fixed (pairs at distance 1, 2, 4, ...), so
-        the result is deterministic even for merely-associative ops.
+        the result is deterministic even for merely-associative ops.  The
+        tree ends at shard 0; any other ``root`` is charged one more round
+        and message for the relay hop, as the wire schedule pays it.
         """
         n = self.num_shards
         self._check_values("reduce", values)
         self._check_root("reduce", root)
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
-        rounds, msgs = self._deliver("reduce", _log2_rounds(n),
-                                     max(0, n - 1))
+        relay = 1 if root != 0 else 0
+        rounds, msgs = self._deliver("reduce", _log2_rounds(n) + relay,
+                                     max(0, n - 1) + relay)
         acc: List[T] = list(values)
         dist = 1
         while dist < n:

@@ -1,19 +1,23 @@
-"""The multiprocess backend: shard replicas as separate OS processes.
+"""The distributed backends: shard replicas as ranks of a gang.
 
 Everything the in-process model simulates — deterministic collective
 schedules, windowed determinism checking, cross-shard fences — executed
-for real over IPC:
+for real over a transport:
 
 * :mod:`~repro.dist.frames` — the length-prefixed canonical wire format;
 * :mod:`~repro.dist.transport` — tagged, sequenced, deadline-bounded
-  shard-to-shard exchange (in-process loopback and multiprocessing pipes);
+  shard-to-shard exchange over four interchangeable fabrics (in-process
+  queues, ``multiprocessing`` pipes, shared-memory rings, TCP sockets);
+* :mod:`~repro.dist.gang` — the one launcher that starts, supervises and
+  reaps the ranks of a gang, as threads or forked processes;
 * :mod:`~repro.dist.collectives` — the butterfly/tree schedules over a
   transport, drop-in for :class:`repro.core.collectives.Collectives`;
 * :mod:`~repro.dist.monitor` — distributed control-determinism checking;
 * :mod:`~repro.dist.programs` — serializable program specs every replica
   expands identically;
 * :mod:`~repro.dist.worker` / :mod:`~repro.dist.runner` — one shard
-  replica, and the gang launcher that supervises N of them;
+  replica, and the one-shot run of N of them;
+* :mod:`~repro.dist.heartbeat` — phi-accrual liveness for serving gangs;
 * :mod:`~repro.dist.report` — per-shard artifacts and the conformance
   merge.
 
@@ -24,21 +28,22 @@ line; see ``docs/dist.md``.
 from .collectives import DistCollectives
 from .frames import Frame, FrameDecoder, FrameError, decode_frame, \
     encode_frame, pack, unpack
+from .gang import Channel, ChannelClosed, Gang
 from .monitor import DistDeterminismMonitor
 from .programs import OpSpec, ProgramSpec, build_field, build_operations, \
     stencil_program
 from .report import MergedReport, ShardReport, merge_reports
 from .runner import BACKENDS, DistRunner, ServiceRunner, run_reference
 from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, \
-    LoopbackFabric, PeerGone, PipeFabric, ReorderWindowExceeded, \
+    Fabric, LoopbackFabric, PeerGone, PipeFabric, ReorderWindowExceeded, \
     SharedMemFabric, TCPFabric, Transport, TransportError, \
     connect_tcp_mesh, fabric_for_backend, transport_from_claim
-from .worker import ServiceShardWorker, ShardWorker, op_signature, replay
+from .worker import ShardWorker, op_signature, replay
 
 __all__ = [
     "Frame", "FrameDecoder", "FrameError", "decode_frame", "encode_frame",
     "pack", "unpack",
-    "Transport", "LoopbackFabric", "PipeFabric", "SharedMemFabric",
+    "Transport", "Fabric", "LoopbackFabric", "PipeFabric", "SharedMemFabric",
     "TCPFabric", "TransportError", "ReorderWindowExceeded",
     "PeerGone", "DEFAULT_DEADLINE_S", "PROCESS_BACKENDS",
     "connect_tcp_mesh", "fabric_for_backend", "transport_from_claim",
@@ -46,6 +51,7 @@ __all__ = [
     "OpSpec", "ProgramSpec", "build_field", "build_operations",
     "stencil_program",
     "ShardReport", "MergedReport", "merge_reports",
-    "ShardWorker", "ServiceShardWorker", "op_signature", "replay",
+    "Gang", "Channel", "ChannelClosed",
+    "ShardWorker", "op_signature", "replay",
     "DistRunner", "ServiceRunner", "run_reference", "BACKENDS",
 ]

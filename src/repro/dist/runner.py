@@ -1,122 +1,45 @@
 """Launch, supervise, and merge an N-shard replicated run.
 
-Three ways to run the same :class:`~repro.dist.programs.ProgramSpec`:
+Two ways to run the same :class:`~repro.dist.programs.ProgramSpec`:
 
 * :func:`run_reference` — the serial in-process reference.  No transport
   at all: each shard replica is replayed one after another with a plain
   :class:`~repro.core.determinism.ShardHasher`, producing the conformance
   artifacts the other backends must match byte-for-byte.
-* :class:`DistRunner` with ``backend="loopback"`` — one thread per shard
-  over a :class:`~repro.dist.transport.LoopbackFabric`.  Real collective
-  schedules, real frames, one process; what the unit tests use.
-* :class:`DistRunner` with ``backend="multiprocess"`` — one forked OS
-  process per shard over a :class:`~repro.dist.transport.PipeFabric`.
-  The paper's actual deployment shape: replicas share nothing but pipes.
+* :class:`DistRunner` — one rank per shard on a
+  :class:`~repro.dist.gang.Gang`: threads over the in-process queue mesh
+  for ``backend="loopback"`` (real collective schedules, real frames, one
+  process; what the unit tests use), forked OS processes sharing nothing
+  but the fabric for the rest (the paper's actual deployment shape).
+  Each rank is a :class:`~repro.dist.worker.ShardWorker` that takes one
+  job — the same worker a serving gang feeds a stream of them.
 
-Supervision guarantees for the multiprocess path (the ISSUE's "no orphaned
-workers" criterion): every worker is joined with a hard deadline, any
-failure or timeout terminates the whole gang, and the ``finally`` block
-re-terminates and re-joins anything still alive before returning or
-raising.
+Supervision (one shared deadline, silence is a failure, no orphaned
+workers on any exit path) is the launcher's; see ``docs/dist.md``,
+"Gang lifecycle".
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import dataclasses
 import os
-import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..core.determinism import ShardHasher, stream_digest
 from ..core.pipeline import DCRPipeline, analysis_digest, fence_sequence
+from .gang import Channel, Gang
 from .programs import ProgramSpec, build_field, build_operations
 from .report import MergedReport, ShardReport, merge_reports
-from .transport import (DEFAULT_DEADLINE_S, PROCESS_BACKENDS,
-                        LoopbackFabric, fabric_for_backend)
+from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, Transport
 from .worker import ShardWorker, replay
 
-__all__ = ["DistRunner", "ServiceRunner", "run_reference", "BACKENDS",
-           "supervise_gang", "terminate_gang"]
+__all__ = ["DistRunner", "ServiceRunner", "run_reference", "BACKENDS"]
 
 #: "loopback" threads transports in one process; the rest fork one worker
 #: process per shard over the matching fabric ("multiprocess" = pipe mesh,
 #: "shm" = shared-memory rings, "tcp" = socket mesh).
 BACKENDS = ("loopback",) + PROCESS_BACKENDS
-
-
-def supervise_gang(entries: List[tuple], timeout_s: float,
-                   grace_s: float = 5.0):
-    """Collect one ``(status, payload)`` message per worker, hard deadline.
-
-    ``entries`` is a list of ``(rank, process, parent_conn)``.  Returns
-    ``(payloads, failures)`` where ``payloads`` maps rank to the payload of
-    each ``("ok", payload)`` message and ``failures`` is a list of
-    human-readable failure strings (worker errors, silent deaths, and
-    deadline overruns all land here — never an indefinite wait).
-
-    All polls and joins share **one** monotonic deadline (``timeout_s``
-    for reports, plus ``grace_s`` once — not per worker — for exits): a
-    wedged gang of N is reaped within ~1× the configured timeout, where
-    the old per-worker ``join(remaining + 5.0)`` accounting could overrun
-    the deadline by 5s × N.
-    """
-    payloads: Dict[int, Any] = {}
-    failures: List[str] = []
-    deadline = time.monotonic() + timeout_s
-    for rank, proc, conn in entries:
-        remaining = max(0.0, deadline - time.monotonic())
-        if conn.poll(remaining):
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                failures.append(f"shard {rank}: died without a report "
-                                f"(pid {proc.pid})")
-                continue
-            if status == "ok":
-                payloads[rank] = payload
-            else:
-                failures.append(f"shard {rank}: {payload}")
-        else:
-            failures.append(f"shard {rank}: no report within "
-                            f"{timeout_s:.0f}s (pid {proc.pid})")
-    join_deadline = deadline + grace_s
-    for _rank, proc, _conn in entries:
-        proc.join(max(0.0, join_deadline - time.monotonic()))
-    return payloads, failures
-
-
-def terminate_gang(entries: List[tuple]) -> None:
-    """Terminate and reap every still-alive worker (the no-orphans sweep).
-
-    Idempotent and order-independent: calling it twice, calling it on a
-    gang that already exited, or calling it while a respawned worker is
-    dying mid-rejoin must never raise or leave a process behind.  Every
-    per-entry step therefore tolerates an already-reaped process (whose
-    ``is_alive``/``terminate`` can race exit) and an already-closed pipe,
-    and the last resort is SIGKILL — SIGTERM is merely *queued* on a
-    stopped (``SIGSTOP``-ed, e.g. stalled) worker, so ``terminate()``
-    alone cannot guarantee the sweep converges.
-    """
-    for _rank, proc, _conn in entries:
-        try:
-            if proc.is_alive():
-                proc.terminate()
-        except (ValueError, OSError):  # already closed/reaped elsewhere
-            pass
-    for _rank, proc, conn in entries:
-        try:
-            if proc.is_alive():
-                proc.join(5.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(5.0)
-        except (ValueError, OSError):
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
 
 
 def run_reference(spec: ProgramSpec, num_shards: int,
@@ -153,29 +76,15 @@ def run_reference(spec: ProgramSpec, num_shards: int,
     return merge_reports(reports, backend="inprocess")
 
 
-def _worker_main(fabric: Any, rank: int, spec: ProgramSpec,
-                 batch: int, profile_dir: Optional[str],
-                 conn: Any, backend: str = "multiprocess",
-                 coalesce: int = 1) -> None:
-    """Forked child entrypoint: claim endpoints, replay, report, exit."""
-    transport = None
-    try:
-        fabric.close_other_ends(rank)
-        transport = fabric.transport(rank)
-        worker = ShardWorker(transport, spec, backend=backend,
-                             batch=batch, profile_dir=profile_dir,
-                             coalesce=coalesce)
-        report = worker.run()
-        conn.send(("ok", report.to_payload()))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        if transport is not None:
-            transport.close()
-        conn.close()
+def _run_one_job(transport: Transport, channel: Channel,
+                 spec: ProgramSpec, backend: str, batch: int,
+                 coalesce: int, profile_dir: Optional[str]) -> None:
+    """A one-shot rank: replay one program, report, exit."""
+    worker = ShardWorker(transport, backend, batch=batch,
+                         profile_dir=profile_dir, coalesce=coalesce)
+    report = worker.run_job(spec)
+    channel.send(("ok", dataclasses.replace(
+        report, profile_path=worker.save_profile())))
 
 
 class DistRunner:
@@ -203,87 +112,21 @@ class DistRunner:
         self.fabric_kwargs = fabric_kwargs
 
     def run(self) -> MergedReport:
-        if self.backend == "loopback":
-            reports = self._run_loopback()
-        else:
-            reports = self._run_multiprocess()
-        return merge_reports(reports, backend=self.backend)
-
-    # -- loopback (threads) --------------------------------------------------
-
-    def _run_loopback(self) -> List[ShardReport]:
-        fabric = LoopbackFabric(self.num_shards, deadline_s=self.deadline_s)
-        results: List[Optional[ShardReport]] = [None] * self.num_shards
-        errors: Dict[int, BaseException] = {}
-
-        def main(rank: int) -> None:
-            try:
-                worker = ShardWorker(fabric.transport(rank), self.spec,
-                                     backend="loopback", batch=self.batch,
-                                     profile_dir=self.profile_dir,
-                                     coalesce=self.coalesce)
-                results[rank] = worker.run()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors[rank] = exc
-                fabric.mark_closed(rank)
-
-        threads = [threading.Thread(target=main, args=(r,),
-                                    name=f"shard-{r}", daemon=True)
-                   for r in range(self.num_shards)]
-        for t in threads:
-            t.start()
-        # One shared deadline across all joins: N wedged shards are
-        # declared dead after ~1× join_timeout_s of wall clock, not N×.
-        deadline = time.monotonic() + self.join_timeout_s
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        if errors:
-            rank = min(errors)
-            raise errors[rank]
-        alive = [t.name for t in threads if t.is_alive()]
-        if alive:
-            raise TimeoutError(f"loopback shards did not finish: {alive}")
-        return [r for r in results if r is not None]
-
-    # -- multiprocess (fork) -------------------------------------------------
-
-    def _run_multiprocess(self) -> List[ShardReport]:
-        # Fork keeps the (already imported) code and the spec without any
-        # pickling of closures; the worker protocol itself needs only the
-        # inherited fabric endpoints.
-        ctx = multiprocessing.get_context("fork")
-        fabric = fabric_for_backend(self.backend, self.num_shards,
-                                    deadline_s=self.deadline_s,
-                                    **self.fabric_kwargs)
-        entries: List[tuple] = []
+        gang = Gang(self.backend, self.num_shards,
+                    deadline_s=self.deadline_s, **self.fabric_kwargs)
         try:
             for rank in range(self.num_shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(fabric, rank, self.spec, self.batch,
-                          self.profile_dir, child_conn, self.backend,
-                          self.coalesce),
-                    name=f"repro-shard-{rank}", daemon=True)
-                proc.start()
-                child_conn.close()
-                entries.append((rank, proc, parent_conn))
-            # Fd-based fabrics: the parent holds copies of every mesh
-            # endpoint; release them so a dead worker's peers observe EOF
-            # instead of a timeout.  (Shm rings have no fd to release —
-            # crash detection there is pid liveness via the status board.)
-            if fabric.parent_must_release:
-                fabric.close_all()
-            payloads, failures = supervise_gang(entries,
-                                                self.join_timeout_s)
+                gang.spawn(rank, _run_one_job, self.spec, self.backend,
+                           self.batch, self.coalesce, self.profile_dir)
+            gang.release_parent()
+            reports, failures = gang.collect(self.join_timeout_s)
         finally:
-            terminate_gang(entries)
-            fabric.close_all()
+            gang.terminate()
         if failures:
             raise RuntimeError(
-                "multiprocess run failed: " + "; ".join(failures))
-        return [ShardReport.from_payload(payloads[r])
-                for r in sorted(payloads)]
+                f"{self.backend} run failed: " + "; ".join(failures))
+        return merge_reports([reports[r] for r in sorted(reports)],
+                             backend=self.backend)
 
 
 class ServiceRunner:

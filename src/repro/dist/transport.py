@@ -2,7 +2,9 @@
 
 A :class:`Transport` gives one shard (its *rank*) tagged, reliable,
 deadline-bounded message exchange with every peer shard.  Four
-implementations:
+implementations, each behind a :class:`Fabric` — the mesh as a whole,
+with one lifecycle protocol the gang launcher drives without knowing
+which it holds:
 
 * :class:`LoopbackFabric` — in-process queues, one transport per rank; the
   unit-test fabric.  Threads stand in for processes, and an optional
@@ -66,9 +68,10 @@ from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
                      decode_frame_view, encode_frame, encode_frame_parts)
 
 __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
-           "Transport", "LoopbackFabric", "PipeFabric", "SharedMemFabric",
-           "TCPFabric", "claimed_transport", "transport_from_claim",
-           "fabric_for_backend", "connect_tcp_mesh", "PROCESS_BACKENDS",
+           "Transport", "Fabric", "LoopbackFabric", "PipeFabric",
+           "SharedMemFabric", "TCPFabric", "claimed_transport",
+           "transport_from_claim", "fabric_for_backend",
+           "connect_tcp_mesh", "PROCESS_BACKENDS",
            "DEFAULT_DEADLINE_S", "DEFAULT_RING_BYTES", "DEFAULT_MAX_REORDER"]
 
 #: Default hard deadline on every receive.  Generous for CI machines, but
@@ -338,6 +341,43 @@ class Transport:
         return True
 
 
+class Fabric:
+    """The mesh a gang runs over: one protocol, four implementations.
+
+    :mod:`repro.dist.gang` drives every fabric through these six names
+    and never asks which one it holds; a fabric with nothing to do for a
+    step inherits the no-op.  ``transport(rank)`` claims ``rank``'s
+    endpoints (call it once, in the thread or process that is that rank);
+    ``claim(rank)`` is the same thing as a message, rebuilt on the far
+    side by :func:`transport_from_claim` (live rejoin).
+    """
+
+    #: The launching process must close its own copies of the endpoints
+    #: once every rank is started, else a dead rank's peers never see EOF.
+    parent_must_release = False
+
+    num_shards: int
+
+    def transport(self, rank: int) -> Transport:
+        raise NotImplementedError
+
+    def transports(self) -> List[Transport]:
+        return [self.transport(r) for r in range(self.num_shards)]
+
+    def claim(self, rank: int) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def mark_closed(self, rank: int) -> None:
+        """Declare ``rank`` dead so peers polling it get :class:`PeerGone`
+        (fd-based fabrics deliver that as EOF on their own)."""
+
+    def close_other_ends(self, rank: int) -> None:
+        """In the process that is ``rank``: drop every foreign endpoint."""
+
+    def close_all(self) -> None:
+        """Release everything this process still holds of the mesh."""
+
+
 # ---------------------------------------------------------------------------
 # Loopback (in-process) fabric
 # ---------------------------------------------------------------------------
@@ -365,8 +405,14 @@ class _LoopbackTransport(Transport):
                 raise PeerGone("recv", 0, src) from None
             return None
 
+    def close(self) -> None:
+        # The queue mesh has no descriptor whose closing peers could
+        # observe; say it out loud, as the shm status board does.
+        super().close()
+        self._fabric.mark_closed(self.rank)
 
-class LoopbackFabric:
+
+class LoopbackFabric(Fabric):
     """In-process mesh of queues — the test stand-in for real IPC.
 
     The fabric still runs every payload through the full frame
@@ -376,8 +422,6 @@ class LoopbackFabric:
     an optional ``clock`` is threaded into every transport so deadline
     and backoff behavior can be driven by a fake clock in tests.
     """
-
-    parent_must_release = False
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
@@ -398,8 +442,9 @@ class LoopbackFabric:
     def transport(self, rank: int) -> Transport:
         return _LoopbackTransport(self, rank)
 
-    def transports(self) -> List[Transport]:
-        return [self.transport(r) for r in range(self.num_shards)]
+    def claim(self, rank: int) -> Dict[str, Any]:
+        """Rejoin claim: threads share the fabric, so it travels as is."""
+        return {"kind": "loopback", "rank": rank, "fabric": self}
 
     def channel(self, src: int, dst: int) -> "queue.Queue[bytes]":
         return self._channels[(src, dst)]
@@ -470,7 +515,7 @@ class _PipeTransport(Transport):
                 pass
 
 
-class PipeFabric:
+class PipeFabric(Fabric):
     """Full mesh of duplex ``multiprocessing.Pipe`` connections.
 
     Built in the parent before forking; :meth:`transport` is then called
@@ -479,8 +524,6 @@ class PipeFabric:
     crashed worker's peers observe EOF rather than blocking forever.
     """
 
-    #: The parent must close its endpoint copies after forking workers,
-    #: else a crashed worker's peers never see EOF.
     parent_must_release = True
 
     def __init__(self, num_shards: int,
@@ -499,9 +542,6 @@ class PipeFabric:
     def transport(self, rank: int) -> Transport:
         return _PipeTransport(rank, self.num_shards, self.claim_conns(rank),
                               deadline_s=self.deadline_s, retry=self.retry)
-
-    def transports(self) -> List[Transport]:
-        return [self.transport(r) for r in range(self.num_shards)]
 
     def claim_conns(self, rank: int) -> Dict[int, Any]:
         """``rank``'s endpoint set, as a picklable peer→Connection map.
@@ -761,7 +801,8 @@ class _ShmStatus:
         struct.pack_into("<Q", self._buf, rank * self.STRIDE, os.getpid())
 
     def mark_closed(self, rank: int) -> None:
-        self._buf[rank * self.STRIDE + 8] = 1
+        if not self._released:      # nobody left to tell once unmapped
+            self._buf[rank * self.STRIDE + 8] = 1
 
     def is_closed(self, rank: int) -> bool:
         return self._buf[rank * self.STRIDE + 8] == 1
@@ -960,7 +1001,7 @@ class _SharedMemTransport(Transport):
         self._status.mark_closed(self.rank)
 
 
-class SharedMemFabric:
+class SharedMemFabric(Fabric):
     """Zero-copy mesh of shared-memory rings, one per directed channel.
 
     Frames are written once into a per-(src, dst) SPSC ring
@@ -973,8 +1014,6 @@ class SharedMemFabric:
     keeps its mappings until :meth:`close_all`, which also unlinks the
     segments (exactly once, in the creating process).
     """
-
-    parent_must_release = False
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
@@ -1004,9 +1043,6 @@ class SharedMemFabric:
                                    deadline_s=self.deadline_s,
                                    retry=self.retry,
                                    zero_copy=self.zero_copy)
-
-    def transports(self) -> List[Transport]:
-        return [self.transport(r) for r in range(self.num_shards)]
 
     def claim(self, rank: int) -> Dict[str, Any]:
         """Picklable rejoin claim: segment names, reattached on receipt."""
@@ -1159,7 +1195,7 @@ class _TCPTransport(Transport):
                 pass
 
 
-class TCPFabric:
+class TCPFabric(Fabric):
     """Full mesh of TCP socket pairs, pre-connected in the parent.
 
     The single-host construction mirrors :class:`PipeFabric` — every pair
@@ -1211,9 +1247,6 @@ class TCPFabric:
     def transport(self, rank: int) -> Transport:
         return _TCPTransport(rank, self.num_shards, self._claim_socks(rank),
                              deadline_s=self.deadline_s, retry=self.retry)
-
-    def transports(self) -> List[Transport]:
-        return [self.transport(r) for r in range(self.num_shards)]
 
     def claim(self, rank: int) -> Dict[str, Any]:
         """Picklable rejoin claim (sockets pickle by descriptor dup)."""
@@ -1319,25 +1352,22 @@ def connect_tcp_mesh(rank: int, num_shards: int,
 def fabric_for_backend(backend: str, num_shards: int,
                        deadline_s: float = DEFAULT_DEADLINE_S,
                        retry: Optional[RetryConfig] = None,
-                       **kwargs) -> Any:
-    """The process-mesh fabric for one of :data:`PROCESS_BACKENDS`.
+                       **kwargs) -> Fabric:
+    """The fabric a gang on ``backend`` runs over.
 
+    ``"loopback"`` is the in-process queue mesh (ranks are threads);
     ``"multiprocess"`` keeps its historical meaning of the pipe mesh;
     ``"shm"`` and ``"tcp"`` select the shared-memory ring and TCP socket
     fabrics.  Extra ``kwargs`` (e.g. ``ring_bytes``) go to the fabric
     constructor.
     """
-    if backend == "multiprocess":
-        return PipeFabric(num_shards, deadline_s=deadline_s, retry=retry,
-                          **kwargs)
-    if backend == "shm":
-        return SharedMemFabric(num_shards, deadline_s=deadline_s,
-                               retry=retry, **kwargs)
-    if backend == "tcp":
-        return TCPFabric(num_shards, deadline_s=deadline_s, retry=retry,
-                         **kwargs)
-    raise ValueError(f"no process fabric for backend {backend!r}; "
-                     f"expected one of {PROCESS_BACKENDS}")
+    fabrics = {"loopback": LoopbackFabric, "multiprocess": PipeFabric,
+               "shm": SharedMemFabric, "tcp": TCPFabric}
+    if backend not in fabrics:
+        raise ValueError(f"no fabric for backend {backend!r}; expected "
+                         f"'loopback' or one of {PROCESS_BACKENDS}")
+    return fabrics[backend](num_shards, deadline_s=deadline_s, retry=retry,
+                            **kwargs)
 
 
 def transport_from_claim(claim: Dict[str, Any],
@@ -1346,9 +1376,12 @@ def transport_from_claim(claim: Dict[str, Any],
 
     The worker-side half of live rejoin, generalized over fabrics: pipe
     claims carry duplicated Connection endpoints, tcp claims carry
-    duplicated sockets, shm claims carry segment names to reattach.
+    duplicated sockets, shm claims carry segment names to reattach, and
+    loopback claims carry the (shared) fabric itself.
     """
     kind = claim["kind"]
+    if kind == "loopback":
+        return claim["fabric"].transport(claim["rank"])
     if kind == "pipe":
         return _PipeTransport(claim["rank"], claim["num_shards"],
                               dict(claim["conns"]),

@@ -1,14 +1,14 @@
-"""One shard replica: the per-process entrypoint of the multiprocess backend.
+"""One shard replica: what each rank of a gang runs.
 
 A :class:`ShardWorker` owns everything one replica of the control program
-needs — a :class:`~repro.core.pipeline.DCRPipeline`, a
-:class:`~repro.dist.collectives.DistCollectives` over its transport, and a
-:class:`~repro.dist.monitor.DistDeterminismMonitor` — and replays the
-shared :class:`~repro.dist.programs.ProgramSpec` exactly the way dynamic
-control replication prescribes: every shard re-derives and analyzes the
-*entire* operation stream, hashing each control decision into the
-determinism monitor, and executes one wire barrier per runtime-inserted
-cross-shard fence.
+needs — a :class:`~repro.dist.collectives.DistCollectives` over its
+transport and, per program, a :class:`~repro.core.pipeline.DCRPipeline`
+and a :class:`~repro.dist.monitor.DistDeterminismMonitor` — and replays
+each :class:`~repro.dist.programs.ProgramSpec` it is handed exactly the
+way dynamic control replication prescribes: every shard re-derives and
+analyzes the *entire* operation stream, hashing each control decision
+into the determinism monitor, and executes one wire barrier per
+runtime-inserted cross-shard fence.
 
 The replay helpers (:func:`op_signature`, :func:`replay`) are shared with
 the serial in-process reference in :mod:`repro.dist.runner`, so both
@@ -33,7 +33,7 @@ from .programs import ProgramSpec, build_field, build_operations
 from .report import ShardReport
 from .transport import Transport
 
-__all__ = ["ShardWorker", "ServiceShardWorker", "op_signature", "replay"]
+__all__ = ["ShardWorker", "op_signature", "replay"]
 
 
 def op_signature(op: Operation) -> tuple:
@@ -83,91 +83,17 @@ def replay(pipeline: DCRPipeline, ops: List[Operation],
 
 
 class ShardWorker:
-    """Replays one replica of the program over a transport."""
+    """One shard replica: one transport, any number of programs.
 
-    def __init__(self, transport: Transport, spec: ProgramSpec,
-                 backend: str, batch: int = 64,
-                 profiler: Optional[Profiler] = None,
-                 profile_dir: Optional[str] = None,
-                 auto_trace: bool = False, coalesce: int = 1):
-        self.transport = transport
-        self.rank = transport.rank
-        self.num_shards = transport.num_shards
-        self.spec = spec
-        self.backend = backend
-        self.profile_dir = profile_dir
-        self.profiler = profiler if profiler is not None else Profiler(
-            enabled=profile_dir is not None)
-        self.collectives = DistCollectives(transport,
-                                           profiler=self.profiler)
-        self.monitor = DistDeterminismMonitor(
-            self.collectives, batch=batch, profiler=self.profiler,
-            coalesce=coalesce)
-        self.pipeline = DCRPipeline(self.num_shards,
-                                    auto_trace=auto_trace,
-                                    profiler=self.profiler)
-
-    def run(self) -> ShardReport:
-        """Replay the program; returns this shard's conformance report."""
-        t0 = time.perf_counter()
-        field = build_field(self.spec)
-        ops = build_operations(self.spec, self.num_shards, field)
-        # The program description itself is a control decision: hash it
-        # first so replicas expanding different specs diverge on call 0.
-        self.monitor.record("program", *self.spec.signature())
-        replay(self.pipeline, ops, self.monitor.record,
-               self.collectives.barrier)
-        self.monitor.flush()
-        profile_path = self._save_profile()
-        coarse = self.pipeline.coarse_result
-        fine = self.pipeline.fine_result
-        stats = self.collectives.stats
-        return ShardReport(
-            shard=self.rank,
-            num_shards=self.num_shards,
-            backend=self.backend,
-            graph_digest=analysis_digest(coarse, fine),
-            fence_sequence=tuple(fence_sequence(coarse)),
-            determinism_digest=self.monitor.stream_digest(),
-            call_count=len(self.monitor.hasher.calls),
-            checks=self.monitor.checks_performed,
-            ops_analyzed=coarse.ops_analyzed,
-            fences=len(coarse.fences),
-            fences_elided=coarse.fences_elided,
-            points=fine.points_per_shard.get(self.rank, 0),
-            collectives=dict(stats.by_kind),
-            coll_rounds=stats.rounds,
-            coll_messages=stats.messages,
-            frames_sent=self.transport.frames_sent,
-            frames_received=self.transport.frames_received,
-            duplicates_dropped=self.transport.duplicates_dropped,
-            out_of_order=self.transport.out_of_order,
-            wall_s=time.perf_counter() - t0,
-            pid=os.getpid(),
-            profile_path=profile_path,
-        )
-
-    def _save_profile(self) -> str:
-        if self.profile_dir is None or not self.profiler.enabled:
-            return ""
-        os.makedirs(self.profile_dir, exist_ok=True)
-        path = os.path.join(self.profile_dir,
-                            f"shard{self.rank}.profile.json")
-        self.profiler.save(path)
-        return path
-
-
-class ServiceShardWorker:
-    """Session-serving shard replica: one transport, many programs.
-
-    Where :class:`ShardWorker` replays exactly one program and exits, a
-    service worker keeps its transport and :class:`DistCollectives` alive
+    The worker keeps its transport and :class:`DistCollectives` alive
     across an open-ended stream of jobs (the collective operation ordinal
     keeps climbing, so consecutive jobs can never collide on a ``(kind,
     op, round)`` wire tag) while giving every job a **fresh**
     :class:`DCRPipeline` and :class:`DistDeterminismMonitor` — per-job
     analysis state is fully reset, so a program's conformance artifacts
-    are identical whether it ran first or thousandth on the gang.
+    are identical whether it ran first or thousandth on the gang.  A
+    one-shot :class:`~repro.dist.runner.DistRunner` run is the one-job
+    case: it calls :meth:`run_job` once and exits.
     """
 
     def __init__(self, transport: Transport, backend: str, batch: int = 64,
@@ -208,7 +134,7 @@ class ServiceShardWorker:
     def run_job(self, spec: ProgramSpec, program_id: str = "",
                 session: str = "", capture_digests: bool = False,
                 injector: Optional[FaultInjector] = None) -> ShardReport:
-        """Analyze one program on the persistent gang; report conformance.
+        """Replay one program on this replica; report conformance.
 
         ``capture_digests`` additionally returns the per-call determinism
         digests (the raw material of an analysis template).  ``injector``
@@ -224,6 +150,8 @@ class ServiceShardWorker:
         pipeline = DCRPipeline(self.num_shards, profiler=prof)
         field = build_field(spec)
         ops = build_operations(spec, self.num_shards, field)
+        # The program description itself is a control decision: hash it
+        # first so replicas expanding different specs diverge on call 0.
         monitor.record("program", *spec.signature())
         replay(pipeline, ops, monitor.record, self.collectives.barrier)
         monitor.flush()
@@ -265,7 +193,8 @@ class ServiceShardWorker:
         )
 
     def save_profile(self) -> str:
-        """Persist the whole service lifetime's profile (at shutdown)."""
+        """Persist the worker's whole-lifetime profile; returns its path
+        (empty when not profiling)."""
         if self.profile_dir is None or not self.profiler.enabled:
             return ""
         os.makedirs(self.profile_dir, exist_ok=True)

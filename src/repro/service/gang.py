@@ -1,13 +1,13 @@
 """Persistent shard gangs: N long-lived replicas serving a job stream.
 
 A :class:`ServiceGang` is the execution substrate of the service: it
-launches N :class:`~repro.dist.worker.ServiceShardWorker` replicas — as
-threads over a :class:`~repro.dist.transport.LoopbackFabric` or as forked
-processes over any process fabric (``multiprocess`` pipes, ``shm``
-shared-memory rings, ``tcp`` sockets) — and keeps
-them alive across many programs.  Each :meth:`run_job` broadcasts one
-job to every replica and collects N :class:`~repro.dist.report
-.ShardReport`\\ s under a single shared deadline.
+starts N :class:`~repro.dist.worker.ShardWorker` replicas on a
+:class:`~repro.dist.gang.Gang` — threads for ``loopback``, forked
+processes over the backend's fabric otherwise; the launcher hides which
+— and keeps them alive across many programs.  Each :meth:`run_job`
+broadcasts one job to every replica and collects N
+:class:`~repro.dist.report.ShardReport`\\ s under a single shared
+deadline.
 
 Self-healing (the REJOIN policy's substrate):
 
@@ -21,7 +21,7 @@ Self-healing (the REJOIN policy's substrate):
 * a worker that observes a **secondary** failure (``PeerGone`` /
   ``CollectiveTimeout`` echoes of somebody else's death) reports it and
   **parks** in its serve loop instead of dying, so :meth:`rejoin` can
-  fork a replacement for just the culprit rank, re-endpoint the parked
+  spawn a replacement for just the culprit rank, re-endpoint the parked
   survivors onto a fresh fabric (every rank rebinds simultaneously, so
   collective op ordinals restart in lockstep), and return the gang to
   full width without a rebuild;
@@ -31,30 +31,30 @@ Self-healing (the REJOIN policy's substrate):
   raises, and echoes blame nobody.
 
 A rank whose worker reports a **primary** failure (crash, divergence, a
-real bug) still dies — its peers fail fast via ``mark_closed`` / pipe
-EOF — and :meth:`run_job` raises :class:`GangFailure` naming the culprit
-ranks plus the monitor's suspicion snapshot.  The gang is then inert
-(``alive`` is False); the *service* decides whether to heal it in place
-(:meth:`rejoin`) or rebuild it at some width per the recovery policy.
+real bug) still dies — its transport closes behind it, so its peers
+fail fast — and :meth:`run_job` raises :class:`GangFailure` naming the
+culprit ranks plus the monitor's suspicion snapshot.  The gang is then
+inert (``alive`` is False); the *service* decides whether to heal it in
+place (:meth:`rejoin`) or rebuild it at some width per the recovery
+policy.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..core.determinism import ControlDeterminismViolation
 from ..dist.heartbeat import (HB_SUSPECTED, HeartbeatMonitor,
                               heartbeat_interval)
 from ..dist.programs import ProgramSpec
 from ..dist.report import ShardReport
+from ..dist.gang import Channel, ChannelClosed, Gang
 from ..dist.transport import (DEFAULT_DEADLINE_S, PROCESS_BACKENDS,
-                              LoopbackFabric, fabric_for_backend,
-                              transport_from_claim)
-from ..dist.worker import ServiceShardWorker
+                              Transport, transport_from_claim)
+from ..dist.worker import ShardWorker
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
 from ..faults.plan import (FaultPlan, PlannedBeatLoss, PlannedCrash,
                            PlannedRespawnFail, PlannedStall)
@@ -179,30 +179,6 @@ def classify_worker_failure(exc: BaseException, rank: int
     return message, True, [rank]
 
 
-class _ChannelGone(Exception):
-    """A worker's control channel hit EOF (the process is gone)."""
-
-
-def _queue_reader(q: "queue.Queue") -> Callable[[], Optional[tuple]]:
-    def read() -> Optional[tuple]:
-        try:
-            return q.get_nowait()
-        except queue.Empty:
-            return None
-    return read
-
-
-def _conn_reader(conn: Any) -> Callable[[], Optional[tuple]]:
-    def read() -> Optional[tuple]:
-        try:
-            if conn.poll(0):
-                return conn.recv()
-            return None
-        except (EOFError, OSError):
-            raise _ChannelGone from None
-    return read
-
-
 def _ticker_loop(send_beat: Callable[[int], None], rank: int,
                  stop: threading.Event, interval_s: float, seed: int,
                  injector: Optional[FaultInjector]) -> None:
@@ -255,25 +231,18 @@ class ServiceGang:
         self._alive = False
         self._started = False
         self._stopped = False
-        self._generation = 0
         # gang-level chaos plan (heartbeat loss / stalls / respawn
         # failures live here; per-job plans ride the job payload)
         self._fault = fault
         self._injector = FaultInjector(fault) if fault is not None else None
-        # loopback state (rank-keyed so respawn replaces single entries)
-        self._threads: Dict[int, threading.Thread] = {}
-        self._cmd_queues: Dict[int, "queue.Queue"] = {}
-        self._res_queues: Dict[int, "queue.Queue"] = {}
-        self._fabric: Optional[LoopbackFabric] = None
-        # multiprocess state (any process backend: pipe / shm / tcp)
-        self._procs: Dict[int, Any] = {}
-        self._conns: Dict[int, Any] = {}
-        self._mesh_fabric: Optional[Any] = None
-        # driver-side channel pump: raw channels -> per-rank mailboxes
+        self._gang: Optional[Gang] = None
+        # The driver's end of each live rank's control channel (rank-keyed
+        # so a respawn replaces single entries), drained by the pump into
+        # per-rank mailboxes.
+        self._channels: Dict[int, Channel] = {}
+        self._channel_lock = threading.Lock()
         self._mailbox: Dict[int, "queue.Queue"] = {
             r: queue.Queue() for r in range(num_shards)}
-        self._readers: Dict[int, Callable[[], Optional[tuple]]] = {}
-        self._reader_lock = threading.Lock()
         self._monitor: Optional[HeartbeatMonitor] = None
         self._pump: Optional[threading.Thread] = None
         self._pump_stop = threading.Event()
@@ -286,7 +255,11 @@ class ServiceGang:
 
     @property
     def generation(self) -> int:
-        return self._generation
+        return self._gang.generation if self._gang is not None else 0
+
+    def process(self, rank: int) -> Any:
+        """The thread/process serving ``rank`` (chaos tooling: its pid)."""
+        return self._gang.process(rank)
 
     def start(self) -> "ServiceGang":
         if self._started:
@@ -296,10 +269,9 @@ class ServiceGang:
             self.num_shards, self.hb_interval_s,
             phi_suspect=self.phi_suspect, phi_dead=self.phi_dead,
             clock=self._clock)
-        if self.backend == "loopback":
-            self._start_loopback()
-        else:
-            self._start_multiprocess()
+        self._gang = Gang(self.backend, self.num_shards,
+                          name="repro-svc-shard", deadline_s=self.deadline_s)
+        self._spawn(range(self.num_shards))
         self._pump = threading.Thread(target=self._pump_loop,
                                       name="svc-gang-pump", daemon=True)
         self._pump.start()
@@ -317,40 +289,14 @@ class ServiceGang:
         self._pump_stop.set()
         if self._pump is not None:
             self._pump.join(2.0)
-        if self.backend == "loopback":
-            for q in self._cmd_queues.values():
-                q.put(("stop",))
-            deadline = time.monotonic() + 5.0
-            for t in self._threads.values():
-                t.join(max(0.0, deadline - time.monotonic()))
-        else:
-            for conn in self._conns.values():
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-            deadline = time.monotonic() + 5.0
-            for proc in self._procs.values():
-                proc.join(max(0.0, deadline - time.monotonic()))
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(2.0)
-                if proc.is_alive():
-                    # SIGTERM is queued, not delivered, on a stopped
-                    # process — SIGKILL is the no-orphan guarantee.
-                    proc.kill()
-                    proc.join(2.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            if self._mesh_fabric is not None:
-                # Unlinks shm segments / closes any endpoints the parent
-                # still holds; idempotent for pipe and tcp fabrics.
-                self._mesh_fabric.close_all()
-                self._mesh_fabric = None
+        for channel in self._channels.values():
+            try:
+                channel.send(("stop",))
+            except ChannelClosed:
+                pass
+        # Workers told to stop get one shared allowance to save their
+        # profiles and exit; the launcher reaps whatever is left.
+        self._gang.terminate(grace_s=5.0)
 
     def __enter__(self) -> "ServiceGang":
         return self.start()
@@ -369,7 +315,7 @@ class ServiceGang:
     def health(self) -> Dict[str, Any]:
         return {"alive": self._alive, "backend": self.backend,
                 "num_shards": self.num_shards,
-                "generation": self._generation,
+                "generation": self.generation,
                 "respawns": self.respawns, "jobs_run": self.jobs_run,
                 "suspicion": self.suspicion()}
 
@@ -385,16 +331,16 @@ class ServiceGang:
         monitor = self._monitor
         while not self._pump_stop.is_set():
             moved = False
-            with self._reader_lock:
-                readers = list(self._readers.items())
-            for rank, read in readers:
+            with self._channel_lock:
+                channels = list(self._channels.items())
+            for rank, channel in channels:
                 for _ in range(64):         # bounded drain per channel
                     try:
-                        msg = read()
-                    except _ChannelGone:
-                        with self._reader_lock:
-                            if self._readers.get(rank) is read:
-                                del self._readers[rank]
+                        msg = channel.recv(0)
+                    except ChannelClosed:
+                        with self._channel_lock:
+                            if self._channels.get(rank) is channel:
+                                del self._channels[rank]
                         if monitor.force_dead(rank) and prof.enabled:
                             prof.instant(CONTROL_SHARD, CAT_RESILIENCE,
                                          EV_HB_DEAD, rank=rank,
@@ -418,22 +364,6 @@ class ServiceGang:
                                  rank=rank, phi=round(monitor.phi(rank), 3))
             if not moved:
                 self._pump_stop.wait(0.003)
-
-    def _quarantine_rank(self, rank: int) -> None:
-        """Stop waiting on ``rank``: unblock its peers, kill stragglers."""
-        if self.backend == "loopback":
-            if self._fabric is not None:
-                self._fabric.mark_closed(rank)
-            # A wedged-but-alive thread exits at its next command read.
-            q = self._cmd_queues.get(rank)
-            if q is not None:
-                q.put(("stop",))
-        else:
-            proc = self._procs.get(rank)
-            if proc is not None and proc.is_alive():
-                # SIGKILL, not SIGTERM: a SIGSTOPped (stalled) worker
-                # queues SIGTERM without dying.
-                proc.kill()
 
     def _drain_mailbox(self, rank: int) -> None:
         box = self._mailbox[rank]
@@ -466,7 +396,7 @@ class ServiceGang:
             # fail fast instead of feeding a job to a broken gang.
             self._alive = False
             for r in dead:
-                self._quarantine_rank(r)
+                self._gang.kill(r)
             raise GangFailure(
                 job_id,
                 [f"shard {r}: declared dead by heartbeat suspicion "
@@ -480,24 +410,20 @@ class ServiceGang:
         for rank in range(self.num_shards):
             self._drain_mailbox(rank)
         results: Dict[int, tuple] = {}
-        if self.backend == "loopback":
-            for q in self._cmd_queues.values():
-                q.put(("job", job))
-        else:
-            for rank, conn in self._conns.items():
-                try:
-                    conn.send(("job", job))
-                except (BrokenPipeError, OSError):
-                    results[rank] = ("gone",
-                                     "worker control pipe is closed")
+        with self._channel_lock:
+            channels = dict(self._channels)
+        for rank in range(self.num_shards):
+            try:
+                channels[rank].send(("job", job))
+            except (KeyError, ChannelClosed):
+                results[rank] = ("gone", "worker control channel is closed")
         self._await_results(results)
         reports: Dict[int, ShardReport] = {}
         failures: List[str] = []
         culprits: List[int] = []
         for rank, (status, payload) in sorted(results.items()):
             if status == "ok":
-                reports[rank] = payload if isinstance(payload, ShardReport) \
-                    else ShardReport.from_payload(payload)
+                reports[rank] = payload
                 continue
             if isinstance(payload, dict):
                 failures.append(f"shard {rank}: {payload.get('error')}")
@@ -547,7 +473,7 @@ class ServiceGang:
             for rank in self._monitor.dead_ranks(now):
                 if rank in pending and rank not in declared:
                     declared.add(rank)
-                    self._quarantine_rank(rank)
+                    self._gang.kill(rank)
             if pending <= declared:
                 # Every rank still owing a result is heartbeat-dead: no
                 # answer can arrive, stop waiting out the deadline.
@@ -586,17 +512,39 @@ class ServiceGang:
         if not ranks or any(r < 0 or r >= self.num_shards for r in ranks):
             raise ValueError(f"bad rejoin ranks {ranks} "
                              f"for width {self.num_shards}")
-        self._generation += 1
-        gen = self._generation
         # Planned respawn failures (chaos): the replacement is dead on
         # arrival — never spawned, so its ack can only time out.
         doa = [r for r in ranks
                if self._injector is not None and self._injector.enabled
                and self._injector.fail_respawn(r, attempt)]
-        if self.backend == "loopback":
-            self._rejoin_loopback(ranks, gen, doa)
-        else:
-            self._rejoin_multiprocess(ranks, gen, doa)
+        # Reap the dead ranks first.  Flagging them on the poisoned mesh
+        # makes survivors still blocked in a collective cascade-abort with
+        # PeerGone now; a wedged-but-alive zombie thread exits at its next
+        # channel read instead of serving a stale generation.
+        for r in ranks:
+            with self._channel_lock:
+                self._channels.pop(r, None)
+            self._gang.kill(r)
+            self._drain_mailbox(r)
+        old_fabric = self._gang.renew_fabric()
+        gen = self._gang.generation
+        # Survivors next: each is sent its claim on the new mesh over its
+        # control channel (descriptors are duplicated as the claim is
+        # pickled, so the parent's copies can be released after the spawns
+        # below; shm claims are just segment names to attach by; threads
+        # are handed the shared fabric itself).
+        with self._channel_lock:
+            survivors = dict(self._channels)
+        for r, channel in survivors.items():
+            try:
+                channel.send(("rejoin", gen, self._gang.fabric.claim(r)))
+            except ChannelClosed:
+                pass   # its ack will be missing; rejoin reports it
+        self._spawn([r for r in ranks if r not in doa], gen)
+        # The poisoned mesh is fully superseded: every survivor rebinds
+        # via its claim, so the parent can release (and for shm, unlink)
+        # the old generation's resources.
+        old_fabric.close_all()
         missing = self._collect_rejoin_acks(gen, doa)
         if missing:
             raise RejoinError(
@@ -626,263 +574,50 @@ class ServiceGang:
                 time.sleep(0.002)
         return sorted(pending | set(doa))
 
-    def _rejoin_loopback(self, ranks: List[int], gen: int,
-                         doa: List[int]) -> None:
-        old_fabric = self._fabric
-        if old_fabric is not None:
-            for r in ranks:
-                old_fabric.mark_closed(r)
-        fabric = LoopbackFabric(self.num_shards, deadline_s=self.deadline_s)
-        self._fabric = fabric
-        for r in ranks:
-            # Poison the old command queue: a wedged-but-alive zombie
-            # exits at its next read instead of serving a stale
-            # generation; its late writes land in the old, unread
-            # result queue.
-            self._cmd_queues[r].put(("stop",))
-            self._drain_mailbox(r)
-            cmd_q: "queue.Queue" = queue.Queue()
-            res_q: "queue.Queue" = queue.Queue()
-            self._cmd_queues[r] = cmd_q
-            self._res_queues[r] = res_q
-            with self._reader_lock:
-                self._readers[r] = _queue_reader(res_q)
-            if r in doa:
-                continue
-            self._spawn_loopback(r, fabric, cmd_q, res_q, gen)
-        for r in range(self.num_shards):
-            if r not in ranks:
-                self._cmd_queues[r].put(("rejoin", gen, fabric))
+    # -- workers -------------------------------------------------------------
 
-    def _rejoin_multiprocess(self, ranks: List[int], gen: int,
-                             doa: List[int]) -> None:
-        ctx = multiprocessing.get_context("fork")
-        old_fabric = self._mesh_fabric
-        if old_fabric is not None and hasattr(old_fabric, "mark_closed"):
-            # shm: flag the dead ranks on the status board so survivors
-            # blocked in a collective cascade-abort with PeerGone now.
-            for r in ranks:
-                old_fabric.mark_closed(r)
-        fabric = fabric_for_backend(self.backend, self.num_shards,
-                                    deadline_s=self.deadline_s)
-        self._mesh_fabric = fabric
-        # Reap the dead ranks first: close control pipes, kill leftovers.
-        for r in ranks:
-            with self._reader_lock:
-                self._readers.pop(r, None)
-            conn = self._conns.get(r)
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            proc = self._procs.get(r)
-            if proc is not None:
-                if proc.is_alive():
-                    proc.kill()
-                proc.join(5.0)
-            self._drain_mailbox(r)
-        # Survivors next: their claims are pickled over the control pipe
-        # (pipe/socket descriptors are duplicated at pickle time, so the
-        # parent's copies can be closed after the forks below; shm claims
-        # are just segment names the survivor attaches by).
-        for r in range(self.num_shards):
-            if r in ranks:
-                continue
-            try:
-                self._conns[r].send(("rejoin", gen, fabric.claim(r)))
-            except (BrokenPipeError, OSError):
-                pass   # its ack will be missing; rejoin reports it
-        for r in ranks:
-            if r in doa:
-                continue
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_service_worker_main,
-                args=(fabric, r, self.batch, self.profile_dir, child_conn,
-                      self.hb_interval_s, self.hb_seed,
-                      _fault_payload(self._fault), gen, self.backend),
-                name=f"repro-svc-shard-{r}g{gen}", daemon=True)
-            proc.start()
-            child_conn.close()
-            self._procs[r] = proc
-            self._conns[r] = parent_conn
-            with self._reader_lock:
-                self._readers[r] = _conn_reader(parent_conn)
-        if fabric.parent_must_release:
-            fabric.close_all()
-        if old_fabric is not None:
-            # The poisoned mesh is fully superseded: every survivor
-            # rebinds via its claim, so the parent can release (and for
-            # shm, unlink) the old generation's resources.
-            old_fabric.close_all()
-
-    # -- loopback backend (threads) ------------------------------------------
-
-    def _start_loopback(self) -> None:
-        self._fabric = LoopbackFabric(self.num_shards,
-                                      deadline_s=self.deadline_s)
-        for rank in range(self.num_shards):
-            cmd_q: "queue.Queue" = queue.Queue()
-            res_q: "queue.Queue" = queue.Queue()
-            self._cmd_queues[rank] = cmd_q
-            self._res_queues[rank] = res_q
-            self._readers[rank] = _queue_reader(res_q)
-            self._spawn_loopback(rank, self._fabric, cmd_q, res_q, 0)
-
-    def _spawn_loopback(self, rank: int, fabric: LoopbackFabric,
-                        cmd_q: "queue.Queue", res_q: "queue.Queue",
-                        gen: int) -> None:
-        t = threading.Thread(
-            target=self._serve_loopback,
-            args=(rank, fabric, cmd_q, res_q, gen),
-            name=f"svc-shard-{rank}" + (f"g{gen}" if gen else ""),
-            daemon=True)
-        self._threads[rank] = t
-        t.start()
-
-    def _serve_loopback(self, rank: int, fabric: LoopbackFabric,
-                        cmd_q: "queue.Queue", res_q: "queue.Queue",
-                        announce_gen: int) -> None:
-        # Everything this loop touches arrives as an argument (never via
-        # self-indexed lookups): after a respawn the old zombie keeps its
-        # own dead queues and fabric, invisible to the new generation.
-        stop_beats = threading.Event()
-        worker = ServiceShardWorker(
-            fabric.transport(rank), backend="loopback",
-            batch=self.batch, profile_dir=self.profile_dir)
-        ticker = threading.Thread(
-            target=_ticker_loop,
-            args=(lambda k: res_q.put(("beat", rank, k)), rank, stop_beats,
-                  self.hb_interval_s, self.hb_seed, self._injector),
-            name=f"svc-hb-{rank}", daemon=True)
-        ticker.start()
-        if announce_gen:
-            res_q.put(("rejoined", rank, announce_gen))
-        try:
-            while True:
-                cmd = cmd_q.get()
-                if cmd[0] == "stop":
-                    worker.save_profile()
-                    return
-                if cmd[0] == "rejoin":
-                    _, gen, new_fabric = cmd
-                    fabric = new_fabric
-                    worker.rebind(fabric.transport(rank))
-                    res_q.put(("rejoined", rank, gen))
-                    continue
-                job = cmd[1]
-                try:
-                    report = worker.run_job(
-                        ProgramSpec.from_payload(job["spec"]),
-                        program_id=job["program_id"],
-                        session=job["session"],
-                        capture_digests=job["capture"],
-                        injector=_fault_injector(job["fault"]))
-                except BaseException as exc:  # noqa: BLE001 - reported up
-                    message, primary, culprits = \
-                        classify_worker_failure(exc, rank)
-                    res_q.put(("error", {"rank": rank, "error": message,
-                                         "primary": primary,
-                                         "culprits": culprits}))
-                    if primary:
-                        # Peers block in the dead replica's collective;
-                        # declare this rank closed so they fail fast.
-                        fabric.mark_closed(rank)
-                        worker.save_profile()
-                        return
-                    # Secondary observer: park for rejoin (or stop) — the
-                    # gang heals around the culprit without losing us.
-                    # Close our endpoints first so the abort *cascades*:
-                    # a peer waiting on us fails fast with PeerGone
-                    # instead of draining its whole recv deadline, and a
-                    # stale job dispatched before rejoin trips the
-                    # use-after-close TransportError instead of wedging.
-                    fabric.mark_closed(rank)
-                    try:
-                        worker.transport.close()
-                    except Exception:  # noqa: BLE001 - already half dead
-                        pass
-                    continue
-                res_q.put(("ok", report))
-        finally:
-            stop_beats.set()
-
-    # -- multiprocess backend (fork) -----------------------------------------
-
-    def _start_multiprocess(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        fabric = fabric_for_backend(self.backend, self.num_shards,
-                                    deadline_s=self.deadline_s)
-        self._mesh_fabric = fabric
-        for rank in range(self.num_shards):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_service_worker_main,
-                args=(fabric, rank, self.batch, self.profile_dir,
-                      child_conn, self.hb_interval_s, self.hb_seed,
-                      _fault_payload(self._fault), 0, self.backend),
-                name=f"repro-svc-shard-{rank}", daemon=True)
-            proc.start()
-            child_conn.close()
-            self._procs[rank] = proc
-            self._conns[rank] = parent_conn
-            self._readers[rank] = _conn_reader(parent_conn)
-        # Pipe/TCP workers hold their claimed mesh endpoints; drop the
-        # parent's copies so a dead worker's peers observe EOF, not a
-        # deadline.  The shm fabric instead keeps its segments mapped in
-        # the parent (crash detection runs off the status board, and the
-        # creator must stay alive to unlink at stop()).
-        if fabric.parent_must_release:
-            fabric.close_all()
+    def _spawn(self, ranks: Iterable[int], announce_gen: int = 0) -> None:
+        """Start a serving worker on each of ``ranks`` (start and rejoin)."""
+        for rank in ranks:
+            channel = self._gang.spawn(
+                rank, _serve, self.backend, self.batch, self.profile_dir,
+                self.hb_interval_s, self.hb_seed,
+                _fault_payload(self._fault), announce_gen)
+            with self._channel_lock:
+                self._channels[rank] = channel
+        self._gang.release_parent()
 
 
-def _service_worker_main(fabric: Any, rank: int, batch: int,
-                         profile_dir: Optional[str], conn: Any,
-                         hb_interval_s: float = 0.25, hb_seed: int = 0,
-                         fault_payload: Optional[dict] = None,
-                         announce_gen: int = 0,
-                         backend: str = "multiprocess") -> None:
-    """Forked child: claim the mesh, then serve jobs until stop or death."""
-    transport = None
-    worker = None
+def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
+           profile_dir: Optional[str], hb_interval_s: float, hb_seed: int,
+           fault_payload: Optional[dict], announce_gen: int) -> None:
+    """A serving rank: run jobs off the channel until stop or death.
+
+    Everything this loop touches arrives as an argument or over the
+    channel: after a respawn the old occupant of the rank keeps its own
+    dead channel and fabric, invisible to the new generation.
+    """
+    rank = transport.rank
+    worker = ShardWorker(transport, backend=backend, batch=batch,
+                         profile_dir=profile_dir)
     stop_beats = threading.Event()
-    send_lock = threading.Lock()
-
-    def _send(msg: tuple) -> None:
-        # The ticker and the serve loop share one duplex pipe; sends are
-        # serialized so beat frames never interleave with result frames.
-        with send_lock:
-            conn.send(msg)
-
+    ticker = threading.Thread(
+        target=_ticker_loop,
+        args=(lambda k: channel.send(("beat", rank, k)), rank, stop_beats,
+              hb_interval_s, hb_seed, _fault_injector(fault_payload)),
+        name=f"svc-hb-{rank}", daemon=True)
+    ticker.start()
     try:
-        fabric.close_other_ends(rank)
-        transport = fabric.transport(rank)
-        worker = ServiceShardWorker(transport, backend=backend,
-                                    batch=batch, profile_dir=profile_dir)
-        ticker = threading.Thread(
-            target=_ticker_loop,
-            args=(lambda k: _send(("beat", rank, k)), rank, stop_beats,
-                  hb_interval_s, hb_seed, _fault_injector(fault_payload)),
-            name=f"svc-hb-{rank}", daemon=True)
-        ticker.start()
         if announce_gen:
-            _send(("rejoined", rank, announce_gen))
+            channel.send(("rejoined", rank, announce_gen))
         while True:
-            try:
-                cmd = conn.recv()
-            except (EOFError, OSError):
-                return                      # driver is gone; fold quietly
+            cmd = channel.recv()
             if cmd[0] == "stop":
                 return
             if cmd[0] == "rejoin":
                 _, gen, claim = cmd
                 worker.rebind(transport_from_claim(claim))
-                transport = worker.transport
-                try:
-                    _send(("rejoined", rank, gen))
-                except (BrokenPipeError, OSError):
-                    return
+                channel.send(("rejoined", rank, gen))
                 continue
             job = cmd[1]
             try:
@@ -894,31 +629,26 @@ def _service_worker_main(fabric: Any, rank: int, batch: int,
             except BaseException as exc:  # noqa: BLE001 - reported upward
                 message, primary, culprits = \
                     classify_worker_failure(exc, rank)
-                try:
-                    _send(("error", {"rank": rank, "error": message,
-                                     "primary": primary,
-                                     "culprits": culprits}))
-                except (BrokenPipeError, OSError):
-                    pass
+                channel.send(("error", {"rank": rank, "error": message,
+                                        "primary": primary,
+                                        "culprits": culprits}))
                 if primary:
-                    return   # die: transport closes in finally, peers EOF
-                # Secondary observer: park for rejoin or stop.  Close our
-                # mesh endpoints first so peers waiting on *us* observe
-                # EOF and cascade-abort instead of draining their recv
-                # deadline (rejoin hands us a fresh transport anyway).
-                try:
-                    worker.transport.close()
-                except Exception:  # noqa: BLE001 - already half dead
-                    pass
+                    # Die: the transport closes behind us, so peers blocked
+                    # in this replica's collective fail fast.
+                    return
+                # Secondary observer: park for rejoin (or stop) — the gang
+                # heals around the culprit without losing us.  Close our
+                # mesh endpoints first so the abort *cascades*: a peer
+                # waiting on us fails fast with PeerGone instead of
+                # draining its whole recv deadline, and a stale job
+                # dispatched before rejoin trips the use-after-close
+                # TransportError instead of wedging.
+                worker.transport.close()
                 continue
-            _send(("ok", report.to_payload()))
+            channel.send(("ok", report))
+    except ChannelClosed:
+        return                          # driver is gone; fold quietly
     finally:
         stop_beats.set()
-        if worker is not None:
-            worker.save_profile()
-        if transport is not None:
-            transport.close()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        worker.save_profile()
+        worker.transport.close()

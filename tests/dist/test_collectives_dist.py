@@ -57,14 +57,20 @@ def test_broadcast_matches_inprocess(n, root):
 def test_reduce_matches_inprocess(n, root):
     root = n - 1 if root == "last" else root
     values = [f"<{r}>" for r in range(n)]
-    ref = Collectives(n).reduce(values, concat, root=root)
-    got = run_ranks(n, lambda rank, c: c.reduce(values[rank], concat,
-                                                root=root))
-    for rank, out in enumerate(got):
+    inproc = Collectives(n)
+    ref = inproc.reduce(values, concat, root=root)
+
+    def body(rank, c):
+        out = c.reduce(values[rank], concat, root=root)
+        return out, (c.stats.rounds, c.stats.messages)
+
+    for rank, (out, stats) in enumerate(run_ranks(n, body)):
         if rank == root:
             assert out == ref
         else:
             assert out is None
+        # Byte-comparable stats, relay hop to a non-zero root included.
+        assert stats == (inproc.stats.rounds, inproc.stats.messages)
 
 
 @pytest.mark.parametrize("n", SHARD_COUNTS)

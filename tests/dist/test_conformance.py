@@ -117,32 +117,28 @@ def test_runner_rejects_unknown_backend():
         DistRunner(stencil_program(4), 2, backend="smoke-signals")
 
 
-def test_worker_crash_fails_run_without_orphans():
+def test_worker_crash_fails_run_without_orphans(monkeypatch):
     import multiprocessing
+    import os
+
+    import repro.dist.runner as runner_mod
 
     spec = stencil_program(6, steps=2)
     runner = DistRunner(spec, 3, backend="multiprocess",
                         join_timeout_s=30.0)
-    original = runner._run_multiprocess
+    # Sabotage: rank 2's forked copy of the rank entrypoint dies without a
+    # report (and without closing anything), as a crashed process would.
+    real_run_one_job = runner_mod._run_one_job
 
-    # Sabotage: patch ShardWorker.run on rank 2's forked copy via an
-    # environment the child inherits — simplest is to shrink the deadline
-    # and kill one worker early.  We instead patch the module-level worker
-    # entry to crash for rank 2.
-    import repro.dist.runner as runner_mod
-    real_worker_main = runner_mod._worker_main
+    def crashing_run_one_job(transport, channel, *args):
+        if transport.rank == 2:
+            os._exit(3)
+        real_run_one_job(transport, channel, *args)
 
-    def crashing_worker_main(fabric, rank, *args, **kwargs):
-        if rank == 2:
-            raise SystemExit(3)  # dies before claiming endpoints
-        real_worker_main(fabric, rank, *args, **kwargs)
-
-    runner_mod._worker_main = crashing_worker_main
-    try:
-        with pytest.raises(RuntimeError, match="multiprocess run failed"):
-            original()
-    finally:
-        runner_mod._worker_main = real_worker_main
+    monkeypatch.setattr(runner_mod, "_run_one_job", crashing_run_one_job)
+    with pytest.raises(RuntimeError, match="multiprocess run failed") as exc:
+        runner.run()
+    assert "shard 2: died without a report" in str(exc.value)
     # The no-orphans sweep: nothing from this gang is still alive.
     assert not [p for p in multiprocessing.active_children()
                 if p.name.startswith("repro-shard-")]

@@ -307,13 +307,14 @@ def test_claim_rebuilds_equivalent_transport(kind):
 
 
 def test_fabric_registry_dispatch():
-    for backend, cls in (("multiprocess", PipeFabric),
+    for backend, cls in (("loopback", LoopbackFabric),
+                         ("multiprocess", PipeFabric),
                          ("shm", SharedMemFabric), ("tcp", TCPFabric)):
         fabric = fabric_for_backend(backend, 2, deadline_s=5.0)
         assert isinstance(fabric, cls)
         fabric.close_all()
-    with pytest.raises(ValueError, match="no process fabric"):
-        fabric_for_backend("loopback", 2)
+    with pytest.raises(ValueError, match="no fabric for backend"):
+        fabric_for_backend("smoke-signals", 2)
 
 
 # -- tcp rendezvous ----------------------------------------------------------

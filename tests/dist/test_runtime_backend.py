@@ -54,6 +54,41 @@ def test_multiprocess_result_parity(num_shards):
     assert rt.dist_checks > 0
 
 
+def array_control(ctx):
+    """A 30-op array program: fill, then 29 dependent tile launches."""
+    fs = ctx.create_field_space([("x", "f8")])
+    r = ctx.create_region(ctx.create_index_space(16), fs, "r")
+    tiles = ctx.partition_equal(r, 4)
+    ctx.fill(r, "x", 0.5)
+
+    def axpy(point, arg, k):
+        arg["x"].view[...] = arg["x"].view * 1.01 + k
+
+    for k in range(28):
+        ctx.index_launch(axpy, range(4), [(tiles, "x", "rw")], args=(k,))
+    fm = ctx.index_launch(lambda p, arg: float(arg["x"].view.sum()),
+                          range(4), [(tiles, "x", "ro")])
+    return fm.reduce(lambda a, b: a + b)
+
+
+@pytest.mark.parametrize("coalesce", [1, 4])
+@pytest.mark.parametrize("backend",
+                         ["loopback", "multiprocess", "shm", "tcp"])
+def test_driver_and_replicas_share_one_check_schedule(backend, coalesce):
+    """Every rank's monitor comes from one factory: coalescing included.
+
+    The loopback replica's monitor used to be built without ``coalesce=``,
+    so at ``check_coalesce=4`` it exchanged four times as often as the
+    driver and a deterministic program "diverged".
+    """
+    ref = Runtime(num_shards=2).execute(array_control)
+    rt = Runtime(num_shards=2, backend=backend, check_batch=4,
+                 check_coalesce=coalesce)
+    assert rt.execute(array_control) == ref
+    assert rt.dist_checks > 0
+    assert [rep["checks"] for rep in rt.replica_reports] == [rt.dist_checks]
+
+
 def test_multiprocess_replicas_are_separate_processes():
     rt = Runtime(num_shards=3, backend="multiprocess")
     rt.execute(stencil_control)

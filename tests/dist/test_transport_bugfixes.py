@@ -20,7 +20,7 @@ from repro.dist.transport import (POLL_BASE_S, POLL_CAP_S, LoopbackFabric,
                                   PeerGone, PipeFabric,
                                   ReorderWindowExceeded, SharedMemFabric,
                                   TCPFabric, TransportError)
-from repro.dist.worker import ServiceShardWorker
+from repro.dist.worker import ShardWorker
 from repro.faults.injector import CollectiveTimeout
 
 
@@ -168,8 +168,7 @@ def test_parked_worker_transport_is_dead_until_rebind():
     # and parks.  A stale job hitting the old transport must raise, not
     # write into the torn-down mesh; after rebind the worker is live.
     old = LoopbackFabric(2, deadline_s=5.0)
-    worker = ServiceShardWorker(old.transport(0), backend="loopback",
-                                batch=8)
+    worker = ShardWorker(old.transport(0), backend="loopback", batch=8)
     stale = worker.transport
     stale.close()                      # what the park path does
     with pytest.raises(TransportError, match="closed transport"):

@@ -170,7 +170,7 @@ class TestMultiprocessRejoin:
                          deadline_s=10.0, job_timeout_s=30.0) as gang:
             base = [r.determinism_digest
                     for r in gang.run_job(SPECS[0], job_id="warm")]
-            victim = gang._procs[1]
+            victim = gang.process(1)
             victim.kill()
             victim.join(5.0)
             with pytest.raises(GangFailure) as err:
@@ -193,7 +193,7 @@ class TestMultiprocessRejoin:
                          job_timeout_s=recv_deadline * 2,
                          hb_interval_s=0.1) as gang:
             gang.run_job(SPECS[0], job_id="warm")
-            os.kill(gang._procs[3].pid, signal.SIGSTOP)
+            os.kill(gang.process(3).pid, signal.SIGSTOP)
             t0 = time.monotonic()
             with pytest.raises(GangFailure) as err:
                 gang.run_job(SPECS[0], job_id="stalled")
@@ -211,11 +211,11 @@ class TestMultiprocessRejoin:
         gang = ServiceGang(WIDTH, backend="multiprocess",
                            deadline_s=10.0).start()
         gang.run_job(SPECS[0], job_id="warm")
-        gang._procs[0].kill()                    # die mid-life
+        gang.process(0).kill()                    # die mid-life
         gang.stop()
         gang.stop()                              # second stop: no-op
-        for proc in gang._procs.values():
-            assert not proc.is_alive()
+        for rank in range(WIDTH):
+            assert not gang.process(rank).is_alive()
         assert not [p for p in multiprocessing.active_children()
                     if p.name.startswith("repro-svc-shard")]
 
@@ -224,15 +224,15 @@ class TestMultiprocessRejoin:
         everything — the no-orphan guarantee of the rejoin path."""
         with ServiceGang(WIDTH, backend="multiprocess",
                          deadline_s=5.0) as gang:
-            gang._procs[2].kill()
-            gang._procs[2].join(5.0)
+            gang.process(2).kill()
+            gang.process(2).join(5.0)
             with pytest.raises(GangFailure):
                 gang.run_job(SPECS[0], job_id="boom")
             gang.rejoin([2])
             # Kill the freshly respawned worker immediately.
-            gang._procs[2].kill()
-        for proc in gang._procs.values():
-            proc.join(5.0)
-            assert not proc.is_alive()
+            gang.process(2).kill()
+        for rank in range(WIDTH):
+            gang.process(rank).join(5.0)
+            assert not gang.process(rank).is_alive()
         assert not [p for p in multiprocessing.active_children()
                     if p.name.startswith("repro-svc-shard")]

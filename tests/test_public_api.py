@@ -38,6 +38,16 @@ def test_top_level_surface():
     assert repro.__version__
 
 
+def test_dist_exports_one_launcher_and_one_worker():
+    """The gang launcher is public; the second worker class is gone."""
+    import repro.dist as dist
+
+    assert {"Gang", "Channel", "ChannelClosed", "Fabric",
+            "ShardWorker"} <= set(dist.__all__)
+    assert not hasattr(dist, "ServiceShardWorker")
+    assert not hasattr(dist.runner, "supervise_gang")
+
+
 def test_models_cover_fig1():
     """All three approaches of Fig. 1 are constructible, plus MPI."""
     from repro.models import (DCRModel, DaskModel, ExplicitModel,
