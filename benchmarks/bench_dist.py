@@ -4,11 +4,11 @@ Two experiments feed the committed ``BENCH_dist.json``:
 
 * **fabric sweep** — a driver process ping-pongs payloads across a gang
   of forked echo workers (1, 2, 4 and 8 of them) over each process
-  fabric (pipe, shm, tcp), once with a small dict payload and once with
+  fabric (shm, tcp), once with a small dict payload and once with
   a large ndarray.  Reported as MB/s and rounds/s per (fabric, workers, payload)
   cell.
-* **monitor coalescing** — two loopback ranks drive
-  :class:`~repro.dist.monitor.DistDeterminismMonitor` at window batch 8
+* **monitor coalescing** — two loopback ranks each drive a rank-local
+  :class:`~repro.core.determinism.DeterminismMonitor` at window batch 8
   with ``coalesce`` 1 vs 8 and count the control frames actually put on
   the wire.
 
@@ -16,7 +16,7 @@ Absolute numbers are machine noise (CI runners differ wildly; this repo
 also benches on single-core boxes where process scaling is flat), so the
 gates are *ratios* measured on the same machine in the same run:
 
-* shm must move large ndarrays at >= 1.5x the pipe fabric with 4 echo
+* shm must move large ndarrays at >= 1.5x the tcp fabric with 4 echo
   workers — the zero-copy receive path is the point of SharedMemFabric;
 * coalescing at 8 must cut monitor wire frames by >= 4x;
 * ``--check-baseline`` fails if either ratio regresses > 20% against the
@@ -32,9 +32,8 @@ import time
 DEFAULT_REPORT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "BENCH_dist.json")
 
-FABRICS = ("pipe", "shm", "tcp")
-#: fabric bench kind -> Runtime/DistRunner backend name
-FABRIC_BACKENDS = {"pipe": "multiprocess", "shm": "shm", "tcp": "tcp"}
+#: The process fabrics, by their Runtime/DistRunner backend name.
+FABRICS = ("shm", "tcp")
 
 SMALL_ELEMS = 128          # 1 KiB float64 — below the zero-copy floor
 LARGE_ELEMS = 131072       # 1 MiB float64 — zero-copy on shm
@@ -69,7 +68,7 @@ def bench_fabric(kind, workers, elems, rounds, repeats=3, deadline_s=60.0):
     best = float("inf")
     extra = {"ring_bytes": RING_BYTES} if kind == "shm" else {}
     for _ in range(repeats):
-        gang = Gang(FABRIC_BACKENDS[kind], workers + 1, name="bench-echo",
+        gang = Gang(kind, workers + 1, name="bench-echo",
                     deadline_s=deadline_s, **extra)
         for rank in range(1, workers + 1):
             gang.spawn(rank, _echo_main, workers, total)
@@ -101,8 +100,8 @@ def bench_coalesce(calls=512, batch=8, repeats=3):
     """Monitor wire frames and wall time, coalesce=1 vs coalesce=8."""
     import threading
 
+    from repro.core.determinism import DeterminismMonitor
     from repro.dist.collectives import DistCollectives
-    from repro.dist.monitor import DistDeterminismMonitor
     from repro.dist.transport import LoopbackFabric
 
     def one_run(coalesce):
@@ -111,12 +110,14 @@ def bench_coalesce(calls=512, batch=8, repeats=3):
         errors = []
 
         def runner(rank):
-            monitor = DistDeterminismMonitor(
-                DistCollectives(transports[rank]), batch=batch,
-                coalesce=coalesce)
+            monitor = DeterminismMonitor(
+                2, batch=batch, localize=True, coalesce=coalesce,
+                collectives=DistCollectives(transports[rank]))
+            hasher = monitor.hasher(rank)
             try:
                 for i in range(calls):
-                    monitor.record("launch", "task", i)
+                    hasher.record("launch", "task", i)
+                    monitor.maybe_check()
                 monitor.flush()
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -172,9 +173,9 @@ def bench_dist(worker_counts=(1, 2, 4, 8), small_rounds=200,
         "coalesce": coalesce,
     }
     if "4" in fabrics["shm"]:
-        report["shm_over_pipe_large_at_4"] = (
+        report["shm_over_tcp_large_at_4"] = (
             fabrics["shm"]["4"]["large"]["mb_per_s"]
-            / fabrics["pipe"]["4"]["large"]["mb_per_s"])
+            / fabrics["tcp"]["4"]["large"]["mb_per_s"])
     return report
 
 
@@ -199,7 +200,7 @@ def main(argv=None):
     ap.add_argument("--check-baseline", metavar="PATH",
                     help="fail if a gated ratio regressed >20%% vs PATH")
     ap.add_argument("--min-shm-speedup", type=float, default=1.5,
-                    help="required shm/pipe large-payload ratio at 4 "
+                    help="required shm/tcp large-payload ratio at 4 "
                          "workers (default 1.5)")
     ap.add_argument("--min-frame-reduction", type=float, default=4.0,
                     help="required monitor frame reduction at coalesce 8 "
@@ -221,11 +222,11 @@ def main(argv=None):
           f"({coalesce['frame_reduction']:.1f}x fewer)")
 
     failed = False
-    shm_ratio = report.get("shm_over_pipe_large_at_4")
+    shm_ratio = report.get("shm_over_tcp_large_at_4")
     if shm_ratio is not None:
-        print(f"shm/pipe large @4 workers: {shm_ratio:.2f}x")
+        print(f"shm/tcp large @4 workers: {shm_ratio:.2f}x")
         if shm_ratio < args.min_shm_speedup:
-            print(f"FAIL: shm/pipe ratio {shm_ratio:.2f}x < required "
+            print(f"FAIL: shm/tcp ratio {shm_ratio:.2f}x < required "
                   f"{args.min_shm_speedup:.2f}x")
             failed = True
     if coalesce["frame_reduction"] < args.min_frame_reduction:
@@ -236,7 +237,7 @@ def main(argv=None):
         with open(args.check_baseline) as fh:
             base = json.load(fh)
         for key, ours in (
-                ("shm_over_pipe_large_at_4", shm_ratio),
+                ("shm_over_tcp_large_at_4", shm_ratio),
                 ("frame_reduction", coalesce["frame_reduction"])):
             theirs = base.get(key, base.get("coalesce", {}).get(key))
             if theirs is None or ours is None:

@@ -115,7 +115,7 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--batch", type=int, default=16)
     ap.add_argument("--backend", default="loopback",
-                    choices=("loopback", "multiprocess"))
+                    choices=("loopback", "shm", "tcp"))
     ap.add_argument("--output", metavar="PATH",
                     help="write the JSON report to PATH")
     ap.add_argument("--check-baseline", metavar="PATH",

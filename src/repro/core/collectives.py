@@ -1,40 +1,61 @@
 """Collective primitives between shards (paper §4.2).
 
 DCR uses four collectives for cooperative work between shards — broadcast,
-reduce, all-gather, all-reduce — implemented with tree or butterfly
-communication schedules of O(log N) latency.  Cross-shard dependence fences
-are an all-gather with no data payload.
+reduce, all-gather, all-reduce — on tree or butterfly communication
+schedules of O(log N) latency.  Cross-shard dependence fences are an
+all-gather with no data payload.
 
-This module implements the *schedules themselves* (not just ``functools
-.reduce``): the butterfly all-reduce really performs log2(N) rounds of
-pairwise exchanges, so tests can check both the results and the O(log N)
-round/message structure that the simulator's cost model charges for.
+This module is the only place a communication schedule is written.
+:func:`schedule` generates, once per ``(kind, n, root)``, the rounds of
+``(src, dst)`` messages a collective exchanges; two thin executors consume
+it and nothing else:
+
+* :class:`Collectives` (here) hosts all ``n`` shards in one process and
+  applies each step to the destination's slot of a per-shard list;
+* :class:`repro.dist.collectives.DistCollectives` is one rank of a gang:
+  it sends the steps it is the source of and receives those it is the
+  destination of, over a transport.
+
+Both fold an arriving value with :func:`fold` (lower shard index first)
+and charge :class:`CollectiveStats` the length of the schedule they ran,
+so results agree bit for bit — for merely-associative ops too — and what
+is charged is what was executed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TypeVar
+from functools import lru_cache
+from typing import (Any, Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from ..faults.injector import CollectiveTimeout, FaultInjector
 from ..obs.events import (CAT_COLLECTIVE, CAT_FAULT, CONTROL_SHARD,
                           EV_FAULT_INJECT, EV_FAULT_RETRY)
 from ..obs.profiler import Profiler, get_profiler
 
-__all__ = ["CollectiveStats", "RetryConfig", "Collectives"]
+__all__ = ["CollectiveStats", "RetryConfig", "Round", "Schedule",
+           "schedule", "rank_schedule", "fold", "ScheduledCollectives",
+           "Collectives"]
 
 T = TypeVar("T")
 
 
 @dataclass
 class CollectiveStats:
-    """Accounting of collective usage, consumed by the simulator cost model.
+    """Accounting of collective usage: what the schedules cost.
 
-    ``rounds`` and ``messages`` include fault-induced extras: every
-    retransmission adds one message and one (serialized) hop, every
-    duplicate delivery adds one message — so a chaos run's cost model
-    charges what was actually sent, not the fault-free schedule.
+    Read by the per-shard conformance reports
+    (:class:`repro.dist.report.ShardReport` ``coll_rounds`` /
+    ``coll_messages``), the profiler's ``collectives.*`` metrics, the
+    end-to-end benchmark ledger, and — the fault fields —
+    :func:`repro.sim.engine.recovery_latency`.
+
+    ``rounds`` and ``messages`` are those of the schedule each collective
+    executed, plus fault-induced extras: every retransmission adds one
+    message and one (serialized) hop, every duplicate delivery adds one
+    message — so a chaos run is charged what was actually sent, not the
+    fault-free schedule.
     """
 
     operations: int = 0
@@ -78,12 +99,198 @@ class RetryConfig:
         return [self.backoff_us * self.factor ** k for k in range(attempts)]
 
 
-def _log2_rounds(n: int) -> int:
-    return max(0, math.ceil(math.log2(n))) if n > 1 else 0
+# ---------------------------------------------------------------------------
+# The schedules
+# ---------------------------------------------------------------------------
+
+class Round(NamedTuple):
+    """One hop of a schedule: messages that cross simultaneously.
+
+    Every rank appears at most once as a source and at most once as a
+    destination.  In a ``combine`` round the destination folds the
+    arriving value into its own (:func:`fold`); otherwise it adopts it.
+    """
+
+    steps: Tuple[Tuple[int, int], ...]      # (src, dst)
+    combine: bool
 
 
-class Collectives:
-    """Collectives over ``num_shards`` logical shards.
+class Schedule(NamedTuple):
+    rounds: Tuple[Round, ...]
+    messages: int                           # steps, summed over the rounds
+
+
+def _tree_broadcast(n: int, root: int) -> Iterator[Round]:
+    """Binomial tree rooted at ``root``: holders double every round."""
+    dist = 1
+    while dist < n:
+        yield Round(tuple(((rel + root) % n, (rel + dist + root) % n)
+                          for rel in range(min(dist, n - dist))), False)
+        dist *= 2
+
+
+def _tree_reduce(n: int, root: int) -> Iterator[Round]:
+    """Binomial tree into shard 0 (pairs at distance 1, 2, 4, ...).
+
+    The tree always ends at shard 0 so the combine order — and with it
+    the result of a merely-associative op — does not depend on ``root``;
+    any other root is one more hop, relaying the finished reduction.
+    """
+    dist = 1
+    while dist < n:
+        yield Round(tuple((i + dist, i)
+                          for i in range(0, n - dist, 2 * dist)), True)
+        dist *= 2
+    if root != 0:
+        yield Round(((0, root),), False)
+
+
+def _butterfly(n: int, root: int) -> Iterator[Round]:
+    """Recursive doubling over the largest power-of-two block.
+
+    For other shard counts the extras first fold into the block and
+    receive the result at the end (the standard MPI approach), adding two
+    rounds of ``n - pow2`` messages around ``log2(pow2)`` rounds of
+    ``pow2``.
+    """
+    pow2 = 1 << (n.bit_length() - 1)
+    extra = n - pow2
+    if extra:
+        yield Round(tuple((pow2 + i, i) for i in range(extra)), True)
+    dist = 1
+    while dist < pow2:
+        yield Round(tuple((i ^ dist, i) for i in range(pow2)), True)
+        dist *= 2
+    if extra:
+        yield Round(tuple((i, pow2 + i) for i in range(extra)), False)
+
+
+def _dissemination(n: int, root: int) -> Iterator[Round]:
+    """Round r: everything held goes to ``rank + 2^r``, wrapping around.
+
+    After r rounds a rank holds the values of the ``2^r`` ranks below it,
+    so ⌈log₂n⌉ rounds of n messages complete an all-gather at every n —
+    the fence latency the cost model (:mod:`repro.models.dcr`) charges.
+    """
+    dist = 1
+    while dist < n:
+        yield Round(tuple((i, (i + dist) % n) for i in range(n)), True)
+        dist *= 2
+
+
+_GENERATORS = {"broadcast": _tree_broadcast, "reduce": _tree_reduce,
+               "allreduce": _butterfly, "allgather": _dissemination,
+               "barrier": _dissemination}
+
+
+@lru_cache(maxsize=512)
+def schedule(kind: str, n: int, root: int = 0) -> Schedule:
+    """The rounds of ``kind`` over ``n`` shards (memoised, immutable)."""
+    rounds = tuple(_GENERATORS[kind](n, root))
+    return Schedule(rounds, sum(len(r.steps) for r in rounds))
+
+
+@lru_cache(maxsize=4096)
+def rank_schedule(kind: str, n: int, root: int, rank: int) -> Tuple[
+        Tuple[Optional[int], Optional[int], bool], ...]:
+    """One rank's part of :func:`schedule`: per round ``(send_to,
+    recv_from, combine)``, ``None`` where the rank sits the round out."""
+    out = []
+    for steps, combine in schedule(kind, n, root).rounds:
+        send_to = recv_from = None
+        for src, dst in steps:
+            if src == rank:
+                send_to = dst
+            if dst == rank:
+                recv_from = src
+        out.append((send_to, recv_from, combine))
+    return tuple(out)
+
+
+def fold(mine: T, arriving: T, dst: int, src: int,
+         op: Callable[[T, T], T]) -> T:
+    """Combine at ``dst`` a value arriving from ``src``: lower index first.
+
+    The one combine-order rule, so merely-associative ops reduce to the
+    same bits on every shard and in every executor.
+    """
+    return op(mine, arriving) if dst < src else op(arriving, mine)
+
+
+def _merge(a: dict, b: dict) -> dict:
+    return {**a, **b}
+
+
+def _nothing(a: Any, b: Any) -> None:
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Executors
+# ---------------------------------------------------------------------------
+
+class ScheduledCollectives:
+    """What every executor of the schedules shares.
+
+    ``shards`` are the shard ids this object hosts — all of them for the
+    in-process :class:`Collectives`, one for a gang rank — and
+    :meth:`run` is the executor proper: one value per hosted shard in,
+    one result per hosted shard out.  :class:`~repro.core.determinism
+    .DeterminismMonitor` is written against this interface only, which is
+    what lets one monitor class serve every backend.
+    """
+
+    def __init__(self, num_shards: int, shards: Sequence[int],
+                 profiler: Optional[Profiler] = None):
+        if num_shards < 1:
+            raise ValueError("need at least one shard")
+        self.num_shards = num_shards
+        self.shards = tuple(shards)
+        self.profiler = profiler if profiler is not None else get_profiler()
+        self.stats = CollectiveStats()
+
+    def _schedule(self, kind: str, root: int) -> Schedule:
+        if not 0 <= root < self.num_shards:
+            raise ValueError(
+                f"{kind}: root shard {root} outside the valid range "
+                f"[0, {self.num_shards}) for {self.num_shards} shard(s)")
+        return schedule(kind, self.num_shards, root)
+
+    def _charge(self, kind: str, sched: Schedule, extra_rounds: int = 0,
+                extra_messages: int = 0) -> Tuple[int, int]:
+        """Record one executed schedule (plus fault extras); returns the
+        ``(rounds, messages)`` charged."""
+        rounds = len(sched.rounds) + extra_rounds
+        messages = sched.messages + extra_messages
+        self.stats.record(kind, rounds, messages)
+        return rounds, messages
+
+    def run(self, kind: str, acc: List[Any],
+            op: Optional[Callable[[Any, Any], Any]] = None,
+            root: int = 0) -> List[Any]:
+        """Execute ``kind``'s schedule over ``acc``, one value per hosted
+        shard (updated in place and returned)."""
+        raise NotImplementedError
+
+    def gather(self, values: Sequence[T]) -> List[List[T]]:
+        """All-gather of one value per hosted shard: for each hosted
+        shard, every shard's value in shard order."""
+        held = self.run("allgather",
+                        [{s: v} for s, v in zip(self.shards, values)],
+                        _merge)
+        return [[h[s] for s in range(self.num_shards)] for h in held]
+
+    def barrier(self) -> None:
+        """Synchronize all shards; an all-gather with no payload (§4.2)."""
+        self.run("barrier", [None] * len(self.shards), _nothing)
+
+    def fence_rounds(self) -> int:
+        """Latency (in hops) of one cross-shard fence collective."""
+        return len(self._schedule("barrier", 0).rounds)
+
+
+class Collectives(ScheduledCollectives):
+    """Collectives over ``num_shards`` logical shards in one process.
 
     Values are passed in as a list indexed by shard; results come back the
     same way.  All schedules are deterministic, so any shard replaying the
@@ -95,35 +302,49 @@ class Collectives:
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
                  retry: Optional[RetryConfig] = None):
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        self.num_shards = num_shards
-        self.profiler = profiler if profiler is not None else get_profiler()
+        super().__init__(num_shards, range(num_shards), profiler)
         self.injector = injector
         self.retry = retry or RetryConfig()
-        self.stats = CollectiveStats()
 
-    def _deliver(self, kind: str, rounds: int, messages: int) -> tuple:
-        """Record one collective, pushing each message past the injector.
+    def run(self, kind: str, acc: List[Any],
+            op: Optional[Callable[[Any, Any], Any]] = None,
+            root: int = 0) -> List[Any]:
+        sched = self._schedule(kind, root)
+        prof = self.profiler
+        t0 = prof.now_us() if prof.enabled else 0.0
+        rounds, msgs = self._deliver(kind, sched)
+        for steps, combine in sched.rounds:
+            # A round's messages cross simultaneously: read every source
+            # before any destination of the round is written.
+            arriving = [acc[src] for src, _dst in steps]
+            for (src, dst), value in zip(steps, arriving):
+                acc[dst] = fold(acc[dst], value, dst, src, op) \
+                    if combine else value
+        if prof.enabled:
+            self._profile(kind, t0, rounds, msgs)
+        return acc
+
+    def _deliver(self, kind: str, sched: Schedule) -> Tuple[int, int]:
+        """Charge one collective, pushing each step past the injector.
 
         Without an injector (or with it disabled) this is exactly
-        ``stats.record`` — no per-message loop runs.  With one, every
-        message of the schedule may be dropped (retransmitted with
-        exponential backoff, raising :class:`CollectiveTimeout` past
+        ``_charge`` — no per-message loop runs.  With one, every step of
+        the schedule may be dropped (retransmitted with exponential
+        backoff, raising :class:`CollectiveTimeout` past
         ``retry.max_retries``), delayed (masked; latency charged), or
         duplicated (one extra message).  Returns the adjusted ``(rounds,
         messages)`` actually charged, for the profiler's hop schedule.
         """
         inj = self.injector
         if inj is None or not inj.enabled:
-            self.stats.record(kind, rounds, messages)
-            return rounds, messages
+            return self._charge(kind, sched)
         prof = self.profiler
         retry = self.retry
         op = self.stats.operations          # ordinal of this collective
         extra_rounds = 0
         extra_msgs = 0
-        for m in range(messages):
+        steps = [step for rnd in sched.rounds for step in rnd.steps]
+        for m, (src, dst) in enumerate(steps):
             attempt = 0
             while True:
                 event = inj.message_event(kind, op, m, attempt)
@@ -132,7 +353,7 @@ class Collectives:
                 if prof.enabled:
                     prof.instant(CONTROL_SHARD, CAT_FAULT, EV_FAULT_INJECT,
                                  site=f"msg_{event}", kind=kind, op=op,
-                                 msg=m, attempt=attempt)
+                                 msg=m, attempt=attempt, src=src, dst=dst)
                 if event == "delay":
                     self.stats.delayed += 1
                     self.stats.delay_latency_us += retry.delay_us
@@ -144,8 +365,7 @@ class Collectives:
                 # Dropped: retransmit after exponential backoff, or give up.
                 if attempt >= retry.max_retries:
                     self.stats.timeouts += 1
-                    self.stats.record(kind, rounds + extra_rounds,
-                                      messages + extra_msgs)
+                    self._charge(kind, sched, extra_rounds, extra_msgs)
                     raise CollectiveTimeout(kind, op, m, attempt + 1)
                 backoff = retry.backoff_us * retry.factor ** attempt
                 self.stats.retry_backoff_us += backoff
@@ -158,10 +378,7 @@ class Collectives:
                                  backoff_us=backoff)
                     prof.count("faults.retransmissions")
                 attempt += 1
-        rounds += extra_rounds
-        messages += extra_msgs
-        self.stats.record(kind, rounds, messages)
-        return rounds, messages
+        return self._charge(kind, sched, extra_rounds, extra_msgs)
 
     def _profile(self, kind: str, t0: float, rounds: int,
                  messages: int) -> None:
@@ -169,8 +386,8 @@ class Collectives:
 
         The measured wall interval of the collective is split evenly over
         its ``rounds`` hops, and each hop appears on each participating
-        shard — the same schedule the simulator's cost model charges, so a
-        profile of a functional run and a simulated run line up.
+        shard, so a profile shows the schedule :class:`CollectiveStats`
+        charged.
         """
         prof = self.profiler
         dur = max(prof.now_us() - t0, 0.0)
@@ -189,8 +406,6 @@ class Collectives:
                               ts, hop, kind=kind, round=r, of=rounds,
                               msgs_total=messages)
 
-    # -- broadcast / reduce (binomial tree) ----------------------------------
-
     def _check_values(self, kind: str, values: Sequence[T]) -> None:
         """Exactly one contribution per shard, with a diagnosable error.
 
@@ -203,24 +418,10 @@ class Collectives:
                 f"{kind}: one value per shard required — got {len(values)} "
                 f"value(s) for {self.num_shards} shard(s)")
 
-    def _check_root(self, kind: str, root: int) -> None:
-        if not 0 <= root < self.num_shards:
-            raise ValueError(
-                f"{kind}: root shard {root} outside the valid range "
-                f"[0, {self.num_shards}) for {self.num_shards} shard(s)")
-
     def broadcast(self, value: T, root: int = 0) -> List[T]:
         """One value from ``root`` to every shard; binomial tree, log N hops."""
-        n = self.num_shards
-        self._check_root("broadcast", root)
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        rounds, msgs = self._deliver("broadcast", _log2_rounds(n),
-                                     max(0, n - 1))
-        result = [value for _ in range(n)]
-        if prof.enabled:
-            self._profile("broadcast", t0, rounds, msgs)
-        return result
+        acc = [value if s == root else None for s in self.shards]
+        return self.run("broadcast", acc, root=root)
 
     def reduce(self, values: Sequence[T], op: Callable[[T, T], T],
                root: int = 0) -> T:
@@ -228,107 +429,26 @@ class Collectives:
 
         The tree combine order is fixed (pairs at distance 1, 2, 4, ...), so
         the result is deterministic even for merely-associative ops.  The
-        tree ends at shard 0; any other ``root`` is charged one more round
-        and message for the relay hop, as the wire schedule pays it.
+        tree ends at shard 0; any other ``root`` costs one more round and
+        message for the relay hop.
         """
-        n = self.num_shards
         self._check_values("reduce", values)
-        self._check_root("reduce", root)
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        relay = 1 if root != 0 else 0
-        rounds, msgs = self._deliver("reduce", _log2_rounds(n) + relay,
-                                     max(0, n - 1) + relay)
-        acc: List[T] = list(values)
-        dist = 1
-        while dist < n:
-            for i in range(0, n, 2 * dist):
-                j = i + dist
-                if j < n:
-                    acc[i] = op(acc[i], acc[j])
-            dist *= 2
-        if prof.enabled:
-            self._profile("reduce", t0, rounds, msgs)
-        return acc[0]
-
-    # -- all-gather / all-reduce (butterfly) ------------------------------------
+        return self.run("reduce", list(values), op, root)[root]
 
     def allgather(self, values: Sequence[T]) -> List[List[T]]:
-        """Every shard receives every shard's value, in shard order.
-
-        Implemented as a recursive-doubling butterfly: round r exchanges
-        blocks of size 2^r with the partner at distance 2^r.
-        """
-        n = self.num_shards
+        """Every shard receives every shard's value, in shard order
+        (dissemination: ⌈log₂n⌉ rounds of n messages)."""
         self._check_values("allgather", values)
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        base = _log2_rounds(n)
-        rounds, msgs = self._deliver("allgather", base, base * n)
-        result = [list(values) for _ in range(n)]
-        if prof.enabled:
-            self._profile("allgather", t0, rounds, msgs)
-        return result
+        return self.gather(values)
 
     def allreduce(self, values: Sequence[T], op: Callable[[T, T], T]) -> List[T]:
         """Every shard receives the reduction of all values (butterfly).
 
-        Executes the genuine recursive-doubling schedule: in round r, shard i
-        exchanges with shard ``i ^ 2^r`` and both combine.  For non-power-of-2
-        shard counts the extras first fold into the main block and receive
-        the result at the end (the standard MPI approach), adding **two**
-        rounds — one fold-in hop before the butterfly and one result hop
-        after it — with one message per extra shard in each; the butterfly
-        itself exchanges one message per participating shard per round.
-        The charged schedule is therefore ``log2(pow2)`` rounds of ``pow2``
-        messages plus, when ``n`` is not a power of two, 2 rounds of
-        ``n - pow2`` messages (regression-tested for n = 1, 2, 3, 5, 8 in
-        ``tests/core/test_collectives.py``).
+        In round r, shard i exchanges with shard ``i ^ 2^r`` and both
+        combine lower index first.  The charged schedule is ``log2(pow2)``
+        rounds of ``pow2`` messages plus, when ``n`` is not a power of two,
+        2 rounds of ``n - pow2`` messages (regression-tested for n = 1, 2,
+        3, 5, 8 in ``tests/core/test_collectives.py``).
         """
-        n = self.num_shards
         self._check_values("allreduce", values)
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        acc: List[T] = list(values)
-        pow2 = 1 << (n.bit_length() - 1)
-        rounds = _log2_rounds(pow2)
-        msgs = rounds * pow2
-        extra = n - pow2
-        if extra:
-            # Fold-in hop before the butterfly + result hop after it.
-            rounds += 2
-            msgs += 2 * extra
-            for i in range(extra):
-                # Extra shard pow2+i folds into shard i before the butterfly.
-                acc[i] = op(acc[i], acc[pow2 + i])
-        rounds, msgs = self._deliver("allreduce", rounds, msgs)
-        dist = 1
-        while dist < pow2:
-            nxt = list(acc)
-            for i in range(pow2):
-                partner = i ^ dist
-                # Deterministic combine order: lower index first.
-                lo, hi = (i, partner) if i < partner else (partner, i)
-                nxt[i] = op(acc[lo], acc[hi])
-            acc[:pow2] = nxt[:pow2]
-            dist *= 2
-        if extra:
-            for i in range(extra):
-                acc[pow2 + i] = acc[i]
-        if prof.enabled:
-            self._profile("allreduce", t0, rounds, msgs)
-        return acc
-
-    def barrier(self) -> None:
-        """Synchronize all shards; an all-gather with no payload (§4.2)."""
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        base = _log2_rounds(n)
-        rounds, msgs = self._deliver("barrier", base, base * n)
-        if prof.enabled:
-            self._profile("barrier", t0, rounds, msgs)
-
-    def fence_rounds(self) -> int:
-        """Latency (in hops) of one cross-shard fence collective."""
-        return _log2_rounds(self.num_shards)
+        return self.run("allreduce", list(values), op)

@@ -22,14 +22,15 @@ numbering across shards, making the hashes comparable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..faults.injector import FaultInjector, ShardCrash
 from ..obs.events import (CAT_DETERMINISM, CONTROL_SHARD, EV_DET_CHECK,
                           EV_DET_LOCALIZE)
 from ..obs.profiler import Profiler, get_profiler
-from .collectives import Collectives
+from .collectives import Collectives, ScheduledCollectives
 
 __all__ = ["ControlDeterminismViolation", "DivergenceDiagnosis",
            "ShardHasher", "DeterminismMonitor", "stream_digest",
@@ -40,9 +41,9 @@ def stream_digest(calls: Sequence[int]) -> int:
     """128-bit digest of a sequence of per-call digests.
 
     The canonical "control-determinism hash" of a call stream: used for
-    window checks here, and by the multiprocess backend
-    (:mod:`repro.dist`) to compare whole per-shard streams across process
-    boundaries — so both backends fold digests identically.
+    window checks here, and by the gang backends (:mod:`repro.dist`) to
+    compare whole per-shard streams across process boundaries — so every
+    backend folds digests identically.
     """
     acc = hashlib.blake2b(digest_size=16)
     for d in calls:
@@ -57,9 +58,8 @@ def locate_divergence(shard_ids: Sequence[int],
                       start: int, count: int) -> DivergenceDiagnosis:
     """Binary-search the first divergent call of a mismatched window.
 
-    Pure function over already-gathered per-shard data, shared by the
-    in-process monitor (which gathers via :class:`Collectives`) and the
-    multiprocess backend (which gathers over the transport).  ``per_call``
+    Pure function over already-gathered per-shard data (the monitor
+    gathers it with one all-gather, whatever it runs over).  ``per_call``
     holds each shard's call digests for ``[start, start + count)`` and
     ``descriptions`` the matching call descriptions.
 
@@ -111,10 +111,10 @@ def locate_divergence(shard_ids: Sequence[int],
 class DivergenceDiagnosis:
     """Localized first point of control divergence (LOCALIZE output).
 
-    Produced by :meth:`DeterminismMonitor.localize_window`: after a window
-    hash mismatch, the per-call digests of the window are allgathered and
-    the first divergent call index found by binary search over per-shard
-    digest prefixes.  ``divergent_shards`` are the shards whose digest at
+    Produced by :class:`DeterminismMonitor` under ``localize=True``: after
+    a window hash mismatch, the per-call digests of the span are
+    allgathered and the first divergent call index found by binary search
+    over per-shard digest prefixes.  ``divergent_shards`` are the shards whose digest at
     ``seq`` differs from the majority digest (ties break toward the digest
     held by the lowest shard id).
     """
@@ -286,197 +286,273 @@ class ShardHasher:
         return digest
 
 
-@dataclass
-class _CheckWindow:
-    """One pending batch of hashes awaiting the all-reduce."""
+#: ``final_total`` slot of a staged window that is a full batch, not the
+#: last window of the stream.
+_NOT_FINAL = -1
 
+
+class _Evidence(NamedTuple):
+    """One shard's account of a failed span (what LOCALIZE gathers)."""
+
+    shard: int
     start: int
-    length: int
+    count: int
+    calls: Sequence[int]            # per-call digests of the span
+    descriptions: Sequence[str]
+    total: int                      # calls recorded so far
+    final_total: int                # of the span's last window
+
+
+def _agree(a: Tuple, b: Tuple) -> Tuple:
+    """All-reduce op of the window exchange.
+
+    The payload is ``(windows, ok)`` where ``windows`` is a tuple of
+    ``(start, count, digest, final_total)`` — one entry per coalesced
+    window.  Any difference (digests, window shapes, window count, or
+    final totals) turns ``ok`` false on every shard in the same collective.
+    """
+    return (a[0], a[1] and b[1] and a[0] == b[0])
 
 
 class DeterminismMonitor:
-    """Coordinates the asynchronous hash all-reduce across shards.
+    """The windowed hash all-reduce across shards — one class, any hosting.
 
-    The real system hides the all-reduce latency by pipelining it with
-    execution; here ``maybe_check`` is called after every recorded call and
-    performs the collective once every ``batch`` calls are available on all
-    shards (plus a final ``flush`` at task completion).  ``enabled=False``
-    models the "No Safe" configurations of Fig. 21.
+    The monitor is parameterised by the ``collectives`` object it is
+    handed and checks the shards that object hosts: all N of them for the
+    in-process :class:`~repro.core.collectives.Collectives` (the default),
+    one per rank when each gang rank builds its own monitor over a
+    :class:`~repro.dist.collectives.DistCollectives`.  The protocol is the
+    same either way (``docs/dist.md``, "Determinism window protocol"):
+
+    * **stage** — ``maybe_check`` is called after every recorded call and
+      closes a window once ``batch`` calls are pending on every hosted
+      shard; ``flush`` closes the *final* window, which also carries the
+      shard's total call count.  A control-deterministic program records
+      the same calls in the same order everywhere, so window boundaries
+      coincide on all shards without coordination.
+    * **coalesce** — ``coalesce`` staged windows travel in one exchange:
+      the collective count drops by that factor, at the cost of
+      divergence being detected up to ``coalesce × batch`` calls later.
+    * **exchange** — one all-reduce of the staged ``(start, count,
+      digest, final_total)`` tuples; any difference (digests, window
+      shapes, trailing extra calls) fails the check on *every* shard in
+      the same collective, so all raise together and none deadlocks.
+      ``flush`` always exchanges, so a peer's extra trailing call is
+      caught even when nothing else is pending.
+    * **LOCALIZE** — with ``localize=True`` a failed exchange is followed
+      by one all-gather of the span's per-call digests and a binary search
+      for the first divergent call (:func:`locate_divergence`), raising
+      with a full :class:`DivergenceDiagnosis`.  Without it the monitor
+      compares only the shards it hosts: enough to name the call when it
+      hosts them all, a bare ``<window mismatch>`` when it hosts one.
+
+    ``enabled=False`` models the "No Safe" configurations of Fig. 21.
 
     Recovery hooks (all optional, default off):
 
     * ``injector`` — threaded into every :class:`ShardHasher`;
-    * ``localize=True`` — on a window mismatch, allgather per-call digests
-      and binary-search the first divergent call, raising with a full
-      :class:`DivergenceDiagnosis` instead of a bare first-difference scan;
     * ``on_batch`` — callback ``(verified_count) -> None`` after each
-      successful check, used by the runtime for batch-boundary snapshots;
+      exchange that advanced the verified frontier, used by the runtime
+      for batch-boundary snapshots;
     * ``quarantine(shard)`` / ``reset_shard(shard)`` — shrink the compared
       shard set after DEGRADE, or re-admit a shard with a fresh hasher for
       RESTART (it rejoins checking at the next batch boundary, once its
-      re-execution catches back up to the verified frontier).
+      re-execution catches back up to the staged frontier).
     """
 
     def __init__(self, num_shards: int, batch: int = 64, enabled: bool = True,
-                 collectives: Optional[Collectives] = None,
+                 collectives: Optional[ScheduledCollectives] = None,
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
                  localize: bool = False,
-                 on_batch: Optional[Callable[[int], None]] = None):
+                 on_batch: Optional[Callable[[int], None]] = None,
+                 coalesce: int = 1):
+        self.profiler = profiler if profiler is not None else get_profiler()
+        self.collectives = collectives if collectives is not None \
+            else Collectives(num_shards, profiler=self.profiler)
+        if self.collectives.num_shards != num_shards:
+            raise ValueError(
+                f"monitor for {num_shards} shard(s) handed collectives over "
+                f"{self.collectives.num_shards}")
+        self.shards = self.collectives.shards
         self.injector = injector
-        self.hashers = [ShardHasher(i, injector) for i in range(num_shards)]
+        self.hashers = [ShardHasher(s, injector) for s in self.shards]
         self.batch = max(1, batch)
         self.enabled = enabled
         self.localize = localize
         self.on_batch = on_batch
-        self.profiler = profiler if profiler is not None else get_profiler()
-        self.collectives = collectives or Collectives(
-            num_shards, profiler=self.profiler)
-        self._verified = 0
+        self.coalesce = max(1, coalesce)
         self.checks_performed = 0
-        self._active = set(range(num_shards))
+        # A monitor speaking for every shard reports on the control
+        # timeline; a rank's own monitor reports on that rank's.
+        self._timeline = CONTROL_SHARD if len(self.shards) == num_shards \
+            else self.shards[0]
+        self._live = list(self.hashers)     # hashers of active hosted shards
+        self._staged: List[Dict[int, Tuple[int, int, int, int]]] = []
+        self._staged_upto = 0               # calls closed into windows
+        self._verified = 0                  # ... and agreed on by all shards
 
     def hasher(self, shard: int) -> ShardHasher:
-        return self.hashers[shard]
+        return self.hashers[self.shards.index(shard)]
+
+    @property
+    def verified(self) -> int:
+        """Calls every shard has been verified to agree on so far."""
+        return self._verified
 
     # -- shard-set management (DEGRADE / RESTART) ----------------------------
 
     @property
     def active_shards(self) -> List[int]:
-        return sorted(self._active)
+        return [h.shard for h in self._live]
 
     def quarantine(self, shard: int) -> None:
         """Stop comparing ``shard``; its recorded calls are abandoned."""
-        self._active.discard(shard)
-        if not self._active:
+        live = [h for h in self._live if h.shard != shard]
+        if not live:
             raise ValueError("cannot quarantine the last active shard")
+        self._live = live
 
     def reset_shard(self, shard: int) -> None:
         """Re-admit ``shard`` with a fresh hasher (RESTART rejoin).
 
         The restarted shard replays its control stream from the beginning;
-        checks stall (``_ready() <= 0``) until it catches back up to the
-        verified frontier, i.e. it rejoins at the next batch boundary.
+        no window closes until it catches back up to the staged frontier,
+        i.e. it rejoins at the next batch boundary.
         """
-        self.hashers[shard] = ShardHasher(shard, self.injector)
-        self._active.add(shard)
+        active = set(self.active_shards) | {shard}
+        self.hashers[self.shards.index(shard)] = ShardHasher(shard,
+                                                             self.injector)
+        self._live = [h for h in self.hashers if h.shard in active]
 
-    def _active_hashers(self) -> List[ShardHasher]:
-        return [self.hashers[s] for s in sorted(self._active)]
-
-    def _ready(self) -> int:
-        """Number of call slots recorded by *all* shards but not yet checked."""
-        avail = min(len(h.calls) for h in self._active_hashers())
-        return max(0, avail - self._verified)
+    # -- staging -------------------------------------------------------------
 
     def maybe_check(self) -> None:
-        """Run the collective check if a full batch is ready on every shard."""
-        if self.enabled and self._ready() >= self.batch:
-            self._check(self._ready())
-
-    def flush(self) -> None:
-        """Check everything outstanding; also verifies equal call counts."""
+        """Close a window if a full batch is pending on every hosted shard,
+        and exchange once ``coalesce`` windows are staged."""
         if not self.enabled:
             return
-        hashers = self._active_hashers()
-        counts = [len(h.calls) for h in hashers]
-        if len(set(counts)) > 1:
-            seq = min(counts)
-            # Guard and index must agree on the *same* list: descriptions
-            # grows in lockstep with calls, so index it under its own length.
-            descr = [
-                h.descriptions[seq] if seq < len(h.descriptions)
-                else "<no call>"
-                for h in hashers
-            ]
-            raise ControlDeterminismViolation(
-                seq, descr,
-                shard_ids=[h.shard for h in hashers],
-                call_counts=counts)
-        remaining = self._ready()
-        if remaining > 0:
-            self._check(remaining)
+        need = self._staged_upto + self.batch
+        for h in self._live:
+            if len(h.calls) < need:
+                return
+        self._stage(final=False)
+        if len(self._staged) >= self.coalesce:
+            self._exchange()
 
-    # -- window digests & localization ---------------------------------------
+    def flush(self) -> None:
+        """Check the remaining calls and verify equal totals everywhere.
+
+        Always performs the final exchange (even with an empty remainder
+        and no staged windows) so a shard that issued extra trailing calls
+        is caught rather than silently ignored.
+        """
+        if self.enabled:
+            self._stage(final=True)
+            self._exchange()
+
+    def _stage(self, final: bool) -> None:
+        """Close one window on every hosted shard; the exchange happens at
+        coalesce points.  A full-batch window spans what *all* hosted
+        shards have recorded; the final one spans each shard's own rest."""
+        start = self._staged_upto
+        upto = min(len(h.calls) for h in self._live)
+        row = {}
+        for h in self._live:
+            end = len(h.calls) if final else upto
+            row[h.shard] = (start, max(0, end - start),
+                            stream_digest(h.calls[start:end]),
+                            len(h.calls) if final else _NOT_FINAL)
+        self._staged.append(row)
+        self._staged_upto = max(start, upto)
 
     def window_digest(self, shard: int, start: int, count: int) -> int:
         """128-bit digest of one shard's calls ``[start, start+count)``."""
-        return stream_digest(self.hashers[shard].calls[start:start + count])
+        return stream_digest(self.hasher(shard).calls[start:start + count])
 
-    def localize_window(self, start: int, count: int) -> DivergenceDiagnosis:
-        """Find the first divergent call in a mismatched window (LOCALIZE).
+    # -- the collective check ------------------------------------------------
 
-        Models the paper-faithful distributed protocol: every shard
-        contributes its per-call digests for the window via one allgather
-        (charged to :class:`Collectives` and the profiler), then each shard
-        runs the same deterministic binary search over digest prefixes —
-        window hashes are prefix-monotone, so the first index at which the
-        prefix sets diverge is the first divergent call.
+    def _hosted(self, per_shard: Dict[int, Any]) -> List[Any]:
+        """One contribution per hosted shard, in shard order.  Quarantined
+        slots repeat the first active shard's, so the collective keeps its
+        fixed width without affecting the verdict."""
+        pad = per_shard[self._live[0].shard]
+        return [per_shard.get(s, pad) for s in self.shards]
+
+    def _exchange(self) -> None:
+        """All-reduce every staged window in one collective."""
+        staged, self._staged = self._staged, []
+        prof = self.profiler
+        t0 = prof.now_us() if prof.enabled else 0.0
+        self.checks_performed += 1
+        verdicts = self.collectives.run("allreduce", self._hosted(
+            {h.shard: (tuple(row[h.shard] for row in staged), True)
+             for h in self._live}), _agree)
+        if not all(ok for _windows, ok in verdicts):
+            self._diverged(staged)
+        span = self._staged_upto - self._verified
+        self._verified = self._staged_upto
+        if prof.enabled:
+            prof.complete(self._timeline, CAT_DETERMINISM, EV_DET_CHECK, t0,
+                          prof.now_us() - t0, calls=span,
+                          windows=len(staged), batch=self.checks_performed)
+            prof.count("determinism.batches")
+            prof.count("determinism.calls_checked", span)
+        if self.on_batch is not None and span:
+            self.on_batch(self._verified)
+
+    def _diverged(self, staged: List[Dict[int, Tuple]]) -> None:
+        """Raise the structured violation; every shard takes this path.
+
+        Evidence is one :class:`_Evidence` row per shard for the failed
+        span — gathered from all shards under LOCALIZE, otherwise just the
+        hosted ones.
         """
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
-        shards = sorted(self._active)
-        hashers = [self.hashers[s] for s in shards]
-        # The allgather moves count 128-bit digests per shard; the payload
-        # rides the same O(log N) schedule as any allgather.  Quarantined
-        # slots are padded with the first active shard's stream so the
-        # collective keeps its fixed width without affecting the search.
-        per_call = [h.calls[start:start + count] for h in hashers]
-        pad = self.collectives.num_shards - len(per_call)
-        full = self.collectives.allgather(
-            per_call + per_call[:1] * pad)[0][:len(shards)]
-        # The binary search over chained prefix digests is shared with the
-        # multiprocess backend (which gathers over the transport instead).
+        start = staged[0][self._live[0].shard][0]
+        rows = {}
+        for h in self._live:
+            count = sum(row[h.shard][1] for row in staged)
+            rows[h.shard] = _Evidence(
+                h.shard, start, count, h.calls[start:start + count],
+                h.descriptions[start:start + count], len(h.calls),
+                staged[-1][h.shard][3])
+        if self.localize:
+            # One all-gather moves the span's digests; quarantined slots
+            # arrive as duplicates of an active shard's row and drop out.
+            gathered = self.collectives.gather(self._hosted(rows))[0]
+            rows = {row[0]: _Evidence(*row) for row in gathered}
+        evidence = [rows[s] for s in sorted(rows)]
+        shard_ids = [e.shard for e in evidence]
+        totals = [e.total for e in evidence]
+        if len({(e.start, e.count, e.final_total) for e in evidence}) > 1:
+            # Shards disagree about how many calls exist (window shapes or
+            # final totals differ): the unequal-call-count violation,
+            # localized to the short shard(s).
+            seq = min(totals)
+            raise ControlDeterminismViolation(
+                seq, [e.descriptions[seq - e.start]
+                      if 0 <= seq - e.start < len(e.descriptions)
+                      else "<no call>" for e in evidence],
+                shard_ids=shard_ids, call_counts=totals)
+        per_call = [list(e.calls) for e in evidence]
+        if all(calls == per_call[0] for calls in per_call):
+            # Nothing to compare against: this monitor hosts one shard
+            # and was not asked to gather the others.
+            raise ControlDeterminismViolation(start, ["<window mismatch>"],
+                                             shard_ids=shard_ids)
         diagnosis = locate_divergence(
-            shards, full,
-            [h.descriptions[start:start + count] for h in hashers],
-            [len(h.calls) for h in hashers], start, count)
-        seq = diagnosis.seq
-        divergent = diagnosis.divergent_shards
-        if prof.enabled:
-            prof.complete(CONTROL_SHARD, CAT_DETERMINISM, EV_DET_LOCALIZE,
-                          t0, prof.now_us() - t0, seq=seq,
-                          shards=list(divergent), window=count)
+            shard_ids, per_call, [list(e.descriptions) for e in evidence],
+            totals, start, len(per_call[0]))
+        if self.localize and prof.enabled:
+            prof.complete(self._timeline, CAT_DETERMINISM, EV_DET_LOCALIZE,
+                          t0, prof.now_us() - t0, seq=diagnosis.seq,
+                          shards=list(diagnosis.divergent_shards),
+                          window=len(per_call[0]))
             prof.count("determinism.localizations")
-        return diagnosis
-
-    def _check(self, count: int) -> None:
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        start = self._verified
-        self.checks_performed += 1
-        hashers = self._active_hashers()
-        # One all-reduce over the batch: combine (window-hash, ok) pairs.
-        window_hashes = [self.window_digest(h.shard, start, count)
-                         for h in hashers]
-        pad = self.collectives.num_shards - len(window_hashes)
-        combined = self.collectives.allreduce(
-            [(w, True) for w in window_hashes + window_hashes[:1] * pad],
-            lambda a, b: (a[0], a[1] and b[1] and a[0] == b[0]))
-        if not all(ok for (_w, ok) in combined):
-            if self.localize:
-                diagnosis = self.localize_window(start, count)
-                raise ControlDeterminismViolation(
-                    diagnosis.seq, list(diagnosis.descriptions),
-                    shard_digests=list(diagnosis.shard_digests),
-                    shard_ids=list(diagnosis.shard_ids),
-                    diagnosis=diagnosis)
-            # Locate the first divergent call for the error message.
-            for off in range(count):
-                seq = start + off
-                digests = {h.calls[seq] for h in hashers}
-                if len(digests) > 1:
-                    raise ControlDeterminismViolation(
-                        seq, [h.descriptions[seq] for h in hashers],
-                        shard_digests=[h.calls[seq] for h in hashers],
-                        shard_ids=[h.shard for h in hashers])
-            raise ControlDeterminismViolation(start, ["<window mismatch>"])
-        self._verified = start + count
-        if prof.enabled:
-            prof.complete(CONTROL_SHARD, CAT_DETERMINISM, EV_DET_CHECK,
-                          t0, prof.now_us() - t0, calls=count,
-                          batch=self.checks_performed)
-            prof.count("determinism.batches")
-            prof.count("determinism.calls_checked", count)
-        if self.on_batch is not None:
-            self.on_batch(self._verified)
+        raise ControlDeterminismViolation(
+            diagnosis.seq, list(diagnosis.descriptions),
+            shard_digests=list(diagnosis.shard_digests),
+            shard_ids=list(diagnosis.shard_ids),
+            diagnosis=diagnosis if self.localize else None)

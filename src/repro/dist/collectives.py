@@ -1,26 +1,15 @@
 """Rank-local collectives over a :class:`~repro.dist.transport.Transport`.
 
-:class:`DistCollectives` is the multiprocess counterpart of
-:class:`repro.core.collectives.Collectives`.  The in-process class holds a
-global view (``values`` indexed by shard, results back the same way); here
-each shard owns one instance and contributes only its *own* value — the
-schedules, combine orders, and results are identical:
-
-* **broadcast / reduce** — binomial tree (pairs at distance 1, 2, 4, ...),
-  with the in-process implementation's deterministic combine order
-  ``acc[i] = op(acc[i], acc[i + dist])``;
-* **all-gather / all-reduce** — recursive-doubling butterfly over the
-  largest power-of-two block, non-power-of-2 extras folding in before and
-  receiving the result after (the same two extra hops the in-process
-  accounting charges), with the lower-index-first combine order;
-* **barrier** — an all-gather with no payload (paper §4.2).
-
-``stats`` records the *canonical schedule* — the same rounds/messages the
-in-process class and the simulator's cost model charge — so per-shard
-reports are byte-comparable across backends.  The true wire traffic
-(which differs for non-power-of-2 shard counts, where the real fold
-hops are cheaper than the charged schedule) is visible on the transport's
-``frames_sent``/``frames_received`` counters.
+:class:`DistCollectives` is the second executor of the schedules written
+in :mod:`repro.core.collectives`.  The in-process executor holds a global
+view (``values`` indexed by shard, results back the same way); here each
+shard owns one instance, contributes only its *own* value, and walks its
+:func:`~repro.core.collectives.rank_schedule` — send where it is a step's
+source, receive where it is the destination, fold lower index first.  No
+schedule arithmetic lives in this module, so results, combine orders and
+``stats`` equal the in-process ones by construction, and ``stats
+.messages`` summed over the ranks' shares is the number of frames the
+transports carry (``frames_sent``).
 
 Every receive inherits the transport's hard deadline: a lost peer raises
 :class:`~repro.faults.injector.CollectiveTimeout` (or its
@@ -31,9 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, TypeVar
 
-from ..core.collectives import CollectiveStats, _log2_rounds
+from ..core.collectives import ScheduledCollectives, fold, rank_schedule
 from ..obs.events import CAT_COLLECTIVE
-from ..obs.profiler import Profiler, get_profiler
+from ..obs.profiler import Profiler
 from .transport import Transport
 
 __all__ = ["DistCollectives"]
@@ -41,236 +30,63 @@ __all__ = ["DistCollectives"]
 T = TypeVar("T")
 
 
-class DistCollectives:
+class DistCollectives(ScheduledCollectives):
     """The deterministic collective schedules, executed over real IPC."""
 
     def __init__(self, transport: Transport,
                  profiler: Optional[Profiler] = None):
+        super().__init__(transport.num_shards, (transport.rank,), profiler)
         self.transport = transport
         self.rank = transport.rank
-        self.num_shards = transport.num_shards
-        self.profiler = profiler if profiler is not None else get_profiler()
-        self.stats = CollectiveStats()
-        self._ops = 0
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _begin(self) -> int:
-        op = self._ops
-        self._ops += 1
-        return op
-
-    def _finish(self, kind: str, op: int, t0: float,
-                rounds: int, messages: int) -> None:
-        """Record the canonical schedule (see module docstring)."""
-        self.stats.record(kind, rounds, messages)
+    def run(self, kind: str, acc: List[Any],
+            op: Optional[Callable[[Any, Any], Any]] = None,
+            root: int = 0) -> List[Any]:
+        sched = self._schedule(kind, root)
+        rank = self.rank
         prof = self.profiler
+        t0 = prof.now_us() if prof.enabled else 0.0
+        # The operation ordinal tags every frame of this collective; it
+        # only climbs, so back-to-back collectives never share a tag.
+        ordinal = self.stats.operations
+        rounds, messages = self._charge(kind, sched)
+        send, recv = self.transport.send, self.transport.recv
+        mine = acc[0]
+        for rnd, (send_to, recv_from, combine) in enumerate(
+                rank_schedule(kind, self.num_shards, root, rank)):
+            if send_to is not None:
+                send(send_to, kind, ordinal, rnd, mine)
+            if recv_from is not None:
+                arriving = recv(recv_from, kind, ordinal, rnd)
+                mine = fold(mine, arriving, rank, recv_from, op) \
+                    if combine else arriving
+        acc[0] = mine
         if prof.enabled:
-            prof.complete(self.rank, CAT_COLLECTIVE, f"{kind}.op{op}",
+            prof.complete(rank, CAT_COLLECTIVE, f"{kind}.op{ordinal}",
                           t0, max(prof.now_us() - t0, 0.0), kind=kind,
                           rounds=rounds, msgs_total=messages)
             prof.count("collectives.dist.ops")
-
-    def _check_root(self, kind: str, root: int) -> None:
-        if not 0 <= root < self.num_shards:
-            raise ValueError(
-                f"{kind}: root shard {root} outside the valid range "
-                f"[0, {self.num_shards}) for {self.num_shards} shard(s)")
-
-    # -- broadcast / reduce (binomial tree) ----------------------------------
+        return acc
 
     def broadcast(self, value: T, root: int = 0) -> T:
         """Root's value delivered to every shard; binomial tree."""
-        self._check_root("broadcast", root)
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        op = self._begin()
-        rel = (self.rank - root) % n
-        dist, rnd = 1, 0
-        while dist < n:
-            if rel < dist:
-                peer_rel = rel + dist
-                if peer_rel < n:
-                    self.transport.send((peer_rel + root) % n,
-                                        "broadcast", op, rnd, value)
-            elif rel < 2 * dist:
-                value = self.transport.recv((rel - dist + root) % n,
-                                            "broadcast", op, rnd)
-            dist *= 2
-            rnd += 1
-        self._finish("broadcast", op, t0, _log2_rounds(n), max(0, n - 1))
-        return value
+        return self.run("broadcast", [value], root=root)[0]
 
     def reduce(self, value: T, op: Callable[[T, T], T],
                root: int = 0) -> Optional[T]:
         """Combine per-shard values toward ``root`` along a binomial tree.
 
-        The combine order is the in-process one (``acc[i] = op(acc[i],
-        acc[i + dist])``, distances doubling), so merely-associative ops
-        reduce to bit-identical results.  Returns the reduction on
+        The combine order is the in-process one, so merely-associative
+        ops reduce to bit-identical results.  Returns the reduction on
         ``root`` and ``None`` elsewhere.
         """
-        self._check_root("reduce", root)
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        ordinal = self._begin()
-        acc = value
-        dist, rnd = 1, 0
-        holds = True
-        while dist < n:
-            if holds:
-                if self.rank % (2 * dist) == 0:
-                    peer = self.rank + dist
-                    if peer < n:
-                        other = self.transport.recv(peer, "reduce",
-                                                    ordinal, rnd)
-                        acc = op(acc, other)
-                else:
-                    self.transport.send(self.rank - dist, "reduce",
-                                        ordinal, rnd, acc)
-                    holds = False
-            dist *= 2
-            rnd += 1
-        rounds, msgs = _log2_rounds(n), max(0, n - 1)
-        if root != 0:
-            # The in-process schedule ends at shard 0; relay to the
-            # requested root (one extra, honestly-charged hop).
-            if self.rank == 0:
-                self.transport.send(root, "reduce", ordinal, rnd, acc)
-                holds = False
-            elif self.rank == root:
-                acc = self.transport.recv(0, "reduce", ordinal, rnd)
-                holds = True
-            rounds += 1
-            msgs += 1
-        self._finish("reduce", ordinal, t0, rounds, msgs)
-        return acc if (self.rank == root and holds) else None
-
-    # -- all-gather / all-reduce (butterfly) ---------------------------------
-
-    def _butterfly_gather(self, kind: str, ordinal: int, value: Any) -> list:
-        """Recursive-doubling gather of every shard's value, in shard order.
-
-        Returns the full per-shard list on every rank.  Non-power-of-2
-        extras fold into their partner before the butterfly and receive
-        the assembled list after it.
-        """
-        n = self.num_shards
-        if n == 1:
-            return [value]
-        pow2 = 1 << (n.bit_length() - 1)
-        extra = n - pow2
-        held = {self.rank: value}
-        rnd = 0
-        if extra:
-            if self.rank >= pow2:
-                self.transport.send(self.rank - pow2, kind, ordinal, rnd,
-                                    value)
-            elif self.rank < extra:
-                held[self.rank + pow2] = self.transport.recv(
-                    self.rank + pow2, kind, ordinal, rnd)
-            rnd += 1
-        if self.rank < pow2:
-            dist = 1
-            while dist < pow2:
-                partner = self.rank ^ dist
-                self.transport.send(partner, kind, ordinal, rnd,
-                                    sorted(held.items()))
-                for shard, val in self.transport.recv(partner, kind,
-                                                      ordinal, rnd):
-                    held[shard] = val
-                dist *= 2
-                rnd += 1
-        else:
-            rnd += _log2_rounds(pow2)
-        if extra:
-            if self.rank < extra:
-                full = [held[s] for s in range(n)]
-                self.transport.send(self.rank + pow2, kind, ordinal, rnd,
-                                    full)
-                return full
-            if self.rank >= pow2:
-                return list(self.transport.recv(self.rank - pow2, kind,
-                                                ordinal, rnd))
-        return [held[s] for s in range(n)]
+        out = self.run("reduce", [value], op, root)[0]
+        return out if self.rank == root else None
 
     def allgather(self, value: T) -> List[T]:
         """Every shard receives every shard's value, in shard order."""
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        ordinal = self._begin()
-        result = self._butterfly_gather("allgather", ordinal, value)
-        base = _log2_rounds(n)
-        self._finish("allgather", ordinal, t0, base, base * n)
-        return result
+        return self.gather([value])[0]
 
     def allreduce(self, value: T, op: Callable[[T, T], T]) -> T:
-        """Every shard receives the reduction of all values (butterfly).
-
-        Mirrors the in-process schedule exactly: extras fold into the
-        power-of-two block first and receive the result at the end; each
-        butterfly round exchanges with the partner at distance ``2^r`` and
-        both sides combine lower-index-first, so merely-associative ops
-        still agree bit-for-bit across shards.
-        """
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        ordinal = self._begin()
-        acc = value
-        pow2 = 1 << (n.bit_length() - 1)
-        extra = n - pow2
-        rounds = _log2_rounds(pow2)
-        msgs = rounds * pow2
-        rnd = 0
-        if extra:
-            rounds += 2
-            msgs += 2 * extra
-            if self.rank >= pow2:
-                self.transport.send(self.rank - pow2, "allreduce", ordinal,
-                                    rnd, acc)
-            elif self.rank < extra:
-                folded = self.transport.recv(self.rank + pow2, "allreduce",
-                                             ordinal, rnd)
-                acc = op(acc, folded)
-            rnd += 1
-        if self.rank < pow2:
-            dist = 1
-            while dist < pow2:
-                partner = self.rank ^ dist
-                self.transport.send(partner, "allreduce", ordinal, rnd, acc)
-                other = self.transport.recv(partner, "allreduce", ordinal,
-                                            rnd)
-                lo, hi = ((acc, other) if self.rank < partner
-                          else (other, acc))
-                acc = op(lo, hi)
-                dist *= 2
-                rnd += 1
-        else:
-            rnd += _log2_rounds(pow2)
-        if extra:
-            if self.rank < extra:
-                self.transport.send(self.rank + pow2, "allreduce", ordinal,
-                                    rnd, acc)
-            elif self.rank >= pow2:
-                acc = self.transport.recv(self.rank - pow2, "allreduce",
-                                          ordinal, rnd)
-        self._finish("allreduce", ordinal, t0, rounds, msgs)
-        return acc
-
-    def barrier(self) -> None:
-        """Synchronize all shards; an all-gather with no payload (§4.2)."""
-        n = self.num_shards
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        ordinal = self._begin()
-        self._butterfly_gather("barrier", ordinal, None)
-        base = _log2_rounds(n)
-        self._finish("barrier", ordinal, t0, base, base * n)
-
-    def fence_rounds(self) -> int:
-        """Latency (in hops) of one cross-shard fence collective."""
-        return _log2_rounds(self.num_shards)
+        """Every shard receives the reduction of all values (butterfly)."""
+        return self.run("allreduce", [value], op)[0]

@@ -15,8 +15,13 @@ details when not.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..core.determinism import stream_digest
+from ..core.pipeline import DCRPipeline, analysis_digest, fence_sequence
 
 __all__ = ["ShardReport", "MergedReport", "merge_reports"]
 
@@ -27,7 +32,7 @@ class ShardReport:
 
     shard: int
     num_shards: int
-    backend: str                 # "inprocess" | "loopback" | "multiprocess"
+    backend: str                 # "inprocess" | "loopback" | "shm" | "tcp"
     graph_digest: str            # analysis_digest (sha256 hex)
     fence_sequence: tuple        # interned (at_seq, region, fids) triples
     determinism_digest: int      # stream_digest of the full call stream
@@ -56,6 +61,28 @@ class ShardReport:
     # records an analysis template (the tail is structure-only, so repeat
     # submissions patch parameters instead of re-analyzing).
     call_digests: tuple = ()
+
+    @classmethod
+    def from_replay(cls, shard: int, backend: str, pipeline: DCRPipeline,
+                    calls: Sequence[int], t0: float,
+                    **fields: Any) -> "ShardReport":
+        """The report of one finished replay: the conformance artifacts and
+        analysis counters come from ``pipeline`` and the hashed ``calls``;
+        ``fields`` adds what only the caller knows (checks, wire traffic,
+        service identity).  ``t0`` is the replay's ``perf_counter`` start.
+        """
+        coarse, fine = pipeline.coarse_result, pipeline.fine_result
+        return cls(
+            shard=shard, num_shards=pipeline.num_shards, backend=backend,
+            graph_digest=analysis_digest(coarse, fine),
+            fence_sequence=tuple(fence_sequence(coarse)),
+            determinism_digest=stream_digest(calls),
+            call_count=len(calls),
+            ops_analyzed=coarse.ops_analyzed,
+            fences=len(coarse.fences),
+            fences_elided=coarse.fences_elided,
+            points=fine.points_per_shard.get(shard, 0),
+            wall_s=time.perf_counter() - t0, pid=os.getpid(), **fields)
 
     def to_payload(self) -> dict:
         """Wire form for the frames codec (tuples become lists)."""

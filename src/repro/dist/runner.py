@@ -22,23 +22,22 @@ workers on any exit path) is the launcher's; see ``docs/dist.md``,
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from typing import Any, List, Optional
 
-from ..core.determinism import ShardHasher, stream_digest
-from ..core.pipeline import DCRPipeline, analysis_digest, fence_sequence
+from ..core.determinism import ShardHasher
+from ..core.pipeline import DCRPipeline
 from .gang import Channel, Gang
-from .programs import ProgramSpec, build_field, build_operations
+from .programs import ProgramSpec
 from .report import MergedReport, ShardReport, merge_reports
 from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, Transport
-from .worker import ShardWorker, replay
+from .worker import ShardWorker, replay_spec
 
-__all__ = ["DistRunner", "ServiceRunner", "run_reference", "BACKENDS"]
+__all__ = ["DistRunner", "run_reference", "BACKENDS"]
 
 #: "loopback" threads transports in one process; the rest fork one worker
-#: process per shard over the matching fabric ("multiprocess" = pipe mesh,
-#: "shm" = shared-memory rings, "tcp" = socket mesh).
+#: process per shard over the matching fabric ("shm" = shared-memory
+#: rings, "tcp" = socket mesh).
 BACKENDS = ("loopback",) + PROCESS_BACKENDS
 
 
@@ -56,23 +55,9 @@ def run_reference(spec: ProgramSpec, num_shards: int,
         t0 = time.perf_counter()
         hasher = ShardHasher(rank)
         pipeline = DCRPipeline(num_shards)
-        field = build_field(spec)
-        ops = build_operations(spec, num_shards, field)
-        hasher.record("program", *spec.signature())
-        replay(pipeline, ops, hasher.record, lambda: None)
-        coarse, fine = pipeline.coarse_result, pipeline.fine_result
-        reports.append(ShardReport(
-            shard=rank, num_shards=num_shards, backend="inprocess",
-            graph_digest=analysis_digest(coarse, fine),
-            fence_sequence=tuple(fence_sequence(coarse)),
-            determinism_digest=stream_digest(hasher.calls),
-            call_count=len(hasher.calls),
-            checks=0,
-            ops_analyzed=coarse.ops_analyzed,
-            fences=len(coarse.fences),
-            fences_elided=coarse.fences_elided,
-            points=fine.points_per_shard.get(rank, 0),
-            wall_s=time.perf_counter() - t0, pid=os.getpid()))
+        replay_spec(spec, pipeline, hasher.record, lambda: None)
+        reports.append(ShardReport.from_replay(
+            rank, "inprocess", pipeline, hasher.calls, t0, checks=0))
     return merge_reports(reports, backend="inprocess")
 
 
@@ -91,7 +76,7 @@ class DistRunner:
     """Run one spec at N shards on a chosen backend; merge the reports."""
 
     def __init__(self, spec: ProgramSpec, num_shards: int,
-                 backend: str = "multiprocess", batch: int = 64,
+                 backend: str = "tcp", batch: int = 64,
                  deadline_s: float = DEFAULT_DEADLINE_S,
                  join_timeout_s: float = 60.0,
                  profile_dir: Optional[str] = None,
@@ -127,65 +112,3 @@ class DistRunner:
                 f"{self.backend} run failed: " + "; ".join(failures))
         return merge_reports([reports[r] for r in sorted(reports)],
                              backend=self.backend)
-
-
-class ServiceRunner:
-    """Client-side convenience over :class:`repro.service.DCRService`.
-
-    The session-serving counterpart of :class:`DistRunner`: where a
-    DistRunner launches a gang, runs one spec, and tears everything down,
-    a ServiceRunner holds a persistent service and submits a *stream* of
-    specs through one default session — repeat shapes are served from
-    cached analysis templates instead of re-analyzed.
-
-    ``repro.service`` is imported lazily inside the methods (it imports
-    this module for the worker machinery, so a top-level import here would
-    be a cycle).
-    """
-
-    def __init__(self, num_shards: int, backend: str = "loopback",
-                 batch: int = 64, **service_kwargs: Any):
-        self.num_shards = num_shards
-        self.backend = backend
-        self.batch = batch
-        self.service_kwargs = service_kwargs
-        self._service = None
-        self._session = None
-
-    @property
-    def service(self):
-        if self._service is None:
-            raise RuntimeError("ServiceRunner is not started")
-        return self._service
-
-    def start(self) -> "ServiceRunner":
-        from ..service import DCRService
-        self._service = DCRService(self.num_shards, backend=self.backend,
-                                   batch=self.batch,
-                                   **self.service_kwargs).start()
-        self._session = self._service.open_session("service-runner")
-        return self
-
-    def close(self) -> None:
-        if self._service is not None:
-            self._service.close()
-            self._service = None
-            self._session = None
-
-    def __enter__(self) -> "ServiceRunner":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def submit(self, spec: ProgramSpec):
-        """Queue one program; returns a ``JobHandle`` (non-blocking)."""
-        return self._session.submit(spec)
-
-    def run(self, spec: ProgramSpec) -> MergedReport:
-        """Submit one program and block for its merged report."""
-        return self._session.run(spec)
-
-    def open_session(self, name: Optional[str] = None):
-        """An additional named client session on the shared service."""
-        return self.service.open_session(name)

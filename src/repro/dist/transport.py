@@ -1,7 +1,7 @@
-"""Shard-to-shard transports for the multiprocess backend.
+"""Shard-to-shard transports for the gang backends.
 
 A :class:`Transport` gives one shard (its *rank*) tagged, reliable,
-deadline-bounded message exchange with every peer shard.  Four
+deadline-bounded message exchange with every peer shard.  Three
 implementations, each behind a :class:`Fabric` — the mesh as a whole,
 with one lifecycle protocol the gang launcher drives without knowing
 which it holds:
@@ -10,18 +10,16 @@ which it holds:
   unit-test fabric.  Threads stand in for processes, and an optional
   ``scramble`` hook reorders deliveries to exercise the tag/sequence
   matching logic.
-* :class:`PipeFabric` — a full mesh of ``multiprocessing.Pipe`` duplex
-  connections carrying length-prefixed frames (:mod:`repro.dist.frames`);
-  each endpoint set is handed to one worker process.
 * :class:`SharedMemFabric` — one single-producer/single-consumer ring
   buffer in ``multiprocessing.shared_memory`` per directed (src, dst)
   channel.  Frames are written once into the ring and decoded **in
   place** on the receive side; large ndarray payloads come out as
   zero-copy views into the ring, whose slots are reclaimed only once the
   views are garbage collected.
-* :class:`TCPFabric` — one TCP socket per channel, pre-connected in the
-  parent for single-host gangs; :func:`connect_tcp_mesh` performs a
-  host:port rendezvous so gangs can span hosts.
+* :class:`TCPFabric` — one TCP socket per channel carrying length-prefixed
+  frames (:mod:`repro.dist.frames`), pre-connected in the parent for
+  single-host gangs; :func:`connect_tcp_mesh` performs a host:port
+  rendezvous so gangs can span hosts.
 
 Delivery semantics shared by all (implemented in the base class):
 
@@ -68,8 +66,8 @@ from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
                      decode_frame_view, encode_frame, encode_frame_parts)
 
 __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
-           "Transport", "Fabric", "LoopbackFabric", "PipeFabric",
-           "SharedMemFabric", "TCPFabric", "claimed_transport",
+           "Transport", "Fabric", "LoopbackFabric",
+           "SharedMemFabric", "TCPFabric",
            "transport_from_claim", "fabric_for_backend",
            "connect_tcp_mesh", "PROCESS_BACKENDS",
            "DEFAULT_DEADLINE_S", "DEFAULT_RING_BYTES", "DEFAULT_MAX_REORDER"]
@@ -94,7 +92,7 @@ DEFAULT_RING_BYTES = 4 * 1024 * 1024
 
 #: Backends that run real worker processes over a fabric from this module
 #: (as opposed to "loopback", which threads transports in-process).
-PROCESS_BACKENDS = ("multiprocess", "shm", "tcp")
+PROCESS_BACKENDS = ("shm", "tcp")
 
 
 class TransportError(RuntimeError):
@@ -144,7 +142,7 @@ class Transport:
     """Tagged, sequenced, deadline-bounded exchange with peer shards.
 
     Subclasses implement the raw byte movement (:meth:`_send_bytes` and
-    either :meth:`_poll_bytes` or :meth:`_poll_frame`); this base class
+    :meth:`_poll_frame`); this base class
     implements framing, per-peer sequence numbering, duplicate
     suppression, tag matching, and deadlines.  ``clock`` is injectable so
     deadline/backoff behavior is testable without real sleeps.
@@ -196,30 +194,13 @@ class Transport:
     def _send_bytes(self, dst: int, data: bytes) -> None:
         raise NotImplementedError
 
-    def _poll_bytes(self, src: int, timeout_s: float) -> Optional[bytes]:
-        """One encoded frame from ``src``, or None if none within timeout.
-
-        Raises :class:`PeerGone` (with a generic tag) if the peer's
-        endpoint is closed.
-        """
-        raise NotImplementedError
-
     def _poll_frame(self, src: int, timeout_s: float) -> Optional[Frame]:
         """One decoded frame from ``src``, or None if none within timeout.
 
-        The default implementation decodes :meth:`_poll_bytes`; transports
-        that can decode in place (shm rings) or maintain their own stream
-        decoder (sockets) override this directly.
+        Raises :class:`PeerGone` (with a generic tag) if the peer's
+        endpoint is closed, :class:`TransportError` on a corrupt frame.
         """
-        raw = self._poll_bytes(src, timeout_s)
-        if raw is None:
-            return None
-        try:
-            return decode_frame(raw)
-        except FrameError as exc:
-            raise TransportError(
-                f"shard {self.rank}: corrupt frame from shard {src}: {exc}"
-            ) from exc
+        raise NotImplementedError
 
     def close(self) -> None:
         self._closed = True
@@ -342,7 +323,7 @@ class Transport:
 
 
 class Fabric:
-    """The mesh a gang runs over: one protocol, four implementations.
+    """The mesh a gang runs over: one protocol, three implementations.
 
     :mod:`repro.dist.gang` drives every fabric through these six names
     and never asks which one it holds; a fabric with nothing to do for a
@@ -396,14 +377,20 @@ class _LoopbackTransport(Transport):
             raise PeerGone("send", 0, dst)
         self._fabric.deliver(self.rank, dst, data)
 
-    def _poll_bytes(self, src: int, timeout_s: float) -> Optional[bytes]:
+    def _poll_frame(self, src: int, timeout_s: float) -> Optional[Frame]:
         q = self._fabric.channel(src, self.rank)
         try:
-            return q.get(timeout=timeout_s)
+            raw = q.get(timeout=timeout_s)
         except queue.Empty:
             if self._fabric.is_closed(src):
                 raise PeerGone("recv", 0, src) from None
             return None
+        try:
+            return decode_frame(raw)
+        except FrameError as exc:
+            raise TransportError(
+                f"shard {self.rank}: corrupt frame from shard {src}: {exc}"
+            ) from exc
 
     def close(self) -> None:
         # The queue mesh has no descriptor whose closing peers could
@@ -475,119 +462,6 @@ class LoopbackFabric(Fabric):
 
     def is_closed(self, rank: int) -> bool:
         return rank in self._closed
-
-
-# ---------------------------------------------------------------------------
-# Multiprocessing pipe fabric
-# ---------------------------------------------------------------------------
-
-class _PipeTransport(Transport):
-    """One rank's endpoints of the full pipe mesh."""
-
-    def __init__(self, rank: int, num_shards: int, conns: Dict[int, Any],
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None):
-        super().__init__(rank, num_shards, deadline_s=deadline_s,
-                         retry=retry)
-        self._conns = conns            # peer rank -> Connection
-
-    def _send_bytes(self, dst: int, data: bytes) -> None:
-        try:
-            self._conns[dst].send_bytes(data)
-        except (BrokenPipeError, OSError):
-            raise PeerGone("send", 0, dst) from None
-
-    def _poll_bytes(self, src: int, timeout_s: float) -> Optional[bytes]:
-        conn = self._conns[src]
-        try:
-            if not conn.poll(timeout_s):
-                return None
-            return conn.recv_bytes()
-        except (EOFError, BrokenPipeError, OSError):
-            raise PeerGone("recv", 0, src) from None
-
-    def close(self) -> None:
-        super().close()
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-class PipeFabric(Fabric):
-    """Full mesh of duplex ``multiprocessing.Pipe`` connections.
-
-    Built in the parent before forking; :meth:`transport` is then called
-    once per rank (in that rank's process) to claim its endpoints.  The
-    counterpart endpoints are closed lazily by each process on claim, so a
-    crashed worker's peers observe EOF rather than blocking forever.
-    """
-
-    parent_must_release = True
-
-    def __init__(self, num_shards: int,
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None):
-        import multiprocessing as mp
-        self.num_shards = num_shards
-        self.deadline_s = deadline_s
-        self.retry = retry
-        # _ends[(a, b)] = (end held by a, end held by b), for a < b.
-        self._ends: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
-        for a in range(num_shards):
-            for b in range(a + 1, num_shards):
-                self._ends[(a, b)] = mp.Pipe(duplex=True)
-
-    def transport(self, rank: int) -> Transport:
-        return _PipeTransport(rank, self.num_shards, self.claim_conns(rank),
-                              deadline_s=self.deadline_s, retry=self.retry)
-
-    def claim_conns(self, rank: int) -> Dict[int, Any]:
-        """``rank``'s endpoint set, as a picklable peer→Connection map.
-
-        The re-endpointing half of live rejoin: the supervisor builds a
-        *fresh* fabric, sends each surviving worker its claimed endpoints
-        over the existing control pipe (``multiprocessing`` pickles
-        ``Connection`` objects by duplicating the descriptor at pickle
-        time, so the parent may close its copies afterwards), and the
-        worker rebuilds its transport via :func:`transport_from_claim`.
-        """
-        conns: Dict[int, Any] = {}
-        for (a, b), (end_a, end_b) in self._ends.items():
-            if rank == a:
-                conns[b] = end_a
-            elif rank == b:
-                conns[a] = end_b
-        return conns
-
-    def claim(self, rank: int) -> Dict[str, Any]:
-        """Self-describing, picklable rejoin claim for ``rank``."""
-        return {"kind": "pipe", "rank": rank, "num_shards": self.num_shards,
-                "deadline_s": self.deadline_s,
-                "conns": self.claim_conns(rank)}
-
-    def close_other_ends(self, rank: int) -> None:
-        """In a worker: drop every endpoint not belonging to ``rank``.
-
-        Keeping foreign write-ends open would mask peer crashes (the pipe
-        never reports EOF while any copy of the write end survives).
-        """
-        for (a, b), (end_a, end_b) in self._ends.items():
-            for owner, end in ((a, end_a), (b, end_b)):
-                if owner != rank:
-                    try:
-                        end.close()
-                    except OSError:
-                        pass
-
-    def close_all(self) -> None:
-        for end_a, end_b in self._ends.values():
-            for end in (end_a, end_b):
-                try:
-                    end.close()
-                except OSError:
-                    pass
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +839,7 @@ class _SharedMemTransport(Transport):
             if dead:
                 # A peer commits its final frames to the ring *before*
                 # closing or exiting, so drain once more after observing
-                # death — pipe/tcp get the same ordering for free from
+                # death — tcp gets the same ordering for free from
                 # kernel EOF semantics (buffered data before EOF).
                 frame = self._take_one(src)
                 if frame is not None:
@@ -1198,9 +1072,8 @@ class _TCPTransport(Transport):
 class TCPFabric(Fabric):
     """Full mesh of TCP socket pairs, pre-connected in the parent.
 
-    The single-host construction mirrors :class:`PipeFabric` — every pair
-    is connected up front over loopback and the endpoints are inherited
-    across ``fork`` — so it slots into the same runner/service machinery.
+    For a single host every pair is connected up front over loopback and
+    the endpoints are inherited across ``fork``.
     For gangs spanning hosts, each rank instead builds its own transport
     with :func:`connect_tcp_mesh` against a shared address list.
     """
@@ -1356,13 +1229,12 @@ def fabric_for_backend(backend: str, num_shards: int,
     """The fabric a gang on ``backend`` runs over.
 
     ``"loopback"`` is the in-process queue mesh (ranks are threads);
-    ``"multiprocess"`` keeps its historical meaning of the pipe mesh;
     ``"shm"`` and ``"tcp"`` select the shared-memory ring and TCP socket
-    fabrics.  Extra ``kwargs`` (e.g. ``ring_bytes``) go to the fabric
+    fabrics (ranks are forked processes).  Extra ``kwargs`` (e.g. ``ring_bytes``) go to the fabric
     constructor.
     """
-    fabrics = {"loopback": LoopbackFabric, "multiprocess": PipeFabric,
-               "shm": SharedMemFabric, "tcp": TCPFabric}
+    fabrics = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+               "tcp": TCPFabric}
     if backend not in fabrics:
         raise ValueError(f"no fabric for backend {backend!r}; expected "
                          f"'loopback' or one of {PROCESS_BACKENDS}")
@@ -1374,18 +1246,15 @@ def transport_from_claim(claim: Dict[str, Any],
                          retry: Optional[RetryConfig] = None) -> Transport:
     """Rebuild a transport from a fabric's :meth:`claim` in another process.
 
-    The worker-side half of live rejoin, generalized over fabrics: pipe
-    claims carry duplicated Connection endpoints, tcp claims carry
-    duplicated sockets, shm claims carry segment names to reattach, and
-    loopback claims carry the (shared) fabric itself.
+    The worker-side half of live rejoin, generalized over fabrics: tcp
+    claims carry duplicated sockets (``multiprocessing`` pickles them by
+    duplicating the descriptor, so the parent may close its copies
+    afterwards), shm claims carry segment names to reattach, and loopback
+    claims carry the (shared) fabric itself.
     """
     kind = claim["kind"]
     if kind == "loopback":
         return claim["fabric"].transport(claim["rank"])
-    if kind == "pipe":
-        return _PipeTransport(claim["rank"], claim["num_shards"],
-                              dict(claim["conns"]),
-                              deadline_s=claim["deadline_s"], retry=retry)
     if kind == "tcp":
         return _TCPTransport(claim["rank"], claim["num_shards"],
                              dict(claim["socks"]),
@@ -1402,15 +1271,3 @@ def transport_from_claim(claim: Dict[str, Any],
                                    retry=retry,
                                    zero_copy=claim.get("zero_copy", True))
     raise TransportError(f"unknown rejoin claim kind {kind!r}")
-
-
-def claimed_transport(rank: int, num_shards: int, conns: Dict[int, Any],
-                      deadline_s: float = DEFAULT_DEADLINE_S,
-                      retry: Optional[RetryConfig] = None) -> Transport:
-    """A pipe transport over endpoints claimed from another process.
-
-    Kept for compatibility; :func:`transport_from_claim` is the
-    fabric-generic entry point.
-    """
-    return _PipeTransport(rank, num_shards, dict(conns),
-                          deadline_s=deadline_s, retry=retry)

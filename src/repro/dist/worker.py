@@ -3,7 +3,8 @@
 A :class:`ShardWorker` owns everything one replica of the control program
 needs — a :class:`~repro.dist.collectives.DistCollectives` over its
 transport and, per program, a :class:`~repro.core.pipeline.DCRPipeline`
-and a :class:`~repro.dist.monitor.DistDeterminismMonitor` — and replays
+and a rank-local :class:`~repro.core.determinism.DeterminismMonitor` — and
+replays
 each :class:`~repro.dist.programs.ProgramSpec` it is handed exactly the
 way dynamic control replication prescribes: every shard re-derives and
 analyzes the *entire* operation stream, hashing each control decision
@@ -22,18 +23,18 @@ import os
 import time
 from typing import Any, Callable, List, Optional
 
+from ..core.determinism import DeterminismMonitor
 from ..core.operation import Operation
-from ..core.pipeline import DCRPipeline, analysis_digest, fence_sequence
+from ..core.pipeline import DCRPipeline
 from ..faults.injector import FaultInjector
 from ..obs.events import CAT_SERVICE, EV_JOB_DISPATCH
 from ..obs.profiler import Profiler
 from .collectives import DistCollectives
-from .monitor import DistDeterminismMonitor
 from .programs import ProgramSpec, build_field, build_operations
 from .report import ShardReport
 from .transport import Transport
 
-__all__ = ["ShardWorker", "op_signature", "replay"]
+__all__ = ["ShardWorker", "op_signature", "replay", "replay_spec"]
 
 
 def op_signature(op: Operation) -> tuple:
@@ -82,6 +83,19 @@ def replay(pipeline: DCRPipeline, ops: List[Operation],
     return fences
 
 
+def replay_spec(spec: ProgramSpec, pipeline: DCRPipeline,
+                record: Callable[..., Any],
+                on_fence: Callable[[], Any]) -> int:
+    """Expand ``spec`` for ``pipeline``'s shard count and :func:`replay` it.
+
+    The program description itself is a control decision: it is hashed
+    first, so replicas expanding different specs diverge on call 0.
+    """
+    ops = build_operations(spec, pipeline.num_shards, build_field(spec))
+    record("program", *spec.signature())
+    return replay(pipeline, ops, record, on_fence)
+
+
 class ShardWorker:
     """One shard replica: one transport, any number of programs.
 
@@ -89,7 +103,7 @@ class ShardWorker:
     across an open-ended stream of jobs (the collective operation ordinal
     keeps climbing, so consecutive jobs can never collide on a ``(kind,
     op, round)`` wire tag) while giving every job a **fresh**
-    :class:`DCRPipeline` and :class:`DistDeterminismMonitor` — per-job
+    :class:`DCRPipeline` and :class:`DeterminismMonitor` — per-job
     analysis state is fully reset, so a program's conformance artifacts
     are identical whether it ran first or thousandth on the gang.  A
     one-shot :class:`~repro.dist.runner.DistRunner` run is the one-job
@@ -144,38 +158,28 @@ class ShardWorker:
         t0 = time.perf_counter()
         prof = self.profiler
         span0 = prof.now_us() if prof.enabled else 0.0
-        monitor = DistDeterminismMonitor(
-            self.collectives, batch=self.batch, profiler=prof,
-            injector=injector, coalesce=self.coalesce)
+        monitor = DeterminismMonitor(
+            self.num_shards, batch=self.batch, collectives=self.collectives,
+            profiler=prof, injector=injector, localize=True,
+            coalesce=self.coalesce)
+        hasher = monitor.hasher(self.rank)
+
+        def record(api_call: str, *args: Any) -> None:
+            hasher.record(api_call, *args)
+            monitor.maybe_check()
+
         pipeline = DCRPipeline(self.num_shards, profiler=prof)
-        field = build_field(spec)
-        ops = build_operations(spec, self.num_shards, field)
-        # The program description itself is a control decision: hash it
-        # first so replicas expanding different specs diverge on call 0.
-        monitor.record("program", *spec.signature())
-        replay(pipeline, ops, monitor.record, self.collectives.barrier)
+        replay_spec(spec, pipeline, record, self.collectives.barrier)
         monitor.flush()
         self.jobs_run += 1
         if prof.enabled:
             prof.complete(self.rank, CAT_SERVICE, EV_JOB_DISPATCH, span0,
                           prof.now_us() - span0, program_id=program_id,
                           session=session, job=self.jobs_run)
-        coarse = pipeline.coarse_result
-        fine = pipeline.fine_result
         stats = self.collectives.stats
-        return ShardReport(
-            shard=self.rank,
-            num_shards=self.num_shards,
-            backend=self.backend,
-            graph_digest=analysis_digest(coarse, fine),
-            fence_sequence=tuple(fence_sequence(coarse)),
-            determinism_digest=monitor.stream_digest(),
-            call_count=len(monitor.hasher.calls),
+        return ShardReport.from_replay(
+            self.rank, self.backend, pipeline, hasher.calls, t0,
             checks=monitor.checks_performed,
-            ops_analyzed=coarse.ops_analyzed,
-            fences=len(coarse.fences),
-            fences_elided=coarse.fences_elided,
-            points=fine.points_per_shard.get(self.rank, 0),
             collectives=dict(stats.by_kind),
             coll_rounds=stats.rounds,
             coll_messages=stats.messages,
@@ -183,14 +187,9 @@ class ShardWorker:
             frames_received=self.transport.frames_received,
             duplicates_dropped=self.transport.duplicates_dropped,
             out_of_order=self.transport.out_of_order,
-            wall_s=time.perf_counter() - t0,
-            pid=os.getpid(),
-            profile_path="",
             program_id=program_id,
             session=session,
-            call_digests=tuple(monitor.hasher.calls)
-            if capture_digests else (),
-        )
+            call_digests=tuple(hasher.calls) if capture_digests else ())
 
     def save_profile(self) -> str:
         """Persist the worker's whole-lifetime profile; returns its path

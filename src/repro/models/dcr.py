@@ -59,7 +59,8 @@ class DCRModel(ExecutionModel):
             raise ValueError(
                 "backend must be 'inprocess' or 'multiprocess'")
         # "multiprocess" models shards as separate OS processes exchanging
-        # frames over pipes (repro.dist): collective hops and determinism
+        # frames over a process fabric (repro.dist's shm/tcp — a cost-model
+        # switch, not a fabric selector): collective hops and determinism
         # hashing pick up the CostModel's IPC surcharges.
         self.backend = backend
         self.shards_per = shards_per

@@ -35,7 +35,7 @@ from ..core import (CoarseRequirement, Collectives, DCRPipeline,
                     DeferredOpManager, DeterminismMonitor,
                     IDENTITY_PROJECTION, Operation, PointTask,
                     ProjectionFunction)
-from ..core.determinism import ControlDeterminismViolation
+from ..core.determinism import ControlDeterminismViolation, stream_digest
 from ..core.rng import CounterRNG
 from ..faults.injector import FaultInjector, ShardCrash
 from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, CAT_RESILIENCE,
@@ -194,7 +194,8 @@ class Runtime:
             localize=policy is not None and policy is not
             RecoveryPolicy.ABORT,
             on_batch=(self._take_batch_snapshot
-                      if self.resilience is not None else None))
+                      if self.resilience is not None else None),
+            coalesce=self._check_coalesce)
         for s in self.quarantined:
             monitor.quarantine(s)
         return monitor
@@ -266,7 +267,8 @@ class Runtime:
         return self._result
 
     def _run_shard(self, shard: int, control: Callable[..., Any],
-                   args: Tuple[Any, ...], monitor: Any = None) -> None:
+                   args: Tuple[Any, ...],
+                   monitor: Optional[DeterminismMonitor] = None) -> None:
         prof = self.profiler
         self._current_shard = shard
         ctx = Context(self, shard, monitor=monitor)
@@ -284,9 +286,9 @@ class Runtime:
                 # The post-driver snapshot is the latest consistent state a
                 # restarted replica can be recovered from.
                 self._take_snapshot("driver-complete",
-                                    verified=self.monitor._verified)
+                                    verified=self.monitor.verified)
 
-    # -- gang backends (loopback / multiprocess / shm / tcp) -----------------
+    # -- gang backends (loopback / shm / tcp) --------------------------------
 
     def _execute_gang(self, control: Callable[..., Any],
                       args: Tuple[Any, ...]) -> Any:
@@ -295,14 +297,14 @@ class Runtime:
         Phase 1 runs the driver shard in the calling thread exactly as
         the in-process backend does — effects, analysis, and the
         resource/future logs all live here, and the driver's API calls
-        accumulate in its hasher (the in-process monitor never fires a
-        check while the other hashers are empty).  Phase 2 starts one
+        accumulate in its hasher (``self.monitor`` hosts every shard, so it
+        never closes a window while the other hashers are empty).  Phase 2 starts one
         replica per remaining shard on a :class:`~repro.dist.gang.Gang`
         — a thread over the queue mesh for ``loopback``, a forked process
         over the backend's fabric otherwise; each replays the control
         program against the driver's logs (shared, or inherited across
-        the fork) with its own
-        :class:`~repro.dist.monitor.DistDeterminismMonitor`, while the
+        the fork) with its own rank-local
+        :class:`~repro.core.determinism.DeterminismMonitor`, while the
         caller participates as the driver rank by feeding its
         pre-recorded digest stream through the same windowed all-reduce —
         so hash checking, divergence localization, and the final count
@@ -358,32 +360,34 @@ class Runtime:
         return self._result
 
     def _dist_monitor(self, transport: Any,
-                      injector: Optional[FaultInjector] = None) -> Any:
+                      injector: Optional[FaultInjector] = None
+                      ) -> DeterminismMonitor:
         """The determinism monitor of one gang rank — driver and replicas
-        alike, so every rank runs the identical collective schedule."""
+        alike, so every rank runs the identical collective schedule.  A
+        lone rank cannot inspect its peers' streams, so LOCALIZE is on."""
         from ..dist.collectives import DistCollectives
-        from ..dist.monitor import DistDeterminismMonitor
 
-        return DistDeterminismMonitor(
-            DistCollectives(transport, profiler=self.profiler),
-            batch=self._check_batch, enabled=self._safe_checks,
-            profiler=self.profiler, injector=injector,
+        return DeterminismMonitor(
+            self.num_shards, batch=self._check_batch,
+            enabled=self._safe_checks,
+            collectives=DistCollectives(transport, profiler=self.profiler),
+            profiler=self.profiler, injector=injector, localize=True,
             coalesce=self._check_coalesce)
 
     def _drive_dist_check(self, transport: Any) -> None:
         """Driver-side determinism participation, from the recorded stream.
 
         Feeds the driver's already-computed call digests through a
-        distributed monitor at the same window cadence the replicas use
+        rank-local monitor at the same window cadence the replicas use
         (record → maybe-check per call, one final flush).
         """
-        driver_hasher = self.monitor.hasher(self.driver_shard)
+        recorded = self.monitor.hasher(self.driver_shard)
         try:
             monitor = self._dist_monitor(transport)
-            for digest, descr in zip(driver_hasher.calls,
-                                     driver_hasher.descriptions):
-                monitor.hasher.calls.append(digest)
-                monitor.hasher.descriptions.append(descr)
+            hasher = monitor.hasher(self.driver_shard)
+            for digest, descr in zip(recorded.calls, recorded.descriptions):
+                hasher.calls.append(digest)
+                hasher.descriptions.append(descr)
                 monitor.maybe_check()
             monitor.flush()
             self.dist_checks = monitor.checks_performed
@@ -535,13 +539,13 @@ class Runtime:
         doubt).
         """
         m = self.monitor
-        verified = m._verified
+        verified = m.verified
         if verified <= 0:
             self._prefix_expectation = None
             return
         witness = next(
             (s for s in m.active_shards
-             if s not in exclude and len(m.hashers[s].calls) >= verified),
+             if s not in exclude and len(m.hasher(s).calls) >= verified),
             None)
         if witness is None:
             self._prefix_expectation = None
@@ -557,7 +561,7 @@ class Runtime:
         digest, verified, witness = exp
         m = self.monitor
         for s in m.active_shards:
-            if len(m.hashers[s].calls) >= verified:
+            if len(m.hasher(s).calls) >= verified:
                 got = m.window_digest(s, 0, verified)
                 if got != digest:
                     raise RuntimeError(
@@ -624,9 +628,8 @@ class Runtime:
         program must produce the identical digest vector on every backend
         (the fuzz tier asserts exactly this).
         """
-        from ..core.determinism import stream_digest
         if self.backend == "inprocess":
-            return [stream_digest(self.monitor.hashers[s].calls)
+            return [stream_digest(self.monitor.hasher(s).calls)
                     for s in range(self.num_shards)
                     if s not in self.quarantined]
         digests = {self.driver_shard: stream_digest(
@@ -682,11 +685,12 @@ def _replica_main(transport: Any, channel: Any, runtime: Runtime,
     monitor = runtime._dist_monitor(transport, injector=runtime.injector)
     runtime._run_shard(transport.rank, control, args, monitor=monitor)
     monitor.flush()
+    calls = monitor.hasher(transport.rank).calls
     payload: Dict[str, Any] = {
         "shard": transport.rank,
-        "calls": len(monitor.hasher.calls),
+        "calls": len(calls),
         "checks": monitor.checks_performed,
-        "stream_digest": monitor.stream_digest(),
+        "stream_digest": stream_digest(calls),
         "frames_sent": transport.frames_sent,
         "frames_received": transport.frames_received,
     }
@@ -702,18 +706,15 @@ class Context:
     performs effects; other shards replay against the logs.
     """
 
-    def __init__(self, runtime: Runtime, shard: int, monitor: Any = None):
+    def __init__(self, runtime: Runtime, shard: int,
+                 monitor: Optional[DeterminismMonitor] = None):
         self.runtime = runtime
         self.shard = shard
         self.num_shards = runtime.num_shards
-        # A gang replica brings its own single-shard distributed monitor;
-        # in-process shards share the runtime's.
-        if monitor is None:
-            self._monitor = runtime.monitor
-            self._hasher = runtime.monitor.hasher(shard)
-        else:
-            self._monitor = monitor
-            self._hasher = monitor.hasher
+        # A gang replica brings its own rank-local monitor; in-process
+        # shards share the runtime's.
+        self._monitor = monitor if monitor is not None else runtime.monitor
+        self._hasher = self._monitor.hasher(shard)
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False

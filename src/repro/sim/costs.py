@@ -32,9 +32,9 @@ class CostModel:
     # Mapper/launch overhead charged per point even with zero analysis.
     launch_per_point: float = 2e-6
     # -- multiprocess (real IPC) backend surcharges -----------------------------
-    # Shards in separate OS processes pay pipe latency per collective hop
+    # Shards in separate OS processes pay IPC latency per collective hop
     # and a small per-call frame-serialization share for the windowed
-    # determinism traffic (measured against repro.dist's pipe transport).
+    # determinism traffic (measured against repro.dist's process fabrics).
     ipc_hop: float = 2e-6              # extra latency per collective hop
     ipc_per_call: float = 0.05e-6      # frame encode share per hashed call
 

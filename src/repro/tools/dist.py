@@ -1,4 +1,4 @@
-"""CLI: launch an N-shard multiprocess run and print the merged report.
+"""CLI: launch an N-shard gang run and print the merged report.
 
 ::
 
@@ -7,7 +7,7 @@
         --profile-dir out/ --verify
 
 Runs the canonical stencil program (or a custom ``--steps``/``--tiles``
-shape) with one OS process per shard over the pipe transport, merges the
+shape) with one OS process per shard over the chosen fabric, merges the
 per-shard reports, and prints the conformance verdict.  ``--verify``
 additionally runs the serial in-process reference and checks the
 distributed artifacts against it byte for byte.  ``--profile-dir`` saves a
@@ -48,11 +48,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         default="blocked",
                         help="sharding function (default blocked)")
     parser.add_argument("--backend", choices=BACKENDS,
-                        default="multiprocess",
-                        help="transport backend: multiprocess = pipe mesh, "
-                             "shm = shared-memory rings, tcp = socket "
-                             "mesh, loopback = in-process threads "
-                             "(default multiprocess)")
+                        default="tcp",
+                        help="transport backend: tcp = socket mesh, "
+                             "shm = shared-memory rings, loopback = "
+                             "in-process threads (default tcp)")
     parser.add_argument("--batch", type=int, default=16,
                         help="determinism check window (default 16)")
     parser.add_argument("--coalesce", type=int, default=1,

@@ -3,7 +3,7 @@
 ::
 
     python -m repro.tools.serve --shards 3 --clients 2 --submissions 6
-    python -m repro.tools.serve --shards 3 --backend multiprocess \\
+    python -m repro.tools.serve --shards 3 --backend tcp \\
         --clients 4 --submissions 8 --chaos --policy restart \\
         --report-dir out/recovery --json out/service.json
 

@@ -170,3 +170,62 @@ def test_dist_root_guard(root):
         dist.broadcast(1, root=root)
     with pytest.raises(ValueError, match="outside the valid range"):
         dist.reduce(1, lambda a, b: a + b, root=root)
+
+
+# -- bulk payloads through a whole schedule, over real process fabrics -------
+#
+# The pipe mesh (deleted) hung forever here: both ranks blocked in
+# ``send_bytes`` of a symmetric 2 MiB exchange, outside any deadline.  The
+# surviving process fabrics drain while stalled; this is the only test
+# that drives a bulk payload through complete collective schedules.
+
+BULK_ELEMS = 1 << 18            # 2 MiB of float64
+BULK_DEADLINE_S = 20.0
+
+
+def _bulk_rank(transport, channel):
+    import numpy as np
+
+    coll = DistCollectives(transport)
+    mine = np.full(BULK_ELEMS, float(transport.rank + 1))
+    gathered = coll.allgather(mine)
+    reduced = coll.allreduce(mine, np.add)
+    channel.send(("ok", {
+        "gathered": [float(g[0]) for g in gathered],
+        "gather_exact": all(
+            np.array_equal(g, np.full(BULK_ELEMS, float(r + 1)))
+            for r, g in enumerate(gathered)),
+        "reduced": np.asarray(reduced).copy(),
+    }))
+
+
+@pytest.mark.parametrize("backend", ["shm", "tcp"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_bulk_allgather_allreduce_complete_inside_the_deadline(backend, n):
+    import time
+
+    import numpy as np
+
+    from repro.dist import Gang
+
+    # One frame must fit a shm ring contiguously, and dissemination's
+    # last round carries up to n-1 arrays in one frame.
+    kwargs = {"ring_bytes": 32 << 20} if backend == "shm" else {}
+    gang = Gang(backend, n, deadline_s=BULK_DEADLINE_S, **kwargs)
+    start = time.monotonic()
+    try:
+        for rank in range(n):
+            gang.spawn(rank, _bulk_rank)
+        gang.release_parent()
+        payloads, failures = gang.collect(BULK_DEADLINE_S)
+    finally:
+        gang.terminate()
+    assert not failures, failures
+    assert time.monotonic() - start < BULK_DEADLINE_S
+    expected = np.sum([np.full(BULK_ELEMS, float(r + 1)) for r in range(n)],
+                      axis=0)
+    for rank in range(n):
+        out = payloads[rank]
+        assert out["gather_exact"]
+        assert out["gathered"] == [float(r + 1) for r in range(n)]
+        np.testing.assert_array_equal(out["reduced"], expected)

@@ -2,7 +2,7 @@
 
 Hypothesis-generated programs, replayed under the serial in-process
 reference, the loopback (threads) backend, and every process backend
-(multiprocess pipes, shm rings, tcp sockets) at 2-4 shards, must agree
+(shm rings, tcp sockets) at 2-4 shards, must agree
 on the task-graph digest, the fence sequence, and the determinism hash —
 the conformance criterion of the ISSUE's tentpole.
 """
@@ -58,14 +58,14 @@ def test_process_backends_match_reference_stencil(backend, num_shards):
     assert len(pids) == num_shards  # genuinely separate OS processes
 
 
-def test_multiprocess_matches_reference_irregular():
+def test_forked_gang_matches_reference_irregular():
     # Mixed single/group ops with fences and owner-targeted tasks.
     spec = ProgramSpec(tiles=5, sharding="cyclic", ops=(
         OpSpec("fill"), OpSpec("spot", 2), OpSpec("blend"),
         OpSpec("bump"), OpSpec("fill"), OpSpec("readx"),
         OpSpec("spot", 7), OpSpec("scale")))
     reference = run_reference(spec, 3, batch=4)
-    merged = DistRunner(spec, 3, backend="multiprocess", batch=4).run()
+    merged = DistRunner(spec, 3, backend="tcp", batch=4).run()
     assert_conformant(merged, reference)
 
 
@@ -124,7 +124,7 @@ def test_worker_crash_fails_run_without_orphans(monkeypatch):
     import repro.dist.runner as runner_mod
 
     spec = stencil_program(6, steps=2)
-    runner = DistRunner(spec, 3, backend="multiprocess",
+    runner = DistRunner(spec, 3, backend="tcp",
                         join_timeout_s=30.0)
     # Sabotage: rank 2's forked copy of the rank entrypoint dies without a
     # report (and without closing anything), as a crashed process would.
@@ -136,7 +136,7 @@ def test_worker_crash_fails_run_without_orphans(monkeypatch):
         real_run_one_job(transport, channel, *args)
 
     monkeypatch.setattr(runner_mod, "_run_one_job", crashing_run_one_job)
-    with pytest.raises(RuntimeError, match="multiprocess run failed") as exc:
+    with pytest.raises(RuntimeError, match="tcp run failed") as exc:
         runner.run()
     assert "shard 2: died without a report" in str(exc.value)
     # The no-orphans sweep: nothing from this gang is still alive.

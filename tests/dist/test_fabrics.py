@@ -1,4 +1,4 @@
-"""Cross-fabric transport conformance: pipe, shm, and tcp vs loopback.
+"""Cross-fabric transport conformance: shm and tcp vs loopback.
 
 Every fabric behind the :class:`~repro.dist.transport.Transport` seam
 must exhibit identical tagged-exchange semantics — same payload bytes,
@@ -17,18 +17,18 @@ import numpy as np
 import pytest
 
 from repro.dist.frames import ZERO_COPY_MIN_BYTES
-from repro.dist.transport import (LoopbackFabric, PeerGone, PipeFabric,
+from repro.dist.transport import (PROCESS_BACKENDS, LoopbackFabric, PeerGone,
                                   SharedMemFabric, TCPFabric,
                                   TransportError, connect_tcp_mesh,
                                   fabric_for_backend, transport_from_claim)
 from repro.faults.injector import CollectiveTimeout
 
-FABRIC_KINDS = ["loopback", "pipe", "shm", "tcp"]
+FABRIC_KINDS = ["loopback", "shm", "tcp"]
 
 
 def make_fabric(kind, num_shards, **kwargs):
-    cls = {"loopback": LoopbackFabric, "pipe": PipeFabric,
-           "shm": SharedMemFabric, "tcp": TCPFabric}[kind]
+    cls = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+           "tcp": TCPFabric}[kind]
     return cls(num_shards, **kwargs)
 
 
@@ -83,13 +83,8 @@ def test_recv_deadline_bounded(fabric_pair):
 
 def test_bidirectional_concurrent_exchange(fabric_pair):
     # Symmetric sends from both ends at once: the drain-while-stalled
-    # logic must prevent a ring/socket-buffer deadlock.  The pipe fabric
-    # is exempt: multiprocessing.Pipe's blocking send_bytes cannot drain
-    # mid-send, so symmetric bulk traffic over pipes must be scheduled
-    # as request/response (which the collectives' schedules are).
+    # logic must prevent a ring/socket-buffer deadlock.
     kind, (t0, t1) = fabric_pair
-    if kind == "pipe":
-        pytest.skip("mp.Pipe blocks on symmetric bulk sends by design")
     arr = np.arange(20_000, dtype=np.float64)
     errs = []
 
@@ -290,7 +285,7 @@ def test_cross_fork_large_array_exchange(kind):
 # -- claims (the rejoin path) ------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["pipe", "shm", "tcp"])
+@pytest.mark.parametrize("kind", ["shm", "tcp"])
 def test_claim_rebuilds_equivalent_transport(kind):
     fabric = make_fabric(kind, 2, deadline_s=10.0)
     t0 = fabric.transport(0)
@@ -308,13 +303,14 @@ def test_claim_rebuilds_equivalent_transport(kind):
 
 def test_fabric_registry_dispatch():
     for backend, cls in (("loopback", LoopbackFabric),
-                         ("multiprocess", PipeFabric),
                          ("shm", SharedMemFabric), ("tcp", TCPFabric)):
         fabric = fabric_for_backend(backend, 2, deadline_s=5.0)
         assert isinstance(fabric, cls)
         fabric.close_all()
-    with pytest.raises(ValueError, match="no fabric for backend"):
-        fabric_for_backend("smoke-signals", 2)
+    assert PROCESS_BACKENDS == ("shm", "tcp")
+    for gone in ("smoke-signals", "multiprocess"):
+        with pytest.raises(ValueError, match="no fabric for backend"):
+            fabric_for_backend(gone, 2)
 
 
 # -- tcp rendezvous ----------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from repro.dist import ChannelClosed, Gang, PeerGone
 
-GANGS = ["loopback", "multiprocess", "shm"]
+GANGS = ["loopback", "tcp", "shm"]
 
 
 def _echo_then_fail(transport, channel):

@@ -21,7 +21,7 @@ import repro.runtime.runtime as runtime_mod
 from repro.dist import DistRunner, Gang, stencil_program
 from repro.runtime import Runtime
 
-GANGS = ["loopback", "multiprocess"]
+GANGS = ["loopback", "tcp"]
 
 # Released at module teardown so the wedged worker's daemon threads do
 # not outlive the tests' interest in them (processes are simply killed).

@@ -1,4 +1,4 @@
-"""Runtime(backend=...) and DCRModel(backend=...): multiprocess wiring."""
+"""Runtime(backend=...) and DCRModel(backend=...): gang backend wiring."""
 
 import json
 import multiprocessing
@@ -39,14 +39,14 @@ def divergent_control(ctx):
 
 
 @pytest.mark.parametrize("num_shards", [2, 3])
-def test_multiprocess_result_parity(num_shards):
+def test_forked_backend_result_parity(num_shards):
     ref = Runtime(num_shards=num_shards).execute(stencil_control)
-    rt = Runtime(num_shards=num_shards, backend="multiprocess",
+    rt = Runtime(num_shards=num_shards, backend="tcp",
                  check_batch=4)
     got = rt.execute(stencil_control)
     assert got == ref
     # Every replica ran in its own process and verified the driver's
-    # call stream over the pipe transport.
+    # call stream over the socket transport.
     assert len(rt.replica_reports) == num_shards - 1
     digests = {rep["stream_digest"] for rep in rt.replica_reports}
     assert len(digests) == 1
@@ -72,25 +72,30 @@ def array_control(ctx):
 
 
 @pytest.mark.parametrize("coalesce", [1, 4])
-@pytest.mark.parametrize("backend",
-                         ["loopback", "multiprocess", "shm", "tcp"])
-def test_driver_and_replicas_share_one_check_schedule(backend, coalesce):
-    """Every rank's monitor comes from one factory: coalescing included.
+@pytest.mark.parametrize("backend", ["inprocess", "loopback", "shm", "tcp"])
+def test_one_check_schedule_on_every_backend(backend, coalesce):
+    """One monitor class, one cadence: coalescing included, everywhere.
 
     The loopback replica's monitor used to be built without ``coalesce=``,
     so at ``check_coalesce=4`` it exchanged four times as often as the
-    driver and a deterministic program "diverged".
+    driver and a deterministic program "diverged"; and the in-process
+    monitor did not know ``coalesce`` at all, so ``check_coalesce`` was
+    silently ignored on the default backend (9 checks at any setting).
     """
     ref = Runtime(num_shards=2).execute(array_control)
     rt = Runtime(num_shards=2, backend=backend, check_batch=4,
                  check_coalesce=coalesce)
     assert rt.execute(array_control) == ref
-    assert rt.dist_checks > 0
-    assert [rep["checks"] for rep in rt.replica_reports] == [rt.dist_checks]
+    # 35 calls: 8 full windows of 4 and the final one — 9 exchanges one at
+    # a time, 2 + the flush when four windows travel together.
+    checks = rt.monitor.checks_performed + rt.dist_checks
+    assert checks == {1: 9, 4: 3}[coalesce]
+    assert [rep["checks"] for rep in rt.replica_reports] == \
+        [checks] * (backend != "inprocess")
 
 
-def test_multiprocess_replicas_are_separate_processes():
-    rt = Runtime(num_shards=3, backend="multiprocess")
+def test_forked_replicas_are_separate_processes():
+    rt = Runtime(num_shards=3, backend="tcp")
     rt.execute(stencil_control)
     pids = {rep["pid"] for rep in rt.replica_reports if "pid" in rep}
     # Reports may omit pid; fall back to counting reports.
@@ -100,15 +105,15 @@ def test_multiprocess_replicas_are_separate_processes():
                 if p.name.startswith("repro-replica-")]
 
 
-def test_multiprocess_single_shard_short_circuits():
-    rt = Runtime(num_shards=1, backend="multiprocess")
+def test_forked_backend_single_shard_short_circuits():
+    rt = Runtime(num_shards=1, backend="tcp")
     assert rt.execute(stencil_control) == \
         Runtime(num_shards=1).execute(stencil_control)
     assert rt.replica_reports == []
 
 
-def test_multiprocess_divergence_raises():
-    rt = Runtime(num_shards=3, backend="multiprocess", check_batch=2)
+def test_forked_backend_divergence_raises():
+    rt = Runtime(num_shards=3, backend="tcp", check_batch=2)
     with pytest.raises(ControlDeterminismViolation) as exc:
         rt.execute(divergent_control)
     assert "diverg" in str(exc.value).lower()
@@ -116,9 +121,9 @@ def test_multiprocess_divergence_raises():
                 if p.name.startswith("repro-replica-")]
 
 
-def test_multiprocess_rejects_resilience():
+def test_forked_backend_rejects_resilience():
     with pytest.raises(ValueError, match="does not support recovery"):
-        Runtime(num_shards=2, backend="multiprocess",
+        Runtime(num_shards=2, backend="tcp",
                 resilience=ResilienceConfig(policy=RecoveryPolicy.DEGRADE))
 
 

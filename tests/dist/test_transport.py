@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.dist.frames import MAGIC, Frame, encode_frame
-from repro.dist.transport import (LoopbackFabric, PeerGone, PipeFabric,
+from repro.dist.transport import (LoopbackFabric, PeerGone, TCPFabric,
                                   TransportError)
 from repro.faults.injector import CollectiveTimeout
 
@@ -221,9 +221,9 @@ def _kill_self(fabric, rank):
 
 @pytest.mark.parametrize("crash", [_exit_without_sending, _kill_self],
                          ids=["clean-exit", "sigkill"])
-def test_pipe_worker_crash_surfaces_as_peer_gone(crash):
+def test_forked_worker_crash_surfaces_as_peer_gone(crash):
     ctx = multiprocessing.get_context("fork")
-    fabric = PipeFabric(2, deadline_s=20.0)
+    fabric = TCPFabric(2, deadline_s=20.0)
     proc = ctx.Process(target=crash, args=(fabric, 1), daemon=True)
     proc.start()
     t0 = fabric.transport(0)
@@ -239,7 +239,7 @@ def test_pipe_worker_crash_surfaces_as_peer_gone(crash):
         t0.close()
 
 
-def test_pipe_fabric_roundtrip_across_fork():
+def test_process_fabric_roundtrip_across_fork():
     def child(fabric, rank, value):
         fabric.close_other_ends(rank)
         tp = fabric.transport(rank)
@@ -249,7 +249,7 @@ def test_pipe_fabric_roundtrip_across_fork():
         tp.close()
 
     ctx = multiprocessing.get_context("fork")
-    fabric = PipeFabric(2, deadline_s=20.0)
+    fabric = TCPFabric(2, deadline_s=20.0)
     proc = ctx.Process(target=child, args=(fabric, 1, 21), daemon=True)
     proc.start()
     t0 = fabric.transport(0)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.dist.frames import Frame, encode_frame
 from repro.dist.transport import (POLL_BASE_S, POLL_CAP_S, LoopbackFabric,
-                                  PeerGone, PipeFabric,
+                                  PeerGone,
                                   ReorderWindowExceeded, SharedMemFabric,
                                   TCPFabric, TransportError)
 from repro.dist.worker import ShardWorker
@@ -139,10 +139,10 @@ def test_send_to_dead_peer_carries_callers_tag():
 # -- bugfix 3: use-after-close raises instead of silently proceeding ---------
 
 
-@pytest.mark.parametrize("kind", ["loopback", "pipe", "shm", "tcp"])
+@pytest.mark.parametrize("kind", ["loopback", "shm", "tcp"])
 def test_use_after_close_raises_transport_error(kind):
-    cls = {"loopback": LoopbackFabric, "pipe": PipeFabric,
-           "shm": SharedMemFabric, "tcp": TCPFabric}[kind]
+    cls = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+           "tcp": TCPFabric}[kind]
     fabric = cls(2, deadline_s=5.0)
     t0, t1 = fabric.transports()
     try:

@@ -98,7 +98,7 @@ def test_cross_backend_values_and_digests(case):
     try:
         ref = run_numpy(program)
         vectors = {}
-        for backend in ("inprocess", "loopback", "multiprocess"):
+        for backend in ("inprocess", "loopback", "tcp"):
             got, digests = run_deferred(program, num_shards=shards,
                                         backend=backend, num_tiles=tiles)
             _assert_same(ref, got)

@@ -48,7 +48,7 @@ def test_golden_case(path):
     program = _load(path)
     ref = run_numpy(program)
     vectors = {}
-    for backend in ("inprocess", "loopback", "multiprocess"):
+    for backend in ("inprocess", "loopback", "tcp"):
         got, digests = run_deferred(program, num_shards=2,
                                     backend=backend, num_tiles=4)
         _check_values(ref, got, backend)

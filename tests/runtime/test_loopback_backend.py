@@ -1,7 +1,8 @@
 """The loopback backend: threaded replicas over the in-memory fabric.
 
 Loopback sits between inprocess (replicas replay sequentially against the
-global monitor) and multiprocess (forked replicas over pipes): every
+global monitor) and the process backends (forked replicas over shm rings
+or tcp sockets): every
 replica runs the full distributed checking protocol on its own thread
 through a LoopbackFabric, sharing the driver's logs directly.  The fuzz
 tier leans on it for cross-backend digest comparison, so parity with the
@@ -89,7 +90,7 @@ def test_determinism_digests_match_other_backends():
     ]
     ref = run_numpy(program)
     vectors = {}
-    for backend in ("inprocess", "loopback", "multiprocess"):
+    for backend in ("inprocess", "loopback", "tcp"):
         got, digests = run_deferred(program, num_shards=3, backend=backend)
         assert len(digests) == 3
         assert len(set(digests)) == 1

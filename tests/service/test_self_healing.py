@@ -166,7 +166,7 @@ def _always_failing_rejoin(ranks, attempt=1):
 
 class TestMultiprocessRejoin:
     def test_killed_worker_is_detected_and_rejoined(self):
-        with ServiceGang(WIDTH, backend="multiprocess",
+        with ServiceGang(WIDTH, backend="tcp",
                          deadline_s=10.0, job_timeout_s=30.0) as gang:
             base = [r.determinism_digest
                     for r in gang.run_job(SPECS[0], job_id="warm")]
@@ -188,7 +188,7 @@ class TestMultiprocessRejoin:
         a few beat intervals, where the plain recv path would have waited
         out the full transport deadline."""
         recv_deadline = 30.0
-        with ServiceGang(WIDTH, backend="multiprocess",
+        with ServiceGang(WIDTH, backend="tcp",
                          deadline_s=recv_deadline,
                          job_timeout_s=recv_deadline * 2,
                          hb_interval_s=0.1) as gang:
@@ -208,7 +208,7 @@ class TestMultiprocessRejoin:
             assert len(reports) == WIDTH
 
     def test_stop_leaves_no_orphans_and_is_idempotent(self):
-        gang = ServiceGang(WIDTH, backend="multiprocess",
+        gang = ServiceGang(WIDTH, backend="tcp",
                            deadline_s=10.0).start()
         gang.run_job(SPECS[0], job_id="warm")
         gang.process(0).kill()                    # die mid-life
@@ -222,7 +222,7 @@ class TestMultiprocessRejoin:
     def test_stop_during_halfway_rejoin_leaves_no_orphans(self):
         """Killing the replacement mid-rejoin then stopping must reap
         everything — the no-orphan guarantee of the rejoin path."""
-        with ServiceGang(WIDTH, backend="multiprocess",
+        with ServiceGang(WIDTH, backend="tcp",
                          deadline_s=5.0) as gang:
             gang.process(2).kill()
             gang.process(2).join(5.0)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.dist import ServiceRunner, stencil_program
+from repro.dist import stencil_program
 from repro.obs.events import CAT_SERVICE, EV_JOB_DISPATCH
 from repro.obs.profiler import Profiler
 from repro.service import AdmissionError, DCRService
@@ -49,11 +49,12 @@ def test_submit_stream_with_template_hits():
         assert stats["completed"] == 2 and stats["template_serves"] == 1
 
 
-def test_service_runner_facade():
+def test_one_session_run_then_submit():
     spec = stencil_program(4, steps=1)
-    with ServiceRunner(2, backend="loopback") as runner:
-        cold = runner.run(spec)
-        handle = runner.submit(spec)
+    with DCRService(2, backend="loopback") as svc:
+        session = svc.open_session()
+        cold = session.run(spec)
+        handle = session.submit(spec)
         warm = handle.result(timeout=30.0)
     assert cold.conformant and warm.template_hit
     assert cold.determinism_digest == warm.determinism_digest

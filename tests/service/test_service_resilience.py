@@ -93,10 +93,10 @@ def test_recovery_budget_exhaustion_stops_admission():
             session.submit(SPEC)
 
 
-def test_multiprocess_gang_crash_recovers():
-    """The fork backend: a dead worker process, detected via pipe EOF."""
+def test_forked_gang_crash_recovers():
+    """The fork backend: a dead worker process, detected via socket EOF."""
     with _service(RecoveryPolicy.RESTART,
-                  backend="multiprocess") as svc:
+                  backend="tcp") as svc:
         session = svc.open_session("s")
         recovered = session.submit(
             SPEC, fault=_crash(shard=1)).result(timeout=120.0)

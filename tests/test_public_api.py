@@ -48,6 +48,23 @@ def test_dist_exports_one_launcher_and_one_worker():
     assert not hasattr(dist.runner, "supervise_gang")
 
 
+def test_dist_has_no_twins_of_core_mechanisms():
+    """One determinism monitor (core's), three fabrics, no forwarding
+    runner: the names PR 16 deleted stay deleted."""
+    import repro.dist as dist
+    from repro.core import DeterminismMonitor
+    from repro.core.collectives import ScheduledCollectives
+
+    for gone in ("DistDeterminismMonitor", "PipeFabric", "ServiceRunner",
+                 "claimed_transport", "monitor"):
+        assert gone not in dist.__all__ and not hasattr(dist, gone), gone
+    assert issubclass(dist.DistCollectives, ScheduledCollectives)
+    assert {"LoopbackFabric", "SharedMemFabric", "TCPFabric"} \
+        <= set(dist.__all__)
+    assert dist.PROCESS_BACKENDS == ("shm", "tcp")
+    assert "coalesce" in DeterminismMonitor.__init__.__code__.co_varnames
+
+
 def test_models_cover_fig1():
     """All three approaches of Fig. 1 are constructible, plus MPI."""
     from repro.models import (DCRModel, DaskModel, ExplicitModel,

@@ -1,10 +1,16 @@
-"""Structure guard: ``repro/dist/gang.py`` is the only rank launcher.
+"""Structure guards: mechanisms that exist once stay that way.
 
-Before the launcher existed the same gang was spawned by six hand-copied
-paths (runtime × runner × service, each for threads and for forks) that
-drifted apart.  This test walks ``src/repro`` and fails if a process
-start method, a ``Process(...)`` or a new ``Thread(...)`` launch shows up
-anywhere else, so the copies cannot grow back unnoticed.
+* ``repro/dist/gang.py`` is the only rank launcher.  Before it existed
+  the same gang was spawned by six hand-copied paths (runtime × runner ×
+  service, each for threads and for forks) that drifted apart; the first
+  test walks ``src/repro`` and fails if a process start method, a
+  ``Process(...)`` or a new ``Thread(...)`` launch shows up anywhere else.
+* ``repro/core/collectives.py`` is the only place a communication
+  schedule is written and ``repro/core/determinism.py`` holds the only
+  determinism monitor.  Both once had a hand-mirrored twin under
+  ``repro/dist`` (and a fourth fabric beside them); the remaining tests
+  fail if partner arithmetic, a second ``maybe_check`` or the
+  ``"multiprocess"`` backend grows back.
 """
 
 import ast
@@ -61,3 +67,81 @@ def test_ranks_are_launched_in_one_module_only():
         "HELPER_THREADS with a reason):\n  " + "\n  ".join(offenders))
     # The guard is looking at the right things: the launcher has all three.
     assert launcher_sites == {"get_context", "Process", "Thread"}
+
+
+# -- one schedule, one monitor, three fabrics --------------------------------
+
+SCHEDULES = "core/collectives.py"
+
+#: Everything that talks to a transport or a collectives object — where a
+#: hand-written schedule would reappear.
+SCHEDULE_CONSUMERS = ("dist/", "service/", "runtime/", "core/determinism.py")
+
+
+def _trees(prefixes):
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith(tuple(prefixes)):
+            yield rel, ast.parse(path.read_text(), str(path))
+
+
+def _has_binop(node: ast.AST, op: type) -> bool:
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, op)
+               for n in ast.walk(node))
+
+
+def _moves_messages(loop: ast.AST) -> bool:
+    return any(isinstance(n, ast.Call) and _callee(n) in ("send", "recv")
+               for n in ast.walk(loop))
+
+
+def test_exactly_one_class_defines_maybe_check():
+    owners = [f"{rel}:{cls.name}"
+              for rel, tree in _trees(("",))
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "maybe_check"]
+    assert owners == ["core/determinism.py:DeterminismMonitor"], (
+        "the determinism window protocol lives in one class, parameterised "
+        f"by the collectives it is handed — found {owners}")
+
+
+def test_partner_arithmetic_lives_in_the_schedule_module_only():
+    offenders = []
+    for rel, tree in _trees(SCHEDULE_CONSUMERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                          ast.BitXor):
+                offenders.append(f"{rel}:{node.lineno}: butterfly partner "
+                                 f"(a ^ b)")
+            elif isinstance(node, (ast.For, ast.While)) and \
+                    _moves_messages(node) and _has_binop(node, ast.Mod):
+                offenders.append(f"{rel}:{node.lineno}: ring offset (% n) "
+                                 f"inside a send/recv loop")
+    assert not offenders, (
+        "communication schedules are generated in repro/core/collectives.py "
+        "and executed, not re-derived:\n  " + "\n  ".join(offenders))
+    # The guard is looking at the right things: the generators have both.
+    (_, generators), = _trees((SCHEDULES,))
+    assert _has_binop(generators, ast.BitXor)
+    assert _has_binop(generators, ast.Mod)
+
+
+def test_rank_executor_only_walks_generated_schedules():
+    (_, tree), = _trees(("dist/collectives.py",))
+    loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))]
+    assert loops, "the rank-local executor walks its schedule"
+    for loop in loops:
+        assert isinstance(loop, ast.For), \
+            f"dist/collectives.py:{loop.lineno}: while-loop in the executor"
+        callees = {_callee(n) for n in ast.walk(loop.iter)
+                   if isinstance(n, ast.Call)}
+        assert callees & {"schedule", "rank_schedule"}, (
+            f"dist/collectives.py:{loop.lineno}: loop over something other "
+            f"than a generated schedule")
+
+
+def test_the_pipe_mesh_backend_is_gone():
+    from repro.dist.transport import PROCESS_BACKENDS
+    assert "multiprocess" not in PROCESS_BACKENDS
+    assert not (SRC / "dist" / "monitor.py").exists()
