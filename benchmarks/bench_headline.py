@@ -252,9 +252,9 @@ def bench_fence_scaling(sizes=(256, 1024, 4096), shards=4, queries=4096):
     """Per-query ``covers_cross_edge`` cost as fence population grows.
 
     Returns the scaling series plus the log-log slope of per-query time in
-    fence count; an O(1) (order-maintenance label) implementation holds the
-    slope near zero, a bisect-per-query one shows ~log growth and a linear
-    walk slope ~1."""
+    fence count; the O(1) implementation (one dense rank array per fence
+    channel, indexed by ``op.seq``) holds the slope near zero, a
+    bisect-per-query one shows ~log growth and a linear walk slope ~1."""
     from repro.core.coarse import CoarseAnalysis
     from repro.regions import clear_region_caches
 

@@ -6,7 +6,8 @@ Layers (bottom to top):
 * :mod:`repro.core.sharding`, :mod:`repro.core.operation` — sharding and
   projection functions, operations, group launches;
 * :mod:`repro.core.coarse` / :mod:`repro.core.fine` /
-  :mod:`repro.core.pipeline` — the two-stage analysis of §4.1;
+  :mod:`repro.core.pipeline` — the two-stage analysis of §4.1, both
+  stages over the one epoch index of :mod:`repro.core.epochs`;
 * :mod:`repro.core.determinism`, :mod:`repro.core.rng`,
   :mod:`repro.core.deferred` — control determinism machinery of §3/§4.3;
 * :mod:`repro.core.collectives` — the O(log N) collectives of §4.2;

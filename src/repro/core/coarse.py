@@ -23,29 +23,21 @@ For each discovered group-level dependence the stage decides whether a
   at the later operation's position, implemented at run time as a no-payload
   all-gather (§4.2).
 
-Scaling note (DePa, Westrick et al., PPoPP '22): ordering and conflict
-queries are answered in O(1) by two structures from `repro.core.om`:
+Scaling notes.  Program order here is append-only, so every order question
+is answered from plain integers:
 
-* every fence position carries an **order-maintenance label** on a single
-  spine (:class:`~repro.core.om.OMLabeler`), and the :class:`FenceStore`
-  projects fences onto *channels* — one global channel plus one per
-  (scope region, field) — each holding dense per-position rank stamps
-  (:class:`~repro.core.om.SeqStamps`).  ``covers`` is then one rank
-  comparison per channel the query can touch, independent of how many
-  fences exist (previously an O(log F) bisect plus a window walk);
-* epoch buckets are keyed by **interned requirement classes**: each
-  distinct (privilege, bound-region) pair gets a small integer class id,
-  and the conflict decision for a (bucket class, query class) pair is a
-  single flat ``dict[(int, int)]`` probe (previously a privilege-table
-  lookup plus an LRU alias probe per bucket, re-hashing dataclasses and
-  enums every scan).
-
-Epoch entries additionally carry two-component *(coarse, fine)* timestamps:
-the coarse component is the fence-spine OM node current at insertion, the
-fine component a per-epoch insertion counter.  Comparing stamps compares
-the *live* OM labels (never snapshots — labels move on relabels, spine
-order does not), so stamp order provably equals insertion order and the
-bucketed scan reproduces the naive scan's observable order exactly.
+* the :class:`FenceStore` projects fences onto *channels* — one global
+  channel plus one per (scope region, field) — each a :class:`SeqStamps`
+  holding a **dense rank array indexed by ``op.seq``**.  ``covers`` is one
+  rank comparison per channel the query can touch, independent of how many
+  fences exist;
+* the field-epoch state machine is the shared index of
+  :mod:`repro.core.epochs`, instantiated here with the coarse class key
+  ``(privilege, bound-region uid)`` and the decision ``privileges conflict
+  and bounds may alias``.  Matches come back per bucket and are merged by
+  the epoch's insertion counter, so dependence pairs appear in exactly the
+  order the naive scan would have produced them (the fence scope starts
+  from ``pairs[0]``, so order is observable).
 
 The indexed implementation is *observationally identical* to the naive
 per-entry scan — same dependences in the same order, same fences, same
@@ -63,122 +55,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from ..obs.events import (CAT_COARSE, CONTROL_SHARD, EV_COARSE_GROUP,
                           EV_FENCE_ELIDE, EV_FENCE_INSERT)
 from ..obs.profiler import Profiler, get_profiler
-from ..oracle import Privilege
 from ..regions import (LogicalRegion, Partition, cached_may_alias,
-                       cached_region_contains, register_cache_clearer)
-from .om import OMLabeler, OMNode, SeqStamps
+                       cached_region_contains)
+from .epochs import ClassTable, FieldState, sorted_fids
 from .operation import CoarseRequirement, Operation
 
-__all__ = ["Fence", "FenceStore", "CoarseResult", "CoarseAnalysis",
-           "clear_coarse_decision_caches", "coarse_decision_stats"]
-
-
-def _region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    """True when ``outer`` provably covers every point of ``inner``."""
-    return cached_region_contains(outer, inner)
-
-
-# -- interned requirement classes -------------------------------------------------
-#
-# A coarse scan's per-bucket decision depends only on (privilege, bound
-# region) of both sides.  Each distinct pair is interned to a small int —
-# its *class id* — and decisions live in a flat dict keyed on (bucket cid,
-# query cid) int pairs.  Region uids are never reused and privileges are
-# immutable, so a decision never goes stale; the tables are bounded only
-# to cap memory in very long-lived processes (the service path), by
-# resetting everything and bumping a generation that lazily invalidates
-# every cid cached on requirement objects or bucket structures.
-
-_MAX_CLASSES = 1 << 20
-_MAX_DECISIONS = 1 << 22
-
-_GEN = 0
-_CLASS_IDS: Dict[Tuple[Privilege, int], int] = {}
-_CLASS_REPS: List[Tuple[Privilege, LogicalRegion]] = []
-_DECISIONS: Dict[Tuple[int, int], bool] = {}
-_CONTAINS: Dict[Tuple[int, int], bool] = {}
-
-
-def clear_coarse_decision_caches() -> None:
-    """Reset the interned class/decision tables (tests and benchmarks;
-    never required for correctness)."""
-    global _GEN
-    _CLASS_IDS.clear()
-    del _CLASS_REPS[:]
-    _DECISIONS.clear()
-    _CONTAINS.clear()
-    _GEN += 1
-
-
-def coarse_decision_stats() -> Dict[str, int]:
-    return {"classes": len(_CLASS_REPS), "decisions": len(_DECISIONS),
-            "generation": _GEN}
-
-
-# The class tables key on region uids; whenever the region caches are
-# cleared because uids are about to be reused (fresh_id_epoch), these
-# tables must go with them.
-register_cache_clearer(clear_coarse_decision_caches)
-
-
-def _intern_class(privilege: Privilege, bound: LogicalRegion) -> int:
-    key = (privilege, bound.uid)
-    cid = _CLASS_IDS.get(key)
-    if cid is None:
-        if len(_CLASS_REPS) >= _MAX_CLASSES:
-            clear_coarse_decision_caches()
-        cid = len(_CLASS_REPS)
-        _CLASS_IDS[key] = cid
-        _CLASS_REPS.append((privilege, bound))
-    return cid
-
-
-def _class_of(req: CoarseRequirement, bound: LogicalRegion) -> int:
-    """Class id of a requirement, cached on the (frozen) object and
-    revalidated against the table generation."""
-    tag = getattr(req, "_om_ccid", None)
-    if tag is not None and tag[0] == _GEN:
-        return tag[1]
-    cid = _intern_class(req.privilege, bound)
-    object.__setattr__(req, "_om_ccid", (_GEN, cid))
-    return cid
-
-
-def _decide(bcid: int, qcid: int) -> bool:
-    """Compute-and-memoize one (bucket, query) conflict decision from the
-    class representatives — exactly the naive per-entry test."""
-    bpriv, bregion = _CLASS_REPS[bcid]
-    qpriv, qbound = _CLASS_REPS[qcid]
-    hit = bool(bpriv.conflicts_with(qpriv)
-               and cached_may_alias(bregion, qbound))
-    if len(_DECISIONS) >= _MAX_DECISIONS:
-        _DECISIONS.clear()
-    _DECISIONS[(bcid, qcid)] = hit
-    return hit
-
-
-def _contains_fast(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    """Flat-dict memo of ``region_contains`` (skips the LRU recency
-    shuffle of the shared PairCache on the retirement hot path)."""
-    key = (outer.uid, inner.uid)
-    hit = _CONTAINS.get(key)
-    if hit is None:
-        hit = cached_region_contains(outer, inner)
-        if len(_CONTAINS) >= _MAX_DECISIONS:
-            _CONTAINS.clear()
-        _CONTAINS[key] = hit
-    return hit
-
-
-def _sorted_fids(req) -> Tuple[int, ...]:
-    """Sorted field ids of a requirement, computed once per object (the
-    per-op analysis loops re-visit every requirement's fields several
-    times; re-sorting them dominated the loop overhead)."""
-    fids = getattr(req, "_om_fids", None)
-    if fids is None:
-        fids = tuple(sorted(f.fid for f in req.fields))
-        object.__setattr__(req, "_om_fids", fids)
-    return fids
+__all__ = ["Fence", "SeqStamps", "FenceStore", "CoarseResult",
+           "CoarseAnalysis"]
 
 
 @dataclass(frozen=True)
@@ -195,6 +78,88 @@ class Fence:
     at_seq: int
     region: Optional[LogicalRegion]
     fields: frozenset
+
+
+class SeqStamps:
+    """Dense fence ranks over program positions for one channel.
+
+    A *channel* is one reason a fence might order two program points (the
+    global channel, or one (scope-region, field) pair).  ``note(at_seq)``
+    records a fence position; ``fine_at(seq)`` returns the rank — how many
+    channel positions are at or before ``seq``.  A fence separates
+    ``earlier`` from ``later`` on this channel iff ``fine_at(later) >
+    fine_at(earlier)``: one comparison, independent of how many fences
+    exist (the flat-scaling property the fence-population benchmark sweep
+    guards).
+
+    Ranks are stored in a dense array indexed by ``seq`` and extended
+    lazily toward the largest queried position, so both inserts (which in
+    analysis order arrive with non-decreasing ``at_seq``) and queries are
+    amortized O(1).  An out-of-order insert (constructor-style bulk loads,
+    replay rebinding in adversarial tests) truncates the stale suffix and
+    rebuilds it on the next query.
+    """
+
+    __slots__ = ("_positions", "_ranks")
+
+    def __init__(self) -> None:
+        self._positions: List[int] = []        # sorted fence at_seqs
+        self._ranks: List[int] = []            # _ranks[s] = rank at seq s
+
+    def note(self, at_seq: int) -> None:
+        """Record a fence at ``at_seq``.  Monotone appends are O(1); an
+        out-of-order insert pays a bisect plus a suffix truncation."""
+        if at_seq < 0:
+            raise ValueError("fence positions are non-negative sequences")
+        pos = self._positions
+        if not pos or at_seq >= pos[-1]:
+            pos.append(at_seq)
+        else:
+            pos.insert(bisect_right(pos, at_seq), at_seq)
+        if at_seq < len(self._ranks):
+            del self._ranks[at_seq:]
+
+    def fine_at(self, seq: int) -> int:
+        """Rank of the latest channel position at or before ``seq``.  O(1)
+        once the dense array covers ``seq``; extending it is amortized
+        O(1) per program position."""
+        if seq < 0:
+            return 0
+        ranks = self._ranks
+        if seq < len(ranks):
+            return ranks[seq]
+        self._extend(seq)
+        return self._ranks[seq]
+
+    def covers(self, earlier_seq: int, later_seq: int) -> bool:
+        """Any channel position in ``(earlier_seq, later_seq]``?  Two
+        O(1) rank lookups and one comparison."""
+        return self.fine_at(later_seq) > self.fine_at(earlier_seq)
+
+    def _extend(self, seq: int) -> None:
+        pos = self._positions
+        ranks = self._ranks
+        start = len(ranks)
+        i = bisect_right(pos, start - 1) if start else 0
+        npos = len(pos)
+        for s in range(start, seq + 1):
+            while i < npos and pos[i] <= s:
+                i += 1
+            ranks.append(i)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def positions(self) -> List[int]:
+        return list(self._positions)
+
+    def check_invariants(self) -> None:
+        """Positions sorted; rank array consistent with them."""
+        pos = self._positions
+        assert all(a <= b for a, b in zip(pos, pos[1:])), \
+            "channel positions out of order"
+        for s, r in enumerate(self._ranks):
+            assert r == bisect_right(pos, s), f"stale rank at seq {s}"
 
 
 class _Channel:
@@ -218,12 +183,6 @@ class FenceStore:
 
     * a set for O(1) dedupe and membership (``add`` returns whether the
       fence was new — the pipeline's replay integration relies on this);
-    * an **order-maintenance spine**: every fence position gets an
-      :class:`~repro.core.om.OMNode` whose label answers "which of these
-      two fences comes first?" in one integer comparison, and whose
-      relative order survives relabeling (the labels move, the order does
-      not — which is why trace-replay rebinding via :meth:`add` preserves
-      every outstanding timestamp);
     * **channels** with dense rank stamps: one global channel plus one per
       (scope region, field id).  A fence registers its position on the
       channels it can order; ``covers`` compares two ranks per reachable
@@ -232,22 +191,18 @@ class FenceStore:
       in benchmarks/bench_headline.py guards exactly this).
 
     Soundness of the index: a fence is immutable and its position never
-    changes, so insertion-time channel registration is final.
+    changes, so insertion-time channel registration is final — which is
+    also why trace-replay rebinding via :meth:`add` needs no fix-up.
     """
 
-    __slots__ = ("_fences", "_set", "_spine", "_keys", "_nodes",
-                 "_global", "_scoped", "_alias_memo", "_tick")
+    __slots__ = ("_fences", "_set", "_global", "_scoped", "_alias_memo")
 
     def __init__(self, fences: Sequence[Fence] = ()) -> None:
         self._fences: List[Fence] = []
         self._set: Set[Fence] = set()
-        self._spine = OMLabeler()
-        self._keys: List[Tuple[int, int]] = []    # sorted (at_seq, tick)
-        self._nodes: List[OMNode] = []            # parallel spine nodes
         self._global = SeqStamps()
         self._scoped: Dict[int, Dict[int, _Channel]] = {}  # tree -> uid -> ch
         self._alias_memo: Dict[Tuple[int, int], bool] = {}
-        self._tick = 0
         for f in fences:
             self.add(f)
 
@@ -256,31 +211,17 @@ class FenceStore:
     def add(self, fence: Fence) -> bool:
         """Insert unless an identical fence exists; True when inserted.
 
-        Analysis inserts fences in program order (the monotone fast path:
-        an O(1) spine append).  Out-of-order inserts — bulk loads, tests —
-        bisect into the spine; the OM labeler absorbs the insert with an
-        amortized O(1) relabel and every existing node keeps its relative
-        order, so timestamps handed out earlier stay valid.
+        Analysis inserts fences in program order (an O(1) append on each
+        channel); out-of-order inserts — bulk loads, tests — are absorbed
+        by the channels' suffix truncation.
         """
         if fence in self._set:
             return False
         self._set.add(fence)
         self._fences.append(fence)
-        self._tick += 1
-        key = (fence.at_seq, self._tick)
-        keys = self._keys
-        if not keys or key >= keys[-1]:
-            node = self._spine.insert_last()
-            keys.append(key)
-            self._nodes.append(node)
-        else:
-            idx = bisect_right(keys, key)
-            node = self._spine.insert_before(self._nodes[idx])
-            keys.insert(idx, key)
-            self._nodes.insert(idx, node)
         region = fence.region
         if region is None:
-            self._global.note(fence.at_seq, node)
+            self._global.note(fence.at_seq)
         else:
             chans = self._scoped.setdefault(region.tree_id, {})
             chan = chans.get(region.uid)
@@ -293,7 +234,7 @@ class FenceStore:
                 if ss is None:
                     ss = SeqStamps()
                     by_fid[fl.fid] = ss
-                ss.note(fence.at_seq, node)
+                ss.note(fence.at_seq)
         return True
 
     def append(self, fence: Fence) -> None:
@@ -306,9 +247,6 @@ class FenceStore:
     def clear(self) -> None:
         self._fences.clear()
         self._set.clear()
-        self._spine = OMLabeler()
-        self._keys.clear()
-        self._nodes.clear()
         self._global = SeqStamps()
         self._scoped.clear()
         self._alias_memo.clear()
@@ -349,37 +287,19 @@ class FenceStore:
                     return True
         return False
 
-    def era_node(self) -> Optional[OMNode]:
-        """The spine node of the latest fence position — the *coarse*
-        component epoch entries stamp at insertion (None before any
-        fence).  Successive era nodes only ever move later on the spine,
-        so stamps sorted by (live era label, fine counter) reproduce
-        insertion order exactly."""
-        nodes = self._nodes
-        return nodes[-1] if nodes else None
-
     def positions(self) -> List[int]:
         return sorted({f.at_seq for f in self._fences})
 
     def om_stats(self) -> Dict[str, int]:
-        """Order-maintenance accounting (benchmarks and tests)."""
+        """Channel accounting (benchmarks and tests)."""
         return {
-            "spine": len(self._spine),
-            "relabels": self._spine.relabels,
-            "relabeled_nodes": self._spine.relabeled_nodes,
             "channels": 1 + sum(len(ch.by_fid)
                                 for chans in self._scoped.values()
                                 for ch in chans.values()),
         }
 
     def check_invariants(self) -> None:
-        """Spine and channel consistency (test hook)."""
-        self._spine.check_invariants()
-        assert len(self._spine) == len(self._fences), \
-            "spine does not cover every fence"
-        assert self._keys == sorted(self._keys), "spine keys out of order"
-        for a, b in zip(self._nodes, self._nodes[1:]):
-            assert a.label < b.label, "spine nodes disagree with key order"
+        """Channel consistency (test hook)."""
         self._global.check_invariants()
         for chans in self._scoped.values():
             for chan in chans.values():
@@ -438,168 +358,19 @@ class CoarseResult:
         return self.fences.covers(earlier_seq, later_seq, region, fields)
 
 
-def _stamp_key(entry):
-    """Sort key of a stamped epoch entry: the *live* label of its coarse
-    OM node (relabel-safe — labels are never snapshotted), then the fine
-    insertion counter."""
-    node, idx = entry[0]
-    return (node.label if node is not None else -1, idx)
+def _class_key(req: CoarseRequirement, bound: LogicalRegion) -> Tuple:
+    return (req.privilege, bound.uid)
 
 
-class _EpochBucket:
-    """All epoch entries sharing one requirement class."""
-
-    __slots__ = ("cid", "priv", "region", "is_reduce", "entries")
-
-    def __init__(self, cid: int, priv: Privilege,
-                 region: LogicalRegion) -> None:
-        self.cid = cid
-        self.priv = priv
-        self.region = region
-        self.is_reduce = priv.is_reduce
-        # [((coarse OM node | None, fine counter), op, req), ...]
-        self.entries: List[Tuple] = []
+def _classes_conflict(breq: CoarseRequirement, bbound: LogicalRegion,
+                      qreq: CoarseRequirement, qbound: LogicalRegion) -> bool:
+    return breq.privilege.conflicts_with(qreq.privilege) \
+        and cached_may_alias(bbound, qbound)
 
 
-def _null_clock() -> Optional[OMNode]:
-    return None
-
-
-class _Epoch:
-    """One epoch list, bucketed by interned requirement class.
-
-    All entries of a bucket share the decision inputs of the naive
-    per-entry loop — privilege and bound region — so a scan makes *one*
-    flat-table decision per bucket (an int-pair dict probe) and then emits
-    the bucket's entries.  Every entry carries a two-component
-    (coarse OM node, fine counter) timestamp; matches are re-sorted by the
-    live stamp order, which provably equals insertion order (the clock's
-    era node only moves later on the fence spine), so dependence pairs
-    appear in exactly the order the naive scan would have produced them
-    (the fence scope starts from ``pairs[0]``, so order is observable).
-    """
-
-    __slots__ = ("_buckets", "_members", "_op_counts", "_next", "_size",
-                 "_gen", "_clock")
-
-    def __init__(self, clock=_null_clock) -> None:
-        self._buckets: Dict[int, _EpochBucket] = {}
-        self._members: Set[Tuple] = set()      # (id(op), req) for dedupe
-        self._op_counts: Dict[int, int] = {}   # id(op) -> live entry count
-        self._next = 0
-        self._size = 0
-        self._gen = _GEN
-        self._clock = clock
-
-    def _refresh(self) -> None:
-        """The class tables were reset (generation bump): re-intern every
-        bucket's class so cids stay bijective with classes."""
-        buckets = list(self._buckets.values())
-        self._buckets = {}
-        for b in buckets:
-            b.cid = _intern_class(b.priv, b.region)
-            self._buckets[b.cid] = b
-        self._gen = _GEN
-
-    def add(self, op: Operation, req: CoarseRequirement,
-            bound: LogicalRegion, unique: bool = False) -> None:
-        key = (id(op), req)
-        if unique and key in self._members:
-            return
-        self._members.add(key)
-        cid = _class_of(req, bound)
-        if self._gen != _GEN:
-            self._refresh()
-        b = self._buckets.get(cid)
-        if b is None:
-            b = _EpochBucket(cid, req.privilege, bound)
-            self._buckets[cid] = b
-        b.entries.append(((self._clock(), self._next), op, req))
-        self._next += 1
-        self._size += 1
-        self._op_counts[id(op)] = self._op_counts.get(id(op), 0) + 1
-
-    def match(self, op: Operation, req: CoarseRequirement,
-              bound: LogicalRegion, reduce_only: bool = False
-              ) -> Tuple[int, List[Tuple]]:
-        """(entries scanned, matches in insertion order) — exactly what the
-        naive loop over (op, req) pairs reports for the same epoch."""
-        if id(op) in self._op_counts:
-            return self._match_with_self(op, req, bound, reduce_only)
-        qcid = _class_of(req, bound)
-        if self._gen != _GEN:
-            self._refresh()
-        scanned = 0
-        matched: List[Tuple] = []
-        decisions = _DECISIONS
-        for b in self._buckets.values():
-            if reduce_only and not b.is_reduce:
-                continue
-            entries = b.entries
-            scanned += len(entries)
-            hit = decisions.get((b.cid, qcid))
-            if hit is None:
-                hit = _decide(b.cid, qcid)
-            if hit:
-                matched.extend(entries)
-        matched.sort(key=_stamp_key)
-        return scanned, [(e[1], e[2]) for e in matched]
-
-    def _match_with_self(self, op, req, bound, reduce_only):
-        """Slow path preserving the naive same-op skip semantics (the op
-        under analysis is normally never in the epochs; this guards the
-        invariant rather than assuming it)."""
-        qcid = _class_of(req, bound)
-        if self._gen != _GEN:
-            self._refresh()
-        scanned = 0
-        matched: List[Tuple] = []
-        for b in self._buckets.values():
-            if reduce_only and not b.is_reduce:
-                continue
-            live = [e for e in b.entries if e[1] is not op]
-            scanned += len(live)
-            hit = _DECISIONS.get((b.cid, qcid))
-            if hit is None:
-                hit = _decide(b.cid, qcid)
-            if hit:
-                matched.extend(live)
-        matched.sort(key=_stamp_key)
-        return scanned, [(e[1], e[2]) for e in matched]
-
-    def retire_contained(self, bound: LogicalRegion) -> None:
-        """Drop every entry whose bound region is covered by ``bound`` —
-        the write-retirement rule, decided once per bucket."""
-        doomed = [cid for cid, b in self._buckets.items()
-                  if _contains_fast(bound, b.region)]
-        for cid in doomed:
-            b = self._buckets.pop(cid)
-            self._size -= len(b.entries)
-            for _stamp, op, req in b.entries:
-                self._members.discard((id(op), req))
-                n = self._op_counts.get(id(op), 0) - 1
-                if n <= 0:
-                    self._op_counts.pop(id(op), None)
-                else:
-                    self._op_counts[id(op)] = n
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Tuple[Operation, CoarseRequirement]]:
-        entries = [e for b in self._buckets.values() for e in b.entries]
-        entries.sort(key=_stamp_key)
-        return iter((e[1], e[2]) for e in entries)
-
-
-class _FieldState:
-    """Epoch indexes for one (region-tree root, field): Legion-style."""
-
-    __slots__ = ("write_epoch", "read_epoch")
-
-    def __init__(self, clock=_null_clock) -> None:
-        self.write_epoch = _Epoch(clock)
-        self.read_epoch = _Epoch(clock)
+# A coarse scan's per-bucket decision depends only on (privilege, bound
+# region) of both sides: that pair is the coarse requirement class.
+_CLASSES = ClassTable("_coarse_cid", _class_key, _classes_conflict)
 
 
 class CoarseAnalysis:
@@ -616,8 +387,7 @@ class CoarseAnalysis:
         self.num_shards = num_shards
         self.profiler = profiler if profiler is not None else get_profiler()
         self.result = CoarseResult()
-        self._clock = self.result.fences.era_node
-        self._state: Dict[Tuple[int, int], _FieldState] = {}
+        self._state: Dict[Tuple[int, int], FieldState] = {}
 
     # -- entry point -----------------------------------------------------------
 
@@ -637,15 +407,11 @@ class CoarseAnalysis:
                                             CoarseRequirement]]] = {}
         for req in op.coarse_reqs:
             bound = req.bound_region()
-            for fid in _sorted_fids(req):
-                state = self._state.setdefault((bound.tree_id, fid),
-                                               _FieldState(self._clock))
-                self._scan(op, req, bound, state, dep_ops)
-        for req in op.coarse_reqs:
-            bound = req.bound_region()
-            for fid in _sorted_fids(req):
-                state = self._state[(bound.tree_id, fid)]
-                self._update(op, req, bound, state)
+            for fid in sorted_fids(req):
+                state = self._state.get((bound.tree_id, fid))
+                if state is not None:
+                    self._scan(op, req, bound, state, dep_ops)
+        self._update(op)
 
         new_deps: Set[Tuple[Operation, Operation]] = set()
         new_fences: List[Fence] = []
@@ -705,58 +471,35 @@ class CoarseAnalysis:
         recording), but their *effects on the epoch state* must still be
         applied — otherwise operations issued after the trace would compare
         against pre-trace state and miss dependences on replayed work.
-
-        Any fences the replay rebinds land through :meth:`FenceStore.add`
-        *before* this runs (pipeline order), so the era node the new epoch
-        entries stamp already reflects them — label preservation across
-        replay is a property of the spine (order never changes), not of
-        this method.
         """
         self.result.ops_analyzed += 1
-        for req in op.coarse_reqs:
-            bound = req.bound_region()
-            for fid in _sorted_fids(req):
-                state = self._state.setdefault((bound.tree_id, fid),
-                                               _FieldState(self._clock))
-                self._update(op, req, bound, state)
+        self._update(op)
 
     # -- scanning ------------------------------------------------------------------
 
     def _scan(self, op: Operation, req: CoarseRequirement,
-              bound: LogicalRegion, state: _FieldState,
+              bound: LogicalRegion, state: FieldState,
               dep_ops: Dict[Operation, List[Tuple[CoarseRequirement,
                                                   CoarseRequirement]]]) -> None:
-        priv = req.privilege
-
-        def check(epoch: _Epoch, reduce_only: bool = False) -> None:
-            scanned, matched = epoch.match(op, req, bound,
-                                           reduce_only=reduce_only)
-            self.result.users_scanned += scanned
-            for prev_op, prev_req in matched:
+        scanned, found = state.scan(op, req, bound)
+        self.result.users_scanned += scanned
+        for hits in found:
+            # Insertion order within the epoch: a single bucket already is;
+            # several merge by the entries' leading insertion index.
+            entries = hits[0].entries if len(hits) == 1 else \
+                sorted(e for b in hits for e in b.entries)
+            for _index, prev_op, _user, prev_req in entries:
                 dep_ops.setdefault(prev_op, []).append((prev_req, req))
 
-        if priv.writes:
-            check(state.read_epoch)
-            check(state.write_epoch)
-        elif priv.is_reduce:
-            # Conflicts with writers and with different-op reducers/readers.
-            check(state.read_epoch)
-            check(state.write_epoch)
-        else:  # reader
-            check(state.write_epoch)
-            # Readers also conflict with reducers parked in the read epoch.
-            check(state.read_epoch, reduce_only=True)
-
-    def _update(self, op: Operation, req: CoarseRequirement,
-                bound: LogicalRegion, state: _FieldState) -> None:
-        if req.privilege.writes:
-            # New write epoch for the covered data: drop dominated users
-            # (any future conflict with them is transitively ordered via op).
-            state.read_epoch.retire_contained(bound)
-            state.write_epoch.retire_contained(bound)
-            state.write_epoch.add(op, req, bound)
-        else:
-            state.read_epoch.add(op, req, bound, unique=True)
+    def _update(self, op: Operation) -> None:
+        for req in op.coarse_reqs:
+            bound = req.bound_region()
+            for fid in sorted_fids(req):
+                key = (bound.tree_id, fid)
+                state = self._state.get(key)
+                if state is None:
+                    state = self._state[key] = FieldState(_CLASSES)
+                state.update(op, op, req, bound)
 
     # -- fence insertion / elision ----------------------------------------------------
 
@@ -784,7 +527,7 @@ class CoarseAnalysis:
                 if b.tree_id != scope_region.tree_id:
                     scope_region = None
                     break
-                if not _region_contains(scope_region, b):
+                if not cached_region_contains(scope_region, b):
                     # Fall back to the common root, always a sound scope
                     # within one tree.
                     scope_region = scope_region.root()

@@ -13,37 +13,31 @@ the soundness check used by the test-suite: every cross-shard point
 dependence must be covered by a fence the coarse stage inserted (otherwise
 an elision was wrong).
 
-Scaling note (DePa, Westrick et al., PPoPP '22): the point epochs are
-bucketed by **interned requirement class** — each distinct (privilege,
-region, field set) triple, the exact inputs of the pairwise requirement
-test, gets a small integer class id — and the conflict decision for a
-(bucket class, query class) pair is a single flat ``dict[(int, int)]``
-probe.  The previous implementation called ``requirements_conflict`` per
-bucket, re-hashing frozen dataclasses and enums through two LRU caches on
-every scan; that call chain dominated the whole analysis at 1024+ ops.
-Entries also carry two-component *(coarse OM node, fine counter)*
-timestamps from the fence spine (see `repro.core.om`), property-tested to
-agree with insertion order.  ``scans_per_shard`` still counts one unit per
-epoch entry visited, identical to the naive per-entry loop (pinned by the
-differential tests against tests/helpers.py).
+Scaling note: the point epochs are the shared index of
+:mod:`repro.core.epochs`, instantiated here with the fine class key
+``(privilege, region uid, field ids)`` — the exact inputs of the pairwise
+requirement test — and ``requirements_conflict`` as the decision, so a scan
+makes one packed-int dict probe per bucket instead of one oracle call per
+entry (that call chain dominated the whole analysis at 1024+ ops).
+``scans_per_shard`` still counts one unit per epoch entry visited,
+identical to the naive per-entry loop (pinned by the differential tests
+against tests/helpers.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
-from ..regions import (LogicalRegion, cached_region_contains,
-                       register_cache_clearer)
-from .coarse import CoarseResult, clear_coarse_decision_caches
-from .om import OMNode
+from ..regions import LogicalRegion, Partition
+from .coarse import CoarseResult
+from .epochs import CLASS_BITS, ClassTable, FieldState, sorted_fids
 from .operation import Operation, PointTask
 from .taskgraph import TaskGraph
 
-__all__ = ["FineResult", "FineAnalysis", "interned_requirements_conflict",
-           "clear_analysis_caches", "fine_decision_stats"]
+__all__ = ["FineResult", "FineAnalysis", "interned_requirements_conflict"]
 
 
 @dataclass
@@ -60,86 +54,19 @@ class FineResult:
         return [t for t in self.graph.tasks]  # type: ignore[misc]
 
 
-# -- interned requirement classes -------------------------------------------------
-#
+def _class_key(req: RegionRequirement, region: LogicalRegion) -> Tuple:
+    return (req.privilege, region.uid, req.field_ids())
+
+
+def _classes_conflict(breq: RegionRequirement, _bregion: LogicalRegion,
+                      qreq: RegionRequirement, _qregion: LogicalRegion
+                      ) -> bool:
+    return requirements_conflict(breq, qreq)
+
+
 # ``requirements_conflict(a, b)`` depends only on (privilege, region,
-# field ids) of each side.  Each distinct triple is interned to a small
-# int class id; decisions live in a flat dict keyed on (cid, cid) pairs
-# and are computed once per class pair via the *same* oracle call the
-# naive loop makes, so truth values are identical by construction.
-# Region uids and field ids are never reused, so decisions never go
-# stale; the tables are bounded only to cap memory in long-lived
-# processes, via a generation bump that lazily invalidates cached cids.
-
-_CLASS_BITS = 20                  # decision keys pack (bcid << 20) | qcid
-_MAX_CLASSES = 1 << _CLASS_BITS   # table resets keep cids inside the pack
-_MAX_DECISIONS = 1 << 22
-
-_GEN = 0
-_CLASS_IDS: Dict[Tuple, int] = {}
-_CLASS_REPS: List[RegionRequirement] = []
-_DECISIONS: Dict[int, bool] = {}   # packed int keys: cheapest possible probe
-_CONTAINS: Dict[Tuple[int, int], bool] = {}
-
-
-def _clear_fine_decision_caches() -> None:
-    global _GEN
-    _CLASS_IDS.clear()
-    del _CLASS_REPS[:]
-    _DECISIONS.clear()
-    _CONTAINS.clear()
-    _GEN += 1
-
-
-def clear_analysis_caches() -> None:
-    """Reset every interned class/decision table of both analysis stages
-    (tests and benchmarks; never required for correctness — region uids
-    and field ids are never reused, so entries cannot go stale)."""
-    _clear_fine_decision_caches()
-    clear_coarse_decision_caches()
-
-
-def fine_decision_stats() -> Dict[str, int]:
-    return {"classes": len(_CLASS_REPS), "decisions": len(_DECISIONS),
-            "generation": _GEN}
-
-
-# Class ids key on region uids and field ids; a region-cache clear (which
-# precedes any uid reuse via fresh_id_epoch) must reset them too.
-register_cache_clearer(_clear_fine_decision_caches)
-
-
-def _intern_class(req: RegionRequirement) -> int:
-    key = (req.privilege, req.region.uid, req.field_ids())
-    cid = _CLASS_IDS.get(key)
-    if cid is None:
-        if len(_CLASS_REPS) >= _MAX_CLASSES:
-            _clear_fine_decision_caches()
-        cid = len(_CLASS_REPS)
-        _CLASS_IDS[key] = cid
-        _CLASS_REPS.append(req)
-    return cid
-
-
-def _class_of(req: RegionRequirement) -> int:
-    """Class id of a requirement, cached on the (frozen) object and
-    revalidated against the table generation."""
-    tag = getattr(req, "_om_cid", None)
-    if tag is not None and tag[0] == _GEN:
-        return tag[1]
-    cid = _intern_class(req)
-    object.__setattr__(req, "_om_cid", (_GEN, cid))
-    return cid
-
-
-def _decide(bcid: int, qcid: int) -> bool:
-    """Compute-and-memoize one class-pair decision via the oracle —
-    exactly the naive per-entry ``requirements_conflict`` test."""
-    hit = bool(requirements_conflict(_CLASS_REPS[bcid], _CLASS_REPS[qcid]))
-    if len(_DECISIONS) >= _MAX_DECISIONS:
-        _DECISIONS.clear()
-    _DECISIONS[(bcid << _CLASS_BITS) | qcid] = hit
-    return hit
+# field ids) of each side: that triple is the fine requirement class.
+_CLASSES = ClassTable("_fine_cid", _class_key, _classes_conflict)
 
 
 def interned_requirements_conflict(a: RegionRequirement,
@@ -147,260 +74,14 @@ def interned_requirements_conflict(a: RegionRequirement,
     """``requirements_conflict`` through the flat decision table: one
     int-pair dict probe once both classes are warm (the fence-coverage
     validation asks this for every requirement pair of every cross edge)."""
-    ca = _class_of(a)
-    cb = _class_of(b)
-    tag = getattr(a, "_om_cid", None)
-    if tag is None or tag[0] != _GEN:
-        # Interning b reset the tables; re-intern a in the new generation.
-        ca = _class_of(a)
-    hit = _DECISIONS.get((ca << _CLASS_BITS) | cb)
-    if hit is None:
-        hit = _decide(ca, cb)
-    return hit
-
-
-def _contains_fast(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    """Flat-dict memo of ``region_contains`` for the retirement path."""
-    key = (outer.uid, inner.uid)
-    hit = _CONTAINS.get(key)
-    if hit is None:
-        hit = cached_region_contains(outer, inner)
-        if len(_CONTAINS) >= _MAX_DECISIONS:
-            _CONTAINS.clear()
-        _CONTAINS[key] = hit
-    return hit
-
-
-def _sorted_fids(req: RegionRequirement) -> Tuple[int, ...]:
-    """Sorted field ids, computed once per requirement object."""
-    fids = getattr(req, "_om_fids", None)
-    if fids is None:
-        fids = tuple(sorted(req.field_ids()))
-        object.__setattr__(req, "_om_fids", fids)
-    return fids
-
-
-class _PointBucket:
-    """All point-epoch entries sharing one requirement class."""
-
-    __slots__ = ("cid", "rep", "is_reduce", "entries", "tasks", "stamps")
-
-    def __init__(self, cid: int, rep: RegionRequirement) -> None:
-        self.cid = cid
-        self.rep = rep
-        self.is_reduce = rep.privilege.is_reduce
-        self.entries: List[Tuple[PointTask, RegionRequirement]] = []
-        self.tasks: List[PointTask] = []     # parallel: emitted on match
-        self.stamps: List[Tuple[Optional[OMNode], int]] = []  # parallel
-
-
-def _null_clock() -> Optional[OMNode]:
-    return None
-
-
-class _PointEpoch:
-    """One point-level epoch, bucketed by interned requirement class.
-
-    The class triple (privilege, region, field ids) holds exactly the
-    inputs of ``requirements_conflict``, so the pairwise test against a
-    new requirement has one answer per bucket; the scan makes that
-    decision with one flat-table probe and emits the bucket's tasks.
-    """
-
-    __slots__ = ("_buckets", "_members", "_op_counts", "_next", "_size",
-                 "_reduce_size", "_gen", "_clock")
-
-    def __init__(self, clock: Callable[[], Optional[OMNode]] = _null_clock
-                 ) -> None:
-        self._buckets: Dict[int, _PointBucket] = {}
-        self._members: Set[Tuple[PointTask, RegionRequirement]] = set()
-        self._op_counts: Dict[int, int] = {}   # id(op) -> live entry count
-        self._next = 0
-        self._size = 0
-        self._reduce_size = 0   # entries in reduce buckets (reduce_only scans)
-        self._gen = _GEN
-        self._clock = clock
-
-    def _refresh(self) -> None:
-        """Re-intern every bucket's class after a generation bump."""
-        buckets = list(self._buckets.values())
-        self._buckets = {}
-        for b in buckets:
-            b.cid = _intern_class(b.rep)
-            self._buckets[b.cid] = b
-        self._gen = _GEN
-
-    def add(self, task: PointTask, req: RegionRequirement,
-            unique: bool = False) -> None:
-        entry = (task, req)
-        if unique and entry in self._members:
-            return
-        self._members.add(entry)
-        cid = _class_of(req)
-        if self._gen != _GEN:
-            self._refresh()
-        b = self._buckets.get(cid)
-        if b is None:
-            b = _PointBucket(cid, req)
-            self._buckets[cid] = b
-        b.entries.append(entry)
-        b.tasks.append(task)
-        b.stamps.append((self._clock(), self._next))
-        self._next += 1
-        self._size += 1
-        if b.is_reduce:
-            self._reduce_size += 1
-        opid = id(task.op)
-        self._op_counts[opid] = self._op_counts.get(opid, 0) + 1
-
-    def match(self, task: PointTask, req: RegionRequirement,
-              reduce_only: bool = False
-              ) -> Tuple[int, List[PointTask]]:
-        """(entries scanned, conflicting prior tasks) — the same counts and
-        task set the naive per-entry loop reports for this epoch."""
-        if reduce_only and not self._reduce_size:
-            return 0, []          # no reduce entries: nothing scanned either way
-        if id(task.op) in self._op_counts:
-            return self._match_with_self(task, req, reduce_only)
-        qcid = _class_of(req)
-        if self._gen != _GEN:
-            self._refresh()
-        matched: List[PointTask] = []
-        decisions = _DECISIONS
-        if reduce_only:
-            scanned = 0
-            for b in self._buckets.values():
-                if not b.is_reduce:
-                    continue
-                scanned += len(b.entries)
-                hit = decisions.get((b.cid << _CLASS_BITS) | qcid)
-                if hit is None:
-                    hit = _decide(b.cid, qcid)
-                if hit:
-                    matched.extend(b.tasks)
-        else:
-            # Every entry is visited, so the scan count is the epoch size.
-            scanned = self._size
-            for b in self._buckets.values():
-                hit = decisions.get((b.cid << _CLASS_BITS) | qcid)
-                if hit is None:
-                    hit = _decide(b.cid, qcid)
-                if hit:
-                    matched.extend(b.tasks)
-        return scanned, matched
-
-    def _match_with_self(self, task, req, reduce_only):
-        """Slow path preserving the naive same-op skip semantics (points of
-        the op under analysis are normally never in the epochs yet; this
-        guards the invariant rather than assuming it)."""
-        qcid = _class_of(req)
-        if self._gen != _GEN:
-            self._refresh()
-        scanned = 0
-        matched: List[PointTask] = []
-        for b in self._buckets.values():
-            if reduce_only and not b.is_reduce:
-                continue
-            live = [e[0] for e in b.entries if e[0].op is not task.op]
-            scanned += len(live)
-            hit = _DECISIONS.get((b.cid << _CLASS_BITS) | qcid)
-            if hit is None:
-                hit = _decide(b.cid, qcid)
-            if hit:
-                matched.extend(live)
-        return scanned, matched
-
-    def _retire_bucket(self, cid: int,
-                       keep_ids: Optional[Set[int]] = None) -> None:
-        """Drop a bucket's entries, keeping those whose task id is in
-        ``keep_ids`` (None keeps nothing)."""
-        b = self._buckets[cid]
-        if keep_ids:
-            keep = [i for i, e in enumerate(b.entries)
-                    if id(e[0]) in keep_ids]
-        else:
-            keep = []
-        keep_set = set(keep)
-        dropped = 0
-        for i, entry in enumerate(b.entries):
-            if i in keep_set:
-                continue
-            dropped += 1
-            self._members.discard(entry)
-            opid = id(entry[0].op)
-            n = self._op_counts.get(opid, 0) - 1
-            if n <= 0:
-                self._op_counts.pop(opid, None)
-            else:
-                self._op_counts[opid] = n
-        self._size -= dropped
-        if b.is_reduce:
-            self._reduce_size -= dropped
-        if keep:
-            b.entries = [b.entries[i] for i in keep]
-            b.tasks = [b.tasks[i] for i in keep]
-            b.stamps = [b.stamps[i] for i in keep]
-        else:
-            del self._buckets[cid]
-
-    def _doomed(self, bound: LogicalRegion) -> List[int]:
-        """Bucket cids whose region is covered by ``bound`` (memo probes
-        inlined: this runs once per write requirement per field)."""
-        contains = _CONTAINS
-        buid = bound.uid
-        doomed = []
-        for cid, b in self._buckets.items():
-            region = b.rep.region
-            hit = contains.get((buid, region.uid))
-            if hit is None:
-                hit = _contains_fast(bound, region)
-            if hit:
-                doomed.append(cid)
-        return doomed
-
-    def retire_contained(self, bound: LogicalRegion) -> None:
-        """Drop every entry whose region is covered by ``bound``."""
-        for cid in self._doomed(bound):
-            self._retire_bucket(cid)
-
-    def retire_contained_except(self, bound: LogicalRegion,
-                                keep_ids: Set[int]) -> None:
-        """Group retirement: drop covered entries unless the task is one of
-        the retiring launch's own points (``keep_ids`` holds their ids)."""
-        for cid in self._doomed(bound):
-            self._retire_bucket(cid, keep_ids)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Tuple[PointTask, RegionRequirement]]:
-        for b in self._buckets.values():
-            yield from b.entries
-
-    def check_stamps(self) -> None:
-        """Stamp order must equal insertion order: within and across
-        buckets, live coarse labels are non-decreasing along fine
-        counters (test hook for the two-component timestamp claim)."""
-        stamped = [s for b in self._buckets.values() for s in b.stamps]
-        stamped.sort(key=lambda s: s[1])
-        labels = [(-1 if n is None else n.label) for n, _i in stamped]
-        assert labels == sorted(labels), \
-            "coarse stamp components regress along insertion order"
-
-
-class _FieldState:
-    """Point-level epoch indexes per (region tree, field)."""
-
-    __slots__ = ("write_epoch", "read_epoch")
-
-    def __init__(self, clock: Callable[[], Optional[OMNode]] = _null_clock
-                 ) -> None:
-        self.write_epoch = _PointEpoch(clock)
-        self.read_epoch = _PointEpoch(clock)
-
-
-def _contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    return cached_region_contains(outer, inner)
+    table = _CLASSES
+    ca = table.class_of(a, a.region)
+    cb = table.class_of(b, b.region)
+    if a._fine_cid[0] != table.gen:
+        # Interning b reset the table; re-intern a in the new generation.
+        ca = table.class_of(a, a.region)
+    hit = table.decisions.get((ca << CLASS_BITS) | cb)
+    return table.decide(ca, cb) if hit is None else hit
 
 
 class FineAnalysis:
@@ -411,20 +92,14 @@ class FineAnalysis:
     per-point analysis work to the owning shard.  Edge classification
     (local/cross) feeds both the simulator's cost model and the fence
     soundness check.
-
-    ``clock`` supplies the coarse component of new epoch-entry timestamps
-    (the pipeline wires the coarse stage's fence-spine era node; standalone
-    use stamps a null coarse component).
     """
 
     def __init__(self, num_shards: int,
-                 profiler: Optional[Profiler] = None,
-                 clock: Optional[Callable[[], Optional[OMNode]]] = None):
+                 profiler: Optional[Profiler] = None):
         self.num_shards = num_shards
         self.profiler = profiler if profiler is not None else get_profiler()
         self.result = FineResult()
-        self._clock = clock if clock is not None else _null_clock
-        self._state: Dict[Tuple[int, int], _FieldState] = {}
+        self._state: Dict[Tuple[int, int], FieldState] = {}
         # Precise in-edges added while analyzing the most recent op, so the
         # pipeline can hand them to the trace recorder without rescanning.
         self.last_op_edges: List[Tuple[PointTask, PointTask]] = []
@@ -479,8 +154,6 @@ class FineAnalysis:
         losing any future ordering.  Without this, ghost readers accumulate
         forever and the fine analysis turns quadratic in program length.
         """
-        from ..regions import Partition
-
         if not op.is_group:
             return
         own = {id(t) for t in tasks}
@@ -496,28 +169,36 @@ class FineAnalysis:
                 state = self._state.get((parent.tree_id, f.fid))
                 if state is None:
                     continue
-                state.read_epoch.retire_contained_except(parent, own)
-                state.write_epoch.retire_contained_except(parent, own)
+                state.read_epoch.retire_contained(parent, own)
+                state.write_epoch.retire_contained(parent, own)
 
     def _analyze_point(self, task: PointTask) -> None:
         result = self.result
         result.graph.tasks.add(task)
         deps: Set[PointTask] = set()
         states = self._state
+        scans = result.scans_per_shard
+        op = task.op
+        tshard = task.shard
         for req in task.requirements:
-            tree_id = req.region.tree_id
-            for fid in _sorted_fids(req):
+            region = req.region
+            tree_id = region.tree_id
+            for fid in sorted_fids(req):
                 state = states.get((tree_id, fid))
                 if state is None:
                     continue
-                self._scan(task, req, state, deps)
+                scanned, found = state.scan(op, req, region)
+                if scanned:
+                    scans[tshard] = scans.get(tshard, 0) + scanned
+                for hits in found:
+                    for b in hits:
+                        deps.update(b.users)
         if not deps:
             return
         graph_deps = result.graph.deps
         local_add = result.local_edges.add
         cross_add = result.cross_edges.add
         edge_append = self.last_op_edges.append
-        tshard = task.shard
         for prev in deps:
             edge = (prev, task)
             graph_deps.add(edge)
@@ -527,42 +208,17 @@ class FineAnalysis:
             else:
                 cross_add(edge)
 
-    def _scan(self, task: PointTask, req: RegionRequirement,
-              state: _FieldState, deps: Set[PointTask]) -> None:
-        priv = req.privilege
-        if priv.writes or priv.is_reduce:
-            probes = ((state.read_epoch, False), (state.write_epoch, False))
-        else:
-            probes = ((state.write_epoch, False), (state.read_epoch, True))
-        shard = task.shard
-        scans = self.result.scans_per_shard
-        for epoch, reduce_only in probes:
-            if not epoch._size:
-                continue
-            scanned, matched = epoch.match(task, req, reduce_only=reduce_only)
-            if scanned:
-                scans[shard] = scans.get(shard, 0) + scanned
-            if matched:
-                deps.update(matched)
-
     def _update_point(self, task: PointTask) -> None:
-        clock = self._clock
+        op = task.op
         for req in task.requirements:
-            tree_id = req.region.tree_id
-            for fid in _sorted_fids(req):
+            region = req.region
+            tree_id = region.tree_id
+            for fid in sorted_fids(req):
                 key = (tree_id, fid)
                 state = self._state.get(key)
                 if state is None:
-                    state = _FieldState(clock)
-                    self._state[key] = state
-                if req.privilege.writes:
-                    if state.read_epoch._size:
-                        state.read_epoch.retire_contained(req.region)
-                    if state.write_epoch._size:
-                        state.write_epoch.retire_contained(req.region)
-                    state.write_epoch.add(task, req)
-                else:
-                    state.read_epoch.add(task, req, unique=True)
+                    state = self._state[key] = FieldState(_CLASSES)
+                state.update(op, task, req, region)
 
     # -- soundness of fence elision ------------------------------------------------
 

@@ -173,11 +173,7 @@ class DCRPipeline:
         self.profiler = profiler if profiler is not None else get_profiler()
         self.injector = injector
         self.coarse = CoarseAnalysis(num_shards, profiler=self.profiler)
-        # The fine stage stamps its epoch entries with the coarse stage's
-        # fence-spine era node — the shared clock that gives both stages'
-        # timestamps a common coarse component (see repro.core.om).
-        self.fine = FineAnalysis(num_shards, profiler=self.profiler,
-                                 clock=self.coarse.result.fences.era_node)
+        self.fine = FineAnalysis(num_shards, profiler=self.profiler)
         self.records: List[OpRecord] = []
         self.stats = PipelineStats()
         self._traces = TraceCache(profiler=self.profiler, injector=injector)

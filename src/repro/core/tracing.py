@@ -49,6 +49,7 @@ from ..obs.events import (CAT_FAULT, CAT_TRACE, CONTROL_SHARD,
                           EV_TRACE_RECORD, EV_TRACE_REPLAY)
 from ..obs.profiler import Profiler, get_profiler
 from .coarse import Fence
+from .epochs import sorted_fids
 from .operation import Operation, PointTask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,13 +74,12 @@ def _trace_label(trace_id: Hashable) -> str:
 
 def _op_signature(op: Operation) -> Tuple:
     from ..regions import Partition
-    from .coarse import _sorted_fids
 
     reqs = tuple(
         (
             cr.upper.uid,
             isinstance(cr.upper, Partition),
-            _sorted_fids(cr),
+            sorted_fids(cr),
             cr.privilege.kind.value,
             cr.privilege.redop,
             # None is a sentinel for "no projection function": it must not

@@ -22,12 +22,12 @@ cost.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Set
 
 import numpy as np
 
 from ..core.coarse import CoarseAnalysis
+from ..core.collectives import schedule
 from ..core.tracing import AutoTraceConfig, _op_signature, auto_replay_flags
 from ..sim.costs import CostModel, DEFAULT_COSTS
 from ..sim.machine import MachineSpec, ProcKind
@@ -133,9 +133,10 @@ class DCRModel(ExecutionModel):
         self._fence_at = self._fence_positions(program, self._shards)
         ipc = self.backend == "multiprocess"
         hop = self.costs.fence_hop + (self.costs.ipc_hop if ipc else 0.0)
-        self._fence_latency = (
-            hop * max(1, math.ceil(math.log2(self._shards)))
-            if self._shards > 1 else 0.0)
+        # A fence is a barrier: charge the rounds of the schedule the
+        # collectives actually run, so a schedule change moves the model.
+        self._fence_latency = \
+            hop * len(schedule("barrier", self._shards).rounds)
         self._clock = np.zeros(self._shards)
         self._det = ((self.costs.determinism_per_call
                       + (self.costs.ipc_per_call if ipc else 0.0))

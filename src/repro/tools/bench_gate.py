@@ -20,7 +20,8 @@ Metric names are dotted paths into the report JSON (dict keys only, so
   report values, independent of the baseline.
 * ``--require PATH=V`` (repeatable): exact equality; ``V`` is parsed as
   JSON when possible (``true``, ``1.5``) and compared as a string
-  otherwise.
+  otherwise.  A bare ``--require PATH`` means "equal to the baseline's
+  value at ``PATH``" — the gate for exact-repeat counts and digests.
 
 Exit status 0 when every check passes, 1 otherwise; every check prints
 one line either way so CI logs show the full scoreboard.
@@ -33,7 +34,7 @@ import json
 import sys
 from typing import Any, List, Tuple
 
-__all__ = ["resolve_path", "run_gate", "main"]
+__all__ = ["FROM_BASELINE", "resolve_path", "run_gate", "main"]
 
 
 def resolve_path(doc: Any, path: str) -> Any:
@@ -54,10 +55,16 @@ def _parse_bound(spec: str) -> Tuple[str, float]:
     return path, float(raw)
 
 
+#: Expected value of a bare ``--require PATH``: whatever the baseline holds.
+FROM_BASELINE = object()
+
+
 def _parse_require(spec: str) -> Tuple[str, Any]:
-    path, _, raw = spec.partition("=")
-    if not _ or not path:
-        raise ValueError(f"expected PATH=VALUE, got {spec!r}")
+    path, eq, raw = spec.partition("=")
+    if not path:
+        raise ValueError(f"expected PATH or PATH=VALUE, got {spec!r}")
+    if not eq:
+        return path, FROM_BASELINE
     try:
         return path, json.loads(raw)
     except ValueError:
@@ -126,6 +133,15 @@ def run_gate(report: dict, baseline: dict | None, metrics: List[str],
         except KeyError:
             fail(f"{path} missing from report")
             continue
+        if expected is FROM_BASELINE:
+            if baseline is None:
+                fail(f"--require {path} (no =V) requires --baseline")
+                continue
+            try:
+                expected = resolve_path(baseline, path)
+            except KeyError:
+                fail(f"{path} missing from baseline")
+                continue
         if ours != expected:
             fail(f"{path} is {ours!r}, required {expected!r}")
         else:
@@ -154,8 +170,9 @@ def main(argv=None) -> int:
     ap.add_argument("--max", action="append", default=[], metavar="PATH=V",
                     dest="maxs", help="absolute cap on a report value")
     ap.add_argument("--require", action="append", default=[],
-                    metavar="PATH=V",
-                    help="exact-equality requirement on a report value")
+                    metavar="PATH[=V]",
+                    help="exact-equality requirement on a report value; "
+                         "without =V, equal to the baseline's value")
     args = ap.parse_args(argv)
 
     with open(args.report) as fh:

@@ -214,7 +214,7 @@ class TestFenceScopeRegression:
         """Two-requirement regression: the later op's bounds all sit inside
         pairs[0]'s scope, but the earlier op touches ghost[1] — the fence
         must widen to cover it."""
-        from repro.core.coarse import _region_contains
+        from repro.regions import cached_region_contains as _region_contains
 
         fs, cells, owned, _interior, ghost = fig7_environment()
         state = frozenset([fs["state"]])

@@ -1,6 +1,6 @@
 """FenceStore edge cases (ISSUE 10): the empty store, global-only
 fences, widened-scope fences (the PR 4 bugfix path), out-of-order
-insertion and spine relabeling, and trace-replay rebinding through
+insertion, and trace-replay rebinding through
 ``DCRPipeline._integrate_replay``.
 
 The covers specification throughout is the naive linear fence walk
@@ -13,7 +13,6 @@ import pytest
 from helpers import naive_covers_cross_edge
 
 from repro.core.coarse import CoarseAnalysis, Fence, FenceStore
-from repro.core.om import OMLabeler
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
                                   Operation)
 from repro.core.pipeline import DCRPipeline
@@ -53,12 +52,10 @@ class TestFenceStoreEdgeCases:
         assert not store
         assert list(store) == []
         assert store == []
-        assert store.era_node() is None
         assert store.positions() == []
         assert not store.covers(0, 100, cells, frozenset([fs["state"]]))
-        stats = store.om_stats()
-        assert stats["spine"] == 0 and stats["relabels"] == 0
-        assert stats["channels"] == 1  # the global channel always exists
+        # The global channel always exists.
+        assert store.om_stats()["channels"] == 1
         store.check_invariants()
 
     def test_global_only_fences(self, env):
@@ -154,7 +151,7 @@ class TestFenceStoreEdgeCases:
         for at, region, fields in specs:
             assert store.add(Fence(at, region, fields))
         # Iteration order is insertion order (the list-API contract the
-        # differential harness pins), while the spine sorts by position.
+        # differential harness pins), while the channels sort by position.
         assert [f.at_seq for f in store] == [5, 2, 8, 2, 0]
         assert store.positions() == [0, 2, 5, 8]
         store.check_invariants()
@@ -162,45 +159,18 @@ class TestFenceStoreEdgeCases:
             store, [(owned[0], state), (owned[1], flux), (cells, state),
                     (owned[3], state | flux)], max_seq=10)
 
-    def test_out_of_order_pressure_forces_spine_relabel(self, env):
-        """Label-space exhaustion at the head of the spine: every add at
-        a smaller position lands before the current head, halving its
-        label until a relabel region must fire.  Order queries stay
-        correct throughout — the invariant everything rests on."""
+    def test_strictly_decreasing_adds(self, env):
+        """The worst case for the rank channel: every add lands before
+        every earlier one, so each truncates the whole rank array."""
         fs, cells, _owned, _ghost, _pfs, _parts = env
         state = frozenset([fs["state"]])
         store = FenceStore()
         hi = 64
-        for at in range(hi, 0, -2):  # strictly decreasing positions
+        for at in range(hi, 0, -2):
             assert store.add(Fence(at, cells, state))
             store.check_invariants()
-        assert store.om_stats()["relabels"] >= 1
-        assert store.om_stats()["spine"] == len(store) == hi // 2
+        assert len(store) == hi // 2
         assert_matches_naive(store, [(cells, state)], max_seq=hi + 1)
-
-    def test_bare_labeler_head_exhaustion(self):
-        # The same pressure on a labeler too small to relabel its way
-        # out: the error is raised, the structure stays consistent.
-        lab = OMLabeler(capacity_bits=4)
-        node = lab.insert_last()
-        with pytest.raises(Exception) as exc:
-            for _ in range(16):
-                node = lab.insert_before(node)
-        assert "label space" in str(exc.value)
-        lab.check_invariants()
-
-    def test_era_node_only_moves_later(self, env):
-        fs, cells, _owned, _ghost, _pfs, _parts = env
-        state = frozenset([fs["state"]])
-        store = FenceStore()
-        prev = None
-        for at in (3, 9, 1, 6, 12, 2):  # mixed order
-            store.add(Fence(at, cells, state))
-            cur = store.era_node()
-            if prev is not None:
-                assert OMLabeler.order(prev, cur) <= 0
-            prev = cur
-        store.check_invariants()
 
     def test_list_protocol_and_clear(self, env):
         fs, cells, _owned, _ghost, _pfs, _parts = env
@@ -214,9 +184,8 @@ class TestFenceStoreEdgeCases:
         assert list(store)[1] is fences[1]
         store.clear()
         assert len(store) == 0 and store == []
-        assert store.era_node() is None
         assert not store.covers(0, 10, cells, state)
-        assert store.om_stats()["spine"] == 0
+        assert store.om_stats()["channels"] == 1
         store.check_invariants()
         # The store is reusable after clear().
         assert store.add(fences[0])

@@ -21,6 +21,7 @@ written to REPRO_EQUIV_ARTIFACT_DIR (if set) as JSON — rebuild the
 program with ``build_ops(build_env(), specs)``.
 """
 
+import contextlib
 import json
 import os
 
@@ -29,13 +30,15 @@ from hypothesis import HealthCheck, given, note, settings, strategies as st
 from helpers import (analysis_digest, naive_covers_cross_edge,
                      run_naive_analysis)
 
+from repro.core import coarse as coarse_stage, fine as fine_stage
 from repro.core.coarse import CoarseAnalysis
 from repro.core.fine import FineAnalysis
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
                                   Operation)
 from repro.core.sharding import BLOCKED, CYCLIC, HASHED
 from repro.oracle import READ_ONLY, READ_WRITE, WRITE_DISCARD, reduce_priv
-from repro.regions import FieldSpace, IndexSpace, LogicalRegion
+from repro.regions import (FieldSpace, IndexSpace, LogicalRegion,
+                           clear_region_caches)
 
 TILES = 4
 SHARDINGS = [CYCLIC, BLOCKED, HASHED]
@@ -151,13 +154,41 @@ op_specs = st.lists(
     min_size=2, max_size=12)
 
 
-def run_indexed(ops, shards):
+def run_indexed(ops, shards, clear_at=None):
+    """``clear_at``: drop the region caches — and with them both class
+    tables — right before that op, as a ``fresh_id_epoch`` elsewhere in
+    the process would."""
     coarse = CoarseAnalysis(shards)
     fine = FineAnalysis(shards)
-    for op in ops:
+    for i, op in enumerate(ops):
+        if i == clear_at:
+            clear_region_caches()
         coarse.analyze(op)
         fine.analyze(op)
     return coarse, fine
+
+
+@contextlib.contextmanager
+def tiny_class_tables(cap=2):
+    """Shrink both stages' class tables so nearly every new requirement
+    class resets them (the production cap is 2**20 classes)."""
+    tables = (coarse_stage._CLASSES, fine_stage._CLASSES)
+    for table in tables:
+        table.max_classes = cap
+    try:
+        yield tables
+    finally:
+        for table in tables:
+            del table.max_classes
+
+
+def products(coarse, fine):
+    """Everything the differential harness compares, in one tuple."""
+    c, f = coarse.result, fine.result
+    return (c.deps, list(c.fences), c.fences_elided, c.users_scanned,
+            set(f.graph.tasks), set(f.graph.deps), f.local_edges,
+            f.cross_edges, f.points_per_shard, f.scans_per_shard,
+            analysis_digest(c, f))
 
 
 class TestIndexedEquivalence:
@@ -195,6 +226,53 @@ class TestIndexedEquivalence:
             _dump_artifact(specs, shards, "products_failure")
             raise
 
+    def test_identical_products_across_class_table_resets(self):
+        """Cached class ids die with the table generation: a reset landing
+        between an epoch's ``add`` and a later ``match`` — from the cap,
+        from a region-cache clear mid-program, or under the first argument
+        of ``interned_requirements_conflict`` — must re-intern, never
+        change a product."""
+        bumps = [0, 0]
+
+        @settings(max_examples=_PRODUCT_EXAMPLES, **_COMMON)
+        @given(op_specs, st.integers(1, 4), st.integers(0, 11))
+        def check(specs, shards, clear_at):
+            try:
+                ops = build_ops(build_env(), specs)
+                with tiny_class_tables() as tables:
+                    before = [t.gen for t in tables]
+                    coarse, fine = run_indexed(ops, shards, clear_at)
+                    assert fine.uncovered_cross_edges(coarse.result) == []
+                    for i, t in enumerate(tables):
+                        bumps[i] += t.gen - before[i]
+                assert products(coarse, fine) == \
+                    products(*run_naive_analysis(ops, shards))
+            except AssertionError:
+                note(f"specs={specs!r} shards={shards} clear_at={clear_at}")
+                _dump_artifact(specs, shards, "reset_failure")
+                raise
+
+        check()
+        # The resets really happened, several per program, in both stages.
+        assert min(bumps) >= 3 * _PRODUCT_EXAMPLES, bumps
+
+    @settings(max_examples=_DETERMINISM_EXAMPLES, **_COMMON)
+    @given(op_specs, st.integers(1, 4), st.integers(0, 11))
+    def test_reanalyzed_op_skips_its_own_entries(self, specs, shards, again):
+        """The same-op guard: an op analyzed while its own users still sit
+        in the epochs is matched against everyone *but* itself, with the
+        naive loop's scan counts (the pipeline never does this; the index
+        guards the invariant rather than assuming it)."""
+        try:
+            ops = build_ops(build_env(), specs)
+            ops.append(ops[again % len(ops)])
+            assert products(*run_indexed(ops, shards)) == \
+                products(*run_naive_analysis(ops, shards))
+        except AssertionError:
+            note(f"specs={specs!r} shards={shards} again={again}")
+            _dump_artifact(specs, shards, "reanalysis_failure")
+            raise
+
     @settings(max_examples=_COVERS_EXAMPLES, **_COMMON)
     @given(op_specs, st.integers(2, 4))
     def test_covers_query_matches_linear_walk(self, specs, shards):
@@ -219,8 +297,8 @@ class TestIndexedEquivalence:
             # The soundness invariant itself must hold on generated
             # programs.
             assert fine.uncovered_cross_edges(coarse.result) == []
-            # So must the order-maintenance invariants of the fence spine
-            # and the fine timestamps after an arbitrary program.
+            # So must the rank-channel invariants of the fence store after
+            # an arbitrary program.
             coarse.result.fences.check_invariants()
         except AssertionError:
             note(f"specs={specs!r} shards={shards}")

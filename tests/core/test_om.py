@@ -1,11 +1,10 @@
-"""Order-maintenance core (repro.core.om): list-labeling invariants and
-two-component timestamps (ISSUE 10).
+"""The fence rank channel (``repro.core.coarse.SeqStamps``): dense ranks
+over program positions, the structure that makes ``covers`` O(1).
 
-The production spine runs with 62-bit labels, where relabel regions are
-essentially unreachable; these tests build labelers with tiny capacities
-to force every amortization path — midpoint squeezes, relabel regions,
-full rebalances, and finally OMCapacityError — and property-test the one
-invariant everything else rests on: *relative order survives relabeling*.
+Program order is append-only, so the channel needs no labels — a sorted
+position list plus a lazily extended rank array indexed by ``seq``.  The
+cases pin rank/``covers`` answers against the naive count, including the
+out-of-order insert that truncates a stale rank suffix.
 """
 
 from bisect import bisect_right
@@ -13,122 +12,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.om import (EMPTY_STAMP, OMCapacityError, OMLabeler, OMNode,
-                           SeqStamps)
-
-
-def labels(lab):
-    return [n.label for n in lab]
-
-
-class TestOMLabeler:
-    def test_append_orders_and_invariants(self):
-        lab = OMLabeler()
-        nodes = [lab.insert_last() for _ in range(64)]
-        lab.check_invariants()
-        assert len(lab) == 64
-        assert list(lab) == nodes
-        assert labels(lab) == sorted(labels(lab))
-        assert OMLabeler.order(nodes[3], nodes[40]) == -1
-        assert OMLabeler.order(nodes[40], nodes[3]) == 1
-        assert OMLabeler.order(nodes[7], nodes[7]) == 0
-
-    def test_insert_after_midpoints(self):
-        lab = OMLabeler()
-        a = lab.insert_last()
-        c = lab.insert_last()
-        b = lab.insert_after(a)
-        assert list(lab) == [a, b, c]
-        assert a.label < b.label < c.label
-        lab.check_invariants()
-
-    def test_insert_before_head(self):
-        lab = OMLabeler()
-        b = lab.insert_last()
-        a = lab.insert_before(b)
-        assert list(lab) == [a, b]
-        assert lab.head is a
-        lab.check_invariants()
-
-    def test_repeated_insert_after_forces_relabel_region(self):
-        # Squeezing nodes into the same gap halves it each time; a tiny
-        # capacity runs out of midpoints fast and must relabel a region.
-        # The density threshold (2/branch)**bits caps a 10-bit labeler at
-        # ~18 positions; stay under it while still forcing relabels.
-        lab = OMLabeler(capacity_bits=10)
-        first = lab.insert_last()
-        lab.insert_last()
-        order = [first]
-        for _ in range(12):
-            order.insert(1, lab.insert_after(first))
-        assert lab.relabels > 0
-        lab.check_invariants()
-        # Relative order is exactly the insertion-time order.
-        assert list(lab)[:len(order)] == order
-
-    def test_repeated_insert_before_forces_relabel_region(self):
-        lab = OMLabeler(capacity_bits=8)
-        order = [lab.insert_last()]
-        for _ in range(7):
-            order.insert(0, lab.insert_before(order[0]))
-        assert lab.relabels > 0
-        lab.check_invariants()
-        assert list(lab) == order
-
-    def test_label_space_exhaustion_append(self):
-        # capacity_bits=3 -> 8 labels, full rebalance refuses count >= 4.
-        lab = OMLabeler(capacity_bits=3)
-        with pytest.raises(OMCapacityError):
-            for _ in range(8):
-                lab.insert_last()
-        assert len(lab) == 3
-        lab.check_invariants()  # still consistent after the failed insert
-
-    def test_label_space_exhaustion_dense_region(self):
-        lab = OMLabeler(capacity_bits=4)
-        node = lab.insert_last()
-        with pytest.raises(OMCapacityError):
-            for _ in range(16):
-                node = lab.insert_after(node)
-        lab.check_invariants()
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            OMLabeler(capacity_bits=2)
-        with pytest.raises(ValueError):
-            OMLabeler(branch=1.0)
-        with pytest.raises(ValueError):
-            OMLabeler(branch=2.0)
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 200)),
-                    min_size=1, max_size=60))
-    def test_random_inserts_preserve_reference_order(self, moves):
-        """Any interleaving of insert_last/after/before matches a plain
-        Python list maintained alongside, across however many relabels
-        the small capacity forces."""
-        lab = OMLabeler(capacity_bits=16)
-        ref = []
-        for kind, pick in moves:
-            if not ref or kind == 0:
-                node = lab.insert_last()
-                ref.append(node)
-            elif kind == 1:
-                at = pick % len(ref)
-                node = lab.insert_after(ref[at])
-                ref.insert(at + 1, node)
-            else:
-                at = pick % len(ref)
-                node = lab.insert_before(ref[at])
-                ref.insert(at, node)
-        lab.check_invariants()
-        assert list(lab) == ref
-        assert labels(lab) == sorted(labels(lab))
-        # order() agrees with list position for a sample of pairs.
-        for i in range(0, len(ref), 7):
-            for j in range(0, len(ref), 11):
-                want = (i > j) - (i < j)
-                assert OMLabeler.order(ref[i], ref[j]) == want
+from repro.core.coarse import SeqStamps
 
 
 class TestSeqStamps:
@@ -137,7 +21,6 @@ class TestSeqStamps:
         assert len(ss) == 0
         assert ss.fine_at(10) == 0
         assert ss.fine_at(-1) == 0
-        assert ss.stamp_at(5) == EMPTY_STAMP
         assert not ss.covers(0, 100)
         ss.check_invariants()
 
@@ -166,20 +49,6 @@ class TestSeqStamps:
         assert ss.fine_at(3) == 1
         assert ss.positions() == [3, 6]
         ss.check_invariants()
-
-    def test_two_component_agreement(self):
-        """The coarse (label) and fine (rank) components never disagree:
-        stamps differ on one component iff they differ on the other."""
-        lab = OMLabeler(capacity_bits=12)
-        ss = SeqStamps()
-        for at in (1, 4, 7, 7, 12):
-            ss.note(at, lab.insert_last())
-        stamps = [ss.stamp_at(s) for s in range(14)]
-        for (ca, fa), (cb, fb) in zip(stamps, stamps[1:]):
-            assert (ca == cb) == (fa == fb)
-            assert fa <= fb and ca <= cb
-        assert stamps[0] == EMPTY_STAMP
-        ss.check_invariants(lab)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.lists(st.integers(0, 30), max_size=25),

@@ -1,5 +1,7 @@
 """Execution models over synthetic programs: each model's defining behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,19 @@ class TestDCRModel:
         unfenced = DCRModel(m).run(chain_program(8, 1e-6, fence_every=False,
                                                  traced=False))
         assert fenced.iteration_time > unfenced.iteration_time
+
+    def test_fence_latency_reads_the_barrier_schedule(self):
+        """The model charges a fence the rounds the collectives execute.
+        Dissemination is ceil(log2 n) rounds at every n (none at n = 1) —
+        the formula the model used to carry — so no pinned number moved."""
+        from repro.core.collectives import schedule
+
+        for n in (*range(1, 10), 64, 512):
+            model = DCRModel(machine(n))
+            model.begin_run(chain_program(n, iters=1, warm=0))
+            rounds = math.ceil(math.log2(n))
+            assert len(schedule("barrier", n).rounds) == rounds
+            assert model._fence_latency == model.costs.fence_hop * rounds
 
 
 class TestCentralizedModels:

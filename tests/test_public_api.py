@@ -65,6 +65,32 @@ def test_dist_has_no_twins_of_core_mechanisms():
     assert "coalesce" in DeterminismMonitor.__init__.__code__.co_varnames
 
 
+def test_order_maintenance_labels_stay_deleted():
+    """Program order is append-only, so nothing ever read an OM label:
+    the labeler, its module and the helpers around the twin class tables
+    are gone; the rank channel that makes ``covers`` O(1) sits beside its
+    only user, and one epoch index serves both stages."""
+    import repro.core as core
+    from repro.core import coarse, epochs, fine
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.om")
+    for mod in (core, coarse, fine, epochs):
+        for gone in ("om", "OMLabeler", "OMNode", "OMCapacityError",
+                     "EMPTY_STAMP", "clear_analysis_caches",
+                     "clear_coarse_decision_caches",
+                     "coarse_decision_stats", "fine_decision_stats"):
+            assert not hasattr(mod, gone), f"{mod.__name__}.{gone}"
+    assert not hasattr(coarse.SeqStamps, "stamp_at")
+    assert not hasattr(coarse.FenceStore, "era_node")
+    assert {"SeqStamps", "FenceStore"} <= set(coarse.__all__)
+    assert fine.__all__ == ["FineResult", "FineAnalysis",
+                            "interned_requirements_conflict"]
+    assert isinstance(coarse._CLASSES, epochs.ClassTable)
+    assert isinstance(fine._CLASSES, epochs.ClassTable)
+    assert coarse._CLASSES is not fine._CLASSES
+
+
 def test_models_cover_fig1():
     """All three approaches of Fig. 1 are constructible, plus MPI."""
     from repro.models import (DCRModel, DaskModel, ExplicitModel,

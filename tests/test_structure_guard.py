@@ -11,6 +11,11 @@
   ``repro/dist`` (and a fourth fabric beside them); the remaining tests
   fail if partner arithmetic, a second ``maybe_check`` or the
   ``"multiprocess"`` backend grows back.
+* ``repro/core/epochs.py`` is the only epoch index.  The coarse and the
+  fine stage each used to carry a full copy (class interning, decision
+  memo, buckets, retirement), stamped with order-maintenance labels no
+  decision ever read; the last tests fail if a second index, the labeler
+  or a ``clock`` under the fine stage grows back.
 """
 
 import ast
@@ -145,3 +150,51 @@ def test_the_pipe_mesh_backend_is_gone():
     from repro.dist.transport import PROCESS_BACKENDS
     assert "multiprocess" not in PROCESS_BACKENDS
     assert not (SRC / "dist" / "monitor.py").exists()
+
+
+# -- one epoch index, no order-maintenance labels -----------------------------
+
+EPOCHS = "core/epochs.py"
+
+
+def _classes_defining(*methods):
+    return [f"{rel}:{cls.name}"
+            for rel, tree in _trees(("core/",))
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            if set(methods) <= {fn.name for fn in cls.body
+                                if isinstance(fn, ast.FunctionDef)}]
+
+
+def test_exactly_one_epoch_index():
+    assert _classes_defining("retire_contained") == [f"{EPOCHS}:Epoch"], (
+        "the bucketed epoch (add/match/retire) lives once, under both "
+        "analysis stages")
+    assert _classes_defining("intern", "decide") == \
+        [f"{EPOCHS}:ClassTable"], (
+        "requirement classes are interned and decided in one table class, "
+        "instantiated per stage with its own key and decision function")
+
+
+def test_no_order_maintenance_labels():
+    offenders = []
+    for rel, tree in _trees(("",)):
+        for node in ast.walk(tree):
+            # Name.id, Attribute.attr, ClassDef/FunctionDef/alias.name
+            names = {getattr(node, slot, None)
+                     for slot in ("id", "attr", "name")}
+            if isinstance(node, ast.Attribute) and node.attr == "label":
+                offenders.append(f"{rel}:{node.lineno}: .label")
+            for name in names & {"OMLabeler", "OMNode", "era_node"}:
+                offenders.append(f"{rel}:{node.lineno}: {name}")
+    assert not offenders, (
+        "program order is append-only: order questions are answered from "
+        "dense ranks and insertion counters, never from labels:\n  "
+        + "\n  ".join(offenders))
+    assert not (SRC / "core" / "om.py").exists()
+
+
+def test_fine_stage_takes_no_clock():
+    import inspect
+
+    from repro.core.fine import FineAnalysis
+    assert "clock" not in inspect.signature(FineAnalysis.__init__).parameters

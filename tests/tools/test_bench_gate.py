@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.tools.bench_gate import main, resolve_path, run_gate
+from repro.tools.bench_gate import (FROM_BASELINE, main, resolve_path,
+                                    run_gate)
 
 
 def _write(tmp_path, name, doc):
@@ -57,6 +58,28 @@ def test_missing_paths_fail_not_crash():
 def test_metric_without_baseline_fails():
     fails = run_gate({"x": 1.0}, None, ["x"], 0.2, [], [], [])
     assert len(fails) == 1 and "--baseline" in fails[0]
+
+
+def test_bare_require_means_equal_to_baseline(tmp_path):
+    """``--require PATH`` with no ``=V`` gates exact-repeat products
+    (counts, digests) against the committed baseline."""
+    base = {"products": {"digest": "ab12", "fences": 1023}}
+    same = {"products": {"digest": "ab12", "fences": 1023}}
+    moved = {"products": {"digest": "ab12", "fences": 1024}}
+    reqs = [("products.digest", FROM_BASELINE),
+            ("products.fences", FROM_BASELINE)]
+    assert run_gate(same, base, [], 0.2, [], [], reqs) == []
+    fails = run_gate(moved, base, [], 0.2, [], [], reqs)
+    assert len(fails) == 1 and "products.fences is 1024" in fails[0]
+    assert "--baseline" in run_gate(same, None, [], 0.2, [], [], reqs[:1])[0]
+    assert "missing from baseline" in \
+        run_gate(same, {}, [], 0.2, [], [], reqs[:1])[0]
+    argv = ["--baseline", _write(tmp_path, "base.json", base),
+            "--report", _write(tmp_path, "moved.json", moved),
+            "--require", "products.digest", "--require", "products.fences"]
+    assert main(argv) == 1
+    argv[3] = _write(tmp_path, "same.json", same)
+    assert main(argv) == 0
 
 
 def test_cli_end_to_end(tmp_path, capsys):
