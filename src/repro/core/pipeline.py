@@ -20,17 +20,19 @@ Tracing memoizes the analysis of a repeated program fragment (Lee et al.,
 SC'18, used by Fig. 21) in two modes:
 
 * **explicit** — the application brackets the fragment with
-  ``begin_trace``/``end_trace``; on replay the pipeline validates that the
-  stream matches the recording and serves the dependence structure from the
-  cache at O(1) cost per operation;
+  ``begin_trace``/``end_trace``; the first execution is analyzed fresh and
+  its records become the recording at ``end_trace``;
 * **automatic** (``auto_trace=True``) — an :class:`~repro.core.tracing.
   AutoTracer` identifies repeated fragments from the signature stream
-  itself and replays them with zero application annotations.
+  itself and records them the same way, with zero application annotations.
 
-Either way a divergence never raises out of :meth:`analyze`: the pipeline
-aborts the replay, evicts the stale recording, and falls back to fresh
-analysis of the offending op (``stats.trace_fallbacks`` counts these) —
-Legion's safe-fallback semantics.
+Both modes replay through the one cursor step in :meth:`analyze`: the op's
+signature is computed once, checked against the recording, and the
+dependence structure served from the cache at O(1) cost per operation.  A
+divergence never raises out of :meth:`analyze`: the pipeline aborts the
+replay, evicts the stale recording, and falls back to fresh analysis of
+the offending op (``stats.trace_fallbacks`` counts these) — Legion's
+safe-fallback semantics.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from ..obs.profiler import Profiler, get_profiler
 from .coarse import CoarseAnalysis, CoarseResult, Fence
 from .fine import FineAnalysis, FineResult
 from .operation import Operation, PointTask
-from .tracing import AutoTraceConfig, AutoTracer, TraceCache, TraceMismatch
+from .tracing import AutoTracer, TraceCache, TraceMismatch, _op_signature
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
@@ -136,8 +138,9 @@ class OpRecord:
     # For replays: epoch scans (coarse + fine) the recording performed that
     # this replay skipped — the memoization win, surfaced in reports.
     scans_saved: int = 0
-    # Precise in-edges of this op's point tasks (captured for every fresh op
-    # so the trace recorder can build fragments retroactively).
+    # Precise in-edges of this op's point tasks: captured for every fresh op
+    # so a recording can be cut from it later; on a replay, the recording's
+    # intra-fragment edges rebound to this occurrence's tasks.
     in_edges: List[Tuple[PointTask, PointTask]] = field(default_factory=list)
 
     def points_on_shard(self, shard: int) -> List[PointTask]:
@@ -161,7 +164,6 @@ class DCRPipeline:
     """Program-order driver for the coarse and fine analysis stages."""
 
     def __init__(self, num_shards: int, auto_trace: bool = False,
-                 auto_trace_config: Optional[AutoTraceConfig] = None,
                  profiler: Optional[Profiler] = None,
                  injector: Optional["FaultInjector"] = None):
         self.num_shards = num_shards
@@ -178,8 +180,11 @@ class DCRPipeline:
         self.stats = PipelineStats()
         self._traces = TraceCache(profiler=self.profiler, injector=injector)
         self._auto: Optional[AutoTracer] = (
-            AutoTracer(auto_trace_config) if auto_trace else None)
+            AutoTracer() if auto_trace else None)
         self._explicit_trace = False
+        # (trace id, index of its first record) while an explicit trace
+        # with no recording yet is being analyzed fresh.
+        self._recording: Optional[Tuple[object, int]] = None
         self._next_seq = 0
 
     @property
@@ -198,35 +203,38 @@ class DCRPipeline:
         t_start = prof.now_us() if prof.enabled else 0.0
         op.seq = self._next_seq
         record: Optional[OpRecord] = None
-        if self._explicit_trace:
-            if self._traces.active == TraceCache.REPLAYING:
-                try:
-                    record = self._traces.try_replay(op, op.seq,
-                                                     self.num_shards)
-                except TraceMismatch:
-                    # Safe fallback (Legion): abandon the replay, evict the
-                    # stale recording so the next begin_trace re-records,
-                    # and analyze this op freshly.
-                    self._traces.abort_replay(evict=True)
-                    self.stats.trace_fallbacks += 1
-        elif self._auto is not None:
-            record = self._auto.step(self, op)
+        traces = self._traces
+        # Explicit traces are application-managed: the tracer stands down.
+        auto = None if self._explicit_trace else self._auto
+        signature = None
+        if auto is not None or traces.active == TraceCache.REPLAYING:
+            signature = _op_signature(op)
+            if auto is not None:
+                auto.step(traces, signature)
+            try:
+                record = traces.try_replay(op, signature, self.num_shards)
+            except TraceMismatch:
+                # Safe fallback (Legion): abandon the replay, evict the
+                # stale recording so the next occurrence re-records, and
+                # analyze this op freshly.  The served prefix stays sound —
+                # its products are already in the epochs.
+                if auto is not None:
+                    auto.forget(traces.current_trace)
+                traces.abort_replay(evict=True)
+                self.stats.trace_fallbacks += 1
         if record is not None:
             self._integrate_replay(record)
         else:
             record = self._analyze_fresh(op)
-            if self._explicit_trace and \
-                    self._traces.active == TraceCache.RECORDING:
-                self._traces.observe(record)
         self._next_seq = op.seq + 1
         self.records.append(record)
         self.stats.ops += 1
         self.stats.fences += len(record.fences)
         self.stats.coarse_scans += record.coarse_scans
         self.stats.points += len(record.point_tasks)
-        if self._auto is not None and not self._explicit_trace \
-                and not record.traced:
-            self._auto.after_fresh(self, record)
+        if auto is not None and not record.traced \
+                and auto.after_fresh(traces, signature, record):
+            self.stats.auto_traces += 1
         if prof.enabled:
             self._profile_op(record, t_start)
         return record
@@ -332,7 +340,7 @@ class DCRPipeline:
         for t in record.point_tasks:
             self.fine.result.points_per_shard[t.shard] = \
                 self.fine.result.points_per_shard.get(t.shard, 0) + 1
-        for prev, nxt in self._traces.internal_edges_for(record):
+        for prev, nxt in record.in_edges:
             self.fine.result.graph.add_dep(prev, nxt)
             if prev.shard == nxt.shard:
                 self.fine.result.local_edges.add((prev, nxt))
@@ -346,22 +354,34 @@ class DCRPipeline:
 
     def begin_trace(self, trace_id: int) -> bool:
         """Start a trace; returns True when a replay is available."""
+        if self._recording is not None:
+            raise RuntimeError("traces do not nest")
         if self._auto is not None:
-            self._auto.suspend(self)
+            self._auto.suspend(self._traces)
         self._explicit_trace = True
-        return self._traces.begin(trace_id)
+        if self._traces.begin(trace_id):
+            return True
+        # Nothing recorded yet: the fragment is analyzed fresh and its
+        # records become the recording at end_trace.
+        self._recording = (trace_id, len(self.records))
+        return False
 
     def end_trace(self) -> None:
         self._explicit_trace = False
-        if self._traces.active == TraceCache.REPLAYING \
-                and not self._traces.replay_done:
+        traces = self._traces
+        if self._recording is not None:
+            trace_id, start = self._recording
+            self._recording = None
+            traces.record(trace_id, self.records[start:])
+        elif traces.active == TraceCache.REPLAYING \
+                and not traces.replay_done:
             # Short replay: the program left the trace early.  The served
             # prefix is sound; evict the stale recording and move on
             # instead of raising through the application (safe fallback).
-            self._traces.abort_replay(evict=True)
+            traces.abort_replay(evict=True)
             self.stats.trace_fallbacks += 1
-            return
-        self._traces.end()
+        else:
+            traces.end()
 
     def note_external_fence(self) -> None:
         """An out-of-band ordering event (e.g. an execution fence) occupies
@@ -369,7 +389,7 @@ class DCRPipeline:
         automatic replay stands down and the repeat detector forgets its
         history so no identified fragment ever spans the event."""
         if self._auto is not None:
-            self._auto.suspend(self)
+            self._auto.suspend(self._traces)
 
     # -- results -----------------------------------------------------------------
 

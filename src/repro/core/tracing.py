@@ -19,30 +19,33 @@ Replay is sound under two conditions, both enforced here:
   entry fence* ordering everything prior — strictly conservative, exactly
   like Legion's trace preconditions.
 
-Two usage modes:
+Two usage modes over one mechanism:
 
 * **explicit** — the application brackets the repeated fragment with
   ``begin_trace``/``end_trace`` (Legion's classic API);
-* **automatic** — :class:`AutoTracer` watches the stream of hash-consed
-  operation signatures, identifies recurring fragments with a
-  sliding-window/rolling-hash matcher (:class:`TraceIdentifier`), records
-  them *retroactively* from the pipeline's already-computed records, and
-  transparently replays subsequent occurrences — the approach of
-  "Automatic Tracing in Task-Based Runtime Systems" (Yadav et al.) and
-  "Execution Templates" (Mashayekhi et al.).
+* **automatic** — :class:`AutoTracer` watches the stream of operation
+  signatures, identifies recurring fragments with a sliding-window matcher
+  (:class:`TraceIdentifier`) and transparently replays subsequent
+  occurrences — the approach of "Automatic Tracing in Task-Based Runtime
+  Systems" (Yadav et al.) and "Execution Templates" (Mashayekhi et al.).
 
-In both modes a mid-replay divergence is survivable: the pipeline aborts
-the replay via :meth:`TraceCache.abort_replay`, evicts the stale recording,
-and falls back to fresh analysis of the offending operation (Legion's
-behavior) — the prefix already served remains sound because each replayed
-op's products were folded into the epoch state as it was served.
+Either way a recording is cut from records the pipeline has *already
+analysed* (:meth:`TraceCache.record` — at ``end_trace`` for an explicit
+fragment, at the detector's hit for an automatic one) and served by one
+cursor (:meth:`TraceCache.try_replay`).  A mid-replay divergence is
+survivable: the pipeline aborts the replay via
+:meth:`TraceCache.abort_replay`, evicts the stale recording, and falls back
+to fresh analysis of the offending operation (Legion's behavior) — the
+prefix already served remains sound because each replayed op's products
+were folded into the epoch state as it was served.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (Dict, Hashable, List, Optional, Sequence, Set, Tuple,
-                    TYPE_CHECKING)
+from typing import (Deque, Dict, Hashable, List, Optional, Sequence, Set,
+                    Tuple, TYPE_CHECKING)
 
 from ..obs.events import (CAT_FAULT, CAT_TRACE, CONTROL_SHARD,
                           EV_FAULT_INJECT, EV_TRACE_FALLBACK,
@@ -54,11 +57,10 @@ from .operation import Operation, PointTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
-    from .pipeline import DCRPipeline, OpRecord
+    from .pipeline import OpRecord
 
 __all__ = ["TraceMismatch", "TraceCache", "AutoTraceConfig",
-           "TraceIdentifier", "AutoTracer", "auto_replay_flags",
-           "intern_signature", "rolling_hash"]
+           "TraceIdentifier", "AutoTracer", "auto_replay_flags"]
 
 
 class TraceMismatch(RuntimeError):
@@ -97,41 +99,6 @@ def _op_signature(op: Operation) -> Tuple:
     )
 
 
-# Hash-consing of signatures: the repeat detector compares small ints, not
-# structured tuples, so a window comparison is O(W) integer equality.
-_sig_intern: Dict[Tuple, int] = {}
-
-#: Polynomial rolling-hash parameters shared by the incremental prefix
-#: hashes :class:`TraceIdentifier` maintains and the one-shot
-#: :func:`rolling_hash` fold (template keys must agree with the detector).
-_HASH_MOD = (1 << 61) - 1
-_HASH_BASE = 1_000_003
-
-
-def intern_signature(sig: Tuple) -> int:
-    """Map a structured signature to a small stable int (hash-consing)."""
-    sid = _sig_intern.get(sig)
-    if sid is None:
-        sid = len(_sig_intern)
-        _sig_intern[sig] = sid
-    return sid
-
-
-def rolling_hash(sids: Sequence[int]) -> int:
-    """The auto-tracer's polynomial hash of a signature-id stream, one-shot.
-
-    Exactly the fold :class:`TraceIdentifier` maintains incrementally over
-    its window (same base and modulus), exposed as a pure function so other
-    identification machinery — notably the service's analysis-template keys
-    (*Execution Templates*, Mashayekhi et al.) — keys program shapes with
-    the identical hash the repeat detector computes.
-    """
-    acc = 0
-    for s in sids:
-        acc = (acc * _HASH_BASE + s + 1) % _HASH_MOD
-    return acc
-
-
 @dataclass
 class _TraceEntry:
     """Recorded analysis products for one op of the trace, as templates."""
@@ -154,9 +121,9 @@ class _Recording:
 
 
 class TraceCache:
-    """Per-pipeline store of trace recordings with record/replay state."""
+    """Per-pipeline store of trace recordings plus the one replay cursor."""
 
-    IDLE, RECORDING, REPLAYING = "idle", "recording", "replaying"
+    IDLE, REPLAYING = "idle", "replaying"
 
     def __init__(self, profiler: Optional[Profiler] = None,
                  injector: Optional["FaultInjector"] = None) -> None:
@@ -166,11 +133,8 @@ class TraceCache:
         self._state = self.IDLE
         self._tid: Optional[Hashable] = None
         self._index = 0
-        self._rec_ops: List[Operation] = []
-        self._rec_tasks: Dict[Tuple[int, Hashable], PointTask] = {}
         self._replay_ops: List[Operation] = []
         self._replay_tasks: Dict[Tuple[int, Hashable], PointTask] = {}
-        self._replay_edges: Dict[int, List[Tuple[PointTask, PointTask]]] = {}
         self.replays = 0
         self.recordings = 0
         self.aborts = 0
@@ -178,31 +142,23 @@ class TraceCache:
     # -- control ------------------------------------------------------------------
 
     def begin(self, trace_id: Hashable) -> bool:
-        """Enter record or replay mode; True when a replay will be served."""
+        """Start replaying ``trace_id``; False when nothing is recorded."""
         if self._state != self.IDLE:
             raise RuntimeError("traces do not nest")
+        if trace_id not in self._traces:
+            return False
+        self._state = self.REPLAYING
         self._tid = trace_id
         self._index = 0
+        self._replay_ops = []
+        self._replay_tasks = {}
+        self.replays += 1
         prof = self.profiler
-        if trace_id in self._traces:
-            self._state = self.REPLAYING
-            self._replay_ops = []
-            self._replay_tasks = {}
-            self._replay_edges = {}
-            self.replays += 1
-            if prof.enabled:
-                prof.instant(CONTROL_SHARD, CAT_TRACE, EV_TRACE_REPLAY,
-                             trace=_trace_label(trace_id))
-                prof.count("trace.replays")
-            return True
-        self._state = self.RECORDING
-        self._traces[trace_id] = _Recording()
-        self._rec_ops = []
-        self._rec_tasks = {}
-        self.recordings += 1
         if prof.enabled:
-            prof.count("trace.recordings")
-        return False
+            prof.instant(CONTROL_SHARD, CAT_TRACE, EV_TRACE_REPLAY,
+                         trace=_trace_label(trace_id))
+            prof.count("trace.replays")
+        return True
 
     def _maybe_corrupt(self, trace_id: Hashable) -> None:
         """``trace_corrupt`` fault site: damage one entry of a recording.
@@ -231,12 +187,7 @@ class TraceCache:
             prof.count("faults.trace_corruptions")
 
     def end(self) -> None:
-        prof = self.profiler
-        if prof.enabled and self._state == self.RECORDING:
-            prof.instant(CONTROL_SHARD, CAT_TRACE, EV_TRACE_RECORD,
-                         trace=_trace_label(self._tid), ops=self._index)
-        if self._state == self.RECORDING:
-            self._maybe_corrupt(self._tid)
+        """Leave a replay; raises when it served fewer ops than recorded."""
         try:
             if self._state == self.REPLAYING:
                 rec = self._traces[self._tid]  # type: ignore[index]
@@ -271,7 +222,6 @@ class TraceCache:
         self._index = 0
         self._replay_ops = []
         self._replay_tasks = {}
-        self._replay_edges = {}
         self.aborts += 1
         if evict:
             self._traces.pop(tid, None)
@@ -307,39 +257,29 @@ class TraceCache:
 
     # -- recording ------------------------------------------------------------------
 
-    def observe(self, record) -> None:
-        """Called by the pipeline for every freshly analyzed op record."""
-        if self._state != self.RECORDING:
-            return
-        entry = self._entry_for(record,
-                                {id(o): i for i, o in enumerate(self._rec_ops)})
-        self._traces[self._tid].entries.append(entry)  # type: ignore[index]
-        for t in record.point_tasks:
-            self._rec_tasks[(len(self._rec_ops), t.point)] = t
-        self._rec_ops.append(record.op)
-        self._index += 1
-
-    def record_retroactive(self, trace_id: Hashable,
-                           records: Sequence["OpRecord"]) -> None:
-        """Build a recording from already-analyzed records (auto-tracing).
+    def record(self, trace_id: Hashable,
+               records: Sequence["OpRecord"]) -> None:
+        """Build a recording from already-analyzed records.
 
         The pipeline keeps each fresh record's fences, coarse deps and
-        precise in-edges, so an identified fragment can be turned into a
-        trace *after the fact* — no second warm-up execution needed.
+        precise in-edges, so a fragment is turned into a trace *after the
+        fact* — at ``end_trace`` or when the repeat detector fires — with
+        no second warm-up execution.  The cost model's streams have no
+        analysis products: it hands in signature-only entries, kept as is.
         """
         if self._state != self.IDLE:
-            raise RuntimeError("cannot record retroactively while tracing")
-        offset_of = {id(r.op): i for i, r in enumerate(records)}
-        rec = _Recording()
-        for r in records:
-            rec.entries.append(self._entry_for(r, offset_of))
-        self._traces[trace_id] = rec
+            raise RuntimeError("cannot record while replaying")
+        if records and isinstance(records[0], _TraceEntry):
+            entries = list(records)
+        else:
+            offset_of = {id(r.op): i for i, r in enumerate(records)}
+            entries = [self._entry_for(r, offset_of) for r in records]
+        self._traces[trace_id] = _Recording(entries)
         self.recordings += 1
         prof = self.profiler
         if prof.enabled:
             prof.instant(CONTROL_SHARD, CAT_TRACE, EV_TRACE_RECORD,
-                         trace=_trace_label(trace_id), ops=len(rec.entries),
-                         retroactive=True)
+                         trace=_trace_label(trace_id), ops=len(records))
             prof.count("trace.recordings")
         self._maybe_corrupt(trace_id)
 
@@ -368,28 +308,40 @@ class TraceCache:
 
     # -- replay -------------------------------------------------------------------------
 
-    def try_replay(self, op: Operation, seq: int, num_shards: int):
-        """Serve one op from the active replay, or return None.
+    def match(self, signature: Tuple) -> Optional[_TraceEntry]:
+        """Advance the replay cursor over ``signature``; None when idle.
 
         Raises :class:`TraceMismatch` when the stream diverges; the caller
-        (the pipeline) is expected to recover via :meth:`abort_replay` and
-        fresh analysis — no partial replay state survives a mismatch.
+        is expected to recover via :meth:`abort_replay` and fresh analysis
+        — no partial replay state survives a mismatch.
         """
         if self._state != self.REPLAYING:
             return None
-        from .pipeline import OpRecord  # local import avoids a cycle
-
         rec = self._traces[self._tid]  # type: ignore[index]
         if self._index >= len(rec.entries):
             raise TraceMismatch(
                 f"trace {self._tid} replay received more operations than "
                 f"were recorded ({len(rec.entries)})")
         entry = rec.entries[self._index]
-        if entry.signature != _op_signature(op):
+        if entry.signature != signature:
             raise TraceMismatch(
-                f"trace {self._tid} op #{self._index} signature mismatch: "
-                f"{op.name} does not match the recording")
-        op.seq = seq
+                f"trace {self._tid} op #{self._index} does not match the "
+                f"recording")
+        self._index += 1
+        return entry
+
+    def try_replay(self, op: Operation, signature: Tuple, num_shards: int):
+        """Serve one op from the active replay, or return None.
+
+        ``op.seq`` is already assigned; :meth:`match` may raise
+        :class:`TraceMismatch`.
+        """
+        entry = self.match(signature)
+        if entry is None:
+            return None
+        from .pipeline import OpRecord  # local import avoids a cycle
+
+        seq = op.seq
         point_tasks = [
             PointTask(op, p, op.shard_of(p, num_shards)) for p in op.points()]
         offset = len(self._replay_ops)
@@ -420,17 +372,12 @@ class TraceCache:
             if off < len(self._replay_ops)
         }
         self._replay_ops.append(op)
-        record = OpRecord(
+        return OpRecord(
             op=op, coarse_deps=coarse_deps, fences=fences,
             point_tasks=point_tasks, coarse_scans=0, traced=True,
             fences_elided=entry.fences_elided,
-            scans_saved=entry.coarse_scans + entry.fine_scans)
-        self._replay_edges[id(record)] = edges
-        self._index += 1
-        return record
-
-    def internal_edges_for(self, record) -> List[Tuple[PointTask, PointTask]]:
-        return self._replay_edges.get(id(record), [])
+            scans_saved=entry.coarse_scans + entry.fine_scans,
+            in_edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -441,77 +388,48 @@ class TraceCache:
 class AutoTraceConfig:
     """Knobs of the automatic trace identifier.
 
-    ``min_length``/``max_length`` bound the fragment periods considered;
-    ``history`` caps how many signatures the detector retains (it is
-    clamped to at least ``2 * max_length`` so a full double occurrence of
-    the longest fragment always fits).
+    ``min_length``/``max_length`` bound the fragment periods considered.
     """
 
     min_length: int = 2
     max_length: int = 64
-    history: int = 256
 
     def __post_init__(self) -> None:
         if self.min_length < 1:
             raise ValueError("min_length must be >= 1")
         if self.max_length < self.min_length:
             raise ValueError("max_length must be >= min_length")
-        self.history = max(self.history, 2 * self.max_length)
 
 
 class TraceIdentifier:
-    """Sliding-window repeat detector over an interned signature stream.
+    """Sliding-window repeat detector over a stream of signature ids.
 
-    Maintains polynomial rolling (prefix) hashes of the recent signature
-    ids so that "do the last W entries equal the W before them?" is an O(1)
-    hash probe per candidate period W, confirmed by a direct comparison on
-    a hash hit.  :meth:`push` returns the smallest period W for which the
-    last 2W entries form two consecutive copies of one fragment — the
-    signal that the stream has entered a repeating (time-step-loop) phase.
+    :meth:`push` returns the smallest period W for which the last 2W ids
+    form two consecutive copies of one fragment — the signal that the
+    stream has entered a repeating (time-step-loop) phase.  A period can
+    only match when the id W back equals the new one, so one int compare
+    filters the candidates and a slice compare confirms the survivors.
     """
-
-    _MOD = _HASH_MOD
-    _BASE = _HASH_BASE
 
     def __init__(self, config: Optional[AutoTraceConfig] = None) -> None:
         self.config = config or AutoTraceConfig()
         self._sids: List[int] = []
-        self._prefix: List[int] = [0]
-        self._pows: List[int] = [1]
 
     def reset(self) -> None:
         self._sids = []
-        self._prefix = [0]
-
-    def _window_hash(self, i: int, j: int) -> int:
-        """Rolling hash of sids[i:j] in O(1)."""
-        while len(self._pows) < len(self._prefix):
-            self._pows.append(self._pows[-1] * self._BASE % self._MOD)
-        return (self._prefix[j]
-                - self._prefix[i] * self._pows[j - i]) % self._MOD
 
     def push(self, sid: int) -> Optional[int]:
         """Feed one signature id; returns the repeat period when found."""
         cfg = self.config
-        if len(self._sids) >= cfg.history:
-            # Keep the most recent window that can still witness a repeat
-            # of the longest fragment; rebuild the prefix hashes.
-            keep = 2 * cfg.max_length
-            self._sids = self._sids[-keep:]
-            self._prefix = [0]
-            for s in self._sids:
-                self._prefix.append(
-                    (self._prefix[-1] * self._BASE + s + 1) % self._MOD)
-        self._sids.append(sid)
-        self._prefix.append(
-            (self._prefix[-1] * self._BASE + sid + 1) % self._MOD)
-        n = len(self._sids)
-        for w in range(cfg.min_length, cfg.max_length + 1):
-            if 2 * w > n:
-                break
-            if (self._window_hash(n - w, n) == self._window_hash(n - 2 * w,
-                                                                 n - w)
-                    and self._sids[n - w:] == self._sids[n - 2 * w:n - w]):
+        sids = self._sids
+        if len(sids) >= 4 * cfg.max_length:
+            # Only the last 2 * max_length ids can witness a repeat.
+            del sids[:-2 * cfg.max_length]
+        sids.append(sid)
+        n = len(sids)
+        for w in range(cfg.min_length, min(cfg.max_length, n // 2) + 1):
+            if sids[n - 1 - w] == sid \
+                    and sids[n - w:] == sids[n - 2 * w:n - w]:
                 return w
         return None
 
@@ -519,80 +437,64 @@ class TraceIdentifier:
 class AutoTracer:
     """Transparent record/replay without application annotations.
 
-    Watches the hash-consed signature stream of freshly analyzed ops,
-    identifies repeated fragments via :class:`TraceIdentifier`, records the
-    fragment retroactively from the pipeline's existing records, and serves
-    subsequent occurrences from the :class:`TraceCache` — falling back to
-    fresh analysis on any divergence.
+    The identify/record/replay *policy* over a :class:`TraceCache`: interns
+    each op signature to a small int (a table this tracer owns, so it dies
+    with its pipeline), feeds the ids of freshly analyzed ops to a
+    :class:`TraceIdentifier`, cuts a recording from the fresh records it
+    has been watching when a fragment repeats, and enters the replay of a
+    known fragment when its first signature comes round again.  The caller
+    owns the cursor step and the fallback (``cache.try_replay`` /
+    ``cache.match`` under the one ``except TraceMismatch``).
     """
 
     def __init__(self, config: Optional[AutoTraceConfig] = None) -> None:
         self.config = config or AutoTraceConfig()
         self._ident = TraceIdentifier(self.config)
+        self._sids: Dict[Tuple, int] = {}
         # First-signature-of-fragment -> trace id, for replay entry probes.
         self._heads: Dict[int, Hashable] = {}
-        self.identified = 0
-        self.fallbacks = 0
+        # (sid, record) of the fresh ops analyzed back to back since the
+        # last replay, fence or fallback — what a fragment may be cut from.
+        self._run: Deque[Tuple[int, object]] = deque(
+            maxlen=self.config.max_length)
 
-    # -- pipeline hooks -----------------------------------------------------------
+    def _reset(self) -> None:
+        self._ident.reset()
+        self._run.clear()
 
-    def step(self, pipe: "DCRPipeline", op: Operation):
-        """Called before fresh analysis of ``op``; may serve a replay."""
-        cache = pipe._traces
-        if cache.active == TraceCache.REPLAYING and cache.replay_done:
+    def step(self, cache: TraceCache, signature: Tuple) -> None:
+        """Called before an op is analyzed: finish a fully served replay
+        and, when idle, enter the recording this signature heads."""
+        if cache.replay_done:
             cache.end()     # one full fragment served; ready for the next
-        sig = _op_signature(op)
-        sid = intern_signature(sig)
         if cache.active == TraceCache.IDLE:
-            tid = self._heads.get(sid)
+            tid = self._heads.get(self._sids.get(signature))
             if tid is not None and cache.has_trace(tid):
                 cache.begin(tid)
-        if cache.active != TraceCache.REPLAYING:
-            return None
-        try:
-            return cache.try_replay(op, op.seq, pipe.num_shards)
-        except TraceMismatch:
-            # Safe fallback (Legion): abandon the replay, evict the stale
-            # recording, analyze the offending op freshly.  The served
-            # prefix stays sound — its products are already in the epochs.
-            tid = cache.current_trace
-            cache.abort_replay(evict=True)
-            self._forget(tid)
-            self._ident.reset()
-            self.fallbacks += 1
-            pipe.stats.trace_fallbacks += 1
-            return None
+                self._run.clear()
 
-    def after_fresh(self, pipe: "DCRPipeline", record: "OpRecord") -> None:
-        """Called after a fresh op was analyzed and appended to records."""
-        if pipe._traces.active != TraceCache.IDLE:
-            # An explicit trace is recording: stand down so auto fragments
-            # never overlap application-managed traces.
-            self._ident.reset()
-            return
-        sid = intern_signature(_op_signature(record.op))
+    def after_fresh(self, cache: TraceCache, signature: Tuple,
+                    record) -> bool:
+        """Called after a fresh op was analyzed; True when it completed a
+        fragment that was not recorded before."""
+        sid = self._sids.setdefault(signature, len(self._sids))
+        self._run.append((sid, record))
         w = self._ident.push(sid)
-        if w is None:
-            return
-        frag = pipe.records[-w:]
-        if len(frag) < w or any(r.traced for r in frag):
-            return
-        # Fragments must be contiguous in program order: an out-of-band
-        # event (e.g. an execution fence) between two ops leaves a seq gap
-        # the replay templates could not reproduce.
-        if any(b.op.seq != a.op.seq + 1 for a, b in zip(frag, frag[1:])):
-            self._ident.reset()
-            return
-        sids = tuple(intern_signature(_op_signature(r.op)) for r in frag)
+        if w is None or w > len(self._run):
+            # No repeat — or its last occurrence straddles a replay, so it
+            # is not one contiguous piece of fresh analysis.
+            return False
+        frag = list(self._run)[-w:]
+        sids = tuple(s for s, _ in frag)
         tid: Hashable = ("auto", sids)
-        if not pipe._traces.has_trace(tid):
-            pipe._traces.record_retroactive(tid, frag)
-            self.identified += 1
-            pipe.stats.auto_traces += 1
+        new = not cache.has_trace(tid)
+        if new:
+            cache.record(tid, [r for _, r in frag])
         self._heads[sids[0]] = tid
-        self._ident.reset()
+        self._reset()
+        return new
 
-    def suspend(self, pipe: "DCRPipeline") -> None:
+    def suspend(self, cache: TraceCache) -> None:
         """Stand down: finish or abandon any active auto replay.
 
         Called when an explicit trace begins or an out-of-band ordering
@@ -600,62 +502,45 @@ class AutoTracer:
         *without* eviction — the served prefix is sound and the recording
         itself is not stale.
         """
-        cache = pipe._traces
         if cache.active == TraceCache.REPLAYING:
             if cache.replay_done:
                 cache.end()
             else:
                 cache.abort_replay(evict=False)
-        self._ident.reset()
+        self._reset()
 
-    def _forget(self, tid: Optional[Hashable]) -> None:
+    def forget(self, tid: Optional[Hashable]) -> None:
+        """The replay of ``tid`` diverged and was evicted: stop probing for
+        it and start watching afresh."""
         for head, known in list(self._heads.items()):
             if known == tid:
                 del self._heads[head]
+        self._reset()
 
 
 def auto_replay_flags(signatures: Sequence[Tuple],
                       config: Optional[AutoTraceConfig] = None) -> List[bool]:
     """Which positions of a signature stream an AutoTracer would replay.
 
-    A pure (stateless-in, stateless-out) driver of the identify/record/
-    replay state machine over a complete signature stream — used by the
+    Drives the same :class:`AutoTracer` and :class:`TraceCache` the
+    pipeline does, with signature-only entries for records — used by the
     performance model (`repro.models.dcr`) to derive trace-replay charges
-    for a simulated program with **zero** application annotations, matching
-    the functional :class:`AutoTracer` policy: a fragment is identified
-    after two consecutive occurrences, recorded retroactively, and replayed
+    for a simulated program with **zero** application annotations: a
+    fragment is identified after two consecutive occurrences and replayed
     while the stream keeps matching; divergence evicts and resumes watching.
     """
-    cfg = config or AutoTraceConfig()
-    sids = [intern_signature(s) for s in signatures]
-    n = len(sids)
-    flags = [False] * n
-    ident = TraceIdentifier(cfg)
-    heads: Dict[int, Tuple[int, ...]] = {}
-    replay: Optional[Tuple[Tuple[int, ...], int]] = None
-    i = 0
-    while i < n:
-        sid = sids[i]
-        if replay is not None:
-            frag, pos = replay
-            if sid == frag[pos]:
-                flags[i] = True
-                pos += 1
-                replay = (frag, pos) if pos < len(frag) else None
-                i += 1
-                continue
-            # Mid-replay divergence: evict and fall back to watching.
-            heads = {h: f for h, f in heads.items() if f is not frag}
-            ident = TraceIdentifier(cfg)
-            replay = None
-        frag = heads.get(sid)
-        if frag is not None:
-            replay = (frag, 0)
-            continue    # reprocess this op as the replay head
-        w = ident.push(sid)
-        if w is not None and i + 1 >= 2 * w:
-            fragment = tuple(sids[i - w + 1:i + 1])
-            heads[fragment[0]] = fragment
-            ident = TraceIdentifier(cfg)
-        i += 1
+    # A private, disabled profiler: a simulated stream is not a runtime event.
+    cache, tracer = TraceCache(profiler=Profiler()), AutoTracer(config)
+    flags: List[bool] = []
+    for sig in signatures:
+        tracer.step(cache, sig)
+        try:
+            replayed = cache.match(sig) is not None
+        except TraceMismatch:
+            replayed = False
+            tracer.forget(cache.current_trace)
+            cache.abort_replay(evict=True)
+        if not replayed:
+            tracer.after_fresh(cache, sig, _TraceEntry(signature=sig))
+        flags.append(replayed)
     return flags

@@ -58,7 +58,7 @@ class OpSpec:
     value: int = 0
 
     def signature(self) -> Tuple[str, int]:
-        """Canonical form, both for wire payloads and call hashing."""
+        """Canonical form, as hashed into the determinism call stream."""
         return (self.code, self.value)
 
 
@@ -87,21 +87,6 @@ class ProgramSpec:
         """Canonical description — what the workers hash and exchange."""
         return (self.tiles, self.cells_per_tile, self.sharding,
                 tuple(op.signature() for op in self.ops))
-
-    # -- wire form (plain frames payload, no pickling needed) ---------------
-
-    def to_payload(self) -> dict:
-        return {"tiles": self.tiles, "cells_per_tile": self.cells_per_tile,
-                "sharding": self.sharding,
-                "ops": [[op.code, op.value] for op in self.ops]}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ProgramSpec":
-        return cls(tiles=int(payload["tiles"]),
-                   cells_per_tile=int(payload["cells_per_tile"]),
-                   sharding=str(payload["sharding"]),
-                   ops=tuple(OpSpec(str(c), int(v))
-                             for c, v in payload["ops"]))
 
 
 def build_field(spec: ProgramSpec) -> TiledField:

@@ -84,57 +84,6 @@ class ShardReport:
             points=fine.points_per_shard.get(shard, 0),
             wall_s=time.perf_counter() - t0, pid=os.getpid(), **fields)
 
-    def to_payload(self) -> dict:
-        """Wire form for the frames codec (tuples become lists)."""
-        return {
-            "shard": self.shard, "num_shards": self.num_shards,
-            "backend": self.backend, "graph_digest": self.graph_digest,
-            "fence_sequence": [[s, r, list(f)]
-                               for s, r, f in self.fence_sequence],
-            "determinism_digest": self.determinism_digest,
-            "call_count": self.call_count, "checks": self.checks,
-            "ops_analyzed": self.ops_analyzed, "fences": self.fences,
-            "fences_elided": self.fences_elided, "points": self.points,
-            "collectives": dict(self.collectives),
-            "coll_rounds": self.coll_rounds,
-            "coll_messages": self.coll_messages,
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "duplicates_dropped": self.duplicates_dropped,
-            "out_of_order": self.out_of_order,
-            "wall_s": self.wall_s, "pid": self.pid,
-            "profile_path": self.profile_path,
-            "program_id": self.program_id, "session": self.session,
-            "call_digests": list(self.call_digests),
-        }
-
-    @classmethod
-    def from_payload(cls, p: dict) -> "ShardReport":
-        # Payloads written before the service fields existed omit them.
-        return cls(
-            shard=int(p["shard"]), num_shards=int(p["num_shards"]),
-            backend=str(p["backend"]), graph_digest=str(p["graph_digest"]),
-            fence_sequence=tuple((int(s), int(r), tuple(f))
-                                 for s, r, f in p["fence_sequence"]),
-            determinism_digest=int(p["determinism_digest"]),
-            call_count=int(p["call_count"]), checks=int(p["checks"]),
-            ops_analyzed=int(p["ops_analyzed"]), fences=int(p["fences"]),
-            fences_elided=int(p["fences_elided"]), points=int(p["points"]),
-            collectives={str(k): int(v)
-                         for k, v in p["collectives"].items()},
-            coll_rounds=int(p["coll_rounds"]),
-            coll_messages=int(p["coll_messages"]),
-            frames_sent=int(p["frames_sent"]),
-            frames_received=int(p["frames_received"]),
-            duplicates_dropped=int(p["duplicates_dropped"]),
-            out_of_order=int(p["out_of_order"]),
-            wall_s=float(p["wall_s"]), pid=int(p["pid"]),
-            profile_path=str(p["profile_path"]),
-            program_id=str(p.get("program_id", "")),
-            session=str(p.get("session", "")),
-            call_digests=tuple(int(d) for d in p.get("call_digests", ())),
-        )
-
     def artifacts(self) -> Tuple[str, tuple, int]:
         """The conformance triple compared across shards and backends."""
         return (self.graph_digest, self.fence_sequence,

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.coarse import CoarseAnalysis
 from ..core.collectives import schedule
-from ..core.tracing import AutoTraceConfig, _op_signature, auto_replay_flags
+from ..core.tracing import _op_signature, auto_replay_flags
 from ..sim.costs import CostModel, DEFAULT_COSTS
 from ..sim.machine import MachineSpec, ProcKind
 from ..sim.workload import SimOp, SimProgram
@@ -44,7 +44,6 @@ class DCRModel(ExecutionModel):
                  shards_per: str = "node", safe_checks: bool = True,
                  tracing=True, sharding: str = "blocked",
                  window: Optional[int] = None,
-                 auto_trace_config: Optional[AutoTraceConfig] = None,
                  backend: str = "inprocess"):
         super().__init__(machine, costs)
         if shards_per not in ("node", "gpu"):
@@ -67,10 +66,9 @@ class DCRModel(ExecutionModel):
         self.safe_checks = safe_checks
         # tracing=True trusts the app's per-op `traced` annotations
         # (explicit begin/end_trace discipline); tracing="auto" ignores the
-        # annotations and derives replay status from the same repeat
-        # detector the functional pipeline uses — zero app changes.
+        # annotations and derives replay status by driving the functional
+        # pipeline's AutoTracer + TraceCache — zero app changes.
         self.tracing = tracing
-        self.auto_trace_config = auto_trace_config
         self.sharding = sharding
         # Legion bounds how many operations the analysis may run ahead of
         # execution (the mapper-configurable window); None = unbounded.
@@ -105,19 +103,20 @@ class DCRModel(ExecutionModel):
     # -- automatic trace identification -----------------------------------------
 
     def _auto_traced_flags(self, program: SimProgram) -> List[bool]:
-        """Replay status per op, derived by the repeat detector.
+        """Replay status per op, from the pipeline's own tracing policy
+        (:func:`~repro.core.tracing.auto_replay_flags`).
 
-        Ops carrying a real Operation are keyed by the same hash-consed
-        signature the functional trace cache uses; annotation-only ops fall
-        back to a (name, points) key, which is conservative (iteration-
-        numbered names never repeat, so such ops are never traced).
+        Ops carrying a real Operation are keyed by the same signature the
+        functional trace cache uses; annotation-only ops fall back to a
+        (name, points) key, which is conservative (iteration-numbered names
+        never repeat, so such ops are never traced).
         """
         sigs = [
             _op_signature(op.operation) if op.operation is not None
             else ("sim", op.name, op.points, op.proc_kind.value)
             for op in program.ops
         ]
-        return auto_replay_flags(sigs, self.auto_trace_config)
+        return auto_replay_flags(sigs)
 
     # -- analysis schedule --------------------------------------------------------
     #

@@ -101,7 +101,6 @@ class Runtime:
                  safe_checks: bool = True, check_batch: int = 32,
                  timing_oracle: Optional[Callable[[int, Future], bool]] = None,
                  auto_trace: bool = False,
-                 auto_trace_config=None,
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
                  resilience: Optional[ResilienceConfig] = None,
@@ -142,7 +141,6 @@ class Runtime:
         self._check_batch = check_batch
         self._check_coalesce = max(1, check_coalesce)
         self._auto_trace = auto_trace
-        self._auto_trace_config = auto_trace_config
         # The driver shard performs effects; replicas replay against its
         # logs.  Normally shard 0 — recovery re-elects min(active) when the
         # driver itself is quarantined.
@@ -163,7 +161,6 @@ class Runtime:
         # fragments of the launch stream are memoized and replayed without
         # any begin_trace/end_trace calls in the control program.
         self.pipeline = DCRPipeline(num_shards, auto_trace=auto_trace,
-                                    auto_trace_config=auto_trace_config,
                                     profiler=self.profiler,
                                     injector=self.injector)
         self.monitor = self._make_monitor()
@@ -492,7 +489,6 @@ class Runtime:
         self.store = RegionStore()
         self.pipeline = DCRPipeline(
             self.num_shards, auto_trace=self._auto_trace,
-            auto_trace_config=self._auto_trace_config,
             profiler=self.profiler, injector=self.injector)
         self.monitor = self._make_monitor()
         self.deferred = DeferredOpManager(self.num_shards)

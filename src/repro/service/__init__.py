@@ -14,14 +14,12 @@ from .gang import (GANG_BACKENDS, GangFailure, RejoinError, ServiceGang,
 from .loadgen import LoadResult, make_shape_pool, run_load
 from .service import (AdmissionError, DCRService, JobExpired, JobHandle,
                       Session)
-from .templates import (AnalysisTemplate, TemplateStore, structural_signature,
-                        template_key)
+from .templates import AnalysisTemplate, TemplateStore, structural_signature
 
 __all__ = [
     "DCRService", "Session", "JobHandle", "AdmissionError", "JobExpired",
     "ServiceGang", "GangFailure", "RejoinError", "GANG_BACKENDS",
     "classify_worker_failure",
     "AnalysisTemplate", "TemplateStore", "structural_signature",
-    "template_key",
     "LoadResult", "make_shape_pool", "run_load",
 ]

@@ -403,7 +403,7 @@ class ServiceGang:
                  f"before dispatch" for r in dead],
                 list(dead), suspicion=self.suspicion())
         self.jobs_run += 1
-        job = {"spec": spec.to_payload(), "job_id": job_id,
+        job = {"spec": spec, "job_id": job_id,
                "program_id": program_id, "session": session,
                "capture": capture_digests,
                "fault": _fault_payload(fault)}
@@ -622,7 +622,7 @@ def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
             job = cmd[1]
             try:
                 report = worker.run_job(
-                    ProgramSpec.from_payload(job["spec"]),
+                    job["spec"],
                     program_id=job["program_id"], session=job["session"],
                     capture_digests=job["capture"],
                     injector=_fault_injector(job["fault"]))

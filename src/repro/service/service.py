@@ -441,7 +441,8 @@ class DCRService:
             self.template_serves += 1
             if prof.enabled:
                 prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_TEMPLATE_HIT,
-                             program=handle.program_id, key=str(tpl.key))
+                             program=handle.program_id,
+                             recorded_from=tpl.recorded_from)
         else:
             cold0 = time.perf_counter()
             try:

@@ -7,14 +7,10 @@ the cold run — graph digest, fence sequence, per-shard counters — keyed by
 the program's structural shape, and serves later submissions by *patching
 parameters* into the cached products.
 
-Keying reuses the auto-tracer's identification machinery (*Automatic
-Tracing in Task-Based Runtime Systems*, Yadav et al.): each operation's
-structural signature is hash-consed through
-:func:`repro.core.tracing.intern_signature` and the id stream folded with
-the identical polynomial :func:`repro.core.tracing.rolling_hash` the
-repeat detector computes.  A hash hit is confirmed against the stored
-shape, so a (vanishingly unlikely) rolling-hash collision degrades to a
-miss, never to a wrong template.
+Templates are keyed by the shape itself — :func:`structural_signature` is
+a hashable tuple, so the LRU dict's own hashing and equality are the whole
+lookup: equal shapes hit, anything else misses, and there is no separate
+hash to collide.
 
 What counts as *shape* vs *parameter* mirrors what the workers hash into
 the determinism stream (:func:`repro.dist.worker.op_signature`): an op's
@@ -32,15 +28,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.determinism import ShardHasher, stream_digest
-from ..core.tracing import intern_signature, rolling_hash
 from ..dist.programs import ProgramSpec
 from ..dist.report import MergedReport, ShardReport, merge_reports
 
-__all__ = ["structural_signature", "template_key", "AnalysisTemplate",
-           "TemplateStore"]
+__all__ = ["structural_signature", "AnalysisTemplate", "TemplateStore"]
 
 
 def structural_signature(spec: ProgramSpec, num_shards: int) -> tuple:
@@ -57,28 +51,13 @@ def structural_signature(spec: ProgramSpec, num_shards: int) -> tuple:
     return (spec.tiles, spec.cells_per_tile, spec.sharding, num_shards, ops)
 
 
-def template_key(spec: ProgramSpec, num_shards: int) -> int:
-    """Rolling-hash key of a program shape (the auto-tracer's hash).
-
-    The header and each op's structural signature are hash-consed exactly
-    like operation signatures in the repeat detector, then folded with the
-    detector's polynomial hash.
-    """
-    tiles, cells, sharding, shards, ops = structural_signature(spec,
-                                                               num_shards)
-    sids = [intern_signature(("tpl-head", tiles, cells, sharding, shards))]
-    sids += [intern_signature(("tpl-op",) + op) for op in ops]
-    return rolling_hash(sids)
-
-
 @dataclass
 class AnalysisTemplate:
     """Cached analysis products of one program shape at one gang width."""
 
-    key: int
-    shape: tuple                       # structural_signature confirmation
+    shape: tuple                       # structural_signature, the key
     num_shards: int
-    shard_payloads: List[dict]         # cold ShardReports, digests stripped
+    shards: Tuple[ShardReport, ...]    # cold reports, call digests stripped
     call_digest_tail: Tuple[int, ...]  # per-call digests after call 0
     recorded_from: str                 # program_id of the cold run
     hits: int = 0
@@ -97,13 +76,10 @@ class AnalysisTemplate:
         head = hasher.record("program", *spec.signature())
         digest = stream_digest([head, *self.call_digest_tail])
         now = time.perf_counter()
-        reports = []
-        for payload in self.shard_payloads:
-            reports.append(replace(
-                ShardReport.from_payload(payload),
-                determinism_digest=digest,
-                program_id=program_id, session=session,
-                wall_s=time.perf_counter() - now, pid=os.getpid()))
+        reports = [replace(cold, determinism_digest=digest,
+                           program_id=program_id, session=session,
+                           wall_s=time.perf_counter() - now, pid=os.getpid())
+                   for cold in self.shards]
         self.hits += 1
         return merge_reports(reports, backend="template",
                              program_id=program_id, session=session,
@@ -111,16 +87,15 @@ class AnalysisTemplate:
 
 
 class TemplateStore:
-    """LRU map of template keys to :class:`AnalysisTemplate` entries."""
+    """LRU map of program shapes to :class:`AnalysisTemplate` entries."""
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: Dict[int, AnalysisTemplate] = {}
+        self._entries: Dict[tuple, AnalysisTemplate] = {}
         self.hits = 0
         self.misses = 0
-        self.collisions = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -129,17 +104,13 @@ class TemplateStore:
     def lookup(self, spec: ProgramSpec,
                num_shards: int) -> Optional[AnalysisTemplate]:
         """The template for this program shape, or None (counted a miss)."""
-        key = template_key(spec, num_shards)
-        tpl = self._entries.get(key)
-        if tpl is not None \
-                and tpl.shape == structural_signature(spec, num_shards):
-            self.hits += 1
-            self._entries[key] = self._entries.pop(key)   # LRU touch
-            return tpl
-        if tpl is not None:
-            self.collisions += 1
-        self.misses += 1
-        return None
+        tpl = self._entries.pop(structural_signature(spec, num_shards), None)
+        if tpl is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries[tpl.shape] = tpl   # LRU touch: back in at the young end
+        return tpl
 
     def record(self, spec: ProgramSpec, num_shards: int,
                merged: MergedReport) -> Optional[AnalysisTemplate]:
@@ -151,20 +122,18 @@ class TemplateStore:
         head = merged.shards[0]
         if not merged.conformant or len(head.call_digests) < 1:
             return None
-        key = template_key(spec, num_shards)
-        payloads = []
-        for r in merged.shards:
-            p = r.to_payload()
+        tpl = AnalysisTemplate(
+            shape=structural_signature(spec, num_shards),
+            num_shards=num_shards,
             # The tail is stored once; per-shard copies would multiply the
             # footprint by N for data conformance proved identical.
-            p["call_digests"] = []
-            payloads.append(p)
-        tpl = AnalysisTemplate(
-            key=key, shape=structural_signature(spec, num_shards),
-            num_shards=num_shards, shard_payloads=payloads,
+            shards=tuple(replace(r, call_digests=()) for r in merged.shards),
             call_digest_tail=tuple(head.call_digests[1:]),
             recorded_from=head.program_id)
-        self._entries[key] = tpl
+        # Pop first: re-recording a shape must move it to the young end,
+        # and assigning to an existing key keeps the dict's old position.
+        self._entries.pop(tpl.shape, None)
+        self._entries[tpl.shape] = tpl
         if len(self._entries) > self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
@@ -183,5 +152,4 @@ class TemplateStore:
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "collisions": self.collisions,
-                "evictions": self.evictions}
+                "misses": self.misses, "evictions": self.evictions}

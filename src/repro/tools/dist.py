@@ -20,6 +20,7 @@ CI ``dist`` tier can gate on it directly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -116,7 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "fences_elided": merged.fences_elided,
             "total_points": merged.total_points,
             "total_frames": merged.total_frames,
-            "shards": [s.to_payload() for s in merged.shards],
+            "shards": [dataclasses.asdict(s) for s in merged.shards],
         }
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -220,7 +220,7 @@ class TestReplayRebinding:
         recs = [pipe.analyze(op)
                 for op in self._step(fs, owned, ghost, 0)]
         if traced:
-            pipe.trace_cache.record_retroactive("frag", recs)
+            pipe.trace_cache.record("frag", recs)
         for t in range(1, iters):
             if traced:
                 assert pipe.begin_trace("frag") is True

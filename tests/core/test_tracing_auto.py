@@ -1,15 +1,18 @@
 """Automatic trace identification: detector, retroactive recording,
 safe fallback, and the signature fixes the subsystem exposed."""
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
                                   Operation)
 from repro.core.pipeline import DCRPipeline
 from repro.core.sharding import CYCLIC
 from repro.core.tracing import (AutoTraceConfig, TraceCache, TraceIdentifier,
-                                _op_signature, auto_replay_flags,
-                                intern_signature)
+                                _op_signature, auto_replay_flags)
 from repro.oracle import READ_ONLY, READ_WRITE
 from repro.regions import FieldSpace, IndexSpace, LogicalRegion
 
@@ -22,23 +25,69 @@ def environment():
     return fs, cells, owned, ghost
 
 
+#: Four structurally distinct ops, by letter.
+_LETTER_REQS = {
+    "a": [("owned", "state", READ_WRITE)],
+    "b": [("owned", "flux", READ_WRITE), ("ghost", "state", READ_ONLY)],
+    "c": [("owned", "flux", READ_ONLY)],
+    "d": [("ghost", "flux", READ_ONLY), ("owned", "state", READ_WRITE)],
+}
+
+
+def letter_op(fs, owned, ghost, letter, tag):
+    parts = {"owned": owned, "ghost": ghost}
+    reqs = [CoarseRequirement(parts[p], frozenset([fs[f]]), priv,
+                              IDENTITY_PROJECTION)
+            for p, f, priv in _LETTER_REQS[letter]]
+    return Operation("task", reqs, launch_domain=[0, 1, 2, 3],
+                     sharding=CYCLIC, name=f"{letter}[{tag}]")
+
+
 def step_ops(fs, owned, ghost, tag):
-    state = frozenset([fs["state"]])
-    flux = frozenset([fs["flux"]])
-    dom = [0, 1, 2, 3]
-    return [
-        Operation("task", [CoarseRequirement(owned, state, READ_WRITE,
-                                             IDENTITY_PROJECTION)],
-                  launch_domain=dom, sharding=CYCLIC, name=f"add[{tag}]"),
-        Operation("task", [CoarseRequirement(owned, flux, READ_WRITE,
-                                             IDENTITY_PROJECTION),
-                           CoarseRequirement(ghost, state, READ_ONLY,
-                                             IDENTITY_PROJECTION)],
-                  launch_domain=dom, sharding=CYCLIC, name=f"st[{tag}]"),
-    ]
+    """One time step: an owned update, then a ghost-reading stencil."""
+    return [letter_op(fs, owned, ghost, "a", tag),
+            letter_op(fs, owned, ghost, "b", tag)]
+
+
+def _reference_period(ids, cfg):
+    """Brute force: for every period, compare the two windows outright."""
+    n = len(ids)
+    for w in range(cfg.min_length, cfg.max_length + 1):
+        if 2 * w <= n and ids[n - w:] == ids[n - 2 * w:n - w]:
+            return w
+    return None
+
+
+@st.composite
+def _detector_cases(draw):
+    alphabet = draw(st.integers(1, 8))
+    min_length = draw(st.integers(1, 4))
+    max_length = draw(st.integers(max(2, min_length), 8))
+    word = st.lists(st.integers(0, alphabet - 1), min_size=1,
+                    max_size=max_length + 1)
+    stream = []
+    while len(stream) <= 4 * max_length:      # long enough to cross the trim
+        stream += draw(word) * draw(st.integers(1, 3))
+    return AutoTraceConfig(min_length, max_length), stream
 
 
 class TestTraceIdentifier:
+    @settings(max_examples=300, deadline=None)
+    @given(_detector_cases())
+    def test_push_matches_brute_force(self, case):
+        """The pre-check + slice confirm over a trimmed window answers
+        exactly what comparing every candidate window of the whole stream
+        does (reset after each hit, as the tracer does)."""
+        cfg, stream = case
+        ident, seen = TraceIdentifier(cfg), []
+        for sid in stream:
+            seen.append(sid)
+            hit = ident.push(sid)
+            assert hit == _reference_period(seen, cfg), (cfg, stream)
+            if hit is not None:
+                ident.reset()
+                seen = []
+
     def test_detects_smallest_period(self):
         ident = TraceIdentifier(AutoTraceConfig(min_length=2, max_length=8))
         hits = [ident.push(s) for s in [1, 2, 1, 2]]
@@ -64,7 +113,7 @@ class TestTraceIdentifier:
         assert all(ident.push(s) is None for s in range(40))
 
     def test_history_trim_preserves_detection(self):
-        cfg = AutoTraceConfig(min_length=2, max_length=4, history=8)
+        cfg = AutoTraceConfig(min_length=2, max_length=4)
         ident = TraceIdentifier(cfg)
         # Long unique prefix forces trimming, then a repeat arrives.
         for s in range(100, 140):
@@ -77,7 +126,6 @@ class TestTraceIdentifier:
             AutoTraceConfig(min_length=0)
         with pytest.raises(ValueError):
             AutoTraceConfig(min_length=4, max_length=2)
-        assert AutoTraceConfig(max_length=64, history=10).history == 128
 
 
 class TestSignatures:
@@ -100,12 +148,9 @@ class TestSignatures:
         fs, cells, owned, ghost = environment()
         a, b = step_ops(fs, owned, ghost, 0)
         c, d = step_ops(fs, owned, ghost, 1)
-        assert intern_signature(_op_signature(a)) == \
-            intern_signature(_op_signature(c))
-        assert intern_signature(_op_signature(a)) != \
-            intern_signature(_op_signature(b))
-        assert intern_signature(_op_signature(b)) == \
-            intern_signature(_op_signature(d))
+        assert _op_signature(a) == _op_signature(c)
+        assert _op_signature(a) != _op_signature(b)
+        assert _op_signature(b) == _op_signature(d)
 
 
 class TestAutoReplayFlags:
@@ -142,13 +187,36 @@ class TestAutoReplayFlags:
         assert flags == [False] * 4 + [True] * 4
 
 
+class TestModelFollowsRuntime:
+    """`auto_replay_flags` drives the pipeline's own tracer and cache, so
+    the cost model charges replays exactly where the runtime serves them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(["ab", "cd", "a", "c", "abc", "d"]),
+                    min_size=1, max_size=12).map("".join))
+    @example("ababcdcdacdcd")    # a diverging op is not re-probed as a head
+    def test_flags_equal_pipeline_traced(self, stream):
+        fs, _cells, owned, ghost = environment()
+        ops = [letter_op(fs, owned, ghost, ch, i)
+               for i, ch in enumerate(stream)]
+        pipe = DCRPipeline(num_shards=2, auto_trace=True)
+        served = [pipe.analyze(op).traced for op in ops]
+        pipe.validate()
+        assert served == auto_replay_flags([_op_signature(op) for op in ops])
+
+    def test_diverging_op_is_analyzed_fresh(self):
+        flags = auto_replay_flags(list("ababcdcdacdcd"),
+                                  AutoTraceConfig(min_length=2))
+        assert "".join(".T"[f] for f in flags) == "........T..TT"
+
+
 class TestRetroactiveRecording:
     def test_record_then_replay(self):
         fs, _cells, owned, ghost = environment()
         pipe = DCRPipeline(num_shards=2)
         recs = [pipe.analyze(op) for op in step_ops(fs, owned, ghost, 0)]
         cache = pipe.trace_cache
-        cache.record_retroactive("frag", recs)
+        cache.record("frag", recs)
         assert cache.has_trace("frag")
         assert pipe.begin_trace("frag") is True
         for op in step_ops(fs, owned, ghost, 1):
@@ -161,16 +229,17 @@ class TestRetroactiveRecording:
         fs, _cells, owned, ghost = environment()
         pipe = DCRPipeline(num_shards=2)
         recs = [pipe.analyze(op) for op in step_ops(fs, owned, ghost, 0)]
-        pipe.trace_cache.begin(1)
+        pipe.trace_cache.record(1, recs)
+        assert pipe.trace_cache.begin(1) is True      # a replay is active
         with pytest.raises(RuntimeError):
-            pipe.trace_cache.record_retroactive("frag", recs)
+            pipe.trace_cache.record("frag", recs)
 
     def test_abort_replay_counts_and_evicts(self):
         fs, _cells, owned, ghost = environment()
         pipe = DCRPipeline(num_shards=2)
         recs = [pipe.analyze(op) for op in step_ops(fs, owned, ghost, 0)]
         cache = pipe.trace_cache
-        cache.record_retroactive("frag", recs)
+        cache.record("frag", recs)
         pipe.begin_trace("frag")
         pipe.analyze(step_ops(fs, owned, ghost, 1)[0])
         assert cache.abort_replay(evict=True) == 1
@@ -245,3 +314,46 @@ class TestAutoTracerPipeline:
         assert pipe.stats.auto_traces == 0
         assert pipe.stats.traced_ops == 6
         pipe.validate()
+
+
+def test_executes_leave_nothing_behind_in_tracing():
+    """ROADMAP 7c: signatures carry one run's region uids, so a table that
+    outlives its pipeline is pure retention.  After a warm-up, further
+    auto-traced executes must leave no live allocation made by
+    ``repro.core.tracing`` behind."""
+    import repro.core.tracing as tracing
+    from repro.runtime import Runtime
+
+    def bump(point, arg):
+        arg["x"].view[...] += 1.0
+
+    def control(ctx):
+        fs = ctx.create_field_space([("x", "f8")])
+        region = ctx.create_region(ctx.create_index_space(8), fs, "r")
+        owned = ctx.partition_equal(region, 2, name="owned")
+        ctx.fill(region, ["x"], 0.0)
+        for _ in range(6):
+            ctx.index_launch(bump, [0, 1], [(owned, "x", "rw")])
+        return region
+
+    def execute():
+        rt = Runtime(num_shards=2, auto_trace=True)
+        rt.execute(control)
+        assert rt.pipeline.stats.traced_ops > 0
+
+    def live_bytes():
+        gc.collect()
+        only = [tracemalloc.Filter(True, tracing.__file__)]
+        stats = tracemalloc.take_snapshot().filter_traces(only)
+        return sum(s.size for s in stats.statistics("filename"))
+
+    execute()                                   # warm caches and imports
+    tracemalloc.start()
+    try:
+        before = live_bytes()
+        for _ in range(5):
+            execute()
+        grown = live_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 0, f"{grown} bytes retained by repro.core.tracing"

@@ -91,6 +91,42 @@ def test_order_maintenance_labels_stay_deleted():
     assert coarse._CLASSES is not fine._CLASSES
 
 
+def test_one_repeat_mechanism_surface():
+    """The rolling hash, the per-op recording mode, the payload round trips
+    and the three ``auto_trace_config`` pass-throughs nobody set are gone;
+    the detector's two real knobs stay where the tests use them."""
+    import dataclasses
+    import inspect
+
+    import repro.service as service
+    from repro.core import tracing
+    from repro.core.pipeline import DCRPipeline
+    from repro.dist import ProgramSpec
+    from repro.dist.report import ShardReport
+    from repro.models import DCRModel
+    from repro.runtime import Runtime
+
+    for gone in ("intern_signature", "rolling_hash"):
+        assert gone not in tracing.__all__ and not hasattr(tracing, gone)
+    assert "template_key" not in service.__all__
+    assert not hasattr(service, "template_key")
+    assert not hasattr(service.templates, "template_key")
+    for gone in ("observe", "record_retroactive", "internal_edges_for",
+                 "RECORDING"):
+        assert not hasattr(tracing.TraceCache, gone), gone
+    assert {"record", "match", "try_replay", "begin", "end",
+            "abort_replay"} <= set(vars(tracing.TraceCache))
+    for cls in (ShardReport, ProgramSpec):
+        for gone in ("from_payload", "to_payload"):
+            assert not hasattr(cls, gone), f"{cls.__name__}.{gone}"
+    for cls in (Runtime, DCRPipeline, DCRModel):
+        assert "auto_trace_config" not in \
+            inspect.signature(cls.__init__).parameters, cls.__name__
+    assert [f.name for f in dataclasses.fields(tracing.AutoTraceConfig)] \
+        == ["min_length", "max_length"]
+    assert "collisions" not in service.TemplateStore().stats()
+
+
 def test_models_cover_fig1():
     """All three approaches of Fig. 1 are constructible, plus MPI."""
     from repro.models import (DCRModel, DaskModel, ExplicitModel,

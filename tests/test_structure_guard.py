@@ -14,8 +14,14 @@
 * ``repro/core/epochs.py`` is the only epoch index.  The coarse and the
   fine stage each used to carry a full copy (class interning, decision
   memo, buckets, retirement), stamped with order-maintenance labels no
-  decision ever read; the last tests fail if a second index, the labeler
+  decision ever read; the next tests fail if a second index, the labeler
   or a ``clock`` under the fine stage grows back.
+* ``repro/core/tracing.py`` holds one way to record a fragment, one replay
+  cursor, one repeat detector and one identify/record/replay policy, which
+  the pipeline and the cost model both drive.  The policy used to be
+  written three times (and the copies disagreed), recordings were built
+  two ways, and a rolling hash sat in front of comparisons that decided
+  everything anyway; the last tests fail if any of that grows back.
 """
 
 import ast
@@ -198,3 +204,99 @@ def test_fine_stage_takes_no_clock():
 
     from repro.core.fine import FineAnalysis
     assert "clock" not in inspect.signature(FineAnalysis.__init__).parameters
+
+
+# -- one record path, one replay cursor, one tracing policy -------------------
+
+TRACING = "core/tracing.py"
+
+
+def _names(node: ast.AST):
+    """Every identifier an AST node spells: Name.id, Attribute.attr,
+    def/class/alias .name, and parameter/keyword .arg."""
+    return {getattr(node, slot) for slot in ("id", "attr", "name", "arg")
+            if isinstance(getattr(node, slot, None), str)}
+
+
+def test_the_rolling_hash_and_payload_round_trips_stay_deleted():
+    gone = {"rolling_hash", "_window_hash", "_HASH_MOD", "_sig_intern",
+            "from_payload", "template_key"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    assert not offenders, (
+        "every detector hit is confirmed by a slice compare, templates are "
+        "keyed by their shape, reports and specs cross channels as "
+        "objects:\n  " + "\n  ".join(offenders))
+
+
+def test_trace_cache_has_one_way_to_record():
+    (_, tree), = _trees((TRACING,))
+    cache, = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == "TraceCache"]
+    spelled = set().union(*(_names(n) for n in ast.walk(cache)))
+    assert "record" in spelled and "match" in spelled
+    assert not spelled & {"observe", "RECORDING"}, (
+        "recordings are cut from already-analyzed records by "
+        "TraceCache.record; there is no per-op recording mode")
+
+
+def test_tracing_never_reaches_into_the_pipeline():
+    (_, tree), = _trees((TRACING,))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs}
+            assert "pipe" not in params, (
+                f"{TRACING}:{node.lineno}: the tracer works over "
+                f"(cache, signature), not a pipeline")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "DCRPipeline" not in {a.name for a in node.names}, \
+                f"{TRACING}:{node.lineno}: imports DCRPipeline"
+
+
+def test_tracing_keeps_no_module_level_mutable_state():
+    """A process-global signature table outlived every pipeline that fed
+    it (signatures carry one run's region uids, so nothing was re-hit)."""
+    (_, tree), = _trees((TRACING,))
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp, ast.Call)
+    offenders = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                and isinstance(node.value, mutable):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            offenders += [f"{TRACING}:{node.lineno}: {t.id}"
+                          for t in targets
+                          if isinstance(t, ast.Name) and t.id != "__all__"]
+    assert not offenders, offenders
+
+
+def test_one_fallback_site_per_driver():
+    """The pipeline and the cost model each drive the cursor under their
+    own ``except TraceMismatch``; nothing else catches it."""
+    owners = []
+    for rel, tree in _trees(("",)):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(isinstance(h, ast.ExceptHandler) and h.type is not None
+                   and "TraceMismatch" in _names(h.type)
+                   for h in ast.walk(fn)):
+                owners.append(f"{rel}:{fn.name}")
+    assert owners == ["core/pipeline.py:analyze",
+                      "core/tracing.py:auto_replay_flags"], owners
+
+
+def test_templates_share_no_machinery_with_the_tracer():
+    (_, tree), = _trees(("service/templates.py",))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").endswith("tracing"), (
+                f"service/templates.py:{node.lineno}: templates are keyed "
+                f"by structural_signature itself")
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith("tracing") for a in node.names)
