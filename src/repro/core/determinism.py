@@ -12,11 +12,15 @@ the first divergent call, attaching a :class:`DivergenceDiagnosis` naming
 the culprit shard(s) — the foundation the recovery policies in
 :mod:`repro.resilience` build on.
 
-Hashing detail: raw Python object identities differ between shards even for
-logically identical resources, so each shard's checker *interns* runtime
-resources (regions, partitions, fields, futures...) into shard-local ids
-assigned in API-call order.  Control determinism guarantees identical
-numbering across shards, making the hashes comparable.
+Hashing detail: :meth:`ShardHasher.record` encodes a call's whole argument
+tree in one pass — scalars by value and type, containers recursively, and
+NumPy arrays at any depth by dtype, shape and a 128-bit digest of their
+bytes read in place, so the check never pays per element.  Raw Python
+identities differ between shards even for logically identical resources,
+so runtime resources (regions, partitions, fields, futures...) are
+*interned* into shard-local ids in first-use order, which control
+determinism makes identical across shards; any other object is interned
+the same way, i.e. by identity, not content.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple)
+
+import numpy as np
 
 from ..faults.injector import FaultInjector, ShardCrash
 from ..obs.events import (CAT_DETERMINISM, CONTROL_SHARD, EV_DET_CHECK,
@@ -49,6 +55,12 @@ def stream_digest(calls: Sequence[int]) -> int:
     for d in calls:
         acc.update(d.to_bytes(16, "little"))
     return int.from_bytes(acc.digest(), "little")
+
+
+def _majority(digests: Sequence[int]) -> int:
+    """The most common digest; ties break toward the lowest shard id's
+    digest, so a 1-vs-1 split blames the higher shard."""
+    return max(digests, key=digests.count)
 
 
 def locate_divergence(shard_ids: Sequence[int],
@@ -86,13 +98,7 @@ def locate_divergence(shard_ids: Sequence[int],
     off = lo
     seq = start + off
     digests = [calls[off] for calls in per_call]
-    # Majority digest wins; ties break toward the lowest shard id's
-    # digest, so a 1-vs-1 split blames the higher shard.
-    tally: Dict[int, int] = {}
-    for d in digests:
-        tally[d] = tally.get(d, 0) + 1
-    best = max(tally.values())
-    majority = next(d for d in digests if tally[d] == best)
+    majority = _majority(digests)
     divergent = tuple(s for s, d in zip(shard_ids, digests)
                       if d != majority)
     return DivergenceDiagnosis(
@@ -187,16 +193,19 @@ class ControlDeterminismViolation(RuntimeError):
             return [s for s, c in zip(self.shard_ids, self.call_counts)
                     if c == lo]
         if self.shard_digests and self.shard_ids:
-            # Majority digest wins; ties break toward the lowest shard.
-            tally: Dict[int, int] = {}
-            for d in self.shard_digests:
-                tally[d] = tally.get(d, 0) + 1
-            best = max(tally.values())
-            majority = next(d for d in self.shard_digests
-                            if tally[d] == best)
+            majority = _majority(self.shard_digests)
             return [s for s, d in zip(self.shard_ids, self.shard_digests)
                     if d != majority]
         return None
+
+
+#: Exact type -> how :meth:`ShardHasher._encode` encodes it.  A subclass
+#: (IntEnum, namedtuple, np.int64 ...) encodes as its first base listed
+#: here, in MRO order; ``object`` is a runtime resource, interned by first
+#: use.  ``np.float64`` is listed to keep ``tuple(array)`` off that walk.
+_KINDS = {type(None): "N", bool: "B", int: "I", float: "F", np.float64: "F",
+          str: "S", bytes: "Y", tuple: "T", list: "T", dict: "D", set: "Z",
+          frozenset: "Z", np.generic: "G", np.ndarray: "A", object: "R"}
 
 
 class ShardHasher:
@@ -215,47 +224,66 @@ class ShardHasher:
         self.shard = shard
         self.injector = injector
         self._intern: Dict[int, int] = {}
-        self._next_local = 0
         self.calls: List[int] = []          # 128-bit hashes, in call order
         self.descriptions: List[str] = []   # human-readable, for error messages
 
     def intern(self, obj: Any) -> int:
         """Shard-local id for a runtime resource, by first-use order."""
-        key = id(obj)
-        local = self._intern.get(key)
-        if local is None:
-            local = self._next_local
-            self._next_local += 1
-            self._intern[key] = local
-        return local
+        return self._intern.setdefault(id(obj), len(self._intern))
 
-    def _canon(self, value: Any) -> bytes:
-        """Canonical byte encoding of an argument value."""
-        if value is None:
-            return b"N"
-        if isinstance(value, bool):
-            return b"B1" if value else b"B0"
-        if isinstance(value, int):
-            return b"I" + str(value).encode()
-        if isinstance(value, float):
-            return b"F" + value.hex().encode()
-        if isinstance(value, str):
-            return b"S" + value.encode()
-        if isinstance(value, bytes):
-            return b"Y" + value
-        if isinstance(value, (tuple, list)):
-            inner = b",".join(self._canon(v) for v in value)
-            return b"T(" + inner + b")"
-        if isinstance(value, dict):
+    def _encode(self, value: Any, out: List[bytes]) -> None:
+        """Append the canonical byte encoding of ``value`` to ``out``."""
+        kind = _KINDS.get(type(value)) or next(
+            _KINDS[base] for base in type(value).__mro__ if base in _KINDS)
+        if kind == "I":
+            out.append(b"I" + str(value).encode())
+        elif kind == "S":
+            out.append(b"S" + value.encode())
+        elif kind == "T":
+            out.append(b"T(")
+            for i, v in enumerate(value):
+                if i:
+                    out.append(b",")
+                self._encode(v, out)
+            out.append(b")")
+        elif kind == "R":
+            out.append(b"R" + str(self.intern(value)).encode())
+        elif kind == "F":
+            out.append(b"F" + value.hex().encode())
+        elif kind == "B":
+            out.append(b"B1" if value else b"B0")
+        elif kind == "N":
+            out.append(b"N")
+        elif kind == "Y":
+            out.append(b"Y" + value)
+        elif kind == "D":
+            out.append(b"D(")
             items = sorted((str(k), v) for k, v in value.items())
-            inner = b",".join(
-                self._canon(k) + b"=" + self._canon(v) for k, v in items)
-            return b"D(" + inner + b")"
-        if isinstance(value, frozenset) or isinstance(value, set):
-            inner = b",".join(sorted(self._canon(v) for v in value))
-            return b"Z(" + inner + b")"
-        # Runtime resource: intern by first-use order.
-        return b"R" + str(self.intern(value)).encode()
+            for i, (k, v) in enumerate(items):
+                out.append((b",S" if i else b"S") + k.encode() + b"=")
+                self._encode(v, out)
+            out.append(b")")
+        elif kind == "Z":
+            members = []
+            for v in value:
+                member: List[bytes] = []
+                self._encode(v, member)
+                members.append(b"".join(member))
+            out.append(b"Z(" + b",".join(sorted(members)) + b")")
+        elif kind == "G":
+            # np.int64(x) hashes like int(x); a scalar with no Python
+            # equivalent (longdouble, datetime64 ...) as a 0-d array.
+            item = value.item()
+            self._encode(item if type(item) in _KINDS else np.asarray(value),
+                         out)
+        else:       # "A": dtype + shape + a digest of the C-order bytes
+            dtype = value.dtype
+            if dtype.hasobject or dtype.kind == "V":
+                raise TypeError(f"cannot hash dtype {dtype} arrays by content")
+            flat = np.ascontiguousarray(value).reshape(-1).view(np.uint8)
+            out.append(b"A" + dtype.str.encode() + str(value.shape).encode()
+                       + hashlib.blake2b(memoryview(flat),
+                                         digest_size=16).digest())
 
     def record(self, api_call: str, *args: Any, **kwargs: Any) -> int:
         """Hash one API call; returns the 128-bit digest as an int."""
@@ -266,20 +294,20 @@ class ShardHasher:
             if inj.crash_call(self.shard, call):
                 raise ShardCrash(self.shard, call)
             faulted = inj.flip_call(self.shard, call)
-        h = hashlib.blake2b(digest_size=16)
-        h.update(api_call.encode())
+        out = [api_call.encode()]
         for a in args:
-            h.update(b"|")
-            h.update(self._canon(a))
+            out.append(b"|")
+            self._encode(a, out)
         for k in sorted(kwargs):
-            h.update(b"|" + k.encode() + b"=")
-            h.update(self._canon(kwargs[k]))
+            out.append(b"|" + k.encode() + b"=")
+            self._encode(kwargs[k], out)
         if faulted:
             # Perturb only the digest: the analyzed call itself is intact,
             # so recovery re-analysis reproduces the fault-free task graph
             # (Theorem 1) while the determinism check sees a divergence.
-            h.update(b"|<fault-injected>")
-        digest = int.from_bytes(h.digest(), "little")
+            out.append(b"|<fault-injected>")
+        digest = int.from_bytes(
+            hashlib.blake2b(b"".join(out), digest_size=16).digest(), "little")
         self.calls.append(digest)
         self.descriptions.append(api_call + " [faulted]" if faulted
                                  else api_call)

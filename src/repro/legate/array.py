@@ -17,7 +17,8 @@ functional equivalent on our runtime, organized around three pieces:
   (legate.core's field manager).
 * :mod:`~.ops` — a few generic module-level task bodies plus a kernel
   registry carry the whole operator surface; the kernel code travels in
-  the hashed task arguments.
+  the hashed task arguments, and so does ``from_values`` data: as one
+  read-only ndarray, hashed as a buffer and sliced (not rebuilt) per tile.
 
 Chunking is automatic (the paper contrasts this with Dask's hand-tuned
 chunks): :func:`~.views.choose_tiling` picks a grid — including column
@@ -85,8 +86,7 @@ class LegateContext:
         name = f"lgarr{self._next_name}"
         self._next_name += 1
         fs = self.ctx.create_field_space([("v", "f8")], f"{name}_fs")
-        ispace = self.ctx.create_index_space(
-            shape if len(shape) > 1 else shape[0], f"{name}_is")
+        ispace = self.ctx.create_index_space(shape, f"{name}_is")
         return self.ctx.create_region(ispace, fs, name)
 
     def _new_array(self, shape: Tuple[int, ...]) -> "LegateArray":
@@ -127,13 +127,12 @@ class LegateContext:
 
     def from_values(self, values: Sequence, name: str = "") -> "LegateArray":
         """Materialize explicit values through an initializer task."""
-        data = np.asarray(values, dtype=np.float64)
+        data = ops.ingest(values)
         arr = self._new_array(data.shape)
-        flat = tuple(float(x) for x in data.reshape(-1))
         self.fields.note_launch()
         self.ctx.index_launch(
             ops.init_body, list(range(len(arr._tiling()))),
-            [(arr.tiles, "v", "wd")], args=(flat, data.shape))
+            [(arr.tiles, "v", "wd")], args=(data, data.shape))
         return arr
 
     # -- launch plumbing -----------------------------------------------------

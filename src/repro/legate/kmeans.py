@@ -30,6 +30,7 @@ import numpy as np
 
 from ..core.rng import CounterRNG
 from ..runtime.runtime import Context
+from . import ops
 from .array import LegateContext
 from .views import choose_tiling
 
@@ -94,10 +95,7 @@ def explicit_kmeans(ctx: Context, data: np.ndarray, k: int,
 
     def make_region(name, shape):
         fs = ctx.create_field_space([("v", "f8")], f"{name}_fs")
-        ispace = ctx.create_index_space(
-            shape if isinstance(shape, tuple) and len(shape) > 1
-            else (shape if isinstance(shape, int) else shape[0]),
-            f"{name}_is")
+        ispace = ctx.create_index_space(shape, f"{name}_is")
         return ctx.create_region(ispace, fs, name)
 
     def rect_partition(region, shape, row_only=False):
@@ -118,21 +116,14 @@ def explicit_kmeans(ctx: Context, data: np.ndarray, k: int,
     sums = make_region("ekm_sums", f)
     dom = list(range(ntiles))
 
-    def init(point, x_arg, payload, shape):
-        lo = x_arg.region.index_space.rect.lo
-        ext = x_arg.region.index_space.rect.extents
-        full = np.array(payload).reshape(shape)
-        x_arg["v"].view[...] = full[tuple(
-            slice(l, l + e) for l, e in zip(lo, ext))]
-
-    ctx.index_launch(init, dom, [(rows, "v", "wd")],
-                     args=(tuple(map(float, data.reshape(-1))), (n, f)))
+    ctx.index_launch(ops.init_body, dom, [(rows, "v", "wd")],
+                     args=(ops.ingest(data), (n, f)))
 
     def init_centers(c_arg, payload):
-        c_arg["v"].view[...] = np.array(payload).reshape(k, f)
+        c_arg["v"].view[...] = np.asarray(payload)
 
     ctx.launch(init_centers, [(centers, "v", "wd")],
-               args=(tuple(map(float, data[:k].reshape(-1))),))
+               args=(ops.ingest(data[:k]),))
     ctx.fill(labels, "v", 0.0)
     ctx.fill(best, "v", 0.0)
 

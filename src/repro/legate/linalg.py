@@ -15,6 +15,7 @@ import numpy as np
 
 from ..core.rng import CounterRNG
 from ..runtime.runtime import Context
+from . import ops
 from .array import LegateArray, LegateContext
 from .views import choose_tiling
 
@@ -73,10 +74,7 @@ def explicit_logistic_regression(ctx: Context, x_data: np.ndarray,
 
     def make_region(name, shape):
         fs = ctx.create_field_space([("v", "f8")], f"{name}_fs")
-        ispace = ctx.create_index_space(
-            shape if isinstance(shape, tuple) and len(shape) > 1
-            else (shape if isinstance(shape, int) else shape[0]),
-            f"{name}_is")
+        ispace = ctx.create_index_space(shape, f"{name}_is")
         return ctx.create_region(ispace, fs, name)
 
     def rect_partition(region, shape, row_only=False):
@@ -104,17 +102,10 @@ def explicit_logistic_regression(ctx: Context, x_data: np.ndarray,
     dom = list(range(ntiles))
     wdom = list(range(wtiles))
 
-    def init(point, out_arg, payload, shape):
-        lo = out_arg.region.index_space.rect.lo
-        ext = out_arg.region.index_space.rect.extents
-        full = np.array(payload).reshape(shape)
-        out_arg["v"].view[...] = full[tuple(
-            slice(l, l + e) for l, e in zip(lo, ext))]
-
-    ctx.index_launch(init, dom, [(xrows, "v", "wd")],
-                     args=(tuple(map(float, x_data.reshape(-1))), (n, f)))
-    ctx.index_launch(init, dom, [(yrows, "v", "wd")],
-                     args=(tuple(map(float, y_data)), (n,)))
+    ctx.index_launch(ops.init_body, dom, [(xrows, "v", "wd")],
+                     args=(ops.ingest(x_data), (n, f)))
+    ctx.index_launch(ops.init_body, dom, [(yrows, "v", "wd")],
+                     args=(ops.ingest(y_data), (n,)))
     ctx.fill(w, "v", 0.0)
 
     def matvec(point, z_arg, x_arg, w_arg):

@@ -16,7 +16,7 @@ import numpy as np
 from .views import extract_block
 
 __all__ = ["KERNELS", "elementwise_body", "setitem_body", "fill_tile_body",
-           "init_body", "reduce_tile_body", "dot_tile_body",
+           "ingest", "init_body", "reduce_tile_body", "dot_tile_body",
            "axis0_partial_body", "axis0_combine_body", "rowsum_body",
            "matvec_body", "rmatvec_partial_body", "rmatvec_combine_body",
            "matmat_body", "axpy_body"]
@@ -95,14 +95,20 @@ def fill_tile_body(point, out_arg, value):
     out_arg["v"].view[...] = value
 
 
+def ingest(values) -> np.ndarray:
+    """The payload an init launch carries: a private, read-only,
+    C-contiguous float64 copy, so the caller's array is neither aliased
+    nor frozen and the bytes that were hashed are the bytes tiles read."""
+    data = np.array(values, dtype=np.float64, order="C")
+    data.flags.writeable = False
+    return data
+
+
 def init_body(point, out, payload, shape):
-    """Materialize explicit values into one tile of a fresh array."""
-    view = out["v"].view
-    lo = out.region.index_space.rect.lo
-    full = np.array(payload).reshape(shape)
-    sl = tuple(slice(l, l + e) for l, e in
-               zip(lo, out.region.index_space.rect.extents))
-    view[...] = full[sl]
+    """Slice one tile of a fresh array out of the ingested payload."""
+    rect = out.region.index_space.rect
+    out["v"].view[...] = np.asarray(payload).reshape(shape)[tuple(
+        slice(l, l + e) for l, e in zip(rect.lo, rect.extents))]
 
 
 # -- reductions ---------------------------------------------------------------

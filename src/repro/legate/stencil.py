@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..runtime.runtime import Context
+from . import ops
 from .array import LegateContext
 from .views import choose_tiling
 
@@ -90,18 +91,12 @@ def explicit_stencil(ctx: Context, init: np.ndarray, iterations: int = 10,
             region, choose_tiling((n,), num_tiles), disjoint=True,
             complete=True, name=f"{region.name}_full")
 
-    def init_tile(point, out_arg, payload):
-        lo = out_arg.region.index_space.rect.lo
-        ext = out_arg.region.index_space.rect.extents
-        full = np.array(payload)
-        out_arg["v"].view[...] = full[lo[0]:lo[0] + ext[0]]
-
-    payload = tuple(map(float, init))
-    ctx.index_launch(init_tile, full_dom, [(parts[u.uid, "full"], "v", "wd")],
-                     args=(payload,))
     # Boundary cells never change: seed both buffers once.
-    ctx.index_launch(init_tile, full_dom, [(parts[v.uid, "full"], "v", "wd")],
-                     args=(payload,))
+    payload = ops.ingest(init)
+    for region in (u, v):
+        ctx.index_launch(ops.init_body, full_dom,
+                         [(parts[region.uid, "full"], "v", "wd")],
+                         args=(payload, (n,)))
 
     def step(point, out_arg, ghost_arg):
         g = ghost_arg["v"].view

@@ -974,8 +974,7 @@ class Context:
         self._record("launch", self._task_key(fn),
                      [(t, sorted(f.fid for f in fl), p.kind.value)
                       for t, fl, p, _ in norm],
-                     list(map(self._hashable_arg, args)),
-                     list(future_args), owner_shard)
+                     list(args), list(future_args), owner_shard)
         def do() -> Future:
             op = Operation(
                 "task",
@@ -1012,8 +1011,7 @@ class Context:
                      [(t, sorted(f.fid for f in fl), p.kind.value,
                        pr.pid if pr else -1)
                       for t, fl, p, pr in norm],
-                     list(map(self._hashable_arg, args)),
-                     list(future_args), sharding.sid)
+                     list(args), list(future_args), sharding.sid)
         def do() -> FutureMap:
             op = Operation(
                 "task",
@@ -1069,14 +1067,6 @@ class Context:
         if oracle is None:
             return None
         return lambda fut: oracle(getattr(runtime, "_current_shard", 0), fut)
-
-    @staticmethod
-    def _hashable_arg(a: Any) -> Any:
-        if isinstance(a, np.generic):
-            return a.item()
-        if isinstance(a, np.ndarray):
-            return a.tobytes()
-        return a
 
     # -- futures & control helpers ------------------------------------------------------------
 

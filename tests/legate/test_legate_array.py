@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.legate import LegateContext
+from repro.legate import LegateContext, ops
 from repro.runtime import Runtime
 
 
@@ -33,6 +33,42 @@ class TestCreation:
         data = np.arange(12.0).reshape(4, 3)
         got = run(lambda lg: lg.from_values(data).to_numpy())
         assert (got == data).all()
+
+    @pytest.mark.parametrize("values", [
+        np.arange(12.0).reshape(4, 3), np.asfortranarray(np.ones((4, 3))),
+        np.arange(12.0).reshape(4, 3)[:, ::2], [[1, 2], [3, 4]]],
+        ids=["float64", "fortran", "strided", "int-lists"])
+    def test_payload_is_a_private_frozen_float64_copy(self, values,
+                                                      monkeypatch):
+        """The bytes the determinism check hashed are the bytes every tile
+        reads: tasks get a read-only C-contiguous copy, and the caller's
+        own array is neither aliased nor frozen."""
+        payloads = []
+        real = ops.init_body
+
+        def spy(point, out, payload, shape):
+            payloads.append(payload)
+            real(point, out, payload, shape)
+        monkeypatch.setattr(ops, "init_body", spy)
+        before = np.array(values)
+        got = run(lambda lg: lg.from_values(values).to_numpy())
+        assert (got == before).all() and (np.asarray(values) == before).all()
+        if isinstance(values, np.ndarray):
+            assert values.flags.writeable
+        assert len(payloads) > 1                    # one per tile ...
+        assert all(p is payloads[0] for p in payloads)   # ... never rebuilt
+        payload = payloads[0]
+        assert isinstance(payload, np.ndarray)
+        assert payload.dtype == np.float64 and payload.flags.c_contiguous
+        assert not payload.flags.writeable
+        assert not np.shares_memory(payload, np.asarray(values))
+
+    def test_task_cannot_write_into_its_payload(self, monkeypatch):
+        def scribble(point, out, payload, shape):
+            payload[0] = 1.0
+        monkeypatch.setattr(ops, "init_body", scribble)
+        with pytest.raises(ValueError, match="read-only"):
+            run(lambda lg: lg.from_values(np.zeros(4)).to_numpy())
 
     def test_tiles_capped_at_rows(self):
         def body(lg):

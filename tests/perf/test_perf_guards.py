@@ -6,12 +6,18 @@ or the pipeline quadratic in ops — the regressions that would silently
 invalidate the scalability story.
 """
 
+import gc
+import sys
 import time
+
+import numpy as np
 
 from repro.core import (BLOCKED, CoarseAnalysis, CoarseRequirement,
                         IDENTITY_PROJECTION, Operation)
 from repro.oracle import READ_ONLY, READ_WRITE
+from repro.legate import LegateContext
 from repro.regions import FieldSpace, IndexSpace, LogicalRegion
+from repro.runtime import Runtime
 
 
 def build_chain(num_tiles, chain):
@@ -95,3 +101,36 @@ class TestFunctionalSoak:
             fine.analyze(op)
         for state in fine._state.values():
             assert len(state.write_epoch) + len(state.read_epoch) <= 20
+
+
+class TestControlPlaneIgnoresPayloadSize:
+    """What the control plane pays per decision must not scale with the
+    data the decision is about: ingesting 16x the elements through
+    ``from_values`` makes exactly as many Python-level calls (hashing,
+    launch and every init tile included).  A count, not a timing, so it
+    holds in a noisy hour."""
+
+    @staticmethod
+    def _python_calls(n):
+        values = np.zeros(n)
+        rt = Runtime(num_shards=2, backend="inprocess")
+        calls = 0
+
+        def on_event(_frame, event, _arg):
+            nonlocal calls
+            calls += event == "call"
+
+        gc.collect()
+        gc.disable()        # a collection would run finalizers mid-count
+        sys.setprofile(on_event)
+        try:
+            rt.execute(lambda ctx: LegateContext(ctx, 4)
+                       .from_values(values).to_numpy())
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return calls
+
+    def test_from_values_call_count_independent_of_size(self):
+        self._python_calls(2 ** 10)             # fill lazy memos first
+        assert self._python_calls(2 ** 10) == self._python_calls(2 ** 14)

@@ -3,6 +3,7 @@ replicated control programs, plus their §3 remedies."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import ControlDeterminismViolation
@@ -167,3 +168,42 @@ class TestStructuralDivergence:
             ctx.fill(r, "x", float(ctx.shard))
 
         Runtime(num_shards=2, safe_checks=False).execute(main)
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "loopback"])
+class TestArrayArguments:
+    """Array task arguments are part of the call: hashed by dtype, shape
+    and content wherever they sit in ``args``."""
+
+    @staticmethod
+    def _launch(ctx, args):
+        _r, tiles = _scaffold(ctx)
+        ctx.index_launch(lambda p, a, *rest: None, range(4),
+                         [(tiles, "x", "ro")], args=args)
+
+    def _violates(self, backend, args_of_shard):
+        with pytest.raises(ControlDeterminismViolation) as exc:
+            Runtime(num_shards=2, backend=backend).execute(
+                lambda ctx: self._launch(ctx, args_of_shard(ctx.shard)))
+        assert "index_launch" in str(exc.value)
+
+    def test_nested_array_content_divergence_detected(self, backend):
+        base = np.arange(4.0)
+        self._violates(backend,
+                       lambda shard: ((base + (7 if shard == 1 else 0),),))
+
+    def test_nested_numpy_scalar_divergence_detected(self, backend):
+        self._violates(backend, lambda shard: ((np.int64(3 + shard), "k"),))
+
+    def test_same_bytes_different_shape_detected(self, backend):
+        self._violates(backend, lambda shard: (
+            np.zeros((2, 2)) if shard == 1 else np.zeros(4),))
+
+    def test_same_bytes_different_dtype_detected(self, backend):
+        self._violates(backend, lambda shard: (
+            np.zeros(8, "f4") if shard == 1 else np.zeros(4),))
+
+    def test_equal_arrays_in_distinct_objects_agree(self, backend):
+        rt = Runtime(num_shards=2, backend=backend)
+        rt.execute(lambda ctx: self._launch(
+            ctx, ((np.arange(4.0), np.int64(3)), np.ones((2, 2)))))
