@@ -16,6 +16,10 @@ keeps only what is genuinely its own.
   monotone per epoch, so ordering hits by it reproduces the order of the
   naive list scan exactly (the coarse stage needs that: a fence's scope
   starts from the first conflicting pair, so order is observable).
+* A write **retires** the entries it dominates, whole buckets at a time:
+  those whose region lies inside what was written — one region, or the
+  pairwise-disjoint pieces of a group launch taken together
+  (:meth:`Epoch.retire_contained`).
 
 The index is *observationally identical* to the naive per-entry scan —
 same users in the same order, same scan counts — a property pinned by the
@@ -25,7 +29,8 @@ reference implementations in tests/helpers.py).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Set,
+                    Tuple, Union)
 
 from ..regions import (LogicalRegion, cached_region_contains,
                        register_cache_clearer)
@@ -110,21 +115,36 @@ class ClassTable:
         return hit
 
 
-_CONTAINS: Dict[Tuple[int, int], bool] = {}
+# A retirement bound: one region, or the union of pairwise-disjoint regions
+# (the pieces a group launch wrote through a disjoint partition).
+Bound = Union[LogicalRegion, Tuple[LogicalRegion, ...]]
+
+# (bound key, inner region uid) -> bool, where the bound key is the region's
+# uid or the tuple of the pieces' uids: a flat dict that skips the LRU
+# recency shuffle of the shared PairCache on the retirement hot path.
+_CONTAINS: Dict[Tuple[Hashable, int], bool] = {}
 register_cache_clearer(_CONTAINS.clear)
 
 
-def _contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    """Flat-dict memo of ``region_contains`` (skips the LRU recency
-    shuffle of the shared PairCache on the retirement hot path)."""
-    key = (outer.uid, inner.uid)
-    hit = _CONTAINS.get(key)
-    if hit is None:
-        hit = cached_region_contains(outer, inner)
-        if len(_CONTAINS) >= _MAX_DECISIONS:
-            _CONTAINS.clear()
-        _CONTAINS[key] = hit
-    return hit
+def _union_contains(pieces: Tuple[LogicalRegion, ...],
+                    inner: LogicalRegion) -> bool:
+    """``inner`` lies inside the union of pairwise-disjoint ``pieces``.
+
+    Disjoint pieces cut ``inner`` into disjoint parts, so the parts fill
+    it exactly when their volumes add up to its volume — a sum of
+    rectangle intersections in any dimension (point-set intersections
+    for unstructured spaces); the union itself is never built."""
+    space = inner.index_space
+    missing = space.volume
+    for piece in pieces:
+        if not missing:
+            break
+        other = piece.index_space
+        if space.structured and other.structured:
+            missing -= space.rect.intersection(other.rect).volume
+        else:
+            missing -= len(space.point_set() & other.point_set())
+    return not missing
 
 
 def sorted_fids(req) -> Tuple[int, ...]:
@@ -264,20 +284,30 @@ class Epoch:
                 hits.append(live)
         return scanned, hits
 
-    def retire_contained(self, bound: LogicalRegion,
+    def retire_contained(self, bound: Bound,
                          keep_ids: Optional[Set[int]] = None) -> None:
         """Drop every entry whose region is covered by ``bound`` — the
-        write-retirement rule, decided once per bucket (memo probes
-        inlined: this runs once per write requirement per field).  Group
-        retirement spares the retiring launch's own users: those whose
-        ``id`` is in ``keep_ids``."""
+        write-retirement rule, decided once per (bound, bucket region)
+        and memoized.  ``bound`` is what was written: one region, or a
+        tuple of pairwise-disjoint regions standing for their union (a
+        group launch's pieces).  Group retirement spares the retiring
+        launch's own users: those whose ``id`` is in ``keep_ids``."""
+        if isinstance(bound, tuple):
+            bkey: Hashable = tuple(r.uid for r in bound)
+            decide = _union_contains
+        else:
+            bkey = bound.uid
+            decide = cached_region_contains
         contains = _CONTAINS
-        buid = bound.uid
         doomed = []
         for cid, b in self._buckets.items():
-            hit = contains.get((buid, b.region.uid))
+            key = (bkey, b.region.uid)
+            hit = contains.get(key)
             if hit is None:
-                hit = _contains(bound, b.region)
+                hit = decide(bound, b.region)
+                if len(contains) >= _MAX_DECISIONS:
+                    contains.clear()
+                contains[key] = hit
             if hit:
                 doomed.append(cid)
         for cid in doomed:
@@ -342,16 +372,24 @@ class FieldState:
                     found.append(hits)
         return scanned, found
 
-    def update(self, op, user, req, region: LogicalRegion) -> None:
+    def update(self, op, user, req, region: LogicalRegion,
+               retire: bool = True) -> None:
         """The update rule: a write opens a new write epoch for the data it
         covers, dropping dominated users (any future conflict with them is
         transitively ordered via the writer); everything else joins the
-        read epoch once."""
+        read epoch once.  ``retire=False`` only enters the user: the
+        caller retires once for a whole group of writes (:meth:`retire`)."""
         if req.privilege.writes:
-            if self.read_epoch._size:
-                self.read_epoch.retire_contained(region)
-            if self.write_epoch._size:
-                self.write_epoch.retire_contained(region)
+            if retire:
+                self.retire(region)
             self.write_epoch.add(op, user, req, region)
         else:
             self.read_epoch.add(op, user, req, region, unique=True)
+
+    def retire(self, bound: Bound,
+               keep_ids: Optional[Set[int]] = None) -> None:
+        """Drop the users of both epochs that a write of ``bound`` covers."""
+        if self.read_epoch._size:
+            self.read_epoch.retire_contained(bound, keep_ids)
+        if self.write_epoch._size:
+            self.write_epoch.retire_contained(bound, keep_ids)

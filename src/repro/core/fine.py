@@ -21,13 +21,16 @@ makes one packed-int dict probe per bucket instead of one oracle call per
 entry (that call chain dominated the whole analysis at 1024+ ops).
 ``scans_per_shard`` still counts one unit per epoch entry visited,
 identical to the naive per-entry loop (pinned by the differential tests
-against tests/helpers.py).
+against tests/helpers.py).  What keeps the epochs — and with them scans
+and edges — proportional to a region's *live* users is retirement: a group
+write retires every older user inside the union of the pieces it wrote
+(:meth:`FineAnalysis._update`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
@@ -119,9 +122,7 @@ class FineAnalysis:
         # fine stage treats a whole group as one arrival.
         for task in tasks:
             self._analyze_point(task)
-        for task in tasks:
-            self._update_point(task)
-        self._retire_dominated(op, tasks)
+        self._update(op, tasks)
         prof = self.profiler
         if prof.enabled:
             m = prof.metrics
@@ -140,37 +141,42 @@ class FineAnalysis:
         replayed writers/readers in the epochs, or they would silently
         order themselves against pre-trace state.
         """
-        for task in tasks:
-            self._update_point(task)
-        self._retire_dominated(op, tasks)
+        self._update(op, tasks)
 
-    def _retire_dominated(self, op: Operation, tasks: List[PointTask]) -> None:
-        """Group-level epoch retirement: keep the fine state bounded.
+    def _update(self, op: Operation, tasks: List[PointTask]) -> None:
+        """Enter an operation's points into the epochs and retire what
+        they dominate.
 
-        A group write over a *complete, disjoint* partition collectively
-        covers its parent region, so every older user inside that parent is
-        transitively ordered through some piece of this launch (the piece
-        containing any shared point) — older entries can be dropped without
-        losing any future ordering.  Without this, ghost readers accumulate
-        forever and the fine analysis turns quadratic in program length.
+        An individual write retires the older users its region contains.
+        The points of a group launch that writes through a *disjoint*
+        partition retire together, once per launch: every older user whose
+        region lies inside the **union of the pieces the launch wrote**
+        goes, whether or not any single piece contains it.  Such a user is
+        ordered before each piece that overlaps it (a write conflicts with
+        everything), and a later operation that conflicts with it at some
+        cell conflicts with the piece that wrote that cell, so every
+        future ordering against it is implied through this launch.  The
+        bound is what was written, never what the partition could cover: a
+        launch over part of the colour space retires only under those
+        pieces.  Without the group rule, readers that straddle two written
+        tiles are never retired and the fine analysis turns quadratic in
+        program length.
         """
-        if not op.is_group:
+        grouped = [k for k, cr in enumerate(op.coarse_reqs)
+                   if cr.privilege.writes and isinstance(cr.upper, Partition)
+                   and cr.upper.disjoint] if op.is_group else ()
+        for task in tasks:
+            self._update_point(task, grouped)
+        if not (grouped and tasks):
             return
         own = {id(t) for t in tasks}
-        for cr in op.coarse_reqs:
-            if not cr.privilege.writes:
-                continue
-            upper = cr.upper
-            if not (isinstance(upper, Partition) and upper.disjoint
-                    and upper.complete):
-                continue
-            parent = upper.parent_region
-            for f in cr.fields:
-                state = self._state.get((parent.tree_id, f.fid))
-                if state is None:
-                    continue
-                state.read_epoch.retire_contained(parent, own)
-                state.write_epoch.retire_contained(parent, own)
+        for k in grouped:
+            cr = op.coarse_reqs[k]
+            tree_id = cr.upper.parent_region.tree_id
+            pieces = tuple(dict.fromkeys(
+                t.requirements[k].region for t in tasks))
+            for fid in sorted_fids(cr):
+                self._state[(tree_id, fid)].retire(pieces, own)
 
     def _analyze_point(self, task: PointTask) -> None:
         result = self.result
@@ -208,17 +214,19 @@ class FineAnalysis:
             else:
                 cross_add(edge)
 
-    def _update_point(self, task: PointTask) -> None:
+    def _update_point(self, task: PointTask,
+                      grouped: Sequence[int]) -> None:
         op = task.op
-        for req in task.requirements:
+        for k, req in enumerate(task.requirements):
             region = req.region
             tree_id = region.tree_id
+            retire = k not in grouped
             for fid in sorted_fids(req):
                 key = (tree_id, fid)
                 state = self._state.get(key)
                 if state is None:
                     state = self._state[key] = FieldState(_CLASSES)
-                state.update(op, task, req, region)
+                state.update(op, task, req, region, retire)
 
     # -- soundness of fence elision ------------------------------------------------
 
@@ -235,14 +243,13 @@ class FineAnalysis:
         """
         bad = []
         for prev, task in self.result.cross_edges:
-            covered = False
-            for preq in prev.requirements:
-                for nreq in task.requirements:
-                    if interned_requirements_conflict(preq, nreq):
-                        if coarse.covers_cross_edge(
-                                prev.op.seq, task.op.seq, nreq.region,
-                                nreq.fields | preq.fields):
-                            covered = True
+            covered = any(
+                interned_requirements_conflict(preq, nreq)
+                and coarse.covers_cross_edge(
+                    prev.op.seq, task.op.seq, nreq.region,
+                    nreq.fields | preq.fields)
+                for preq in prev.requirements
+                for nreq in task.requirements)
             if not covered:
                 bad.append((prev, task))
         return bad

@@ -8,7 +8,7 @@ from helpers import brute_force_point_graph, reachability
 from repro.core.coarse import CoarseAnalysis
 from repro.core.fine import FineAnalysis
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
-                                  Operation)
+                                  Operation, ProjectionFunction)
 from repro.core.sharding import BLOCKED, CYCLIC, HASHED
 from repro.oracle import READ_ONLY, READ_WRITE, WRITE_DISCARD, reduce_priv
 from repro.regions import FieldSpace, IndexSpace, LogicalRegion
@@ -84,6 +84,48 @@ class TestPreciseGraph:
         assert sum(counts.values()) == 1 + 4 + 4
         # Cyclic sharding balances the two group launches evenly.
         assert counts[0] >= 4 and counts[1] >= 4
+
+
+SHIFT_TWO = ProjectionFunction(7301, "shift_two", lambda p, dom: p + 2)
+
+
+class TestSubDomainWriteRetirement:
+    """A group write retires what the launched pieces cover — not what the
+    partition it names could cover.  ``A`` writes tiles 0-3 of a complete
+    partition, ``B`` rewrites two of them, ``C`` reads all four: ``C``
+    still depends on ``A`` in the two tiles ``B`` left alone."""
+
+    @pytest.mark.parametrize("sharding", [CYCLIC, BLOCKED, HASHED])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("projection, kept", [
+        (IDENTITY_PROJECTION, (2, 3)),      # B writes tiles 0-1
+        (SHIFT_TWO, (0, 1)),                # B writes tiles 2-3
+    ], ids=["identity", "shift_two"])
+    def test_unwritten_tiles_keep_their_writer(self, sharding, shards,
+                                               projection, kept):
+        fs = FieldSpace([("state", "f8")])
+        cells = LogicalRegion(IndexSpace.line(16), fs, name="cells")
+        owned = cells.partition_equal(4, name="owned")
+        state = frozenset([fs["state"]])
+
+        def launch(name, priv, dom, proj=IDENTITY_PROJECTION):
+            return Operation("task", [CoarseRequirement(owned, state, priv,
+                                                        proj)],
+                             launch_domain=dom, sharding=sharding, name=name)
+
+        ops = [launch("A", READ_WRITE, [0, 1, 2, 3]),
+               launch("B", READ_WRITE, [0, 1], projection),
+               launch("C", READ_ONLY, [0, 1, 2, 3])]
+        fine = FineAnalysis(shards)
+        for i, op in enumerate(ops):
+            op.seq = i
+            fine.analyze(op)
+        deps = {(a.op.name, a.point, b.op.name, b.point)
+                for a, b in fine.result.graph.deps}
+        for tile in kept:
+            assert ("A", tile, "C", tile) in deps
+        assert reachability(fine.result.graph) == \
+            reachability(brute_force_point_graph(ops, shards))
 
 
 class TestFenceSoundness:

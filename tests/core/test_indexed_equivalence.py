@@ -27,17 +27,19 @@ import os
 
 from hypothesis import HealthCheck, given, note, settings, strategies as st
 
-from helpers import (analysis_digest, naive_covers_cross_edge,
+from helpers import (analysis_digest, brute_force_point_graph,
+                     naive_covers_cross_edge, reachability,
                      run_naive_analysis)
 
 from repro.core import coarse as coarse_stage, fine as fine_stage
 from repro.core.coarse import CoarseAnalysis
 from repro.core.fine import FineAnalysis
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
-                                  Operation)
+                                  Operation, ProjectionFunction)
+from repro.core.pipeline import DCRPipeline
 from repro.core.sharding import BLOCKED, CYCLIC, HASHED
 from repro.oracle import READ_ONLY, READ_WRITE, WRITE_DISCARD, reduce_priv
-from repro.regions import (FieldSpace, IndexSpace, LogicalRegion,
+from repro.regions import (FieldSpace, IndexSpace, LogicalRegion, Rect,
                            clear_region_caches)
 
 TILES = 4
@@ -317,4 +319,197 @@ class TestIndexedEquivalence:
         except AssertionError:
             note(f"specs={specs!r} shards={shards}")
             _dump_artifact(specs, shards, "determinism_failure")
+            raise
+
+
+# ---------------------------------------------------------------------------
+# Group-write retirement against the ground truth (ISSUE 21)
+# ---------------------------------------------------------------------------
+
+# Injective on every launch domain below (all have colours 0..3).
+PROJECTIONS = [
+    IDENTITY_PROJECTION,
+    ProjectionFunction(7311, "rotate1", lambda p, dom: (p + 1) % 4),
+    ProjectionFunction(7312, "rotate2", lambda p, dom: (p + 2) % 4),
+]
+
+
+def build_sliced_env():
+    """Three region trees carrying the partitions a sliced array program
+    makes and the generators above lack: offset rect tilings of one parent
+    (the stencil's shifted views), disjoint-incomplete tilings, a nested
+    tiling, a 2-D tiling with an offset interior, and unstructured point
+    partitions.  Every partition of a tree has the same four colours, so
+    any two of them can share a launch domain.  Returns
+    ``[(field space, root, partitions), ...]``."""
+    def tree(name, ispace):
+        fs = FieldSpace([("state", "f8"), ("flux", "f8")])
+        return fs, LogicalRegion(ispace, fs, name=name)
+
+    def rects(region, name, bounds):
+        return region.partition_by_spaces(
+            {c: IndexSpace(rect=Rect(lo, hi))
+             for c, (lo, hi) in bounds.items()}, name=name)
+
+    fs, cells = tree("cells", IndexSpace.line(18))
+    owned = cells.partition_equal(4, name="owned")
+    interior = {c: (1 + 4 * c, 4 + 4 * c) for c in range(4)}
+    line = [owned, cells.partition_ghost(owned, 1, name="ghost"),
+            owned[1].partition_equal(4, name="nested"),
+            rects(cells, "interior", interior),
+            rects(cells, "holes", {c: (5 * c, 5 * c + 2) for c in range(4)})]
+    line += [rects(cells, f"shift{d:+d}",
+                   {c: (max(0, lo + d), min(17, hi + d))
+                    for c, (lo, hi) in interior.items()})
+             for d in (-2, -1, 1, 2)]
+
+    gfs, grid = tree("grid", IndexSpace.from_extent(6, 6))
+    gtiles = grid.partition_tiles((2, 2), name="gtiles")
+    plane = [gtiles, grid.partition_ghost(gtiles, 1, name="gghost")]
+    plane += [rects(grid, f"ginner{dx}{dy}",
+                    {(i, j): ((dx + 2 * i, dy + 2 * j),
+                              (dx + 2 * i + 1, dy + 2 * j + 1))
+                     for i in range(2) for j in range(2)})
+              for dx, dy in ((1, 1), (2, 1), (0, 2))]
+
+    nfs, nodes = tree("nodes", IndexSpace(points=[(i,) for i in range(12)]))
+
+    def points(name, groups):
+        return nodes.partition_by_spaces(
+            {c: IndexSpace(points=[(i,) for i in g])
+             for c, g in enumerate(groups)}, name=name)
+
+    cloud = [points("nown", [range(0, 3), range(3, 6), range(6, 9),
+                             range(9, 12)]),
+             points("noffset", [range(1, 4), range(4, 7), range(7, 10),
+                                range(10, 12)]),
+             points("nscatter", [(0, 11), (2, 9), (4, 7), (5, 6)]),
+             points("nshared", [range(0, 5), range(3, 8), range(6, 11),
+                                (0, 10, 11)])]
+    return [(fs, cells, line), (gfs, grid, plane), (nfs, nodes, cloud)]
+
+
+def build_sliced_ops(env, specs):
+    """Well-formed programs over :func:`build_sliced_env`: group launches
+    write only through disjoint partitions, over any non-empty part of the
+    colour space and through any of :data:`PROJECTIONS`; a launch's second
+    requirement names the other field, so its points stay independent."""
+    ops = []
+    for group, tree, part, priv, fmask, dmask, proj, shard, extra in specs:
+        fs, root, parts = env[tree]
+        names = [f.name for f in fs.fields]
+        first = frozenset([fs[names[fmask % 2]]])
+        other = frozenset([fs[names[1 - fmask % 2]]])
+
+        def privileges(p):
+            return WRITE_PRIVS + READ_PRIVS if p.disjoint else READ_PRIVS
+
+        if group:
+            p = parts[part % len(parts)]
+            colors = list(p.colors)
+            dom = [c for i, c in enumerate(colors) if dmask >> i & 1] \
+                or colors
+            projection = PROJECTIONS[proj] if root.index_space.dim == 1 \
+                else IDENTITY_PROJECTION
+            privs = privileges(p)
+            reqs = [CoarseRequirement(p, first, privs[priv % len(privs)],
+                                      projection)]
+            if extra % 2:
+                q = parts[extra % len(parts)]
+                privs = privileges(q)
+                reqs.append(CoarseRequirement(
+                    q, other, privs[extra % len(privs)], projection))
+            ops.append(Operation("task", reqs, launch_domain=dom,
+                                 sharding=SHARDINGS[shard % len(SHARDINGS)],
+                                 name=f"g{len(ops)}"))
+        else:
+            regions = [root] + [sub for p in parts for sub in p]
+            reqs = [CoarseRequirement(
+                regions[part % len(regions)],
+                first | other if fmask >= 2 else first,
+                (WRITE_PRIVS + READ_PRIVS)[priv])]
+            if extra % 4 == 0:
+                ofs, oroot, _parts = env[(tree + 1) % len(env)]
+                reqs.append(CoarseRequirement(
+                    oroot, frozenset([ofs["state"]]), READ_PRIVS[extra % 3]))
+            ops.append(Operation("task", reqs, owner_shard=shard,
+                                 name=f"i{len(ops)}"))
+    for i, op in enumerate(ops):
+        op.seq = i
+    return ops
+
+
+def sliced_specs(min_size, max_size):
+    return st.lists(
+        st.tuples(st.sampled_from([True, True, True, False]),
+                  st.sampled_from([0, 0, 1, 2]), st.integers(0, 40),
+                  st.integers(0, 4), st.integers(0, 3), st.integers(0, 15),
+                  st.integers(0, 2), st.integers(0, 4), st.integers(0, 11)),
+        min_size=min_size, max_size=max_size)
+
+
+def epoch_snapshot(fine):
+    """Who is left in the fine epochs, by program position."""
+    def users(epoch):
+        return {(op.seq, user.point, req)
+                for b in epoch._buckets.values()
+                for _index, op, user, req in b.entries}
+    return {key: (users(state.read_epoch), users(state.write_epoch))
+            for key, state in fine._state.items()}
+
+
+class TestGroupRetirement:
+    """A group write retires what its pieces jointly cover: the fine graph
+    keeps the partial order of the brute-force pairwise analysis, the
+    indexed stage stays byte-identical to the naive one (scan counts
+    included), and every cross edge it keeps stays fence-covered."""
+
+    @settings(max_examples=_PRODUCT_EXAMPLES, **_COMMON)
+    @given(sliced_specs(3, 14), st.integers(1, 5))
+    def test_fresh_analysis_matches_ground_truth(self, specs, shards):
+        try:
+            ops = build_sliced_ops(build_sliced_env(), specs)
+            coarse, fine = run_indexed(ops, shards)
+            assert products(coarse, fine) == \
+                products(*run_naive_analysis(ops, shards))
+            assert reachability(fine.result.graph) == \
+                reachability(brute_force_point_graph(ops, shards))
+            assert fine.uncovered_cross_edges(coarse.result) == []
+        except AssertionError:
+            note(f"specs={specs!r} shards={shards}")
+            _dump_artifact(specs, shards, "retirement_failure")
+            raise
+
+    @settings(max_examples=_COVERS_EXAMPLES, **_COMMON)
+    @given(sliced_specs(1, 5), sliced_specs(1, 5), sliced_specs(0, 5),
+           st.integers(1, 5))
+    def test_replayed_fragment_retires_like_fresh_analysis(
+            self, head, body, tail, shards):
+        """``head, body, body, tail`` with the second ``body`` served by an
+        explicit trace replay: ``register_replayed`` leaves exactly the
+        epoch state fresh analysis leaves, and whatever the precise graph
+        no longer orders is ordered by the replay's entry fence."""
+        specs = head + body + body + tail
+        try:
+            ops = build_sliced_ops(build_sliced_env(), specs)
+            start, stop = len(head) + len(body), len(head) + 2 * len(body)
+            traced, fresh = DCRPipeline(shards), DCRPipeline(shards)
+            for i, op in enumerate(ops):
+                if i in (len(head), start):
+                    assert traced.begin_trace(1) == (i == start)
+                traced.analyze(op)
+                if i + 1 in (start, stop):
+                    traced.end_trace()
+                fresh.analyze(op)
+            assert traced.stats.traced_ops == len(body)
+            assert traced.stats.trace_fallbacks == 0
+            assert epoch_snapshot(traced.fine) == epoch_snapshot(fresh.fine)
+            got = reachability(traced.fine_result.graph)
+            want = reachability(brute_force_point_graph(ops, shards))
+            assert got <= want
+            assert all(a.op.seq < start <= b.op.seq for a, b in want - got)
+            traced.validate()
+        except AssertionError:
+            note(f"specs={specs!r} shards={shards} replayed=[{start},{stop})")
+            _dump_artifact(specs, shards, "replay_retirement_failure")
             raise

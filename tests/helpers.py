@@ -255,33 +255,41 @@ class NaiveFineAnalysis:
                 self.result.points_per_shard.get(shard, 0) + 1
         for task in tasks:
             self._analyze_point(task)
+        grouped = self._group_writes(op)
         for task in tasks:
-            self._update_point(task)
-        self._retire_dominated(op, tasks)
+            self._update_point(task, grouped)
+        self._retire_dominated(op, tasks, grouped)
         return tasks
 
-    def _retire_dominated(self, op, tasks):
+    @staticmethod
+    def _group_writes(op):
+        """Indices of the requirements a group launch writes through a
+        disjoint partition: its points retire together, not one by one."""
         from repro.regions import Partition
 
         if not op.is_group:
-            return
+            return ()
+        return [k for k, cr in enumerate(op.coarse_reqs)
+                if cr.privilege.writes and isinstance(cr.upper, Partition)
+                and cr.upper.disjoint]
+
+    def _retire_dominated(self, op, tasks, grouped):
+        """The group rule, with plain point sets: an older user goes when
+        every one of its cells was written by some point of this launch."""
         own = {id(t) for t in tasks}
-        for cr in op.coarse_reqs:
-            if not cr.privilege.writes:
-                continue
-            upper = cr.upper
-            if not (isinstance(upper, Partition) and upper.disjoint
-                    and upper.complete):
-                continue
-            parent = upper.parent_region
-            for f in cr.fields:
-                state = self._state.get((parent.tree_id, f.fid))
+        for k in grouped:
+            written = set()
+            for t in tasks:
+                written |= t.requirements[k].region.index_space.point_set()
+            tree_id = op.coarse_reqs[k].upper.parent_region.tree_id
+            for f in op.coarse_reqs[k].fields:
+                state = self._state.get((tree_id, f.fid))
                 if state is None:
                     continue
                 for epoch in state:
-                    epoch[:] = [e for e in epoch
-                                if id(e[0]) in own
-                                or not _naive_contains(parent, e[1].region)]
+                    epoch[:] = [
+                        e for e in epoch if id(e[0]) in own
+                        or not e[1].region.index_space.point_set() <= written]
 
     def _analyze_point(self, task):
         self.result.graph.add_task(task)
@@ -322,13 +330,15 @@ class NaiveFineAnalysis:
             check(write_epoch)
             check([e for e in read_epoch if e[1].privilege.is_reduce])
 
-    def _update_point(self, task):
-        for req in task.requirements:
+    def _update_point(self, task, grouped):
+        for k, req in enumerate(task.requirements):
             for fid in sorted(f.fid for f in req.fields):
                 state = self._state.setdefault(
                     (req.region.tree_id, fid), ([], []))
                 entry = (task, req)
-                if req.privilege.writes:
+                if req.privilege.writes and k in grouped:
+                    state[0].append(entry)
+                elif req.privilege.writes:
                     state[1][:] = [e for e in state[1]
                                    if not _naive_contains(req.region,
                                                           e[1].region)]

@@ -102,6 +102,38 @@ class TestFunctionalSoak:
         for state in fine._state.values():
             assert len(state.write_epoch) + len(state.read_epoch) <= 20
 
+    def test_sliced_stencil_fine_stage_stays_linear(self):
+        """``u[1:n-1] = (u[0:n-2] + u[2:n]) * 0.5`` writes through a
+        disjoint, incomplete rect partition whose readers each straddle
+        two written tiles: no single piece contains a reader, only the
+        launch's pieces together do.  The group write retires them: cross
+        edges are exactly 29 per iteration, and edges and epoch population
+        grow with the iteration count k, not its square (counts, no
+        timings).
+
+        What still grows: cells 0 and n-1 are read every iteration and
+        never written, so the readers of the two boundary tiles are
+        retired by nothing — 2 live entries per iteration, each an in-edge
+        of every later write of its neighbour tile, which is the part of
+        ``deps`` above 2x.  A same-class supersession rule would remove
+        them; it does not move the 50-iteration benchmark and is filed
+        under ROADMAP 7c."""
+        from repro.legate import make_wave, sliced_stencil
+
+        def analyse(k):
+            rt = Runtime(num_shards=4)
+            rt.execute(sliced_stencil, make_wave(2048), k, 8)
+            fine = rt.pipeline.fine
+            return (len(fine.result.graph.deps), len(fine.result.cross_edges),
+                    max(len(s.read_epoch) + len(s.write_epoch)
+                        for s in fine._state.values()))
+
+        deps20, cross20, live20 = analyse(20)
+        deps40, cross40, live40 = analyse(40)
+        assert (cross20, cross40) == (29 * 20 - 1, 29 * 40 - 1)
+        assert deps40 <= 2.5 * deps20
+        assert live20 <= 2 * 20 + 16 and live40 <= 2 * 40 + 16
+
 
 class TestControlPlaneIgnoresPayloadSize:
     """What the control plane pays per decision must not scale with the

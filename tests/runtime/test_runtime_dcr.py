@@ -146,3 +146,50 @@ def test_nested_region_tree_under_dcr():
         left_read = [t for t in reads if t.point == 0][0]
         assert set(g.predecessors(left_read)) >= set(writers)
         rt.pipeline.validate()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_half_domain_rewrite_keeps_the_other_half_ordered(shards):
+    """A launch over half the colours of a complete partition retires only
+    what it wrote: the reader of every tile still follows the first writer
+    in the tiles the second launch left alone."""
+    from helpers import brute_force_point_graph, reachability
+
+    def main(ctx):
+        fs = ctx.create_field_space([("x", "f8")])
+        r = ctx.create_region(ctx.create_index_space(16), fs, "r")
+        tiles = ctx.partition_equal(r, 4)
+
+        def setv(point, arg, base):
+            arg["x"].view[...] = base + point
+
+        def tile_sum(point, arg):
+            return float(arg["x"].view.sum())
+
+        ctx.index_launch(setv, range(4), [(tiles, "x", "rw")], args=(1.0,))
+        ctx.index_launch(setv, range(2), [(tiles, "x", "rw")], args=(10.0,))
+        return ctx.index_launch(tile_sum, range(4),
+                                [(tiles, "x", "ro")]).get_all()
+
+    rt = Runtime(num_shards=shards, backend="inprocess")
+    assert rt.execute(main) == {0: 40.0, 1: 44.0, 2: 12.0, 3: 16.0}
+    rt.pipeline.validate()
+    ops = [r.op for r in rt.pipeline.records]
+    assert reachability(rt.task_graph()) == \
+        reachability(brute_force_point_graph(ops, shards))
+
+
+@pytest.mark.parametrize("shards", [1, 3, 4])
+@pytest.mark.parametrize("program", ["sliced_stencil", "explicit_stencil"])
+def test_stencil_fine_graph_keeps_the_sequential_order(program, shards):
+    """Sliced writes retire readers that straddle two written tiles; the
+    precise graph must still induce the brute-force partial order."""
+    from helpers import brute_force_point_graph, reachability
+    from repro import legate
+
+    rt = Runtime(num_shards=shards)
+    rt.execute(getattr(legate, program), legate.make_wave(257), 12, 5)
+    rt.pipeline.validate()
+    ops = [r.op for r in rt.pipeline.records]
+    assert reachability(rt.task_graph()) == \
+        reachability(brute_force_point_graph(ops, shards))
