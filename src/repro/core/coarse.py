@@ -472,7 +472,6 @@ class CoarseAnalysis:
         applied — otherwise operations issued after the trace would compare
         against pre-trace state and miss dependences on replayed work.
         """
-        self.result.ops_analyzed += 1
         self._update(op)
 
     # -- scanning ------------------------------------------------------------------

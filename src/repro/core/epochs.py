@@ -36,7 +36,7 @@ from ..regions import (LogicalRegion, cached_region_contains,
                        register_cache_clearer)
 
 __all__ = ["CLASS_BITS", "ClassTable", "Epoch", "FieldState",
-           "sorted_fids"]
+           "entries_of", "sorted_fids"]
 
 CLASS_BITS = 20                  # decision keys pack (bcid << 20) | qcid
 _MAX_DECISIONS = 1 << 22
@@ -393,3 +393,16 @@ class FieldState:
             self.read_epoch.retire_contained(bound, keep_ids)
         if self.write_epoch._size:
             self.write_epoch.retire_contained(bound, keep_ids)
+
+
+def entries_of(states: Dict[Tuple[int, int], FieldState], op_ids):
+    """The live entries of the operations whose ``id`` is in ``op_ids``,
+    over a stage's field states: ``(state, op, user, req, region)``, each
+    epoch's in insertion order."""
+    for state in states.values():
+        for epoch in (state.read_epoch, state.write_epoch):
+            found = [(e, b.region) for b in epoch._buckets.values()
+                     for e in b.entries if id(e[1]) in op_ids]
+            found.sort(key=lambda hit: hit[0][0])
+            for (_index, op, user, req), region in found:
+                yield state, op, user, req, region

@@ -180,11 +180,15 @@ class PointTask:
 
     __slots__ = ("op", "point", "shard", "requirements", "_hash")
 
-    def __init__(self, op: Operation, point: Hashable, shard: int):
+    def __init__(self, op: Operation, point: Hashable, shard: int,
+                 requirements: Optional[Tuple[RegionRequirement, ...]] = None):
         self.op = op
         self.point = point
         self.shard = shard
-        self.requirements = op.point_requirements(point)
+        # A trace replay passes the recorded point's requirements: the
+        # signature it matched determines every field of them.
+        self.requirements = op.point_requirements(point) \
+            if requirements is None else requirements
         self._hash = hash((op.uid, point))
 
     def __hash__(self) -> int:

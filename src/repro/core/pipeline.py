@@ -28,11 +28,15 @@ SC'18, used by Fig. 21) in two modes:
 
 Both modes replay through the one cursor step in :meth:`analyze`: the op's
 signature is computed once, checked against the recording, and the
-dependence structure served from the cache at O(1) cost per operation.  A
-divergence never raises out of :meth:`analyze`: the pipeline aborts the
-replay, evicts the stale recording, and falls back to fresh analysis of
-the offending op (``stats.trace_fallbacks`` counts these) — Legion's
-safe-fallback semantics.
+dependence structure served from the cache — per operation a signature, a
+cursor step, point tasks built from the recorded ones and the recorded
+edges rebound.  A replay reads no epoch state, so what the served ops leave
+in the epochs is folded *per run* of back-to-back replays, in
+:meth:`settle`, before anything reads it.  A divergence never raises out
+of :meth:`analyze`: the pipeline aborts the replay, evicts the stale
+recording, and falls back to fresh analysis of the offending op
+(``stats.trace_fallbacks`` counts these) — Legion's safe-fallback
+semantics; the served prefix is settled op by op before that analysis.
 """
 
 from __future__ import annotations
@@ -42,9 +46,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.events import (CAT_FINE, CAT_PIPELINE, CAT_TRACE, CONTROL_SHARD,
-                          EV_FINE_POINTS, EV_OP_ANALYZE, EV_TRACE_REPLAY)
+                          EV_FINE_POINTS, EV_OP_ANALYZE, EV_TRACE_REPLAY,
+                          EV_TRACE_SETTLE)
 from ..obs.profiler import Profiler, get_profiler
 from .coarse import CoarseAnalysis, CoarseResult, Fence
+from .epochs import entries_of
 from .fine import FineAnalysis, FineResult
 from .operation import Operation, PointTask
 from .tracing import AutoTracer, TraceCache, TraceMismatch, _op_signature
@@ -185,6 +191,10 @@ class DCRPipeline:
         # (trace id, index of its first record) while an explicit trace
         # with no recording yet is being analyzed fresh.
         self._recording: Optional[Tuple[object, int]] = None
+        # Records served by back-to-back replays of one recording (the
+        # object ``_run_rec``) that :meth:`settle` has not folded yet.
+        self._run: List[OpRecord] = []
+        self._run_rec = None
         self._next_seq = 0
 
     @property
@@ -202,7 +212,7 @@ class DCRPipeline:
         prof = self.profiler
         t_start = prof.now_us() if prof.enabled else 0.0
         op.seq = self._next_seq
-        record: Optional[OpRecord] = None
+        served = None
         traces = self._traces
         # Explicit traces are application-managed: the tracer stands down.
         auto = None if self._explicit_trace else self._auto
@@ -212,19 +222,21 @@ class DCRPipeline:
             if auto is not None:
                 auto.step(traces, signature)
             try:
-                record = traces.try_replay(op, signature, self.num_shards)
+                served = traces.try_replay(op, signature)
             except TraceMismatch:
                 # Safe fallback (Legion): abandon the replay, evict the
                 # stale recording so the next occurrence re-records, and
                 # analyze this op freshly.  The served prefix stays sound —
-                # its products are already in the epochs.
+                # it is settled into the epochs before that analysis.
                 if auto is not None:
                     auto.forget(traces.current_trace)
                 traces.abort_replay(evict=True)
                 self.stats.trace_fallbacks += 1
-        if record is not None:
-            self._integrate_replay(record)
+        if served is not None:
+            record = self._integrate_replay(op, *served)
         else:
+            if self._run:
+                self.settle()
             record = self._analyze_fresh(op)
         self._next_seq = op.seq + 1
         self.records.append(record)
@@ -311,41 +323,132 @@ class DCRPipeline:
                                deltas.get(shard, 0))
         prof.metrics.count("fine.ops")
 
-    def _integrate_replay(self, record: OpRecord) -> None:
-        """Fold a trace-replayed record into the global analysis results."""
-        self.stats.traced_ops += 1
-        # Replayed elisions are credited from the recording so the
-        # tracing x elision ablation attributes them to every iteration,
-        # and the skipped epoch scans are surfaced as savings.
-        self.stats.fences_elided += record.fences_elided
-        self.stats.scans_saved += record.scans_saved
+    def _integrate_replay(self, op: Operation, entry, tasks, edges, fences,
+                          coarse_deps) -> OpRecord:
+        """Join one replayed op's products to the global analysis results.
+
+        Only *results* are produced here; the op's effect on the epoch
+        state waits in ``_run`` for :meth:`settle`."""
+        traces = self._traces
+        rec = traces.recording
+        if self._run and (rec is not self._run_rec or (
+                traces.served == 1 and len(self._run) % len(rec.entries))):
+            # A different recording, or a new fragment after a partial one:
+            # what is waiting is not a prefix of this run.
+            self.settle()
+        self._run_rec = rec
+        coarse, fine = self.coarse.result, self.fine.result
         # Replayed fences and deps still join the coarse result so the
         # fence-coverage invariant can be checked uniformly, and traced
         # point tasks join the global precise graph so the functional
         # execution sees a complete ordering.  Integration dedupes: a fence
         # already present (e.g. the recorded scope of the op carrying the
         # replay's global entry fence) is one physical all-gather, and the
-        # record is rebound to the fences actually inserted so
-        # ``stats.fences`` and the simulator's collective charges count
-        # each fence exactly once — identical to an untraced run.
-        record.fences = [f for f in record.fences
-                         if self.coarse.result.fences.add(f)]
-        self.coarse.result.deps |= record.coarse_deps
-        # Fold the replay into both stages' epoch state so operations
-        # issued *after* the trace see the replayed work (without this,
-        # post-trace launches silently miss dependences on it).
-        self.coarse.register_replayed(record.op)
-        self.fine.register_replayed(record.op, record.point_tasks)
-        self.fine.result.graph.add_tasks(record.point_tasks)
-        for t in record.point_tasks:
-            self.fine.result.points_per_shard[t.shard] = \
-                self.fine.result.points_per_shard.get(t.shard, 0) + 1
-        for prev, nxt in record.in_edges:
-            self.fine.result.graph.add_dep(prev, nxt)
-            if prev.shard == nxt.shard:
-                self.fine.result.local_edges.add((prev, nxt))
+        # record holds the fences actually inserted so ``stats.fences`` and
+        # the simulator's collective charges count each fence exactly once
+        # — identical to an untraced run.
+        record = OpRecord(
+            op=op, coarse_deps=coarse_deps,
+            fences=[f for f in fences if coarse.fences.add(f)],
+            point_tasks=tasks, coarse_scans=0, traced=True,
+            # Replayed elisions are credited from the recording so the
+            # tracing x elision ablation attributes them to every
+            # iteration, and the skipped epoch scans surface as savings.
+            fences_elided=entry.fences_elided,
+            scans_saved=entry.coarse_scans + entry.fine_scans,
+            in_edges=edges)
+        self._run.append(record)
+        self.stats.traced_ops += 1
+        self.stats.fences_elided += record.fences_elided
+        self.stats.scans_saved += record.scans_saved
+        coarse.deps |= coarse_deps
+        coarse.ops_analyzed += 1
+        fine.graph.add_tasks(tasks)
+        points = fine.points_per_shard
+        for shard, n in entry.shard_points.items():
+            points[shard] = points.get(shard, 0) + n
+        fine.graph.add_deps(edges)
+        for edge in edges:
+            if edge[0].shard == edge[1].shard:
+                fine.local_edges.add(edge)
             else:
-                self.fine.result.cross_edges.add((prev, nxt))
+                fine.cross_edges.add(edge)
+        return record
+
+    def settle(self) -> None:
+        """Fold the waiting run of replays into both stages' epoch state.
+
+        Operations issued after a trace must find the replayed writers and
+        readers in the epochs.  An epoch entry's fate depends only on its
+        own region and on the bounds retired after it, and every full
+        fragment of a run retires the same bounds ``R``: of a fragment
+        that another full one follows, exactly ``carry`` — its live-out
+        less ``R`` — survives, whatever came before.  So the first two
+        fragments a recording ever settles are folded op by op and the
+        carry is read off the first; later ones enter their carry, and the
+        last full fragment and any partial one (mismatch fallback,
+        ``suspend``, short explicit replay) are folded op by op through
+        ``register_replayed`` — the ``_update`` fresh analysis ends in,
+        which retires ``R`` from everything entered before.
+        """
+        run, rec = self._run, self._run_rec
+        if not run:
+            return
+        prof = self.profiler
+        t_start = prof.now_us() if prof.enabled else 0.0
+        self._run, self._run_rec = [], None
+        n = len(rec.entries)
+        full = len(run) // n
+        first = 0 if rec.carry is not None else 2
+        entered = 0
+        for i in range(-(-len(run) // n)):
+            frag = run[i * n:(i + 1) * n]
+            if first <= i < full - 1:
+                entered += self._enter_carry(rec.carry, frag)
+                continue
+            for r in frag:
+                self.coarse.register_replayed(r.op)
+                self.fine.register_replayed(r.op, r.point_tasks)
+            if i == 1 and rec.carry is None and full >= 2:
+                rec.carry = self._carry_of(run[:n])
+        if prof.enabled:
+            prof.complete(CONTROL_SHARD, CAT_TRACE, EV_TRACE_SETTLE, t_start,
+                          prof.now_us() - t_start, fragments=full,
+                          entries=entered, partial_ops=len(run) - full * n)
+            prof.metrics.count("trace.settles")
+            prof.metrics.count("trace.entries_folded", entered)
+
+    def _carry_of(self, frag: List[OpRecord]) -> List[Tuple]:
+        """What is left of ``frag`` in the epochs now that the fragment
+        after it is folded too, as ``(field state, op offset, task index,
+        requirement index, region)`` — positions any occurrence can be
+        read through — in each epoch's insertion order.  The task index is
+        None for the coarse stage, whose user is the op itself."""
+        offsets = {id(r.op): i for i, r in enumerate(frag)}
+        carry = []
+        for stage in (self.coarse, self.fine):
+            for state, op, user, req, region in entries_of(stage._state,
+                                                           offsets):
+                off = offsets[id(op)]
+                if user is op:
+                    where = None, op.coarse_reqs.index(req)
+                else:
+                    where = (frag[off].point_tasks.index(user),
+                             user.requirements.index(req))
+                carry.append((state, off, *where, region))
+        return carry
+
+    @staticmethod
+    def _enter_carry(carry: List[Tuple], frag: List[OpRecord]) -> int:
+        for state, off, index, k, region in carry:
+            op = frag[off].op
+            if index is None:
+                user, req = op, op.coarse_reqs[k]
+            else:
+                user = frag[off].point_tasks[index]
+                req = user.requirements[k]
+            state.update(op, user, req, region, retire=False)
+        return len(carry)
 
     def run_program(self, ops: Sequence[Operation]) -> List[OpRecord]:
         return [self.analyze(op) for op in ops]
@@ -368,6 +471,7 @@ class DCRPipeline:
 
     def end_trace(self) -> None:
         self._explicit_trace = False
+        self.settle()
         traces = self._traces
         if self._recording is not None:
             trace_id, start = self._recording
@@ -390,6 +494,7 @@ class DCRPipeline:
         history so no identified fragment ever spans the event."""
         if self._auto is not None:
             self._auto.suspend(self._traces)
+        self.settle()
 
     # -- results -----------------------------------------------------------------
 
@@ -403,6 +508,7 @@ class DCRPipeline:
 
     def validate(self) -> None:
         """Check the fence-soundness invariant; raises on violation."""
+        self.settle()
         bad = self.fine.uncovered_cross_edges(self.coarse.result)
         if bad:
             raise AssertionError(

@@ -36,16 +36,22 @@ cursor (:meth:`TraceCache.try_replay`).  A mid-replay divergence is
 survivable: the pipeline aborts the replay via
 :meth:`TraceCache.abort_replay`, evicts the stale recording, and falls back
 to fresh analysis of the offending operation (Legion's behavior) — the
-prefix already served remains sound because each replayed op's products
-were folded into the epoch state as it was served.
+prefix already served remains sound because the pipeline folds it into the
+epoch state (:meth:`DCRPipeline.settle`) before that operation is analysed.
+
+A replay costs, per operation, one signature, one cursor step, the point
+tasks built from the recorded ones (same point, shard and requirement
+objects — the signature pins every field of them) and the recorded edges
+rebound by position.  What a *run* of replays leaves in the epochs is
+folded once per run, by the pipeline.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import (Deque, Dict, Hashable, List, Optional, Sequence, Set,
-                    Tuple, TYPE_CHECKING)
+from typing import (Deque, Dict, Hashable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..obs.events import (CAT_FAULT, CAT_TRACE, CONTROL_SHARD,
                           EV_FAULT_INJECT, EV_TRACE_FALLBACK,
@@ -57,7 +63,6 @@ from .operation import Operation, PointTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
-    from .pipeline import OpRecord
 
 __all__ = ["TraceMismatch", "TraceCache", "AutoTraceConfig",
            "TraceIdentifier", "AutoTracer", "auto_replay_flags"]
@@ -105,8 +110,12 @@ class _TraceEntry:
 
     signature: Tuple
     fence_scopes: List[Tuple[object, frozenset]] = field(default_factory=list)
-    # (source op offset within trace, source point, destination point)
-    internal_edges: List[Tuple[int, Hashable, Hashable]] = field(default_factory=list)
+    # Point templates: the recorded tasks, whose point, shard and (frozen)
+    # requirements every occurrence's tasks share.
+    tasks: List[PointTask] = field(default_factory=list)
+    shard_points: Dict[int, int] = field(default_factory=dict)
+    # (source op offset within trace, source task index, destination index)
+    internal_edges: List[Tuple[int, int, int]] = field(default_factory=list)
     coarse_dep_offsets: List[int] = field(default_factory=list)
     # Cost-accounting templates: what the recorded analysis did, so replays
     # can credit the same elisions and report the work they saved.
@@ -118,6 +127,9 @@ class _TraceEntry:
 @dataclass
 class _Recording:
     entries: List[_TraceEntry] = field(default_factory=list)
+    # What one occurrence leaves in the epochs once the next occurrence has
+    # been folded over it; the pipeline reads it off its first such fold.
+    carry: Optional[List] = None
 
 
 class TraceCache:
@@ -132,9 +144,10 @@ class TraceCache:
         self._traces: Dict[Hashable, _Recording] = {}
         self._state = self.IDLE
         self._tid: Optional[Hashable] = None
+        self._rec: Optional[_Recording] = None
         self._index = 0
         self._replay_ops: List[Operation] = []
-        self._replay_tasks: Dict[Tuple[int, Hashable], PointTask] = {}
+        self._replay_tasks: List[List[PointTask]] = []   # per served op
         self.replays = 0
         self.recordings = 0
         self.aborts = 0
@@ -149,9 +162,10 @@ class TraceCache:
             return False
         self._state = self.REPLAYING
         self._tid = trace_id
+        self._rec = self._traces[trace_id]
         self._index = 0
         self._replay_ops = []
-        self._replay_tasks = {}
+        self._replay_tasks = []
         self.replays += 1
         prof = self.profiler
         if prof.enabled:
@@ -189,27 +203,26 @@ class TraceCache:
     def end(self) -> None:
         """Leave a replay; raises when it served fewer ops than recorded."""
         try:
-            if self._state == self.REPLAYING:
-                rec = self._traces[self._tid]  # type: ignore[index]
-                if self._index != len(rec.entries):
-                    raise TraceMismatch(
-                        f"trace {self._tid} replay ended after {self._index} "
-                        f"of {len(rec.entries)} operations")
+            if self._state == self.REPLAYING \
+                    and self._index != len(self._rec.entries):
+                raise TraceMismatch(
+                    f"trace {self._tid} replay ended after {self._index} "
+                    f"of {len(self._rec.entries)} operations")
         finally:
             # Never leave the cache wedged in REPLAYING: even when the
             # mismatch is raised, the state resets so the caller can fall
             # back to fresh analysis.
             self._state = self.IDLE
-            self._tid = None
+            self._tid = self._rec = None
             self._index = 0
 
     def abort_replay(self, evict: bool = True) -> int:
         """Abandon an in-progress replay and reset to IDLE (safe fallback).
 
-        The ops already served remain sound — their analysis products were
-        folded into the pipeline's epoch state as they were replayed — so
-        abandoning mid-replay only means the *rest* of the fragment gets
-        fresh analysis.  Returns the number of ops that were served.
+        The ops already served remain sound — the pipeline folds them into
+        its epoch state before it analyses anything fresh — so abandoning
+        mid-replay only means the *rest* of the fragment gets fresh
+        analysis.  Returns the number of ops that were served.
         With ``evict`` the stale recording is dropped so the next occurrence
         re-records instead of diverging again.
         """
@@ -218,10 +231,10 @@ class TraceCache:
         served = self._index
         tid = self._tid
         self._state = self.IDLE
-        self._tid = None
+        self._tid = self._rec = None
         self._index = 0
         self._replay_ops = []
-        self._replay_tasks = {}
+        self._replay_tasks = []
         self.aborts += 1
         if evict:
             self._traces.pop(tid, None)
@@ -248,17 +261,25 @@ class TraceCache:
         return self._tid
 
     @property
+    def recording(self) -> Optional[_Recording]:
+        """The recording being replayed (the object, which an evict plus
+        re-record under the same trace id replaces)."""
+        return self._rec
+
+    @property
+    def served(self) -> int:
+        """How many ops the active replay has served."""
+        return self._index
+
+    @property
     def replay_done(self) -> bool:
         """True when an active replay has served every recorded op."""
-        if self._state != self.REPLAYING:
-            return False
-        rec = self._traces[self._tid]  # type: ignore[index]
-        return self._index >= len(rec.entries)
+        return self._state == self.REPLAYING \
+            and self._index >= len(self._rec.entries)
 
     # -- recording ------------------------------------------------------------------
 
-    def record(self, trace_id: Hashable,
-               records: Sequence["OpRecord"]) -> None:
+    def record(self, trace_id: Hashable, records: Sequence) -> None:
         """Build a recording from already-analyzed records.
 
         The pipeline keeps each fresh record's fences, coarse deps and
@@ -273,7 +294,10 @@ class TraceCache:
             entries = list(records)
         else:
             offset_of = {id(r.op): i for i, r in enumerate(records)}
-            entries = [self._entry_for(r, offset_of) for r in records]
+            index_of = {id(t): i for r in records
+                        for i, t in enumerate(r.point_tasks)}
+            entries = [self._entry_for(r, offset_of, index_of)
+                       for r in records]
         self._traces[trace_id] = _Recording(entries)
         self.recordings += 1
         prof = self.profiler
@@ -284,22 +308,23 @@ class TraceCache:
         self._maybe_corrupt(trace_id)
 
     @staticmethod
-    def _entry_for(record, offset_of: Dict[int, int]) -> _TraceEntry:
+    def _entry_for(record, offset_of: Dict[int, int],
+                   index_of: Dict[int, int]) -> _TraceEntry:
         entry = _TraceEntry(
             signature=_op_signature(record.op),
-            fences_elided=getattr(record, "fences_elided", 0),
+            tasks=record.point_tasks,
+            shard_points=Counter(t.shard for t in record.point_tasks),
+            fences_elided=record.fences_elided,
             coarse_scans=record.coarse_scans,
-            fine_scans=getattr(record, "fine_scans", 0))
+            fine_scans=record.fine_scans)
         for f in record.fences:
             entry.fence_scopes.append((f.region, f.fields))
-        dests: Set[PointTask] = set(record.point_tasks)
         for prev, nxt in record.in_edges:
-            if nxt not in dests:
-                continue
             src = offset_of.get(id(prev.op))
             if src is None or prev.op is record.op:
                 continue  # external edge: covered by the replay entry fence
-            entry.internal_edges.append((src, prev.point, nxt.point))
+            entry.internal_edges.append(
+                (src, index_of[id(prev)], index_of[id(nxt)]))
         for (prev_op, _op) in record.coarse_deps:
             src = offset_of.get(id(prev_op))
             if src is not None:
@@ -317,7 +342,7 @@ class TraceCache:
         """
         if self._state != self.REPLAYING:
             return None
-        rec = self._traces[self._tid]  # type: ignore[index]
+        rec = self._rec
         if self._index >= len(rec.entries):
             raise TraceMismatch(
                 f"trace {self._tid} replay received more operations than "
@@ -330,54 +355,37 @@ class TraceCache:
         self._index += 1
         return entry
 
-    def try_replay(self, op: Operation, signature: Tuple, num_shards: int):
+    def try_replay(self, op: Operation, signature: Tuple):
         """Serve one op from the active replay, or return None.
 
+        Returns ``(entry, point tasks, in-edges, fences, coarse deps)``
+        for this occurrence; the caller builds its own record from them.
         ``op.seq`` is already assigned; :meth:`match` may raise
         :class:`TraceMismatch`.
         """
         entry = self.match(signature)
         if entry is None:
             return None
-        from .pipeline import OpRecord  # local import avoids a cycle
-
         seq = op.seq
-        point_tasks = [
-            PointTask(op, p, op.shard_of(p, num_shards)) for p in op.points()]
-        offset = len(self._replay_ops)
-        for t in point_tasks:
-            self._replay_tasks[(offset, t.point)] = t
-        fences: List[Fence] = []
-        if offset == 0:
+        tasks = [PointTask(op, t.point, t.shard, t.requirements)
+                 for t in entry.tasks]
+        ops, served = self._replay_ops, self._replay_tasks
+        if not ops:
             # Global entry fence: orders everything before the trace.  It
             # subsumes any recorded scoped fence at this position (a global
             # fence at seq p covers strictly more cross edges than a scoped
             # one at p), so replaying the recorded scopes here would only
             # double-charge collectives the entry fence already performs.
-            fences.append(Fence(at_seq=seq, region=None,
-                                fields=frozenset()))
+            fences = [Fence(at_seq=seq, region=None, fields=frozenset())]
         else:
-            for scope_region, scope_fields in entry.fence_scopes:
-                fences.append(Fence(at_seq=seq, region=scope_region,
-                                    fields=scope_fields))
-        edges: List[Tuple[PointTask, PointTask]] = []
-        by_point = {t.point: t for t in point_tasks}
-        for src_off, src_point, dst_point in entry.internal_edges:
-            src = self._replay_tasks.get((src_off, src_point))
-            dst = by_point.get(dst_point)
-            if src is not None and dst is not None:
-                edges.append((src, dst))
-        coarse_deps = {
-            (self._replay_ops[off], op) for off in entry.coarse_dep_offsets
-            if off < len(self._replay_ops)
-        }
-        self._replay_ops.append(op)
-        return OpRecord(
-            op=op, coarse_deps=coarse_deps, fences=fences,
-            point_tasks=point_tasks, coarse_scans=0, traced=True,
-            fences_elided=entry.fences_elided,
-            scans_saved=entry.coarse_scans + entry.fine_scans,
-            in_edges=edges)
+            fences = [Fence(at_seq=seq, region=region, fields=fields)
+                      for region, fields in entry.fence_scopes]
+        edges = [(served[off][i], tasks[j])
+                 for off, i, j in entry.internal_edges]
+        coarse_deps = {(ops[off], op) for off in entry.coarse_dep_offsets}
+        ops.append(op)
+        served.append(tasks)
+        return entry, tasks, edges, fences, coarse_deps
 
 
 # ---------------------------------------------------------------------------

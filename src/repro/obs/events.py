@@ -23,6 +23,7 @@ __all__ = [
     "EV_OP_ANALYZE", "EV_COARSE_GROUP", "EV_FINE_POINTS",
     "EV_FENCE_INSERT", "EV_FENCE_ELIDE",
     "EV_TRACE_RECORD", "EV_TRACE_REPLAY", "EV_TRACE_FALLBACK",
+    "EV_TRACE_SETTLE",
     "EV_DET_CHECK", "EV_DET_LOCALIZE",
     "EV_EXEC_POINT", "EV_CONTROL_REPLAY", "EV_SIM_EVENT",
     "EV_FAULT_INJECT", "EV_FAULT_RETRY", "EV_SHARD_CRASH",
@@ -67,6 +68,7 @@ EV_FENCE_ELIDE = "fence.elide"         # instant: fence(s) provably elided
 EV_TRACE_RECORD = "trace.record"       # instant: a fragment was recorded
 EV_TRACE_REPLAY = "trace.replay"       # instant: a replay began serving
 EV_TRACE_FALLBACK = "trace.fallback"   # instant: replay abandoned (divergence)
+EV_TRACE_SETTLE = "trace.settle"       # span: a run of replays folded into epochs
 EV_DET_CHECK = "determinism.check"     # span: one batched hash all-reduce
 EV_DET_LOCALIZE = "determinism.localize"  # span: window allgather + bisect
 EV_EXEC_POINT = "exec.point"           # span: one point task body

@@ -17,7 +17,8 @@ Usage::
 ``--demo`` exists so CI (and new users) can produce a realistic profile
 with one command: it runs a few time-steps of the halo stencil through the
 real runtime with automatic trace identification on, so the resulting
-timeline shows fresh analysis, a retroactive recording, and replays.
+timeline shows fresh analysis, a retroactive recording, replays, and the
+one settle that folds the replayed steps into the epochs.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def render_summary(profile: Dict[str, Any], top: int = 5) -> str:
                     "coarse.scans", "coarse.fences_inserted",
                     "coarse.fences_elided", "collectives.rounds",
                     "trace.recordings", "trace.replays", "trace.fallbacks",
+                    "trace.settles", "trace.entries_folded",
                     "determinism.batches"):
             if key in metrics:
                 lines.append(f"  {key:<26} {metrics[key]:g}")

@@ -22,22 +22,30 @@ program with ``build_ops(build_env(), specs)``.
 """
 
 import contextlib
+import inspect
 import json
 import os
+import textwrap
+from collections import Counter
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, note, settings, strategies as st
 
 from helpers import (analysis_digest, brute_force_point_graph,
                      naive_covers_cross_edge, reachability,
                      run_naive_analysis)
 
-from repro.core import coarse as coarse_stage, fine as fine_stage
+from repro.core import (coarse as coarse_stage, fine as fine_stage,
+                        pipeline as pipeline_module)
 from repro.core.coarse import CoarseAnalysis
+from repro.core.epochs import FieldState
 from repro.core.fine import FineAnalysis
 from repro.core.operation import (CoarseRequirement, IDENTITY_PROJECTION,
                                   Operation, ProjectionFunction)
 from repro.core.pipeline import DCRPipeline
 from repro.core.sharding import BLOCKED, CYCLIC, HASHED
+from repro.faults import FaultInjector, FaultPlan
 from repro.oracle import READ_ONLY, READ_WRITE, WRITE_DISCARD, reduce_priv
 from repro.regions import (FieldSpace, IndexSpace, LogicalRegion, Rect,
                            clear_region_caches)
@@ -513,3 +521,219 @@ class TestGroupRetirement:
             note(f"specs={specs!r} shards={shards} replayed=[{start},{stop})")
             _dump_artifact(specs, shards, "replay_retirement_failure")
             raise
+
+
+# ---------------------------------------------------------------------------
+# Replays folded per run against the eager, per-op fold (ISSUE 22)
+# ---------------------------------------------------------------------------
+
+class EagerPipeline(DCRPipeline):
+    """The fold as it was before replays were settled per run: every
+    replayed op enters the epochs the moment it is served."""
+
+    def _integrate_replay(self, *served):
+        record = super()._integrate_replay(*served)
+        self.settle()
+        return record
+
+
+def ordered_snapshot(stage):
+    """Who is left in a stage's epochs, by program position and in each
+    epoch's insertion order (the coarse stage observes it) — after checking
+    the counters every epoch keeps against the entries it holds."""
+    def users(epoch):
+        held = sorted((e for b in epoch._buckets.values() for e in b.entries),
+                      key=lambda e: e[0])
+        assert all(b.entries and len(b.users) == len(b.entries)
+                   for b in epoch._buckets.values())
+        assert epoch._size == len(epoch) == len(held)
+        assert epoch._reduce_size == sum(
+            len(b.entries) for b in epoch._buckets.values() if b.is_reduce)
+        assert epoch._members == {(user, req) for _i, _op, user, req in held}
+        assert epoch._op_counts == Counter(id(op) for _i, op, _u, _r in held)
+        return [(op.seq, getattr(user, "point", None), req)
+                for _index, op, user, req in held]
+    return {key: (users(state.read_epoch), users(state.write_epoch))
+            for key, state in stage._state.items()}
+
+
+def record_key(record):
+    """What an op's analysis produced, by program position."""
+    return (record.op.seq, record.traced, record.coarse_scans,
+            record.fine_scans, record.fences_elided, record.scans_saved,
+            [(f.at_seq, f.region, f.fields) for f in record.fences],
+            sorted((a.seq, b.seq) for a, b in record.coarse_deps),
+            sorted((a.op.seq, repr(a.point), repr(b.point))
+                   for a, b in record.in_edges))
+
+
+def replay_program(head, body, tail, k, explicit, cut, fence_at, bracket_at):
+    """The script of ``head + body × k + tail`` as ``(action, argument)``
+    steps: under ``explicit`` every body sits in ``begin_trace(1)`` /
+    ``end_trace()``; ``cut = j`` ends the last body after ``j`` ops with an
+    op no recording holds (a truncation and a divergence in one);
+    ``fence_at = (i, j)`` lands an execution fence before op ``j`` of body
+    ``i``; ``bracket_at = i`` puts bodies ``i`` and ``i + 1`` of an
+    automatic run inside an explicit trace of their own."""
+    env = build_sliced_env()
+    ops = build_sliced_ops(env, head + body * k + tail)
+    n = len(body)
+    script = [("op", op) for op in ops[:len(head)]]
+    for i in range(k):
+        chunk = ops[len(head) + i * n:len(head) + (i + 1) * n]
+        last = cut is not None and i == k - 1
+        steps = [("op", op) for op in (chunk[:cut] if last else chunk)]
+        if fence_at is not None and fence_at[0] == i:
+            steps.insert(min(fence_at[1], len(steps)), ("fence", None))
+        if last:
+            _fs, root, _parts = env[0]
+            steps.append(("op", Operation(
+                "diverge", [CoarseRequirement(
+                    root, frozenset(root.field_space.fields), READ_WRITE)],
+                name="diverge")))
+        if explicit or bracket_at in (i, i - 1):
+            steps = [("begin", 1 if explicit else 7)] + steps + [("end", None)]
+        script += steps
+    return script + [("op", op) for op in ops[len(head) + k * n:]]
+
+
+def run_script(pipeline, script, traced=True):
+    for action, arg in script:
+        if action == "op":
+            pipeline.analyze(arg)
+        elif action == "fence":
+            pipeline.note_external_fence()
+        elif traced and action == "begin":
+            pipeline.begin_trace(arg)
+        elif traced:
+            pipeline.end_trace()
+    pipeline.validate()
+
+
+def check_replayed_loop(head, body, tail, k, shards, variant, explicit, at,
+                        cls=DCRPipeline):
+    """``head + body × (k + warm-up) + tail`` through a ``cls`` pipeline, an
+    eager one and a trace-free one: all three must leave the same epochs,
+    and produce the same records.  ``k`` bodies are served by replay when
+    nothing disturbs the loop — the warm-up is what a recording is cut
+    from: one body under an explicit trace, two under the repeat detector.
+    ``variant`` disturbs it at body ``at[0]``, position ``at[1]`` (both
+    wrapped into range); see :func:`replay_program`."""
+    explicit = explicit and variant != "bracket"
+    n, bodies = len(body), k + (1 if explicit else 2)
+    i, j = at[0] % bodies, at[1]
+    script = replay_program(
+        head, body, tail, bodies, explicit,
+        cut=j % n if variant == "cut" else None,
+        fence_at=(i, j % (n + 1)) if variant == "fence" else None,
+        bracket_at=i if variant == "bracket" else None)
+
+    def make(pipeline):
+        plan = FaultPlan(seed=k, trace_corruptions=[0]
+                         if variant == "corrupt" else [])
+        return pipeline(shards, auto_trace=not explicit,
+                        injector=FaultInjector(plan))
+    lazy, eager, plain = make(cls), make(EagerPipeline), DCRPipeline(shards)
+    run_script(lazy, script)
+    run_script(eager, script)
+    run_script(plain, script, traced=False)
+    assert lazy.stats == eager.stats
+    assert [record_key(r) for r in lazy.records] == \
+        [record_key(r) for r in eager.records]
+    assert analysis_digest(lazy.coarse_result, lazy.fine_result) == \
+        analysis_digest(eager.coarse_result, eager.fine_result)
+    assert lazy.coarse_result.ops_analyzed == len(lazy.records)
+    for stage in ("coarse", "fine"):
+        want = ordered_snapshot(getattr(plain, stage))
+        assert ordered_snapshot(getattr(eager, stage)) == want
+        assert ordered_snapshot(getattr(lazy, stage)) == want
+    # Fresh ops read the settled epochs: same in-edges, fences and scan
+    # counts as analysis that never traced anything.
+    assert [record_key(r) for r in lazy.records if not r.traced] == \
+        [record_key(p) for r, p in zip(lazy.records, plain.records)
+         if not r.traced]
+    return lazy
+
+
+def _mutant(fn, old, new):
+    """``fn`` recompiled with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__qualname__} no longer has {old!r}"
+    scope = dict(vars(pipeline_module))
+    exec(source.replace(old, new), scope)
+    return scope[fn.__name__]
+
+
+def _settle_without_retirement(self):
+    with mock.patch.object(FieldState, "retire", lambda *a, **kw: None):
+        DCRPipeline.settle(self)
+
+
+# name -> the methods a pipeline with that seeded fault overrides.
+SETTLE_MUTATIONS = {
+    "carry used for the last fragment": dict(settle=_mutant(
+        DCRPipeline.settle, "< full - 1:", "< full:")),
+    "R not applied": dict(settle=_settle_without_retirement),
+    "a partial prefix dropped": dict(settle=_mutant(
+        DCRPipeline.settle, "range(-(-len(run) // n))", "range(full)")),
+    "settle() skipped before a fresh op": dict(analyze=_mutant(
+        DCRPipeline.analyze, "if self._run:", "if False:")),
+}
+
+VARIANTS = ["clean", "cut", "fence", "bracket", "corrupt"]
+
+# A stencil step (owned written under ghost reads, then flux from state)
+# between a fill and a root read-back; the tail re-enters the loop's first
+# op, so the program ends inside a partial fragment.
+_FILL = (False, 0, 0, 0, 2, 0, 0, 0, 1)
+_SWEEP = (True, 0, 0, 0, 0, 15, 0, 0, 1)
+_FLUX = (True, 0, 0, 0, 1, 15, 0, 1, 3)
+_READ = (False, 0, 0, 2, 2, 0, 0, 1, 1)
+
+
+def stencil_loops(cls):
+    """Every variant of the stencil loop at every length up to 7 replayed
+    bodies through ``cls``; yields whether each came out right."""
+    for k in range(1, 8):
+        for variant in VARIANTS:
+            for explicit in (False, True):
+                for at in ((2 + k // 2, 1), (k + 1, 2)):
+                    try:
+                        check_replayed_loop(
+                            [_FILL], [_SWEEP, _FLUX], [_READ, _SWEEP], k, 4,
+                            variant, explicit, at, cls)
+                    except (AssertionError, KeyError):
+                        yield False
+                    else:
+                        yield True
+
+
+class TestSettledReplayRuns:
+    """A run of back-to-back replays is folded into the epochs once, by
+    ``DCRPipeline.settle``; what it leaves — both stages, insertion order
+    included — and what every later op then finds must be what the per-op
+    fold left, and what analysis without any tracing leaves."""
+
+    @settings(max_examples=_COVERS_EXAMPLES, **_COMMON)
+    @given(sliced_specs(0, 3), sliced_specs(1, 4), sliced_specs(0, 4),
+           st.integers(1, 7), st.integers(1, 4), st.sampled_from(VARIANTS),
+           st.sampled_from([False, False, True]),
+           st.tuples(st.integers(0, 8), st.integers(0, 4)))
+    def test_settled_state_matches_trace_free_analysis(
+            self, head, body, tail, k, shards, variant, explicit, at):
+        try:
+            check_replayed_loop(head, body, tail, k, shards, variant,
+                                explicit, at)
+        except AssertionError:
+            note(f"specs={head!r}+{body!r}*({k}+warm-up)+{tail!r} "
+                 f"shards={shards}")
+            _dump_artifact(head + body + tail, shards, "settle_failure")
+            raise
+
+    def test_stencil_loops_of_every_length_and_variant(self):
+        assert all(stencil_loops(DCRPipeline))
+
+    @pytest.mark.parametrize("name", SETTLE_MUTATIONS)
+    def test_seeded_settle_mutation_is_caught(self, name):
+        mutant = type("Mutant", (DCRPipeline,), SETTLE_MUTATIONS[name])
+        assert not all(stencil_loops(mutant))

@@ -40,6 +40,9 @@ def test_main_demo_flag(tmp_path, capsys):
     assert main(["--demo", trace]) == 0
     out = capsys.readouterr().out
     assert "demo profile written" in out
+    # Four replayed steps, folded into the epochs by one settle.
+    assert "trace.replays              4" in out
+    assert "trace.settles              1" in out
     assert json.load(open(trace))["format"] == "repro-profile"
 
 

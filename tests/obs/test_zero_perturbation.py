@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Profiler, get_profiler
+from repro.obs.events import EV_TRACE_SETTLE
 from repro.runtime import Runtime
 
 
@@ -39,9 +40,10 @@ def _tile_sum(point, arg):
     return float(arg["x"].view.sum())
 
 
-def make_control(script, tiles=4, cells=16, repeat=1):
+def make_control(script, tiles=4, cells=16, repeat=1, tail=()):
     """Control program from (op-code, value) pairs; ``repeat`` loops the
-    script so auto-tracing has a repeated fragment to find."""
+    script so auto-tracing has a repeated fragment to find, and ``tail``
+    runs once after the loop."""
 
     def control(ctx):
         fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
@@ -51,22 +53,21 @@ def make_control(script, tiles=4, cells=16, repeat=1):
         ctx.fill(region, ["x", "y"], 1.0)
         dom = list(range(tiles))
         totals = []
-        for _ in range(repeat):
-            for code, value in script:
-                if code == 0:
-                    ctx.index_launch(_bump, dom, [(owned, "x", "rw")],
-                                     args=(value,))
-                elif code == 1:
-                    ctx.index_launch(_scale, dom, [(owned, "y", "rw")],
-                                     args=(value,))
-                elif code == 2:
-                    ctx.index_launch(_blend, dom,
-                                     [(owned, "y", "rw"),
-                                      (ghost, "x", "ro")])
-                else:
-                    fm = ctx.index_launch(_tile_sum, dom,
-                                          [(owned, "x", "ro")])
-                    totals.append(fm.reduce(lambda a, b: a + b))
+        for code, value in list(script) * repeat + list(tail):
+            if code == 0:
+                ctx.index_launch(_bump, dom, [(owned, "x", "rw")],
+                                 args=(value,))
+            elif code == 1:
+                ctx.index_launch(_scale, dom, [(owned, "y", "rw")],
+                                 args=(value,))
+            elif code == 2:
+                ctx.index_launch(_blend, dom,
+                                 [(owned, "y", "rw"),
+                                  (ghost, "x", "ro")])
+            else:
+                fm = ctx.index_launch(_tile_sum, dom,
+                                      [(owned, "x", "ro")])
+                totals.append(fm.reduce(lambda a, b: a + b))
         return region, totals
 
     return control
@@ -91,6 +92,8 @@ def analysis_signature(rt):
                          for f in coarse.fences),
         "fences_elided": pipe.stats.fences_elided,
         "coarse_scans": coarse.users_scanned,
+        "fine_scans": sorted(pipe.fine_result.scans_per_shard.items()),
+        "trace_fallbacks": pipe.stats.trace_fallbacks,
         "traced_ops": pipe.stats.traced_ops,
         "scans_saved": pipe.stats.scans_saved,
         "det_hashes": tuple(tuple(h.calls)
@@ -99,7 +102,7 @@ def analysis_signature(rt):
     }
 
 
-def run(script, shards, auto_trace, profiler=None):
+def run(script, shards, auto_trace, profiler=None, repeat=3, tail=()):
     # Field ids come from a process-global counter; rebase it so the
     # determinism hash streams of two runs are directly comparable.
     import itertools
@@ -109,7 +112,8 @@ def run(script, shards, auto_trace, profiler=None):
 
     kwargs = {"profiler": profiler} if profiler is not None else {}
     rt = Runtime(num_shards=shards, auto_trace=auto_trace, **kwargs)
-    region, totals = rt.execute(make_control(script, repeat=3))
+    region, totals = rt.execute(
+        make_control(script, repeat=repeat, tail=tail))
     x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()
     y = rt.store.raw(region.tree_id, region.field_space["y"]).copy()
     return rt, totals, x, y
@@ -156,6 +160,33 @@ def test_profiled_rerun_matches_itself(script, shards):
     _rt2, t2, x2, _y2 = run(script, shards, True, Profiler().enable())
     assert t1 == t2
     assert np.array_equal(x1, x2)
+
+
+def test_settled_replay_runs_are_unperturbed():
+    """Six back-to-back replayed fragments, then a seventh that diverges
+    at its second op (one fallback), are settled in one fold before the
+    diverging op is analysed: the profiled run shows that settle and
+    decides exactly what the unprofiled run decides."""
+    # x is only ever read, so every fragment carries its readers over.
+    script = [(2, 1.0), (1, 0.5), (3, 0.0)]
+    tail = [(2, 1.0), (3, 0.0), (0, 1.5)]
+    rt_off, totals_off, x_off, y_off = run(script, 4, True, repeat=8,
+                                           tail=tail)
+    prof = Profiler().enable()
+    rt_on, totals_on, x_on, y_on = run(script, 4, True, profiler=prof,
+                                       repeat=8, tail=tail)
+    assert totals_off == totals_on
+    assert np.array_equal(x_off, x_on) and np.array_equal(y_off, y_on)
+    assert analysis_signature(rt_off) == analysis_signature(rt_on)
+    assert rt_on.pipeline.stats.traced_ops == 6 * 3 + 1
+    assert rt_on.pipeline.stats.trace_fallbacks == 1
+    settles = [args for _ph, _shard, _cat, name, _ts, _dur, args
+               in prof.events if name == EV_TRACE_SETTLE]
+    assert [(a["fragments"], a["partial_ops"]) for a in settles] == [(6, 1)]
+    assert settles[0]["entries"] > 0
+    assert prof.metrics.counters["trace.settles"] == 1
+    assert prof.metrics.counters["trace.entries_folded"] == \
+        settles[0]["entries"]
 
 
 def test_simulated_sweep_unperturbed():

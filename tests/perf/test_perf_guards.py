@@ -9,13 +9,16 @@ invalidate the scalability story.
 import gc
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.core import (BLOCKED, CoarseAnalysis, CoarseRequirement,
                         IDENTITY_PROJECTION, Operation)
-from repro.oracle import READ_ONLY, READ_WRITE
-from repro.legate import LegateContext
+from repro.core.epochs import Epoch
+from repro.core.pipeline import DCRPipeline
+from repro.oracle import READ_ONLY, READ_WRITE, RegionRequirement
+from repro.legate import LegateContext, make_wave, sliced_stencil
 from repro.regions import FieldSpace, IndexSpace, LogicalRegion
 from repro.runtime import Runtime
 
@@ -166,3 +169,69 @@ class TestControlPlaneIgnoresPayloadSize:
     def test_from_values_call_count_independent_of_size(self):
         self._python_calls(2 ** 10)             # fill lazy memos first
         assert self._python_calls(2 ** 10) == self._python_calls(2 ** 14)
+
+
+class TestReplayedIterationCostsNoAnalysis:
+    """An iteration served from a trace builds its point tasks from the
+    recorded ones and enters the epochs once per run of replays, not once
+    per op.  Counts on the traced benchmark program, no timings."""
+
+    @staticmethod
+    def _execute(iterations, auto_trace=True):
+        rt = Runtime(num_shards=4, auto_trace=auto_trace)
+        rt.execute(sliced_stencil, make_wave(2048), iterations, 8)
+        return rt
+
+    def test_epoch_entries_do_not_grow_with_replayed_iterations(self):
+        with mock.patch.object(Epoch, "add", autospec=True,
+                               side_effect=Epoch.add) as add:
+            rt = self._execute(50)
+        assert rt.pipeline.stats.traced_ops == 144
+        assert add.call_count <= 500        # 3159 when folded per op
+
+    def test_replayed_ops_construct_no_requirements(self):
+        log = []
+        analyze, init = DCRPipeline.analyze, RegionRequirement.__init__
+
+        def logged_analyze(self, op):
+            record = analyze(self, op)
+            log.append("replayed" if record.traced else "fresh")
+            return record
+
+        def logged_init(self, *args):
+            log.append("requirement")
+            init(self, *args)
+
+        with mock.patch.object(DCRPipeline, "analyze", logged_analyze), \
+                mock.patch.object(RegionRequirement, "__init__", logged_init):
+            self._execute(50)
+        first = log.index("replayed")
+        last = len(log) - log[::-1].index("replayed")
+        assert log[first:last].count("replayed") == 144
+        assert log[:first].count("requirement")     # fresh ops do build them
+        assert "requirement" not in log[first:last]
+
+    def _calls_per_iteration(self, auto_trace):
+        def python_calls(iterations):
+            calls = 0
+
+            def on_event(_frame, event, _arg):
+                nonlocal calls
+                calls += event == "call"
+
+            gc.collect()
+            gc.disable()
+            sys.setprofile(on_event)
+            try:
+                self._execute(iterations, auto_trace)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return calls
+
+        python_calls(20)                        # fill lazy memos first
+        return (python_calls(40) - python_calls(20)) / 20
+
+    def test_replayed_iteration_makes_far_fewer_calls_than_a_fresh_one(self):
+        assert self._calls_per_iteration(True) \
+            <= 0.6 * self._calls_per_iteration(False)

@@ -21,7 +21,9 @@
   the pipeline and the cost model both drive.  The policy used to be
   written three times (and the copies disagreed), recordings were built
   two ways, and a rolling hash sat in front of comparisons that decided
-  everything anyway; the last tests fail if any of that grows back.
+  everything anyway; the last tests fail if any of that grows back — or
+  if a replay starts re-deriving point tasks, building the pipeline's
+  records, or reaching the epochs from anywhere but ``settle``.
 """
 
 import ast
@@ -252,9 +254,36 @@ def test_tracing_never_reaches_into_the_pipeline():
             assert "pipe" not in params, (
                 f"{TRACING}:{node.lineno}: the tracer works over "
                 f"(cache, signature), not a pipeline")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            assert "DCRPipeline" not in {a.name for a in node.names}, \
-                f"{TRACING}:{node.lineno}: imports DCRPipeline"
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").endswith("pipeline"), (
+                f"{TRACING}:{node.lineno}: a replay hands its products to "
+                f"the pipeline, which builds its own record from them")
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith("pipeline") for a in node.names)
+
+
+def test_replays_are_folded_into_the_epochs_in_one_place():
+    """``register_replayed`` is how a replayed op reaches the epochs;
+    ``DCRPipeline.settle`` calls it for the ops a run's carry does not
+    cover, and nothing else folds replays."""
+    callers = [f"{rel}:{fn.name}"
+               for rel, tree in _trees(("",))
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and _callee(node) == "register_replayed"]
+    assert set(callers) == {"core/pipeline.py:settle"}, callers
+
+
+def test_replayed_tasks_come_from_the_recorded_ones():
+    """The signature a replay matched pins every point's shard and
+    requirements: the cache re-derives neither."""
+    (_, tree), = _trees((TRACING,))
+    cache, = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == "TraceCache"]
+    called = {_callee(n) for n in ast.walk(cache) if isinstance(n, ast.Call)}
+    assert "PointTask" in called
+    assert not called & {"shard_of", "point_requirements", "points"}, called
 
 
 def test_tracing_keeps_no_module_level_mutable_state():
