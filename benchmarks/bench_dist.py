@@ -1,25 +1,18 @@
 """Distributed transport scaling: wall-clock throughput per fabric.
 
-Two experiments feed the committed ``BENCH_dist.json``:
-
-* **fabric sweep** — a driver process ping-pongs payloads across a gang
-  of forked echo workers (1, 2, 4 and 8 of them) over each process
-  fabric (shm, tcp), once with a small dict payload and once with
-  a large ndarray.  Reported as MB/s and rounds/s per (fabric, workers, payload)
-  cell.
-* **monitor coalescing** — two loopback ranks each drive a rank-local
-  :class:`~repro.core.determinism.DeterminismMonitor` at window batch 8
-  with ``coalesce`` 1 vs 8 and count the control frames actually put on
-  the wire.
+One experiment feeds the committed ``BENCH_dist.json``: a driver process
+ping-pongs payloads across a gang of forked echo workers (1, 2, 4 and 8
+of them) over each process fabric (shm, tcp), once with a small dict
+payload and once with a large ndarray.  Reported as MB/s and rounds/s per
+(fabric, workers, payload) cell.
 
 Absolute numbers are machine noise (CI runners differ wildly; this repo
 also benches on single-core boxes where process scaling is flat), so the
-gates are *ratios* measured on the same machine in the same run:
+gate is a *ratio* measured on the same machine in the same run:
 
 * shm must move large ndarrays at >= 1.5x the tcp fabric with 4 echo
   workers — the zero-copy receive path is the point of SharedMemFabric;
-* coalescing at 8 must cut monitor wire frames by >= 4x;
-* ``--check-baseline`` fails if either ratio regresses > 20% against the
+* ``--check-baseline`` fails if the ratio regresses > 20% against the
   committed report.
 """
 
@@ -96,60 +89,6 @@ def bench_fabric(kind, workers, elems, rounds, repeats=3, deadline_s=60.0):
     }
 
 
-def bench_coalesce(calls=512, batch=8, repeats=3):
-    """Monitor wire frames and wall time, coalesce=1 vs coalesce=8."""
-    import threading
-
-    from repro.core.determinism import DeterminismMonitor
-    from repro.dist.collectives import DistCollectives
-    from repro.dist.transport import LoopbackFabric
-
-    def one_run(coalesce):
-        fabric = LoopbackFabric(2, deadline_s=30.0)
-        transports = [fabric.transport(r) for r in range(2)]
-        errors = []
-
-        def runner(rank):
-            monitor = DeterminismMonitor(
-                2, batch=batch, localize=True, coalesce=coalesce,
-                collectives=DistCollectives(transports[rank]))
-            hasher = monitor.hasher(rank)
-            try:
-                for i in range(calls):
-                    hasher.record("launch", "task", i)
-                    monitor.maybe_check()
-                monitor.flush()
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=runner, args=(r,), daemon=True)
-                   for r in range(2)]
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        elapsed = time.perf_counter() - t0
-        assert not errors, errors
-        return sum(tp.frames_sent for tp in transports), elapsed
-
-    plain_frames, plain_s = one_run(1)
-    coalesced_frames = None
-    best_s = float("inf")
-    for _ in range(repeats):
-        coalesced_frames, elapsed = one_run(8)
-        best_s = min(best_s, elapsed)
-    return {
-        "calls": calls,
-        "batch": batch,
-        "plain_frames": plain_frames,
-        "coalesced_frames": coalesced_frames,
-        "plain_s": plain_s,
-        "coalesced_s": best_s,
-        "frame_reduction": plain_frames / coalesced_frames,
-    }
-
-
 def bench_dist(worker_counts=(1, 2, 4, 8), small_rounds=200,
                large_rounds=40, repeats=3):
     fabrics = {}
@@ -162,7 +101,6 @@ def bench_dist(worker_counts=(1, 2, 4, 8), small_rounds=200,
                 "large": bench_fabric(kind, workers, LARGE_ELEMS,
                                       large_rounds, repeats),
             }
-    coalesce = bench_coalesce()
     report = {
         "schema": 1,
         "config": {"worker_counts": list(worker_counts),
@@ -170,7 +108,6 @@ def bench_dist(worker_counts=(1, 2, 4, 8), small_rounds=200,
                    "small_rounds": small_rounds,
                    "large_rounds": large_rounds, "repeats": repeats},
         "fabrics": fabrics,
-        "coalesce": coalesce,
     }
     if "4" in fabrics["shm"]:
         report["shm_over_tcp_large_at_4"] = (
@@ -180,11 +117,9 @@ def bench_dist(worker_counts=(1, 2, 4, 8), small_rounds=200,
 
 
 def test_dist_bench_smoke():
-    """Cheap pytest entry: both experiments run and report sane numbers."""
+    """Cheap pytest entry: the fabric sweep runs and reports sane numbers."""
     cell = bench_fabric("shm", 1, SMALL_ELEMS, rounds=8, repeats=1)
     assert cell["rounds_per_s"] > 0
-    coalesce = bench_coalesce(calls=64, batch=8, repeats=1)
-    assert coalesce["frame_reduction"] >= 4.0
 
 
 def main(argv=None):
@@ -202,9 +137,6 @@ def main(argv=None):
     ap.add_argument("--min-shm-speedup", type=float, default=1.5,
                     help="required shm/tcp large-payload ratio at 4 "
                          "workers (default 1.5)")
-    ap.add_argument("--min-frame-reduction", type=float, default=4.0,
-                    help="required monitor frame reduction at coalesce 8 "
-                         "(default 4.0)")
     args = ap.parse_args(argv)
 
     report = bench_dist(tuple(args.workers), args.small_rounds,
@@ -215,11 +147,6 @@ def main(argv=None):
             print(f"{kind:5s} x{workers}: "
                   f"small {small['rounds_per_s']:9.1f} rounds/s  "
                   f"large {large['mb_per_s']:8.1f} MB/s")
-    coalesce = report["coalesce"]
-    print(f"monitor frames @batch {coalesce['batch']}: "
-          f"{coalesce['plain_frames']} plain vs "
-          f"{coalesce['coalesced_frames']} coalesced "
-          f"({coalesce['frame_reduction']:.1f}x fewer)")
 
     failed = False
     shm_ratio = report.get("shm_over_tcp_large_at_4")
@@ -229,27 +156,20 @@ def main(argv=None):
             print(f"FAIL: shm/tcp ratio {shm_ratio:.2f}x < required "
                   f"{args.min_shm_speedup:.2f}x")
             failed = True
-    if coalesce["frame_reduction"] < args.min_frame_reduction:
-        print(f"FAIL: frame reduction {coalesce['frame_reduction']:.1f}x "
-              f"< required {args.min_frame_reduction:.1f}x")
-        failed = True
     if args.check_baseline:
         with open(args.check_baseline) as fh:
-            base = json.load(fh)
-        for key, ours in (
-                ("shm_over_tcp_large_at_4", shm_ratio),
-                ("frame_reduction", coalesce["frame_reduction"])):
-            theirs = base.get(key, base.get("coalesce", {}).get(key))
-            if theirs is None or ours is None:
-                continue
+            theirs = json.load(fh).get("shm_over_tcp_large_at_4")
+        if theirs is not None and shm_ratio is not None:
             floor = 0.8 * theirs
-            if ours < floor:
-                print(f"FAIL: {key} {ours:.2f} regressed >20% vs "
-                      f"baseline {theirs:.2f} (floor {floor:.2f})")
+            if shm_ratio < floor:
+                print(f"FAIL: shm_over_tcp_large_at_4 {shm_ratio:.2f} "
+                      f"regressed >20% vs baseline {theirs:.2f} "
+                      f"(floor {floor:.2f})")
                 failed = True
             else:
-                print(f"baseline check: {key} {ours:.2f} vs committed "
-                      f"{theirs:.2f} (floor {floor:.2f}) OK")
+                print(f"baseline check: shm_over_tcp_large_at_4 "
+                      f"{shm_ratio:.2f} vs committed {theirs:.2f} "
+                      f"(floor {floor:.2f}) OK")
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

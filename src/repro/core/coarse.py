@@ -290,14 +290,6 @@ class FenceStore:
     def positions(self) -> List[int]:
         return sorted({f.at_seq for f in self._fences})
 
-    def om_stats(self) -> Dict[str, int]:
-        """Channel accounting (benchmarks and tests)."""
-        return {
-            "channels": 1 + sum(len(ch.by_fid)
-                                for chans in self._scoped.values()
-                                for ch in chans.values()),
-        }
-
     def check_invariants(self) -> None:
         """Channel consistency (test hook)."""
         self._global.check_invariants()

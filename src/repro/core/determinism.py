@@ -314,30 +314,29 @@ class ShardHasher:
         return digest
 
 
-#: ``final_total`` slot of a staged window that is a full batch, not the
-#: last window of the stream.
+#: ``final_total`` slot of a window that is a full batch, not the last
+#: window of the stream.
 _NOT_FINAL = -1
 
 
 class _Evidence(NamedTuple):
-    """One shard's account of a failed span (what LOCALIZE gathers)."""
+    """One shard's account of a failed window (what LOCALIZE gathers)."""
 
     shard: int
     start: int
     count: int
-    calls: Sequence[int]            # per-call digests of the span
+    calls: Sequence[int]            # per-call digests of the window
     descriptions: Sequence[str]
     total: int                      # calls recorded so far
-    final_total: int                # of the span's last window
+    final_total: int                # of the window
 
 
 def _agree(a: Tuple, b: Tuple) -> Tuple:
     """All-reduce op of the window exchange.
 
-    The payload is ``(windows, ok)`` where ``windows`` is a tuple of
-    ``(start, count, digest, final_total)`` — one entry per coalesced
-    window.  Any difference (digests, window shapes, window count, or
-    final totals) turns ``ok`` false on every shard in the same collective.
+    The payload is ``(window, ok)`` where ``window`` is ``(start, count,
+    digest, final_total)``.  Any difference (digest, window shape, or final
+    total) turns ``ok`` false on every shard in the same collective.
     """
     return (a[0], a[1] and b[1] and a[0] == b[0])
 
@@ -357,18 +356,17 @@ class DeterminismMonitor:
       shard; ``flush`` closes the *final* window, which also carries the
       shard's total call count.  A control-deterministic program records
       the same calls in the same order everywhere, so window boundaries
-      coincide on all shards without coordination.
-    * **coalesce** — ``coalesce`` staged windows travel in one exchange:
-      the collective count drops by that factor, at the cost of
-      divergence being detected up to ``coalesce × batch`` calls later.
-    * **exchange** — one all-reduce of the staged ``(start, count,
-      digest, final_total)`` tuples; any difference (digests, window
-      shapes, trailing extra calls) fails the check on *every* shard in
-      the same collective, so all raise together and none deadlocks.
-      ``flush`` always exchanges, so a peer's extra trailing call is
-      caught even when nothing else is pending.
+      coincide on all shards without coordination.  A larger ``batch``
+      means fewer exchanges, at the cost of divergence being detected up
+      to ``batch`` calls later.
+    * **exchange** — each closed window is all-reduced at once as one
+      ``(start, count, digest, final_total)`` tuple; any difference
+      (digest, window shape, trailing extra calls) fails the check on
+      *every* shard in the same collective, so all raise together and
+      none deadlocks.  ``flush`` always exchanges, so a peer's extra
+      trailing call is caught even when nothing else is pending.
     * **LOCALIZE** — with ``localize=True`` a failed exchange is followed
-      by one all-gather of the span's per-call digests and a binary search
+      by one all-gather of the window's per-call digests and a binary search
       for the first divergent call (:func:`locate_divergence`), raising
       with a full :class:`DivergenceDiagnosis`.  Without it the monitor
       compares only the shards it hosts: enough to name the call when it
@@ -385,7 +383,7 @@ class DeterminismMonitor:
     * ``quarantine(shard)`` / ``reset_shard(shard)`` — shrink the compared
       shard set after DEGRADE, or re-admit a shard with a fresh hasher for
       RESTART (it rejoins checking at the next batch boundary, once its
-      re-execution catches back up to the staged frontier).
+      re-execution catches back up to the verified frontier).
     """
 
     def __init__(self, num_shards: int, batch: int = 64, enabled: bool = True,
@@ -393,8 +391,7 @@ class DeterminismMonitor:
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
                  localize: bool = False,
-                 on_batch: Optional[Callable[[int], None]] = None,
-                 coalesce: int = 1):
+                 on_batch: Optional[Callable[[int], None]] = None):
         self.profiler = profiler if profiler is not None else get_profiler()
         self.collectives = collectives if collectives is not None \
             else Collectives(num_shards, profiler=self.profiler)
@@ -409,16 +406,13 @@ class DeterminismMonitor:
         self.enabled = enabled
         self.localize = localize
         self.on_batch = on_batch
-        self.coalesce = max(1, coalesce)
         self.checks_performed = 0
         # A monitor speaking for every shard reports on the control
         # timeline; a rank's own monitor reports on that rank's.
         self._timeline = CONTROL_SHARD if len(self.shards) == num_shards \
             else self.shards[0]
         self._live = list(self.hashers)     # hashers of active hosted shards
-        self._staged: List[Dict[int, Tuple[int, int, int, int]]] = []
-        self._staged_upto = 0               # calls closed into windows
-        self._verified = 0                  # ... and agreed on by all shards
+        self._verified = 0                  # calls agreed on by all shards
 
     def hasher(self, shard: int) -> ShardHasher:
         return self.hashers[self.shards.index(shard)]
@@ -445,7 +439,7 @@ class DeterminismMonitor:
         """Re-admit ``shard`` with a fresh hasher (RESTART rejoin).
 
         The restarted shard replays its control stream from the beginning;
-        no window closes until it catches back up to the staged frontier,
+        no window closes until it catches back up to the verified frontier,
         i.e. it rejoins at the next batch boundary.
         """
         active = set(self.active_shards) | {shard}
@@ -456,43 +450,25 @@ class DeterminismMonitor:
     # -- staging -------------------------------------------------------------
 
     def maybe_check(self) -> None:
-        """Close a window if a full batch is pending on every hosted shard,
-        and exchange once ``coalesce`` windows are staged."""
+        """Check a window once a full batch is pending on every hosted
+        shard."""
         if not self.enabled:
             return
-        need = self._staged_upto + self.batch
+        need = self._verified + self.batch
         for h in self._live:
             if len(h.calls) < need:
                 return
-        self._stage(final=False)
-        if len(self._staged) >= self.coalesce:
-            self._exchange()
+        self._exchange(final=False)
 
     def flush(self) -> None:
         """Check the remaining calls and verify equal totals everywhere.
 
-        Always performs the final exchange (even with an empty remainder
-        and no staged windows) so a shard that issued extra trailing calls
-        is caught rather than silently ignored.
+        Always performs the final exchange (even with an empty remainder)
+        so a shard that issued extra trailing calls is caught rather than
+        silently ignored.
         """
         if self.enabled:
-            self._stage(final=True)
-            self._exchange()
-
-    def _stage(self, final: bool) -> None:
-        """Close one window on every hosted shard; the exchange happens at
-        coalesce points.  A full-batch window spans what *all* hosted
-        shards have recorded; the final one spans each shard's own rest."""
-        start = self._staged_upto
-        upto = min(len(h.calls) for h in self._live)
-        row = {}
-        for h in self._live:
-            end = len(h.calls) if final else upto
-            row[h.shard] = (start, max(0, end - start),
-                            stream_digest(h.calls[start:end]),
-                            len(h.calls) if final else _NOT_FINAL)
-        self._staged.append(row)
-        self._staged_upto = max(start, upto)
+            self._exchange(final=True)
 
     def window_digest(self, shard: int, start: int, count: int) -> int:
         """128-bit digest of one shard's calls ``[start, start+count)``."""
@@ -507,47 +483,58 @@ class DeterminismMonitor:
         pad = per_shard[self._live[0].shard]
         return [per_shard.get(s, pad) for s in self.shards]
 
-    def _exchange(self) -> None:
-        """All-reduce every staged window in one collective."""
-        staged, self._staged = self._staged, []
+    def _exchange(self, final: bool) -> None:
+        """Close one window on every hosted shard and all-reduce it.
+
+        A full-batch window spans what *all* hosted shards have recorded;
+        the final one spans each shard's own rest.
+        """
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
+        start = self._verified
+        upto = min(len(h.calls) for h in self._live)
+        windows = {}
+        for h in self._live:
+            end = len(h.calls) if final else upto
+            windows[h.shard] = (start, max(0, end - start),
+                                stream_digest(h.calls[start:end]),
+                                len(h.calls) if final else _NOT_FINAL)
         self.checks_performed += 1
         verdicts = self.collectives.run("allreduce", self._hosted(
-            {h.shard: (tuple(row[h.shard] for row in staged), True)
-             for h in self._live}), _agree)
-        if not all(ok for _windows, ok in verdicts):
-            self._diverged(staged)
-        span = self._staged_upto - self._verified
-        self._verified = self._staged_upto
+            {s: (w, True) for s, w in windows.items()}), _agree)
+        if not all(ok for _window, ok in verdicts):
+            self._diverged(windows)
+        self._verified = max(start, upto)
+        span = self._verified - start
         if prof.enabled:
             prof.complete(self._timeline, CAT_DETERMINISM, EV_DET_CHECK, t0,
                           prof.now_us() - t0, calls=span,
-                          windows=len(staged), batch=self.checks_performed)
+                          batch=self.checks_performed)
             prof.count("determinism.batches")
             prof.count("determinism.calls_checked", span)
         if self.on_batch is not None and span:
             self.on_batch(self._verified)
 
-    def _diverged(self, staged: List[Dict[int, Tuple]]) -> None:
+    def _diverged(self, windows: Dict[int, Tuple[int, int, int, int]]
+                  ) -> None:
         """Raise the structured violation; every shard takes this path.
 
         Evidence is one :class:`_Evidence` row per shard for the failed
-        span — gathered from all shards under LOCALIZE, otherwise just the
-        hosted ones.
+        window — gathered from all shards under LOCALIZE, otherwise just
+        the hosted ones.
         """
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
-        start = staged[0][self._live[0].shard][0]
+        start = self._verified
         rows = {}
         for h in self._live:
-            count = sum(row[h.shard][1] for row in staged)
+            _, count, _, final_total = windows[h.shard]
             rows[h.shard] = _Evidence(
                 h.shard, start, count, h.calls[start:start + count],
                 h.descriptions[start:start + count], len(h.calls),
-                staged[-1][h.shard][3])
+                final_total)
         if self.localize:
-            # One all-gather moves the span's digests; quarantined slots
+            # One all-gather moves the window's digests; quarantined slots
             # arrive as duplicates of an active shard's row and drop out.
             gathered = self.collectives.gather(self._hosted(rows))[0]
             rows = {row[0]: _Evidence(*row) for row in gathered}

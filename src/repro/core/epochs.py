@@ -69,13 +69,12 @@ class ClassTable:
         self._ids: Dict[Hashable, int] = {}
         self._reps: List[Tuple[Any, LogicalRegion]] = []
         self.decisions: Dict[int, bool] = {}   # packed int keys
-        # Class keys hold region uids; a region-cache clear (which precedes
-        # any uid reuse via fresh_id_epoch) must reset the table with it.
+        # A region-cache clear resets the table with it (a hygiene hook).
         register_cache_clearer(self.clear)
 
     def clear(self) -> None:
-        """Reset the table (never required for correctness while uids are
-        unique): every cached cid dies with the old generation."""
+        """Reset the table (never required for correctness: uids are never
+        reused): every cached cid dies with the old generation."""
         self._ids.clear()
         del self._reps[:]
         self.decisions.clear()

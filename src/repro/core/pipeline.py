@@ -149,9 +149,6 @@ class OpRecord:
     # intra-fragment edges rebound to this occurrence's tasks.
     in_edges: List[Tuple[PointTask, PointTask]] = field(default_factory=list)
 
-    def points_on_shard(self, shard: int) -> List[PointTask]:
-        return [t for t in self.point_tasks if t.shard == shard]
-
 
 @dataclass
 class PipelineStats:
@@ -200,10 +197,6 @@ class DCRPipeline:
     @property
     def trace_cache(self) -> TraceCache:
         return self._traces
-
-    @property
-    def auto_tracer(self) -> Optional[AutoTracer]:
-        return self._auto
 
     # -- main entry --------------------------------------------------------------
 

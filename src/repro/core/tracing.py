@@ -246,9 +246,6 @@ class TraceCache:
             prof.count("trace.fallbacks")
         return served
 
-    def evict(self, trace_id: Hashable) -> None:
-        self._traces.pop(trace_id, None)
-
     def has_trace(self, trace_id: Hashable) -> bool:
         return trace_id in self._traces
 

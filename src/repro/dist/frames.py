@@ -310,15 +310,13 @@ def decode_frame(buf: bytes) -> Frame:
     return frame
 
 
-def decode_frame_view(view,
-                      zero_copy: bool = True
-                      ) -> Tuple[Frame, List[np.ndarray]]:
+def decode_frame_view(view) -> Tuple[Frame, List[np.ndarray]]:
     """Decode one frame in place from ``view`` (bytes or memoryview).
 
-    With ``zero_copy`` large ndarray payloads stay backed by ``view``'s
-    buffer; the second return value lists those arrays so the caller can
-    hold the storage alive until every view is dropped.  Scalars, strings,
-    digests, and small arrays are copied out as usual.
+    Large ndarray payloads stay backed by ``view``'s buffer; the second
+    return value lists those arrays so the caller can hold the storage
+    alive until every view is dropped.  Scalars, strings, digests, and
+    small arrays are copied out as usual.
     """
     if len(view) < 6:
         raise FrameError("truncated frame")
@@ -329,14 +327,14 @@ def decode_frame_view(view,
         raise FrameError(f"frame length {n} exceeds the {_MAX_FRAME} bound")
     if len(view) != 6 + n:
         raise FrameError(f"frame view is {len(view)} bytes, expected {6 + n}")
-    arrays: List[np.ndarray] = [] if zero_copy else None
+    arrays: List[np.ndarray] = []
     fields, pos = _unpack_from(view, 6, arrays)
     if pos != 6 + n:
         raise FrameError(f"{6 + n - pos} trailing bytes after frame body")
     if not (isinstance(fields, tuple) and len(fields) == 7):
         raise FrameError("malformed frame body")
     kind, op, rnd, src, dst, seq, payload = fields
-    return Frame(kind, op, rnd, src, dst, seq, payload), (arrays or [])
+    return Frame(kind, op, rnd, src, dst, seq, payload), arrays
 
 
 def _decode_prefix(buf: bytes) -> Tuple[Optional[Frame], int]:

@@ -41,8 +41,7 @@ __all__ = ["DistRunner", "run_reference", "BACKENDS"]
 BACKENDS = ("loopback",) + PROCESS_BACKENDS
 
 
-def run_reference(spec: ProgramSpec, num_shards: int,
-                  batch: int = 64) -> MergedReport:
+def run_reference(spec: ProgramSpec, num_shards: int) -> MergedReport:
     """Serial in-process reference run — the conformance ground truth.
 
     Replays every shard replica in one thread of one process, recording
@@ -63,10 +62,10 @@ def run_reference(spec: ProgramSpec, num_shards: int,
 
 def _run_one_job(transport: Transport, channel: Channel,
                  spec: ProgramSpec, backend: str, batch: int,
-                 coalesce: int, profile_dir: Optional[str]) -> None:
+                 profile_dir: Optional[str]) -> None:
     """A one-shot rank: replay one program, report, exit."""
     worker = ShardWorker(transport, backend, batch=batch,
-                         profile_dir=profile_dir, coalesce=coalesce)
+                         profile_dir=profile_dir)
     report = worker.run_job(spec)
     channel.send(("ok", dataclasses.replace(
         report, profile_path=worker.save_profile())))
@@ -79,8 +78,7 @@ class DistRunner:
                  backend: str = "tcp", batch: int = 64,
                  deadline_s: float = DEFAULT_DEADLINE_S,
                  join_timeout_s: float = 60.0,
-                 profile_dir: Optional[str] = None,
-                 coalesce: int = 1, **fabric_kwargs: Any):
+                 profile_dir: Optional[str] = None, **fabric_kwargs: Any):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"expected one of {BACKENDS}")
@@ -90,7 +88,6 @@ class DistRunner:
         self.num_shards = num_shards
         self.backend = backend
         self.batch = batch
-        self.coalesce = coalesce
         self.deadline_s = deadline_s
         self.join_timeout_s = join_timeout_s
         self.profile_dir = profile_dir
@@ -102,7 +99,7 @@ class DistRunner:
         try:
             for rank in range(self.num_shards):
                 gang.spawn(rank, _run_one_job, self.spec, self.backend,
-                           self.batch, self.coalesce, self.profile_dir)
+                           self.batch, self.profile_dir)
             gang.release_parent()
             reports, failures = gang.collect(self.join_timeout_s)
         finally:

@@ -528,10 +528,6 @@ class _ShmRing:
     def _load_tail(self) -> int:
         return struct.unpack_from("<Q", self._buf, 8)[0]
 
-    def try_write(self, data: bytes) -> bool:
-        """One attempt to append a frame; False if the ring is too full."""
-        return self.try_write_parts((data,), len(data))
-
     def try_write_parts(self, parts, n: int) -> bool:
         """Append one frame given as bytes-like pieces totalling ``n``.
 
@@ -732,14 +728,12 @@ class _SharedMemTransport(Transport):
                  rings_in: Dict[int, _ShmRing],
                  status: _ShmStatus,
                  deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None,
-                 zero_copy: bool = True):
+                 retry: Optional[RetryConfig] = None):
         super().__init__(rank, num_shards, deadline_s=deadline_s,
                          retry=retry)
         self._rings_out = rings_out
         self._rings_in = rings_in
         self._status = status
-        self.zero_copy = zero_copy
         # Per peer: FIFO of (release_cursor, [weakref to each zero-copy
         # array] or None).  The ring tail advances through an entry only
         # once all its views are dead, in order — a frame cannot be
@@ -807,7 +801,7 @@ class _SharedMemTransport(Transport):
             return None
         view, cursor = out
         try:
-            frame, holds = decode_frame_view(view, zero_copy=self.zero_copy)
+            frame, holds = decode_frame_view(view)
         except FrameError as exc:
             raise TransportError(
                 f"shard {self.rank}: corrupt frame from shard {src}: "
@@ -881,7 +875,7 @@ class SharedMemFabric(Fabric):
     Frames are written once into a per-(src, dst) SPSC ring
     (:class:`_ShmRing`) and decoded in place on the receive side; ndarray
     payloads of at least ``frames.ZERO_COPY_MIN_BYTES`` come out as views
-    into the ring (toggle with ``zero_copy=False`` to force copies).
+    into the ring.
     Workers inherit the mappings across ``fork``; rejoin claims travel as
     segment *names* and reattach.  Crash detection is via a shared status
     board (pid liveness + closed flags) rather than fd EOF, so the parent
@@ -892,13 +886,11 @@ class SharedMemFabric(Fabric):
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
                  retry: Optional[RetryConfig] = None,
-                 ring_bytes: int = DEFAULT_RING_BYTES,
-                 zero_copy: bool = True):
+                 ring_bytes: int = DEFAULT_RING_BYTES):
         self.num_shards = num_shards
         self.deadline_s = deadline_s
         self.retry = retry
         self.ring_bytes = ring_bytes
-        self.zero_copy = zero_copy
         self._creator_pid = os.getpid()
         self._unlinked = False
         self._rings: Dict[Tuple[int, int], _ShmRing] = {
@@ -915,14 +907,13 @@ class SharedMemFabric(Fabric):
         return _SharedMemTransport(rank, self.num_shards, rings_out,
                                    rings_in, self._status,
                                    deadline_s=self.deadline_s,
-                                   retry=self.retry,
-                                   zero_copy=self.zero_copy)
+                                   retry=self.retry)
 
     def claim(self, rank: int) -> Dict[str, Any]:
         """Picklable rejoin claim: segment names, reattached on receipt."""
         return {
             "kind": "shm", "rank": rank, "num_shards": self.num_shards,
-            "deadline_s": self.deadline_s, "zero_copy": self.zero_copy,
+            "deadline_s": self.deadline_s,
             "rings_out": {d: self._rings[(rank, d)].name
                           for d in range(self.num_shards) if d != rank},
             "rings_in": {s: self._rings[(s, rank)].name
@@ -1268,6 +1259,5 @@ def transport_from_claim(claim: Dict[str, Any],
         return _SharedMemTransport(claim["rank"], claim["num_shards"],
                                    rings_out, rings_in, status,
                                    deadline_s=claim["deadline_s"],
-                                   retry=retry,
-                                   zero_copy=claim.get("zero_copy", True))
+                                   retry=retry)
     raise TransportError(f"unknown rejoin claim kind {kind!r}")

@@ -112,13 +112,12 @@ class ShardWorker:
 
     def __init__(self, transport: Transport, backend: str, batch: int = 64,
                  profiler: Optional[Profiler] = None,
-                 profile_dir: Optional[str] = None, coalesce: int = 1):
+                 profile_dir: Optional[str] = None):
         self.transport = transport
         self.rank = transport.rank
         self.num_shards = transport.num_shards
         self.backend = backend
         self.batch = batch
-        self.coalesce = coalesce
         self.profile_dir = profile_dir
         self.profiler = profiler if profiler is not None else Profiler(
             enabled=profile_dir is not None)
@@ -160,8 +159,7 @@ class ShardWorker:
         span0 = prof.now_us() if prof.enabled else 0.0
         monitor = DeterminismMonitor(
             self.num_shards, batch=self.batch, collectives=self.collectives,
-            profiler=prof, injector=injector, localize=True,
-            coalesce=self.coalesce)
+            profiler=prof, injector=injector, localize=True)
         hasher = monitor.hasher(self.rank)
 
         def record(api_call: str, *args: Any) -> None:

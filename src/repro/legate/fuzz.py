@@ -26,11 +26,10 @@ failures shrink well because every step is locally droppable.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from ..regions import fresh_id_epoch
 from ..runtime import Runtime
 from .array import LegateContext
 
@@ -170,8 +169,8 @@ def run_deferred(program: List[Dict[str, Any]], num_shards: int = 1,
                  ) -> Tuple[Dict[str, Any], List[int]]:
     """Run the program replicated; returns (outputs, per-shard digests).
 
-    The run executes inside a fresh resource-id epoch so digest vectors
-    compare equal across repeated runs (and backends) in one process.
+    Digest vectors depend only on the program, so they compare equal
+    across repeated runs (and backends) in one process.
     """
 
     def control(ctx):
@@ -204,8 +203,7 @@ def run_deferred(program: List[Dict[str, Any]], num_shards: int = 1,
                 "scalars": scalars}
 
     rt = Runtime(num_shards=num_shards, backend=backend)
-    with fresh_id_epoch():
-        out = rt.execute(control)
+    out = rt.execute(control)
     return out, rt.determinism_digests()
 
 

@@ -32,11 +32,6 @@ SECONDS_PER_SAMPLE_CPU = 6.0e-9
 GPU_SPEEDUP = 240.0
 
 
-def _machine_points(machine: MachineSpec, gpu: bool) -> int:
-    kind = ProcKind.GPU if gpu else ProcKind.CPU
-    return max(1, machine.total_procs(kind))
-
-
 def logreg_program(machine: MachineSpec, *, gpu: bool = False,
                    iterations: int = 10, warmup: int = 2,
                    tracing: bool = True,

@@ -9,7 +9,6 @@ from .cache import (PairCache, cached_may_alias, cached_region_contains,
                     region_contains, register_cache_clearer)
 from .dependent import (partition_by_field, partition_by_image,
                         partition_by_preimage)
-from .epoch import fresh_id_epoch
 from .field_space import Field, FieldSpace
 from .index_space import IndexSpace
 from .point import Point, Rect
@@ -26,5 +25,4 @@ __all__ = [
     "PairCache", "cached_may_alias", "cached_region_contains",
     "region_contains", "clear_region_caches", "region_cache_stats",
     "register_cache_clearer",
-    "fresh_id_epoch",
 ]

@@ -29,8 +29,8 @@ __all__ = ["PairCache", "cached_may_alias", "cached_region_contains",
 # Other layers keep their own uid-keyed memo tables (the analysis core's
 # interned decision tables) whose soundness rests on the same "uids are
 # never reused" argument.  They register a clearer here so every path
-# that resets the region caches — tests, benchmarks, fresh_id_epoch's
-# uid-counter rewind — resets them in the same breath.
+# that resets the region caches (tests, benchmarks) resets them in the
+# same breath.
 _extra_clearers: list = []
 
 
@@ -130,8 +130,8 @@ def cached_region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
 def clear_region_caches() -> None:
     """Drop both caches and every registered dependent table.
 
-    Required for correctness only when region uids are about to be reused
-    (``fresh_id_epoch``); otherwise a test/benchmark hygiene hook."""
+    Never required for correctness (uids are never reused): a hygiene hook
+    for tests and benchmarks that want cold caches."""
     _alias_cache.clear()
     _contains_cache.clear()
     for fn in _extra_clearers:

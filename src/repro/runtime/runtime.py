@@ -25,7 +25,6 @@ paper's scaling numbers.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -104,7 +103,7 @@ class Runtime:
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
                  resilience: Optional[ResilienceConfig] = None,
-                 backend: str = "inprocess", check_coalesce: int = 1):
+                 backend: str = "inprocess"):
         from ..dist.transport import PROCESS_BACKENDS
         if backend not in ("inprocess", "loopback") + PROCESS_BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected "
@@ -139,7 +138,6 @@ class Runtime:
                              "timing_oracle; use backend='inprocess'")
         self._safe_checks = safe_checks
         self._check_batch = check_batch
-        self._check_coalesce = max(1, check_coalesce)
         self._auto_trace = auto_trace
         # The driver shard performs effects; replicas replay against its
         # logs.  Normally shard 0 — recovery re-elects min(active) when the
@@ -191,8 +189,7 @@ class Runtime:
             localize=policy is not None and policy is not
             RecoveryPolicy.ABORT,
             on_batch=(self._take_batch_snapshot
-                      if self.resilience is not None else None),
-            coalesce=self._check_coalesce)
+                      if self.resilience is not None else None))
         for s in self.quarantined:
             monitor.quarantine(s)
         return monitor
@@ -368,8 +365,7 @@ class Runtime:
             self.num_shards, batch=self._check_batch,
             enabled=self._safe_checks,
             collectives=DistCollectives(transport, profiler=self.profiler),
-            profiler=self.profiler, injector=injector, localize=True,
-            coalesce=self._check_coalesce)
+            profiler=self.profiler, injector=injector, localize=True)
 
     def _drive_dist_check(self, transport: Any) -> None:
         """Driver-side determinism participation, from the recorded stream.
@@ -972,7 +968,7 @@ class Context:
         """
         norm = self._normalize_reqs(reqs)
         self._record("launch", self._task_key(fn),
-                     [(t, sorted(f.fid for f in fl), p.kind.value)
+                     [(t, sorted(f.name for f in fl), p.kind.value)
                       for t, fl, p, _ in norm],
                      list(args), list(future_args), owner_shard)
         def do() -> Future:
@@ -1008,7 +1004,7 @@ class Context:
                 f"launch at least one point (or skip the launch)")
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
         self._record("index_launch", self._task_key(fn), domain,
-                     [(t, sorted(f.fid for f in fl), p.kind.value,
+                     [(t, sorted(f.name for f in fl), p.kind.value,
                        pr.pid if pr else -1)
                       for t, fl, p, pr in norm],
                      list(args), list(future_args), sharding.sid)

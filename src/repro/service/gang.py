@@ -67,6 +67,12 @@ __all__ = ["GangFailure", "RejoinError", "ServiceGang", "GANG_BACKENDS",
 
 GANG_BACKENDS = ("loopback",) + PROCESS_BACKENDS
 
+#: Heartbeat schedule seed and the phi thresholds of the gang's monitor: a
+#: rank is suspected at phi 4 and declared dead at phi 12.
+_HB_SEED = 0
+_PHI_SUSPECT = 4.0
+_PHI_DEAD = 12.0
+
 
 class GangFailure(RuntimeError):
     """The gang died (or timed out) executing one job.
@@ -204,8 +210,7 @@ class ServiceGang:
                  job_timeout_s: float = 60.0,
                  profile_dir: Optional[str] = None,
                  profiler: Optional[Profiler] = None,
-                 hb_interval_s: float = 0.25, hb_seed: int = 0,
-                 phi_suspect: float = 4.0, phi_dead: float = 12.0,
+                 hb_interval_s: float = 0.25,
                  clock: Callable[[], float] = time.monotonic,
                  fault: Optional[FaultPlan] = None):
         if backend not in GANG_BACKENDS:
@@ -222,9 +227,6 @@ class ServiceGang:
         self.profiler = profiler if profiler is not None \
             else Profiler(enabled=False)
         self.hb_interval_s = hb_interval_s
-        self.hb_seed = hb_seed
-        self.phi_suspect = phi_suspect
-        self.phi_dead = phi_dead
         self.jobs_run = 0
         self.respawns = 0
         self._clock = clock
@@ -267,8 +269,7 @@ class ServiceGang:
         self._started = True
         self._monitor = HeartbeatMonitor(
             self.num_shards, self.hb_interval_s,
-            phi_suspect=self.phi_suspect, phi_dead=self.phi_dead,
-            clock=self._clock)
+            phi_suspect=_PHI_SUSPECT, phi_dead=_PHI_DEAD, clock=self._clock)
         self._gang = Gang(self.backend, self.num_shards,
                           name="repro-svc-shard", deadline_s=self.deadline_s)
         self._spawn(range(self.num_shards))
@@ -581,15 +582,15 @@ class ServiceGang:
         for rank in ranks:
             channel = self._gang.spawn(
                 rank, _serve, self.backend, self.batch, self.profile_dir,
-                self.hb_interval_s, self.hb_seed,
-                _fault_payload(self._fault), announce_gen)
+                self.hb_interval_s, _fault_payload(self._fault),
+                announce_gen)
             with self._channel_lock:
                 self._channels[rank] = channel
         self._gang.release_parent()
 
 
 def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
-           profile_dir: Optional[str], hb_interval_s: float, hb_seed: int,
+           profile_dir: Optional[str], hb_interval_s: float,
            fault_payload: Optional[dict], announce_gen: int) -> None:
     """A serving rank: run jobs off the channel until stop or death.
 
@@ -604,7 +605,7 @@ def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
     ticker = threading.Thread(
         target=_ticker_loop,
         args=(lambda k: channel.send(("beat", rank, k)), rank, stop_beats,
-              hb_interval_s, hb_seed, _fault_injector(fault_payload)),
+              hb_interval_s, _HB_SEED, _fault_injector(fault_payload)),
         name=f"svc-hb-{rank}", daemon=True)
     ticker.start()
     try:

@@ -55,9 +55,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "in-process threads (default tcp)")
     parser.add_argument("--batch", type=int, default=16,
                         help="determinism check window (default 16)")
-    parser.add_argument("--coalesce", type=int, default=1,
-                        help="digest windows batched per allreduce round "
-                             "(default 1)")
     parser.add_argument("--verify", action="store_true",
                         help="also run the serial in-process reference and "
                              "compare artifacts byte for byte")
@@ -73,8 +70,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     spec = stencil_program(args.tiles, steps=args.steps,
                            sharding=args.sharding)
     runner = DistRunner(spec, args.shards, backend=args.backend,
-                        batch=args.batch, coalesce=args.coalesce,
-                        profile_dir=args.profile_dir)
+                        batch=args.batch, profile_dir=args.profile_dir)
     try:
         merged = runner.run()
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -85,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ok = merged.conformant
 
     if args.verify:
-        reference = run_reference(spec, args.shards, batch=args.batch)
+        reference = run_reference(spec, args.shards)
         agree = (merged.graph_digest == reference.graph_digest
                  and merged.determinism_digest
                  == reference.determinism_digest

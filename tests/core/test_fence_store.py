@@ -54,8 +54,8 @@ class TestFenceStoreEdgeCases:
         assert store == []
         assert store.positions() == []
         assert not store.covers(0, 100, cells, frozenset([fs["state"]]))
-        # The global channel always exists.
-        assert store.om_stats()["channels"] == 1
+        # Only the global channel exists: no scoped channel was allocated.
+        assert not store._scoped
         store.check_invariants()
 
     def test_global_only_fences(self, env):
@@ -71,7 +71,7 @@ class TestFenceStoreEdgeCases:
             assert store.covers(2, 10, region, frozenset([field]))
             assert not store.covers(3, 6, region, frozenset([field]))
             assert not store.covers(7, 100, region, frozenset([field]))
-        assert store.om_stats()["channels"] == 1
+        assert not store._scoped
         store.check_invariants()
 
     def test_scoped_fence_requires_alias_and_field(self, env):
@@ -185,7 +185,7 @@ class TestFenceStoreEdgeCases:
         store.clear()
         assert len(store) == 0 and store == []
         assert not store.covers(0, 10, cells, state)
-        assert store.om_stats()["channels"] == 1
+        assert not store._scoped
         store.check_invariants()
         # The store is reusable after clear().
         assert store.add(fences[0])

@@ -166,8 +166,8 @@ op_specs = st.lists(
 
 def run_indexed(ops, shards, clear_at=None):
     """``clear_at``: drop the region caches — and with them both class
-    tables — right before that op, as a ``fresh_id_epoch`` elsewhere in
-    the process would."""
+    tables — right before that op, as a hygiene reset elsewhere in the
+    process would."""
     coarse = CoarseAnalysis(shards)
     fine = FineAnalysis(shards)
     for i, op in enumerate(ops):

@@ -40,7 +40,7 @@ def assert_conformant(merged, reference):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=program_specs, num_shards=st.integers(min_value=2, max_value=4))
 def test_loopback_matches_reference(spec, num_shards):
-    reference = run_reference(spec, num_shards, batch=8)
+    reference = run_reference(spec, num_shards)
     merged = DistRunner(spec, num_shards, backend="loopback",
                         batch=8).run()
     assert_conformant(merged, reference)
@@ -50,7 +50,7 @@ def test_loopback_matches_reference(spec, num_shards):
 @pytest.mark.parametrize("num_shards", [2, 3, 4])
 def test_process_backends_match_reference_stencil(backend, num_shards):
     spec = stencil_program(6, steps=2)
-    reference = run_reference(spec, num_shards, batch=8)
+    reference = run_reference(spec, num_shards)
     merged = DistRunner(spec, num_shards, backend=backend,
                         batch=8).run()
     assert_conformant(merged, reference)
@@ -64,7 +64,7 @@ def test_forked_gang_matches_reference_irregular():
         OpSpec("fill"), OpSpec("spot", 2), OpSpec("blend"),
         OpSpec("bump"), OpSpec("fill"), OpSpec("readx"),
         OpSpec("spot", 7), OpSpec("scale")))
-    reference = run_reference(spec, 3, batch=4)
+    reference = run_reference(spec, 3)
     merged = DistRunner(spec, 3, backend="tcp", batch=4).run()
     assert_conformant(merged, reference)
 
@@ -72,7 +72,7 @@ def test_forked_gang_matches_reference_irregular():
 def test_all_backends_agree():
     """Byte-identical digests across every fabric, at one go."""
     spec = stencil_program(6, steps=2)
-    reference = run_reference(spec, 3, batch=8)
+    reference = run_reference(spec, 3)
     runs = {backend: DistRunner(spec, 3, backend=backend, batch=8).run()
             for backend in ("loopback",) + PROCESS_BACKENDS}
     for backend, merged in runs.items():
@@ -84,16 +84,15 @@ def test_all_backends_agree():
             == reference.shards[0].fence_sequence, backend
 
 
-def test_coalesced_checks_preserve_conformance():
-    """Batching digest windows must not change any artifact digest."""
+def test_long_check_windows_preserve_conformance():
+    """The window size must not change any artifact digest."""
     spec = stencil_program(6, steps=3)
-    reference = run_reference(spec, 3, batch=4)
-    plain = DistRunner(spec, 3, backend="shm", batch=4, coalesce=1).run()
-    merged = DistRunner(spec, 3, backend="shm", batch=4,
-                        coalesce=8).run()
+    reference = run_reference(spec, 3)
+    plain = DistRunner(spec, 3, backend="shm", batch=4).run()
+    merged = DistRunner(spec, 3, backend="shm", batch=32).run()
     assert_conformant(plain, reference)
     assert_conformant(merged, reference)
-    # The whole point: far fewer collective rounds than windows closed.
+    # The whole point: far fewer collective rounds than short windows.
     assert all(c.checks < p.checks
                for c, p in zip(merged.shards, plain.shards))
 

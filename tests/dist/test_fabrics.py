@@ -129,21 +129,6 @@ def test_shm_zero_copy_receive():
         fabric.close_all()
 
 
-def test_shm_zero_copy_opt_out():
-    fabric = SharedMemFabric(2, deadline_s=10.0, zero_copy=False)
-    t0, t1 = fabric.transports()
-    try:
-        big = np.arange(8192, dtype=np.float64)
-        t0.send(1, "bcast", 0, 0, big)
-        got = t1.recv(0, "bcast", 0, 0)
-        assert got.base is None          # a private copy, not a ring view
-        np.testing.assert_array_equal(got, big)
-    finally:
-        t0.close()
-        t1.close()
-        fabric.close_all()
-
-
 def test_shm_ring_wraparound_soak():
     # A ring far smaller than the traffic: every frame wraps many times,
     # exercising the PAD-marker skip and head/tail release protocol.

@@ -71,25 +71,23 @@ def array_control(ctx):
     return fm.reduce(lambda a, b: a + b)
 
 
-@pytest.mark.parametrize("coalesce", [1, 4])
+@pytest.mark.parametrize("batch", [4, 16])
 @pytest.mark.parametrize("backend", ["inprocess", "loopback", "shm", "tcp"])
-def test_one_check_schedule_on_every_backend(backend, coalesce):
-    """One monitor class, one cadence: coalescing included, everywhere.
+def test_one_check_schedule_on_every_backend(backend, batch):
+    """One monitor class, one cadence, everywhere.
 
-    The loopback replica's monitor used to be built without ``coalesce=``,
-    so at ``check_coalesce=4`` it exchanged four times as often as the
-    driver and a deterministic program "diverged"; and the in-process
-    monitor did not know ``coalesce`` at all, so ``check_coalesce`` was
-    silently ignored on the default backend (9 checks at any setting).
+    A gang replica's monitor once got a different window setting from the
+    driver's, so it exchanged more often and a deterministic program
+    "diverged"; every rank now builds its monitor from ``check_batch``
+    alone.
     """
     ref = Runtime(num_shards=2).execute(array_control)
-    rt = Runtime(num_shards=2, backend=backend, check_batch=4,
-                 check_coalesce=coalesce)
+    rt = Runtime(num_shards=2, backend=backend, check_batch=batch)
     assert rt.execute(array_control) == ref
-    # 35 calls: 8 full windows of 4 and the final one — 9 exchanges one at
-    # a time, 2 + the flush when four windows travel together.
+    # 35 calls: 8 full windows of 4 and the final one, or 2 full windows
+    # of 16 and the final one.
     checks = rt.monitor.checks_performed + rt.dist_checks
-    assert checks == {1: 9, 4: 3}[coalesce]
+    assert checks == {4: 9, 16: 3}[batch]
     assert [rep["checks"] for rep in rt.replica_reports] == \
         [checks] * (backend != "inprocess")
 

@@ -59,7 +59,7 @@ def test_template_hit_matches_cold_and_reference(spec, num_shards, salt):
         cold = session.run(spec)              # records the template
         served = session.run(warm_spec)       # must be a hit
         assert not cold.template_hit and served.template_hit
-    reference = run_reference(warm_spec, num_shards, batch=8)
+    reference = run_reference(warm_spec, num_shards)
     _assert_identical(served, reference)
     # And the hit of the *original* params agrees with its own cold run.
     with DCRService(num_shards, backend="loopback", batch=8) as svc:

@@ -62,7 +62,21 @@ def test_dist_has_no_twins_of_core_mechanisms():
     assert {"LoopbackFabric", "SharedMemFabric", "TCPFabric"} \
         <= set(dist.__all__)
     assert dist.PROCESS_BACKENDS == ("shm", "tcp")
-    assert "coalesce" in DeterminismMonitor.__init__.__code__.co_varnames
+    assert "localize" in DeterminismMonitor.__init__.__code__.co_varnames
+
+
+def test_the_check_window_has_one_knob():
+    """``batch`` alone sizes a determinism window: staging ``k`` windows
+    of ``b`` calls per exchange was a window of ``k*b`` spelled twice."""
+    import inspect
+
+    from repro.core import DeterminismMonitor
+    from repro.dist import DistRunner, ShardWorker
+    from repro.runtime import Runtime
+
+    for fn in (DeterminismMonitor, Runtime, ShardWorker, DistRunner):
+        params = inspect.signature(fn.__init__).parameters
+        assert not {"coalesce", "check_coalesce"} & set(params), fn
 
 
 def test_order_maintenance_labels_stay_deleted():

@@ -24,6 +24,12 @@
   everything anyway; the last tests fail if any of that grows back — or
   if a replay starts re-deriving point tasks, building the pipeline's
   records, or reaching the epochs from anywhere but ``settle``.
+* The determinism hash depends only on the program.  ``Context`` once
+  hashed process-global field ids, so the same program hashed differently
+  after unrelated work in the process, and a counter rewind
+  (``fresh_id_epoch``) papered over it; the window was also sized by two
+  knobs (``coalesce`` × ``batch``).  The last tests fail if either
+  workaround or a hashed ``.fid`` comes back.
 """
 
 import ast
@@ -329,3 +335,34 @@ def test_templates_share_no_machinery_with_the_tracer():
                 f"by structural_signature itself")
         if isinstance(node, ast.Import):
             assert not any(a.name.endswith("tracing") for a in node.names)
+
+
+# -- a determinism hash of the program alone, one window knob -----------------
+
+
+def test_no_id_rewind_and_no_second_window_knob():
+    gone = {"fresh_id_epoch", "coalesce", "check_coalesce"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    assert not offenders, (
+        "digests depend only on the program, and ``batch`` alone sizes a "
+        "determinism window:\n  " + "\n  ".join(offenders))
+    assert not (SRC / "regions" / "epoch.py").exists()
+
+
+def test_context_hashes_no_field_ids():
+    (_, tree), = _trees(("runtime/runtime.py",))
+    ctx, = [n for n in tree.body
+            if isinstance(n, ast.ClassDef) and n.name == "Context"]
+    records = [n for n in ast.walk(ctx)
+               if isinstance(n, ast.Call) and _callee(n) == "_record"]
+    assert len(records) > 10
+    offenders = [f"runtime/runtime.py:{node.lineno}: .fid"
+                 for call in records for arg in call.args
+                 for node in ast.walk(arg)
+                 if isinstance(node, ast.Attribute) and node.attr == "fid"]
+    assert not offenders, (
+        "fids come from a process-global counter; hash field names, which "
+        "are unique within the field space:\n  " + "\n  ".join(offenders))
