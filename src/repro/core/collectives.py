@@ -48,8 +48,8 @@ class CollectiveStats:
     Read by the per-shard conformance reports
     (:class:`repro.dist.report.ShardReport` ``coll_rounds`` /
     ``coll_messages``), the profiler's ``collectives.*`` metrics, the
-    end-to-end benchmark ledger, and — the fault fields —
-    :func:`repro.sim.engine.recovery_latency`.
+    end-to-end benchmark ledger, and — the fault fields — the
+    fault-injection tests.
 
     ``rounds`` and ``messages`` are those of the schedule each collective
     executed, plus fault-induced extras: every retransmission adds one

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -377,9 +377,6 @@ class DeterminismMonitor:
     Recovery hooks (all optional, default off):
 
     * ``injector`` — threaded into every :class:`ShardHasher`;
-    * ``on_batch`` — callback ``(verified_count) -> None`` after each
-      exchange that advanced the verified frontier, used by the runtime
-      for batch-boundary snapshots;
     * ``quarantine(shard)`` / ``reset_shard(shard)`` — shrink the compared
       shard set after DEGRADE, or re-admit a shard with a fresh hasher for
       RESTART (it rejoins checking at the next batch boundary, once its
@@ -390,8 +387,7 @@ class DeterminismMonitor:
                  collectives: Optional[ScheduledCollectives] = None,
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
-                 localize: bool = False,
-                 on_batch: Optional[Callable[[int], None]] = None):
+                 localize: bool = False):
         self.profiler = profiler if profiler is not None else get_profiler()
         self.collectives = collectives if collectives is not None \
             else Collectives(num_shards, profiler=self.profiler)
@@ -405,7 +401,6 @@ class DeterminismMonitor:
         self.batch = max(1, batch)
         self.enabled = enabled
         self.localize = localize
-        self.on_batch = on_batch
         self.checks_performed = 0
         # A monitor speaking for every shard reports on the control
         # timeline; a rank's own monitor reports on that rank's.
@@ -505,15 +500,13 @@ class DeterminismMonitor:
         if not all(ok for _window, ok in verdicts):
             self._diverged(windows)
         self._verified = max(start, upto)
-        span = self._verified - start
         if prof.enabled:
+            span = self._verified - start
             prof.complete(self._timeline, CAT_DETERMINISM, EV_DET_CHECK, t0,
                           prof.now_us() - t0, calls=span,
                           batch=self.checks_performed)
             prof.count("determinism.batches")
             prof.count("determinism.calls_checked", span)
-        if self.on_batch is not None and span:
-            self.on_batch(self._verified)
 
     def _diverged(self, windows: Dict[int, Tuple[int, int, int, int]]
                   ) -> None:

@@ -35,10 +35,9 @@ Delivery semantics shared by all (implemented in the base class):
 * every :meth:`recv` has a **hard deadline**: rather than hang on a dead
   or diverged peer, it raises :class:`~repro.faults.injector
   .CollectiveTimeout` carrying the caller's real ``(kind, op)`` tag and
-  the actual number of poll attempts made (retry budget semantics
-  borrowed from :class:`~repro.core.collectives.RetryConfig` — polling
-  backs off geometrically between attempts, and resets to the base
-  interval whenever a poll succeeds so bursts drain at full speed);
+  the actual number of poll attempts made (polling backs off
+  geometrically between attempts, and resets to the base interval
+  whenever a poll succeeds so bursts drain at full speed);
 * a peer that closed its end (worker crash) surfaces immediately as
   :class:`PeerGone` (a ``CollectiveTimeout`` subclass), never a hang;
 * a transport that has been :meth:`~Transport.close`\\ d rejects further
@@ -60,7 +59,6 @@ import weakref
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.collectives import RetryConfig
 from ..faults.injector import CollectiveTimeout
 from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
                      decode_frame_view, encode_frame, encode_frame_parts)
@@ -76,10 +74,12 @@ __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
 #: finite: a dead peer turns into an exception, never a hang.
 DEFAULT_DEADLINE_S = 30.0
 
-#: recv polling starts at the base interval and backs off geometrically to
-#: the cap while the channel is idle; any successful poll resets it.
+#: recv polling starts at the base interval and backs off geometrically
+#: (by ``POLL_FACTOR`` per idle poll) to the cap while the channel is idle;
+#: any successful poll resets it.
 POLL_BASE_S = 0.0005
 POLL_CAP_S = 0.05
+POLL_FACTOR = 2.0
 
 #: Bound on the per-peer out-of-order window: a frame whose seq is this far
 #: above the contiguous watermark is a protocol violation, not reordering.
@@ -150,7 +150,6 @@ class Transport:
 
     def __init__(self, rank: int, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None,
                  clock: Callable[[], float] = time.monotonic,
                  max_reorder: int = DEFAULT_MAX_REORDER):
         if not 0 <= rank < num_shards:
@@ -158,7 +157,6 @@ class Transport:
         self.rank = rank
         self.num_shards = num_shards
         self.deadline_s = deadline_s
-        self.retry = retry or RetryConfig()
         self.max_reorder = max_reorder
         self._clock = clock
         self._send_seq: Dict[int, int] = {}
@@ -268,9 +266,8 @@ class Transport:
             except PeerGone:
                 raise PeerGone(kind, op, src, attempts=attempts) from None
             if frame is None:
-                # Geometric backoff between polls (bounded by the retry
-                # config's schedule shape); the deadline stays hard.
-                poll_s = min(poll_s * self.retry.factor, POLL_CAP_S)
+                # Geometric backoff between polls; the deadline stays hard.
+                poll_s = min(poll_s * POLL_FACTOR, POLL_CAP_S)
                 continue
             # A successful poll resets the backoff: a burst of buffered
             # frames (e.g. out-of-order drain) is consumed at the base
@@ -366,7 +363,7 @@ class Fabric:
 class _LoopbackTransport(Transport):
     def __init__(self, fabric: "LoopbackFabric", rank: int):
         super().__init__(rank, fabric.num_shards,
-                         deadline_s=fabric.deadline_s, retry=fabric.retry,
+                         deadline_s=fabric.deadline_s,
                          clock=fabric.clock or time.monotonic)
         self._fabric = fabric
 
@@ -412,12 +409,10 @@ class LoopbackFabric(Fabric):
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None,
                  scramble=None,
                  clock: Optional[Callable[[], float]] = None):
         self.num_shards = num_shards
         self.deadline_s = deadline_s
-        self.retry = retry
         self.scramble = scramble
         self.clock = clock
         self._channels: Dict[Tuple[int, int], "queue.Queue[bytes]"] = {
@@ -727,10 +722,8 @@ class _SharedMemTransport(Transport):
                  rings_out: Dict[int, _ShmRing],
                  rings_in: Dict[int, _ShmRing],
                  status: _ShmStatus,
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None):
-        super().__init__(rank, num_shards, deadline_s=deadline_s,
-                         retry=retry)
+                 deadline_s: float = DEFAULT_DEADLINE_S):
+        super().__init__(rank, num_shards, deadline_s=deadline_s)
         self._rings_out = rings_out
         self._rings_in = rings_in
         self._status = status
@@ -885,11 +878,9 @@ class SharedMemFabric(Fabric):
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None,
                  ring_bytes: int = DEFAULT_RING_BYTES):
         self.num_shards = num_shards
         self.deadline_s = deadline_s
-        self.retry = retry
         self.ring_bytes = ring_bytes
         self._creator_pid = os.getpid()
         self._unlinked = False
@@ -906,8 +897,7 @@ class SharedMemFabric(Fabric):
                     for s in range(self.num_shards) if s != rank}
         return _SharedMemTransport(rank, self.num_shards, rings_out,
                                    rings_in, self._status,
-                                   deadline_s=self.deadline_s,
-                                   retry=self.retry)
+                                   deadline_s=self.deadline_s)
 
     def claim(self, rank: int) -> Dict[str, Any]:
         """Picklable rejoin claim: segment names, reattached on receipt."""
@@ -961,10 +951,8 @@ class _TCPTransport(Transport):
 
     def __init__(self, rank: int, num_shards: int,
                  socks: Dict[int, socket.socket],
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None):
-        super().__init__(rank, num_shards, deadline_s=deadline_s,
-                         retry=retry)
+                 deadline_s: float = DEFAULT_DEADLINE_S):
+        super().__init__(rank, num_shards, deadline_s=deadline_s)
         self._socks = socks
         self._decoders: Dict[int, FrameDecoder] = {
             p: FrameDecoder() for p in socks}
@@ -1073,11 +1061,9 @@ class TCPFabric(Fabric):
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
-                 retry: Optional[RetryConfig] = None,
                  host: str = "127.0.0.1"):
         self.num_shards = num_shards
         self.deadline_s = deadline_s
-        self.retry = retry
         # _ends[(a, b)] = (socket held by a, socket held by b), for a < b.
         self._ends: Dict[Tuple[int, int], Tuple[socket.socket,
                                                 socket.socket]] = {}
@@ -1110,7 +1096,7 @@ class TCPFabric(Fabric):
 
     def transport(self, rank: int) -> Transport:
         return _TCPTransport(rank, self.num_shards, self._claim_socks(rank),
-                             deadline_s=self.deadline_s, retry=self.retry)
+                             deadline_s=self.deadline_s)
 
     def claim(self, rank: int) -> Dict[str, Any]:
         """Picklable rejoin claim (sockets pickle by descriptor dup)."""
@@ -1150,7 +1136,6 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def connect_tcp_mesh(rank: int, num_shards: int,
                      addresses: List[Tuple[str, int]],
                      deadline_s: float = DEFAULT_DEADLINE_S,
-                     retry: Optional[RetryConfig] = None,
                      listener: Optional[socket.socket] = None) -> Transport:
     """Rendezvous one rank's transport of a (possibly multi-host) mesh.
 
@@ -1205,8 +1190,7 @@ def connect_tcp_mesh(rank: int, num_shards: int,
             socks[peer] = sock
     finally:
         own.close()
-    return _TCPTransport(rank, num_shards, socks,
-                         deadline_s=deadline_s, retry=retry)
+    return _TCPTransport(rank, num_shards, socks, deadline_s=deadline_s)
 
 
 # ---------------------------------------------------------------------------
@@ -1215,7 +1199,6 @@ def connect_tcp_mesh(rank: int, num_shards: int,
 
 def fabric_for_backend(backend: str, num_shards: int,
                        deadline_s: float = DEFAULT_DEADLINE_S,
-                       retry: Optional[RetryConfig] = None,
                        **kwargs) -> Fabric:
     """The fabric a gang on ``backend`` runs over.
 
@@ -1229,12 +1212,10 @@ def fabric_for_backend(backend: str, num_shards: int,
     if backend not in fabrics:
         raise ValueError(f"no fabric for backend {backend!r}; expected "
                          f"'loopback' or one of {PROCESS_BACKENDS}")
-    return fabrics[backend](num_shards, deadline_s=deadline_s, retry=retry,
-                            **kwargs)
+    return fabrics[backend](num_shards, deadline_s=deadline_s, **kwargs)
 
 
-def transport_from_claim(claim: Dict[str, Any],
-                         retry: Optional[RetryConfig] = None) -> Transport:
+def transport_from_claim(claim: Dict[str, Any]) -> Transport:
     """Rebuild a transport from a fabric's :meth:`claim` in another process.
 
     The worker-side half of live rejoin, generalized over fabrics: tcp
@@ -1249,7 +1230,7 @@ def transport_from_claim(claim: Dict[str, Any],
     if kind == "tcp":
         return _TCPTransport(claim["rank"], claim["num_shards"],
                              dict(claim["socks"]),
-                             deadline_s=claim["deadline_s"], retry=retry)
+                             deadline_s=claim["deadline_s"])
     if kind == "shm":
         rings_out = {int(d): _ShmRing.attach(name)
                      for d, name in claim["rings_out"].items()}
@@ -1258,6 +1239,5 @@ def transport_from_claim(claim: Dict[str, Any],
         status = _ShmStatus.attach(claim["status"])
         return _SharedMemTransport(claim["rank"], claim["num_shards"],
                                    rings_out, rings_in, status,
-                                   deadline_s=claim["deadline_s"],
-                                   retry=retry)
+                                   deadline_s=claim["deadline_s"])
     raise TransportError(f"unknown rejoin claim kind {kind!r}")

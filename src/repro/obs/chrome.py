@@ -20,15 +20,14 @@ from typing import Any, Dict, List, Union
 
 from .events import (CAT_COARSE, CAT_COLLECTIVE, CAT_CONTROL,
                      CAT_DETERMINISM, CAT_EXEC, CAT_FINE, CAT_PIPELINE,
-                     CAT_SIM, CAT_TRACE, CONTROL_SHARD)
+                     CAT_TRACE, CONTROL_SHARD)
 from .profiler import Profiler
 
 __all__ = ["chrome_trace_events", "export_chrome_trace", "shard_pid"]
 
 #: Stable track order within a shard process; unknown categories follow.
 _CATEGORY_ORDER = [CAT_CONTROL, CAT_PIPELINE, CAT_COARSE, CAT_FINE,
-                   CAT_COLLECTIVE, CAT_TRACE, CAT_DETERMINISM, CAT_EXEC,
-                   CAT_SIM]
+                   CAT_COLLECTIVE, CAT_TRACE, CAT_DETERMINISM, CAT_EXEC]
 
 
 def shard_pid(shard: int) -> int:

@@ -18,16 +18,16 @@ from __future__ import annotations
 __all__ = [
     "CONTROL_SHARD",
     "CAT_PIPELINE", "CAT_COARSE", "CAT_FINE", "CAT_COLLECTIVE", "CAT_TRACE",
-    "CAT_DETERMINISM", "CAT_EXEC", "CAT_CONTROL", "CAT_SIM",
+    "CAT_DETERMINISM", "CAT_EXEC", "CAT_CONTROL",
     "CAT_FAULT", "CAT_RESILIENCE", "CAT_SERVICE",
     "EV_OP_ANALYZE", "EV_COARSE_GROUP", "EV_FINE_POINTS",
     "EV_FENCE_INSERT", "EV_FENCE_ELIDE",
     "EV_TRACE_RECORD", "EV_TRACE_REPLAY", "EV_TRACE_FALLBACK",
     "EV_TRACE_SETTLE",
     "EV_DET_CHECK", "EV_DET_LOCALIZE",
-    "EV_EXEC_POINT", "EV_CONTROL_REPLAY", "EV_SIM_EVENT",
+    "EV_EXEC_POINT", "EV_CONTROL_REPLAY",
     "EV_FAULT_INJECT", "EV_FAULT_RETRY", "EV_SHARD_CRASH",
-    "EV_QUARANTINE", "EV_RECOVERY", "EV_SNAPSHOT",
+    "EV_QUARANTINE", "EV_RECOVERY",
     "EV_SESSION_OPEN", "EV_SESSION_CLOSE", "EV_JOB_ADMIT", "EV_JOB_REJECT",
     "EV_JOB_DISPATCH", "EV_JOB_DONE", "EV_JOB_EXPIRE", "EV_TEMPLATE_HIT",
     "EV_TEMPLATE_RECORDED", "EV_GANG_START", "EV_GANG_REBUILD",
@@ -48,9 +48,8 @@ CAT_TRACE = "trace"                # trace record / replay / fallback
 CAT_DETERMINISM = "determinism"    # hash batches and their all-reduce
 CAT_EXEC = "exec"                  # point-task execution
 CAT_CONTROL = "control"            # per-shard control-program replay
-CAT_SIM = "sim"                    # discrete-event simulator ticks
 CAT_FAULT = "fault"                # injected faults, retries, crashes
-CAT_RESILIENCE = "resilience"      # quarantine / recovery / snapshots
+CAT_RESILIENCE = "resilience"      # quarantine / recovery
 CAT_SERVICE = "service"            # session/job lifecycle on the service
 
 #: Categories the prof CLI rolls into the per-shard "time in ..." table.
@@ -73,13 +72,11 @@ EV_DET_CHECK = "determinism.check"     # span: one batched hash all-reduce
 EV_DET_LOCALIZE = "determinism.localize"  # span: window allgather + bisect
 EV_EXEC_POINT = "exec.point"           # span: one point task body
 EV_CONTROL_REPLAY = "control.replay"   # span: one shard's control program
-EV_SIM_EVENT = "sim.event"             # instant: one simulator event fired
 EV_FAULT_INJECT = "fault.inject"       # instant: an injected fault fired
 EV_FAULT_RETRY = "fault.retry"         # instant: one message retransmission
 EV_SHARD_CRASH = "fault.crash"         # instant: a shard's replay died
 EV_QUARANTINE = "resilience.quarantine"  # instant: shard removed from set
 EV_RECOVERY = "resilience.recover"     # span: one recovery attempt
-EV_SNAPSHOT = "resilience.snapshot"    # instant: region snapshot captured
 EV_SESSION_OPEN = "service.session.open"    # instant: client session opened
 EV_SESSION_CLOSE = "service.session.close"  # instant: client session closed
 EV_JOB_ADMIT = "service.job.admit"     # instant: submission admitted

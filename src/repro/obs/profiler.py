@@ -29,10 +29,8 @@ test_zero_perturbation.py`` holds this as a Hypothesis property and
 Clocks
 ------
 Timestamps are microseconds from :meth:`enable` by default (wall clock via
-``time.perf_counter``).  A simulated run injects its own clock
-(:meth:`set_clock`; see :meth:`repro.sim.engine.SimEngine.attach_profiler`)
-so profiles of simulated executions line up with the cost model's notion
-of time.
+``time.perf_counter``).  :meth:`set_clock` injects another clock, e.g. a
+fake one in tests.
 """
 
 from __future__ import annotations
@@ -88,10 +86,10 @@ class Profiler:
 
     def set_clock(self, clock: Callable[[], float],
                   origin: float = 0.0) -> None:
-        """Use ``clock`` (seconds) for timestamps — e.g. simulated time.
+        """Use ``clock`` (seconds) for timestamps — e.g. a fake clock.
 
-        ``origin`` is subtracted so simulated profiles start at t=0 by
-        default regardless of where the engine's clock stands.
+        ``origin`` is subtracted so profiles start at t=0 by default
+        regardless of where the injected clock stands.
         """
         self._clock = clock
         self._origin = origin

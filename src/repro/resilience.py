@@ -21,11 +21,11 @@ policies themselves:
   surviving replicas; the recovered task graph is identical to a
   fault-free run, and the re-verified call-stream prefix is checked
   against the originally verified window digests.
-* **RESTART** — recover from a region snapshot (``tools.checkpoint``): a
-  crashed *replica* is restored from the latest consistent snapshot and
-  rejoins checking at the next batch boundary; a crashed or diverged
-  *driver* restarts the epoch from its initial state (full re-execution,
-  which Theorem 1 makes equivalent).
+* **RESTART** — a crashed *replica* is re-run in place with a fresh
+  hasher and rejoins checking at the next batch boundary (it performs no
+  effects, so nothing is rolled back); a crashed or diverged *driver*
+  restarts the epoch from its initial state (full re-execution, which
+  Theorem 1 makes equivalent).
 * **REJOIN** — the self-healing policy for persistent gangs: fork a
   replacement worker for exactly the culprit rank(s), re-endpoint the
   surviving replicas onto a fresh fabric, and return the gang to full
@@ -73,14 +73,12 @@ class ResilienceConfig:
 
     ``max_recoveries`` bounds how many recovery attempts a single
     ``execute`` may make before giving up and re-raising (guards against a
-    fault the policy cannot actually clear).  ``checkpoint_dir`` mirrors
-    every snapshot to disk via :func:`repro.tools.checkpoint.
-    save_store_snapshot`; ``report_dir`` persists recovery reports as JSON.
+    fault the policy cannot actually clear).  ``report_dir`` persists
+    recovery reports as JSON.
     """
 
     policy: RecoveryPolicy = RecoveryPolicy.ABORT
     max_recoveries: int = 2
-    checkpoint_dir: Optional[str] = None
     report_dir: Optional[str] = None
     #: REJOIN only: how many live respawns a service may attempt before
     #: the plan falls back to a DEGRADE rebuild.
@@ -103,7 +101,6 @@ class ResilienceConfig:
         return cls(
             policy=policy,
             max_recoveries=int(e.get("REPRO_FAULT_MAX_RECOVERIES", "2")),
-            checkpoint_dir=e.get("REPRO_FAULT_CHECKPOINT_DIR") or None,
             report_dir=e.get("REPRO_FAULT_REPORT_DIR") or None,
             respawn_budget=int(e.get("REPRO_FAULT_RESPAWN_BUDGET", "2")),
         )
@@ -136,7 +133,6 @@ class RecoveryReport:
     details: Dict[str, Any] = field(default_factory=dict)
     # -- REJOIN bookkeeping (absent / defaulted for the other policies) --
     respawns: int = 0                 # respawn attempts consumed so far
-    resync_source: Optional[str] = None   # width-keyed-templates|fresh-replay
     #: Heartbeat monitor snapshot at failure time ("wall of suspicion");
     #: timestamps are relative to monitor start, so with an injectable
     #: clock the whole report is deterministic.
@@ -166,8 +162,7 @@ class RecoveryReport:
 def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
                        num_shards: int, attempt: int, *,
                        respawns_used: int = 0,
-                       suspicion: Optional[Dict[str, Any]] = None,
-                       resync_source: Optional[str] = None
+                       suspicion: Optional[Dict[str, Any]] = None
                        ) -> RecoveryReport:
     """Decide how a persistent shard gang recovers from a dead gang.
 
@@ -199,7 +194,7 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
     ``action="exhausted"`` once ``attempt`` exceeds
     ``config.max_recoveries`` (the service then refuses further work).
     For REJOIN plans the report additionally records the respawn budget
-    state, the resync source, and the failure-time suspicion snapshot.
+    state and the failure-time suspicion snapshot.
     """
     culprits = identify_culprits(failure)
     details: Dict[str, Any]
@@ -251,7 +246,6 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
         attempt=attempt, diagnosis=diagnosis,
         details=base,
         respawns=respawns_used,
-        resync_source=resync_source,
         suspicion=dict(suspicion) if suspicion else
         dict(getattr(failure, "suspicion", None) or {}) or None)
     if config.report_dir:

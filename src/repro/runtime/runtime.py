@@ -39,8 +39,7 @@ from ..core.rng import CounterRNG
 from ..faults.injector import FaultInjector, ShardCrash
 from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, CAT_RESILIENCE,
                           CONTROL_SHARD, EV_CONTROL_REPLAY, EV_EXEC_POINT,
-                          EV_QUARANTINE, EV_RECOVERY, EV_SHARD_CRASH,
-                          EV_SNAPSHOT)
+                          EV_QUARANTINE, EV_RECOVERY, EV_SHARD_CRASH)
 from ..obs.profiler import Profiler, get_profiler
 from ..resilience import (RecoveryPolicy, RecoveryReport, ResilienceConfig,
                           diagnosis_to_dict, identify_culprits)
@@ -146,7 +145,6 @@ class Runtime:
         self.quarantined: set = set()
         self.reports: List[RecoveryReport] = []
         self._recoveries = 0
-        self._latest_snapshot: Optional[Dict[str, Any]] = None
         self._prefix_expectation: Optional[Tuple[int, int, int]] = None
         self._sharding_cache: Dict[Tuple[int, frozenset], ShardingFunction] \
             = {}
@@ -187,9 +185,7 @@ class Runtime:
             enabled=self._safe_checks, collectives=self.collectives,
             profiler=self.profiler, injector=self.injector,
             localize=policy is not None and policy is not
-            RecoveryPolicy.ABORT,
-            on_batch=(self._take_batch_snapshot
-                      if self.resilience is not None else None))
+            RecoveryPolicy.ABORT)
         for s in self.quarantined:
             monitor.quarantine(s)
         return monitor
@@ -246,11 +242,10 @@ class Runtime:
                         and res.policy is RecoveryPolicy.RESTART
                         and shard != self.driver_shard
                         and self._recoveries < res.max_recoveries):
-                    # A crashed *replica* can rejoin in place: the driver's
-                    # effects are unaffected, so restore the shard's region
-                    # view from the latest snapshot, reset its hasher, and
-                    # re-run its replay — it rejoins determinism checking
-                    # at the next batch boundary.
+                    # A crashed *replica* can rejoin in place: it performs
+                    # no effects, so a fresh hasher and a re-run of its
+                    # replay are all it needs — it rejoins determinism
+                    # checking at the next batch boundary.
                     self._recoveries += 1
                     self._restart_replica(shard, crash, control, args)
                 else:
@@ -276,11 +271,6 @@ class Runtime:
                 prof.end(shard, CAT_CONTROL, EV_CONTROL_REPLAY)
         if shard == self.driver_shard:
             self._result = ret
-            if self.resilience is not None:
-                # The post-driver snapshot is the latest consistent state a
-                # restarted replica can be recovered from.
-                self._take_snapshot("driver-complete",
-                                    verified=self.monitor.verified)
 
     # -- gang backends (loopback / shm / tcp) --------------------------------
 
@@ -337,18 +327,15 @@ class Runtime:
                 f"{self.backend} replicas failed: " + "; ".join(failures))
         for shard in sorted(payloads):
             payload = payloads[shard]
+            # Forked replicas announced their finalizer deletions in their
+            # own copies of the manager; repeat them here, where the
+            # consensus is decided.
+            for key in payload.pop("announced"):
+                self.deferred.announce(shard, key)
             profile = payload.pop("profile", None)
             if profile is not None:
                 self.replica_profiles.append(profile)
             self.replica_reports.append(payload)
-        # Replica call streams verified identical ⇒ every deferred
-        # deletion the driver announced was announced by all replicas
-        # (forked ones in their own copies of the manager); endorse on
-        # their behalf and drain.
-        for key in self.deferred.pending_keys():
-            for shard in range(self.num_shards):
-                if shard != driver:
-                    self.deferred.announce(shard, key)
         self._drain_deferred()
         self.pipeline.validate()
         return self._result
@@ -452,8 +439,7 @@ class Runtime:
             self._reset_epoch()
         else:  # RESTART: re-execute the epoch with the full shard set.
             self._capture_prefix_expectation(exclude=set())
-            self._report("restart", failure, culprits,
-                         had_snapshot=self._latest_snapshot is not None)
+            self._report("restart", failure, culprits)
             self._reset_epoch()
         if prof.enabled:
             prof.complete(CONTROL_SHARD, CAT_RESILIENCE, EV_RECOVERY, t0,
@@ -493,27 +479,17 @@ class Runtime:
         self._resources = []
         self._futures = []
         self._deferred_keys = {}
-        self._latest_snapshot = None
         self._result = None
 
     def _restart_replica(self, shard: int, crash: ShardCrash,
                          control: Callable[..., Any],
                          args: Tuple[Any, ...]) -> None:
-        """RESTART a crashed replica in place (driver effects are intact)."""
+        """RESTART a crashed replica in place: the driver's effects are
+        intact and a replica has none, so nothing is rolled back."""
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
-        snap = self._latest_snapshot
-        if snap is not None:
-            # Recover the shard's region view from the latest consistent
-            # checkpoint.  Storage is shared in the functional runtime and
-            # the snapshot postdates the driver's effects, so the restore
-            # is value-identical — but it exercises the exact machinery a
-            # distributed shard restart would use.
-            self.store.restore(snap["snap"])
+        self._report("restart-replica", crash, [shard])
         self.monitor.reset_shard(shard)
-        self.deferred.restore(shard)
-        self._report("restart-replica", crash, [shard],
-                     snapshot=None if snap is None else snap["tag"])
         if prof.enabled:
             prof.complete(shard, CAT_RESILIENCE, EV_RECOVERY, t0,
                           prof.now_us() - t0, action="restart-replica",
@@ -562,23 +538,6 @@ class Runtime:
                         f"{got:032x}, original shard {witness} hashed "
                         f"{digest:032x}")
                 return
-
-    # -- snapshots -----------------------------------------------------------
-
-    def _take_batch_snapshot(self, verified: int) -> None:
-        self._take_snapshot(f"batch@{verified}", verified=verified)
-
-    def _take_snapshot(self, tag: str, verified: Optional[int] = None) -> None:
-        self._latest_snapshot = {
-            "snap": self.store.snapshot(), "tag": tag, "verified": verified}
-        res = self.resilience
-        if res is not None and res.checkpoint_dir:
-            from ..tools.checkpoint import save_store_snapshot
-            save_store_snapshot(self.store, res.checkpoint_dir)
-        prof = self.profiler
-        if prof.enabled:
-            prof.instant(CONTROL_SHARD, CAT_RESILIENCE, EV_SNAPSHOT, tag=tag)
-            prof.count("resilience.snapshots")
 
     # -- quarantine-aware placement -------------------------------------------
 
@@ -631,16 +590,12 @@ class Runtime:
         return [digests[s] for s in sorted(digests)]
 
     def _drain_deferred(self) -> None:
-        """Insert finalizer-deferred deletions once all shards concur (§4.3)."""
+        """Apply the finalizer-deferred deletions every active shard has
+        announced (§4.3); the rest stay pending in ``self.deferred``."""
         for hook in self._drain_hooks:
             hook()
-        while self.deferred.outstanding:
-            ready = self.deferred.tick()
-            for key in ready:
-                target = self._deferred_keys.pop(key)
-                self._apply_deletion(target)
-            if not ready and self.deferred.outstanding:
-                continue  # back-off tick consumed; poll again
+        for key in self.deferred.poll():
+            self._apply_deletion(self._deferred_keys.pop(key))
 
     def _apply_deletion(self, target: Any) -> None:
         if isinstance(target, tuple) and target[0] == "field":
@@ -683,6 +638,7 @@ def _replica_main(transport: Any, channel: Any, runtime: Runtime,
         "calls": len(calls),
         "checks": monitor.checks_performed,
         "stream_digest": stream_digest(calls),
+        "announced": runtime.deferred.announced_by(transport.rank),
         "frames_sent": transport.frames_sent,
         "frames_received": transport.frames_received,
     }

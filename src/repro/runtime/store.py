@@ -75,21 +75,6 @@ class RegionStore:
             for p in region.index_space:
                 arr[tuple(c - o for c, o in zip(p, off))] = value
 
-    # -- snapshots (resilience) ----------------------------------------------
-
-    def snapshot(self) -> Tuple[Dict[Tuple[int, int], np.ndarray],
-                                Dict[int, Tuple[int, ...]]]:
-        """A deep copy of every backing array, for recovery checkpoints."""
-        return ({k: v.copy() for k, v in self._arrays.items()},
-                dict(self._offsets))
-
-    def restore(self, snap: Tuple[Dict[Tuple[int, int], np.ndarray],
-                                  Dict[int, Tuple[int, ...]]]) -> None:
-        """Replace all storage with a previously captured :meth:`snapshot`."""
-        arrays, offsets = snap
-        self._arrays = {k: v.copy() for k, v in arrays.items()}
-        self._offsets = dict(offsets)
-
     def accessor(self, req: RegionRequirement, f: Field) -> "FieldAccessor":
         """A privilege-checked accessor for one requirement's field."""
         if f not in req.fields:

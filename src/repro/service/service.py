@@ -501,19 +501,6 @@ class DCRService:
                         program=handle.program_id)
             return merged
 
-    def _resync_source(self, width: int) -> str:
-        """What a respawned rank resyncs from at ``width``.
-
-        Theorem 1 already guarantees a fresh replica recomputes identical
-        graphs ("fresh-replay"); when the template store holds entries at
-        this width the verified per-call digests double as the replay
-        check material ("width-keyed-templates"), so the rejoined gang's
-        first conformance check validates the respawn against previously
-        verified streams rather than only against its new peers.
-        """
-        return "width-keyed-templates" \
-            if self.templates.entries_at_width(width) else "fresh-replay"
-
     def _recover(self, failure: GangFailure) -> bool:
         """Heal the gang per policy; True if the job should retry.
 
@@ -531,8 +518,7 @@ class DCRService:
                 self.resilience, current, self._width, self._recoveries,
                 respawns_used=self._respawns_used,
                 suspicion=getattr(current, "suspicion", None)
-                or self._gang.suspicion(),
-                resync_source=self._resync_source(self._width))
+                or self._gang.suspicion())
             if plan.action == "exhausted":
                 with self._lock:
                     self._failed_permanently = True
@@ -561,8 +547,7 @@ class DCRService:
                     prof.instant(CONTROL_SHARD, CAT_SERVICE,
                                  EV_GANG_REJOIN, ranks=ranks,
                                  shards=self._width,
-                                 generation=self._gang.generation,
-                                 resync=plan.resync_source)
+                                 generation=self._gang.generation)
                 return True
             new_width = int(plan.details["new_width"])
             self._gang.stop()

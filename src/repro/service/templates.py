@@ -140,16 +140,6 @@ class TemplateStore:
             self.evictions += 1
         return tpl
 
-    def entries_at_width(self, num_shards: int) -> int:
-        """How many cached templates were recorded at ``num_shards``.
-
-        The REJOIN resync probe: a respawned rank at this width can be
-        re-verified against previously verified call streams (templates
-        are width-keyed, so entries at other widths prove nothing).
-        """
-        return sum(1 for t in self._entries.values()
-                   if t.num_shards == num_shards)
-
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "evictions": self.evictions}

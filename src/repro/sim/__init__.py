@@ -5,7 +5,6 @@ runtime overhead vs. scale, which a cost-modeled simulator exposes directly.
 """
 
 from .costs import CostModel, DEFAULT_COSTS
-from .engine import SerialResource, SimEngine, recovery_latency
 from .machine import (DGX1V, LASSEN, PIZ_DAINT, QUARTZ, SIERRA, SUMMIT,
                       MachineSpec, ProcKind)
 from .network import NetworkModel, TrafficStats
@@ -13,7 +12,6 @@ from .workload import DepSpec, SimOp, SimProgram, edge_sources, placement
 
 __all__ = [
     "CostModel", "DEFAULT_COSTS",
-    "SerialResource", "SimEngine", "recovery_latency",
     "DGX1V", "LASSEN", "PIZ_DAINT", "QUARTZ", "SIERRA", "SUMMIT",
     "MachineSpec", "ProcKind",
     "NetworkModel", "TrafficStats",

@@ -10,61 +10,17 @@ correctly ordered against in-flight tasks and replicate safely.
 from __future__ import annotations
 
 import os
-from typing import Hashable
-
-import numpy as np
 
 from ..regions import LogicalRegion, Partition
 from ..runtime.attach import detach_file, attach_file
 from ..runtime.runtime import Context
 
 __all__ = ["save_region", "load_region", "save_partitioned",
-           "load_partitioned", "save_store_snapshot", "load_store_snapshot"]
+           "load_partitioned"]
 
 
 def _field_path(directory: str, region_name: str, field_name: str) -> str:
     return os.path.join(directory, f"{region_name}.{field_name}.npy")
-
-
-# -- whole-store snapshots (resilience checkpoints) --------------------------
-
-def _store_field_path(directory: str, tree_id: int, fid: int) -> str:
-    return os.path.join(directory, f"tree{tree_id}.f{fid}.npy")
-
-
-def save_store_snapshot(store, directory: str) -> int:
-    """Mirror every allocated field array of a :class:`~repro.runtime.store.
-    RegionStore` to ``directory`` (one ``.npy`` per field plus an offsets
-    index).  Used by the RESTART recovery policy's batch-boundary
-    checkpoints; returns the number of arrays written."""
-    os.makedirs(directory, exist_ok=True)
-    arrays, offsets = store.snapshot()
-    for (tree_id, fid), arr in arrays.items():
-        np.save(_store_field_path(directory, tree_id, fid), arr)
-    import json
-    with open(os.path.join(directory, "offsets.json"), "w") as fh:
-        json.dump({str(t): list(o) for t, o in offsets.items()}, fh)
-    return len(arrays)
-
-
-def load_store_snapshot(store, directory: str) -> int:
-    """Restore a :func:`save_store_snapshot` checkpoint into ``store``.
-
-    Only fields present in the checkpoint are replaced; returns the number
-    of arrays restored."""
-    import json
-    with open(os.path.join(directory, "offsets.json")) as fh:
-        offsets = {int(t): tuple(o) for t, o in json.load(fh).items()}
-    arrays = {}
-    for fname in sorted(os.listdir(directory)):
-        if not (fname.startswith("tree") and fname.endswith(".npy")):
-            continue
-        stem = fname[len("tree"):-len(".npy")]
-        tree_str, fid_str = stem.split(".f")
-        arrays[(int(tree_str), int(fid_str))] = np.load(
-            os.path.join(directory, fname))
-    store.restore((arrays, offsets))
-    return len(arrays)
 
 
 def save_region(ctx: Context, region: LogicalRegion, directory: str) -> None:

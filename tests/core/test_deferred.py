@@ -1,4 +1,4 @@
-"""GC-deferred operations: consensus + exponential back-off (paper §4.3)."""
+"""GC-deferred operations: consensus among the active shards (paper §4.3)."""
 
 from repro.core.deferred import DeferredOpManager
 
@@ -7,13 +7,11 @@ class TestConsensus:
     def test_ready_only_after_all_shards(self):
         mgr = DeferredOpManager(3)
         mgr.announce(0, "regionA")
-        assert mgr.tick() == []
+        assert mgr.poll() == []
         mgr.announce(1, "regionA")
-        mgr._cooldown = 0
-        assert mgr.tick() == []
+        assert mgr.poll() == []
         mgr.announce(2, "regionA")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["regionA"]
+        assert mgr.poll() == ["regionA"]
         assert mgr.outstanding == 0
 
     def test_deterministic_insertion_order(self):
@@ -24,20 +22,17 @@ class TestConsensus:
         mgr.announce(0, "B")
         mgr.announce(1, "B")       # B confirmed before A...
         mgr.announce(1, "A")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["A", "B"]   # ...but A was announced first
+        assert mgr.poll() == ["A", "B"]   # ...but A was announced first
 
     def test_partial_batches(self):
         mgr = DeferredOpManager(2)
         mgr.announce(0, "A")
         mgr.announce(1, "A")
         mgr.announce(0, "B")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["A"]
+        assert mgr.poll() == ["A"]
         assert mgr.outstanding == 1
         mgr.announce(1, "B")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["B"]
+        assert mgr.poll() == ["B"]
 
     def test_invalid_shard_rejected(self):
         import pytest
@@ -51,35 +46,5 @@ class TestConsensus:
         mgr.announce(0, "A")
         assert mgr.outstanding == 1
         mgr.announce(1, "A")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["A"]
+        assert mgr.poll() == ["A"]
 
-
-class TestBackoff:
-    def test_idle_polls_back_off_exponentially(self):
-        mgr = DeferredOpManager(2, min_interval=1, max_interval=16)
-        performed = 0
-        for _ in range(64):
-            mgr.tick()
-        performed = mgr.polls
-        # 64 idle ticks with doubling back-off: 1+2+4+8+16+16+16 covers 63,
-        # so only ~7 real polls happen, not 64.
-        assert performed <= 8
-        assert mgr.skipped == 64 - performed
-
-    def test_activity_resets_interval(self):
-        mgr = DeferredOpManager(2, min_interval=1, max_interval=64)
-        for _ in range(32):
-            mgr.tick()               # drive the interval up
-        assert mgr._interval > 1
-        mgr.announce(0, "A")
-        mgr.announce(1, "A")
-        mgr._cooldown = 0
-        assert mgr.tick() == ["A"]
-        assert mgr._interval == 1    # reset by activity
-
-    def test_interval_cap(self):
-        mgr = DeferredOpManager(1, min_interval=1, max_interval=4)
-        for _ in range(100):
-            mgr.tick()
-        assert mgr._interval <= 4

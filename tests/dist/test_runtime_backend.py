@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -90,6 +91,47 @@ def test_one_check_schedule_on_every_backend(backend, batch):
     assert checks == {4: 9, 16: 3}[batch]
     assert [rep["checks"] for rep in rt.replica_reports] == \
         [checks] * (backend != "inprocess")
+
+
+def finalizer_control(announcers):
+    """A finalizer deletion that only the shards in ``announcers`` see."""
+    def control(ctx):
+        fs = ctx.create_field_space([("x", "f8")])
+        r = ctx.create_region(ctx.create_index_space(8), fs, "r")
+        ctx.fill(r, "x", 1.0)
+        if ctx.shard in announcers:
+            with ctx.finalizer():
+                ctx.delete_region(r)
+        return r
+    return control
+
+
+@pytest.mark.parametrize("announcers,deleted", [((0,), False),
+                                                ((0, 1), True)])
+@pytest.mark.parametrize("backend", ["inprocess", "loopback", "tcp"])
+def test_finalizer_deletion_waits_for_every_shard(backend, announcers,
+                                                  deleted):
+    """§4.3: a deferred deletion is applied once every active shard has
+    announced it.  One announcement short, ``execute`` still returns and
+    the deletion stays pending — on every backend alike."""
+    rt = Runtime(num_shards=2, backend=backend)
+    out = {}
+
+    def run():
+        try:
+            out["region"] = rt.execute(finalizer_control(announcers))
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            out["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "execute did not return"
+    if "error" in out:
+        raise out["error"]
+    r = out["region"]
+    assert rt.store.has_field(r.tree_id, r.field_space["x"]) is not deleted
+    assert rt.deferred.outstanding == (0 if deleted else 1)
 
 
 def test_forked_replicas_are_separate_processes():

@@ -103,13 +103,6 @@ def analysis_signature(rt):
 
 
 def run(script, shards, auto_trace, profiler=None, repeat=3, tail=()):
-    # Field ids come from a process-global counter; rebase it so the
-    # determinism hash streams of two runs are directly comparable.
-    import itertools
-
-    from repro.regions.field_space import FieldSpace
-    FieldSpace._next_fid = itertools.count()
-
     kwargs = {"profiler": profiler} if profiler is not None else {}
     rt = Runtime(num_shards=shards, auto_trace=auto_trace, **kwargs)
     region, totals = rt.execute(

@@ -6,8 +6,6 @@ plan (``enabled`` is False, so every site guard short-circuits), and the
 env-driven default when no ``REPRO_FAULT_*`` variables are set.
 """
 
-import itertools
-
 import numpy as np
 
 from obs.test_zero_perturbation import analysis_signature, make_control
@@ -18,8 +16,6 @@ SCRIPT = [(0, 1.5), (2, 0.0), (3, 0.0), (1, 0.75)] * 2
 
 
 def run(**kwargs):
-    from repro.regions.field_space import FieldSpace
-    FieldSpace._next_fid = itertools.count()
     rt = Runtime(num_shards=3, **kwargs)
     region, totals = rt.execute(make_control(SCRIPT))
     x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()

@@ -6,7 +6,6 @@ run must match a fault-free run exactly — same graph signature, same
 region bytes, same reduction results.
 """
 
-import itertools
 import json
 import os
 
@@ -25,8 +24,6 @@ SCRIPT = [(0, 1.0), (1, 2.0), (2, 0.0), (3, 0.0)] * 3
 
 
 def run(injector=None, policy=None, shards=3, profiler=None, **res_kw):
-    from repro.regions.field_space import FieldSpace
-    FieldSpace._next_fid = itertools.count()
     res = (ResilienceConfig(policy=policy, **res_kw)
            if policy is not None else None)
     kwargs = {"profiler": profiler} if profiler is not None else {}
@@ -149,8 +146,6 @@ class TestShardCrash:
 
 class TestTraceCorruption:
     def _run_traced(self, injector=None):
-        from repro.regions.field_space import FieldSpace
-        FieldSpace._next_fid = itertools.count()
         rt = Runtime(num_shards=2, auto_trace=True, injector=injector)
         region, totals = rt.execute(
             make_control([(0, 1.0), (1, 2.0), (3, 0.0)], repeat=4))
@@ -224,14 +219,6 @@ class TestRecoveryMachinery:
         assert "resilience.quarantine" in names
         assert "resilience.recover" in names
         assert "determinism.localize" in names
-
-    def test_restart_checkpoints_mirrored_to_disk(self, tmp_path, baseline):
-        sig0, totals0, x0 = baseline
-        rt, totals, x = run(injector=crash_at(2, 7),
-                            policy=RecoveryPolicy.RESTART,
-                            checkpoint_dir=str(tmp_path))
-        assert np.array_equal(x, x0)
-        assert "offsets.json" in os.listdir(tmp_path)
 
     def test_runtime_single_use_guard_still_applies(self):
         rt, totals, x = run()

@@ -9,8 +9,6 @@ call index) combination:
   (Theorem 1: any surviving subset recomputes DEP_seq).
 """
 
-import itertools
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +22,6 @@ SCRIPT = [(0, 1.0), (1, 2.0), (2, 0.0), (3, 0.0)] * 2
 
 
 def run(shards, injector=None, policy=None):
-    from repro.regions.field_space import FieldSpace
-    FieldSpace._next_fid = itertools.count()
     res = ResilienceConfig(policy=policy) if policy is not None else None
     rt = Runtime(num_shards=shards, injector=injector, resilience=res)
     region, totals = rt.execute(make_control(SCRIPT))

@@ -40,8 +40,7 @@ class TestRoundTrip:
                                max_recoveries=5, respawn_budget=3)
         snap = suspicion_snapshot()
         plan = plan_gang_recovery(cfg, ShardCrash(3, 9), 4, 2,
-                                  respawns_used=1, suspicion=snap,
-                                  resync_source="width-keyed-templates")
+                                  respawns_used=1, suspicion=snap)
         assert plan.action == "respawn"
         assert plan.details["respawned"] == [3]
         assert plan.details["respawn_attempt"] == 2
@@ -50,7 +49,6 @@ class TestRoundTrip:
         again = roundtrip(plan)
         assert again == plan
         assert again.respawns == 1
-        assert again.resync_source == "width-keyed-templates"
         assert again.suspicion == snap
         assert again.suspicion["ranks"]["3"]["state"] == "dead"
 
@@ -69,6 +67,7 @@ class TestRoundTrip:
             ShardCrash(0, 1), 2, 1)
         data = json.loads(plan.to_json())
         data["some_future_field"] = {"x": 1}
+        data["resync_source"] = "fresh-replay"    # older reports carry it
         assert RecoveryReport.from_dict(data) == plan
 
 

@@ -79,6 +79,36 @@ def test_the_check_window_has_one_knob():
         assert not {"coalesce", "check_coalesce"} & set(params), fn
 
 
+def test_recovery_surfaces_carry_no_dead_knobs():
+    """The snapshot mirror, the batch-snapshot hook, the resync label, the
+    deferred-poll back-off and the transports' ``retry`` are gone."""
+    import dataclasses
+    import inspect
+
+    import repro.sim as sim
+    from repro.core import DeferredOpManager, DeterminismMonitor
+    from repro.dist import transport
+    from repro.resilience import ResilienceConfig, plan_gang_recovery
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert "checkpoint_dir" not in \
+        {f.name for f in dataclasses.fields(ResilienceConfig)}
+    assert "on_batch" not in params(DeterminismMonitor.__init__)
+    assert "resync_source" not in params(plan_gang_recovery)
+    assert not {"min_interval", "max_interval"} \
+        & params(DeferredOpManager.__init__)
+    for fn in (transport.Transport.__init__,
+               transport.LoopbackFabric.__init__,
+               transport.SharedMemFabric.__init__,
+               transport.TCPFabric.__init__, transport.connect_tcp_mesh,
+               transport.fabric_for_backend, transport.transport_from_claim):
+        assert "retry" not in params(fn), fn.__qualname__
+    for gone in ("SimEngine", "SerialResource", "recovery_latency"):
+        assert gone not in sim.__all__ and not hasattr(sim, gone), gone
+
+
 def test_order_maintenance_labels_stay_deleted():
     """Program order is append-only, so nothing ever read an OM label:
     the labeler, its module and the helpers around the twin class tables

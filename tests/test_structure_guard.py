@@ -28,8 +28,13 @@
   hashed process-global field ids, so the same program hashed differently
   after unrelated work in the process, and a counter rewind
   (``fresh_id_epoch``) papered over it; the window was also sized by two
-  knobs (``coalesce`` × ``batch``).  The last tests fail if either
+  knobs (``coalesce`` × ``batch``).  The next tests fail if either
   workaround or a hashed ``.fid`` comes back.
+* Recovery keeps only what recovers.  RESTART once deep-copied the store
+  (and could mirror it to disk) to restore a replica that performs no
+  effects, REJOIN labelled a resync source nothing read, and a simulator
+  fault clock ran under no model; the last tests fail if any of that, or
+  a transport ``retry`` knob, grows back.
 """
 
 import ast
@@ -366,3 +371,44 @@ def test_context_hashes_no_field_ids():
     assert not offenders, (
         "fids come from a process-global counter; hash field names, which "
         "are unique within the field space:\n  " + "\n  ".join(offenders))
+
+
+# -- recovery keeps only what recovers -----------------------------------------
+
+
+def test_no_store_snapshots_resync_label_or_fault_clock():
+    """RESTART re-runs a crashed replica, which performs no effects, so the
+    store copies it restored were never needed; their disk mirror had ids
+    no other run could map back, ``resync_source`` was a label no code
+    path read, and the simulator's fault clock ran under no model."""
+    gone = {"checkpoint_dir", "on_batch", "resync_source", "SimEngine",
+            "min_interval", "max_interval"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    for rel, tree in _trees(("",)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("snapshot", "restore") \
+                    and "store" in _names(node.value):
+                offenders.append(f"{rel}:{node.lineno}: store.{node.attr}")
+    (_, store), = _trees(("runtime/store.py",))
+    offenders += [f"runtime/store.py:{fn.lineno}: def {fn.name}"
+                  for fn in ast.walk(store)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("snapshot", "restore")]
+    assert not offenders, "\n  ".join(offenders)
+    assert not (SRC / "sim" / "engine.py").exists()
+
+
+def test_transports_take_no_retry_config():
+    (_, tree), = _trees(("dist/transport.py",))
+    offenders = [f"dist/transport.py:{node.lineno}: retry"
+                 for node in ast.walk(tree)
+                 if (isinstance(node, ast.arg) and node.arg == "retry")
+                 or (isinstance(node, ast.Attribute) and node.attr == "retry")
+                 or "RetryConfig" in _names(node)]
+    assert not offenders, (
+        "the recv poll schedule is a module constant; the in-process "
+        "Collectives keep their RetryConfig:\n  " + "\n  ".join(offenders))
