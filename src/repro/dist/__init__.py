@@ -37,7 +37,7 @@ from .runner import BACKENDS, DistRunner, run_reference
 from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, \
     Fabric, LoopbackFabric, PeerGone, ReorderWindowExceeded, \
     SharedMemFabric, TCPFabric, Transport, TransportError, \
-    fabric_for_backend, transport_from_claim
+    fabric_for_backend
 from .worker import ShardWorker, op_signature, replay
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "Transport", "Fabric", "LoopbackFabric", "SharedMemFabric", "TCPFabric",
     "TransportError", "ReorderWindowExceeded",
     "PeerGone", "DEFAULT_DEADLINE_S", "PROCESS_BACKENDS",
-    "fabric_for_backend", "transport_from_claim",
+    "fabric_for_backend",
     "DistCollectives",
     "OpSpec", "ProgramSpec", "build_field", "build_operations",
     "stencil_program",

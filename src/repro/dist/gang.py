@@ -12,9 +12,9 @@ in the ``main`` they hand to :meth:`Gang.spawn`.
 Lifecycle: :meth:`Gang.spawn` each rank → :meth:`Gang.release_parent`
 once → :meth:`Gang.collect` (one-shot gangs) or a conversation over the
 per-rank :class:`Channel`\\ s (serving gangs) → :meth:`Gang.terminate`.
-Live rejoin is :meth:`Gang.renew_fabric` followed by ``spawn`` for the
-replaced ranks only.  ``docs/dist.md`` ("Gang lifecycle") has the long
-form.
+A gang lives on one fabric: a serving gang that loses a rank is
+terminated and a new one is built.  ``docs/dist.md`` ("Gang lifecycle")
+has the long form.
 
 ``main(transport, channel, *args)`` runs with the rank's claimed
 :class:`~repro.dist.transport.Transport` and its end of a two-way
@@ -161,9 +161,8 @@ class Gang:
     """N ranks on ``backend``: threads for ``"loopback"``, forked
     processes for :data:`~repro.dist.transport.PROCESS_BACKENDS`.
 
-    ``name`` prefixes every thread/process name (``{name}-{rank}``, plus
-    ``g{generation}`` after a :meth:`renew_fabric`).  ``fabric_kwargs``
-    go to the fabric constructor.
+    ``name`` prefixes every thread/process name (``{name}-{rank}``).
+    ``fabric_kwargs`` go to the fabric constructor.
     """
 
     def __init__(self, backend: str, num_shards: int,
@@ -173,7 +172,6 @@ class Gang:
         self.backend = backend
         self.num_shards = num_shards
         self.name = name
-        self.generation = 0
         #: Ranks are forked processes sharing nothing with the launcher
         #: (as opposed to threads sharing everything).
         self.forks = backend in PROCESS_BACKENDS
@@ -181,12 +179,10 @@ class Gang:
         # its arguments close over without pickling any of it.
         self._ctx = multiprocessing.get_context("fork") if self.forks \
             else None
-        self._fabric_args = dict(fabric_kwargs, deadline_s=deadline_s)
         self.fabric = fabric_for_backend(backend, num_shards,
-                                         **self._fabric_args)
+                                         deadline_s=deadline_s,
+                                         **fabric_kwargs)
         self._members: Dict[int, _Member] = {}
-        # Ranks replaced by a respawn: no longer addressed, still reaped.
-        self._retired: List[_Member] = []
 
     # -- launch --------------------------------------------------------------
 
@@ -194,16 +190,10 @@ class Gang:
               *args: Any) -> Channel:
         """Start ``rank`` running ``main(transport, channel, *args)``.
 
-        Returns the launcher's end of the rank's channel.  Spawning a
-        rank that is already occupied retires the occupant (the respawn
-        half of live rejoin; :meth:`kill` it first, before
-        :meth:`renew_fabric`) — no longer addressed, still reaped by
-        :meth:`terminate`.
+        Returns the launcher's end of the rank's channel.  Call it once
+        per rank.
         """
-        if rank in self._members:
-            self._retired.append(self._members.pop(rank))
-        label = f"{self.name}-{rank}" + (
-            f"g{self.generation}" if self.generation else "")
+        label = f"{self.name}-{rank}"
         if self.forks:
             near, far = self._ctx.Pipe(duplex=True)
             ours, theirs = _PipeEnd(near), _PipeEnd(far)
@@ -240,22 +230,9 @@ class Gang:
         elif self.fabric.parent_must_release:
             self.fabric.close_all()
 
-    def renew_fabric(self) -> Fabric:
-        """Swap in a fresh mesh, one generation on (live rejoin).
-
-        Returns the superseded fabric; the caller ``close_all()``\\ s it
-        once every survivor has been sent its :meth:`Fabric.claim` on the
-        new one.
-        """
-        old = self.fabric
-        self.generation += 1
-        self.fabric = fabric_for_backend(self.backend, self.num_shards,
-                                         **self._fabric_args)
-        return old
-
     def process(self, rank: int) -> Any:
-        """The thread or ``multiprocessing`` process currently (or last)
-        occupying ``rank`` — for tests and chaos tooling that need a pid."""
+        """The thread or ``multiprocessing`` process running ``rank`` —
+        for tests and chaos tooling that need a pid."""
         return self._members[rank].handle
 
     # -- supervise -----------------------------------------------------------
@@ -335,10 +312,10 @@ class Gang:
         exit by themselves; whatever is still alive after it is killed
         as in :meth:`kill`, escalating SIGTERM → SIGKILL for processes.
         Idempotent and order-independent: a second call, a gang that
-        already exited, an already-closed channel or a respawned rank
-        dying mid-rejoin must never raise or leave a process behind.
+        already exited or an already-closed channel must never raise or
+        leave a process behind.
         """
-        members = self._retired + list(self._members.values())
+        members = list(self._members.values())
         self._join(members, time.monotonic() + grace_s)
         for m in members:
             self.fabric.mark_closed(m.rank)

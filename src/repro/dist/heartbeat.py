@@ -14,20 +14,20 @@ the supervisor a much earlier signal: every worker emits periodic
 the simplified form of phi-accrual failure detection (Hayashibara et
 al.): :math:`\\varphi` crossing ``phi_suspect`` marks a rank *suspected*
 (slow — keep waiting), crossing ``phi_dead`` marks it *dead* (stop
-waiting, quarantine it, respawn).  Distinguishing the two is the whole
-point: a slow shard recovers its own suspicion by beating again, only a
-silent one is declared dead — long before the recv deadline would fire.
+waiting, quarantine it, rebuild the gang).  Distinguishing the two is
+the whole point: a slow shard recovers its own suspicion by beating
+again, only a silent one is declared dead — long before the recv
+deadline would fire.
 
 Everything here is deterministic by construction:
 
 * the monitor takes an **injectable clock** (tests drive transitions with
   a fake clock, timestamps in snapshots are rendered relative to the
   monitor's start so two fake-clock runs are byte-identical);
-* heartbeat intervals and respawn backoff draw their jitter from the
-  counter-based Threefry stream (:func:`repro.core.rng.threefry2x64`) —
-  pure functions of ``(seed, rank, index)``, never of wall clock, so a
-  chaos run replays bit-identically (the backoff-determinism audit in
-  ``tests/dist/test_heartbeat.py``).
+* heartbeat intervals draw their jitter from the counter-based Threefry
+  stream (:func:`repro.core.rng.threefry2x64`) — a pure function of
+  ``(seed, rank, index)``, never of wall clock, so a chaos run replays
+  bit-identically (``tests/dist/test_heartbeat.py``).
 """
 
 from __future__ import annotations
@@ -39,23 +39,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.rng import threefry2x64
 
 __all__ = ["HB_HEALTHY", "HB_SUSPECTED", "HB_DEAD", "HeartbeatMonitor",
-           "heartbeat_interval", "respawn_backoff"]
+           "heartbeat_interval"]
 
 #: Per-rank liveness states, in order of escalation.
 HB_HEALTHY = "healthy"
 HB_SUSPECTED = "suspected"
 HB_DEAD = "dead"
 
-#: Domain-separation streams (arbitrary non-zero constants, one per use,
-#: mirroring the fault injector's ``_FAULT_STREAM`` discipline).
+#: Domain-separation stream (an arbitrary non-zero constant, mirroring the
+#: fault injector's ``_FAULT_STREAM`` discipline).
 _HB_STREAM = 0x48B7
-_BACKOFF_STREAM = 0xB0FF
-
-
-def _unit(seed: int, stream: int, c0: int, c1: int) -> float:
-    """One deterministic draw in [0, 1) from the Threefry stream."""
-    word, _ = threefry2x64((seed, stream), (c0, c1))
-    return (word >> 11) * (1.0 / (1 << 53))
 
 
 def heartbeat_interval(seed: int, rank: int, index: int,
@@ -67,24 +60,9 @@ def heartbeat_interval(seed: int, rank: int, index: int,
     beat schedules (no thundering herd on the control channel) without
     ever consulting the wall clock, so the schedule replays exactly.
     """
-    u = _unit(seed, _HB_STREAM, rank, index)
+    word, _ = threefry2x64((seed, _HB_STREAM), (rank, index))
+    u = (word >> 11) * (1.0 / (1 << 53))
     return base_s * (1.0 + jitter * (2.0 * u - 1.0))
-
-
-def respawn_backoff(seed: int, attempt: int, base_s: float = 0.05,
-                    factor: float = 2.0, cap_s: float = 2.0,
-                    jitter: float = 0.25) -> float:
-    """Pause before respawn ``attempt`` (1-based): capped exponential.
-
-    The jittered exponential every supervisor uses, with the jitter drawn
-    from the counter-based stream instead of ``random``/wall clock —
-    ``respawn_backoff(seed, k)`` is a pure function, so recovery reports
-    can record it and two chaos runs back off identically.
-    """
-    if attempt < 1:
-        raise ValueError(f"attempt is 1-based, got {attempt}")
-    raw = min(cap_s, base_s * factor ** (attempt - 1))
-    return raw * (1.0 + jitter * _unit(seed, _BACKOFF_STREAM, attempt, 0))
 
 
 class HeartbeatMonitor:
@@ -149,16 +127,6 @@ class HeartbeatMonitor:
                 self._suspected_at[rank] = now
             self._dead_at[rank] = now
             return True
-
-    def reset(self, rank: int, at: Optional[float] = None) -> None:
-        """Fresh baseline for ``rank`` (a replacement worker rejoined)."""
-        now = self._clock() if at is None else at
-        with self._lock:
-            self._last[rank] = now
-            self._mean[rank] = self.interval_s
-            self._beats[rank] = 0
-            self._suspected_at[rank] = None
-            self._dead_at[rank] = None
 
     # -- reading -------------------------------------------------------------
 

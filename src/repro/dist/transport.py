@@ -33,9 +33,8 @@ Delivery semantics shared by all (implemented in the base class):
   returns the payload for one exact ``(kind, op, round)`` tag, buffering
   any frames that arrive for later tags.  The out-of-order window is
   bounded: a peer that skips ahead more than ``max_reorder`` sequence
-  numbers (e.g. a mis-rebound post-rejoin worker) surfaces as a
-  structured :class:`ReorderWindowExceeded` instead of unbounded state
-  growth;
+  numbers surfaces as a structured :class:`ReorderWindowExceeded`
+  instead of unbounded state growth;
 * every :meth:`recv` has a **hard deadline**: rather than hang on a dead
   or diverged peer, it raises :class:`~repro.faults.injector
   .CollectiveTimeout` carrying the caller's real ``(kind, op)`` tag and
@@ -45,9 +44,9 @@ Delivery semantics shared by all (implemented in the base class):
 * a peer that closed its end (worker crash) surfaces immediately as
   :class:`PeerGone` (a ``CollectiveTimeout`` subclass), never a hang;
 * a transport that has been :meth:`~Transport.close`\\ d rejects further
-  ``send``/``recv`` with :class:`TransportError` — a parked secondary
-  observer that cascade-closed its endpoints cannot silently push frames
-  into a stale fabric.
+  ``send``/``recv`` with :class:`TransportError` — a secondary observer
+  that cascade-closed its endpoints cannot silently push frames into a
+  torn-down fabric.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
 __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
            "Transport", "Fabric", "LoopbackFabric",
            "SharedMemFabric", "TCPFabric",
-           "transport_from_claim", "fabric_for_backend", "PROCESS_BACKENDS",
+           "fabric_for_backend", "PROCESS_BACKENDS",
            "DEFAULT_DEADLINE_S", "DEFAULT_RING_BYTES", "DEFAULT_MAX_REORDER"]
 
 #: Default hard deadline on every receive.  Generous for CI machines, but
@@ -114,8 +113,7 @@ class ReorderWindowExceeded(TransportError):
         super().__init__(
             f"shard {rank}: frame seq {seq} from shard {src} is "
             f"{seq - floor} ahead of the contiguous watermark {floor}, "
-            f"beyond the {window}-frame reorder window (mis-rebound or "
-            f"corrupted peer)")
+            f"beyond the {window}-frame reorder window (corrupted peer)")
         self.rank = rank
         self.src = src
         self.seq = seq
@@ -209,8 +207,8 @@ class Transport:
         if self._closed:
             raise TransportError(
                 f"shard {self.rank}: {what} on a closed transport — this "
-                f"endpoint was shut down (parked observer or torn-down "
-                f"gang); rebind before reuse")
+                f"endpoint was shut down (secondary observer or torn-down "
+                f"gang)")
 
     def send(self, dst: int, kind: str, op: int, round_: int,
              payload: Any) -> None:
@@ -322,12 +320,10 @@ class Transport:
 class Fabric:
     """The mesh a gang runs over: one protocol, three implementations.
 
-    :mod:`repro.dist.gang` drives every fabric through these six names
+    :mod:`repro.dist.gang` drives every fabric through these five names
     and never asks which one it holds; a fabric with nothing to do for a
     step inherits the no-op.  ``transport(rank)`` claims ``rank``'s
-    endpoints (call it once, in the thread or process that is that rank);
-    ``claim(rank)`` is the same thing as a message, rebuilt on the far
-    side by :func:`transport_from_claim` (live rejoin).
+    endpoints (call it once, in the thread or process that is that rank).
     """
 
     #: The launching process must close its own copies of the endpoints
@@ -341,9 +337,6 @@ class Fabric:
 
     def transports(self) -> List[Transport]:
         return [self.transport(r) for r in range(self.num_shards)]
-
-    def claim(self, rank: int) -> Dict[str, Any]:
-        raise NotImplementedError
 
     def mark_closed(self, rank: int) -> None:
         """Declare ``rank`` dead so peers polling it get :class:`PeerGone`
@@ -424,10 +417,6 @@ class LoopbackFabric(Fabric):
     def transport(self, rank: int) -> Transport:
         return _LoopbackTransport(self, rank)
 
-    def claim(self, rank: int) -> Dict[str, Any]:
-        """Rejoin claim: threads share the fabric, so it travels as is."""
-        return {"kind": "loopback", "rank": rank, "fabric": self}
-
     def channel(self, src: int, dst: int) -> "queue.Queue[bytes]":
         return self._channels[(src, dst)]
 
@@ -482,39 +471,20 @@ class _ShmRing:
     HDR = 16
     PAD = 0xFF
 
-    def __init__(self, shm, created: bool):
+    def __init__(self, shm):
         self._shm = shm
         self.capacity = shm.size - self.HDR
         self._buf = shm.buf
-        if created:
-            struct.pack_into("<QQ", self._buf, 0, 0, 0)
-            self._head = 0
-            self._read = 0
-        else:
-            head, tail = struct.unpack_from("<QQ", self._buf, 0)
-            self._head = head
-            self._read = tail
+        struct.pack_into("<QQ", self._buf, 0, 0, 0)
+        self._head = 0
+        self._read = 0
         self._released = False
 
     @classmethod
     def create(cls, ring_bytes: int) -> "_ShmRing":
         from multiprocessing import shared_memory
         return cls(shared_memory.SharedMemory(create=True,
-                                              size=ring_bytes + cls.HDR),
-                   created=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "_ShmRing":
-        from multiprocessing import shared_memory
-        # Attaching re-registers the name with the resource tracker; the
-        # tracker process is inherited across fork, so this is a no-op
-        # duplicate and the creating fabric's unlink clears it exactly
-        # once.
-        return cls(shared_memory.SharedMemory(name=name), created=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+                                              size=ring_bytes + cls.HDR))
 
     # -- producer side -------------------------------------------------------
 
@@ -628,28 +598,17 @@ class _ShmStatus:
 
     STRIDE = 16  # u64 pid + u8 closed + padding
 
-    def __init__(self, shm, created: bool):
+    def __init__(self, shm):
         self._shm = shm
         self._buf = shm.buf
         self._released = False
-        if created:
-            self._buf[:shm.size] = b"\x00" * shm.size
+        self._buf[:shm.size] = b"\x00" * shm.size
 
     @classmethod
     def create(cls, num_shards: int) -> "_ShmStatus":
         from multiprocessing import shared_memory
         return cls(shared_memory.SharedMemory(create=True,
-                                              size=cls.STRIDE * num_shards),
-                   created=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "_ShmStatus":
-        from multiprocessing import shared_memory
-        return cls(shared_memory.SharedMemory(name=name), created=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
+                                              size=cls.STRIDE * num_shards))
 
     def announce(self, rank: int) -> None:
         struct.pack_into("<Q", self._buf, rank * self.STRIDE, os.getpid())
@@ -805,12 +764,11 @@ class SharedMemFabric(Fabric):
 
     Frames are written once into a per-(src, dst) SPSC ring
     (:class:`_ShmRing`), decoded in place on the receive side and freed
-    as soon as they are decoded.
-    Workers inherit the mappings across ``fork``; rejoin claims travel as
-    segment *names* and reattach.  Crash detection is via a shared status
-    board (pid liveness + closed flags) rather than fd EOF, so the parent
-    keeps its mappings until :meth:`close_all`, which also unlinks the
-    segments (exactly once, in the creating process).
+    as soon as they are decoded.  Workers inherit the mappings across
+    ``fork``.  Crash detection is via a shared status board (pid liveness
+    + closed flags) rather than fd EOF, so the parent keeps its mappings
+    until :meth:`close_all`, which also unlinks the segments (exactly
+    once, in the creating process).
     """
 
     def __init__(self, num_shards: int,
@@ -835,18 +793,6 @@ class SharedMemFabric(Fabric):
         return _SharedMemTransport(rank, self.num_shards, rings_out,
                                    rings_in, self._status,
                                    deadline_s=self.deadline_s)
-
-    def claim(self, rank: int) -> Dict[str, Any]:
-        """Picklable rejoin claim: segment names, reattached on receipt."""
-        return {
-            "kind": "shm", "rank": rank, "num_shards": self.num_shards,
-            "deadline_s": self.deadline_s,
-            "rings_out": {d: self._rings[(rank, d)].name
-                          for d in range(self.num_shards) if d != rank},
-            "rings_in": {s: self._rings[(s, rank)].name
-                         for s in range(self.num_shards) if s != rank},
-            "status": self._status.name,
-        }
 
     def mark_closed(self, rank: int) -> None:
         """Declare ``rank`` dead: peers polling it get :class:`PeerGone`."""
@@ -989,7 +935,7 @@ class TCPFabric(Fabric):
     """Full mesh of TCP socket pairs, pre-connected in the parent.
 
     Every pair is connected up front over loopback and the endpoints are
-    inherited across ``fork`` (or handed over in a rejoin claim).
+    inherited across ``fork``.
     """
 
     parent_must_release = True
@@ -1020,24 +966,15 @@ class TCPFabric(Fabric):
         finally:
             listener.close()
 
-    def _claim_socks(self, rank: int) -> Dict[int, socket.socket]:
+    def transport(self, rank: int) -> Transport:
         socks: Dict[int, socket.socket] = {}
         for (a, b), (end_a, end_b) in self._ends.items():
             if rank == a:
                 socks[b] = end_a
             elif rank == b:
                 socks[a] = end_b
-        return socks
-
-    def transport(self, rank: int) -> Transport:
-        return _TCPTransport(rank, self.num_shards, self._claim_socks(rank),
+        return _TCPTransport(rank, self.num_shards, socks,
                              deadline_s=self.deadline_s)
-
-    def claim(self, rank: int) -> Dict[str, Any]:
-        """Picklable rejoin claim (sockets pickle by descriptor dup)."""
-        return {"kind": "tcp", "rank": rank, "num_shards": self.num_shards,
-                "deadline_s": self.deadline_s,
-                "socks": self._claim_socks(rank)}
 
     def close_other_ends(self, rank: int) -> None:
         """In a worker: drop every socket not belonging to ``rank``."""
@@ -1059,7 +996,7 @@ class TCPFabric(Fabric):
 
 
 # ---------------------------------------------------------------------------
-# Fabric registry + rejoin claims
+# Fabric registry
 # ---------------------------------------------------------------------------
 
 def fabric_for_backend(backend: str, num_shards: int,
@@ -1078,31 +1015,3 @@ def fabric_for_backend(backend: str, num_shards: int,
         raise ValueError(f"no fabric for backend {backend!r}; expected "
                          f"'loopback' or one of {PROCESS_BACKENDS}")
     return fabrics[backend](num_shards, deadline_s=deadline_s, **kwargs)
-
-
-def transport_from_claim(claim: Dict[str, Any]) -> Transport:
-    """Rebuild a transport from a fabric's :meth:`claim` in another process.
-
-    The worker-side half of live rejoin, generalized over fabrics: tcp
-    claims carry duplicated sockets (``multiprocessing`` pickles them by
-    duplicating the descriptor, so the parent may close its copies
-    afterwards), shm claims carry segment names to reattach, and loopback
-    claims carry the (shared) fabric itself.
-    """
-    kind = claim["kind"]
-    if kind == "loopback":
-        return claim["fabric"].transport(claim["rank"])
-    if kind == "tcp":
-        return _TCPTransport(claim["rank"], claim["num_shards"],
-                             dict(claim["socks"]),
-                             deadline_s=claim["deadline_s"])
-    if kind == "shm":
-        rings_out = {int(d): _ShmRing.attach(name)
-                     for d, name in claim["rings_out"].items()}
-        rings_in = {int(s): _ShmRing.attach(name)
-                    for s, name in claim["rings_in"].items()}
-        status = _ShmStatus.attach(claim["status"])
-        return _SharedMemTransport(claim["rank"], claim["num_shards"],
-                                   rings_out, rings_in, status,
-                                   deadline_s=claim["deadline_s"])
-    raise TransportError(f"unknown rejoin claim kind {kind!r}")

@@ -125,25 +125,6 @@ class ShardWorker:
                                            profiler=self.profiler)
         self.jobs_run = 0
 
-    def rebind(self, transport: Transport) -> None:
-        """Wire this replica into a replacement fabric (live rejoin).
-
-        After a peer dies mid-collective, the survivors' transports are
-        poisoned state: aborted ranks stopped at *different* collective
-        ordinals, so their ``(kind, op, round)`` wire tags would never
-        match again.  Rejoin therefore replaces the whole fabric and
-        every rank — survivor and replacement alike — rebinds to a fresh
-        transport with a fresh :class:`DistCollectives`, resetting the
-        operation ordinal to zero on all ranks simultaneously.
-        """
-        try:
-            self.transport.close()
-        except Exception:  # noqa: BLE001 - old fabric may be half dead
-            pass
-        self.transport = transport
-        self.collectives = DistCollectives(transport,
-                                           profiler=self.profiler)
-
     def run_job(self, spec: ProgramSpec, program_id: str = "",
                 session: str = "", capture_digests: bool = False,
                 injector: Optional[FaultInjector] = None) -> ShardReport:

@@ -169,7 +169,7 @@ class FaultInjector:
     def drop_beat(self, shard: int, beat: int) -> bool:
         """Should heartbeat number ``beat`` of ``shard`` be suppressed?
 
-        Covers both self-healing liveness sites: a :class:`~repro.faults
+        Covers both liveness sites: a :class:`~repro.faults
         .plan.PlannedBeatLoss` window (``hb_loss``) and a
         :class:`~repro.faults.plan.PlannedStall` window (``shard_stall``)
         both silence the beat; only the window length differs.  Unlike the
@@ -187,17 +187,6 @@ class FaultInjector:
         if self._rate_hit("hb_loss", shard, beat):
             self.injected.append(("hb_loss", shard, beat))
             return True
-        return False
-
-    # -- site: respawn_fail ---------------------------------------------------
-
-    def fail_respawn(self, rank: int, attempt: int) -> bool:
-        """Should the replacement for ``rank`` die on arrival (1-based)?"""
-        for f in self.plan.respawn_fails:
-            if f.rank == rank and f.attempt == attempt:
-                return self._fire_once(("respawn_fail", rank, attempt))
-        if self._rate_hit("respawn_fail", rank, attempt):
-            return self._fire_once(("respawn_fail", rank, attempt))
         return False
 
     # -- site: trace_corrupt --------------------------------------------------

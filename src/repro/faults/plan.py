@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["FAULT_SITES", "MESSAGE_EVENTS", "PlannedFlip", "PlannedCrash",
-           "MessageFault", "PlannedBeatLoss", "PlannedStall",
-           "PlannedRespawnFail", "FaultPlan"]
+           "MessageFault", "PlannedBeatLoss", "PlannedStall", "FaultPlan"]
 
 #: The complete fault-site vocabulary (docs/resilience.md catalogs each).
 FAULT_SITES = ("hash_flip", "msg_drop", "msg_delay", "msg_dup",
                "shard_crash", "trace_corrupt",
-               "hb_loss", "shard_stall", "respawn_fail")
+               "hb_loss", "shard_stall")
 
 #: Message-level fault kinds inside collectives, in evaluation order.
 MESSAGE_EVENTS = ("drop", "delay", "dup")
@@ -102,20 +101,6 @@ class PlannedStall:
     beats: int = 1
 
 
-@dataclass(frozen=True)
-class PlannedRespawnFail:
-    """Replacement worker for ``rank`` is dead on arrival at ``attempt``.
-
-    Fired inside :meth:`repro.service.gang.ServiceGang.rejoin` (1-based
-    ``attempt``): the respawned worker is never started, so the rejoin
-    ack times out — exercising the bounded respawn budget and the
-    DEGRADE fallback.
-    """
-
-    rank: int
-    attempt: int = 1
-
-
 @dataclass
 class FaultPlan:
     """A complete, replayable description of a run's perturbations."""
@@ -127,10 +112,9 @@ class FaultPlan:
     message_faults: List[MessageFault] = field(default_factory=list)
     #: Ordinals of trace recordings to corrupt (0 = first recording).
     trace_corruptions: List[int] = field(default_factory=list)
-    # -- self-healing sites (heartbeats / respawn, see docs/resilience.md) --
+    # -- liveness sites (heartbeats, see docs/resilience.md) ----------------
     beat_losses: List[PlannedBeatLoss] = field(default_factory=list)
     stalls: List[PlannedStall] = field(default_factory=list)
-    respawn_fails: List[PlannedRespawnFail] = field(default_factory=list)
     # -- seeded probabilistic faults ----------------------------------------
     #: Per-site rates, keyed by FAULT_SITES names.  Message rates apply per
     #: (collective, op, msg, attempt); flip/crash rates per (shard, call);
@@ -151,7 +135,7 @@ class FaultPlan:
     def any_faults(self) -> bool:
         return bool(self.flips or self.crashes or self.message_faults
                     or self.trace_corruptions or self.beat_losses
-                    or self.stalls or self.respawn_fails
+                    or self.stalls
                     or any(p > 0 for p in self.rates.values()))
 
     @classmethod

@@ -26,14 +26,10 @@ policies themselves:
   effects, so nothing is rolled back); a crashed or diverged *driver*
   restarts the epoch from its initial state (full re-execution, which
   Theorem 1 makes equivalent).
-* **REJOIN** — the self-healing policy for persistent gangs: fork a
-  replacement worker for exactly the culprit rank(s), re-endpoint the
-  surviving replicas onto a fresh fabric, and return the gang to full
-  width *in place* — no rebuild, no lost capacity, surviving sessions'
-  jobs resume on the healed gang.  Respawn attempts are bounded by
-  ``respawn_budget``; once it is exhausted the plan falls back to the
-  DEGRADE rebuild (and to RESTART when the failure names no culprit to
-  respawn).
+
+A persistent service gang (:mod:`repro.service`) recovers under the same
+vocabulary, always by rebuilding: :func:`plan_gang_recovery` picks the
+width the gang is rebuilt at and whether the failed submission re-runs.
 
 Every recovery action produces a :class:`RecoveryReport`; with
 ``report_dir`` set the reports are also written as JSON (the CI chaos tier
@@ -63,7 +59,6 @@ class RecoveryPolicy(Enum):
     LOCALIZE = "localize"
     DEGRADE = "degrade"
     RESTART = "restart"
-    REJOIN = "rejoin"
 
 
 @dataclass
@@ -80,9 +75,6 @@ class ResilienceConfig:
     policy: RecoveryPolicy = RecoveryPolicy.ABORT
     max_recoveries: int = 2
     report_dir: Optional[str] = None
-    #: REJOIN only: how many live respawns a service may attempt before
-    #: the plan falls back to a DEGRADE rebuild.
-    respawn_budget: int = 2
 
     @classmethod
     def from_env(cls, env: Optional[Dict[str, str]] = None
@@ -102,7 +94,6 @@ class ResilienceConfig:
             policy=policy,
             max_recoveries=int(e.get("REPRO_FAULT_MAX_RECOVERIES", "2")),
             report_dir=e.get("REPRO_FAULT_REPORT_DIR") or None,
-            respawn_budget=int(e.get("REPRO_FAULT_RESPAWN_BUDGET", "2")),
         )
 
 
@@ -123,7 +114,7 @@ class RecoveryReport:
 
     policy: str                       # RecoveryPolicy value
     action: str                       # abort|localize|quarantine|restart|
-    #                                   restart-replica|respawn|exhausted
+    #                                   restart-replica|exhausted
     failure: str                      # str() of the triggering exception
     culprit_shards: List[int]
     seq: Optional[int] = None         # failing API-call index, when known
@@ -131,8 +122,6 @@ class RecoveryReport:
     diagnosis: Optional[Dict[str, Any]] = None
     injected: List[List[str]] = field(default_factory=list)
     details: Dict[str, Any] = field(default_factory=dict)
-    # -- REJOIN bookkeeping (absent / defaulted for the other policies) --
-    respawns: int = 0                 # respawn attempts consumed so far
     #: Heartbeat monitor snapshot at failure time ("wall of suspicion");
     #: timestamps are relative to monitor start, so with an injectable
     #: clock the whole report is deterministic.
@@ -161,7 +150,6 @@ class RecoveryReport:
 
 def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
                        num_shards: int, attempt: int, *,
-                       respawns_used: int = 0,
                        suspicion: Optional[Dict[str, Any]] = None
                        ) -> RecoveryReport:
     """Decide how a persistent shard gang recovers from a dead gang.
@@ -178,74 +166,37 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
     * **RESTART** — rebuild at the same width and re-run the failed
       submission from scratch (full re-analysis, which Theorem 1 makes
       equivalent to the run that died).
-    * **REJOIN** — heal in place: respawn exactly the culprit rank(s)
-      and re-endpoint the survivors (``action="respawn"``); the gang
-      stays at full width and the failed submission retries on the
-      healed gang.  Falls back to the DEGRADE rebuild once
-      ``respawns_used`` reaches ``config.respawn_budget``, and to a
-      RESTART rebuild when the failure names no culprit (nothing to
-      respawn — e.g. a whole-gang timeout).
     * **ABORT** / **LOCALIZE** — the submission fails (with whatever
       diagnosis the failure carried); the gang is still rebuilt at full
       width so the *service* survives even when the *job* does not.
 
     Returns a :class:`RecoveryReport` whose ``details`` carry the planned
-    ``new_width`` and whether the failed job should be ``retried``;
-    ``action="exhausted"`` once ``attempt`` exceeds
-    ``config.max_recoveries`` (the service then refuses further work).
-    For REJOIN plans the report additionally records the respawn budget
-    state and the failure-time suspicion snapshot.
+    ``new_width`` and whether the failed job should be ``retried``, and
+    whose ``suspicion`` is the failure-time heartbeat snapshot;
+    ``action="exhausted"`` once
+    ``attempt`` exceeds ``config.max_recoveries`` (the service then
+    refuses further work).
     """
     culprits = identify_culprits(failure)
-    details: Dict[str, Any]
     if attempt > config.max_recoveries:
         action, new_width, retry = "exhausted", 0, False
-        details = {}
-    elif config.policy is RecoveryPolicy.REJOIN:
-        if not culprits:
-            # Nothing to respawn: a whole-gang timeout or an unattributed
-            # failure heals by the RESTART-equivalent rebuild.
-            action, new_width, retry = "restart", num_shards, True
-            details = {"fallback": "restart-no-culprit"}
-        elif respawns_used >= config.respawn_budget:
-            action = "quarantine"
-            new_width = max(1, num_shards - len(culprits))
-            retry = True
-            details = {"fallback": "degrade-budget-exhausted"}
-        else:
-            from .dist.heartbeat import respawn_backoff
-            action, new_width, retry = "respawn", num_shards, True
-            details = {"respawned": sorted(culprits),
-                       "respawn_attempt": respawns_used + 1,
-                       "respawn_budget": config.respawn_budget,
-                       "backoff_s": round(
-                           respawn_backoff(0, respawns_used + 1), 6)}
     elif config.policy is RecoveryPolicy.DEGRADE:
-        action = "quarantine"
-        new_width = max(1, num_shards - 1)
-        retry = True
-        details = {}
+        action, new_width, retry = "quarantine", max(1, num_shards - 1), True
     elif config.policy is RecoveryPolicy.RESTART:
         action, new_width, retry = "restart", num_shards, True
-        details = {}
     else:  # ABORT / LOCALIZE: job fails, gang comes back anyway.
-        action = config.policy.value
-        new_width, retry = num_shards, False
-        details = {}
+        action, new_width, retry = config.policy.value, num_shards, False
     diagnosis = None
     if isinstance(failure, ControlDeterminismViolation):
         diagnosis = diagnosis_to_dict(failure.diagnosis)
-    base = {"num_shards": num_shards, "new_width": new_width,
-            "retry": retry}
-    base.update(details)
     report = RecoveryReport(
         policy=config.policy.value, action=action,
         failure=f"{type(failure).__name__}: {failure}",
         culprit_shards=culprits,
         seq=failure.seq if isinstance(failure, ShardCrash) else None,
         attempt=attempt, diagnosis=diagnosis,
-        details=base,
-        respawns=respawns_used,
+        details={"num_shards": num_shards, "new_width": new_width,
+                 "retry": retry},
         suspicion=dict(suspicion) if suspicion else
         dict(getattr(failure, "suspicion", None) or {}) or None)
     if config.report_dir:

@@ -9,7 +9,7 @@ round-robin scheduling, per-shape analysis-template caching
 ``docs/service.md``.
 """
 
-from .gang import (GANG_BACKENDS, GangFailure, RejoinError, ServiceGang,
+from .gang import (GANG_BACKENDS, GangFailure, ServiceGang,
                    classify_worker_failure)
 from .loadgen import LoadResult, make_shape_pool, run_load
 from .service import (AdmissionError, DCRService, JobExpired, JobHandle,
@@ -18,7 +18,7 @@ from .templates import AnalysisTemplate, TemplateStore, structural_signature
 
 __all__ = [
     "DCRService", "Session", "JobHandle", "AdmissionError", "JobExpired",
-    "ServiceGang", "GangFailure", "RejoinError", "GANG_BACKENDS",
+    "ServiceGang", "GangFailure", "GANG_BACKENDS",
     "classify_worker_failure",
     "AnalysisTemplate", "TemplateStore", "structural_signature",
     "LoadResult", "make_shape_pool", "run_load",

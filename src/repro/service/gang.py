@@ -9,7 +9,7 @@ broadcasts one job to every replica and collects N
 :class:`~repro.dist.report.ShardReport`\\ s under a single shared
 deadline.
 
-Self-healing (the REJOIN policy's substrate):
+Failure detection:
 
 * every worker runs a **heartbeat ticker** beside its serve loop,
   beating on a deterministic Threefry schedule over the same control
@@ -19,24 +19,21 @@ Self-healing (the REJOIN policy's substrate):
   *declared dead* at ``phi_dead`` beat-intervals — far below the
   transport's receive deadline — and quarantined mid-job;
 * a worker that observes a **secondary** failure (``PeerGone`` /
-  ``CollectiveTimeout`` echoes of somebody else's death) reports it and
-  **parks** in its serve loop instead of dying, so :meth:`rejoin` can
-  spawn a replacement for just the culprit rank, re-endpoint the parked
-  survivors onto a fresh fabric (every rank rebinds simultaneously, so
-  collective op ordinals restart in lockstep), and return the gang to
-  full width without a rebuild;
+  ``CollectiveTimeout`` echoes of somebody else's death) reports it,
+  closes its mesh endpoints so the abort cascades, and waits for
+  ``stop`` instead of dying, so the suspicion snapshot names only the
+  culprit as dead;
 * failure *attribution* is structured (:func:`classify_worker_failure`),
   not string matching: crashes blame the crashed rank, determinism
   violations blame exactly the divergent shards even though every rank
   raises, and echoes blame nobody.
 
 A rank whose worker reports a **primary** failure (crash, divergence, a
-real bug) still dies — its transport closes behind it, so its peers
-fail fast — and :meth:`run_job` raises :class:`GangFailure` naming the
+real bug) dies — its transport closes behind it, so its peers fail
+fast — and :meth:`run_job` raises :class:`GangFailure` naming the
 culprit ranks plus the monitor's suspicion snapshot.  The gang is then
-inert (``alive`` is False); the *service* decides whether to heal it in
-place (:meth:`rejoin`) or rebuild it at some width per the recovery
-policy.
+inert (``alive`` is False); the *service* stops it and builds a new one
+at the width its recovery policy plans.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.determinism import ControlDeterminismViolation
 from ..dist.heartbeat import (HB_SUSPECTED, HeartbeatMonitor,
@@ -52,8 +49,7 @@ from ..dist.heartbeat import (HB_SUSPECTED, HeartbeatMonitor,
 from ..dist.programs import ProgramSpec
 from ..dist.report import ShardReport
 from ..dist.gang import Channel, ChannelClosed, Gang
-from ..dist.transport import (DEFAULT_DEADLINE_S, PROCESS_BACKENDS,
-                              Transport, transport_from_claim)
+from ..dist.transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, Transport
 from ..dist.worker import ShardWorker
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
 from ..faults.plan import FaultPlan
@@ -61,7 +57,7 @@ from ..obs.events import (CAT_RESILIENCE, CONTROL_SHARD, EV_HB_DEAD,
                           EV_HB_SUSPECT)
 from ..obs.profiler import Profiler
 
-__all__ = ["GangFailure", "RejoinError", "ServiceGang", "GANG_BACKENDS",
+__all__ = ["GangFailure", "ServiceGang", "GANG_BACKENDS",
            "classify_worker_failure"]
 
 GANG_BACKENDS = ("loopback",) + PROCESS_BACKENDS
@@ -96,20 +92,6 @@ class GangFailure(RuntimeError):
             + "; ".join(self.failures))
 
 
-class RejoinError(RuntimeError):
-    """A live rejoin did not complete (replacement died mid-rejoin).
-
-    The gang is left inert but safely stoppable; ``culprit_shards`` names
-    the ranks that never acknowledged the new generation, so the service
-    can replan (another respawn attempt, or the DEGRADE fallback once the
-    respawn budget is exhausted).
-    """
-
-    def __init__(self, culprit_shards: List[int], message: str):
-        self.culprit_shards = list(culprit_shards)
-        super().__init__(message)
-
-
 def _injector_for(plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
     return FaultInjector(plan) if plan is not None else None
 
@@ -142,7 +124,7 @@ def classify_worker_failure(exc: BaseException, rank: int
       multi-shard divergence;
     * ``PeerGone`` / ``CollectiveTimeout`` are secondary echoes of
       somebody else's death: not primary, no culprits — the worker that
-      observes one parks for rejoin instead of dying;
+      observes one waits for ``stop`` instead of dying;
     * anything else is a primary failure of ``rank`` (a real bug).
     """
     message = f"{type(exc).__name__}: {exc}"
@@ -199,19 +181,16 @@ class ServiceGang:
             else Profiler(enabled=False)
         self.hb_interval_s = hb_interval_s
         self.jobs_run = 0
-        self.respawns = 0
         self._clock = clock
         self._alive = False
         self._started = False
         self._stopped = False
-        # gang-level chaos plan (heartbeat loss / stalls / respawn
-        # failures live here; per-job plans ride the job payload)
+        # gang-level chaos plan (heartbeat loss and stalls live here;
+        # per-job plans ride the job payload)
         self._fault = fault
-        self._injector = _injector_for(fault)
         self._gang: Optional[Gang] = None
-        # The driver's end of each live rank's control channel (rank-keyed
-        # so a respawn replaces single entries), drained by the pump into
-        # per-rank mailboxes.
+        # The driver's end of each live rank's control channel, drained by
+        # the pump into per-rank mailboxes.
         self._channels: Dict[int, Channel] = {}
         self._channel_lock = threading.Lock()
         self._mailbox: Dict[int, "queue.Queue"] = {
@@ -226,10 +205,6 @@ class ServiceGang:
     def alive(self) -> bool:
         return self._alive
 
-    @property
-    def generation(self) -> int:
-        return self._gang.generation if self._gang is not None else 0
-
     def process(self, rank: int) -> Any:
         """The thread/process serving ``rank`` (chaos tooling: its pid)."""
         return self._gang.process(rank)
@@ -243,7 +218,11 @@ class ServiceGang:
             phi_suspect=_PHI_SUSPECT, phi_dead=_PHI_DEAD, clock=self._clock)
         self._gang = Gang(self.backend, self.num_shards,
                           name="repro-svc-shard", deadline_s=self.deadline_s)
-        self._spawn(range(self.num_shards))
+        for rank in range(self.num_shards):
+            self._channels[rank] = self._gang.spawn(
+                rank, _serve, self.backend, self.batch, self.profile_dir,
+                self.hb_interval_s, self._fault)
+        self._gang.release_parent()
         self._pump = threading.Thread(target=self._pump_loop,
                                       name="svc-gang-pump", daemon=True)
         self._pump.start()
@@ -284,18 +263,11 @@ class ServiceGang:
             return {}
         return self._monitor.snapshot(self._clock())
 
-    def health(self) -> Dict[str, Any]:
-        return {"alive": self._alive, "backend": self.backend,
-                "num_shards": self.num_shards,
-                "generation": self.generation,
-                "respawns": self.respawns, "jobs_run": self.jobs_run,
-                "suspicion": self.suspicion()}
-
     def _pump_loop(self) -> None:
         """Drain every worker channel continuously.
 
         Beats feed the monitor; everything else lands in the sender's
-        mailbox for :meth:`_await_results` / :meth:`rejoin` to consume.
+        mailbox for :meth:`_await_results` to consume.
         Runs even between jobs, so idle-time deaths are detected (and
         reported as profiler events) before the next dispatch.
         """
@@ -434,8 +406,6 @@ class ServiceGang:
                     msg = self._mailbox[rank].get_nowait()
                 except queue.Empty:
                     continue
-                if msg[0] == "rejoined":
-                    continue          # stale ack from an older generation
                 results[rank] = (msg[0], msg[1])
                 pending.discard(rank)
                 got = True
@@ -464,111 +434,11 @@ class ServiceGang:
             if not got:
                 time.sleep(0.002)
 
-    # -- live rejoin ---------------------------------------------------------
-
-    def rejoin(self, ranks: List[int], attempt: int = 1) -> None:
-        """Respawn workers for ``ranks``; re-endpoint the survivors.
-
-        The REJOIN recovery primitive: a fresh fabric replaces the
-        poisoned one, parked survivors rebind to it over their control
-        channels, replacement workers are spawned for the dead ranks, and
-        every rank acknowledges the new generation.  On success the gang
-        is alive again at full width with a reset heartbeat baseline; on
-        a missing acknowledgment (a replacement died mid-rejoin — see
-        :class:`~repro.faults.plan.PlannedRespawnFail`) it raises
-        :class:`RejoinError` and the gang stays inert but stoppable.
-        """
-        if not self._started or self._stopped:
-            raise RejoinError(sorted(ranks), "gang is stopped")
-        ranks = sorted(set(ranks))
-        if not ranks or any(r < 0 or r >= self.num_shards for r in ranks):
-            raise ValueError(f"bad rejoin ranks {ranks} "
-                             f"for width {self.num_shards}")
-        # Planned respawn failures (chaos): the replacement is dead on
-        # arrival — never spawned, so its ack can only time out.
-        doa = [r for r in ranks
-               if self._injector is not None and self._injector.enabled
-               and self._injector.fail_respawn(r, attempt)]
-        # Reap the dead ranks first.  Flagging them on the poisoned mesh
-        # makes survivors still blocked in a collective cascade-abort with
-        # PeerGone now; a wedged-but-alive zombie thread exits at its next
-        # channel read instead of serving a stale generation.
-        for r in ranks:
-            with self._channel_lock:
-                self._channels.pop(r, None)
-            self._gang.kill(r)
-            self._drain_mailbox(r)
-        old_fabric = self._gang.renew_fabric()
-        gen = self._gang.generation
-        # Survivors next: each is sent its claim on the new mesh over its
-        # control channel (descriptors are duplicated as the claim is
-        # pickled, so the parent's copies can be released after the spawns
-        # below; shm claims are just segment names to attach by; threads
-        # are handed the shared fabric itself).
-        with self._channel_lock:
-            survivors = dict(self._channels)
-        for r, channel in survivors.items():
-            try:
-                channel.send(("rejoin", gen, self._gang.fabric.claim(r)))
-            except ChannelClosed:
-                pass   # its ack will be missing; rejoin reports it
-        self._spawn([r for r in ranks if r not in doa], gen)
-        # The poisoned mesh is fully superseded: every survivor rebinds
-        # via its claim, so the parent can release (and for shm, unlink)
-        # the old generation's resources.
-        old_fabric.close_all()
-        missing = self._collect_rejoin_acks(gen, doa)
-        if missing:
-            raise RejoinError(
-                missing, f"no rejoin ack from shards {missing} "
-                         f"(generation {gen}, attempt {attempt})")
-        self.respawns += len(ranks)
-        now = self._clock()
-        for r in range(self.num_shards):
-            self._monitor.reset(r, now)
-        self._alive = True
-
-    def _collect_rejoin_acks(self, gen: int, doa: List[int]) -> List[int]:
-        deadline = self._clock() + max(5.0, self.deadline_s)
-        pending = set(range(self.num_shards)) - set(doa)
-        while pending and self._clock() < deadline:
-            got = False
-            for rank in sorted(pending):
-                try:
-                    msg = self._mailbox[rank].get_nowait()
-                except queue.Empty:
-                    continue
-                got = True
-                if msg[0] == "rejoined" and msg[2] == gen:
-                    pending.discard(rank)
-                # anything else is stale pre-rejoin traffic: drop it
-            if not got:
-                time.sleep(0.002)
-        return sorted(pending | set(doa))
-
-    # -- workers -------------------------------------------------------------
-
-    def _spawn(self, ranks: Iterable[int], announce_gen: int = 0) -> None:
-        """Start a serving worker on each of ``ranks`` (start and rejoin)."""
-        for rank in ranks:
-            channel = self._gang.spawn(
-                rank, _serve, self.backend, self.batch, self.profile_dir,
-                self.hb_interval_s, self._fault,
-                announce_gen)
-            with self._channel_lock:
-                self._channels[rank] = channel
-        self._gang.release_parent()
-
 
 def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
            profile_dir: Optional[str], hb_interval_s: float,
-           fault: Optional[FaultPlan], announce_gen: int) -> None:
-    """A serving rank: run jobs off the channel until stop or death.
-
-    Everything this loop touches arrives as an argument or over the
-    channel: after a respawn the old occupant of the rank keeps its own
-    dead channel and fabric, invisible to the new generation.
-    """
+           fault: Optional[FaultPlan]) -> None:
+    """A serving rank: run jobs off the channel until stop or death."""
     rank = transport.rank
     worker = ShardWorker(transport, backend=backend, batch=batch,
                          profile_dir=profile_dir)
@@ -580,17 +450,10 @@ def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
         name=f"svc-hb-{rank}", daemon=True)
     ticker.start()
     try:
-        if announce_gen:
-            channel.send(("rejoined", rank, announce_gen))
         while True:
             cmd = channel.recv()
             if cmd[0] == "stop":
                 return
-            if cmd[0] == "rejoin":
-                _, gen, claim = cmd
-                worker.rebind(transport_from_claim(claim))
-                channel.send(("rejoined", rank, gen))
-                continue
             job = cmd[1]
             try:
                 report = worker.run_job(
@@ -608,13 +471,11 @@ def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
                     # Die: the transport closes behind us, so peers blocked
                     # in this replica's collective fail fast.
                     return
-                # Secondary observer: park for rejoin (or stop) — the gang
-                # heals around the culprit without losing us.  Close our
-                # mesh endpoints first so the abort *cascades*: a peer
-                # waiting on us fails fast with PeerGone instead of
-                # draining its whole recv deadline, and a stale job
-                # dispatched before rejoin trips the use-after-close
-                # TransportError instead of wedging.
+                # Secondary observer: close our mesh endpoints so the abort
+                # *cascades* — a peer waiting on us fails fast with
+                # PeerGone instead of draining its whole recv deadline —
+                # then wait for stop.  Staying alive keeps our channel
+                # open, so the monitor names only the culprit as dead.
                 worker.transport.close()
                 continue
             channel.send(("ok", report))

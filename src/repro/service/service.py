@@ -16,17 +16,15 @@ service multiplexes every session onto a single persistent
   submission of the same shape is served driver-side by parameter
   patching, never touching the gang (see :mod:`repro.service.templates`);
 * **recovery** — a dead gang (crashed replica, divergence, timeout) is
-  healed per :func:`repro.resilience.plan_gang_recovery`: REJOIN respawns
-  exactly the culprit rank(s) and re-endpoints the survivors (the gang
-  returns to full width in place, without dropping other sessions'
-  work), DEGRADE shrinks the gang one shard, RESTART rebuilds at full
-  width — all three re-run the failed submission; ABORT/LOCALIZE fail
-  the submission but still rebuild so the service keeps serving;
+  stopped and rebuilt per :func:`repro.resilience.plan_gang_recovery`:
+  RESTART at full width, DEGRADE one shard narrower — both re-run the
+  failed submission; ABORT/LOCALIZE fail the submission but still
+  rebuild so the service keeps serving;
 * **overload protection** — deadline-aware admission (work that cannot
   start before its deadline is rejected up front, and expired at
   dispatch time if the estimate was wrong), plus a :meth:`DCRService.
-  health` endpoint summarizing width, heartbeat suspicion, respawn
-  budget, and backpressure for load generators to steer by.
+  health` endpoint summarizing width, heartbeat suspicion and
+  backpressure for load generators to steer by.
 """
 
 from __future__ import annotations
@@ -36,19 +34,17 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from ..dist.heartbeat import respawn_backoff
 from ..dist.programs import ProgramSpec
 from ..dist.report import MergedReport, merge_reports
 from ..faults.plan import FaultPlan
 from ..obs.events import (CAT_SERVICE, CONTROL_SHARD, EV_GANG_REBUILD,
-                          EV_GANG_REJOIN, EV_GANG_RESPAWN, EV_GANG_START,
-                          EV_JOB_ADMIT, EV_JOB_DISPATCH, EV_JOB_DONE,
-                          EV_JOB_EXPIRE, EV_JOB_REJECT, EV_SESSION_CLOSE,
-                          EV_SESSION_OPEN, EV_TEMPLATE_HIT,
+                          EV_GANG_START, EV_JOB_ADMIT, EV_JOB_DISPATCH,
+                          EV_JOB_DONE, EV_JOB_EXPIRE, EV_JOB_REJECT,
+                          EV_SESSION_CLOSE, EV_SESSION_OPEN, EV_TEMPLATE_HIT,
                           EV_TEMPLATE_RECORDED)
 from ..obs.profiler import Profiler
 from ..resilience import ResilienceConfig, plan_gang_recovery
-from .gang import (GANG_BACKENDS, GangFailure, RejoinError, ServiceGang)
+from .gang import GANG_BACKENDS, GangFailure, ServiceGang
 from .templates import TemplateStore
 
 __all__ = ["AdmissionError", "JobExpired", "JobHandle", "Session",
@@ -191,7 +187,7 @@ class DCRService:
         self.clock = clock
         self.templates = TemplateStore(capacity=template_capacity)
         self._width = num_shards
-        self._target_width = num_shards    # the width REJOIN heals back to
+        self._target_width = num_shards
         self._gang: Optional[ServiceGang] = None
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -201,7 +197,6 @@ class DCRService:
         self._session_seq = 0
         self._job_seq = 0
         self._recoveries = 0
-        self._respawns_used = 0
         self._failed_permanently = False
         self._running = False
         self._scheduler: Optional[threading.Thread] = None
@@ -296,16 +291,31 @@ class DCRService:
         return Session(self, name)
 
     def close_session(self, name: str) -> None:
-        """Stop admitting for ``name``; queued jobs still complete."""
+        """Stop admitting for ``name``; queued jobs still complete.
+
+        The session is forgotten once its last job resolves, so the name
+        can be opened again and the dispatcher never walks dead sessions.
+        """
         with self._lock:
             state = self._sessions.get(name)
             if state is None or state.closed:
                 return
             state.closed = True
+            self._retire_if_drained_locked(state)
         prof = self.profiler
         if prof.enabled:
             prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_SESSION_CLOSE,
                          session=name, submitted=state.submitted)
+
+    def _retire_if_drained_locked(self, state: _SessionState) -> None:
+        if state.closed and state.inflight == 0:
+            del self._sessions[state.name]
+            self._rr.remove(state.name)
+
+    def _job_resolved_locked(self, session: str) -> None:
+        state = self._sessions[session]
+        state.inflight -= 1
+        self._retire_if_drained_locked(state)
 
     # -- admission -----------------------------------------------------------
 
@@ -425,7 +435,7 @@ class DCRService:
                              program=handle.program_id,
                              session=handle.session)
             with self._cond:
-                self._sessions[handle.session].inflight -= 1
+                self._job_resolved_locked(handle.session)
                 self._cond.notify_all()
             handle._resolve(None, JobExpired(
                 f"job {handle.job_id} missed its start deadline"))
@@ -454,8 +464,7 @@ class DCRService:
                 self._job_ewma_s = observed if self._job_ewma_s == 0.0 \
                     else 0.7 * self._job_ewma_s + 0.3 * observed
         with self._cond:
-            state = self._sessions[handle.session]
-            state.inflight -= 1
+            self._job_resolved_locked(handle.session)
             if error is None:
                 self.jobs_completed += 1
             else:
@@ -502,64 +511,26 @@ class DCRService:
             return merged
 
     def _recover(self, failure: GangFailure) -> bool:
-        """Heal the gang per policy; True if the job should retry.
-
-        REJOIN heals in place — deterministic backoff, respawn exactly
-        the culprit ranks, re-endpoint the survivors — and replans on
-        :class:`RejoinError` until the respawn budget forces the DEGRADE
-        fallback; every other action stops the gang and rebuilds it at
-        the planned width.
-        """
-        prof = self.profiler
-        current: BaseException = failure
-        while True:
-            self._recoveries += 1
-            plan = plan_gang_recovery(
-                self.resilience, current, self._width, self._recoveries,
-                respawns_used=self._respawns_used,
-                suspicion=getattr(current, "suspicion", None)
-                or self._gang.suspicion())
-            if plan.action == "exhausted":
-                with self._lock:
-                    self._failed_permanently = True
-                return False
-            if plan.action == "respawn":
-                ranks = list(plan.details["respawned"])
-                attempt = int(plan.details["respawn_attempt"])
-                # Counter-based backoff: a pure function of the attempt
-                # number, never wall-clock jitter, so two identically
-                # seeded soaks heal on identical schedules.
-                time.sleep(respawn_backoff(0, attempt))
-                if prof.enabled:
-                    prof.instant(CONTROL_SHARD, CAT_SERVICE,
-                                 EV_GANG_RESPAWN, ranks=ranks,
-                                 attempt=attempt,
-                                 generation=self._gang.generation + 1)
-                self._respawns_used += 1
-                try:
-                    self._gang.rejoin(ranks, attempt=attempt)
-                except RejoinError as exc:
-                    # The replacement died mid-rejoin: replan (another
-                    # respawn while budget lasts, then DEGRADE).
-                    current = exc
-                    continue
-                if prof.enabled:
-                    prof.instant(CONTROL_SHARD, CAT_SERVICE,
-                                 EV_GANG_REJOIN, ranks=ranks,
-                                 shards=self._width,
-                                 generation=self._gang.generation)
-                return True
-            new_width = int(plan.details["new_width"])
-            self._gang.stop()
-            self._width = new_width
-            self._gang = self._build_gang(new_width)
-            if prof.enabled:
-                prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_GANG_REBUILD,
-                             action=plan.action, shards=new_width,
-                             attempt=self._recoveries,
-                             culprits=list(getattr(
-                                 current, "culprit_shards", ())))
-            return bool(plan.details["retry"])
+        """Rebuild the gang per policy; True if the job should retry."""
+        self._recoveries += 1
+        plan = plan_gang_recovery(
+            self.resilience, failure, self._width, self._recoveries,
+            suspicion=failure.suspicion or self._gang.suspicion())
+        if plan.action == "exhausted":
+            with self._lock:
+                self._failed_permanently = True
+            return False
+        new_width = int(plan.details["new_width"])
+        self._gang.stop()
+        self._width = new_width
+        self._gang = self._build_gang(new_width)
+        if self.profiler.enabled:
+            self.profiler.instant(
+                CONTROL_SHARD, CAT_SERVICE, EV_GANG_REBUILD,
+                action=plan.action, shards=new_width,
+                attempt=self._recoveries,
+                culprits=list(failure.culprit_shards))
+        return bool(plan.details["retry"])
 
     # -- introspection -------------------------------------------------------
 
@@ -577,7 +548,6 @@ class DCRService:
                 "expired": self.jobs_expired,
                 "template_serves": self.template_serves,
                 "recoveries": self._recoveries,
-                "respawns": self._respawns_used,
                 "templates": self.templates.stats(),
             }
 
@@ -608,7 +578,6 @@ class DCRService:
             status = "degraded"
         else:
             status = "ok"
-        budget = getattr(self.resilience, "respawn_budget", 0)
         return {
             "status": status,
             "backend": self.backend,
@@ -619,7 +588,6 @@ class DCRService:
             "backpressure": backpressure,
             "suspect_ranks": suspect_ranks,
             "suspicion": suspicion,
-            "respawns": {"used": self._respawns_used, "budget": budget},
             "jobs": {"completed": self.jobs_completed,
                      "failed": self.jobs_failed,
                      "rejected": self.jobs_rejected,

@@ -74,12 +74,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--require-hits", type=int, default=0, metavar="N",
                         help="fail unless >= N submissions were served "
                              "from analysis templates")
-    parser.add_argument("--require-rejoin", action="store_true",
-                        help="fail unless at least one live respawn "
-                             "healed the gang back to full width")
-    parser.add_argument("--respawn-budget", type=int, default=2,
-                        help="live respawn attempts before the REJOIN "
-                             "policy degrades (default 2)")
     parser.add_argument("--job-deadline", type=float, default=None,
                         metavar="S",
                         help="attach a start deadline (seconds) to every "
@@ -105,8 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     resilience = ResilienceConfig(policy=RecoveryPolicy(args.policy),
                                   max_recoveries=4,
-                                  report_dir=args.report_dir,
-                                  respawn_budget=args.respawn_budget)
+                                  report_dir=args.report_dir)
     service = DCRService(args.shards, backend=args.backend,
                          batch=args.batch, resilience=resilience,
                          deadline_s=args.deadline,
@@ -155,7 +148,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "programs_per_s": round(load.programs_per_s, 2),
         "wall_s": round(load.wall_s, 3),
         "recoveries": stats["recoveries"],
-        "respawns": stats["respawns"],
         "health": health["status"],
         "chaos": bool(args.chaos),
         "chaos_submission_failed": chaos_failures,
@@ -174,20 +166,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("FAIL: --chaos ran but no gang recovery happened",
               file=sys.stderr)
         ok = False
-    if args.chaos and args.policy in ("degrade", "restart", "rejoin") \
+    if args.chaos and args.policy in ("degrade", "restart") \
             and chaos_failures:
         print("FAIL: poisoned submission was not recovered under "
               f"policy {args.policy}", file=sys.stderr)
         ok = False
-    if args.require_rejoin:
-        if stats["respawns"] < 1:
-            print("FAIL: --require-rejoin but no live respawn happened",
-                  file=sys.stderr)
-            ok = False
-        elif stats["shards"] != args.shards:
-            print(f"FAIL: gang ended at width {stats['shards']}, not "
-                  f"healed back to {args.shards}", file=sys.stderr)
-            ok = False
 
     if args.health_json:
         os.makedirs(os.path.dirname(args.health_json) or ".",

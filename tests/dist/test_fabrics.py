@@ -17,8 +17,7 @@ import pytest
 
 from repro.dist.transport import (PROCESS_BACKENDS, LoopbackFabric, PeerGone,
                                   SharedMemFabric, TCPFabric,
-                                  TransportError, fabric_for_backend,
-                                  transport_from_claim)
+                                  TransportError, fabric_for_backend)
 from repro.faults.injector import CollectiveTimeout
 
 FABRIC_KINDS = ["loopback", "shm", "tcp"]
@@ -172,9 +171,8 @@ def test_shm_frame_larger_than_ring_rejected():
 
 def test_shm_segments_unlinked_after_close_all():
     fabric = SharedMemFabric(2, deadline_s=5.0)
-    names = [v for k, v in fabric.claim(0).items()
-             if k in ("status",)] + list(fabric.claim(0)["rings_out"]
-                                         .values())
+    names = [fabric._status._shm.name] + [
+        ring._shm.name for ring in fabric._rings.values()]
     fabric.close_all()
     leftovers = [n for n in names
                  if os.path.exists(f"/dev/shm/{n.lstrip('/')}")]
@@ -240,25 +238,6 @@ def test_cross_fork_large_array_exchange(kind):
         t0.close()
         fabric.close_all()
     assert proc.exitcode == 0
-
-
-# -- claims (the rejoin path) ------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["shm", "tcp"])
-def test_claim_rebuilds_equivalent_transport(kind):
-    fabric = make_fabric(kind, 2, deadline_s=10.0)
-    t0 = fabric.transport(0)
-    t1 = transport_from_claim(fabric.claim(1))
-    try:
-        t0.send(1, "allreduce", 0, 0, {"digest": 1 << 90})
-        assert t1.recv(0, "allreduce", 0, 0) == {"digest": 1 << 90}
-        t1.send(0, "allreduce", 0, 1, "ack")
-        assert t0.recv(1, "allreduce", 0, 1) == "ack"
-    finally:
-        t0.close()
-        t1.close()
-        fabric.close_all()
 
 
 def test_fabric_registry_dispatch():

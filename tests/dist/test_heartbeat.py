@@ -1,4 +1,4 @@
-"""Heartbeat liveness: phi suspicion, deterministic schedules, backoff.
+"""Heartbeat liveness: phi suspicion and deterministic schedules.
 
 Everything here runs against an injectable fake clock — no sleeps, no
 wall-clock reads — so the suspicion timeline, the snapshot contents, and
@@ -8,8 +8,7 @@ the detection-latency comparison are exact, not statistical.
 import pytest
 
 from repro.dist.heartbeat import (HB_DEAD, HB_HEALTHY, HB_SUSPECTED,
-                                  HeartbeatMonitor, heartbeat_interval,
-                                  respawn_backoff)
+                                  HeartbeatMonitor, heartbeat_interval)
 from repro.dist.transport import DEFAULT_DEADLINE_S
 
 
@@ -66,13 +65,6 @@ class TestPhiStates:
         assert mon.force_dead(0, at=clock())
         mon.beat(0, at=clock.advance(0.01))
         assert mon.state(0, clock()) == HB_DEAD
-
-    def test_reset_rearms_a_dead_rank(self):
-        mon, clock = make_monitor()
-        mon.force_dead(2, at=clock())
-        mon.reset(2, at=clock.advance(1.0))
-        assert mon.state(2, clock()) == HB_HEALTHY
-        assert mon.dead_ranks(clock()) == []
 
     def test_force_dead_reports_newly_dead_once(self):
         mon, clock = make_monitor()
@@ -168,15 +160,3 @@ class TestDeterministicSchedules:
                 for r in range(4) for k in range(50)]
         assert all(INTERVAL * 0.8 <= v <= INTERVAL * 1.2 for v in vals)
         assert len(set(vals)) > 100          # not a constant schedule
-
-    def test_backoff_grows_and_caps(self):
-        vals = [respawn_backoff(0, a) for a in range(1, 10)]
-        assert vals == [respawn_backoff(0, a) for a in range(1, 10)]
-        # Base grows geometrically until the cap (jitter is +/-25%).
-        assert vals[0] < 0.1
-        assert max(vals) <= 2.0 * 1.25
-        assert vals[-1] > vals[0]
-
-    def test_backoff_rejects_attempt_zero(self):
-        with pytest.raises(ValueError):
-            respawn_backoff(0, 0)

@@ -53,7 +53,7 @@ class TestPlan:
     def test_site_vocabulary_is_complete(self):
         assert set(FAULT_SITES) == {"hash_flip", "msg_drop", "msg_delay",
                                     "msg_dup", "shard_crash", "trace_corrupt",
-                                    "hb_loss", "shard_stall", "respawn_fail"}
+                                    "hb_loss", "shard_stall"}
 
 
 class TestDecisions:

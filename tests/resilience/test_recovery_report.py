@@ -1,4 +1,4 @@
-"""RecoveryReport JSON round-trips, including the REJOIN fields."""
+"""RecoveryReport JSON round-trips, including the suspicion snapshot."""
 
 import json
 
@@ -35,20 +35,16 @@ class TestRoundTrip:
             assert again == plan
             assert again.policy == policy.value
 
-    def test_rejoin_fields_survive_the_wire(self):
-        cfg = ResilienceConfig(policy=RecoveryPolicy.REJOIN,
-                               max_recoveries=5, respawn_budget=3)
+    def test_suspicion_snapshot_survives_the_wire(self):
+        cfg = ResilienceConfig(policy=RecoveryPolicy.RESTART,
+                               max_recoveries=5)
         snap = suspicion_snapshot()
         plan = plan_gang_recovery(cfg, ShardCrash(3, 9), 4, 2,
-                                  respawns_used=1, suspicion=snap)
-        assert plan.action == "respawn"
-        assert plan.details["respawned"] == [3]
-        assert plan.details["respawn_attempt"] == 2
-        assert plan.details["respawn_budget"] == 3
-        assert plan.details["backoff_s"] > 0
+                                  suspicion=snap)
+        assert plan.action == "restart"
+        assert plan.culprit_shards == [3]
         again = roundtrip(plan)
         assert again == plan
-        assert again.respawns == 1
         assert again.suspicion == snap
         assert again.suspicion["ranks"]["3"]["state"] == "dead"
 
@@ -67,50 +63,16 @@ class TestRoundTrip:
             ShardCrash(0, 1), 2, 1)
         data = json.loads(plan.to_json())
         data["some_future_field"] = {"x": 1}
-        data["resync_source"] = "fresh-replay"    # older reports carry it
+        # Keys that reports written by older versions carry:
+        data["resync_source"] = "fresh-replay"
+        data["respawns"] = 1
         assert RecoveryReport.from_dict(data) == plan
 
 
-class TestRejoinPlanning:
-    def test_no_culprit_falls_back_to_restart(self):
-        cfg = ResilienceConfig(policy=RecoveryPolicy.REJOIN)
-        plan = plan_gang_recovery(cfg, RuntimeError("gang timeout"), 4, 1)
-        assert plan.action == "restart"
-        assert plan.details["fallback"] == "restart-no-culprit"
-        assert plan.details["new_width"] == 4
-
-    def test_budget_exhaustion_falls_back_to_degrade(self):
-        cfg = ResilienceConfig(policy=RecoveryPolicy.REJOIN,
-                               respawn_budget=2)
-        plan = plan_gang_recovery(cfg, ShardCrash(1, 5), 4, 1,
-                                  respawns_used=2)
-        assert plan.action == "quarantine"
-        assert plan.details["fallback"] == "degrade-budget-exhausted"
-        assert plan.details["new_width"] == 3
-        again = roundtrip(plan)
-        assert again.details["fallback"] == "degrade-budget-exhausted"
-
-    def test_respawn_backoff_is_deterministic_in_the_attempt(self):
-        cfg = ResilienceConfig(policy=RecoveryPolicy.REJOIN,
-                               respawn_budget=5)
-        backoffs = [
-            plan_gang_recovery(cfg, ShardCrash(1, 5), 4, 1,
-                               respawns_used=u).details["backoff_s"]
-            for u in range(3)]
-        assert backoffs == [
-            plan_gang_recovery(cfg, ShardCrash(1, 5), 4, 1,
-                               respawns_used=u).details["backoff_s"]
-            for u in range(3)]
-        assert backoffs[0] < backoffs[1] < backoffs[2]
-
-    def test_legacy_policies_keep_exact_detail_keys(self):
-        """The pre-REJOIN detail schema is pinned: existing consumers
-        (and tests) rely on exactly these keys for the old policies."""
-        for policy, keys in [
-                (RecoveryPolicy.DEGRADE, {"num_shards", "new_width",
-                                          "retry"}),
-                (RecoveryPolicy.RESTART, {"num_shards", "new_width",
-                                          "retry"})]:
-            plan = plan_gang_recovery(ResilienceConfig(policy=policy),
-                                      ShardCrash(0, 1), 4, 1)
-            assert set(plan.details) == keys
+def test_legacy_policies_keep_exact_detail_keys():
+    """The detail schema is pinned: existing consumers (and tests) rely
+    on exactly these keys."""
+    for policy in (RecoveryPolicy.DEGRADE, RecoveryPolicy.RESTART):
+        plan = plan_gang_recovery(ResilienceConfig(policy=policy),
+                                  ShardCrash(0, 1), 4, 1)
+        assert set(plan.details) == {"num_shards", "new_width", "retry"}

@@ -93,7 +93,6 @@ class TestHealth:
             assert h["width"] == h["width_target"] == 2
             assert h["backpressure"] is False
             assert h["suspect_ranks"] == []
-            assert h["respawns"] == {"used": 0, "budget": 2}
             assert set(h["suspicion"]["ranks"]) == {"0", "1"}
 
     def test_down_when_not_running(self):

@@ -1,9 +1,9 @@
-"""Self-healing gangs: detection, attribution, respawn/rejoin, no orphans.
+"""Self-healing gangs: detection, attribution, rebuild, no orphans.
 
-The chaos-soak core of the tier: crash replicas mid-load under the REJOIN
-policy and assert the gang heals back to full width while every surviving
+The chaos-soak core of the tier: crash replicas mid-load under the
+RESTART policy and assert the gang is rebuilt at full width while every
 submission's digests stay byte-identical to the fault-free in-process
-reference — Theorem 1 applied to a healed gang.
+reference — Theorem 1 applied to a rebuilt gang.
 """
 
 import multiprocessing
@@ -15,9 +15,9 @@ import pytest
 
 from repro.dist.programs import OpSpec, ProgramSpec
 from repro.dist.runner import run_reference
-from repro.faults.plan import (FaultPlan, PlannedCrash, PlannedRespawnFail)
-from repro.resilience import RecoveryPolicy, ResilienceConfig
-from repro.service import DCRService, RejoinError
+from repro.faults.plan import FaultPlan, PlannedCrash
+from repro.resilience import RecoveryPolicy, RecoveryReport, ResilienceConfig
+from repro.service import DCRService
 from repro.service.gang import GangFailure, ServiceGang
 
 WIDTH = 4
@@ -36,14 +36,20 @@ REFERENCE = {i: run_reference(spec, WIDTH) for i, spec in enumerate(SPECS)}
 CRASH = FaultPlan(crashes=[PlannedCrash(shard=2, call=3)])
 
 
-def rejoin_service(**kw):
+def restart_service(backend="loopback", report_dir=None, **kw):
     kw.setdefault("resilience", ResilienceConfig(
-        policy=RecoveryPolicy.REJOIN, max_recoveries=8, respawn_budget=3))
+        policy=RecoveryPolicy.RESTART, max_recoveries=8,
+        report_dir=report_dir))
     kw.setdefault("deadline_s", 5.0)
     kw.setdefault("job_timeout_s", 30.0)
     kw.setdefault("max_pending", 128)
     kw.setdefault("session_inflight", 64)
-    return DCRService(WIDTH, backend="loopback", **kw)
+    return DCRService(WIDTH, backend=backend, **kw)
+
+
+def recovery_reports(directory):
+    return [RecoveryReport.from_json(p.read_text())
+            for p in sorted(directory.glob("fault_report_*.json"))]
 
 
 class TestChaosSoak:
@@ -52,7 +58,7 @@ class TestChaosSoak:
         replica mid-stream.  Returns [(spec index, digest, graph digest)]
         for every completed submission."""
         out = []
-        with rejoin_service() as svc:
+        with restart_service() as svc:
             a = svc.open_session("steady")
             b = svc.open_session("chaotic")
             handles = []
@@ -69,7 +75,7 @@ class TestChaosSoak:
 
     def test_gang_heals_to_full_width_with_identical_digests(self):
         out, stats = self._soak()
-        assert stats["respawns"] >= 1, "no live respawn happened"
+        assert stats["recoveries"] >= 1, "no gang rebuild happened"
         assert stats["shards"] == WIDTH, "gang did not heal to full width"
         assert stats["failed"] == 0
         assert len(out) == 18
@@ -81,7 +87,7 @@ class TestChaosSoak:
     def test_soak_is_deterministic_across_runs(self):
         (out1, stats1), (out2, stats2) = self._soak(), self._soak()
         assert sorted(out1) == sorted(out2)
-        assert stats1["respawns"] == stats2["respawns"]
+        assert stats1["recoveries"] == stats2["recoveries"]
 
 
 class TestAttribution:
@@ -107,105 +113,55 @@ class TestAttribution:
                 gang.run_job(SPECS[0], job_id="double", fault=fault)
             assert err.value.culprit_shards == sorted(pair)
 
-    def test_rejoin_restores_both_crashed_ranks(self):
-        fault = FaultPlan(crashes=[PlannedCrash(shard=1, call=3),
-                                   PlannedCrash(shard=3, call=3)])
-        with ServiceGang(WIDTH, backend="loopback",
-                         deadline_s=5.0) as gang:
-            base = [r.determinism_digest
-                    for r in gang.run_job(SPECS[0], job_id="warm")]
-            with pytest.raises(GangFailure):
-                gang.run_job(SPECS[0], job_id="double", fault=fault)
-            gang.rejoin([1, 3])
-            assert gang.alive
-            after = [r.determinism_digest
-                     for r in gang.run_job(SPECS[0], job_id="healed")]
-            assert after == base
-
-
-class TestRespawnFailure:
-    def test_doa_replacement_raises_rejoin_error_then_heals(self):
-        gang_fault = FaultPlan(
-            respawn_fails=[PlannedRespawnFail(rank=2, attempt=1)])
-        with ServiceGang(WIDTH, backend="loopback", deadline_s=5.0,
-                         fault=gang_fault) as gang:
-            with pytest.raises(GangFailure):
-                gang.run_job(SPECS[0], job_id="boom", fault=CRASH)
-            with pytest.raises(RejoinError) as err:
-                gang.rejoin([2], attempt=1)
-            assert err.value.culprit_shards == [2]
-            assert not gang.alive
-            # The planned failure was attempt 1 only: attempt 2 heals.
-            gang.rejoin([2], attempt=2)
-            assert gang.alive
-            reports = gang.run_job(SPECS[0], job_id="healed")
-            assert len(reports) == WIDTH
-
-    def test_service_degrades_after_respawn_budget_exhausted(self):
-        """REJOIN's bounded-budget fallback: when every live respawn
-        fails, the service falls back to the DEGRADE rebuild and still
-        completes the job (one shard narrower)."""
-        svc = rejoin_service(resilience=ResilienceConfig(
-            policy=RecoveryPolicy.REJOIN, max_recoveries=8,
-            respawn_budget=1))
-        with svc:
-            s = svc.open_session("s")
-            s.run(SPECS[0])                           # warm, full width
-            svc._gang.rejoin = _always_failing_rejoin  # replacement dies
-            report = s.submit(SPECS[0], fault=CRASH).result(60.0)
-            stats = svc.stats()
-        assert stats["shards"] == WIDTH - 1
-        assert stats["respawns"] == 1
-        assert report.determinism_digest == \
-            run_reference(SPECS[0], WIDTH - 1).determinism_digest
-
-
-def _always_failing_rejoin(ranks, attempt=1):
-    raise RejoinError(list(ranks), "injected: replacement died mid-rejoin")
-
 
 class TestMultiprocessRejoin:
-    def test_killed_worker_is_detected_and_rejoined(self):
-        with ServiceGang(WIDTH, backend="tcp",
-                         deadline_s=10.0, job_timeout_s=30.0) as gang:
-            base = [r.determinism_digest
-                    for r in gang.run_job(SPECS[0], job_id="warm")]
-            victim = gang.process(1)
+    """A dead rank of a process gang comes back by rebuilding the gang."""
+
+    def test_killed_worker_is_detected_and_rejoined(self, tmp_path):
+        with restart_service("tcp", report_dir=str(tmp_path),
+                             deadline_s=10.0) as svc:
+            session = svc.open_session("s")
+            session.run(SPECS[0])
+            victim = svc._gang.process(1)
             victim.kill()
             victim.join(5.0)
-            with pytest.raises(GangFailure) as err:
-                gang.run_job(SPECS[0], job_id="during-death")
-            assert 1 in err.value.culprit_shards
-            gang.rejoin([1])
-            assert gang.alive
-            after = [r.determinism_digest
-                     for r in gang.run_job(SPECS[0], job_id="healed")]
-            assert after == base
+            # A shape the gang has not run yet: a template hit would never
+            # reach the gang.
+            report = session.submit(SPECS[1]).result(60.0)
+            stats = svc.stats()
+        assert report.determinism_digest == REFERENCE[1].determinism_digest
+        assert stats["shards"] == WIDTH and stats["recoveries"] == 1
+        rec, = recovery_reports(tmp_path)
+        assert rec.action == "restart" and 1 in rec.culprit_shards
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-svc-shard")]
 
-    def test_stalled_worker_detected_below_recv_deadline(self):
+    def test_stalled_worker_detected_below_recv_deadline(self, tmp_path):
         """The detection-latency acceptance bound, live: a SIGSTOPped
         (stalled, not dead) worker is declared by heartbeat suspicion in
         a few beat intervals, where the plain recv path would have waited
-        out the full transport deadline."""
+        out the full transport deadline, and the rebuilt gang completes
+        the job."""
         recv_deadline = 30.0
-        with ServiceGang(WIDTH, backend="tcp",
-                         deadline_s=recv_deadline,
-                         job_timeout_s=recv_deadline * 2,
-                         hb_interval_s=0.1) as gang:
-            gang.run_job(SPECS[0], job_id="warm")
-            os.kill(gang.process(3).pid, signal.SIGSTOP)
+        with restart_service("tcp", report_dir=str(tmp_path),
+                             deadline_s=recv_deadline,
+                             job_timeout_s=recv_deadline * 2,
+                             hb_interval_s=0.1) as svc:
+            session = svc.open_session("s")
+            session.run(SPECS[0])
+            os.kill(svc._gang.process(3).pid, signal.SIGSTOP)
             t0 = time.monotonic()
-            with pytest.raises(GangFailure) as err:
-                gang.run_job(SPECS[0], job_id="stalled")
+            report = session.submit(SPECS[1]).result(recv_deadline * 2)
             elapsed = time.monotonic() - t0
-            assert elapsed < recv_deadline / 2, \
-                f"detection took {elapsed:.1f}s, not below recv deadline"
-            assert 3 in err.value.culprit_shards
-            # The monitor, not the transport deadline, made the call.
-            assert err.value.suspicion["ranks"]["3"]["state"] == "dead"
-            gang.rejoin([3])
-            reports = gang.run_job(SPECS[0], job_id="healed")
-            assert len(reports) == WIDTH
+            stats = svc.stats()
+        assert elapsed < recv_deadline / 2, \
+            f"detection took {elapsed:.1f}s, not below recv deadline"
+        rec, = recovery_reports(tmp_path)
+        assert 3 in rec.culprit_shards
+        # The monitor, not the transport deadline, made the call.
+        assert rec.suspicion["ranks"]["3"]["state"] == "dead"
+        assert stats["shards"] == WIDTH
+        assert report.determinism_digest == REFERENCE[1].determinism_digest
 
     def test_stop_leaves_no_orphans_and_is_idempotent(self):
         gang = ServiceGang(WIDTH, backend="tcp",
@@ -215,24 +171,6 @@ class TestMultiprocessRejoin:
         gang.stop()
         gang.stop()                              # second stop: no-op
         for rank in range(WIDTH):
-            assert not gang.process(rank).is_alive()
-        assert not [p for p in multiprocessing.active_children()
-                    if p.name.startswith("repro-svc-shard")]
-
-    def test_stop_during_halfway_rejoin_leaves_no_orphans(self):
-        """Killing the replacement mid-rejoin then stopping must reap
-        everything — the no-orphan guarantee of the rejoin path."""
-        with ServiceGang(WIDTH, backend="tcp",
-                         deadline_s=5.0) as gang:
-            gang.process(2).kill()
-            gang.process(2).join(5.0)
-            with pytest.raises(GangFailure):
-                gang.run_job(SPECS[0], job_id="boom")
-            gang.rejoin([2])
-            # Kill the freshly respawned worker immediately.
-            gang.process(2).kill()
-        for rank in range(WIDTH):
-            gang.process(rank).join(5.0)
             assert not gang.process(rank).is_alive()
         assert not [p for p in multiprocessing.active_children()
                     if p.name.startswith("repro-svc-shard")]

@@ -73,6 +73,36 @@ def test_session_bookkeeping_errors():
         session.close()   # idempotent
 
 
+def test_closed_session_is_retired_once_drained():
+    """A closed session's queued jobs still complete; once the last one
+    resolves the session is forgotten, so its name can be reopened and
+    the dispatcher stops walking it."""
+    spec = stencil_program(4, steps=1)
+    svc = _service()
+    svc.start()
+    try:
+        gate = _GateKeeper(svc._gang)
+        svc._gang.run_job = gate
+        session = svc.open_session("alpha")
+        blocked = session.submit(spec)
+        assert gate.entered.acquire(timeout=10.0)
+        queued = session.submit(spec)
+        session.close()
+        assert svc.stats()["sessions"] == 1          # closed, draining
+        gate.release.set()
+        assert blocked.result(30.0).conformant
+        assert queued.result(30.0).conformant
+        assert svc.stats()["sessions"] == 0
+        for k in range(100):
+            svc.open_session(f"s{k}").close()
+        assert svc.stats()["sessions"] == 0 and not svc._rr
+        assert svc.open_session("alpha").run(spec).conformant
+        assert svc.stats()["sessions"] == 1
+    finally:
+        gate.release.set()
+        svc.close()
+
+
 def test_close_fails_undispatched_jobs():
     spec = stencil_program(4, steps=1)
     svc = _service()

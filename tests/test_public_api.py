@@ -101,10 +101,35 @@ def test_recovery_surfaces_carry_no_dead_knobs():
                transport.LoopbackFabric.__init__,
                transport.SharedMemFabric.__init__,
                transport.TCPFabric.__init__,
-               transport.fabric_for_backend, transport.transport_from_claim):
+               transport.fabric_for_backend):
         assert "retry" not in params(fn), fn.__qualname__
     for gone in ("SimEngine", "SerialResource", "recovery_latency"):
         assert gone not in sim.__all__ and not hasattr(sim, gone), gone
+
+
+def test_a_dead_serving_gang_heals_one_way():
+    """REJOIN, its respawn budget, its fault site and the fabric claims
+    it handed to survivors are gone: a dead gang is rebuilt."""
+    import dataclasses
+    import inspect
+
+    import repro.dist as dist
+    import repro.service as service
+    from repro.faults.plan import FAULT_SITES
+    from repro.resilience import (RecoveryPolicy, RecoveryReport,
+                                  ResilienceConfig, plan_gang_recovery)
+
+    assert "REJOIN" not in RecoveryPolicy.__members__
+    assert "respawn_fail" not in FAULT_SITES
+    assert "respawn_budget" not in \
+        {f.name for f in dataclasses.fields(ResilienceConfig)}
+    assert "respawns" not in \
+        {f.name for f in dataclasses.fields(RecoveryReport)}
+    assert "respawns_used" not in \
+        inspect.signature(plan_gang_recovery).parameters
+    for gone in ("transport_from_claim", "RejoinError"):
+        assert gone not in dist.__all__ and not hasattr(dist, gone), gone
+        assert gone not in service.__all__ and not hasattr(service, gone)
 
 
 def test_the_wire_has_one_encoder_one_decoder_and_no_rendezvous():

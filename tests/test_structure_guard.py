@@ -35,6 +35,11 @@
   effects, REJOIN labelled a resync source nothing read, and a simulator
   fault clock ran under no model; the next tests fail if any of that, or
   a transport ``retry`` knob, grows back.
+* A dead serving gang heals one way, by rebuilding.  REJOIN respawned the
+  culprit rank into the live gang and re-endpointed the survivors through
+  per-rank fabric claims and gang generations, reaching the same width
+  and digests as a RESTART rebuild no faster; the rejoin test fails if
+  any of it grows back.
 * The wire carries control frames.  No frame the system sends holds an
   ndarray, yet the shm ring once decoded large arrays as views that
   pinned their slots until garbage collection (weakref reaping under a
@@ -420,6 +425,23 @@ def test_transports_take_no_retry_config():
     assert not offenders, (
         "the recv poll schedule is a module constant; the in-process "
         "Collectives keep their RetryConfig:\n  " + "\n  ".join(offenders))
+
+
+# -- a dead serving gang heals one way, by rebuilding ------------------------
+
+
+def test_no_live_rejoin():
+    gone = {"transport_from_claim", "renew_fabric", "RejoinError",
+            "PlannedRespawnFail"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node))
+                 if name in gone or "rejoin" in name.lower()
+                 or "respawn" in name.lower()]
+    assert not offenders, (
+        "a failed gang job is healed by stopping the gang and building a "
+        "new one at the planned width:\n  " + "\n  ".join(offenders))
 
 
 # -- the wire carries control frames ------------------------------------------
