@@ -35,7 +35,7 @@ from .core import (CYCLIC, BLOCKED, HASHED, ControlDeterminismViolation,
                    CounterRNG, DCRPipeline, DivergenceDiagnosis, Operation,
                    TaskGraph)
 from .faults import (CollectiveTimeout, FaultInjector, FaultPlan,
-                     MessageFault, PlannedCrash, PlannedFlip, ShardCrash)
+                     PlannedCrash, PlannedFlip, ShardCrash)
 from .obs import Profiler, get_profiler, profiled
 from .resilience import (RecoveryPolicy, RecoveryReport, ResilienceConfig)
 
@@ -50,7 +50,7 @@ __all__ = [
     "CYCLIC", "BLOCKED", "HASHED", "ControlDeterminismViolation",
     "CounterRNG", "DCRPipeline", "DivergenceDiagnosis", "Operation",
     "TaskGraph",
-    "CollectiveTimeout", "FaultInjector", "FaultPlan", "MessageFault",
+    "CollectiveTimeout", "FaultInjector", "FaultPlan",
     "PlannedCrash", "PlannedFlip", "ShardCrash",
     "Profiler", "get_profiler", "profiled",
     "RecoveryPolicy", "RecoveryReport", "ResilienceConfig",

@@ -14,7 +14,7 @@ Layers (bottom to top):
 * :mod:`repro.core.tracing` — memoized analysis replay (Fig. 21).
 """
 
-from .collectives import Collectives, CollectiveStats, RetryConfig
+from .collectives import Collectives, CollectiveStats
 from .coarse import CoarseAnalysis, CoarseResult, Fence
 from .deferred import DeferredOpManager
 from .determinism import (ControlDeterminismViolation, DeterminismMonitor,
@@ -34,7 +34,7 @@ from .tracing import (AutoTraceConfig, AutoTracer, TraceCache,
                       TraceIdentifier, TraceMismatch, auto_replay_flags)
 
 __all__ = [
-    "Collectives", "CollectiveStats", "RetryConfig",
+    "Collectives", "CollectiveStats",
     "CoarseAnalysis", "CoarseResult", "Fence",
     "DeferredOpManager",
     "ControlDeterminismViolation", "DeterminismMonitor",

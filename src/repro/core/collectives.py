@@ -20,6 +20,11 @@ Both fold an arriving value with :func:`fold` (lower shard index first)
 and charge :class:`CollectiveStats` the length of the schedule they ran,
 so results agree bit for bit — for merely-associative ops too — and what
 is charged is what was executed.
+
+Neither executor loses, delays or duplicates a message: the in-process
+one moves values between list slots, and a gang's transport raises
+:class:`~repro.faults.injector.CollectiveTimeout` at its receive deadline
+or :class:`~repro.dist.transport.PeerGone` when a peer's endpoint closes.
 """
 
 from __future__ import annotations
@@ -29,12 +34,10 @@ from functools import lru_cache
 from typing import (Any, Callable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple, TypeVar)
 
-from ..faults.injector import CollectiveTimeout, FaultInjector
-from ..obs.events import (CAT_COLLECTIVE, CAT_FAULT, CONTROL_SHARD,
-                          EV_FAULT_INJECT, EV_FAULT_RETRY)
+from ..obs.events import CAT_COLLECTIVE
 from ..obs.profiler import Profiler, get_profiler
 
-__all__ = ["CollectiveStats", "RetryConfig", "Round", "Schedule",
+__all__ = ["CollectiveStats", "Round", "Schedule",
            "schedule", "rank_schedule", "fold", "ScheduledCollectives",
            "Collectives"]
 
@@ -48,55 +51,22 @@ class CollectiveStats:
     Read by the per-shard conformance reports
     (:class:`repro.dist.report.ShardReport` ``coll_rounds`` /
     ``coll_messages``), the profiler's ``collectives.*`` metrics, the
-    end-to-end benchmark ledger, and — the fault fields — the
-    fault-injection tests.
+    end-to-end benchmark ledger.
 
     ``rounds`` and ``messages`` are those of the schedule each collective
-    executed, plus fault-induced extras: every retransmission adds one
-    message and one (serialized) hop, every duplicate delivery adds one
-    message — so a chaos run is charged what was actually sent, not the
-    fault-free schedule.
+    executed.
     """
 
     operations: int = 0
     rounds: int = 0            # latency in hops, sum over operations
     messages: int = 0          # point-to-point messages, sum over operations
     by_kind: dict = field(default_factory=dict)
-    # -- fault accounting (all zero without an injector) --------------------
-    retransmissions: int = 0   # messages re-sent after a drop
-    duplicates: int = 0        # spurious second deliveries
-    delayed: int = 0           # messages that arrived late
-    timeouts: int = 0          # retry budgets exhausted
-    retry_backoff_us: float = 0.0   # total backoff latency awaited
-    delay_latency_us: float = 0.0   # total injected delivery delay
 
     def record(self, kind: str, rounds: int, messages: int) -> None:
         self.operations += 1
         self.rounds += rounds
         self.messages += messages
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-
-@dataclass(frozen=True)
-class RetryConfig:
-    """Retry/backoff policy for lost collective messages.
-
-    A dropped message is retransmitted up to ``max_retries`` times; the
-    k-th retransmission waits ``backoff_us * factor**k`` microseconds
-    (k = 0 for the first retry).  The schedule depends only on the retry
-    config and the (deterministic) drop decisions, so two runs with the
-    same fault seed wait identical backoff totals.  ``delay_us`` is the
-    latency charged for an injected message delay (masked, no retry).
-    """
-
-    max_retries: int = 3
-    backoff_us: float = 50.0
-    factor: float = 2.0
-    delay_us: float = 25.0
-
-    def backoff_schedule(self, attempts: int) -> List[float]:
-        """Backoff waits for ``attempts`` consecutive retransmissions."""
-        return [self.backoff_us * self.factor ** k for k in range(attempts)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +226,10 @@ class ScheduledCollectives:
                 f"[0, {self.num_shards}) for {self.num_shards} shard(s)")
         return schedule(kind, self.num_shards, root)
 
-    def _charge(self, kind: str, sched: Schedule, extra_rounds: int = 0,
-                extra_messages: int = 0) -> Tuple[int, int]:
-        """Record one executed schedule (plus fault extras); returns the
-        ``(rounds, messages)`` charged."""
-        rounds = len(sched.rounds) + extra_rounds
-        messages = sched.messages + extra_messages
+    def _charge(self, kind: str, sched: Schedule) -> Tuple[int, int]:
+        """Record one executed schedule; returns the ``(rounds,
+        messages)`` charged."""
+        rounds, messages = len(sched.rounds), sched.messages
         self.stats.record(kind, rounds, messages)
         return rounds, messages
 
@@ -299,12 +267,8 @@ class Collectives(ScheduledCollectives):
     """
 
     def __init__(self, num_shards: int,
-                 profiler: Optional[Profiler] = None,
-                 injector: Optional[FaultInjector] = None,
-                 retry: Optional[RetryConfig] = None):
+                 profiler: Optional[Profiler] = None):
         super().__init__(num_shards, range(num_shards), profiler)
-        self.injector = injector
-        self.retry = retry or RetryConfig()
 
     def run(self, kind: str, acc: List[Any],
             op: Optional[Callable[[Any, Any], Any]] = None,
@@ -312,7 +276,7 @@ class Collectives(ScheduledCollectives):
         sched = self._schedule(kind, root)
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
-        rounds, msgs = self._deliver(kind, sched)
+        rounds, msgs = self._charge(kind, sched)
         for steps, combine in sched.rounds:
             # A round's messages cross simultaneously: read every source
             # before any destination of the round is written.
@@ -323,62 +287,6 @@ class Collectives(ScheduledCollectives):
         if prof.enabled:
             self._profile(kind, t0, rounds, msgs)
         return acc
-
-    def _deliver(self, kind: str, sched: Schedule) -> Tuple[int, int]:
-        """Charge one collective, pushing each step past the injector.
-
-        Without an injector (or with it disabled) this is exactly
-        ``_charge`` — no per-message loop runs.  With one, every step of
-        the schedule may be dropped (retransmitted with exponential
-        backoff, raising :class:`CollectiveTimeout` past
-        ``retry.max_retries``), delayed (masked; latency charged), or
-        duplicated (one extra message).  Returns the adjusted ``(rounds,
-        messages)`` actually charged, for the profiler's hop schedule.
-        """
-        inj = self.injector
-        if inj is None or not inj.enabled:
-            return self._charge(kind, sched)
-        prof = self.profiler
-        retry = self.retry
-        op = self.stats.operations          # ordinal of this collective
-        extra_rounds = 0
-        extra_msgs = 0
-        steps = [step for rnd in sched.rounds for step in rnd.steps]
-        for m, (src, dst) in enumerate(steps):
-            attempt = 0
-            while True:
-                event = inj.message_event(kind, op, m, attempt)
-                if event is None:
-                    break
-                if prof.enabled:
-                    prof.instant(CONTROL_SHARD, CAT_FAULT, EV_FAULT_INJECT,
-                                 site=f"msg_{event}", kind=kind, op=op,
-                                 msg=m, attempt=attempt, src=src, dst=dst)
-                if event == "delay":
-                    self.stats.delayed += 1
-                    self.stats.delay_latency_us += retry.delay_us
-                    break
-                if event == "dup":
-                    self.stats.duplicates += 1
-                    extra_msgs += 1
-                    break
-                # Dropped: retransmit after exponential backoff, or give up.
-                if attempt >= retry.max_retries:
-                    self.stats.timeouts += 1
-                    self._charge(kind, sched, extra_rounds, extra_msgs)
-                    raise CollectiveTimeout(kind, op, m, attempt + 1)
-                backoff = retry.backoff_us * retry.factor ** attempt
-                self.stats.retry_backoff_us += backoff
-                self.stats.retransmissions += 1
-                extra_msgs += 1
-                extra_rounds += 1     # the retry hop is serialized
-                if prof.enabled:
-                    prof.instant(CONTROL_SHARD, CAT_FAULT, EV_FAULT_RETRY,
-                                 kind=kind, op=op, msg=m, attempt=attempt,
-                                 backoff_us=backoff)
-                    prof.count("faults.retransmissions")
-                attempt += 1
-        return self._charge(kind, sched, extra_rounds, extra_msgs)
 
     def _profile(self, kind: str, t0: float, rounds: int,
                  messages: int) -> None:

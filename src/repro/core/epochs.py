@@ -119,8 +119,8 @@ class ClassTable:
 Bound = Union[LogicalRegion, Tuple[LogicalRegion, ...]]
 
 # (bound key, inner region uid) -> bool, where the bound key is the region's
-# uid or the tuple of the pieces' uids: a flat dict that skips the LRU
-# recency shuffle of the shared PairCache on the retirement hot path.
+# uid or the tuple of the pieces' uids: a flat dict that skips the shared
+# PairCache's method call and hit accounting on the retirement hot path.
 _CONTAINS: Dict[Tuple[Hashable, int], bool] = {}
 register_cache_clearer(_CONTAINS.clear)
 

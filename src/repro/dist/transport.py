@@ -125,13 +125,12 @@ class PeerGone(CollectiveTimeout):
     """The peer's endpoint is closed — its worker crashed or exited early.
 
     Subclasses :class:`CollectiveTimeout` so callers that guard collectives
-    against lost messages handle a dead peer the same way (the ISSUE's
-    "crash surfaces as an exception, not a hang" requirement).
+    against a silent peer handle a dead one the same way: a crash surfaces
+    as an exception, not a hang.
     """
 
     def __init__(self, kind: str, op: int, peer: int, attempts: int = 1):
-        super().__init__(kind, op, msg=peer, attempts=attempts)
-        self.peer = peer
+        super().__init__(kind, op, peer, attempts)
         # Rewrite the generic message with the crash-specific one.
         self.args = (f"collective {kind} #{op}: shard {peer}'s endpoint is "
                      f"closed (worker crashed or exited early)",)
@@ -256,8 +255,7 @@ class Transport:
                 return payload
             remaining = deadline - self._clock()
             if remaining <= 0:
-                raise CollectiveTimeout(kind, op, msg=src,
-                                        attempts=max(1, attempts))
+                raise CollectiveTimeout(kind, op, src, max(1, attempts))
             attempts += 1
             try:
                 frame = self._poll_frame(src, min(poll_s, remaining))

@@ -3,37 +3,33 @@
 The paper's control-determinism check (§3.2) *detects* divergence among
 control replicas; this package supplies the perturbations that exercise it
 and every recovery path built on top (:mod:`repro.resilience`).  A
-:class:`FaultPlan` names *where* a run is perturbed — explicit one-shot
-faults for precise tests, seeded per-site probabilities for chaos runs —
-and a :class:`FaultInjector` turns the plan into deterministic decisions:
-every decision is a pure function of ``(seed, site, indices)`` via the
-counter-based Threefry generator (:mod:`repro.core.rng`), so two runs with
-the same plan inject byte-identical fault streams regardless of timing.
+:class:`FaultPlan` is a list of one-shot faults the caller plans and
+passes in — "flip shard 2's call #13", "crash shard 1 at call #7" — and a
+:class:`FaultInjector` fires each one where the plan names it, so two runs
+with the same plan inject the same faults regardless of timing.  Nothing
+else configures a fault: no environment variable, no seeded rate.
 
 Fault sites (docs/resilience.md has the full catalog):
 
 * ``hash_flip``     — perturb one argument of one shard's hashed API call
   (:meth:`repro.core.determinism.ShardHasher.record`), simulating a control
   divergence without changing the analyzed program;
-* ``msg_drop`` / ``msg_delay`` / ``msg_dup`` — message-level faults inside
-  :class:`repro.core.collectives.Collectives`, masked by bounded retry with
-  deterministic exponential backoff;
 * ``shard_crash``   — raise :class:`ShardCrash` from one shard's control
   replay, mid-batch;
 * ``trace_corrupt`` — corrupt a recorded :class:`repro.core.tracing.
-  TraceCache` entry so the next replay diverges into the safe fallback.
+  TraceCache` entry so the next replay diverges into the safe fallback;
+* ``hb_loss`` / ``shard_stall`` — silence a window of one rank's
+  heartbeats.
 
 Divergence-class faults (flips, crashes, corruptions) fire **once** per
-site even under probabilistic plans, so recovery re-execution converges
-instead of re-tripping the same fault forever.
+site, so recovery re-execution converges instead of re-tripping the same
+fault forever.
 """
 
 from .injector import CollectiveTimeout, FaultInjector, ShardCrash
-from .plan import (FAULT_SITES, MESSAGE_EVENTS, FaultPlan, MessageFault,
-                   PlannedCrash, PlannedFlip)
+from .plan import FaultPlan, PlannedCrash, PlannedFlip
 
 __all__ = [
-    "FAULT_SITES", "MESSAGE_EVENTS",
-    "FaultPlan", "MessageFault", "PlannedCrash", "PlannedFlip",
+    "FaultPlan", "PlannedCrash", "PlannedFlip",
     "FaultInjector", "ShardCrash", "CollectiveTimeout",
 ]

@@ -1,17 +1,19 @@
 """The fault injector: deterministic decisions from a :class:`FaultPlan`.
 
-Instrumented components (hasher, collectives, trace cache) hold an optional
+Instrumented components (hasher, trace cache, heartbeats) hold an optional
 injector reference and consult it behind an ``inj is not None and
 inj.enabled`` guard — the same zero-perturbation discipline the profiler
 uses, so a run without an injector (the default) takes no new branches in
 any decision path.
 
-Determinism: every probabilistic decision is ``threefry2x64(seed, H(site,
-indices))`` — a pure function of the plan and the site coordinates, never
-of evaluation order or wall clock.  Divergence-class faults (``hash_flip``,
-``shard_crash``, ``trace_corrupt``) additionally fire **at most once per
-key** per injector, so a recovery re-execution of the same control program
-does not re-trip the fault it is recovering from.
+Determinism: a fault fires only at the coordinates its plan names, so two
+runs with the same plan inject the same faults regardless of timing; the
+one derived choice — which entry of a recording ``trace_corrupt`` damages
+— is ``threefry2x64(seed, H(site, indices))``, a pure function of the
+plan.  Divergence-class faults (``hash_flip``, ``shard_crash``,
+``trace_corrupt``) fire **at most once per key** per injector, so a
+recovery re-execution of the same control program does not re-trip the
+fault it is recovering from.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import hashlib
 from typing import Optional, Set, Tuple
 
 from ..core.rng import threefry2x64
-from .plan import FaultPlan, MessageFault
+from .plan import FaultPlan
 
 __all__ = ["ShardCrash", "CollectiveTimeout", "FaultInjector"]
 
@@ -37,16 +39,16 @@ class ShardCrash(RuntimeError):
 
 
 class CollectiveTimeout(RuntimeError):
-    """A collective message exceeded its retry budget."""
+    """A collective receive from ``peer`` passed its deadline."""
 
-    def __init__(self, kind: str, op: int, msg: int, attempts: int):
+    def __init__(self, kind: str, op: int, peer: int, attempts: int):
         self.kind = kind
         self.op = op
-        self.msg = msg
+        self.peer = peer
         self.attempts = attempts
         super().__init__(
-            f"collective {kind} #{op}: message {msg} lost after "
-            f"{attempts} transmissions (retry budget exhausted)")
+            f"collective {kind} #{op}: no message from shard {peer} "
+            f"before the receive deadline ({attempts} polls)")
 
 
 #: Domain-separation stream for fault draws (arbitrary non-zero constant).
@@ -78,22 +80,6 @@ class FaultInjector:
         # front and never mutated after the injector is built.
         self.enabled: bool = self.plan.any_faults
 
-    @classmethod
-    def from_env(cls) -> Optional["FaultInjector"]:
-        plan = FaultPlan.from_env()
-        return cls(plan) if plan is not None else None
-
-    # -- decision machinery ---------------------------------------------------
-
-    def _uniform(self, site: str, *indices: int) -> float:
-        word, _ = threefry2x64((self.plan.seed, _FAULT_STREAM),
-                               _site_counter(site, indices))
-        return (word >> 11) * (1.0 / (1 << 53))
-
-    def _rate_hit(self, site: str, *indices: int) -> bool:
-        rate = self.plan.rates.get(site, 0.0)
-        return rate > 0.0 and self._uniform(site, *indices) < rate
-
     def _fire_once(self, key: Tuple) -> bool:
         """Consume a one-shot key; False if it already fired."""
         if key in self._fired:
@@ -109,8 +95,6 @@ class FaultInjector:
         for f in self.plan.flips:
             if f.shard == shard and f.call == call:
                 return self._fire_once(("hash_flip", shard, call))
-        if self._rate_hit("hash_flip", shard, call):
-            return self._fire_once(("hash_flip", shard, call))
         return False
 
     # -- site: shard_crash ----------------------------------------------------
@@ -120,49 +104,7 @@ class FaultInjector:
         for c in self.plan.crashes:
             if c.shard == shard and c.call == call:
                 return self._fire_once(("shard_crash", shard, call))
-        if self._rate_hit("shard_crash", shard, call):
-            return self._fire_once(("shard_crash", shard, call))
         return False
-
-    # -- site: collective messages -------------------------------------------
-
-    def _planned_message(self, kind: str, op: int,
-                         msg: int) -> Optional[MessageFault]:
-        for mf in self.plan.message_faults:
-            if mf.op == op and mf.msg == msg and mf.kind in ("", kind):
-                return mf
-        return None
-
-    def message_event(self, kind: str, op: int, msg: int,
-                      attempt: int) -> Optional[str]:
-        """Fault affecting transmission ``attempt`` of one message, if any.
-
-        Returns one of :data:`~repro.faults.plan.MESSAGE_EVENTS` or None.
-        Planned faults take precedence; probabilistic drops re-roll per
-        attempt (so ``p^k`` odds of ``k`` consecutive losses), while delay
-        and duplication only apply to the first transmission.
-        """
-        planned = self._planned_message(kind, op, msg)
-        if planned is not None:
-            if planned.event == "drop":
-                if attempt < planned.attempts:
-                    self.injected.append(("msg_drop", kind, op, msg, attempt))
-                    return "drop"
-                return None
-            if attempt == 0:
-                self.injected.append(
-                    (f"msg_{planned.event}", kind, op, msg, 0))
-                return planned.event
-            return None
-        if self._rate_hit("msg_drop", op, msg, attempt):
-            self.injected.append(("msg_drop", kind, op, msg, attempt))
-            return "drop"
-        if attempt == 0:
-            for event in ("delay", "dup"):
-                if self._rate_hit(f"msg_{event}", op, msg):
-                    self.injected.append((f"msg_{event}", kind, op, msg, 0))
-                    return event
-        return None
 
     # -- sites: hb_loss / shard_stall (heartbeat suppression) -----------------
 
@@ -184,9 +126,6 @@ class FaultInjector:
             if s.shard == shard and s.beat <= beat < s.beat + s.beats:
                 self.injected.append(("shard_stall", shard, beat))
                 return True
-        if self._rate_hit("hb_loss", shard, beat):
-            self.injected.append(("hb_loss", shard, beat))
-            return True
         return False
 
     # -- site: trace_corrupt --------------------------------------------------
@@ -195,9 +134,8 @@ class FaultInjector:
         """Entry index to corrupt in recording number ``ordinal``, or None."""
         if entries <= 0:
             return None
-        hit = ordinal in self.plan.trace_corruptions \
-            or self._rate_hit("trace_corrupt", ordinal)
-        if hit and self._fire_once(("trace_corrupt", ordinal)):
+        if ordinal in self.plan.trace_corruptions \
+                and self._fire_once(("trace_corrupt", ordinal)):
             # Deterministic victim entry within the recording.
             word, _ = threefry2x64((self.plan.seed, _FAULT_STREAM),
                                    _site_counter("trace_victim", (ordinal,)))

@@ -26,7 +26,7 @@ __all__ = [
     "EV_TRACE_SETTLE",
     "EV_DET_CHECK", "EV_DET_LOCALIZE",
     "EV_EXEC_POINT", "EV_CONTROL_REPLAY",
-    "EV_FAULT_INJECT", "EV_FAULT_RETRY", "EV_SHARD_CRASH",
+    "EV_FAULT_INJECT", "EV_SHARD_CRASH",
     "EV_QUARANTINE", "EV_RECOVERY",
     "EV_SESSION_OPEN", "EV_SESSION_CLOSE", "EV_JOB_ADMIT", "EV_JOB_REJECT",
     "EV_JOB_DISPATCH", "EV_JOB_DONE", "EV_JOB_EXPIRE", "EV_TEMPLATE_HIT",
@@ -48,7 +48,7 @@ CAT_TRACE = "trace"                # trace record / replay / fallback
 CAT_DETERMINISM = "determinism"    # hash batches and their all-reduce
 CAT_EXEC = "exec"                  # point-task execution
 CAT_CONTROL = "control"            # per-shard control-program replay
-CAT_FAULT = "fault"                # injected faults, retries, crashes
+CAT_FAULT = "fault"                # injected faults and crashes
 CAT_RESILIENCE = "resilience"      # quarantine / recovery
 CAT_SERVICE = "service"            # session/job lifecycle on the service
 
@@ -73,7 +73,6 @@ EV_DET_LOCALIZE = "determinism.localize"  # span: window allgather + bisect
 EV_EXEC_POINT = "exec.point"           # span: one point task body
 EV_CONTROL_REPLAY = "control.replay"   # span: one shard's control program
 EV_FAULT_INJECT = "fault.inject"       # instant: an injected fault fired
-EV_FAULT_RETRY = "fault.retry"         # instant: one message retransmission
 EV_SHARD_CRASH = "fault.crash"         # instant: a shard's replay died
 EV_QUARANTINE = "resilience.quarantine"  # instant: shard removed from set
 EV_RECOVERY = "resilience.recover"     # span: one recovery attempt

@@ -6,7 +6,7 @@ a small working set of region pairs (the partitions and subregions of the
 application's handful of region trees).  Both answers are *immutable* for
 a given pair: region uids are never reused, a region's index space never
 changes, and region trees only grow (new partitions never change the
-relationship between existing nodes).  That makes an LRU keyed on
+relationship between existing nodes).  That makes a memo keyed on
 ``(region uid, region uid)`` sound forever, with no invalidation protocol.
 
 Execution Templates (Mashayekhi et al.) and DePa (Westrick et al., PPoPP
@@ -40,12 +40,15 @@ def register_cache_clearer(fn) -> None:
 
 
 class PairCache:
-    """A bounded LRU of boolean answers keyed on region-uid pairs.
+    """A bounded memo of boolean answers keyed on region-uid pairs.
 
-    A plain dict doubles as the recency list (insertion order): hits are
-    reinserted at the tail, evictions pop the head.  Bounded so pathological
-    programs (millions of transient subregions) cannot grow it without
-    limit; the default is far above any working set in this repo.
+    Bounded so pathological programs (millions of transient subregions)
+    cannot grow it without limit: a full cache is reset, like the analysis
+    core's class tables — an answer never goes stale, so a reset costs
+    only recomputation.  The default is far above any working set in this
+    repo.  The loopback backend's rank threads share the cache, so every
+    access must stay one dict call: a look-up followed by a delete races
+    another thread's eviction into a ``KeyError``.
     """
 
     __slots__ = ("_data", "maxsize", "hits", "misses")
@@ -57,20 +60,16 @@ class PairCache:
         self.misses = 0
 
     def get(self, key: Tuple[int, int]):
-        data = self._data
-        hit = data.get(key)
+        hit = self._data.get(key)
         if hit is not None:
             self.hits += 1
-            # Refresh recency: move to the tail of the insertion order.
-            del data[key]
-            data[key] = hit
         return hit
 
     def put(self, key: Tuple[int, int], value: bool) -> None:
         self.misses += 1
         data = self._data
         if len(data) >= self.maxsize:
-            del data[next(iter(data))]
+            data.clear()
         data[key] = value
 
     def clear(self) -> None:

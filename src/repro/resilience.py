@@ -32,8 +32,7 @@ vocabulary, always by rebuilding: :func:`plan_gang_recovery` picks the
 width the gang is rebuilt at and whether the failed submission re-runs.
 
 Every recovery action produces a :class:`RecoveryReport`; with
-``report_dir`` set the reports are also written as JSON (the CI chaos tier
-uploads them on failure).
+``report_dir`` set the reports are also written as JSON.
 """
 
 from __future__ import annotations
@@ -75,26 +74,6 @@ class ResilienceConfig:
     policy: RecoveryPolicy = RecoveryPolicy.ABORT
     max_recoveries: int = 2
     report_dir: Optional[str] = None
-
-    @classmethod
-    def from_env(cls, env: Optional[Dict[str, str]] = None
-                 ) -> Optional["ResilienceConfig"]:
-        """Config from ``REPRO_FAULT_POLICY`` etc., or None when unset."""
-        e = os.environ if env is None else env
-        raw = e.get("REPRO_FAULT_POLICY", "").strip().lower()
-        if not raw:
-            return None
-        try:
-            policy = RecoveryPolicy(raw)
-        except ValueError:
-            names = [p.value for p in RecoveryPolicy]
-            raise ValueError(
-                f"REPRO_FAULT_POLICY={raw!r} is not one of {names}")
-        return cls(
-            policy=policy,
-            max_recoveries=int(e.get("REPRO_FAULT_MAX_RECOVERIES", "2")),
-            report_dir=e.get("REPRO_FAULT_REPORT_DIR") or None,
-        )
 
 
 def diagnosis_to_dict(d: Optional[DivergenceDiagnosis]

@@ -116,20 +116,17 @@ class Runtime:
         # execution; it is the disabled global no-op unless a live one is
         # passed (or the global one is enabled), and never perturbs results.
         self.profiler = profiler if profiler is not None else get_profiler()
-        # Fault injection + recovery: both default to the environment
-        # (REPRO_FAULT_SEED / REPRO_FAULT_POLICY) and are None in normal
-        # runs — the same zero-perturbation discipline as the profiler.
-        self.injector = injector if injector is not None \
-            else FaultInjector.from_env()
-        self.resilience = resilience if resilience is not None \
-            else ResilienceConfig.from_env()
+        # Fault injection + recovery: only what the caller passes in, None
+        # by default — the same zero-perturbation discipline as the
+        # profiler.
+        self.injector = injector
+        self.resilience = resilience
         if backend != "inprocess" and self.resilience is not None:
             # Recovery re-runs shards inside one process against shared
             # logs; forked/threaded replicas cannot be restarted in place.
             raise ValueError(
                 f"the {backend} backend does not support recovery "
-                "policies; drop resilience= (or REPRO_FAULT_POLICY) or "
-                "use backend='inprocess'")
+                "policies; drop resilience= or use backend='inprocess'")
         if backend == "loopback" and timing_oracle is not None:
             # The oracle dispatches on runtime._current_shard, which
             # concurrent replica threads race on.
@@ -149,10 +146,9 @@ class Runtime:
         self._sharding_cache: Dict[Tuple[int, frozenset], ShardingFunction] \
             = {}
         # One collectives instance spans determinism checks and recovery
-        # localization, so CollectiveStats accumulates retransmission and
-        # backoff accounting across the whole run (including retries).
-        self.collectives = Collectives(num_shards, profiler=self.profiler,
-                                       injector=self.injector)
+        # localization, so CollectiveStats accumulates across the whole run
+        # (including recovery re-executions).
+        self.collectives = Collectives(num_shards, profiler=self.profiler)
         # auto_trace turns on transparent trace identification: repeated
         # fragments of the launch stream are memoized and replayed without
         # any begin_trace/end_trace calls in the control program.

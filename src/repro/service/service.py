@@ -442,7 +442,8 @@ class DCRService:
             return
         # A submission carrying a fault plan must reach the gang — serving
         # it from a template would silently skip the injection the caller
-        # asked for (chaos tests and the CI chaos tier depend on this).
+        # asked for (the chaos tests and the service chaos soak depend on
+        # this).
         tpl = None if job.fault is not None \
             else self.templates.lookup(job.spec, self._width)
         if tpl is not None:

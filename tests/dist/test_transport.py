@@ -59,6 +59,10 @@ def test_recv_deadline_raises_collective_timeout():
     assert not isinstance(exc.value, PeerGone)
     assert exc.value.kind == "allreduce"
     assert exc.value.op == 3
+    assert exc.value.peer == 0
+    assert "shard 0" in str(exc.value)
+    assert f"{exc.value.attempts} polls" in str(exc.value)
+    assert "retry" not in str(exc.value)
 
 
 def test_dead_peer_raises_peer_gone():

@@ -14,8 +14,7 @@ import pytest
 
 from obs.test_zero_perturbation import graph_signature, make_control
 from repro.core.determinism import ControlDeterminismViolation
-from repro.faults import (CollectiveTimeout, FaultInjector, FaultPlan,
-                          MessageFault, PlannedCrash, PlannedFlip)
+from repro.faults import FaultInjector, FaultPlan, PlannedCrash, PlannedFlip
 from repro.obs import Profiler
 from repro.resilience import RecoveryPolicy, ResilienceConfig
 from repro.runtime import Runtime
@@ -57,8 +56,7 @@ class TestHashFlip:
         assert "faulted" in str(exc.value)
         assert exc.value.divergent_shards is not None
 
-    def test_abort_is_default_without_resilience(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_POLICY", raising=False)
+    def test_abort_is_default_without_resilience(self):
         with pytest.raises(ControlDeterminismViolation):
             run(injector=flip_at(1, 5))
 
@@ -164,32 +162,6 @@ class TestTraceCorruption:
         assert np.array_equal(x1, x0) and np.array_equal(y1, y0)
         # The fallback costs memoization, never correctness.
         assert rt1.pipeline.stats.traced_ops < rt0.pipeline.stats.traced_ops
-
-
-class TestMessageFaults:
-    def test_transient_drop_is_fully_masked(self, baseline):
-        sig0, totals0, x0 = baseline
-        inj = FaultInjector(FaultPlan(seed=3, message_faults=[
-            MessageFault("", 0, 0, attempts=2)]))
-        rt, totals, x = run(injector=inj)    # no resilience needed
-        assert graph_signature(rt) == sig0 and totals == totals0
-        assert rt.collectives.stats.retransmissions == 2
-
-    def test_catastrophic_loss_times_out(self):
-        inj = FaultInjector(FaultPlan(seed=3, message_faults=[
-            MessageFault("", 0, 0, attempts=100)]))
-        with pytest.raises(CollectiveTimeout):
-            run(injector=inj, policy=RecoveryPolicy.DEGRADE)
-
-    def test_masked_chaos_matches_baseline(self, baseline):
-        sig0, totals0, x0 = baseline
-        inj = FaultInjector(FaultPlan(seed=4, rates={"msg_delay": 0.1,
-                                                     "msg_dup": 0.1}))
-        rt, totals, x = run(injector=inj)
-        assert graph_signature(rt) == sig0
-        assert totals == totals0 and np.array_equal(x, x0)
-        s = rt.collectives.stats
-        assert s.delayed + s.duplicates > 0
 
 
 class TestRecoveryMachinery:

@@ -10,13 +10,6 @@ from repro.core import ControlDeterminismViolation
 from repro.runtime import Runtime
 
 
-@pytest.fixture(autouse=True)
-def _abort_on_violation(monkeypatch):
-    """These tests assert *detection* (a raised violation); a chaos-tier
-    ``REPRO_FAULT_POLICY`` would recover instead, so pin the default."""
-    monkeypatch.delenv("REPRO_FAULT_POLICY", raising=False)
-
-
 def _scaffold(ctx):
     fs = ctx.create_field_space([("x", "f8")])
     r = ctx.create_region(ctx.create_index_space(8), fs, "r")

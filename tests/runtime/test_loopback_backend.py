@@ -73,6 +73,19 @@ def test_loopback_rejects_resilience():
                 resilience=ResilienceConfig(policy=RecoveryPolicy.DEGRADE))
 
 
+def test_fault_environment_variables_are_ignored(monkeypatch):
+    """A ``REPRO_FAULT_POLICY`` in the environment once turned into a
+    recovery policy inside every Runtime, which the gang backends reject;
+    faults and recovery now come only from the constructor."""
+    monkeypatch.setenv("REPRO_FAULT_SEED", "1")
+    monkeypatch.setenv("REPRO_FAULT_POLICY", "degrade")
+    rt = Runtime(num_shards=2, backend="loopback")
+    assert rt.resilience is None
+    assert rt.injector is None
+    assert rt.execute(stencil_control) == \
+        Runtime(num_shards=2).execute(stencil_control)
+
+
 def test_loopback_rejects_timing_oracle():
     with pytest.raises(ValueError, match="timing_oracle"):
         Runtime(num_shards=2, backend="loopback",

@@ -50,13 +50,10 @@ def test_traced_run_passes_fence_validation():
     rt.pipeline.validate()
 
 
-def test_trace_calls_are_hashed(monkeypatch):
+def test_trace_calls_are_hashed():
     """begin/end_trace are themselves API calls: a shard tracing while
     others do not is a determinism violation."""
     from repro.core import ControlDeterminismViolation
-
-    # Detection test: a chaos-tier recovery policy would mask the raise.
-    monkeypatch.delenv("REPRO_FAULT_POLICY", raising=False)
 
     def main(ctx):
         fs = ctx.create_field_space([("x", "f8")])

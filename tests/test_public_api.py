@@ -115,12 +115,13 @@ def test_a_dead_serving_gang_heals_one_way():
 
     import repro.dist as dist
     import repro.service as service
-    from repro.faults.plan import FAULT_SITES
+    from repro.faults import FaultPlan
     from repro.resilience import (RecoveryPolicy, RecoveryReport,
                                   ResilienceConfig, plan_gang_recovery)
 
     assert "REJOIN" not in RecoveryPolicy.__members__
-    assert "respawn_fail" not in FAULT_SITES
+    assert "respawn_fails" not in \
+        {f.name for f in dataclasses.fields(FaultPlan)}
     assert "respawn_budget" not in \
         {f.name for f in dataclasses.fields(ResilienceConfig)}
     assert "respawns" not in \
@@ -130,6 +131,29 @@ def test_a_dead_serving_gang_heals_one_way():
     for gone in ("transport_from_claim", "RejoinError"):
         assert gone not in dist.__all__ and not hasattr(dist, gone), gone
         assert gone not in service.__all__ and not hasattr(service, gone)
+
+
+def test_a_fault_fires_only_where_planned():
+    """A FaultPlan lists planned faults only: no seeded rates, no message
+    faults, and the in-process collectives neither retry nor consult an
+    injector."""
+    import dataclasses
+    import inspect
+
+    import repro
+    import repro.core as core
+    import repro.faults as faults
+    from repro.core.collectives import Collectives
+    from repro.faults import FaultPlan
+
+    plan_fields = {f.name for f in dataclasses.fields(FaultPlan)}
+    assert not {"rates", "message_faults"} & plan_fields
+    assert not {"retry", "injector"} \
+        & set(inspect.signature(Collectives.__init__).parameters)
+    for mod in (repro, core, faults):
+        for gone in ("MessageFault", "RetryConfig", "FAULT_SITES",
+                     "MESSAGE_EVENTS"):
+            assert gone not in mod.__all__ and not hasattr(mod, gone), gone
 
 
 def test_the_wire_has_one_encoder_one_decoder_and_no_rendezvous():

@@ -46,8 +46,16 @@
   re-entrant lock), frames had a second encoder and decoder, a multi-host
   rendezvous sat beside a launcher that never called it, LOCALIZE was a
   switch, and service fault plans crossed to the workers through a
-  hand-written codec that dropped three kinds of fault; the last test
+  hand-written codec that dropped three kinds of fault; the next test
   fails if any of that grows back.
+* A fault fires only where a caller planned it.  Six ``REPRO_FAULT_*``
+  environment variables once configured faults and recovery inside every
+  ``Runtime`` (and made the gang backends refuse to start when a policy
+  was exported), seeded per-site rates drew faults nobody planned, and the
+  in-process collectives simulated message loss, retransmission and
+  backoff that no transport implements; the last test fails if an
+  environment read, any of those names, or a ``repro.faults`` import in
+  the collectives grows back.
 """
 
 import ast
@@ -423,8 +431,9 @@ def test_transports_take_no_retry_config():
                  or (isinstance(node, ast.Attribute) and node.attr == "retry")
                  or "RetryConfig" in _names(node)]
     assert not offenders, (
-        "the recv poll schedule is a module constant; the in-process "
-        "Collectives keep their RetryConfig:\n  " + "\n  ".join(offenders))
+        "the recv poll schedule is a module constant and its deadline "
+        "raises CollectiveTimeout; nothing retransmits:\n  "
+        + "\n  ".join(offenders))
 
 
 # -- a dead serving gang heals one way, by rebuilding ------------------------
@@ -465,3 +474,28 @@ def test_no_pinned_ring_slots_second_codec_or_rendezvous():
         "every fabric shares one encoder and one decoder, gangs run on one "
         "host, LOCALIZE always runs and a FaultPlan crosses to a worker as "
         "itself:\n  " + "\n  ".join(offenders))
+
+
+# -- a fault fires only where a caller planned it -----------------------------
+
+
+def test_no_environment_knobs_fault_rates_or_message_loss():
+    gone = {"environ", "getenv", "from_env", "message_event", "MessageFault",
+            "RetryConfig", "retransmissions", "MESSAGE_EVENTS", "_rate_hit",
+            "FAULT_SITES"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    (_, tree), = _trees(("core/collectives.py",))
+    offenders += [f"core/collectives.py:{node.lineno}: import {module}"
+                  for node in ast.walk(tree)
+                  for module in ([node.module or ""]
+                                 if isinstance(node, ast.ImportFrom)
+                                 else [a.name for a in node.names]
+                                 if isinstance(node, ast.Import) else [])
+                  if module.split(".")[0] == "faults"
+                  or module.startswith("repro.faults")]
+    assert not offenders, (
+        "faults come from a FaultPlan the caller passes in, and collectives "
+        "deliver every message:\n  " + "\n  ".join(offenders))
