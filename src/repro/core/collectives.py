@@ -318,8 +318,8 @@ class Collectives(ScheduledCollectives):
         """Exactly one contribution per shard, with a diagnosable error.
 
         A wrong-length list is almost always a shard-count mismatch in the
-        caller (e.g. a quarantined shard still contributing, or a stale
-        ``num_shards``), so the message names both numbers.
+        caller (e.g. a stale ``num_shards``), so the message names both
+        numbers.
         """
         if len(values) != self.num_shards:
             raise ValueError(

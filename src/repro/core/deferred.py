@@ -29,7 +29,7 @@ class DeferredOpManager:
 
     ``announce(shard, key)`` is called from a shard's finalizer; ``poll()``
     is called by the runtime when it drains and returns (in a canonical,
-    deterministic order) the keys every active shard has announced, which
+    deterministic order) the keys every shard has announced, which
     the runtime then inserts into all shards' streams at the same point.
     """
 
@@ -37,21 +37,9 @@ class DeferredOpManager:
         self.num_shards = num_shards
         self._pending: Dict[Hashable, _PendingOp] = {}
         self._announce_order: List[Hashable] = []
-        self._active: Set[int] = set(range(num_shards))
         # Loopback-backend replicas announce from concurrent threads; the
         # shared pending map must mutate atomically.
         self._lock = threading.Lock()
-
-    def quarantine(self, shard: int) -> None:
-        """Stop waiting for ``shard``'s announcements (DEGRADE recovery).
-
-        Consensus now requires only the surviving shards — without this a
-        quarantined shard's missing announcements would keep every pending
-        deferred op from ever being applied.
-        """
-        self._active.discard(shard)
-        if not self._active:
-            raise ValueError("cannot quarantine the last active shard")
 
     def announce(self, shard: int, key: Hashable) -> None:
         """Shard ``shard``'s collector finalized the resource named ``key``."""
@@ -66,12 +54,12 @@ class DeferredOpManager:
             op.observed_by.add(shard)
 
     def poll(self) -> List[Hashable]:
-        """Remove and return the operations every active shard announced,
+        """Remove and return the operations every shard announced,
         in the deterministic first-announced order."""
         with self._lock:
             ready = [
                 key for key in self._announce_order
-                if self._active <= self._pending[key].observed_by
+                if len(self._pending[key].observed_by) == self.num_shards
             ]
             for key in ready:
                 del self._pending[key]

@@ -9,8 +9,8 @@ error naming the first divergent operation — the paper reports this is
 sufficient for debugging.  The monitor goes further (LOCALIZE): it
 allgathers the per-call digests of the failed window and binary-searches
 the first divergent call, attaching a :class:`DivergenceDiagnosis` naming
-the culprit shard(s) — the foundation the recovery policies in
-:mod:`repro.resilience` build on.
+the culprit shard(s), which a serving gang's recovery reports
+(:mod:`repro.resilience`) carry.
 
 Hashing detail: :meth:`ShardHasher.record` encodes a call's whole argument
 tree in one pass — scalars by value and type, containers recursively, and
@@ -146,7 +146,7 @@ class ControlDeterminismViolation(RuntimeError):
     """Raised when shards diverge in their sequence of runtime API calls.
 
     Beyond the formatted message, carries structured fields so recovery
-    policies (and tests) never have to parse strings:
+    reports (and tests) never have to parse strings:
 
     * ``seq`` — first divergent (or first missing) API-call index;
     * ``descriptions`` — per-shard call description at ``seq``;
@@ -303,8 +303,8 @@ class ShardHasher:
             self._encode(kwargs[k], out)
         if faulted:
             # Perturb only the digest: the analyzed call itself is intact,
-            # so recovery re-analysis reproduces the fault-free task graph
-            # (Theorem 1) while the determinism check sees a divergence.
+            # so the task graph is the fault-free one while the determinism
+            # check sees a divergence.
             out.append(b"|<fault-injected>")
         digest = int.from_bytes(
             hashlib.blake2b(b"".join(out), digest_size=16).digest(), "little")
@@ -370,15 +370,10 @@ class DeterminismMonitor:
       divergent call (:func:`locate_divergence`), raising with a full
       :class:`DivergenceDiagnosis`.
 
-    ``enabled=False`` models the "No Safe" configurations of Fig. 21.
-
-    Recovery hooks (all optional, default off):
-
-    * ``injector`` — threaded into every :class:`ShardHasher`;
-    * ``quarantine(shard)`` / ``reset_shard(shard)`` — shrink the compared
-      shard set after DEGRADE, or re-admit a shard with a fresh hasher for
-      RESTART (it rejoins checking at the next batch boundary, once its
-      re-execution catches back up to the verified frontier).
+    ``enabled=False`` models the "No Safe" configurations of Fig. 21.  An
+    ``injector`` is threaded into every :class:`ShardHasher`.  The monitor
+    only detects and localizes: every hosted shard is compared in every
+    window, and a violation is raised, never healed here.
     """
 
     def __init__(self, num_shards: int, batch: int = 64, enabled: bool = True,
@@ -402,7 +397,6 @@ class DeterminismMonitor:
         # timeline; a rank's own monitor reports on that rank's.
         self._timeline = CONTROL_SHARD if len(self.shards) == num_shards \
             else self.shards[0]
-        self._live = list(self.hashers)     # hashers of active hosted shards
         self._verified = 0                  # calls agreed on by all shards
 
     def hasher(self, shard: int) -> ShardHasher:
@@ -413,31 +407,6 @@ class DeterminismMonitor:
         """Calls every shard has been verified to agree on so far."""
         return self._verified
 
-    # -- shard-set management (DEGRADE / RESTART) ----------------------------
-
-    @property
-    def active_shards(self) -> List[int]:
-        return [h.shard for h in self._live]
-
-    def quarantine(self, shard: int) -> None:
-        """Stop comparing ``shard``; its recorded calls are abandoned."""
-        live = [h for h in self._live if h.shard != shard]
-        if not live:
-            raise ValueError("cannot quarantine the last active shard")
-        self._live = live
-
-    def reset_shard(self, shard: int) -> None:
-        """Re-admit ``shard`` with a fresh hasher (RESTART rejoin).
-
-        The restarted shard replays its control stream from the beginning;
-        no window closes until it catches back up to the verified frontier,
-        i.e. it rejoins at the next batch boundary.
-        """
-        active = set(self.active_shards) | {shard}
-        self.hashers[self.shards.index(shard)] = ShardHasher(shard,
-                                                             self.injector)
-        self._live = [h for h in self.hashers if h.shard in active]
-
     # -- staging -------------------------------------------------------------
 
     def maybe_check(self) -> None:
@@ -446,7 +415,7 @@ class DeterminismMonitor:
         if not self.enabled:
             return
         need = self._verified + self.batch
-        for h in self._live:
+        for h in self.hashers:
             if len(h.calls) < need:
                 return
         self._exchange(final=False)
@@ -461,18 +430,11 @@ class DeterminismMonitor:
         if self.enabled:
             self._exchange(final=True)
 
-    def window_digest(self, shard: int, start: int, count: int) -> int:
-        """128-bit digest of one shard's calls ``[start, start+count)``."""
-        return stream_digest(self.hasher(shard).calls[start:start + count])
-
     # -- the collective check ------------------------------------------------
 
     def _hosted(self, per_shard: Dict[int, Any]) -> List[Any]:
-        """One contribution per hosted shard, in shard order.  Quarantined
-        slots repeat the first active shard's, so the collective keeps its
-        fixed width without affecting the verdict."""
-        pad = per_shard[self._live[0].shard]
-        return [per_shard.get(s, pad) for s in self.shards]
+        """One contribution per hosted shard, in shard order."""
+        return [per_shard[s] for s in self.shards]
 
     def _exchange(self, final: bool) -> None:
         """Close one window on every hosted shard and all-reduce it.
@@ -483,9 +445,9 @@ class DeterminismMonitor:
         prof = self.profiler
         t0 = prof.now_us() if prof.enabled else 0.0
         start = self._verified
-        upto = min(len(h.calls) for h in self._live)
+        upto = min(len(h.calls) for h in self.hashers)
         windows = {}
-        for h in self._live:
+        for h in self.hashers:
             end = len(h.calls) if final else upto
             windows[h.shard] = (start, max(0, end - start),
                                 stream_digest(h.calls[start:end]),
@@ -515,14 +477,13 @@ class DeterminismMonitor:
         t0 = prof.now_us() if prof.enabled else 0.0
         start = self._verified
         rows = {}
-        for h in self._live:
+        for h in self.hashers:
             _, count, _, final_total = windows[h.shard]
             rows[h.shard] = _Evidence(
                 h.shard, start, count, h.calls[start:start + count],
                 h.descriptions[start:start + count], len(h.calls),
                 final_total)
-        # One all-gather moves the window's digests; quarantined slots
-        # arrive as duplicates of an active shard's row and drop out.
+        # One all-gather moves the window's digests.
         gathered = self.collectives.gather(self._hosted(rows))[0]
         rows = {row[0]: _Evidence(*row) for row in gathered}
         evidence = [rows[s] for s in sorted(rows)]

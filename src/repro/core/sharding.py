@@ -122,39 +122,6 @@ class ShardingFunction:
         n = len(pts)
         return [p for p in pts if self(p, n, num_shards) == shard]
 
-    def with_quarantine(self, quarantined) -> "ShardingFunction":
-        """A derived function that never assigns points to ``quarantined``.
-
-        DEGRADE recovery re-shards a failed shard's points onto the
-        survivors: points the base function maps to a quarantined shard are
-        remapped to ``survivors[shard % len(survivors)]`` (deterministic,
-        roughly balanced); all other assignments are unchanged.  The
-        derived function gets its own stable negative id — a pure function
-        of ``(base sid, quarantine set)`` — so every shard derives the
-        *same* id and the coarse stage's symbolic fence-elision reasoning
-        stays sound across recovery.
-        """
-        q = frozenset(quarantined)
-        if not q:
-            return self
-        mask = 0
-        for s in q:
-            mask |= 1 << s
-        sid = -(((abs(self.sid) + 1) << 24) + mask)
-        base = self
-
-        def remap(point: Hashable, launch_size: int, num_shards: int) -> int:
-            shard = base(point, launch_size, num_shards)
-            if shard in q:
-                survivors = [s for s in range(num_shards) if s not in q]
-                if not survivors:
-                    raise ValueError("quarantine leaves no surviving shard")
-                return survivors[shard % len(survivors)]
-            return shard
-
-        name = f"{self.name}~q{sorted(q)}"
-        return ShardingFunction(sid, name, remap)
-
     def __hash__(self) -> int:
         return hash(self.sid)
 

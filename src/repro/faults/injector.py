@@ -11,9 +11,9 @@ runs with the same plan inject the same faults regardless of timing; the
 one derived choice — which entry of a recording ``trace_corrupt`` damages
 — is ``threefry2x64(seed, H(site, indices))``, a pure function of the
 plan.  Divergence-class faults (``hash_flip``, ``shard_crash``,
-``trace_corrupt``) fire **at most once per key** per injector, so a
-recovery re-execution of the same control program does not re-trip the
-fault it is recovering from.
+``trace_corrupt``) fire **at most once per key** per injector, so the
+injection log names each planned fault once and an injector handed to a
+second run is spent.
 """
 
 from __future__ import annotations

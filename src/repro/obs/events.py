@@ -27,7 +27,6 @@ __all__ = [
     "EV_DET_CHECK", "EV_DET_LOCALIZE",
     "EV_EXEC_POINT", "EV_CONTROL_REPLAY",
     "EV_FAULT_INJECT", "EV_SHARD_CRASH",
-    "EV_QUARANTINE", "EV_RECOVERY",
     "EV_SESSION_OPEN", "EV_SESSION_CLOSE", "EV_JOB_ADMIT", "EV_JOB_REJECT",
     "EV_JOB_DISPATCH", "EV_JOB_DONE", "EV_JOB_EXPIRE", "EV_TEMPLATE_HIT",
     "EV_TEMPLATE_RECORDED", "EV_GANG_START", "EV_GANG_REBUILD",
@@ -49,7 +48,7 @@ CAT_DETERMINISM = "determinism"    # hash batches and their all-reduce
 CAT_EXEC = "exec"                  # point-task execution
 CAT_CONTROL = "control"            # per-shard control-program replay
 CAT_FAULT = "fault"                # injected faults and crashes
-CAT_RESILIENCE = "resilience"      # quarantine / recovery
+CAT_RESILIENCE = "resilience"      # serving-gang liveness
 CAT_SERVICE = "service"            # session/job lifecycle on the service
 
 #: Categories the prof CLI rolls into the per-shard "time in ..." table.
@@ -74,8 +73,6 @@ EV_EXEC_POINT = "exec.point"           # span: one point task body
 EV_CONTROL_REPLAY = "control.replay"   # span: one shard's control program
 EV_FAULT_INJECT = "fault.inject"       # instant: an injected fault fired
 EV_SHARD_CRASH = "fault.crash"         # instant: a shard's replay died
-EV_QUARANTINE = "resilience.quarantine"  # instant: shard removed from set
-EV_RECOVERY = "resilience.recover"     # span: one recovery attempt
 EV_SESSION_OPEN = "service.session.open"    # instant: client session opened
 EV_SESSION_CLOSE = "service.session.close"  # instant: client session closed
 EV_JOB_ADMIT = "service.job.admit"     # instant: submission admitted

@@ -1,38 +1,28 @@
-"""Recovery policies for control-plane faults.
+"""Recovery of a serving gang from control-plane faults.
 
 The paper's control-determinism check (§3.2) *detects* divergence among
-control replicas; its only remedy is an abort.  Theorem 1 licenses far
-more: DEP_rep ≡ DEP_seq means **any** shard subset (down to one) can
-recompute the identical task graph, so a diverged or crashed shard is
-recoverable, not fatal.  This module defines the policy vocabulary and the
-reporting machinery; :class:`repro.runtime.runtime.Runtime` implements the
-policies themselves:
+control replicas; its only remedy is an abort.  A single
+:class:`repro.runtime.runtime.Runtime` run keeps exactly that contract: it
+raises the structured
+:class:`~repro.core.determinism.ControlDeterminismViolation` (carrying the
+LOCALIZE diagnosis: first divergent call, culprit shards, both call
+descriptions) or the :class:`~repro.faults.ShardCrash`, and heals nothing.
 
-* **ABORT** — today's behavior: raise the (now structured)
-  :class:`~repro.core.determinism.ControlDeterminismViolation` or
-  :class:`~repro.faults.ShardCrash`.
-* **LOCALIZE** — on a window-hash mismatch, allgather the per-call digests
-  of the failed window, binary-search the first divergent call, and raise
-  a violation carrying a full :class:`~repro.core.determinism.
-  DivergenceDiagnosis` (shard, seq, both call descriptions).
-* **DEGRADE** — quarantine the divergent shard, re-shard its points onto
-  the survivors (:meth:`~repro.core.sharding.ShardingFunction.
-  with_quarantine`), and replay the program through fresh analysis on the
-  surviving replicas; the recovered task graph is identical to a
-  fault-free run, and the re-verified call-stream prefix is checked
-  against the originally verified window digests.
-* **RESTART** — a crashed *replica* is re-run in place with a fresh
-  hasher and rejoins checking at the next batch boundary (it performs no
-  effects, so nothing is rolled back); a crashed or diverged *driver*
-  restarts the epoch from its initial state (full re-execution, which
-  Theorem 1 makes equivalent).
+Theorem 1 licenses more for a persistent service gang
+(:mod:`repro.service`): DEP_rep ≡ DEP_seq means a gang rebuilt at **any**
+width recomputes the identical task graph, so a diverged or crashed rank
+costs a rebuild, not the service.  :func:`plan_gang_recovery` picks the
+width the gang is rebuilt at and whether the failed submission re-runs:
 
-A persistent service gang (:mod:`repro.service`) recovers under the same
-vocabulary, always by rebuilding: :func:`plan_gang_recovery` picks the
-width the gang is rebuilt at and whether the failed submission re-runs.
+* **ABORT** — the submission fails with whatever diagnosis the failure
+  carried; the gang is rebuilt at full width.
+* **DEGRADE** — the gang is rebuilt one shard narrower and the submission
+  re-runs there.
+* **RESTART** — the gang is rebuilt at the same width and the submission
+  re-runs from scratch.
 
-Every recovery action produces a :class:`RecoveryReport`; with
-``report_dir`` set the reports are also written as JSON.
+Every decision produces a :class:`RecoveryReport`; with ``report_dir`` set
+the reports are also written as JSON.
 """
 
 from __future__ import annotations
@@ -52,23 +42,21 @@ __all__ = ["RecoveryPolicy", "ResilienceConfig", "RecoveryReport",
 
 
 class RecoveryPolicy(Enum):
-    """What the runtime does when the control plane fails."""
+    """What a serving gang does when its control plane fails."""
 
     ABORT = "abort"
-    LOCALIZE = "localize"
     DEGRADE = "degrade"
     RESTART = "restart"
 
 
 @dataclass
 class ResilienceConfig:
-    """Recovery configuration carried by a :class:`~repro.runtime.runtime.
-    Runtime`.
+    """Recovery configuration carried by a :class:`~repro.service.
+    DCRService`.
 
-    ``max_recoveries`` bounds how many recovery attempts a single
-    ``execute`` may make before giving up and re-raising (guards against a
-    fault the policy cannot actually clear).  ``report_dir`` persists
-    recovery reports as JSON.
+    ``max_recoveries`` bounds how many rebuilds the service makes before it
+    refuses further work (guards against a fault a rebuild cannot clear).
+    ``report_dir`` persists recovery reports as JSON.
     """
 
     policy: RecoveryPolicy = RecoveryPolicy.ABORT
@@ -92,8 +80,7 @@ class RecoveryReport:
     """One recovery decision, structured for tooling and CI artifacts."""
 
     policy: str                       # RecoveryPolicy value
-    action: str                       # abort|localize|quarantine|restart|
-    #                                   restart-replica|exhausted
+    action: str                       # abort|quarantine|restart|exhausted
     failure: str                      # str() of the triggering exception
     culprit_shards: List[int]
     seq: Optional[int] = None         # failing API-call index, when known
@@ -133,11 +120,10 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
                        ) -> RecoveryReport:
     """Decide how a persistent shard gang recovers from a dead gang.
 
-    The service analogue of the single-run policies: when a gang dies
-    under a streaming workload (a crashed or diverged replica takes every
-    collective down with it), the whole gang is rebuilt — Theorem 1 makes
-    any rebuilt width recompute identical task graphs, so the choice is
-    purely about capacity:
+    When a gang dies under a streaming workload (a crashed or diverged
+    replica takes every collective down with it), the whole gang is
+    rebuilt — Theorem 1 makes any rebuilt width recompute identical task
+    graphs, so the choice is purely about capacity:
 
     * **DEGRADE** — rebuild one shard narrower (never below 1): the dead
       replica is treated as lost capacity, and the failed submission is
@@ -145,9 +131,9 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
     * **RESTART** — rebuild at the same width and re-run the failed
       submission from scratch (full re-analysis, which Theorem 1 makes
       equivalent to the run that died).
-    * **ABORT** / **LOCALIZE** — the submission fails (with whatever
-      diagnosis the failure carried); the gang is still rebuilt at full
-      width so the *service* survives even when the *job* does not.
+    * **ABORT** — the submission fails (with whatever diagnosis the
+      failure carried); the gang is still rebuilt at full width so the
+      *service* survives even when the *job* does not.
 
     Returns a :class:`RecoveryReport` whose ``details`` carry the planned
     ``new_width`` and whether the failed job should be ``retried``, and
@@ -163,8 +149,8 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
         action, new_width, retry = "quarantine", max(1, num_shards - 1), True
     elif config.policy is RecoveryPolicy.RESTART:
         action, new_width, retry = "restart", num_shards, True
-    else:  # ABORT / LOCALIZE: job fails, gang comes back anyway.
-        action, new_width, retry = config.policy.value, num_shards, False
+    else:  # ABORT: job fails, gang comes back anyway.
+        action, new_width, retry = "abort", num_shards, False
     diagnosis = None
     if isinstance(failure, ControlDeterminismViolation):
         diagnosis = diagnosis_to_dict(failure.diagnosis)

@@ -33,7 +33,6 @@ def _issue(ctx: Context, kind: str, region: LogicalRegion, field_name: str,
     f = region.field_space[field_name]
     priv = READ_WRITE if writes_region else READ_ONLY
     op = Operation(kind, [CoarseRequirement(region, frozenset([f]), priv)],
-                   owner_shard=ctx.runtime._effective_owner(0),
                    name=f"{kind}({region.name}.{field_name})")
     if ctx.is_driver:
         ctx.runtime.pipeline.analyze(op)

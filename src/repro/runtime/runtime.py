@@ -36,14 +36,10 @@ from ..core import (CoarseRequirement, Collectives, DCRPipeline,
                     ProjectionFunction)
 from ..core.determinism import ControlDeterminismViolation, stream_digest
 from ..core.rng import CounterRNG
-from ..faults.injector import FaultInjector, ShardCrash
-from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, CAT_RESILIENCE,
-                          CONTROL_SHARD, EV_CONTROL_REPLAY, EV_EXEC_POINT,
-                          EV_QUARANTINE, EV_RECOVERY, EV_SHARD_CRASH)
+from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
+from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, EV_CONTROL_REPLAY,
+                          EV_EXEC_POINT, EV_SHARD_CRASH)
 from ..obs.profiler import Profiler, get_profiler
-from ..resilience import (RecoveryPolicy, RecoveryReport, ResilienceConfig,
-                          diagnosis_to_dict, identify_culprits)
-from ..core.sharding import ShardingFunction
 from ..oracle import (Privilege, READ_ONLY, READ_WRITE, RegionRequirement,
                       WRITE_DISCARD, reduce_priv)
 from ..regions import (Field, FieldSpace, IndexSpace, LogicalRegion,
@@ -101,7 +97,6 @@ class Runtime:
                  auto_trace: bool = False,
                  profiler: Optional[Profiler] = None,
                  injector: Optional[FaultInjector] = None,
-                 resilience: Optional[ResilienceConfig] = None,
                  backend: str = "inprocess"):
         from ..dist.transport import PROCESS_BACKENDS
         if backend not in ("inprocess", "loopback") + PROCESS_BACKENDS:
@@ -116,17 +111,9 @@ class Runtime:
         # execution; it is the disabled global no-op unless a live one is
         # passed (or the global one is enabled), and never perturbs results.
         self.profiler = profiler if profiler is not None else get_profiler()
-        # Fault injection + recovery: only what the caller passes in, None
-        # by default — the same zero-perturbation discipline as the
-        # profiler.
+        # Fault injection: only what the caller passes in, None by default
+        # — the same zero-perturbation discipline as the profiler.
         self.injector = injector
-        self.resilience = resilience
-        if backend != "inprocess" and self.resilience is not None:
-            # Recovery re-runs shards inside one process against shared
-            # logs; forked/threaded replicas cannot be restarted in place.
-            raise ValueError(
-                f"the {backend} backend does not support recovery "
-                "policies; drop resilience= or use backend='inprocess'")
         if backend == "loopback" and timing_oracle is not None:
             # The oracle dispatches on runtime._current_shard, which
             # concurrent replica threads race on.
@@ -134,20 +121,8 @@ class Runtime:
                              "timing_oracle; use backend='inprocess'")
         self._safe_checks = safe_checks
         self._check_batch = check_batch
-        self._auto_trace = auto_trace
-        # The driver shard performs effects; replicas replay against its
-        # logs.  Normally shard 0 — recovery re-elects min(active) when the
-        # driver itself is quarantined.
-        self.driver_shard = 0
-        self.quarantined: set = set()
-        self.reports: List[RecoveryReport] = []
-        self._recoveries = 0
-        self._prefix_expectation: Optional[Tuple[int, int, int]] = None
-        self._sharding_cache: Dict[Tuple[int, frozenset], ShardingFunction] \
-            = {}
-        # One collectives instance spans determinism checks and recovery
-        # localization, so CollectiveStats accumulates across the whole run
-        # (including recovery re-executions).
+        # One collectives instance spans the determinism checks and their
+        # localization, so CollectiveStats accounts for the whole run.
         self.collectives = Collectives(num_shards, profiler=self.profiler)
         # auto_trace turns on transparent trace identification: repeated
         # fragments of the launch stream are memoized and replayed without
@@ -155,7 +130,10 @@ class Runtime:
         self.pipeline = DCRPipeline(num_shards, auto_trace=auto_trace,
                                     profiler=self.profiler,
                                     injector=self.injector)
-        self.monitor = self._make_monitor()
+        self.monitor = DeterminismMonitor(
+            num_shards, batch=check_batch, enabled=safe_checks,
+            collectives=self.collectives, profiler=self.profiler,
+            injector=self.injector)
         self.deferred = DeferredOpManager(num_shards)
         self.timing_oracle = timing_oracle
         # Driver logs replayed by the other shards, keyed by call order.
@@ -173,27 +151,18 @@ class Runtime:
         # their own GC-deferred frees here, e.g. the legate field manager).
         self._drain_hooks: List[Callable[[], None]] = []
 
-    def _make_monitor(self) -> DeterminismMonitor:
-        monitor = DeterminismMonitor(
-            self.num_shards, batch=self._check_batch,
-            enabled=self._safe_checks, collectives=self.collectives,
-            profiler=self.profiler, injector=self.injector)
-        for s in self.quarantined:
-            monitor.quarantine(s)
-        return monitor
-
     # -- replicated execution ------------------------------------------------------
 
     def execute(self, control: Callable[..., Any], *args: Any) -> Any:
         """Run ``control(ctx, *args)`` replicated across all shards.
 
-        Returns the driver shard's return value.  Raises
-        :class:`ControlDeterminismViolation` if any shard diverges —
-        unless a :class:`~repro.resilience.ResilienceConfig` with a
-        recovering policy (DEGRADE/RESTART) is attached, in which case the
-        runtime quarantines or restarts the failed shard and completes the
-        program on the survivors (Theorem 1 guarantees the identical task
-        graph).
+        Returns shard 0's return value.  A run detects and localizes
+        failures, it does not heal them: if any shard diverges it raises
+        :class:`ControlDeterminismViolation`, whose ``diagnosis`` names the
+        first divergent call and the culprit shard(s), and a shard killed
+        by an injected fault raises :class:`~repro.faults.ShardCrash` —
+        the same two errors on every backend.  Healing is a serving gang's
+        job (:class:`~repro.service.DCRService` rebuilds and retries).
         """
         if getattr(self, "_executed", False):
             raise RuntimeError(
@@ -203,45 +172,13 @@ class Runtime:
         self._executed = True
         if self.backend != "inprocess":
             return self._execute_gang(control, args)
-        if self.resilience is None:
-            return self._execute_replicated(control, args)
-        while True:
-            try:
-                result = self._execute_replicated(control, args)
-            except (ControlDeterminismViolation, ShardCrash) as failure:
-                self._handle_failure(failure)
-                continue
-            self._verify_recovered_prefix()
-            return result
+        return self._execute_replicated(control, args)
 
     def _execute_replicated(self, control: Callable[..., Any],
                             args: Tuple[Any, ...]) -> Any:
-        """One replicated execution epoch over the active shard set."""
-        res = self.resilience
-        prof = self.profiler
-        self._result = None
+        """Every shard in turn in this thread, then the final check."""
         for shard in range(self.num_shards):
-            if shard in self.quarantined:
-                continue
-            try:
-                self._run_shard(shard, control, args)
-            except ShardCrash as crash:
-                if prof.enabled:
-                    prof.instant(shard, CAT_FAULT, EV_SHARD_CRASH,
-                                 seq=crash.seq, reason=crash.reason)
-                    prof.count("faults.crashes")
-                if (res is not None
-                        and res.policy is RecoveryPolicy.RESTART
-                        and shard != self.driver_shard
-                        and self._recoveries < res.max_recoveries):
-                    # A crashed *replica* can rejoin in place: it performs
-                    # no effects, so a fresh hasher and a re-run of its
-                    # replay are all it needs — it rejoins determinism
-                    # checking at the next batch boundary.
-                    self._recoveries += 1
-                    self._restart_replica(shard, crash, control, args)
-                else:
-                    raise
+            self._run_shard(shard, control, args)
         self.monitor.flush()
         self._drain_deferred()
         self.pipeline.validate()
@@ -258,10 +195,16 @@ class Runtime:
         try:
             ret = control(ctx, *args)
             ctx._finish()
+        except ShardCrash as crash:
+            if prof.enabled:
+                prof.instant(shard, CAT_FAULT, EV_SHARD_CRASH,
+                             seq=crash.seq, reason=crash.reason)
+                prof.count("faults.crashes")
+            raise
         finally:
             if prof.enabled:
                 prof.end(shard, CAT_CONTROL, EV_CONTROL_REPLAY)
-        if shard == self.driver_shard:
+        if shard == 0:
             self._result = ret
 
     # -- gang backends (loopback / shm / tcp) --------------------------------
@@ -270,7 +213,7 @@ class Runtime:
                       args: Tuple[Any, ...]) -> Any:
         """Replicated execution with each replica a rank of a gang.
 
-        Phase 1 runs the driver shard in the calling thread exactly as
+        Phase 1 runs the driver, shard 0, in the calling thread exactly as
         the in-process backend does — effects, analysis, and the
         resource/future logs all live here, and the driver's API calls
         accumulate in its hasher (``self.monitor`` hosts every shard, so it
@@ -288,32 +231,40 @@ class Runtime:
         """
         from ..dist.gang import Gang
 
-        driver = self.driver_shard
-        self._run_shard(driver, control, args)
+        self._run_shard(0, control, args)
         if self.num_shards == 1:
             self._drain_deferred()
             self.pipeline.validate()
             return self._result
         gang = Gang(self.backend, self.num_shards, name="repro-replica")
-        violation: Optional[ControlDeterminismViolation] = None
+        failure: Optional[Exception] = None
         try:
-            for shard in range(self.num_shards):
-                if shard != driver:
-                    gang.spawn(shard, _replica_main, self, control, args,
-                               gang.forks)
-            gang.release_parent(keep=driver)
+            for shard in range(1, self.num_shards):
+                gang.spawn(shard, _replica_main, self, control, args,
+                           gang.forks)
+            gang.release_parent(keep=0)
             try:
-                self._drive_dist_check(gang.fabric.transport(driver))
-            except ControlDeterminismViolation as exc:
-                # Every rank observes the divergence in the same collective
-                # (the replicas raise too); keep the driver's diagnosis and
-                # re-raise it once the gang is reaped.
-                violation = exc
-            payloads, failures = gang.collect(REPLICA_TIMEOUT_S)
+                self._drive_dist_check(gang.fabric.transport(0))
+            except (ControlDeterminismViolation, CollectiveTimeout) as exc:
+                # Every rank observes a divergence in the same collective
+                # (the replicas raise too), and a replica that crashed
+                # takes the check down with it; keep the driver's error
+                # and decide what to raise once the gang is reaped.
+                failure = exc
+            # A crashed replica reported before it closed: once the check
+            # has timed out, waiting on the rest of the gang buys nothing.
+            payloads, failures = gang.collect(
+                0.0 if isinstance(failure, CollectiveTimeout)
+                else REPLICA_TIMEOUT_S)
         finally:
             gang.terminate()
-        if violation is not None:
-            raise violation
+        if isinstance(failure, ControlDeterminismViolation):
+            raise failure
+        for shard in sorted(payloads):
+            if "crash" in payloads[shard]:
+                raise ShardCrash(shard, *payloads[shard]["crash"])
+        if failure is not None:
+            raise failure
         if failures:
             raise RuntimeError(
                 f"{self.backend} replicas failed: " + "; ".join(failures))
@@ -353,10 +304,10 @@ class Runtime:
         rank-local monitor at the same window cadence the replicas use
         (record → maybe-check per call, one final flush).
         """
-        recorded = self.monitor.hasher(self.driver_shard)
+        recorded = self.monitor.hasher(0)
         try:
             monitor = self._dist_monitor(transport)
-            hasher = monitor.hasher(self.driver_shard)
+            hasher = monitor.hasher(0)
             for digest, descr in zip(recorded.calls, recorded.descriptions):
                 hasher.calls.append(digest)
                 hasher.descriptions.append(descr)
@@ -365,200 +316,6 @@ class Runtime:
             self.dist_checks = monitor.checks_performed
         finally:
             transport.close()
-
-    # -- recovery ------------------------------------------------------------
-
-    def _report(self, action: str, failure: BaseException,
-                culprits: Sequence[int], **details: Any) -> RecoveryReport:
-        res = self.resilience
-        rep = RecoveryReport(
-            policy=res.policy.value if res is not None else "none",
-            action=action,
-            failure=str(failure),
-            culprit_shards=list(culprits),
-            seq=getattr(failure, "seq", None),
-            attempt=self._recoveries,
-            diagnosis=diagnosis_to_dict(getattr(failure, "diagnosis", None)),
-            injected=[[str(x) for x in key]
-                      for key in (self.injector.injected
-                                  if self.injector is not None else [])],
-            details=dict(details),
-        )
-        self.reports.append(rep)
-        if res is not None and res.report_dir:
-            rep.write(res.report_dir, len(self.reports))
-        return rep
-
-    def _handle_failure(self, failure: BaseException) -> None:
-        """Apply the configured policy; raises unless a retry should run."""
-        res = self.resilience
-        assert res is not None
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        culprits = identify_culprits(failure)
-        self._recoveries += 1
-        policy = res.policy
-        if policy is RecoveryPolicy.ABORT:
-            self._report("abort", failure, culprits)
-            raise failure
-        if policy is RecoveryPolicy.LOCALIZE:
-            # Detection already ran the localization protocol; the
-            # violation carries the diagnosis — report it and surface the
-            # structured error.
-            self._report("localize", failure, culprits)
-            raise failure
-        if self._recoveries > res.max_recoveries:
-            self._report("exhausted", failure, culprits,
-                         max_recoveries=res.max_recoveries)
-            raise failure
-        if policy is RecoveryPolicy.DEGRADE:
-            if not culprits:
-                self._report("abort", failure, culprits,
-                             reason="no culprit shard identified")
-                raise failure
-            survivors = [s for s in range(self.num_shards)
-                         if s not in self.quarantined and s not in culprits]
-            if not survivors:
-                self._report("abort", failure, culprits,
-                             reason="quarantine would leave no survivors")
-                raise failure
-            self._capture_prefix_expectation(exclude=set(culprits))
-            for s in culprits:
-                self._quarantine(s)
-            self._report("quarantine", failure, culprits,
-                         quarantined=sorted(self.quarantined),
-                         driver_shard=self.driver_shard)
-            self._reset_epoch()
-        else:  # RESTART: re-execute the epoch with the full shard set.
-            self._capture_prefix_expectation(exclude=set())
-            self._report("restart", failure, culprits)
-            self._reset_epoch()
-        if prof.enabled:
-            prof.complete(CONTROL_SHARD, CAT_RESILIENCE, EV_RECOVERY, t0,
-                          prof.now_us() - t0, action=policy.value,
-                          shards=list(culprits), attempt=self._recoveries)
-            prof.count("resilience.recoveries")
-
-    def _quarantine(self, shard: int) -> None:
-        self.quarantined.add(shard)
-        if self.driver_shard in self.quarantined:
-            self.driver_shard = min(
-                s for s in range(self.num_shards)
-                if s not in self.quarantined)
-        prof = self.profiler
-        if prof.enabled:
-            prof.instant(shard, CAT_RESILIENCE, EV_QUARANTINE,
-                         new_driver=self.driver_shard)
-            prof.count("resilience.quarantined")
-
-    def _reset_epoch(self) -> None:
-        """Fresh analysis/storage state for a clean re-execution.
-
-        Theorem 1 (DEP_rep ≡ DEP_seq) licenses this: any active shard
-        subset recomputes the identical task graph from the same control
-        program, so recovery re-analysis converges to the fault-free
-        result.  Cumulative accounting (collectives stats, injector log,
-        recovery reports, executed-point counter) survives the reset.
-        """
-        self.store = RegionStore()
-        self.pipeline = DCRPipeline(
-            self.num_shards, auto_trace=self._auto_trace,
-            profiler=self.profiler, injector=self.injector)
-        self.monitor = self._make_monitor()
-        self.deferred = DeferredOpManager(self.num_shards)
-        for s in self.quarantined:
-            self.deferred.quarantine(s)
-        self._resources = []
-        self._futures = []
-        self._deferred_keys = {}
-        self._result = None
-
-    def _restart_replica(self, shard: int, crash: ShardCrash,
-                         control: Callable[..., Any],
-                         args: Tuple[Any, ...]) -> None:
-        """RESTART a crashed replica in place: the driver's effects are
-        intact and a replica has none, so nothing is rolled back."""
-        prof = self.profiler
-        t0 = prof.now_us() if prof.enabled else 0.0
-        self._report("restart-replica", crash, [shard])
-        self.monitor.reset_shard(shard)
-        if prof.enabled:
-            prof.complete(shard, CAT_RESILIENCE, EV_RECOVERY, t0,
-                          prof.now_us() - t0, action="restart-replica",
-                          shards=[shard], attempt=self._recoveries)
-            prof.count("resilience.recoveries")
-        self._run_shard(shard, control, args)
-
-    def _capture_prefix_expectation(self, exclude: set) -> None:
-        """Remember a survivor's digest of the verified call prefix.
-
-        After recovery re-executes, the new run's stream over the same
-        prefix must hash identically — the observable form of the ISSUE's
-        "replay the unverified suffix" guarantee (the verified prefix is
-        re-derived bit-identically; only the unverified suffix was ever in
-        doubt).
-        """
-        m = self.monitor
-        verified = m.verified
-        if verified <= 0:
-            self._prefix_expectation = None
-            return
-        witness = next(
-            (s for s in m.active_shards
-             if s not in exclude and len(m.hasher(s).calls) >= verified),
-            None)
-        if witness is None:
-            self._prefix_expectation = None
-            return
-        self._prefix_expectation = (
-            m.window_digest(witness, 0, verified), verified, witness)
-
-    def _verify_recovered_prefix(self) -> None:
-        exp = self._prefix_expectation
-        if exp is None:
-            return
-        self._prefix_expectation = None
-        digest, verified, witness = exp
-        m = self.monitor
-        for s in m.active_shards:
-            if len(m.hasher(s).calls) >= verified:
-                got = m.window_digest(s, 0, verified)
-                if got != digest:
-                    raise RuntimeError(
-                        f"recovery diverged from the verified prefix: "
-                        f"shard {s}'s first {verified} calls hash "
-                        f"{got:032x}, original shard {witness} hashed "
-                        f"{digest:032x}")
-                return
-
-    # -- quarantine-aware placement -------------------------------------------
-
-    def _effective_sharding(self, base: ShardingFunction) -> ShardingFunction:
-        """The sharding actually applied: remapped around quarantined shards.
-
-        The *base* function (what the mapper selected) is what every shard
-        hashes — the quarantine remap is a pure, shared function of the
-        quarantine set, so hashing the base keeps recovered runs' call
-        streams bit-identical to the original (prefix verification relies
-        on this).
-        """
-        if not self.quarantined:
-            return base
-        key = (base.sid, frozenset(self.quarantined))
-        derived = self._sharding_cache.get(key)
-        if derived is None:
-            derived = base.with_quarantine(self.quarantined)
-            self._sharding_cache[key] = derived
-        return derived
-
-    def _effective_owner(self, owner_shard: int) -> int:
-        """Individual-launch owner, remapped off quarantined shards."""
-        owner = owner_shard % self.num_shards
-        if owner not in self.quarantined:
-            return owner
-        survivors = [s for s in range(self.num_shards)
-                     if s not in self.quarantined]
-        return survivors[owner % len(survivors)]
 
     def add_drain_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback run at every deferred-deletion drain."""
@@ -573,10 +330,8 @@ class Runtime:
         """
         if self.backend == "inprocess":
             return [stream_digest(self.monitor.hasher(s).calls)
-                    for s in range(self.num_shards)
-                    if s not in self.quarantined]
-        digests = {self.driver_shard: stream_digest(
-            self.monitor.hasher(self.driver_shard).calls)}
+                    for s in range(self.num_shards)]
+        digests = {0: stream_digest(self.monitor.hasher(0).calls)}
         for rep in self.replica_reports:
             digests[rep["shard"]] = rep["stream_digest"]
         return [digests[s] for s in sorted(digests)]
@@ -622,7 +377,14 @@ def _replica_main(transport: Any, channel: Any, runtime: Runtime,
     forked replicas, whose profiler the driver cannot otherwise read.
     """
     monitor = runtime._dist_monitor(transport, injector=runtime.injector)
-    runtime._run_shard(transport.rank, control, args, monitor=monitor)
+    try:
+        runtime._run_shard(transport.rank, control, args, monitor=monitor)
+    except ShardCrash as crash:
+        # Reported, not raised, so the driver raises this crash rather
+        # than the PeerGone its own check saw when this rank closed.
+        channel.send(("ok", {"shard": transport.rank,
+                             "crash": (crash.seq, crash.reason)}))
+        return
     monitor.flush()
     calls = monitor.hasher(transport.rank).calls
     payload: Dict[str, Any] = {
@@ -661,9 +423,9 @@ class Context:
 
     @property
     def is_driver(self) -> bool:
-        """Whether this shard performs effects (normally shard 0; recovery
-        re-elects the lowest surviving shard when 0 is quarantined)."""
-        return self.shard == self.runtime.driver_shard
+        """Whether this shard performs effects: shard 0 analyses and runs
+        every launch, the other shards replay against its logs."""
+        return self.shard == 0
 
     # -- internal plumbing ------------------------------------------------------------
 
@@ -862,7 +624,6 @@ class Context:
         op = Operation(
             "fill",
             [CoarseRequirement(region, fobjs, WRITE_DISCARD)],
-            owner_shard=self.runtime._effective_owner(0),
             name=f"fill({region.name})")
         op.fill_value = value
         if self.is_driver:
@@ -923,7 +684,7 @@ class Context:
             op = Operation(
                 "task",
                 [CoarseRequirement(t, fl, p, pr) for t, fl, p, pr in norm],
-                owner_shard=self.runtime._effective_owner(owner_shard),
+                owner_shard=owner_shard % self.num_shards,
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
@@ -961,7 +722,7 @@ class Context:
                 "task",
                 [CoarseRequirement(t, fl, p, pr) for t, fl, p, pr in norm],
                 launch_domain=domain,
-                sharding=self.runtime._effective_sharding(sharding),
+                sharding=sharding,
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)

@@ -18,8 +18,9 @@ service multiplexes every session onto a single persistent
 * **recovery** — a dead gang (crashed replica, divergence, timeout) is
   stopped and rebuilt per :func:`repro.resilience.plan_gang_recovery`:
   RESTART at full width, DEGRADE one shard narrower — both re-run the
-  failed submission; ABORT/LOCALIZE fail the submission but still
-  rebuild so the service keeps serving;
+  failed submission; ABORT fails the submission (its ``GangFailure``
+  names the culprit shards) but still rebuilds so the service keeps
+  serving;
 * **overload protection** — deadline-aware admission (work that cannot
   start before its deadline is rejected up front, and expired at
   dispatch time if the estimate was wrong), plus a :meth:`DCRService.

@@ -110,8 +110,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.chaos:
             # One poisoned submission through its own session first: the
             # gang death + rebuild happens mid-stream relative to the load
-            # that follows.  Under ABORT/LOCALIZE the submission fails by
-            # design; the service must keep serving either way.
+            # that follows.  Under ABORT the submission fails by design;
+            # the service must keep serving either way.
             shape = make_shape_pool(1, args.tiles, args.steps,
                                     seed=args.seed)[0]
             chaos = service.open_session("chaos")

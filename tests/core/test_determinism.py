@@ -493,39 +493,3 @@ class TestLocalization:
             mon.flush()
         assert mon.collectives.stats.by_kind["allgather"] == before + 1
 
-
-class TestShardSetManagement:
-    """Quarantine/reset used by the DEGRADE and RESTART policies."""
-
-    def test_quarantined_shard_is_not_compared(self):
-        mon = DeterminismMonitor(3, batch=2)
-        mon.quarantine(2)
-        for shard in (0, 1):
-            mon.hasher(shard).record("a")
-            mon.hasher(shard).record("b")
-        mon.flush()                          # shard 2 recorded nothing: fine
-        assert mon.checks_performed == 1
-        assert mon.active_shards == [0, 1]
-
-    def test_cannot_quarantine_last_shard(self):
-        mon = DeterminismMonitor(2)
-        mon.quarantine(0)
-        with pytest.raises(ValueError):
-            mon.quarantine(1)
-
-    def test_reset_shard_stalls_checks_until_caught_up(self):
-        mon = DeterminismMonitor(2, batch=2)
-        for shard in (0, 1):
-            for call in ("a", "b"):
-                mon.hasher(shard).record(call)
-        mon.maybe_check()
-        assert mon.checks_performed == 1
-        mon.reset_shard(1)                   # fresh hasher, 0 calls
-        mon.maybe_check()                    # must not underflow or raise
-        assert mon.checks_performed == 1
-        for call in ("a", "b"):
-            mon.hasher(1).record(call)       # replica replays from scratch
-        mon.hasher(0).record("c")
-        mon.hasher(1).record("c")
-        mon.flush()                          # only call "c" is new to check
-        assert mon.checks_performed == 2

@@ -8,6 +8,8 @@ import threading
 import pytest
 
 from repro.core.determinism import ControlDeterminismViolation
+from repro.faults import (FaultInjector, FaultPlan, PlannedCrash, PlannedFlip,
+                          ShardCrash)
 from repro.models import DCRModel
 from repro.resilience import RecoveryPolicy, ResilienceConfig
 from repro.runtime import Runtime
@@ -162,9 +164,29 @@ def test_forked_backend_divergence_raises():
 
 
 def test_forked_backend_rejects_resilience():
-    with pytest.raises(ValueError, match="does not support recovery"):
+    """Recovery belongs to the serving gang; a Runtime takes no policy."""
+    with pytest.raises(TypeError, match="resilience"):
         Runtime(num_shards=2, backend="tcp",
                 resilience=ResilienceConfig(policy=RecoveryPolicy.DEGRADE))
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "loopback", "shm", "tcp"])
+def test_a_failing_run_raises_the_same_error_on_every_backend(backend):
+    """A crashed replica raises its ``ShardCrash``, not the ``PeerGone`` its
+    closed endpoint caused, and a flip the localized violation."""
+    def run(plan):
+        Runtime(num_shards=3, backend=backend, check_batch=2,
+                injector=FaultInjector(plan)).execute(stencil_control)
+
+    with pytest.raises(ShardCrash) as crash:
+        run(FaultPlan(crashes=[PlannedCrash(shard=1, call=3)]))
+    assert (crash.value.shard, crash.value.seq) == (1, 3)
+    with pytest.raises(ControlDeterminismViolation) as flip:
+        run(FaultPlan(flips=[PlannedFlip(shard=2, call=4)]))
+    assert flip.value.diagnosis.seq == 4
+    assert flip.value.divergent_shards == [2]
+    assert not [p for p in multiprocessing.active_children()
+                if p.name.startswith("repro-replica-")]
 
 
 def test_unknown_backend_rejected():

@@ -3,7 +3,7 @@
 Two configurations have to be indistinguishable at the analysis level:
 no injector at all (the default), and an injector with an empty plan
 (``enabled`` is False, so every site guard short-circuits).  Nothing but
-the constructor attaches an injector or a recovery policy.
+the constructor attaches an injector.
 """
 
 import numpy as np
@@ -38,7 +38,6 @@ def test_environment_never_configures_faults(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT_POLICY", "degrade")
     rt, totals, x, y = run()
     assert rt.injector is None
-    assert rt.resilience is None
 
 
 def test_collective_stats_identical_when_disabled():

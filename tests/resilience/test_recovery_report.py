@@ -67,12 +67,15 @@ class TestRoundTrip:
         data["resync_source"] = "fresh-replay"
         data["respawns"] = 1
         assert RecoveryReport.from_dict(data) == plan
+        # A report written under the deleted LOCALIZE policy still loads.
+        old = dict(data, policy="localize", action="localize")
+        assert RecoveryReport.from_dict(old).policy == "localize"
 
 
 def test_legacy_policies_keep_exact_detail_keys():
     """The detail schema is pinned: existing consumers (and tests) rely
     on exactly these keys."""
-    for policy in (RecoveryPolicy.DEGRADE, RecoveryPolicy.RESTART):
+    for policy in RecoveryPolicy:
         plan = plan_gang_recovery(ResilienceConfig(policy=policy),
                                   ShardCrash(0, 1), 4, 1)
         assert set(plan.details) == {"num_shards", "new_width", "retry"}

@@ -68,19 +68,19 @@ def test_loopback_divergence_raises():
 
 
 def test_loopback_rejects_resilience():
-    with pytest.raises(ValueError, match="does not support recovery"):
+    """Recovery belongs to the serving gang; a Runtime takes no policy."""
+    with pytest.raises(TypeError, match="resilience"):
         Runtime(num_shards=2, backend="loopback",
                 resilience=ResilienceConfig(policy=RecoveryPolicy.DEGRADE))
 
 
 def test_fault_environment_variables_are_ignored(monkeypatch):
-    """A ``REPRO_FAULT_POLICY`` in the environment once turned into a
-    recovery policy inside every Runtime, which the gang backends reject;
-    faults and recovery now come only from the constructor."""
+    """``REPRO_FAULT_*`` variables in the environment once configured
+    faults inside every Runtime; faults now come only from the
+    constructor."""
     monkeypatch.setenv("REPRO_FAULT_SEED", "1")
     monkeypatch.setenv("REPRO_FAULT_POLICY", "degrade")
     rt = Runtime(num_shards=2, backend="loopback")
-    assert rt.resilience is None
     assert rt.injector is None
     assert rt.execute(stencil_control) == \
         Runtime(num_shards=2).execute(stencil_control)

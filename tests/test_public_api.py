@@ -241,6 +241,22 @@ def test_one_repeat_mechanism_surface():
     assert "collisions" not in service.TemplateStore().stats()
 
 
+def test_runtime_detects_and_the_service_heals():
+    """A ``Runtime`` takes no recovery policy and exposes no quarantine
+    set, movable driver or recovery reports; LOCALIZE is not a policy,
+    because every violation carries its diagnosis."""
+    import inspect
+
+    from repro.resilience import RecoveryPolicy
+    from repro.runtime import Runtime
+
+    assert "resilience" not in inspect.signature(Runtime).parameters
+    rt = Runtime(num_shards=2)
+    for gone in ("driver_shard", "quarantined", "reports"):
+        assert not hasattr(rt, gone), gone
+    assert "LOCALIZE" not in RecoveryPolicy.__members__
+
+
 def test_models_cover_fig1():
     """All three approaches of Fig. 1 are constructible, plus MPI."""
     from repro.models import (DCRModel, DaskModel, ExplicitModel,

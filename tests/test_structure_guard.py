@@ -56,6 +56,14 @@
   backoff that no transport implements; the last test fails if an
   environment read, any of those names, or a ``repro.faults`` import in
   the collectives grows back.
+* One recovery plane, and it is the service's.  ``Runtime`` once carried a
+  second one, on its in-process backend only: DEGRADE quarantined a shard,
+  remapped sharding around it and re-elected the driver, RESTART re-ran a
+  crashed replica in place, and the monitor, the deferred-op manager and
+  the sharding functions grew hooks for them.  A run now detects and
+  localizes, a serving gang heals by rebuilding; the last test fails if a
+  quarantine, a shard reset or a movable driver grows back under the
+  runtime or the core, or if the runtime imports the recovery policies.
 """
 
 import ast
@@ -499,3 +507,30 @@ def test_no_environment_knobs_fault_rates_or_message_loss():
     assert not offenders, (
         "faults come from a FaultPlan the caller passes in, and collectives "
         "deliver every message:\n  " + "\n  ".join(offenders))
+
+
+# -- one recovery plane, and it is the service's ------------------------------
+
+
+def test_runtime_has_one_recovery_story():
+    fragments = ("quarantin", "reset_shard", "driver_shard",
+                 "with_quarantine")
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("runtime/", "core/"))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node))
+                 if any(frag in name.lower() for frag in fragments)]
+    for rel, tree in _trees(("runtime/",)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module.lstrip(".").split(".")[-1] == "resilience":
+                    offenders.append(f"{rel}:{node.lineno}: from {module}")
+            elif isinstance(node, ast.Import):
+                offenders += [f"{rel}:{node.lineno}: import {a.name}"
+                              for a in node.names
+                              if a.name == "repro.resilience"]
+    assert not offenders, (
+        "a Runtime raises the localized violation or the crash on every "
+        "backend and heals nothing; DCRService rebuilds a dead gang:\n  "
+        + "\n  ".join(offenders))
