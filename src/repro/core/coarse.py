@@ -360,11 +360,6 @@ def _classes_conflict(breq: CoarseRequirement, bbound: LogicalRegion,
         and cached_may_alias(bbound, qbound)
 
 
-# A coarse scan's per-bucket decision depends only on (privilege, bound
-# region) of both sides: that pair is the coarse requirement class.
-_CLASSES = ClassTable("_coarse_cid", _class_key, _classes_conflict)
-
-
 class CoarseAnalysis:
     """Incremental coarse-stage analysis (one instance per DCR context).
 
@@ -379,6 +374,10 @@ class CoarseAnalysis:
         self.num_shards = num_shards
         self.profiler = profiler if profiler is not None else get_profiler()
         self.result = CoarseResult()
+        # A coarse scan's per-bucket decision depends only on (privilege,
+        # bound region) of both sides: that pair is the requirement class.
+        self._classes = ClassTable("_coarse_cid", _class_key,
+                                   _classes_conflict)
         self._state: Dict[Tuple[int, int], FieldState] = {}
 
     # -- entry point -----------------------------------------------------------
@@ -489,7 +488,7 @@ class CoarseAnalysis:
                 key = (bound.tree_id, fid)
                 state = self._state.get(key)
                 if state is None:
-                    state = self._state[key] = FieldState(_CLASSES)
+                    state = self._state[key] = FieldState(self._classes)
                 state.update(op, op, req, bound)
 
     # -- fence insertion / elision ----------------------------------------------------

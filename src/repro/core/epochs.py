@@ -4,9 +4,11 @@ The coarse and the fine stage run the same Legion-style field-epoch state
 machine — a write epoch and a read epoch per (region tree, field), scanned
 for conflicts and then updated — over different users: whole operations
 bounded by a region-tree upper bound, or point tasks with their concrete
-regions.  This module holds that machinery once; each stage instantiates
-it with its own :class:`ClassTable` (class key + decision function) and
-keeps only what is genuinely its own.
+regions.  This module holds that machinery once; each stage instance
+builds its own :class:`ClassTable` (class key + decision function) and
+keeps only what is genuinely its own.  A table, with its decision and
+containment memos, lives and dies with the stage that built it: nothing
+here is shared between pipelines or outlives one.
 
 * Epoch entries are bucketed by **interned requirement class**: all
   entries of a bucket share the decision inputs of the naive per-entry
@@ -29,17 +31,18 @@ reference implementations in tests/helpers.py).
 
 from __future__ import annotations
 
+import itertools
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Set,
                     Tuple, Union)
 
-from ..regions import (LogicalRegion, cached_region_contains,
-                       register_cache_clearer)
+from ..regions import LogicalRegion, cached_region_contains
 
 __all__ = ["CLASS_BITS", "ClassTable", "Epoch", "FieldState",
            "entries_of", "sorted_fids"]
 
 CLASS_BITS = 20                  # decision keys pack (bcid << 20) | qcid
-_MAX_DECISIONS = 1 << 22
+_MAX_DECISIONS = 1 << 22         # a full memo is cleared: recomputation only
+_table_ids = itertools.count()   # process-unique table tokens
 
 
 class ClassTable:
@@ -51,57 +54,56 @@ class ClassTable:
     class) pair is computed once, from the class representatives, by the
     same call the naive per-entry loop makes — so truth values are
     identical by construction.  Region uids and field ids are never reused
-    and privileges are immutable, so a decision never goes stale; the table
-    is bounded only to cap memory in very long-lived processes (the service
-    path), by resetting everything and bumping a generation that lazily
-    invalidates every cid cached on a requirement object or an epoch bucket.
+    and privileges are immutable, so a decision never goes stale.
+
+    Each analysis stage builds its own table, so the table lives and dies
+    with its pipeline and no other thread writes to it.  The cid cached on
+    a requirement names the table that wrote it: a requirement another
+    pipeline classed is re-interned here, never trusted.
     """
 
-    max_classes = 1 << CLASS_BITS   # resets keep cids inside the pack
+    max_classes = 1 << CLASS_BITS   # decision keys pack two cids
 
     def __init__(self, tag: str, key: Callable[[Any, LogicalRegion], Hashable],
                  conflict: Callable[[Any, LogicalRegion, Any, LogicalRegion],
                                     bool]) -> None:
-        self._tag = tag       # attribute caching (generation, cid) on reqs
+        self._tag = tag       # attribute caching (token, cid) on reqs
+        self._token = next(_table_ids)
         self._key = key
         self._conflict = conflict
-        self.gen = 0
         self._ids: Dict[Hashable, int] = {}
         self._reps: List[Tuple[Any, LogicalRegion]] = []
         self.decisions: Dict[int, bool] = {}   # packed int keys
-        # A region-cache clear resets the table with it (a hygiene hook).
-        register_cache_clearer(self.clear)
-
-    def clear(self) -> None:
-        """Reset the table (never required for correctness: uids are never
-        reused): every cached cid dies with the old generation."""
-        self._ids.clear()
-        del self._reps[:]
-        self.decisions.clear()
-        self.gen += 1
+        # (bound key, inner region uid) -> bool, where the bound key is the
+        # region's uid or the tuple of the pieces' uids: the retirement
+        # memo, a flat dict that skips the shared PairCache's method call
+        # and hit accounting on the retirement hot path.
+        self.contains: Dict[Tuple[Hashable, int], bool] = {}
 
     def intern(self, req, region: LogicalRegion) -> int:
-        """Class id in the current generation; never resets the table, so
-        an epoch re-interning its buckets cannot be reset under itself."""
+        """Class id of ``(req, region)``; a new class past
+        :attr:`max_classes` would collide in the packed decision keys, so
+        it is an error."""
         key = self._key(req, region)
         cid = self._ids.get(key)
         if cid is None:
             cid = len(self._reps)
+            if cid >= self.max_classes:
+                raise OverflowError(
+                    f"{self._tag}: more than {self.max_classes} requirement "
+                    f"classes in one analysis")
             self._ids[key] = cid
             self._reps.append((req, region))
         return cid
 
     def class_of(self, req, region: LogicalRegion) -> int:
-        """Class id of a requirement, cached on the (frozen) object and
-        revalidated against the table generation."""
+        """Class id of a requirement, cached on the (frozen) object under
+        this table's token."""
         tag = getattr(req, self._tag, None)
-        if tag is not None and tag[0] == self.gen:
+        if tag is not None and tag[0] == self._token:
             return tag[1]
-        if len(self._reps) >= self.max_classes \
-                and self._key(req, region) not in self._ids:
-            self.clear()          # full, and this is a new class
         cid = self.intern(req, region)
-        object.__setattr__(req, self._tag, (self.gen, cid))
+        object.__setattr__(req, self._tag, (self._token, cid))
         return cid
 
     def decide(self, bcid: int, qcid: int) -> bool:
@@ -117,12 +119,6 @@ class ClassTable:
 # A retirement bound: one region, or the union of pairwise-disjoint regions
 # (the pieces a group launch wrote through a disjoint partition).
 Bound = Union[LogicalRegion, Tuple[LogicalRegion, ...]]
-
-# (bound key, inner region uid) -> bool, where the bound key is the region's
-# uid or the tuple of the pieces' uids: a flat dict that skips the shared
-# PairCache's method call and hit accounting on the retirement hot path.
-_CONTAINS: Dict[Tuple[Hashable, int], bool] = {}
-register_cache_clearer(_CONTAINS.clear)
 
 
 def _union_contains(pieces: Tuple[LogicalRegion, ...],
@@ -160,20 +156,20 @@ def sorted_fids(req) -> Tuple[int, ...]:
 class Bucket:
     """All epoch entries sharing one requirement class."""
 
-    __slots__ = ("cid", "req", "region", "is_reduce", "entries", "users")
+    __slots__ = ("cid", "region", "is_reduce", "entries", "users")
 
-    def __init__(self, cid: int, req, region: LogicalRegion) -> None:
+    def __init__(self, cid: int, region: LogicalRegion,
+                 is_reduce: bool) -> None:
         self.cid = cid
-        self.req = req            # class representative, with its region
-        self.region = region
-        self.is_reduce = req.privilege.is_reduce
+        self.region = region      # the class's region (retirement reads it)
+        self.is_reduce = is_reduce
         # [(insertion index, op, user, req), ...] in insertion order
         self.entries: List[Tuple] = []
         self.users: List = []     # parallel: the users alone
 
     def without(self, op) -> "Bucket":
         """A detached copy holding only the entries of other operations."""
-        live = Bucket(self.cid, self.req, self.region)
+        live = Bucket(self.cid, self.region, self.is_reduce)
         live.entries = [e for e in self.entries if e[1] is not op]
         live.users = [e[2] for e in live.entries]
         return live
@@ -191,7 +187,7 @@ class Epoch:
     """
 
     __slots__ = ("_table", "_buckets", "_members", "_op_counts", "_next",
-                 "_size", "_reduce_size", "_gen")
+                 "_size", "_reduce_size")
 
     def __init__(self, table: ClassTable) -> None:
         self._table = table
@@ -201,18 +197,6 @@ class Epoch:
         self._next = 0
         self._size = 0
         self._reduce_size = 0   # entries in reduce buckets (reduce_only scans)
-        self._gen = table.gen
-
-    def _refresh(self) -> None:
-        """The class table was reset (generation bump): re-intern every
-        bucket's class so cids stay bijective with classes."""
-        table = self._table
-        buckets = list(self._buckets.values())
-        self._buckets = {}
-        for b in buckets:
-            b.cid = table.intern(b.req, b.region)
-            self._buckets[b.cid] = b
-        self._gen = table.gen
 
     def add(self, op, user, req, region: LogicalRegion,
             unique: bool = False) -> None:
@@ -220,13 +204,10 @@ class Epoch:
         if unique and key in self._members:
             return
         self._members.add(key)
-        table = self._table
-        cid = table.class_of(req, region)
-        if self._gen != table.gen:
-            self._refresh()
+        cid = self._table.class_of(req, region)
         b = self._buckets.get(cid)
         if b is None:
-            b = Bucket(cid, req, region)
+            b = Bucket(cid, region, req.privilege.is_reduce)
             self._buckets[cid] = b
         b.entries.append((self._next, op, user, req))
         b.users.append(user)
@@ -246,8 +227,6 @@ class Epoch:
             return 0, []        # no reduce entries: nothing scanned either way
         table = self._table
         qcid = table.class_of(req, region)
-        if self._gen != table.gen:
-            self._refresh()
         if id(op) in self._op_counts:
             return self._match_with_self(op, qcid, reduce_only)
         decisions = table.decisions
@@ -297,7 +276,7 @@ class Epoch:
         else:
             bkey = bound.uid
             decide = cached_region_contains
-        contains = _CONTAINS
+        contains = self._table.contains
         doomed = []
         for cid, b in self._buckets.items():
             key = (bkey, b.region.uid)

@@ -40,7 +40,7 @@ from .epochs import CLASS_BITS, ClassTable, FieldState, sorted_fids
 from .operation import Operation, PointTask
 from .taskgraph import TaskGraph
 
-__all__ = ["FineResult", "FineAnalysis", "interned_requirements_conflict"]
+__all__ = ["FineResult", "FineAnalysis"]
 
 
 @dataclass
@@ -67,26 +67,6 @@ def _classes_conflict(breq: RegionRequirement, _bregion: LogicalRegion,
     return requirements_conflict(breq, qreq)
 
 
-# ``requirements_conflict(a, b)`` depends only on (privilege, region,
-# field ids) of each side: that triple is the fine requirement class.
-_CLASSES = ClassTable("_fine_cid", _class_key, _classes_conflict)
-
-
-def interned_requirements_conflict(a: RegionRequirement,
-                                   b: RegionRequirement) -> bool:
-    """``requirements_conflict`` through the flat decision table: one
-    int-pair dict probe once both classes are warm (the fence-coverage
-    validation asks this for every requirement pair of every cross edge)."""
-    table = _CLASSES
-    ca = table.class_of(a, a.region)
-    cb = table.class_of(b, b.region)
-    if a._fine_cid[0] != table.gen:
-        # Interning b reset the table; re-intern a in the new generation.
-        ca = table.class_of(a, a.region)
-    hit = table.decisions.get((ca << CLASS_BITS) | cb)
-    return table.decide(ca, cb) if hit is None else hit
-
-
 class FineAnalysis:
     """Incremental precise analysis over expanded point tasks.
 
@@ -102,6 +82,9 @@ class FineAnalysis:
         self.num_shards = num_shards
         self.profiler = profiler if profiler is not None else get_profiler()
         self.result = FineResult()
+        # ``requirements_conflict(a, b)`` depends only on (privilege, region,
+        # field ids) of each side: that triple is the requirement class.
+        self._classes = ClassTable("_fine_cid", _class_key, _classes_conflict)
         self._state: Dict[Tuple[int, int], FieldState] = {}
         # Precise in-edges added while analyzing the most recent op, so the
         # pipeline can hand them to the trace recorder without rescanning.
@@ -225,7 +208,7 @@ class FineAnalysis:
                 key = (tree_id, fid)
                 state = self._state.get(key)
                 if state is None:
-                    state = self._state[key] = FieldState(_CLASSES)
+                    state = self._state[key] = FieldState(self._classes)
                 state.update(op, task, req, region, retire)
 
     # -- soundness of fence elision ------------------------------------------------
@@ -244,7 +227,7 @@ class FineAnalysis:
         bad = []
         for prev, task in self.result.cross_edges:
             covered = any(
-                interned_requirements_conflict(preq, nreq)
+                self._requirements_conflict(preq, nreq)
                 and coarse.covers_cross_edge(
                     prev.op.seq, task.op.seq, nreq.region,
                     nreq.fields | preq.fields)
@@ -253,3 +236,15 @@ class FineAnalysis:
             if not covered:
                 bad.append((prev, task))
         return bad
+
+    def _requirements_conflict(self, a: RegionRequirement,
+                               b: RegionRequirement) -> bool:
+        """``requirements_conflict`` through the flat decision table: one
+        int-pair dict probe once both classes are warm (the fence-coverage
+        validation asks this for every requirement pair of every cross
+        edge)."""
+        table = self._classes
+        ca = table.class_of(a, a.region)
+        cb = table.class_of(b, b.region)
+        hit = table.decisions.get((ca << CLASS_BITS) | cb)
+        return table.decide(ca, cb) if hit is None else hit

@@ -103,11 +103,14 @@ class ShardWorker:
     across an open-ended stream of jobs (the collective operation ordinal
     keeps climbing, so consecutive jobs can never collide on a ``(kind,
     op, round)`` wire tag) while giving every job a **fresh**
-    :class:`DCRPipeline` and :class:`DeterminismMonitor` — per-job
-    analysis state is fully reset, so a program's conformance artifacts
-    are identical whether it ran first or thousandth on the gang.  A
-    one-shot :class:`~repro.dist.runner.DistRunner` run is the one-job
-    case: it calls :meth:`run_job` once and exits.
+    :class:`DCRPipeline` and :class:`DeterminismMonitor` — all per-job
+    analysis state, class tables included, belongs to that pipeline and
+    shares nothing with another job or rank (pinned by
+    ``TestClassTableOwnership::test_concurrent_pipelines_match_naive`` in
+    tests/core/test_indexed_equivalence.py), so a program's conformance
+    artifacts are identical whether it ran first or thousandth on the
+    gang.  A one-shot :class:`~repro.dist.runner.DistRunner` run is the
+    one-job case: it calls :meth:`run_job` once and exits.
     """
 
     def __init__(self, transport: Transport, backend: str, batch: int = 64,

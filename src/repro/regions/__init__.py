@@ -6,7 +6,7 @@ DESIGN.md §3 for the module map.
 
 from .cache import (PairCache, cached_may_alias, cached_region_contains,
                     clear_region_caches, region_cache_stats,
-                    region_contains, register_cache_clearer)
+                    region_contains)
 from .dependent import (partition_by_field, partition_by_image,
                         partition_by_preimage)
 from .field_space import Field, FieldSpace
@@ -24,5 +24,4 @@ __all__ = [
     "upper_bound",
     "PairCache", "cached_may_alias", "cached_region_contains",
     "region_contains", "clear_region_caches", "region_cache_stats",
-    "register_cache_clearer",
 ]

@@ -7,7 +7,12 @@ application's handful of region trees).  Both answers are *immutable* for
 a given pair: region uids are never reused, a region's index space never
 changes, and region trees only grow (new partitions never change the
 relationship between existing nodes).  That makes a memo keyed on
-``(region uid, region uid)`` sound forever, with no invalidation protocol.
+``(region uid, region uid)`` sound forever, with no invalidation protocol,
+and safe to share across threads: racing writers store the same answer.
+These two pair caches are the only region memos that outlive a pipeline;
+they hold uids, never regions.  Everything else the analysis memoizes —
+requirement classes, their decisions, retirement containment — belongs to
+the stage instance that uses it (:class:`repro.core.epochs.ClassTable`).
 
 Execution Templates (Mashayekhi et al.) and DePa (Westrick et al., PPoPP
 '22) both rest on the same observation: control-plane decisions repeat, so
@@ -23,32 +28,19 @@ from .region import LogicalRegion
 from .tree import may_alias
 
 __all__ = ["PairCache", "cached_may_alias", "cached_region_contains",
-           "region_contains", "clear_region_caches", "region_cache_stats",
-           "register_cache_clearer"]
-
-# Other layers keep their own uid-keyed memo tables (the analysis core's
-# interned decision tables) whose soundness rests on the same "uids are
-# never reused" argument.  They register a clearer here so every path
-# that resets the region caches (tests, benchmarks) resets them in the
-# same breath.
-_extra_clearers: list = []
-
-
-def register_cache_clearer(fn) -> None:
-    """Run ``fn`` whenever :func:`clear_region_caches` is called."""
-    _extra_clearers.append(fn)
+           "region_contains", "clear_region_caches", "region_cache_stats"]
 
 
 class PairCache:
     """A bounded memo of boolean answers keyed on region-uid pairs.
 
     Bounded so pathological programs (millions of transient subregions)
-    cannot grow it without limit: a full cache is reset, like the analysis
-    core's class tables — an answer never goes stale, so a reset costs
-    only recomputation.  The default is far above any working set in this
-    repo.  The loopback backend's rank threads share the cache, so every
-    access must stay one dict call: a look-up followed by a delete races
-    another thread's eviction into a ``KeyError``.
+    cannot grow it without limit: a full cache is reset — an answer never
+    goes stale, so a reset costs only recomputation.  The default is far
+    above any working set in this repo.  The loopback backend's rank
+    threads share the cache, so every access must stay one dict call: a
+    look-up followed by a delete races another thread's eviction into a
+    ``KeyError``.
     """
 
     __slots__ = ("_data", "maxsize", "hits", "misses")
@@ -127,14 +119,14 @@ def cached_region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
 
 
 def clear_region_caches() -> None:
-    """Drop both caches and every registered dependent table.
+    """Drop both caches and their hit counters.
 
     Never required for correctness (uids are never reused): a hygiene hook
-    for tests and benchmarks that want cold caches."""
+    for tests and benchmarks that want cold caches.  The analysis stages'
+    class tables are not process-wide, so there is nothing else to clear:
+    a cold table is a fresh pipeline."""
     _alias_cache.clear()
     _contains_cache.clear()
-    for fn in _extra_clearers:
-        fn()
 
 
 def region_cache_stats() -> Dict[str, int]:

@@ -185,6 +185,7 @@ def test_order_maintenance_labels_stay_deleted():
     are gone; the rank channel that makes ``covers`` O(1) sits beside its
     only user, and one epoch index serves both stages."""
     import repro.core as core
+    import repro.regions as regions
     from repro.core import coarse, epochs, fine
 
     with pytest.raises(ImportError):
@@ -198,11 +199,15 @@ def test_order_maintenance_labels_stay_deleted():
     assert not hasattr(coarse.SeqStamps, "stamp_at")
     assert not hasattr(coarse.FenceStore, "era_node")
     assert {"SeqStamps", "FenceStore"} <= set(coarse.__all__)
-    assert fine.__all__ == ["FineResult", "FineAnalysis",
-                            "interned_requirements_conflict"]
-    assert isinstance(coarse._CLASSES, epochs.ClassTable)
-    assert isinstance(fine._CLASSES, epochs.ClassTable)
-    assert coarse._CLASSES is not fine._CLASSES
+    # The twin class tables belong to their stage instances now, with the
+    # retirement memo; nothing resets them and no registry clears them.
+    assert fine.__all__ == ["FineResult", "FineAnalysis"]
+    for mod in (coarse, fine):
+        assert not hasattr(mod, "_CLASSES"), mod.__name__
+    assert not hasattr(regions, "register_cache_clearer")
+    assert not hasattr(epochs.ClassTable, "clear")
+    assert not hasattr(epochs, "_CONTAINS")
+    assert "req" not in epochs.Bucket.__slots__
 
 
 def test_one_repeat_mechanism_surface():

@@ -64,6 +64,14 @@
   localizes, a serving gang heals by rebuilding; the last test fails if a
   quarantine, a shard reset or a movable driver grows back under the
   runtime or the core, or if the runtime imports the recovery policies.
+* Analysis state belongs to the stage that uses it.  The coarse and fine
+  class tables once lived at module scope, shared by every pipeline in the
+  process (rank threads included, which raced ``intern`` into wrong class
+  ids), bounded by a generation protocol and reset through a process-wide
+  clearer registry, and they kept every finished program's regions alive.
+  The last tests fail if a module-level table, the generation protocol or
+  the registry grows back, or if a process-wide memo appears under the
+  core, the regions or the oracle without a listed reason.
 """
 
 import ast
@@ -534,3 +542,127 @@ def test_runtime_has_one_recovery_story():
         "a Runtime raises the localized violation or the crash on every "
         "backend and heals nothing; DCRService rebuilds a dead gang:\n  "
         + "\n  ".join(offenders))
+
+
+# -- analysis state belongs to the stage that uses it -------------------------
+
+#: Every process-wide memo or table under the core, the regions and the
+#: oracle, with why sharing it between pipelines (and their threads) is
+#: safe.  Anything else an analysis memoizes belongs to its stage.
+PROCESS_WIDE_MEMOS = {
+    "regions/cache.py:_alias_cache":
+        "may-alias of a region-uid pair never changes: racing writers "
+        "store the same answer",
+    "regions/cache.py:_contains_cache":
+        "containment of a region-uid pair never changes: racing writers "
+        "store the same answer",
+    "core/sharding.py:_linearize_cache":
+        "pure function of a launch point: racing writers store the same "
+        "answer",
+    "core/sharding.py:ShardingFunction._cache":
+        "the builtin sharding functions live at module scope; a pure "
+        "function of (point, launch size, shards)",
+    "oracle/privileges.py:_CONFLICT_TABLE":
+        "pure function of a privilege pair: racing writers store the same "
+        "answer",
+    "core/operation.py:_proj_registry":
+        "a registry: projection functions by id, one meaning per process",
+    "core/collectives.py:schedule":
+        "lru_cache of a pure schedule generator; the schedules are immutable",
+    "core/collectives.py:rank_schedule":
+        "lru_cache of one rank's slice of an immutable schedule",
+    "core/collectives.py:_GENERATORS":
+        "a constant dispatch table, never written after import",
+    "core/determinism.py:_KINDS":
+        "a constant type-tag table, never written after import",
+}
+
+_MUTABLE_LITERALS = (ast.Dict, ast.DictComp, ast.Set, ast.SetComp,
+                     ast.List, ast.ListComp)
+_MUTABLE_FACTORIES = {"dict", "set", "list", "defaultdict", "OrderedDict",
+                      "Counter", "PairCache", "ClassTable"}
+
+
+def _module_level_state(tree):
+    """(name, line) of every module-level mutable container and memoized
+    function a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+            value = node.value
+            if isinstance(value, _MUTABLE_LITERALS) or (
+                    isinstance(value, ast.Call)
+                    and _callee(value) in _MUTABLE_FACTORIES):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id != "__all__":
+                        yield t.id, node.lineno
+        elif isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                call = dec.func if isinstance(dec, ast.Call) else dec
+                if _names(call) & {"lru_cache", "cache"}:
+                    yield node.name, node.lineno
+
+
+def _instance_attributes(tree, cls_name):
+    return {target.attr
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+            for node in ast.walk(cls)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            if isinstance(target, ast.Attribute)}
+
+
+def test_no_module_level_class_table():
+    offenders = [f"{rel}:{node.lineno}"
+                 for rel, tree in _trees(("",))
+                 for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and isinstance(node.value, ast.Call)
+                 and _callee(node.value) == "ClassTable"]
+    assert not offenders, (
+        "each CoarseAnalysis/FineAnalysis builds its own ClassTable: a "
+        "table at module scope is shared by every pipeline in the "
+        "process:\n  " + "\n  ".join(offenders))
+
+
+def test_no_table_generations_or_clearer_registry():
+    gone = {"register_cache_clearer", "_extra_clearers", "_refresh"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("core/", "regions/"))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    offenders += [f"{rel}:{node.lineno}: .gen"
+                  for rel, tree in _trees(("core/", "regions/"))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "gen"]
+    assert not offenders, (
+        "a class table lives and dies with its stage: a full table raises, "
+        "a stamp names its table, and a cold table is a fresh pipeline:\n  "
+        + "\n  ".join(offenders))
+
+
+def test_process_wide_memos_are_listed():
+    found = {}
+    trees = dict(_trees(("core/", "regions/", "oracle/")))
+    for rel, tree in trees.items():
+        for name, line in _module_level_state(tree):
+            found[f"{rel}:{name}"] = line
+    unlisted = [f"{key} (line {line})" for key, line in sorted(found.items())
+                if key not in PROCESS_WIDE_MEMOS]
+    assert not unlisted, (
+        "module-level state is shared by every pipeline in the process, "
+        "rank threads included: give it to the stage that uses it, or list "
+        "it in PROCESS_WIDE_MEMOS with why sharing it is safe:\n  "
+        + "\n  ".join(unlisted))
+    stale = []
+    for key in PROCESS_WIDE_MEMOS:
+        rel, name = key.split(":")
+        cls, _, attr = name.rpartition(".")
+        present = attr in _instance_attributes(trees[rel], cls) if cls \
+            else key in found
+        if not present:
+            stale.append(key)
+    assert not stale, f"listed but gone (drop them): {stale}"
