@@ -20,7 +20,20 @@ identities differ between shards even for logically identical resources,
 so runtime resources (regions, partitions, fields, futures...) are
 *interned* into shard-local ids in first-use order, which control
 determinism makes identical across shards; any other object is interned
-the same way, i.e. by identity, not content.
+the same way, i.e. by identity, not content.  The hasher holds every
+object it interned for as long as it lives, so a freed object's address
+never passes its id to a newcomer.
+
+The digest skeleton: a tuple whose members are only ``None``, ``bool``,
+``int``, ``float``, ``str``, ``bytes`` (exactly those types, or
+``np.float64``), interned resources and tuples of the same encodes to
+bytes that cannot change while it is alive.  From its second sighting on, its bytes are reused, keyed by
+its identity — never by ``==``, under which ``1``, ``1.0`` and ``True``
+collide — and the hasher holds it.  The frontend hands the same launch
+domains, view specs and requirement descriptors over and over, so a
+repeated call encodes only its fresh values.  Lists, dicts, sets, arrays
+and subclasses are encoded anew every time, and so is any tuple holding
+one.
 """
 
 from __future__ import annotations
@@ -207,6 +220,13 @@ _KINDS = {type(None): "N", bool: "B", int: "I", float: "F", np.float64: "F",
           str: "S", bytes: "Y", tuple: "T", list: "T", dict: "D", set: "Z",
           frozenset: "Z", np.generic: "G", np.ndarray: "A", object: "R"}
 
+#: Kinds whose bytes are a pure function of a value that cannot change,
+#: when the value's type is exactly the one listed in ``_KINDS``.
+_FROZEN = "NBIFSY"
+
+#: How many tuples seen once a hasher keeps, waiting for a second sighting.
+_SEEN_LIMIT = 512
+
 
 class ShardHasher:
     """Per-shard API-call hasher with resource interning.
@@ -224,30 +244,60 @@ class ShardHasher:
         self.shard = shard
         self.injector = injector
         self._intern: Dict[int, int] = {}
+        # Everything interned, in id order: holding the objects keeps
+        # CPython from handing a freed one's address to a newcomer.
+        self._held: List[Any] = []
+        # The digest skeleton: id(tuple) -> (tuple, its bytes), for frozen
+        # tuples seen at least twice; ``_seen`` holds those seen once.
+        self._skeleton: Dict[int, Tuple[tuple, bytes]] = {}
+        self._seen: Dict[int, tuple] = {}
         self.calls: List[int] = []          # 128-bit hashes, in call order
         self.descriptions: List[str] = []   # human-readable, for error messages
 
     def intern(self, obj: Any) -> int:
         """Shard-local id for a runtime resource, by first-use order."""
-        return self._intern.setdefault(id(obj), len(self._intern))
+        n = self._intern.get(id(obj))
+        if n is None:
+            n = self._intern[id(obj)] = len(self._held)
+            self._held.append(obj)
+        return n
 
-    def _encode(self, value: Any, out: List[bytes]) -> None:
-        """Append the canonical byte encoding of ``value`` to ``out``."""
-        kind = _KINDS.get(type(value)) or next(
-            _KINDS[base] for base in type(value).__mro__ if base in _KINDS)
+    def _encode(self, value: Any, out: List[bytes]) -> bool:
+        """Append the canonical byte encoding of ``value`` to ``out``.
+
+        Returns whether ``value`` is *frozen*: its bytes stay the same for
+        as long as it is alive, so a tuple of frozen members may reuse its
+        bytes (see :meth:`_encode_tuple`).
+        """
+        cls = type(value)
+        if cls is tuple:
+            hit = self._skeleton.get(id(value))
+            if hit is not None:
+                out.append(hit[1])
+                return True
+            return self._encode_tuple(value, out)
+        if cls is list:
+            out.append(b"T(")
+            self._encode_items(value, out, b",")
+            out.append(b")")
+            return False
+        kind = _KINDS.get(cls)
+        exact = kind is not None
+        if not exact:
+            kind = next(_KINDS[base] for base in cls.__mro__
+                        if base in _KINDS)
+        if kind == "R":
+            out.append(b"R" + str(self.intern(value)).encode())
+            return True
         if kind == "I":
             out.append(b"I" + str(value).encode())
         elif kind == "S":
             out.append(b"S" + value.encode())
         elif kind == "T":
             out.append(b"T(")
-            for i, v in enumerate(value):
-                if i:
-                    out.append(b",")
-                self._encode(v, out)
+            self._encode_items(value, out, b",")
             out.append(b")")
-        elif kind == "R":
-            out.append(b"R" + str(self.intern(value)).encode())
+            return False
         elif kind == "F":
             out.append(b"F" + value.hex().encode())
         elif kind == "B":
@@ -284,6 +334,63 @@ class ShardHasher:
             out.append(b"A" + dtype.str.encode() + str(value.shape).encode()
                        + hashlib.blake2b(memoryview(flat),
                                          digest_size=16).digest())
+        return exact and kind in _FROZEN
+
+    def _encode_items(self, values: Any, out: List[bytes],
+                      sep: bytes) -> bool:
+        """Encode members with ``sep`` between them; whether all are frozen.
+
+        The members a launch is made of — strings, ints, floats and tuples
+        already in the skeleton — are encoded here without a call.
+        """
+        skeleton = self._skeleton
+        frozen = True
+        first = True
+        for v in values:
+            if first:
+                first = False
+            else:
+                out.append(sep)
+            cls = type(v)
+            if cls is str:
+                out.append(b"S" + v.encode())
+            elif cls is int:
+                out.append(b"I" + str(v).encode())
+            elif cls is float:
+                out.append(b"F" + v.hex().encode())
+            elif cls is tuple:
+                hit = skeleton.get(id(v))
+                if hit is not None:
+                    out.append(hit[1])
+                elif not self._encode_tuple(v, out):
+                    frozen = False
+            elif not self._encode(v, out):
+                frozen = False
+        return frozen
+
+    def _encode_tuple(self, value: tuple, out: List[bytes]) -> bool:
+        """Encode a tuple the skeleton does not hold; whether it is frozen.
+
+        The skeleton is keyed by identity, never by ``==`` (``1``, ``1.0``
+        and ``True`` are equal and encode differently), and holds the
+        tuple, so its id cannot pass to another object while the entry
+        lives.  A frozen tuple enters it on its second sighting: one built
+        afresh for every call waits in ``_seen``, which is dropped when
+        full, and costs no more than its encoding.
+        """
+        start = len(out)
+        out.append(b"T(")
+        frozen = self._encode_items(value, out, b",")
+        out.append(b")")
+        if frozen:
+            key, seen = id(value), self._seen
+            if seen.pop(key, None) is not None:
+                self._skeleton[key] = (value, b"".join(out[start:]))
+            else:
+                if len(seen) >= _SEEN_LIMIT:
+                    seen.clear()
+                seen[key] = value
+        return frozen
 
     def record(self, api_call: str, *args: Any, **kwargs: Any) -> int:
         """Hash one API call; returns the 128-bit digest as an int."""
@@ -295,9 +402,9 @@ class ShardHasher:
                 raise ShardCrash(self.shard, call)
             faulted = inj.flip_call(self.shard, call)
         out = [api_call.encode()]
-        for a in args:
+        if args:
             out.append(b"|")
-            self._encode(a, out)
+            self._encode_items(args, out, b"|")
         for k in sorted(kwargs):
             out.append(b"|" + k.encode() + b"=")
             self._encode(kwargs[k], out)

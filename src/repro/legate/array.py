@@ -76,6 +76,14 @@ class LegateContext:
         self._next_part = 0
         self.fields = FieldManager(self)
         self._partitions: dict = {}
+        # Lowering memos: a repeated array op finds its tiling, launch
+        # domain, key partitions and task-argument tuples here, and hands
+        # the very same tuples to every launch, so the determinism hasher
+        # reuses their bytes (cunumeric caches its key partitions alike).
+        self._tilings: dict = {}
+        self._domains: dict = {}
+        self._key_parts: dict = {}
+        self._canon: dict = {}
         hook = getattr(ctx.runtime, "add_drain_hook", None)
         if hook is not None:
             hook(self.fields.flush)
@@ -107,6 +115,34 @@ class LegateContext:
             self._partitions[key] = part
         return part
 
+    def _tiling(self, shape: Tuple[int, ...], row_only: bool = False,
+               max_tiles: Optional[int] = None) -> Tuple:
+        """:func:`~.views.choose_tiling` of ``shape`` as a tuple, once per
+        (shape, row_only, tile budget); the budget defaults to
+        ``num_tiles``."""
+        key = (shape, row_only, max_tiles)
+        hit = self._tilings.get(key)
+        if hit is None:
+            hit = self._tilings[key] = tuple(choose_tiling(
+                shape, max_tiles or self.num_tiles, row_only))
+        return hit
+
+    def _domain(self, points: int) -> Tuple[int, ...]:
+        """The launch domain ``(0, ..., points - 1)``, one tuple per size."""
+        hit = self._domains.get(points)
+        if hit is None:
+            hit = self._domains[points] = tuple(range(points))
+        return hit
+
+    def _canonical(self, value: Tuple) -> Tuple:
+        """The one tuple equal to ``value`` this context hands to launches.
+
+        Only for the frontend's own kinds, task specs and tile shapes,
+        whose members are strings, ints and ``None``: equal values encode
+        identically there, so keying by ``==`` is safe.
+        """
+        return self._canon.setdefault(value, value)
+
     # -- creation ------------------------------------------------------------
 
     def zeros(self, shape: Union[int, Tuple[int, ...]],
@@ -131,7 +167,7 @@ class LegateContext:
         arr = self._new_array(data.shape)
         self.fields.note_launch()
         self.ctx.index_launch(
-            ops.init_body, list(range(len(arr._tiling()))),
+            ops.init_body, self._domain(len(arr._tiling())),
             [(arr.tiles, "v", "wd")], args=(data, data.shape))
         return arr
 
@@ -144,23 +180,29 @@ class LegateContext:
         shapes broadcast by NumPy rules and the result owns a fresh
         (possibly pooled) field.
         """
-        arrays = [o for o in operands if isinstance(o, LegateArray)]
-        rshape = np.broadcast_shapes(*(a.shape for a in arrays))
-        views = [a if a.shape == tuple(rshape) else a.broadcast_to(rshape)
+        arrays, kinds, scalars = [], [], []
+        for o in operands:
+            if isinstance(o, LegateArray):
+                arrays.append(o)
+                kinds.append("a")
+            else:
+                scalars.append(float(o))
+                kinds.append("s")
+        shapes = {a.view.shape for a in arrays}
+        rshape = shapes.pop() if len(shapes) == 1 \
+            else tuple(np.broadcast_shapes(*shapes))
+        views = [a if a.view.shape == rshape else a.broadcast_to(rshape)
                  for a in arrays]
-        out = self._new_array(tuple(rshape))
-        tiling = choose_tiling(rshape, self.num_tiles)
+        out = self._new_array(rshape)
+        tiling = self._tiling(rshape)
         self.fields.note_launch()
         reqs = [(out._partition(tiling), "v", "wd")]
         reqs += [(v._partition(tiling), "v", "ro") for v in views]
-        kinds = tuple("a" if isinstance(o, LegateArray) else "s"
-                      for o in operands)
-        specs = tuple(v.view.task_spec() for v in views)
-        scalars = tuple(float(o) for o in operands
-                        if not isinstance(o, LegateArray))
+        specs = self._canonical(tuple([v.view.task_spec() for v in views]))
         self.ctx.index_launch(ops.elementwise_body,
-                              list(range(len(tiling))), reqs,
-                              args=(code, kinds, specs, scalars))
+                              self._domain(len(tiling)), reqs,
+                              args=(code, self._canonical(tuple(kinds)),
+                                    specs, tuple(scalars)))
         return out
 
 
@@ -203,21 +245,32 @@ class LegateArray:
         self.lease.release()
 
     def _tiling(self, row_only: bool = False):
-        return choose_tiling(self.shape, self.lg.num_tiles, row_only)
+        return self.lg._tiling(self.shape, row_only)
 
     def _partition(self, tiling):
-        rects = [self.view.base_rect(lo, hi) for lo, hi in tiling]
-        if self.view.writable:
-            disjoint: Optional[bool] = True
-            complete: Optional[bool] = True if self.view.is_identity else None
-        else:
-            disjoint = complete = None
-        return self.lg._partition_for(self.block.region, rects,
-                                      disjoint=disjoint, complete=complete)
+        """The key partition of this view under ``tiling``, looked up by
+        (backing region, view, tiling) before any rect is mapped."""
+        key = (self.block.region.uid, self.view, tiling)
+        part = self.lg._key_parts.get(key)
+        if part is None:
+            rects = [self.view.base_rect(lo, hi) for lo, hi in tiling]
+            if self.view.writable:
+                disjoint: Optional[bool] = True
+                complete: Optional[bool] = \
+                    True if self.view.is_identity else None
+            else:
+                disjoint = complete = None
+            part = self.lg._key_parts[key] = self.lg._partition_for(
+                self.block.region, rects, disjoint=disjoint,
+                complete=complete)
+        return part
 
     def _tile_shapes(self, tiling):
-        return tuple(tuple(h - l + 1 for l, h in zip(lo, hi))
-                     for lo, hi in tiling)
+        return self.lg._canonical(tuple(
+            tuple(h - l + 1 for l, h in zip(lo, hi)) for lo, hi in tiling))
+
+    def _task_spec(self):
+        return self.lg._canonical(self.view.task_spec())
 
     # -- views ---------------------------------------------------------------
 
@@ -270,7 +323,7 @@ class LegateArray:
         if not isinstance(value, LegateArray):
             self.lg.fields.note_launch()
             self.lg.ctx.index_launch(
-                ops.fill_tile_body, list(range(len(tiling))),
+                ops.fill_tile_body, self.lg._domain(len(tiling)),
                 [(dst._partition(tiling), "v", "rw")],
                 args=(float(value),))
             return
@@ -282,10 +335,10 @@ class LegateArray:
             else value.broadcast_to(dst.shape)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.setitem_body, list(range(len(tiling))),
+            ops.setitem_body, self.lg._domain(len(tiling)),
             [(dst._partition(tiling), "v", "rw"),
              (src._partition(tiling), "v", "ro")],
-            args=(src.view.task_spec(),))
+            args=(src._task_spec(),))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -393,10 +446,10 @@ class LegateArray:
         tiling = self._tiling()
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.axpy_body, list(range(len(tiling))),
+            ops.axpy_body, self.lg._domain(len(tiling)),
             [(self._partition(tiling), "v", "rw"),
              (xb._partition(tiling), "v", "ro")],
-            args=(float(alpha), xb.view.task_spec()))
+            args=(float(alpha), xb._task_spec()))
         return self
 
     # -- reductions ----------------------------------------------------------
@@ -405,9 +458,9 @@ class LegateArray:
         tiling = self._tiling()
         self.lg.fields.note_launch()
         fm = self.lg.ctx.index_launch(
-            ops.reduce_tile_body, list(range(len(tiling))),
+            ops.reduce_tile_body, self.lg._domain(len(tiling)),
             [(self._partition(tiling), "v", "ro")],
-            args=(code, self.view.task_spec(), self._tile_shapes(tiling)))
+            args=(code, self._task_spec(), self._tile_shapes(tiling)))
         if code == "sum":
             return fm.reduce(lambda a, b: a + b)
         return fm.reduce(max if code == "max" else min)
@@ -420,13 +473,13 @@ class LegateArray:
         ntiles = len(tiling)
         partials = self.lg._new_array((ntiles, m))
         out = self.lg._new_array((m,))
-        prow = choose_tiling((ntiles, m), ntiles, row_only=True)
+        prow = self.lg._tiling((ntiles, m), True, ntiles)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.axis0_partial_body, list(range(ntiles)),
+            ops.axis0_partial_body, self.lg._domain(ntiles),
             [(partials._partition(prow), "v", "wd"),
              (self._partition(tiling), "v", "ro")],
-            args=(code, self.view.task_spec(), self._tile_shapes(tiling)))
+            args=(code, self._task_spec(), self._tile_shapes(tiling)))
         self.lg.fields.note_launch()
         self.lg.ctx.launch(
             ops.axis0_combine_body,
@@ -452,11 +505,10 @@ class LegateArray:
         tiling = self._tiling(row_only=True)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.rowsum_body, list(range(len(tiling))),
-            [(out._partition(choose_tiling((self.shape[0],),
-                                           self.lg.num_tiles)), "v", "wd"),
+            ops.rowsum_body, self.lg._domain(len(tiling)),
+            [(out._partition(out._tiling()), "v", "wd"),
              (self._partition(tiling), "v", "ro")],
-            args=(self.view.task_spec(), self._tile_shapes(tiling)))
+            args=(self._task_spec(), self._tile_shapes(tiling)))
         return out
 
     def max(self, axis: Optional[int] = None):
@@ -489,10 +541,10 @@ class LegateArray:
         tiling = self._tiling()
         self.lg.fields.note_launch()
         fm = self.lg.ctx.index_launch(
-            ops.dot_tile_body, list(range(len(tiling))),
+            ops.dot_tile_body, self.lg._domain(len(tiling)),
             [(self._partition(tiling), "v", "ro"),
              (other._partition(tiling), "v", "ro")],
-            args=(self.view.task_spec(), other.view.task_spec(),
+            args=(self._task_spec(), other._task_spec(),
                   self._tile_shapes(tiling)))
         return fm.reduce(lambda a, b: a + b)
 
@@ -512,12 +564,11 @@ class LegateArray:
         tiling = mat._tiling(row_only=True)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.matvec_body, list(range(len(tiling))),
-            [(out._partition(choose_tiling((self.shape[0],),
-                                           self.lg.num_tiles)), "v", "wd"),
+            ops.matvec_body, self.lg._domain(len(tiling)),
+            [(out._partition(out._tiling()), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (vec_d.region, "v", "ro")],
-            args=(mat.view.task_spec(),))
+            args=(mat._task_spec(),))
         return out
 
     def rmatvec(self, vec: "LegateArray") -> "LegateArray":
@@ -532,19 +583,19 @@ class LegateArray:
         mat = self._no_broadcast()
         vecb = vec._no_broadcast()
         tiling = mat._tiling(row_only=True)
-        vtiling = choose_tiling((self.shape[0],), self.lg.num_tiles)
+        vtiling = self.lg._tiling((self.shape[0],))
         ntiles = len(tiling)
         f = self.shape[1]
         partials = self.lg._new_array((ntiles, f))
         out = self.lg._new_array((f,))
-        prow = choose_tiling((ntiles, f), ntiles, row_only=True)
+        prow = self.lg._tiling((ntiles, f), True, ntiles)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.rmatvec_partial_body, list(range(ntiles)),
+            ops.rmatvec_partial_body, self.lg._domain(ntiles),
             [(partials._partition(prow), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (vecb._partition(vtiling), "v", "ro")],
-            args=(mat.view.task_spec(), vecb.view.task_spec()))
+            args=(mat._task_spec(), vecb._task_spec()))
         self.lg.fields.note_launch()
         self.lg.ctx.launch(
             ops.rmatvec_combine_body,
@@ -567,11 +618,11 @@ class LegateArray:
         tiling = mat._tiling(row_only=True)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
-            ops.matmat_body, list(range(len(tiling))),
+            ops.matmat_body, self.lg._domain(len(tiling)),
             [(out._partition(out._tiling(row_only=True)), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (rhs.region, "v", "ro")],
-            args=(mat.view.task_spec(),))
+            args=(mat._task_spec(),))
         return out
 
     # -- export --------------------------------------------------------------

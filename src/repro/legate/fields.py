@@ -109,7 +109,7 @@ class FieldManager:
 
     def checkout(self, shape: Tuple[int, ...]) -> Tuple[FieldBlock, _Lease]:
         """A backing block for ``shape``: pooled if possible, else fresh."""
-        shape = tuple(int(e) for e in shape)
+        shape = tuple(map(int, shape))
         self._retire()
         pool = self._pool.get((shape, "f8"))
         if pool:

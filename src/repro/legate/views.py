@@ -48,11 +48,11 @@ class ViewSpec:
 
     @staticmethod
     def identity(shape: Sequence[int]) -> "ViewSpec":
-        shape = tuple(int(e) for e in shape)
+        shape = tuple(map(int, shape))
         return ViewSpec(base_shape=shape, shape=shape,
                         axes=tuple(range(len(shape))),
-                        offsets=tuple(0 for _ in shape),
-                        stretched=tuple(False for _ in shape))
+                        offsets=(0,) * len(shape),
+                        stretched=(False,) * len(shape))
 
     @property
     def ndim(self) -> int:
@@ -178,8 +178,8 @@ def extract_block(block: np.ndarray,
     against the launch tile's shape inside a kernel).
     """
     (axes,) = spec
-    perm = [b for b in axes if b is not None]
-    arr = np.transpose(block, perm)
+    arr = block.transpose([b for b in axes if b is not None]
+                          if None in axes else axes)
     for d, b in enumerate(axes):
         if b is None:
             arr = np.expand_dims(arr, d)

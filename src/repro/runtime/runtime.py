@@ -141,6 +141,9 @@ class Runtime:
         self._futures: List[Union[Future, FutureMap]] = []
         self._deferred_keys: Dict[int, Any] = {}
         self.executed_points: int = 0
+        # Fields removed so far: a Context's lowered requirements name
+        # Field objects, which a removal retires.
+        self.fields_removed: int = 0
         self._result: Any = None
         # Gang backends: per-replica verification summaries and (forked
         # replicas) profiler snapshots, shipped back over the channels.
@@ -350,6 +353,7 @@ class Runtime:
             self.store.deallocate_field(region.tree_id, field)
             if field.name in region.field_space:
                 region.field_space.remove_field(field.name)
+                self.fields_removed += 1
         elif isinstance(target, LogicalRegion):
             for f in target.field_space.fields:
                 self.store.deallocate_field(target.tree_id, f)
@@ -420,6 +424,10 @@ class Context:
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False
+        # Lowered requirements per (group launch?, reqs spec), while no
+        # field has been removed since they were built.
+        self._lowered: Dict[Tuple[bool, Tuple], Tuple[list, tuple]] = {}
+        self._lowered_at = runtime.fields_removed
 
     @property
     def is_driver(self) -> bool:
@@ -633,11 +641,33 @@ class Context:
 
     # -- task launches -------------------------------------------------------------------------
 
-    def _normalize_reqs(
-        self, reqs: Sequence[Tuple]
-    ) -> List[Tuple[Union[LogicalRegion, Partition], frozenset, Privilege,
-                    Optional[ProjectionFunction]]]:
-        out = []
+    def _lower_reqs(self, reqs: Sequence[Tuple], group: bool
+                    ) -> Tuple[List[Tuple[Union[LogicalRegion, Partition],
+                                          frozenset, Privilege,
+                                          Optional[ProjectionFunction]]],
+                               Tuple]:
+        """Normalised requirements and the descriptor a launch hashes.
+
+        Memoised per hashable ``reqs`` spec (the descriptor is then the same
+        tuple every time, which the hasher's skeleton reuses); a spec with
+        an unhashable part, such as a list of field names, is lowered anew.
+        """
+        if self._lowered_at != self.runtime.fields_removed:
+            self._lowered.clear()
+            self._lowered_at = self.runtime.fields_removed
+        try:
+            key = (group, tuple(reqs))
+            hit = self._lowered.get(key)
+        except TypeError:
+            return self._lower_reqs_uncached(reqs, group)
+        if hit is None:
+            hit = self._lowered[key] = self._lower_reqs_uncached(reqs, group)
+        return hit
+
+    @staticmethod
+    def _lower_reqs_uncached(reqs: Sequence[Tuple], group: bool
+                             ) -> Tuple[list, Tuple]:
+        norm = []
         for spec in reqs:
             target, fields, priv = spec[0], spec[1], _privilege(spec[2])
             proj = spec[3] if len(spec) > 3 else IDENTITY_PROJECTION
@@ -646,9 +676,15 @@ class Context:
                       else target.field_space)
             names = [fields] if isinstance(fields, str) else sorted(fields)
             fobjs = frozenset(fspace[n] for n in names)
-            out.append((target, fobjs, priv,
-                        proj if isinstance(target, Partition) else None))
-        return out
+            norm.append((target, fobjs, priv,
+                         proj if isinstance(target, Partition) else None))
+        if group:
+            desc = tuple((t, tuple(sorted(f.name for f in fl)), p.kind.value,
+                          pr.pid if pr else -1) for t, fl, p, pr in norm)
+        else:
+            desc = tuple((t, tuple(sorted(f.name for f in fl)), p.kind.value)
+                         for t, fl, p, _ in norm)
+        return norm, desc
 
     @staticmethod
     def _task_key(fn: Callable) -> str:
@@ -658,6 +694,11 @@ class Context:
         "<lambda>" and a divergent branch between them would go unnoticed.
         The defining module and line pin down the code object.
         """
+        if not hasattr(fn, "__name__"):
+            raise TypeError(
+                f"task function {fn!r} has no __name__ (a functools.partial "
+                f"or a callable object?): launch a named function and pass "
+                f"bound values through args=")
         code = getattr(fn, "__code__", None)
         if code is None:
             return fn.__qualname__
@@ -675,11 +716,10 @@ class Context:
         future is resolved by the time the task body runs, and the argument
         is hashed by *handle*, not value, so shards stay deterministic.
         """
-        norm = self._normalize_reqs(reqs)
-        self._record("launch", self._task_key(fn),
-                     [(t, sorted(f.name for f in fl), p.kind.value)
-                      for t, fl, p, _ in norm],
-                     list(args), list(future_args), owner_shard)
+        key = self._task_key(fn)
+        norm, desc = self._lower_reqs(reqs, group=False)
+        self._record("launch", key, desc, list(args), list(future_args),
+                     owner_shard)
         def do() -> Future:
             op = Operation(
                 "task",
@@ -703,20 +743,21 @@ class Context:
 
         This is the Regent-transformed form ``t(p[f(i)])`` (§4) that makes
         the coarse analysis cost independent of the number of points.
-        ``future_args`` behave as in :meth:`launch`.
+        ``future_args`` behave as in :meth:`launch`.  A tuple domain is
+        hashed as it is (a frontend hands the same one over and over);
+        any other is hashed as a list of its points.
         """
-        norm = self._normalize_reqs(reqs)
-        domain = list(domain)
+        key = self._task_key(fn)
+        norm, desc = self._lower_reqs(reqs, group=True)
+        if type(domain) is not tuple:
+            domain = list(domain)
         if not domain:
             raise ValueError(
                 f"index_launch of {fn.__name__} over an empty domain — "
                 f"launch at least one point (or skip the launch)")
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
-        self._record("index_launch", self._task_key(fn), domain,
-                     [(t, sorted(f.name for f in fl), p.kind.value,
-                       pr.pid if pr else -1)
-                      for t, fl, p, pr in norm],
-                     list(args), list(future_args), sharding.sid)
+        self._record("index_launch", key, domain, desc, list(args),
+                     list(future_args), sharding.sid)
         def do() -> FutureMap:
             op = Operation(
                 "task",
@@ -727,9 +768,10 @@ class Context:
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
             futures: Dict[Hashable, Future] = {}
+            binding = self._oracle_binding()
             for pt in record.point_tasks:
                 value = self._execute_point(op, pt, op.body_args)
-                f = Future(self._oracle_binding())
+                f = Future(binding)
                 f.resolve(value)
                 futures[pt.point] = f
             return FutureMap(futures)

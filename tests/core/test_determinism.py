@@ -346,6 +346,17 @@ class TestEncoderEquivalence:
         # ... and resources were interned in the same first-use order.
         assert hasher._intern == reference.interned
 
+    @given(st.lists(st.lists(_values, max_size=3), min_size=1, max_size=4))
+    def test_repeated_records_match_the_reference_encoder(self, calls):
+        """The same objects recorded again — the second record finds their
+        tuples seen once, the third in the skeleton — still encode to the
+        reference bytes."""
+        hasher, reference = ShardHasher(0), _ReferenceHasher()
+        for _ in range(3):
+            for args in calls:
+                assert hasher.record("op", *args) == \
+                    reference.record("op", *args)
+
     def test_digests_pinned_from_the_parent_commit(self):
         """One value of each kind, digests read off commit ef03407 (the
         last one with the recursive encoder) — so "non-array digests do
@@ -387,6 +398,76 @@ class TestEncoderEquivalence:
         got = {name: ShardHasher(0).record("call:" + name, *args, **kwargs)
                for name, (args, kwargs) in cases.items()}
         assert got == pinned
+
+
+class TestDigestSkeleton:
+    """A frozen tuple's bytes are reused by identity; nothing mutable is."""
+
+    @staticmethod
+    def _twice(make_and_mutate):
+        hasher = ShardHasher(0)
+        value, mutate = make_and_mutate()
+        first = hasher.record("op", value)
+        hasher.record("op", value)          # promoted into the skeleton
+        mutate()
+        return first, hasher.record("op", value), \
+            ShardHasher(0).record("op", value)
+
+    def test_mutating_a_list_inside_a_tuple_changes_the_digest(self):
+        def make():
+            inner = [1, 2]
+            return ("spec", (inner, 3)), lambda: inner.append(4)
+        first, again, fresh = self._twice(make)
+        assert again != first and again == fresh
+
+    def test_mutating_an_array_inside_a_tuple_changes_the_digest(self):
+        def make():
+            data = np.zeros(8)
+
+            def mutate():
+                data[3] = 1.0
+            return ("spec", (data, (8,))), mutate
+        first, again, fresh = self._twice(make)
+        assert again != first and again == fresh
+
+    def test_equal_tuples_of_different_types_never_share_bytes(self):
+        """``(1,)``, ``(1.0,)`` and ``(True,)`` are equal and hash equal;
+        held in the skeleton they still encode apart."""
+        hasher = ShardHasher(0)
+        values = [(1,), (1.0,), (True,)]
+        rounds = [[hasher.record("op", v) for v in values] for _ in range(3)]
+        assert len(set(rounds[0])) == 3
+        assert rounds[0] == rounds[1] == rounds[2]
+
+    def test_fresh_tuples_are_not_kept_for_the_life_of_the_hasher(self):
+        hasher = ShardHasher(0)
+        kept = ("a", (1, 2))
+        for i in range(5000):
+            hasher.record("op", kept, (float(i),))
+        held = [v for v, _ in hasher._skeleton.values()]
+        assert sorted(map(id, held)) == sorted([id(kept), id(kept[1])])
+        assert len(hasher._seen) < 1000
+
+
+class TestInterning:
+    def test_a_freed_object_never_passes_its_id_on(self):
+        """CPython reuses a freed object's address at once; the hasher
+        holds what it interned, so each newcomer gets a new id."""
+        hasher = ShardHasher(0)
+        assert [hasher.intern(object()) for _ in range(50)] == \
+            list(range(50))
+
+    def test_fresh_argument_objects_hash_alike_on_every_shard(self):
+        """Shard 0 keeps its launch arguments alive, a replaying shard
+        frees each one after its call: both see one new id per call."""
+        class Opts:
+            pass
+
+        driver, replica = ShardHasher(0), ShardHasher(1)
+        kept = [Opts() for _ in range(6)]
+        digests = [driver.record("index_launch", [opts]) for opts in kept]
+        assert [replica.record("index_launch", [Opts()])
+                for _ in range(6)] == digests
 
 
 class TestStructuredViolation:

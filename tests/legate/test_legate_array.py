@@ -161,3 +161,53 @@ class TestDeterminism:
             c = b - a
             return c.dot(c)
         assert run(body, shards=3) == pytest.approx(run(body, shards=1))
+
+
+class TestLoweringMemos:
+    """A repeated array op is lowered once per shard: every repetition
+    hands the runtime the very same domain, partitions and argument
+    tuples, and creates no new partition."""
+
+    @staticmethod
+    def _launches(iterations):
+        from unittest import mock
+
+        from repro.runtime.runtime import Context
+
+        launches, parts = [], []
+        index_launch, partition_rects = \
+            Context.index_launch, Context.partition_rects
+
+        def spy_launch(self, fn, domain, reqs, args=(), **kw):
+            if self.shard == 1:
+                launches.append((fn, domain, [r[0] for r in reqs], args))
+            return index_launch(self, fn, domain, reqs, args=args, **kw)
+
+        def spy_parts(self, *args, **kw):
+            parts.append(self.shard)
+            return partition_rects(self, *args, **kw)
+
+        def body(lg):
+            u = lg.full(64, 1.0)
+            for _ in range(iterations):
+                u[1:63] = (u[0:62] + u[2:64]) * 0.5
+            return u.to_numpy()
+
+        with mock.patch.object(Context, "index_launch", spy_launch), \
+                mock.patch.object(Context, "partition_rects", spy_parts):
+            run(body)
+        return launches, parts
+
+    def test_repeated_launches_hand_over_the_same_objects(self):
+        launches, _ = self._launches(4)
+        first, later = launches[:3], launches[-3:]
+        for (fn, dom, parts, args), (fn2, dom2, parts2, args2) in \
+                zip(first, later):
+            assert fn is fn2 and dom is dom2 and type(dom) is tuple
+            assert all(p is q for p, q in zip(parts, parts2))
+            if fn is ops.elementwise_body:      # scalars are per call
+                args, args2 = args[:-1], args2[:-1]
+            assert all(a is b for a, b in zip(args, args2))
+
+    def test_repetitions_create_no_partitions(self):
+        assert self._launches(2)[1] == self._launches(6)[1]

@@ -1,6 +1,7 @@
 """The paper's three control-determinism violations (Figs. 4-6) as real
 replicated control programs, plus their §3 remedies."""
 
+import functools
 import random
 
 import numpy as np
@@ -200,3 +201,74 @@ class TestArrayArguments:
         rt = Runtime(num_shards=2, backend=backend)
         rt.execute(lambda ctx: self._launch(
             ctx, ((np.arange(4.0), np.int64(3)), np.ones((2, 2)))))
+
+    def test_fresh_argument_objects_do_not_diverge(self, backend):
+        """Objects of a plain class are hashed by identity: the driver's
+        stay alive in its operations, a replica's die after each call, and
+        CPython hands the freed address to the next one.  Every shard must
+        still see one new object per launch."""
+        class Opts:
+            def __init__(self, alpha):
+                self.alpha = alpha
+
+        def body(point, tile, opts):
+            tile["x"].view[...] += opts.alpha
+
+        def main(ctx):
+            r, tiles = _scaffold(ctx)
+            for _ in range(6):
+                ctx.index_launch(body, range(4), [(tiles, "x", "rw")],
+                                 args=(Opts(1.0),))
+            return r
+
+        rt = Runtime(num_shards=2, backend=backend)
+        r = rt.execute(main)
+        assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 6.0).all()
+
+
+class TestUnnamedTaskFunctions:
+    """A task is identified across shards by its function's name and
+    definition site; a callable without one is refused up front."""
+
+    @staticmethod
+    def _body(point, tile, alpha):
+        tile["x"].view[...] += alpha
+
+    class _Callable:
+        def __call__(self, point, tile):
+            pass
+
+    @pytest.mark.parametrize("fn", [
+        functools.partial(_body.__func__, alpha=1.0), _Callable()],
+        ids=["partial", "callable-object"])
+    @pytest.mark.parametrize("launch", ["launch", "index_launch"])
+    def test_rejected_with_a_type_error_naming_args(self, fn, launch):
+        def main(ctx):
+            r, tiles = _scaffold(ctx)
+            if launch == "launch":
+                ctx.launch(fn, [(r, "x", "rw")])
+            else:
+                ctx.index_launch(fn, range(4), [(tiles, "x", "rw")])
+
+        with pytest.raises(TypeError, match="args="):
+            Runtime(num_shards=2).execute(main)
+
+
+def _read_tile(point, tile):
+    return None
+
+
+def test_a_domain_hashes_as_its_points_whatever_its_type():
+    """A frontend's memoised tuple domain, a list and a ``range`` are the
+    same launch on the wire: a range is never interned as an object."""
+    def digests(domain):
+        def main(ctx):
+            _r, tiles = _scaffold(ctx)
+            ctx.index_launch(_read_tile, domain, [(tiles, "x", "ro")])
+
+        rt = Runtime(num_shards=2)
+        rt.execute(main)
+        return rt.determinism_digests()
+
+    assert digests(range(4)) == digests([0, 1, 2, 3]) \
+        == digests((0, 1, 2, 3))

@@ -546,9 +546,12 @@ def test_runtime_has_one_recovery_story():
 
 # -- analysis state belongs to the stage that uses it -------------------------
 
-#: Every process-wide memo or table under the core, the regions and the
-#: oracle, with why sharing it between pipelines (and their threads) is
-#: safe.  Anything else an analysis memoizes belongs to its stage.
+#: Every process-wide memo or table under the core, the regions, the
+#: oracle, the runtime and the array frontend, with why sharing it between
+#: pipelines (and their threads) is safe.  Anything else an analysis
+#: memoizes belongs to its stage, and what a shard memoizes while lowering
+#: and hashing its calls belongs to its ``Context``, ``LegateContext`` or
+#: ``ShardHasher``.
 PROCESS_WIDE_MEMOS = {
     "regions/cache.py:_alias_cache":
         "may-alias of a region-uid pair never changes: racing writers "
@@ -575,6 +578,18 @@ PROCESS_WIDE_MEMOS = {
         "a constant dispatch table, never written after import",
     "core/determinism.py:_KINDS":
         "a constant type-tag table, never written after import",
+    "runtime/runtime.py:PRIVILEGES":
+        "a constant table of privilege specs, never written after import",
+    "legate/ops.py:KERNELS":
+        "a constant kernel registry, never written after import",
+    "legate/fuzz.py:_BINARY_NP":
+        "a constant table of the fuzz tier's NumPy reference operators",
+    "legate/fuzz.py:_BINARY_DEF":
+        "a constant table of the fuzz tier's deferred-array operators",
+    "legate/fuzz.py:_UNARY_NP":
+        "a constant table of the fuzz tier's NumPy reference operators",
+    "legate/fuzz.py:_UNARY_DEF":
+        "a constant table of the fuzz tier's deferred-array operators",
 }
 
 _MUTABLE_LITERALS = (ast.Dict, ast.DictComp, ast.Set, ast.SetComp,
@@ -646,7 +661,8 @@ def test_no_table_generations_or_clearer_registry():
 
 def test_process_wide_memos_are_listed():
     found = {}
-    trees = dict(_trees(("core/", "regions/", "oracle/")))
+    trees = dict(_trees(("core/", "regions/", "oracle/", "legate/",
+                         "runtime/")))
     for rel, tree in trees.items():
         for name, line in _module_level_state(tree):
             found[f"{rel}:{name}"] = line
