@@ -79,6 +79,12 @@ class ClassTable:
         # memo, a flat dict that skips the shared PairCache's method call
         # and hit accounting on the retirement hot path.
         self.contains: Dict[Tuple[Hashable, int], bool] = {}
+        # A launch class is the tuple of a group requirement's point class
+        # ids; ``masks`` maps a packed (bucket class, launch class) to the
+        # positions of the launch's points whose decision is a conflict.
+        self._launch_ids: Dict[Tuple[int, ...], int] = {}
+        self._launch_reps: List[Tuple[int, ...]] = []
+        self.masks: Dict[int, Tuple[int, ...]] = {}
 
     def intern(self, req, region: LogicalRegion) -> int:
         """Class id of ``(req, region)``; a new class past
@@ -114,6 +120,48 @@ class ClassTable:
             self.decisions.clear()
         self.decisions[(bcid << CLASS_BITS) | qcid] = hit
         return hit
+
+    def launch_class(self, reqs) -> int:
+        """Launch class id of one group requirement's point requirements
+        (each classed by its own region): the interned tuple of their class
+        ids.  Past :attr:`max_classes` it would collide in the packed mask
+        keys, so it is an error, as in :meth:`intern`."""
+        tag, token = self._tag, self._token
+        qcids = []
+        for req in reqs:
+            cached = getattr(req, tag, None)
+            qcids.append(cached[1] if cached is not None
+                         and cached[0] == token
+                         else self.class_of(req, req.region))
+        qcids = tuple(qcids)
+        lcid = self._launch_ids.get(qcids)
+        if lcid is None:
+            lcid = len(self._launch_reps)
+            if lcid >= self.max_classes:
+                raise OverflowError(
+                    f"{self._tag}: more than {self.max_classes} launch "
+                    f"classes in one analysis")
+            self._launch_ids[qcids] = lcid
+            self._launch_reps.append(qcids)
+        return lcid
+
+    def mask(self, bcid: int, lcid: int) -> Tuple[int, ...]:
+        """Compute-and-memoize the positions of a launch's points that
+        conflict with bucket class ``bcid``, each from the per-pair
+        :attr:`decisions` — so the truth values are those of :meth:`decide`
+        by construction."""
+        decisions = self.decisions
+        hits = []
+        for i, qcid in enumerate(self._launch_reps[lcid]):
+            hit = decisions.get((bcid << CLASS_BITS) | qcid)
+            if hit is None:
+                hit = self.decide(bcid, qcid)
+            if hit:
+                hits.append(i)
+        if len(self.masks) >= _MAX_DECISIONS:
+            self.masks.clear()
+        mask = self.masks[(bcid << CLASS_BITS) | lcid] = tuple(hits)
+        return mask
 
 
 # A retirement bound: one region, or the union of pairwise-disjoint regions
@@ -184,26 +232,30 @@ class Epoch:
     makes one flat-table decision per bucket and returns the buckets that
     hit; the caller folds their ``users`` into a set, or merges their
     ``entries`` by insertion index when it needs the naive scan's order.
+    A *read* epoch enters each ``(user, req)`` once and keeps the
+    membership set that dedupe needs; a write epoch keeps none.
     """
 
     __slots__ = ("_table", "_buckets", "_members", "_op_counts", "_next",
                  "_size", "_reduce_size")
 
-    def __init__(self, table: ClassTable) -> None:
+    def __init__(self, table: ClassTable, dedupe: bool = False) -> None:
         self._table = table
         self._buckets: Dict[int, Bucket] = {}
-        self._members: Set[Tuple] = set()      # (user, req) for dedupe
+        # (user, req) already entered; read epochs only
+        self._members: Optional[Set[Tuple]] = set() if dedupe else None
         self._op_counts: Dict[int, int] = {}   # id(op) -> live entry count
         self._next = 0
         self._size = 0
         self._reduce_size = 0   # entries in reduce buckets (reduce_only scans)
 
-    def add(self, op, user, req, region: LogicalRegion,
-            unique: bool = False) -> None:
-        key = (user, req)
-        if unique and key in self._members:
-            return
-        self._members.add(key)
+    def add(self, op, user, req, region: LogicalRegion) -> None:
+        members = self._members
+        if members is not None:
+            held = len(members)
+            members.add((user, req))
+            if len(members) == held:
+                return
         cid = self._table.class_of(req, region)
         b = self._buckets.get(cid)
         if b is None:
@@ -242,6 +294,32 @@ class Epoch:
         # Every (reduce) entry is visited, so the scan count is a size.
         return (self._reduce_size if reduce_only else self._size), hits
 
+    def match_launch(self, op, lcid: int, reduce_only: bool = False
+                     ) -> Optional[Tuple[int, List[Tuple[Bucket,
+                                                       Tuple[int, ...]]]]]:
+        """:meth:`match` for every point of a launch at once, given the
+        launch class of one of its requirements: (entries each point
+        scans, ``(bucket, positions of the points it conflicts with)`` per
+        bucket that some point hits), buckets in :meth:`match`'s order.
+        ``None`` when the epoch holds entries of ``op`` itself (a
+        re-analysed op): the caller then matches point by point."""
+        if reduce_only and not self._reduce_size:
+            return 0, []
+        if id(op) in self._op_counts:
+            return None
+        table = self._table
+        masks = table.masks
+        found = []
+        for b in self._buckets.values():
+            if reduce_only and not b.is_reduce:
+                continue
+            mask = masks.get((b.cid << CLASS_BITS) | lcid)
+            if mask is None:
+                mask = table.mask(b.cid, lcid)
+            if mask:
+                found.append((b, mask))
+        return (self._reduce_size if reduce_only else self._size), found
+
     def _match_with_self(self, op, qcid: int, reduce_only: bool
                          ) -> Tuple[int, List[Bucket]]:
         """Slow path preserving the naive same-op skip semantics (users of
@@ -271,7 +349,7 @@ class Epoch:
         group launch's pieces).  Group retirement spares the retiring
         launch's own users: those whose ``id`` is in ``keep_ids``."""
         if isinstance(bound, tuple):
-            bkey: Hashable = tuple(r.uid for r in bound)
+            bkey: Hashable = tuple([r.uid for r in bound])
             decide = _union_contains
         else:
             bkey = bound.uid
@@ -293,12 +371,16 @@ class Epoch:
 
     def _retire_bucket(self, cid: int, keep_ids: Optional[Set[int]]) -> None:
         b = self._buckets[cid]
-        keep = [e for e in b.entries if id(e[2]) in keep_ids] \
-            if keep_ids else []
-        dropped = [e for e in b.entries if id(e[2]) not in keep_ids] \
-            if keep else b.entries
+        keep: List[Tuple] = []
+        dropped = b.entries
+        if keep_ids:
+            dropped = []
+            for e in b.entries:
+                (keep if id(e[2]) in keep_ids else dropped).append(e)
+        members = self._members
         for _index, op, user, req in dropped:
-            self._members.discard((user, req))
+            if members is not None:
+                members.discard((user, req))
             opid = id(op)
             n = self._op_counts.get(opid, 0) - 1
             if n <= 0:
@@ -325,24 +407,27 @@ class FieldState:
 
     def __init__(self, table: ClassTable) -> None:
         self.write_epoch = Epoch(table)
-        self.read_epoch = Epoch(table)
+        self.read_epoch = Epoch(table, dedupe=True)
 
-    def scan(self, op, req, region: LogicalRegion
-             ) -> Tuple[int, List[List[Bucket]]]:
-        """The scan rule: (entries scanned, hit buckets per probed epoch).
+    def probes(self, priv) -> Tuple[Tuple[Epoch, bool], ...]:
+        """The scan rule: the ``(epoch, reduce_only)`` pairs a requirement
+        of privilege ``priv`` is checked against, in scan order.
 
         Writers and reducers are checked against both epochs (a reducer
         conflicts with writers and with different-op reducers/readers);
         readers against the write epoch and the reducers parked in the
         read epoch."""
-        priv = req.privilege
         if priv.writes or priv.is_reduce:
-            probes = ((self.read_epoch, False), (self.write_epoch, False))
-        else:
-            probes = ((self.write_epoch, False), (self.read_epoch, True))
+            return ((self.read_epoch, False), (self.write_epoch, False))
+        return ((self.write_epoch, False), (self.read_epoch, True))
+
+    def scan(self, op, req, region: LogicalRegion
+             ) -> Tuple[int, List[List[Bucket]]]:
+        """(entries scanned, hit buckets per probed epoch) under
+        :meth:`probes`."""
         scanned = 0
         found = []
-        for epoch, reduce_only in probes:
+        for epoch, reduce_only in self.probes(req.privilege):
             if epoch._size:
                 n, hits = epoch.match(op, req, region, reduce_only)
                 scanned += n
@@ -362,7 +447,7 @@ class FieldState:
                 self.retire(region)
             self.write_epoch.add(op, user, req, region)
         else:
-            self.read_epoch.add(op, user, req, region, unique=True)
+            self.read_epoch.add(op, user, req, region)
 
     def retire(self, bound: Bound,
                keep_ids: Optional[Set[int]] = None) -> None:

@@ -1,24 +1,38 @@
 """Fine-stage dependence analysis (paper §4.1, Fig. 9 bottom).
 
 Once an operation's coarse dependences are satisfied it enters the fine
-stage, where each shard evaluates the sharding function and performs the
-*precise* point-level dependence analysis — but only for the points it owns.
-The union of all shards' fine analyses (plus the ordering provided by
-cross-shard fences) reproduces exactly the task graph a sequential analysis
-of the fully expanded program would compute.
+stage, where in the paper each shard evaluates the sharding function and
+performs the *precise* point-level dependence analysis for the points it
+owns.  The union of all shards' fine analyses (plus the ordering provided
+by cross-shard fences) reproduces exactly the task graph a sequential
+analysis of the fully expanded program would compute.
 
-This module computes that precise point graph with per-shard cost
-attribution, classifies edges as shard-local vs. cross-shard, and provides
-the soundness check used by the test-suite: every cross-shard point
-dependence must be covered by a fence the coarse stage inserted (otherwise
-an elision was wrong).
+This module computes that precise point graph, classifies edges as
+shard-local vs. cross-shard, and provides the soundness check used by the
+test-suite: every cross-shard point dependence must be covered by a fence
+the coarse stage inserted (otherwise an elision was wrong).  It is not yet
+local: one :class:`FineAnalysis` analyses **every** shard's points and
+attributes each point's work and edges to the shard that owns it
+(ROADMAP item 1 is what makes the analysis local).
+
+Launch granularity: the points of a group launch are pairwise
+independent, so a launch is one arrival.  The epochs are walked once per
+(requirement, field, probed epoch) per launch; a bucket's verdict for all
+the launch's points is one probe of a memo keyed by (bucket class, launch
+class) — the launch class being the interned tuple of the points' class
+ids — that is computed from the per-pair decisions.  Each point's hits are
+gathered in per-point order (requirement, field, epoch, bucket), so its
+dependence set and the edge order are those of a point-by-point scan.  A
+launch never scans its own entries, so every point is charged the probed
+epoch's size, as the per-point loop reported.
 
 Scaling note: the point epochs are the shared index of
 :mod:`repro.core.epochs`, instantiated here with the fine class key
 ``(privilege, region uid, field ids)`` — the exact inputs of the pairwise
 requirement test — and ``requirements_conflict`` as the decision, so a scan
 makes one packed-int dict probe per bucket instead of one oracle call per
-entry (that call chain dominated the whole analysis at 1024+ ops).
+entry (that call chain dominated the whole analysis at 1024+ ops), and one
+per bucket per launch rather than per point.
 ``scans_per_shard`` still counts one unit per epoch entry visited,
 identical to the naive per-entry loop (pinned by the differential tests
 against tests/helpers.py).  What keeps the epochs — and with them scans
@@ -30,7 +44,7 @@ write retires every older user inside the union of the pieces it wrote
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
@@ -93,27 +107,27 @@ class FineAnalysis:
     def analyze(self, op: Operation) -> List[PointTask]:
         self.last_op_edges = []
         tasks: List[PointTask] = []
-        for point in op.points():
+        points = self.result.points_per_shard
+        cross_before = len(self.result.cross_edges)
+        for point, reqs in zip(op.points(), op.launch_requirements()):
             shard = op.shard_of(point, self.num_shards)
-            task = PointTask(op, point, shard)
-            tasks.append(task)
-            self.result.points_per_shard[shard] = \
-                self.result.points_per_shard.get(shard, 0) + 1
+            tasks.append(PointTask(op, point, shard, reqs))
+            points[shard] = points.get(shard, 0) + 1
         # Points within one group launch are pairwise independent by
         # construction (the group-launch well-formedness condition), so they
-        # are analyzed against prior state only, mirroring how each shard's
-        # fine stage treats a whole group as one arrival.
-        for task in tasks:
-            self._analyze_point(task)
+        # are analyzed against prior state only: the whole group is one
+        # arrival, and the epochs are walked once per (requirement, field).
+        self._analyze_launch(op, tasks)
         self._update(op, tasks)
         prof = self.profiler
         if prof.enabled:
             m = prof.metrics
             m.count("fine.points", len(tasks))
             m.count("fine.edges", len(self.last_op_edges))
+            # an op analysed once only adds edges into its own new points,
+            # so the set grew by exactly its cross edges
             m.count("fine.cross_edges",
-                    sum(1 for a, b in self.last_op_edges
-                        if a.shard != b.shard))
+                    len(self.result.cross_edges) - cross_before)
         return tasks
 
     def register_replayed(self, op: Operation,
@@ -145,71 +159,123 @@ class FineAnalysis:
         tiles are never retired and the fine analysis turns quadratic in
         program length.
         """
+        if not tasks:
+            return
         grouped = [k for k, cr in enumerate(op.coarse_reqs)
                    if cr.privilege.writes and isinstance(cr.upper, Partition)
                    and cr.upper.disjoint] if op.is_group else ()
+        # Every point of requirement k touches the same (tree, field)
+        # states; they are looked up (and made, in the per-point order)
+        # once per launch, and the points still enter them one by one.
+        states = self._state
+        plan = []
+        for k, req in enumerate(tasks[0].requirements):
+            tree_id = req.region.tree_id
+            targets = []
+            for fid in sorted_fids(req):
+                state = states.get((tree_id, fid))
+                if state is None:
+                    state = states[(tree_id, fid)] = FieldState(self._classes)
+                targets.append(state)
+            plan.append((k, k not in grouped, targets))
         for task in tasks:
-            self._update_point(task, grouped)
-        if not (grouped and tasks):
+            reqs = task.requirements
+            for k, retire, targets in plan:
+                req = reqs[k]
+                region = req.region
+                for state in targets:
+                    state.update(op, task, req, region, retire)
+        if not grouped:
             return
         own = {id(t) for t in tasks}
         for k in grouped:
             cr = op.coarse_reqs[k]
             tree_id = cr.upper.parent_region.tree_id
             pieces = tuple(dict.fromkeys(
-                t.requirements[k].region for t in tasks))
+                [t.requirements[k].region for t in tasks]))
             for fid in sorted_fids(cr):
                 self._state[(tree_id, fid)].retire(pieces, own)
 
-    def _analyze_point(self, task: PointTask) -> None:
+    def _analyze_launch(self, op: Operation, tasks: List[PointTask]) -> None:
+        """Find every point's dependences on the prior epoch state in one
+        walk per (requirement, field, probed epoch).
+
+        A bucket's decision for all the launch's points at once is one
+        memoized mask lookup keyed by (bucket class, launch class).  Each
+        point's hits are gathered in the per-point order — requirement,
+        field, epoch, bucket — so its dependence set is built by the same
+        insertion sequence, and the edges come out in the same order, as
+        when every point was scanned on its own.  A launch never scans its
+        own entries, so each point is charged the probed epoch's size."""
         result = self.result
-        result.graph.tasks.add(task)
-        deps: Set[PointTask] = set()
+        result.graph.tasks.update(tasks)
+        if not tasks:
+            return
         states = self._state
-        scans = result.scans_per_shard
-        op = task.op
-        tshard = task.shard
-        for req in task.requirements:
-            region = req.region
-            tree_id = region.tree_id
-            for fid in sorted_fids(req):
+        table = self._classes
+        deps: List[Optional[Set[PointTask]]] = [None] * len(tasks)
+        scanned = 0
+        for k, cr in enumerate(op.coarse_reqs):
+            reqs = [t.requirements[k] for t in tasks]
+            tree_id = reqs[0].region.tree_id
+            lcid = -1
+            for fid in sorted_fids(cr):
                 state = states.get((tree_id, fid))
                 if state is None:
                     continue
-                scanned, found = state.scan(op, req, region)
-                if scanned:
-                    scans[tshard] = scans.get(tshard, 0) + scanned
-                for hits in found:
-                    for b in hits:
-                        deps.update(b.users)
-        if not deps:
-            return
+                for epoch, reduce_only in state.probes(cr.privilege):
+                    if not epoch._size:
+                        continue
+                    if lcid < 0:
+                        lcid = table.launch_class(reqs)
+                    matched = epoch.match_launch(op, lcid, reduce_only)
+                    if matched is None:
+                        scanned += self._match_points(epoch, op, reqs,
+                                                      reduce_only, deps)
+                        continue
+                    n, found = matched
+                    scanned += n
+                    for b, mask in found:
+                        for i in mask:
+                            d = deps[i]
+                            if d is None:
+                                d = deps[i] = set()
+                            d.update(b.users)
+        scans = result.scans_per_shard
+        if scanned:
+            for task in tasks:
+                scans[task.shard] = scans.get(task.shard, 0) + scanned
         graph_deps = result.graph.deps
-        local_add = result.local_edges.add
-        cross_add = result.cross_edges.add
-        edge_append = self.last_op_edges.append
-        for prev in deps:
-            edge = (prev, task)
-            graph_deps.add(edge)
-            edge_append(edge)
-            if prev.shard == tshard:
-                local_add(edge)
-            else:
-                cross_add(edge)
+        op_edges = self.last_op_edges
+        for task, d in zip(tasks, deps):
+            if not d:
+                continue
+            tshard = task.shard
+            edges = [(prev, task) for prev in d]
+            graph_deps.update(edges)
+            op_edges += edges
+            result.local_edges.update(
+                [e for e in edges if e[0].shard == tshard])
+            result.cross_edges.update(
+                [e for e in edges if e[0].shard != tshard])
 
-    def _update_point(self, task: PointTask,
-                      grouped: Sequence[int]) -> None:
-        op = task.op
-        for k, req in enumerate(task.requirements):
-            region = req.region
-            tree_id = region.tree_id
-            retire = k not in grouped
-            for fid in sorted_fids(req):
-                key = (tree_id, fid)
-                state = self._state.get(key)
-                if state is None:
-                    state = self._state[key] = FieldState(self._classes)
-                state.update(op, task, req, region, retire)
+    @staticmethod
+    def _match_points(epoch, op: Operation, reqs: List[RegionRequirement],
+                      reduce_only: bool,
+                      deps: List[Optional[Set[PointTask]]]) -> int:
+        """Per-point matching for an epoch that holds entries of ``op``
+        itself (a re-analysed op), which every point must skip; returns
+        the entries one point scans (the skip does not depend on the
+        point)."""
+        scanned = 0
+        for i, req in enumerate(reqs):
+            scanned, hits = epoch.match(op, req, req.region, reduce_only)
+            for b in hits:
+                d = deps[i]
+                if d is None:
+                    d = deps[i] = set()
+                d.update(b.users)
+        return scanned
 
     # -- soundness of fence elision ------------------------------------------------
 

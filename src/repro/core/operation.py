@@ -16,9 +16,9 @@ stable ids so the fence-elision proof can compare them symbolically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import (Callable, Dict, Hashable, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..oracle import Privilege, RegionRequirement
 from ..regions import Field, LogicalRegion, Partition
@@ -77,12 +77,21 @@ class CoarseRequirement:
     (group launches) — in both cases a region-tree upper bound of everything
     the operation's points touch.  ``projection`` refines a partition to a
     per-point subregion in the fine stage.
+
+    The concrete requirement of each point is memoised per partition
+    colour (:meth:`point_requirements`), so a requirement object that is
+    reused across launches — as a ``Context`` reuses one per call-site
+    shape — builds each point requirement once, and the class tags and
+    sorted field ids cached on those stay warm from launch to launch.
     """
 
     upper: Union[LogicalRegion, Partition]
     fields: frozenset
     privilege: Privilege
     projection: Optional[ProjectionFunction] = None
+    # colour -> RegionRequirement; a region target has the one key None
+    _by_colour: Dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def bound_region(self) -> LogicalRegion:
         """The region-tree node that over-approximates the footprint."""
@@ -90,13 +99,53 @@ class CoarseRequirement:
             return self.upper.parent_region
         return self.upper
 
-    def point_region(self, point: Hashable,
-                     launch_domain: Tuple[Hashable, ...]) -> LogicalRegion:
-        """The concrete subregion used by one launch point."""
-        if isinstance(self.upper, Partition):
-            proj = self.projection or IDENTITY_PROJECTION
-            return self.upper[proj(point, launch_domain)]
-        return self.upper
+    def point_requirements(self, points: Sequence[Hashable],
+                           launch_domain: Tuple[Hashable, ...]
+                           ) -> Tuple[RegionRequirement, ...]:
+        """The concrete requirement each of ``points`` uses, memoised per
+        projected colour: bounded by the partition's size, not by the
+        launch domains seen.  A region target has the one key ``None``."""
+        memo = self._by_colour
+        upper = self.upper
+        if not isinstance(upper, Partition):
+            req = memo.get(None)
+            if req is None:
+                req = memo[None] = RegionRequirement(upper, self.fields,
+                                                     self.privilege)
+            return (req,) * len(points)
+        proj = self.projection
+        if proj is not None and proj is not IDENTITY_PROJECTION:
+            points = [proj(p, launch_domain) for p in points]
+        reqs = []
+        for colour in points:
+            req = memo.get(colour)
+            if req is None:
+                req = memo[colour] = RegionRequirement(
+                    upper[colour], self.fields, self.privilege)
+            reqs.append(req)
+        return tuple(reqs)
+
+    def check_domain(self, launch_domain: Tuple[Hashable, ...],
+                     name: str) -> None:
+        """Reject a launch point whose projected colour the partition does
+        not have, naming the point, the colour and the partition."""
+        upper = self.upper
+        if not isinstance(upper, Partition):
+            return
+        proj = self.projection
+        colours = upper.subregions
+        if proj is None or proj is IDENTITY_PROJECTION:
+            if colours.keys() >= set(launch_domain):
+                return
+            pairs = ((p, p) for p in launch_domain)
+        else:
+            pairs = ((p, proj(p, launch_domain)) for p in launch_domain)
+        for point, colour in pairs:
+            if colour not in colours:
+                raise ValueError(
+                    f"{name}: launch point {point!r} projects to colour "
+                    f"{colour!r}, which partition {upper.name} does not "
+                    f"have (colours {sorted(colours, key=repr)})")
 
 
 class Operation:
@@ -119,8 +168,10 @@ class Operation:
         self.coarse_reqs = tuple(coarse_reqs)
         self.launch_domain: Optional[Tuple[Hashable, ...]] = (
             tuple(launch_domain) if launch_domain is not None else None)
-        if self.launch_domain is not None and sharding is None:
-            raise ValueError("group launches require a sharding function")
+        if self.launch_domain is not None:
+            if sharding is None:
+                raise ValueError("group launches require a sharding function")
+            self._check_domain()
         self.sharding = sharding
         self.owner_shard = owner_shard   # for individual (non-group) ops
         self.body = body                 # executed per point by the runtime
@@ -128,7 +179,20 @@ class Operation:
         self.fill_value = None           # for kind == "fill"
         self.cost = cost                 # modeled execution time per point (s)
         self.seq: int = -1               # program-order index, set by pipeline
-        self._preqs: Dict = {}           # point -> requirements memo
+
+    def _check_domain(self) -> None:
+        """A launch names each point once, and every point projects to a
+        colour of every partition it names — checked here, before the op
+        enters either analysis stage."""
+        dom = self.launch_domain
+        if len(set(dom)) != len(dom):
+            seen: set = set()
+            repeated = next(p for p in dom if p in seen or seen.add(p))
+            raise ValueError(
+                f"{self.name}: launch domain names point {repeated!r} "
+                f"more than once")
+        for cr in self.coarse_reqs:
+            cr.check_domain(dom, self.name)
 
     # -- group structure ------------------------------------------------------
 
@@ -147,28 +211,29 @@ class Operation:
 
     def shard_of(self, point: Hashable, num_shards: int) -> int:
         """The shard that owns analysis of the given launch point."""
-        if not self.is_group:
+        dom = self.launch_domain
+        if dom is None:
             return self.owner_shard % num_shards
         assert self.sharding is not None
-        return self.sharding(point, len(self.launch_domain or ()), num_shards)
+        return self.sharding(point, len(dom), num_shards)
 
     def point_requirements(self, point: Hashable) -> Tuple[RegionRequirement, ...]:
-        """Concrete region requirements for one point task.
+        """Concrete region requirements for one point task, read from each
+        coarse requirement's per-colour memo (requirements are immutable
+        value objects, so one per colour serves every launch)."""
+        dom = self.launch_domain or ()
+        return tuple([cr.point_requirements((point,), dom)[0]
+                      for cr in self.coarse_reqs])
 
-        Memoized per point: requirements are immutable value objects, and
-        the fine stage (plus every differential reference) materializes the
-        same point repeatedly — once per shard replica at minimum.
-        """
-        reqs = self._preqs.get(point)
-        if reqs is None:
-            dom = self.launch_domain or ()
-            reqs = tuple(
-                RegionRequirement(cr.point_region(point, dom), cr.fields,
-                                  cr.privilege)
-                for cr in self.coarse_reqs
-            )
-            self._preqs[point] = reqs
-        return reqs
+    def launch_requirements(self) -> List[Tuple[RegionRequirement, ...]]:
+        """:meth:`point_requirements` of every point, in :meth:`points`
+        order, built one coarse requirement at a time."""
+        points = self.points()
+        if not self.coarse_reqs:
+            return [()] * len(points)
+        dom = self.launch_domain or ()
+        return list(zip(*[cr.point_requirements(points, dom)
+                          for cr in self.coarse_reqs]))
 
     def __repr__(self) -> str:  # pragma: no cover
         dom = f", |dom|={len(self.launch_domain)}" if self.is_group else ""
@@ -185,7 +250,8 @@ class PointTask:
         self.op = op
         self.point = point
         self.shard = shard
-        # A trace replay passes the recorded point's requirements: the
+        # The fine stage passes the requirements it built for the whole
+        # launch; a trace replay passes the recorded point's, since the
         # signature it matched determines every field of them.
         self.requirements = op.point_requirements(point) \
             if requirements is None else requirements

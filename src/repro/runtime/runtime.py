@@ -32,8 +32,7 @@ import numpy as np
 
 from ..core import (CoarseRequirement, Collectives, DCRPipeline,
                     DeferredOpManager, DeterminismMonitor,
-                    IDENTITY_PROJECTION, Operation, PointTask,
-                    ProjectionFunction)
+                    IDENTITY_PROJECTION, Operation, PointTask)
 from ..core.determinism import ControlDeterminismViolation, stream_digest
 from ..core.rng import CounterRNG
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
@@ -424,9 +423,10 @@ class Context:
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False
-        # Lowered requirements per (group launch?, reqs spec), while no
-        # field has been removed since they were built.
-        self._lowered: Dict[Tuple[bool, Tuple], Tuple[list, tuple]] = {}
+        # Coarse requirements and launch descriptor per (group launch?,
+        # reqs spec), while no field has been removed since they were built.
+        self._lowered: Dict[Tuple[bool, Tuple],
+                            Tuple[Tuple[CoarseRequirement, ...], Tuple]] = {}
         self._lowered_at = runtime.fields_removed
 
     @property
@@ -642,15 +642,15 @@ class Context:
     # -- task launches -------------------------------------------------------------------------
 
     def _lower_reqs(self, reqs: Sequence[Tuple], group: bool
-                    ) -> Tuple[List[Tuple[Union[LogicalRegion, Partition],
-                                          frozenset, Privilege,
-                                          Optional[ProjectionFunction]]],
-                               Tuple]:
-        """Normalised requirements and the descriptor a launch hashes.
+                    ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple]:
+        """The launch's coarse requirements and the descriptor it hashes.
 
-        Memoised per hashable ``reqs`` spec (the descriptor is then the same
-        tuple every time, which the hasher's skeleton reuses); a spec with
-        an unhashable part, such as a list of field names, is lowered anew.
+        Memoised per hashable ``reqs`` spec: the descriptor is then the same
+        tuple every time, which the hasher's skeleton reuses, and so are
+        the ``CoarseRequirement`` objects, whose per-colour point
+        requirements (and the analysis stages' class tags on both) persist
+        from launch to launch.  A spec with an unhashable part, such as a
+        list of field names, is lowered anew.
         """
         if self._lowered_at != self.runtime.fields_removed:
             self._lowered.clear()
@@ -666,25 +666,31 @@ class Context:
 
     @staticmethod
     def _lower_reqs_uncached(reqs: Sequence[Tuple], group: bool
-                             ) -> Tuple[list, Tuple]:
+                             ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple]:
         norm = []
         for spec in reqs:
             target, fields, priv = spec[0], spec[1], _privilege(spec[2])
+            is_part = isinstance(target, Partition)
+            if is_part and not group:
+                raise TypeError(
+                    f"launch() takes a region, not partition {target.name}: "
+                    f"use index_launch() to launch one point per colour")
             proj = spec[3] if len(spec) > 3 else IDENTITY_PROJECTION
-            fspace = (target.parent_region.field_space
-                      if isinstance(target, Partition)
+            fspace = (target.parent_region.field_space if is_part
                       else target.field_space)
             names = [fields] if isinstance(fields, str) else sorted(fields)
             fobjs = frozenset(fspace[n] for n in names)
-            norm.append((target, fobjs, priv,
-                         proj if isinstance(target, Partition) else None))
+            norm.append(CoarseRequirement(target, fobjs, priv,
+                                          proj if is_part else None))
         if group:
-            desc = tuple((t, tuple(sorted(f.name for f in fl)), p.kind.value,
-                          pr.pid if pr else -1) for t, fl, p, pr in norm)
+            desc = tuple((cr.upper, tuple(sorted(f.name for f in cr.fields)),
+                          cr.privilege.kind.value,
+                          cr.projection.pid if cr.projection else -1)
+                         for cr in norm)
         else:
-            desc = tuple((t, tuple(sorted(f.name for f in fl)), p.kind.value)
-                         for t, fl, p, _ in norm)
-        return norm, desc
+            desc = tuple((cr.upper, tuple(sorted(f.name for f in cr.fields)),
+                          cr.privilege.kind.value) for cr in norm)
+        return tuple(norm), desc
 
     @staticmethod
     def _task_key(fn: Callable) -> str:
@@ -717,13 +723,13 @@ class Context:
         is hashed by *handle*, not value, so shards stay deterministic.
         """
         key = self._task_key(fn)
-        norm, desc = self._lower_reqs(reqs, group=False)
+        coarse_reqs, desc = self._lower_reqs(reqs, group=False)
         self._record("launch", key, desc, list(args), list(future_args),
                      owner_shard)
         def do() -> Future:
             op = Operation(
                 "task",
-                [CoarseRequirement(t, fl, p, pr) for t, fl, p, pr in norm],
+                coarse_reqs,
                 owner_shard=owner_shard % self.num_shards,
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
@@ -748,7 +754,7 @@ class Context:
         any other is hashed as a list of its points.
         """
         key = self._task_key(fn)
-        norm, desc = self._lower_reqs(reqs, group=True)
+        coarse_reqs, desc = self._lower_reqs(reqs, group=True)
         if type(domain) is not tuple:
             domain = list(domain)
         if not domain:
@@ -761,7 +767,7 @@ class Context:
         def do() -> FutureMap:
             op = Operation(
                 "task",
-                [CoarseRequirement(t, fl, p, pr) for t, fl, p, pr in norm],
+                coarse_reqs,
                 launch_domain=domain,
                 sharding=sharding,
                 name=fn.__name__, body=fn, cost=cost)

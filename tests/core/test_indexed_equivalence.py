@@ -402,6 +402,11 @@ PROJECTIONS = [
     ProjectionFunction(7311, "rotate1", lambda p, dom: (p + 1) % 4),
     ProjectionFunction(7312, "rotate2", lambda p, dom: (p + 2) % 4),
 ]
+# Read-only requirements may also project every point onto colour 0: the
+# points of one launch then share a region, which only readers may do.
+READ_PROJECTIONS = PROJECTIONS + [
+    ProjectionFunction(7313, "colour0", lambda p, dom: 0),
+]
 
 
 def build_sliced_env():
@@ -459,12 +464,28 @@ def build_sliced_env():
     return [(fs, cells, line), (gfs, grid, plane), (nfs, nodes, cloud)]
 
 
-def build_sliced_ops(env, specs):
+def build_sliced_ops(env, specs, share=False):
     """Well-formed programs over :func:`build_sliced_env`: group launches
     write only through disjoint partitions, over any non-empty part of the
-    colour space and through any of :data:`PROJECTIONS`; a launch's second
-    requirement names the other field, so its points stay independent."""
+    colour space and through any of :data:`PROJECTIONS` (read-only
+    requirements through any of :data:`READ_PROJECTIONS`); a launch's
+    second requirement names the other field, so its points stay
+    independent.  Under ``share`` equal coarse requirements are one object
+    across ops, as a ``Context`` hands them out per call-site shape."""
     ops = []
+    shared = {}
+
+    def coarse(*args):
+        cr = CoarseRequirement(*args)
+        return shared.setdefault(cr, cr) if share else cr
+
+    def group_req(p, fields, privilege, proj, line):
+        projections = READ_PROJECTIONS if privilege == READ_ONLY \
+            else PROJECTIONS
+        projection = projections[proj % len(projections)] if line \
+            else IDENTITY_PROJECTION
+        return coarse(p, fields, privilege, projection)
+
     for group, tree, part, priv, fmask, dmask, proj, shard, extra in specs:
         fs, root, parts = env[tree]
         names = [f.name for f in fs.fields]
@@ -479,28 +500,26 @@ def build_sliced_ops(env, specs):
             colors = list(p.colors)
             dom = [c for i, c in enumerate(colors) if dmask >> i & 1] \
                 or colors
-            projection = PROJECTIONS[proj] if root.index_space.dim == 1 \
-                else IDENTITY_PROJECTION
+            line = root.index_space.dim == 1
             privs = privileges(p)
-            reqs = [CoarseRequirement(p, first, privs[priv % len(privs)],
-                                      projection)]
+            reqs = [group_req(p, first, privs[priv % len(privs)], proj, line)]
             if extra % 2:
                 q = parts[extra % len(parts)]
                 privs = privileges(q)
-                reqs.append(CoarseRequirement(
-                    q, other, privs[extra % len(privs)], projection))
+                reqs.append(group_req(q, other, privs[extra % len(privs)],
+                                      proj, line))
             ops.append(Operation("task", reqs, launch_domain=dom,
                                  sharding=SHARDINGS[shard % len(SHARDINGS)],
                                  name=f"g{len(ops)}"))
         else:
             regions = [root] + [sub for p in parts for sub in p]
-            reqs = [CoarseRequirement(
+            reqs = [coarse(
                 regions[part % len(regions)],
                 first | other if fmask >= 2 else first,
                 (WRITE_PRIVS + READ_PRIVS)[priv])]
             if extra % 4 == 0:
                 ofs, oroot, _parts = env[(tree + 1) % len(env)]
-                reqs.append(CoarseRequirement(
+                reqs.append(coarse(
                     oroot, frozenset([ofs["state"]]), READ_PRIVS[extra % 3]))
             ops.append(Operation("task", reqs, owner_shard=shard,
                                  name=f"i{len(ops)}"))
@@ -514,7 +533,7 @@ def sliced_specs(min_size, max_size):
         st.tuples(st.sampled_from([True, True, True, False]),
                   st.sampled_from([0, 0, 1, 2]), st.integers(0, 40),
                   st.integers(0, 4), st.integers(0, 3), st.integers(0, 15),
-                  st.integers(0, 2), st.integers(0, 4), st.integers(0, 11)),
+                  st.integers(0, 3), st.integers(0, 4), st.integers(0, 11)),
         min_size=min_size, max_size=max_size)
 
 
@@ -535,10 +554,10 @@ class TestGroupRetirement:
     included), and every cross edge it keeps stays fence-covered."""
 
     @settings(max_examples=_PRODUCT_EXAMPLES, **_COMMON)
-    @given(sliced_specs(3, 14), st.integers(1, 5))
-    def test_fresh_analysis_matches_ground_truth(self, specs, shards):
+    @given(sliced_specs(3, 14), st.integers(1, 5), st.booleans())
+    def test_fresh_analysis_matches_ground_truth(self, specs, shards, share):
         try:
-            ops = build_sliced_ops(build_sliced_env(), specs)
+            ops = build_sliced_ops(build_sliced_env(), specs, share)
             coarse, fine = run_indexed(ops, shards)
             assert products(coarse, fine) == \
                 products(*run_naive_analysis(ops, shards))
@@ -546,22 +565,22 @@ class TestGroupRetirement:
                 reachability(brute_force_point_graph(ops, shards))
             assert fine.uncovered_cross_edges(coarse.result) == []
         except AssertionError:
-            note(f"specs={specs!r} shards={shards}")
+            note(f"specs={specs!r} shards={shards} share={share}")
             _dump_artifact(specs, shards, "retirement_failure")
             raise
 
     @settings(max_examples=_COVERS_EXAMPLES, **_COMMON)
     @given(sliced_specs(1, 5), sliced_specs(1, 5), sliced_specs(0, 5),
-           st.integers(1, 5))
+           st.integers(1, 5), st.booleans())
     def test_replayed_fragment_retires_like_fresh_analysis(
-            self, head, body, tail, shards):
+            self, head, body, tail, shards, share):
         """``head, body, body, tail`` with the second ``body`` served by an
         explicit trace replay: ``register_replayed`` leaves exactly the
         epoch state fresh analysis leaves, and whatever the precise graph
         no longer orders is ordered by the replay's entry fence."""
         specs = head + body + body + tail
         try:
-            ops = build_sliced_ops(build_sliced_env(), specs)
+            ops = build_sliced_ops(build_sliced_env(), specs, share)
             start, stop = len(head) + len(body), len(head) + 2 * len(body)
             traced, fresh = DCRPipeline(shards), DCRPipeline(shards)
             for i, op in enumerate(ops):
@@ -580,7 +599,8 @@ class TestGroupRetirement:
             assert all(a.op.seq < start <= b.op.seq for a, b in want - got)
             traced.validate()
         except AssertionError:
-            note(f"specs={specs!r} shards={shards} replayed=[{start},{stop})")
+            note(f"specs={specs!r} shards={shards} share={share} "
+                 f"replayed=[{start},{stop})")
             _dump_artifact(specs, shards, "replay_retirement_failure")
             raise
 
@@ -602,8 +622,10 @@ class EagerPipeline(DCRPipeline):
 def ordered_snapshot(stage):
     """Who is left in a stage's epochs, by program position and in each
     epoch's insertion order (the coarse stage observes it) — after checking
-    the counters every epoch keeps against the entries it holds."""
-    def users(epoch):
+    the counters every epoch keeps against the entries it holds.  Only
+    read epochs dedupe ``(user, req)``, so only they keep a membership
+    set."""
+    def users(epoch, reads):
         held = sorted((e for b in epoch._buckets.values() for e in b.entries),
                       key=lambda e: e[0])
         assert all(b.entries and len(b.users) == len(b.entries)
@@ -611,11 +633,16 @@ def ordered_snapshot(stage):
         assert epoch._size == len(epoch) == len(held)
         assert epoch._reduce_size == sum(
             len(b.entries) for b in epoch._buckets.values() if b.is_reduce)
-        assert epoch._members == {(user, req) for _i, _op, user, req in held}
+        if reads:
+            assert epoch._members == {(user, req)
+                                      for _i, _op, user, req in held}
+        else:
+            assert epoch._members is None
         assert epoch._op_counts == Counter(id(op) for _i, op, _u, _r in held)
         return [(op.seq, getattr(user, "point", None), req)
                 for _index, op, user, req in held]
-    return {key: (users(state.read_epoch), users(state.write_epoch))
+    return {key: (users(state.read_epoch, True),
+                  users(state.write_epoch, False))
             for key, state in stage._state.items()}
 
 

@@ -19,26 +19,27 @@ def env():
 
 class TestProjection:
     def test_identity(self, env):
-        _fs, _region, part = env
-        cr = CoarseRequirement(part, frozenset(), READ_ONLY,
+        fs, _region, part = env
+        cr = CoarseRequirement(part, frozenset([fs["a"]]), READ_ONLY,
                                IDENTITY_PROJECTION)
-        assert cr.point_region(2, (0, 1, 2, 3)) is part[2]
+        assert cr.point_requirements((2,), (0, 1, 2, 3))[0].region is part[2]
 
     def test_custom_projection(self, env):
-        _fs, _region, part = env
+        fs, _region, part = env
         shift = ProjectionFunction(991, "shift",
                                    lambda p, dom: (p + 1) % len(dom))
-        cr = CoarseRequirement(part, frozenset(), READ_ONLY, shift)
-        assert cr.point_region(3, (0, 1, 2, 3)) is part[0]
+        cr = CoarseRequirement(part, frozenset([fs["a"]]), READ_ONLY, shift)
+        assert cr.point_requirements((3,), (0, 1, 2, 3))[0].region \
+            is part[0]
 
     def test_duplicate_pid_rejected(self):
         with pytest.raises(ValueError):
             ProjectionFunction(0, "identity-again", lambda p, d: p)
 
     def test_region_requirement_ignores_projection(self, env):
-        _fs, region, _part = env
-        cr = CoarseRequirement(region, frozenset(), READ_ONLY)
-        assert cr.point_region(7, ()) is region
+        fs, region, _part = env
+        cr = CoarseRequirement(region, frozenset([fs["a"]]), READ_ONLY)
+        assert cr.point_requirements((7,), ())[0].region is region
         assert cr.bound_region() is region
 
     def test_partition_bound_is_parent(self, env):

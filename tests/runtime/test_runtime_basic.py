@@ -167,6 +167,50 @@ def test_empty_index_launch_rejected():
         Runtime(num_shards=1).execute(main)
 
 
+def _rejected_launch(launch, error, match):
+    """Run ``launch(ctx, tiles, body)`` on two shards and check that it
+    raises ``error`` before the launch reaches either analysis stage or
+    runs a point (only the fill does)."""
+    ran = []
+
+    def body(*args):
+        ran.append(args[0])
+
+    def main(ctx):
+        fs = ctx.create_field_space([("x", "f8")])
+        r = ctx.create_region(ctx.create_index_space(8), fs, "r")
+        tiles = ctx.partition_equal(r, 4, name="tiles")
+        ctx.fill(r, "x", 0.0)
+        launch(ctx, tiles, body)
+
+    rt = Runtime(num_shards=2)
+    with pytest.raises(error, match=match):
+        rt.execute(main)
+    assert ran == []
+    assert rt.pipeline.coarse.result.ops_analyzed == 1
+    assert sum(rt.pipeline.fine.result.points_per_shard.values()) == 1
+
+
+def test_index_launch_rejects_a_repeated_point():
+    _rejected_launch(
+        lambda ctx, tiles, body: ctx.index_launch(
+            body, (0, 0, 1), [(tiles, "x", "rw")]),
+        ValueError, "names point 0 more than once")
+
+
+def test_individual_launch_rejects_a_partition():
+    _rejected_launch(
+        lambda ctx, tiles, body: ctx.launch(body, [(tiles, "x", "rw")]),
+        TypeError, "not partition tiles: use index_launch")
+
+
+def test_index_launch_rejects_a_point_outside_the_partition():
+    _rejected_launch(
+        lambda ctx, tiles, body: ctx.index_launch(
+            body, (0, 7), [(tiles, "x", "rw")]),
+        ValueError, "point 7 projects to colour 7, which partition tiles")
+
+
 def test_execution_fence_orders_independent_work():
     """Two independent launch chains separated by an execution fence: the
     replayer's barrier eras keep them ordered even out of program order."""
