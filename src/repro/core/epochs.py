@@ -112,6 +112,32 @@ class ClassTable:
         object.__setattr__(req, self._tag, (self._token, cid))
         return cid
 
+    def conflicting_pairs(self, breqs, qreqs) -> List[Tuple[Any, Any]]:
+        """The ``(breq, qreq)`` pairs of two requirement lists whose
+        decision is a conflict, in nested order, each requirement classed
+        by its own region — one call for all of a fine edge's pairs, with
+        the tags read inline as in :meth:`launch_class`."""
+        tag, token, decisions = self._tag, self._token, self.decisions
+        qcids = []
+        for req in qreqs:
+            cached = getattr(req, tag, None)
+            qcids.append(cached[1] if cached is not None
+                         and cached[0] == token
+                         else self.class_of(req, req.region))
+        pairs = []
+        for breq in breqs:
+            cached = getattr(breq, tag, None)
+            bcid = cached[1] if cached is not None and cached[0] == token \
+                else self.class_of(breq, breq.region)
+            bkey = bcid << CLASS_BITS
+            for qreq, qcid in zip(qreqs, qcids):
+                hit = decisions.get(bkey | qcid)
+                if hit is None:
+                    hit = self.decide(bcid, qcid)
+                if hit:
+                    pairs.append((breq, qreq))
+        return pairs
+
     def decide(self, bcid: int, qcid: int) -> bool:
         """Compute-and-memoize one (bucket, query) conflict decision from
         the class representatives — exactly the naive per-entry test."""

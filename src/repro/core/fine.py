@@ -7,13 +7,21 @@ owns.  The union of all shards' fine analyses (plus the ordering provided
 by cross-shard fences) reproduces exactly the task graph a sequential
 analysis of the fully expanded program would compute.
 
-This module computes that precise point graph, classifies edges as
-shard-local vs. cross-shard, and provides the soundness check used by the
-test-suite: every cross-shard point dependence must be covered by a fence
-the coarse stage inserted (otherwise an elision was wrong).  It is not yet
-local: one :class:`FineAnalysis` analyses **every** shard's points and
-attributes each point's work and edges to the shard that owns it
-(ROADMAP item 1 is what makes the analysis local).
+This module computes that precise point graph and its soundness check:
+every cross-shard point dependence must be covered by a fence the coarse
+stage inserted (otherwise an elision was wrong).  It is not yet local: one
+:class:`FineAnalysis` analyses **every** shard's points and attributes
+each point's work and edges to the shard that owns it (ROADMAP item 1 is
+what makes the analysis local).
+
+One edge store: each point task's predecessors are written once, as the
+tuple ``PointTask.preds``, when :meth:`FineAnalysis._analyze_launch` finds
+them (a trace replay writes them from the recording).  The result keeps
+the point tasks in analysis order; the graph, the shard-local and
+cross-shard edge sets and a record's in-edges are views derived from them
+on demand.  The soundness check (:meth:`FineAnalysis.uncovered_cross_edges`)
+is one walk over the tasks' predecessors that tests each cross-shard one
+against the fences, so it builds no edge set either.
 
 Launch granularity: the points of a group launch are pairwise
 independent, so a launch is one arrival.  The epochs are walked once per
@@ -43,32 +51,63 @@ write retires every older user inside the union of the pieces it wrote
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
 from ..regions import LogicalRegion, Partition
 from .coarse import CoarseResult
-from .epochs import CLASS_BITS, ClassTable, FieldState, sorted_fids
+from .epochs import ClassTable, FieldState, sorted_fids
 from .operation import Operation, PointTask
-from .taskgraph import TaskGraph
+from .taskgraph import PointGraph
 
 __all__ = ["FineResult", "FineAnalysis"]
 
 
-@dataclass
 class FineResult:
-    """Precise point-task graph plus per-shard accounting."""
+    """Precise point-task graph plus per-shard accounting.
 
-    graph: TaskGraph = field(default_factory=TaskGraph)
-    local_edges: Set[Tuple[PointTask, PointTask]] = field(default_factory=set)
-    cross_edges: Set[Tuple[PointTask, PointTask]] = field(default_factory=set)
-    points_per_shard: Dict[int, int] = field(default_factory=dict)
-    scans_per_shard: Dict[int, int] = field(default_factory=dict)
+    The edge store is each point task's ``preds``, and ``tasks`` holds the
+    point tasks in analysis order.  ``graph``, ``local_edges`` and
+    ``cross_edges`` are views derived from them on demand, cached until the
+    next task joins: an edit a caller makes to one (a negative control
+    clearing ``graph.deps``) is what the next reader at that state sees.
+    """
 
-    def point_tasks(self) -> List[PointTask]:
-        return [t for t in self.graph.tasks]  # type: ignore[misc]
+    def __init__(self) -> None:
+        self.tasks: List[PointTask] = []
+        self.points_per_shard: Dict[int, int] = {}
+        self.scans_per_shard: Dict[int, int] = {}
+        self._graph: Optional[PointGraph] = None
+        self._split: Optional[Tuple[int, Set, Set]] = None
+
+    @property
+    def graph(self) -> PointGraph:
+        graph = self._graph
+        if graph is None or graph.size != len(self.tasks):
+            graph = self._graph = PointGraph(self.tasks, len(self.tasks))
+        return graph
+
+    def _edges_by_kind(self) -> Tuple[int, Set, Set]:
+        split = self._split
+        if split is None or split[0] != len(self.tasks):
+            local: Set[Tuple[PointTask, PointTask]] = set()
+            cross: Set[Tuple[PointTask, PointTask]] = set()
+            for task in self.tasks:
+                shard = task.shard
+                for prev in task.preds:
+                    (local if prev.shard == shard else cross).add(
+                        (prev, task))
+            split = self._split = (len(self.tasks), local, cross)
+        return split
+
+    @property
+    def local_edges(self) -> Set[Tuple[PointTask, PointTask]]:
+        return self._edges_by_kind()[1]
+
+    @property
+    def cross_edges(self) -> Set[Tuple[PointTask, PointTask]]:
+        return self._edges_by_kind()[2]
 
 
 def _class_key(req: RegionRequirement, region: LogicalRegion) -> Tuple:
@@ -84,11 +123,10 @@ def _classes_conflict(breq: RegionRequirement, _bregion: LogicalRegion,
 class FineAnalysis:
     """Incremental precise analysis over expanded point tasks.
 
-    ``analyze(op)`` expands the operation into point tasks, computes their
-    dependences against all prior points (epoch-pruned), and attributes the
-    per-point analysis work to the owning shard.  Edge classification
-    (local/cross) feeds both the simulator's cost model and the fence
-    soundness check.
+    ``analyze(op)`` expands the operation into point tasks, records their
+    dependences on all prior points (epoch-pruned) as each task's
+    ``preds``, and attributes the per-point analysis work to the owning
+    shard.
     """
 
     def __init__(self, num_shards: int,
@@ -100,15 +138,10 @@ class FineAnalysis:
         # field ids) of each side: that triple is the requirement class.
         self._classes = ClassTable("_fine_cid", _class_key, _classes_conflict)
         self._state: Dict[Tuple[int, int], FieldState] = {}
-        # Precise in-edges added while analyzing the most recent op, so the
-        # pipeline can hand them to the trace recorder without rescanning.
-        self.last_op_edges: List[Tuple[PointTask, PointTask]] = []
 
     def analyze(self, op: Operation) -> List[PointTask]:
-        self.last_op_edges = []
         tasks: List[PointTask] = []
         points = self.result.points_per_shard
-        cross_before = len(self.result.cross_edges)
         for point, reqs in zip(op.points(), op.launch_requirements()):
             shard = op.shard_of(point, self.num_shards)
             tasks.append(PointTask(op, point, shard, reqs))
@@ -119,16 +152,31 @@ class FineAnalysis:
         # arrival, and the epochs are walked once per (requirement, field).
         self._analyze_launch(op, tasks)
         self._update(op, tasks)
+        edges, cross = self.admit(tasks)
         prof = self.profiler
         if prof.enabled:
             m = prof.metrics
             m.count("fine.points", len(tasks))
-            m.count("fine.edges", len(self.last_op_edges))
-            # an op analysed once only adds edges into its own new points,
-            # so the set grew by exactly its cross edges
-            m.count("fine.cross_edges",
-                    len(self.result.cross_edges) - cross_before)
+            m.count("fine.edges", edges)
+            m.count("fine.cross_edges", cross)
         return tasks
+
+    def admit(self, tasks: List[PointTask]) -> Tuple[int, int]:
+        """Join point tasks, their ``preds`` written, to the result and
+        return their (edge, cross edge) counts.  The fine stage admits what
+        it analyses, the pipeline what a replay serves."""
+        self.result.tasks += tasks
+        edges = cross = 0
+        for task in tasks:
+            preds = task.preds
+            if not preds:
+                continue
+            edges += len(preds)
+            shard = task.shard
+            for prev in preds:
+                if prev.shard != shard:
+                    cross += 1
+        return edges, cross
 
     def register_replayed(self, op: Operation,
                           tasks: List[PointTask]) -> None:
@@ -208,7 +256,6 @@ class FineAnalysis:
         when every point was scanned on its own.  A launch never scans its
         own entries, so each point is charged the probed epoch's size."""
         result = self.result
-        result.graph.tasks.update(tasks)
         if not tasks:
             return
         states = self._state
@@ -245,19 +292,9 @@ class FineAnalysis:
         if scanned:
             for task in tasks:
                 scans[task.shard] = scans.get(task.shard, 0) + scanned
-        graph_deps = result.graph.deps
-        op_edges = self.last_op_edges
         for task, d in zip(tasks, deps):
-            if not d:
-                continue
-            tshard = task.shard
-            edges = [(prev, task) for prev in d]
-            graph_deps.update(edges)
-            op_edges += edges
-            result.local_edges.update(
-                [e for e in edges if e[0].shard == tshard])
-            result.cross_edges.update(
-                [e for e in edges if e[0].shard != tshard])
+            if d:
+                task.preds = tuple(d)
 
     @staticmethod
     def _match_points(epoch, op: Operation, reqs: List[RegionRequirement],
@@ -282,35 +319,31 @@ class FineAnalysis:
     def uncovered_cross_edges(
         self, coarse: CoarseResult
     ) -> List[Tuple[PointTask, PointTask]]:
-        """Cross-shard precise dependences not ordered by any fence.
+        """Cross-shard precise dependences not ordered by any fence, in
+        analysis order: one walk over every task's ``preds``.
 
         Must be empty for a sound analysis: this is the property the coarse
         stage's conservative fence insertion guarantees and its symbolic
-        elision must preserve.  Conflict tests go through the interned
-        decision table and coverage through the fence channels, so each
-        (edge, requirement pair) probe is O(1).
+        elision must preserve.  An edge is covered when some conflicting
+        requirement pair of it has a fence in ``(prev.op.seq,
+        task.op.seq]`` whose scope reaches the pair's data.  Conflicts come
+        from the interned decision table and coverage through the fence
+        channels, so each pair probe is O(1).
         """
+        covers = coarse.covers_cross_edge
+        conflicting_pairs = self._classes.conflicting_pairs
         bad = []
-        for prev, task in self.result.cross_edges:
-            covered = any(
-                self._requirements_conflict(preq, nreq)
-                and coarse.covers_cross_edge(
-                    prev.op.seq, task.op.seq, nreq.region,
-                    nreq.fields | preq.fields)
-                for preq in prev.requirements
-                for nreq in task.requirements)
-            if not covered:
-                bad.append((prev, task))
+        for task in self.result.tasks:
+            shard, later = task.shard, task.op.seq
+            for prev in task.preds:
+                if prev.shard == shard:
+                    continue
+                earlier = prev.op.seq
+                for preq, nreq in conflicting_pairs(prev.requirements,
+                                                    task.requirements):
+                    if covers(earlier, later, nreq.region,
+                              nreq.fields | preq.fields):
+                        break
+                else:
+                    bad.append((prev, task))
         return bad
-
-    def _requirements_conflict(self, a: RegionRequirement,
-                               b: RegionRequirement) -> bool:
-        """``requirements_conflict`` through the flat decision table: one
-        int-pair dict probe once both classes are warm (the fence-coverage
-        validation asks this for every requirement pair of every cross
-        edge)."""
-        table = self._classes
-        ca = table.class_of(a, a.region)
-        cb = table.class_of(b, b.region)
-        hit = table.decisions.get((ca << CLASS_BITS) | cb)
-        return table.decide(ca, cb) if hit is None else hit

@@ -241,9 +241,14 @@ class Operation:
 
 
 class PointTask:
-    """A single point of an operation, as analyzed by the fine stage."""
+    """A single point of an operation, as analyzed by the fine stage.
 
-    __slots__ = ("op", "point", "shard", "requirements", "_hash")
+    ``preds`` is the fine stage's edge store: the point tasks this one
+    depends on, written once — by the fine stage when it finds them, or by
+    a trace replay from the recording — and never changed after.  Every
+    other view of the point graph is derived from it."""
+
+    __slots__ = ("op", "point", "shard", "requirements", "preds", "_hash")
 
     def __init__(self, op: Operation, point: Hashable, shard: int,
                  requirements: Optional[Tuple[RegionRequirement, ...]] = None):
@@ -255,6 +260,7 @@ class PointTask:
         # signature it matched determines every field of them.
         self.requirements = op.point_requirements(point) \
             if requirements is None else requirements
+        self.preds: Tuple["PointTask", ...] = ()
         self._hash = hash((op.uid, point))
 
     def __hash__(self) -> int:

@@ -4,8 +4,8 @@
 operations in program order, producing per-operation :class:`OpRecord`
 entries that carry everything downstream consumers need:
 
-* the functional products — point tasks and the precise dependence edges
-  used to order real execution;
+* the functional products — point tasks, each carrying its precise
+  predecessors (``PointTask.preds``, the fine stage's one edge store);
 * the cost-accounting products — coarse scan counts (charged to every
   shard), per-shard fine-point counts, and the cross-shard fences (charged
   as O(log N) collectives) — consumed by the machine simulator.
@@ -29,9 +29,9 @@ SC'18, used by Fig. 21) in two modes:
 Both modes replay through the one cursor step in :meth:`analyze`: the op's
 signature is computed once, checked against the recording, and the
 dependence structure served from the cache — per operation a signature, a
-cursor step, point tasks built from the recorded ones and the recorded
-edges rebound.  A replay reads no epoch state, so what the served ops leave
-in the epochs is folded *per run* of back-to-back replays, in
+cursor step and point tasks built from the recorded ones with their
+predecessors rebound.  A replay reads no epoch state, so what the served
+ops leave in the epochs is folded *per run* of back-to-back replays, in
 :meth:`settle`, before anything reads it.  A divergence never raises out
 of :meth:`analyze`: the pipeline aborts the replay, evicts the stale
 recording, and falls back to fresh analysis of the offending op
@@ -42,7 +42,7 @@ semantics; the served prefix is settled op by op before that analysis.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.events import (CAT_FINE, CAT_PIPELINE, CAT_TRACE, CONTROL_SHARD,
@@ -144,10 +144,14 @@ class OpRecord:
     # For replays: epoch scans (coarse + fine) the recording performed that
     # this replay skipped — the memoization win, surfaced in reports.
     scans_saved: int = 0
-    # Precise in-edges of this op's point tasks: captured for every fresh op
-    # so a recording can be cut from it later; on a replay, the recording's
-    # intra-fragment edges rebound to this occurrence's tasks.
-    in_edges: List[Tuple[PointTask, PointTask]] = field(default_factory=list)
+
+    @property
+    def in_edges(self) -> List[Tuple[PointTask, PointTask]]:
+        """Precise in-edges of this op's point tasks, derived from their
+        ``preds``: on a replay, the recording's intra-fragment edges
+        rebound to this occurrence's tasks."""
+        return [(prev, task) for task in self.point_tasks
+                for prev in task.preds]
 
 
 @dataclass
@@ -285,7 +289,6 @@ class DCRPipeline:
             fine_scans=(sum(self.fine.result.scans_per_shard.values())
                         - fine_scans_before),
         )
-        record.in_edges = list(self.fine.last_op_edges)
         self.stats.fences_elided += record.fences_elided
         if profiling:
             self._profile_fine_shares(record, shard_scans_before, t_fine)
@@ -316,7 +319,7 @@ class DCRPipeline:
                                deltas.get(shard, 0))
         prof.metrics.count("fine.ops")
 
-    def _integrate_replay(self, op: Operation, entry, tasks, edges, fences,
+    def _integrate_replay(self, op: Operation, entry, tasks, fences,
                           coarse_deps) -> OpRecord:
         """Join one replayed op's products to the global analysis results.
 
@@ -331,10 +334,11 @@ class DCRPipeline:
             self.settle()
         self._run_rec = rec
         coarse, fine = self.coarse.result, self.fine.result
-        # Replayed fences and deps still join the coarse result so the
-        # fence-coverage invariant can be checked uniformly, and traced
-        # point tasks join the global precise graph so the functional
-        # execution sees a complete ordering.  Integration dedupes: a fence
+        # Replayed fences and deps still join the coarse result, and traced
+        # point tasks — their ``preds`` rebound from the recording — join
+        # the fine result, so :meth:`validate` checks replayed cross edges
+        # against the fences exactly as fresh ones: replayed coverage is
+        # checked, not trusted.  Integration dedupes: a fence
         # already present (e.g. the recorded scope of the op carrying the
         # replay's global entry fence) is one physical all-gather, and the
         # record holds the fences actually inserted so ``stats.fences`` and
@@ -348,24 +352,17 @@ class DCRPipeline:
             # tracing x elision ablation attributes them to every
             # iteration, and the skipped epoch scans surface as savings.
             fences_elided=entry.fences_elided,
-            scans_saved=entry.coarse_scans + entry.fine_scans,
-            in_edges=edges)
+            scans_saved=entry.coarse_scans + entry.fine_scans)
         self._run.append(record)
         self.stats.traced_ops += 1
         self.stats.fences_elided += record.fences_elided
         self.stats.scans_saved += record.scans_saved
         coarse.deps |= coarse_deps
         coarse.ops_analyzed += 1
-        fine.graph.add_tasks(tasks)
         points = fine.points_per_shard
         for shard, n in entry.shard_points.items():
             points[shard] = points.get(shard, 0) + n
-        fine.graph.add_deps(edges)
-        for edge in edges:
-            if edge[0].shard == edge[1].shard:
-                fine.local_edges.add(edge)
-            else:
-                fine.cross_edges.add(edge)
+        self.fine.admit(tasks)
         return record
 
     def settle(self) -> None:

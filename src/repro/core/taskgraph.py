@@ -9,9 +9,10 @@ checks exactly that via :meth:`TaskGraph.__eq__`.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
-__all__ = ["TaskGraph"]
+__all__ = ["TaskGraph", "PointGraph"]
 
 
 class TaskGraph:
@@ -133,3 +134,37 @@ class TaskGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TaskGraph(|T|={len(self.tasks)}, |D|={len(self.deps)})"
+
+
+class PointGraph(TaskGraph):
+    """The fine stage's point graph, derived from its edge store.
+
+    Each point task carries its predecessors (``preds``); this graph reads
+    the first ``size`` tasks of the stage's analysis-order list.  ``tasks``
+    and ``deps`` are built on first use and are then ordinary sets, which a
+    caller may edit, so taking the task count never builds the edge set.
+    Code that needs a task's predecessors in O(degree) reads its ``preds``.
+    """
+
+    def __init__(self, tasks: Sequence[Hashable], size: int) -> None:
+        self._order = tasks
+        self.size = size
+        self._tasks: Optional[Set[Hashable]] = None
+        self._deps: Optional[Set[Tuple[Hashable, Hashable]]] = None
+
+    def _points(self) -> Sequence[Hashable]:
+        order = self._order
+        return order if len(order) == self.size else order[:self.size]
+
+    @property
+    def tasks(self) -> Set[Hashable]:  # type: ignore[override]
+        if self._tasks is None:
+            self._tasks = set(self._points())
+        return self._tasks
+
+    @property
+    def deps(self) -> Set[Tuple[Hashable, Hashable]]:  # type: ignore[override]
+        if self._deps is None:
+            self._deps = {(prev, t) for t in self._points()
+                          for prev in t.preds}
+        return self._deps

@@ -41,9 +41,9 @@ epoch state (:meth:`DCRPipeline.settle`) before that operation is analysed.
 
 A replay costs, per operation, one signature, one cursor step, the point
 tasks built from the recorded ones (same point, shard and requirement
-objects — the signature pins every field of them) and the recorded edges
-rebound by position.  What a *run* of replays leaves in the epochs is
-folded once per run, by the pipeline.
+objects — the signature pins every field of them), each with its recorded
+predecessors rebound by position.  What a *run* of replays leaves in the
+epochs is folded once per run, by the pipeline.
 """
 
 from __future__ import annotations
@@ -114,8 +114,10 @@ class _TraceEntry:
     # requirements every occurrence's tasks share.
     tasks: List[PointTask] = field(default_factory=list)
     shard_points: Dict[int, int] = field(default_factory=dict)
-    # (source op offset within trace, source task index, destination index)
-    internal_edges: List[Tuple[int, int, int]] = field(default_factory=list)
+    # Per recorded task, its predecessors inside the fragment as (source op
+    # offset within trace, source task index) pairs, in ``preds`` order.
+    task_preds: List[Tuple[Tuple[int, int], ...]] = field(
+        default_factory=list)
     coarse_dep_offsets: List[int] = field(default_factory=list)
     # Cost-accounting templates: what the recorded analysis did, so replays
     # can credit the same elisions and report the work they saved.
@@ -280,10 +282,11 @@ class TraceCache:
         """Build a recording from already-analyzed records.
 
         The pipeline keeps each fresh record's fences, coarse deps and
-        precise in-edges, so a fragment is turned into a trace *after the
-        fact* — at ``end_trace`` or when the repeat detector fires — with
-        no second warm-up execution.  The cost model's streams have no
-        analysis products: it hands in signature-only entries, kept as is.
+        point tasks with their ``preds``, so a fragment is turned into a
+        trace *after the fact* — at ``end_trace`` or when the repeat
+        detector fires — with no second warm-up execution.  The cost
+        model's streams have no analysis products: it hands in
+        signature-only entries, kept as is.
         """
         if self._state != self.IDLE:
             raise RuntimeError("cannot record while replaying")
@@ -316,12 +319,15 @@ class TraceCache:
             fine_scans=record.fine_scans)
         for f in record.fences:
             entry.fence_scopes.append((f.region, f.fields))
-        for prev, nxt in record.in_edges:
-            src = offset_of.get(id(prev.op))
-            if src is None or prev.op is record.op:
-                continue  # external edge: covered by the replay entry fence
-            entry.internal_edges.append(
-                (src, index_of[id(prev)], index_of[id(nxt)]))
+        op = record.op
+        for task in record.point_tasks:
+            preds = []
+            for prev in task.preds:
+                src = offset_of.get(id(prev.op))
+                if src is None or prev.op is op:
+                    continue  # external edge: covered by the entry fence
+                preds.append((src, index_of[id(prev)]))
+            entry.task_preds.append(tuple(preds))
         for (prev_op, _op) in record.coarse_deps:
             src = offset_of.get(id(prev_op))
             if src is not None:
@@ -355,18 +361,22 @@ class TraceCache:
     def try_replay(self, op: Operation, signature: Tuple):
         """Serve one op from the active replay, or return None.
 
-        Returns ``(entry, point tasks, in-edges, fences, coarse deps)``
-        for this occurrence; the caller builds its own record from them.
-        ``op.seq`` is already assigned; :meth:`match` may raise
-        :class:`TraceMismatch`.
+        Returns ``(entry, point tasks, fences, coarse deps)`` for this
+        occurrence, each task's ``preds`` written from the recording; the
+        caller builds its own record from them.  ``op.seq`` is already
+        assigned; :meth:`match` may raise :class:`TraceMismatch`.
         """
         entry = self.match(signature)
         if entry is None:
             return None
         seq = op.seq
-        tasks = [PointTask(op, t.point, t.shard, t.requirements)
-                 for t in entry.tasks]
         ops, served = self._replay_ops, self._replay_tasks
+        tasks = []
+        for t, preds in zip(entry.tasks, entry.task_preds):
+            task = PointTask(op, t.point, t.shard, t.requirements)
+            if preds:
+                task.preds = tuple([served[off][i] for off, i in preds])
+            tasks.append(task)
         if not ops:
             # Global entry fence: orders everything before the trace.  It
             # subsumes any recorded scoped fence at this position (a global
@@ -377,12 +387,10 @@ class TraceCache:
         else:
             fences = [Fence(at_seq=seq, region=region, fields=fields)
                       for region, fields in entry.fence_scopes]
-        edges = [(served[off][i], tasks[j])
-                 for off, i, j in entry.internal_edges]
         coarse_deps = {(ops[off], op) for off in entry.coarse_dep_offsets}
         ops.append(op)
         served.append(tasks)
-        return entry, tasks, edges, fences, coarse_deps
+        return entry, tasks, fences, coarse_deps
 
 
 # ---------------------------------------------------------------------------

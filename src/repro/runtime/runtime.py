@@ -62,6 +62,10 @@ PRIVILEGES = {
 def _privilege(spec: Union[str, Privilege]) -> Privilege:
     if isinstance(spec, Privilege):
         return spec
+    if not isinstance(spec, str):
+        raise TypeError(
+            f"privilege spec {spec!r} is neither a Privilege nor one of "
+            f"the strings {sorted(PRIVILEGES)} or 'red<op>'")
     if spec in PRIVILEGES:
         return PRIVILEGES[spec]
     if spec.startswith("red"):
@@ -69,18 +73,41 @@ def _privilege(spec: Union[str, Privilege]) -> Privilege:
     raise ValueError(f"unknown privilege spec {spec!r}")
 
 
+def _fields_of(fspace: FieldSpace, names: Sequence[str],
+               target: Union[LogicalRegion, Partition]) -> frozenset:
+    """The named fields of a launch or fill target; a name the field space
+    does not hold (never added, or deleted since) is rejected here, at the
+    call, on every shard alike."""
+    for name in names:
+        if name not in fspace:
+            have = ", ".join(f.name for f in fspace.fields) or "none"
+            raise ValueError(f"{target.name} has no field {name!r} "
+                             f"(its fields: {have})")
+    return frozenset(fspace[n] for n in names)
+
+
 class RegionArg:
-    """What a task body receives for one region requirement."""
+    """What a task body receives for one region requirement.
+
+    The driver builds one per point requirement and keeps it on the
+    requirement, so it lives exactly as long as the requirement does.  It
+    builds each field's accessor once; an accessor reads its array from
+    the store at each use, so neither pins a deleted field's storage."""
 
     def __init__(self, store: RegionStore, req: RegionRequirement):
         self._store = store
         self.req = req
         self.region = req.region
         self.privilege = req.privilege
+        self._accessors: Dict[str, FieldAccessor] = {}
 
     def __getitem__(self, field_name: str) -> FieldAccessor:
-        f = self.region.field_space[field_name]
-        return self._store.accessor(self.req, f)
+        acc = self._accessors.get(field_name)
+        if acc is None:
+            f = self.region.field_space[field_name]
+            acc = self._accessors[field_name] = \
+                self._store.accessor(self.req, f)
+        return acc
 
     def fields(self) -> Tuple[Field, ...]:
         """The requirement's fields, in stable fid order."""
@@ -428,6 +455,8 @@ class Context:
         self._lowered: Dict[Tuple[bool, Tuple],
                             Tuple[Tuple[CoarseRequirement, ...], Tuple]] = {}
         self._lowered_at = runtime.fields_removed
+        # The explicit trace this shard has open, as a 1-tuple, or ().
+        self._open_trace: Tuple = ()
 
     @property
     def is_driver(self) -> bool:
@@ -474,6 +503,11 @@ class Context:
         return fut
 
     def _finish(self) -> None:
+        if self._open_trace:
+            raise ValueError(
+                f"the control program returned with trace "
+                f"{self._open_trace[0]!r} still open: end it with "
+                f"end_trace()")
         self._record("task_complete", self.shard >= -1)
 
     # -- resource creation ----------------------------------------------------------------
@@ -627,8 +661,8 @@ class Context:
              fields: Union[str, Iterable[str]], value) -> None:
         """Fill the named fields of a region with one value (an operation)."""
         names = [fields] if isinstance(fields, str) else sorted(fields)
+        fobjs = _fields_of(region.field_space, names, region)
         self._record("fill", region, names, float(value))
-        fobjs = frozenset(region.field_space[n] for n in names)
         op = Operation(
             "fill",
             [CoarseRequirement(region, fobjs, WRITE_DISCARD)],
@@ -679,7 +713,7 @@ class Context:
             fspace = (target.parent_region.field_space if is_part
                       else target.field_space)
             names = [fields] if isinstance(fields, str) else sorted(fields)
-            fobjs = frozenset(fspace[n] for n in names)
+            fobjs = _fields_of(fspace, names, target)
             norm.append(CoarseRequirement(target, fobjs, priv,
                                           proj if is_part else None))
         if group:
@@ -789,8 +823,15 @@ class Context:
             return None
         self.runtime.executed_points += 1
         assert op.body is not None
-        region_args = [RegionArg(self.runtime.store, req)
-                       for req in pt.requirements]
+        store = self.runtime.store
+        region_args = []
+        for req in pt.requirements:
+            # the RegionArg kept on the point requirement (see RegionArg)
+            arg = getattr(req, "_region_arg", None)
+            if arg is None or arg._store is not store:
+                arg = RegionArg(store, req)
+                object.__setattr__(req, "_region_arg", arg)
+            region_args.append(arg)
         prof = self.runtime.profiler
         if not prof.enabled:
             if op.is_group:
@@ -825,6 +866,10 @@ class Context:
 
     def get_value(self, future: Future) -> Any:
         """Block for a future's value; identical on every shard (hashed)."""
+        if not isinstance(future, Future):
+            raise TypeError(
+                f"get_value takes a Future, not {type(future).__name__}"
+                f" (index a FutureMap by point for one point's Future)")
         self._record("future_get", future)
         return future.get()
 
@@ -857,11 +902,16 @@ class Context:
     def begin_trace(self, trace_id: int) -> None:
         """Start capturing (or replaying) a trace of the following launches."""
         self._record("begin_trace", trace_id)
+        self._open_trace = (trace_id,)
         if self.is_driver:
             self.runtime.pipeline.begin_trace(trace_id)
 
     def end_trace(self) -> None:
         """Finish the current trace capture/replay."""
+        if not self._open_trace:
+            raise ValueError("end_trace() with no trace open: every "
+                             "end_trace() closes one begin_trace()")
+        self._open_trace = ()
         self._record("end_trace")
         if self.is_driver:
             self.runtime.pipeline.end_trace()

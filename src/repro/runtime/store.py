@@ -12,7 +12,7 @@ performance concern handled by the simulator layer (DESIGN.md §2).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -80,41 +80,57 @@ class RegionStore:
         if f not in req.fields:
             raise PrivilegeError(
                 f"field {f.name} not named by the region requirement")
-        arr = self._arrays[(req.region.tree_id, f.fid)]
-        return FieldAccessor(arr, self._offsets[req.region.tree_id],
+        if (req.region.tree_id, f.fid) not in self._arrays:
+            raise KeyError(f"field {f.name} of {req.region.name} is not "
+                           f"allocated")
+        return FieldAccessor(self._arrays, self._offsets[req.region.tree_id],
                              req.region, f, req.privilege)
 
 
 class FieldAccessor:
     """Privilege-checked access to one field over one region."""
 
-    def __init__(self, array: np.ndarray, offset: Tuple[int, ...],
-                 region: LogicalRegion, field: Field, privilege: Privilege):
-        self._array = array
+    def __init__(self, arrays: Dict[Tuple[int, int], np.ndarray],
+                 offset: Tuple[int, ...], region: LogicalRegion,
+                 field: Field, privilege: Privilege):
+        # The store's arrays and this field's key in them: the array is
+        # looked up at each use, so a kept accessor never pins a deleted
+        # field's storage and always reaches a reallocated one.
+        self._arrays = arrays
+        self._key = (region.tree_id, field.fid)
         self._offset = offset
         self.region = region
         self.field = field
         self.privilege = privilege
+        self._read_only = not privilege.writes and not privilege.is_reduce
+        self._slice: Optional[Tuple[slice, ...]] = None
 
     # -- structured fast path ---------------------------------------------------
 
     @property
     def view(self) -> np.ndarray:
-        """Zero-copy NumPy view over a structured subregion.
+        """Zero-copy NumPy view over a structured subregion (its slice is
+        computed from the rect once per accessor).
 
         Read-only privileges return a non-writeable view, so accidental
         writes raise immediately.
         """
-        rect = self.region.index_space.rect   # raises if unstructured
-        sl = tuple(slice(l - o, h - o + 1)
-                   for l, h, o in zip(rect.lo, rect.hi, self._offset))
-        v = self._array[sl]
-        if not self.privilege.writes and not self.privilege.is_reduce:
-            v = v.view()
+        sl = self._slice
+        if sl is None:
+            rect = self.region.index_space.rect   # raises if unstructured
+            sl = self._slice = tuple(
+                slice(l - o, h - o + 1)
+                for l, h, o in zip(rect.lo, rect.hi, self._offset))
+        v = self._arrays[self._key][sl]   # a new view, even of the whole
+        if self._read_only:
             v.flags.writeable = False
         return v
 
     # -- generic point access ------------------------------------------------------
+
+    @property
+    def _array(self) -> np.ndarray:
+        return self._arrays[self._key]
 
     def _index(self, point) -> Tuple[int, ...]:
         p = (point,) if isinstance(point, int) else tuple(point)

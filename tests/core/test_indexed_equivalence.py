@@ -304,6 +304,101 @@ class TestIndexedEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# The fence-coverage walk, fresh and replayed
+# ---------------------------------------------------------------------------
+
+def _eliding(victim):
+    """``CoarseAnalysis._fence_for`` that drops the ``victim``-th fence it
+    would insert (none when ``victim`` is negative): a wrong elision."""
+    real = CoarseAnalysis._fence_for
+    placed = []
+
+    def fence_for(self, prev, op, pairs):
+        fence = real(self, prev, op, pairs)
+        if fence is not None:
+            placed.append(fence)
+            if len(placed) - 1 == victim:
+                return None
+        return fence
+    return fence_for
+
+
+def run_pipeline(specs, shards, traced, victim):
+    """The program through a pipeline — three times under one explicit
+    trace when ``traced``, so two bodies are replays — with the
+    ``victim``-th fence wrongly elided."""
+    env = build_env()
+    pipe = DCRPipeline(shards)
+    with mock.patch.object(CoarseAnalysis, "_fence_for", _eliding(victim)):
+        for _ in range(3 if traced else 1):
+            if traced:
+                pipe.begin_trace(1)
+            for op in build_ops(env, specs):
+                pipe.analyze(op)
+            if traced:
+                pipe.end_trace()
+    return pipe
+
+
+def naive_uncovered(pipe):
+    """The soundness check's specification: every derived cross edge with
+    no conflicting requirement pair ordered by a fence, by the uncached
+    oracle and a linear walk over the fence list."""
+    from repro.oracle import requirements_conflict_uncached
+
+    fences = list(pipe.coarse_result.fences)
+    return {(prev, task) for prev, task in pipe.fine_result.cross_edges
+            if not any(requirements_conflict_uncached(preq, nreq)
+                       and naive_covers_cross_edge(
+                           fences, prev.op.seq, task.op.seq, nreq.region,
+                           nreq.fields | preq.fields)
+                       for preq in prev.requirements
+                       for nreq in task.requirements)}
+
+
+class TestCoverageWalk:
+    """The soundness check is one walk over the point tasks' ``preds``,
+    replayed ones included; it reports exactly the cross edges its
+    specification does — none on a sound run, the same ones when a needed
+    fence was elided — and ``validate()`` raises iff it reports any."""
+
+    @settings(max_examples=_COVERS_EXAMPLES, **_COMMON)
+    @given(op_specs, st.integers(2, 4), st.booleans(), st.integers(-1, 11))
+    def test_walk_matches_its_specification(self, specs, shards, traced,
+                                            victim):
+        try:
+            pipe = run_pipeline(specs, shards, traced, victim)
+            walked = pipe.fine.uncovered_cross_edges(pipe.coarse_result)
+            assert len(set(walked)) == len(walked)
+            assert set(walked) == naive_uncovered(pipe)
+            if victim < 0:
+                assert walked == []
+            if walked:
+                with pytest.raises(AssertionError):
+                    pipe.validate()
+            else:
+                pipe.validate()
+        except AssertionError:
+            note(f"specs={specs!r} shards={shards} traced={traced} "
+                 f"victim={victim}")
+            _dump_artifact(specs, shards, "coverage_failure")
+            raise
+
+    def test_a_wrongly_elided_fence_is_found(self):
+        """A stencil step pair on differently sharded launches needs its
+        fence; without it the walk reports the edges its specification
+        does, traced or not, and validation raises."""
+        specs = [("group", 2, 1, 0, 0), ("group", 2, 2, 0, 1)]
+        for traced in (False, True):
+            pipe = run_pipeline(specs, 2, traced, victim=0)
+            walked = pipe.fine.uncovered_cross_edges(pipe.coarse_result)
+            assert walked
+            assert set(walked) == naive_uncovered(pipe)
+            with pytest.raises(AssertionError, match="not covered"):
+                pipe.validate()
+
+
+# ---------------------------------------------------------------------------
 # Class tables belong to their stage
 # ---------------------------------------------------------------------------
 

@@ -232,15 +232,28 @@ def naive_covers_cross_edge(fences, earlier_seq, later_seq, region, fields):
     return False
 
 
+class NaiveFineResult:
+    """The naive fine stage's products in plain containers it writes
+    itself: a ``TaskGraph`` and two edge sets, where the indexed stage's
+    ``FineResult`` derives those views from each point task's ``preds``."""
+
+    def __init__(self):
+        from repro.core.taskgraph import TaskGraph
+
+        self.graph = TaskGraph()
+        self.local_edges = set()
+        self.cross_edges = set()
+        self.points_per_shard = {}
+        self.scans_per_shard = {}
+
+
 class NaiveFineAnalysis:
     """Plain list-scan fine stage: the specification the indexed
     ``repro.core.fine.FineAnalysis`` must reproduce."""
 
     def __init__(self, num_shards):
-        from repro.core.fine import FineResult
-
         self.num_shards = num_shards
-        self.result = FineResult()
+        self.result = NaiveFineResult()
         self._state = {}
 
     def analyze(self, op):

@@ -238,15 +238,41 @@ class TestReplayedIterationCostsNoAnalysis:
 
     def test_fresh_iteration_analyses_each_launch_as_one_arrival(self):
         """The fine stage walks each probed epoch once per (requirement,
-        field) of a launch, not once per point, and a call-site shape's
-        point requirements are built once: a fresh iteration's three
-        launches on four shards stay under 5 000 calls (6 012 when every
-        point was scanned on its own with requirements built anew)."""
-        assert self._calls_per_iteration(False) <= 5000
+        field) of a launch, not once per point, a call-site shape's point
+        requirements are built once, each point records its predecessors
+        once, and a point requirement's region argument, accessors and
+        slices are built once: a fresh iteration's three launches on four
+        shards stay under 3 000 calls (6 012 when every point was scanned
+        on its own with requirements built anew, 4 174 when every edge went
+        into four containers and the launch plumbing was rebuilt per
+        point)."""
+        assert self._calls_per_iteration(False) <= 3000
 
     def test_replayed_iteration_pays_no_lowering_or_encoding_again(self):
         """Each shard lowers an array op and encodes its hash once per
-        call-site shape: a replayed iteration's three launches on four
-        shards find their tilings, key partitions, requirements and digest
-        skeleton memoised (3 647 calls when all of it was redone)."""
-        assert self._calls_per_iteration(True) <= 2700
+        call-site shape, and a replayed point takes its predecessors from
+        the recording: a replayed iteration's three launches on four
+        shards find their tilings, key partitions, requirements, digest
+        skeleton and region arguments memoised (3 647 calls when all of it
+        was redone, 2 276 with every replayed edge stored four times)."""
+        assert self._calls_per_iteration(True) <= 1700
+
+
+class TestEachEdgeIsStoredOnce:
+    """The fine stage writes each point's predecessors once, as a tuple on
+    the point task, and derives every other edge view on demand: a fresh
+    execute hashes point tasks for its dependence sets and epochs, not to
+    file each edge into several sets.  A count, no timings."""
+
+    def test_fresh_execute_hashes_few_point_tasks(self):
+        from repro.core.operation import PointTask
+
+        def hashes():
+            rt = Runtime(num_shards=4)
+            with mock.patch.object(PointTask, "__hash__", autospec=True,
+                                   side_effect=lambda task: task._hash) as h:
+                rt.execute(sliced_stencil, make_wave(2048), 50, 8)
+            return h.call_count
+
+        hashes()                                # fill lazy memos first
+        assert hashes() <= 15000                # 43 505 with four stores

@@ -1,5 +1,7 @@
 """Basic runtime behavior: launches, futures, fills, single-shard mode."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,42 @@ def test_immediate_deletions():
     r = rt.execute(main)
     assert "y" not in r.field_space
     assert rt.store.has_field(r.tree_id, r.field_space["x"])
+
+
+def test_deleted_storage_is_released_during_the_execute():
+    """The region arguments and accessors the driver keeps for a point
+    requirement do not pin a deleted region's or field's array: it is
+    freed at the deletion, while the execute goes on."""
+    refs = {}
+
+    def touch(arg):
+        for f in arg.fields():
+            arg[f.name].view[...] += 1.0
+        return float(arg["x"].view.sum())
+
+    def touch_point(_point, arg):
+        return touch(arg)
+
+    def main(ctx):
+        fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
+        r = ctx.create_region(ctx.create_index_space(8), fs, "r")
+        s = ctx.create_region(ctx.create_index_space(8), fs, "s")
+        part = ctx.partition_equal(r, 2)
+        for _ in range(2):
+            ctx.fill(r, "x", 1.0)
+            ctx.index_launch(touch_point, range(2), [(part, "x", "rw")])
+            # a list of fields is an unhashable spec: lowered afresh
+            ctx.launch(touch, [(s, ["x", "y"], "rw")])
+        refs["r"] = weakref.ref(rt.store.raw(r.tree_id, fs["x"]))
+        refs["s.y"] = weakref.ref(rt.store.raw(s.tree_id, fs["y"]))
+        ctx.delete_region(r)
+        ctx.delete_field(s, "y")
+        refs["freed"] = [k for k in ("r", "s.y") if refs[k]() is None]
+        ctx.launch(touch, [(s, "x", "rw")])
+
+    rt = Runtime(num_shards=1)
+    rt.execute(main)
+    assert refs["freed"] == ["r", "s.y"]
 
 
 def test_runtime_single_use():

@@ -86,8 +86,10 @@ class TestAccessors:
         store, region, fs = store_and_region
         req = RegionRequirement(region, fs["a"], READ_ONLY)
         acc = store.accessor(req, fs["a"])
-        with pytest.raises((ValueError, RuntimeError)):
-            acc.view[...] = 1.0
+        for _ in range(2):      # the slice is cached after the first view
+            with pytest.raises((ValueError, RuntimeError)):
+                acc.view[...] = 1.0
+        assert store.raw(region.tree_id, fs["a"]).flags.writeable
 
     def test_point_access_bounds_checked(self, store_and_region):
         store, region, fs = store_and_region
@@ -140,3 +142,34 @@ class TestAccessors:
         assert list(acc.gather()) == [10.0, 20.0, 30.0]
         raw = store.raw(region.tree_id, fs["a"])
         assert raw[1] == 10.0 and raw[3] == 20.0 and raw[5] == 30.0
+
+
+class TestRegionArgMemo:
+    """A point requirement's region argument builds each field's accessor
+    once; the accessor reads its array from the store at each use."""
+
+    def test_accessor_and_slice_are_reused(self, store_and_region):
+        from repro.runtime.runtime import RegionArg
+
+        store, region, fs = store_and_region
+        req = RegionRequirement(region.partition_equal(2)[1], fs["a"],
+                                READ_WRITE)
+        arg = RegionArg(store, req)
+        acc = arg["a"]
+        acc.view[...] = 4.0
+        assert arg["a"] is acc
+        assert list(store.raw(region.tree_id, fs["a"])) == [0.0] * 4 + \
+            [4.0] * 4
+
+    def test_reallocated_field_is_not_served_stale(self, store_and_region):
+        from repro.runtime.runtime import RegionArg
+
+        store, region, fs = store_and_region
+        arg = RegionArg(store, RegionRequirement(region, fs["a"], READ_WRITE))
+        arg["a"].view[...] = 1.0
+        store.deallocate_field(region.tree_id, fs["a"])
+        with pytest.raises(KeyError):
+            arg["a"].view
+        store.allocate_field(region, fs["a"])
+        arg["a"].view[...] = 2.0
+        assert (store.raw(region.tree_id, fs["a"]) == 2.0).all()
