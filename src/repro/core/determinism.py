@@ -53,7 +53,22 @@ from .collectives import Collectives, ScheduledCollectives
 
 __all__ = ["ControlDeterminismViolation", "DivergenceDiagnosis",
            "ShardHasher", "DeterminismMonitor", "stream_digest",
-           "locate_divergence"]
+           "serialise_calls", "fold_calls", "locate_divergence"]
+
+
+def serialise_calls(calls: Sequence[int]) -> bytes:
+    """The bytes :func:`stream_digest` folds: each per-call digest as 16
+    little-endian bytes, in call order.  Serialising two streams and
+    concatenating the bytes equals serialising their concatenation, so a
+    stream's known tail can be kept serialised and folded after a fresh
+    head (:mod:`repro.service.templates`)."""
+    return b"".join([d.to_bytes(16, "little") for d in calls])
+
+
+def fold_calls(serialised: bytes) -> int:
+    """128-bit digest of a serialised call stream (:func:`serialise_calls`)."""
+    return int.from_bytes(
+        hashlib.blake2b(serialised, digest_size=16).digest(), "little")
 
 
 def stream_digest(calls: Sequence[int]) -> int:
@@ -64,10 +79,7 @@ def stream_digest(calls: Sequence[int]) -> int:
     compare whole per-shard streams across process boundaries — so every
     backend folds digests identically.
     """
-    acc = hashlib.blake2b(digest_size=16)
-    for d in calls:
-        acc.update(d.to_bytes(16, "little"))
-    return int.from_bytes(acc.digest(), "little")
+    return fold_calls(serialise_calls(calls))
 
 
 def _majority(digests: Sequence[int]) -> int:

@@ -57,10 +57,6 @@ class OpSpec:
     code: str
     value: int = 0
 
-    def signature(self) -> Tuple[str, int]:
-        """Canonical form, as hashed into the determinism call stream."""
-        return (self.code, self.value)
-
 
 @dataclass(frozen=True)
 class ProgramSpec:
@@ -84,9 +80,17 @@ class ProgramSpec:
                                  f"expected one of {OP_CODES}")
 
     def signature(self) -> tuple:
-        """Canonical description — what the workers hash and exchange."""
+        """Canonical description — what the workers hash as API call 0.
+
+        Flat, so the hasher encodes it in a few steps per call rather than
+        a few per op: the op codes and the op values each as one
+        comma-joined string.  No code contains a comma (``OP_CODES``), nor
+        does an integer's decimal form, so the strings determine the ops.
+        """
+        ops = self.ops
         return (self.tiles, self.cells_per_tile, self.sharding,
-                tuple(op.signature() for op in self.ops))
+                ",".join([op.code for op in ops]),
+                ",".join([str(op.value) for op in ops]))
 
 
 def build_field(spec: ProgramSpec) -> TiledField:

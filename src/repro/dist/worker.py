@@ -89,7 +89,10 @@ def replay_spec(spec: ProgramSpec, pipeline: DCRPipeline,
     """Expand ``spec`` for ``pipeline``'s shard count and :func:`replay` it.
 
     The program description itself is a control decision: it is hashed
-    first, so replicas expanding different specs diverge on call 0.
+    first, so replicas expanding different specs diverge on call 0.  Call
+    0 is the only call whose arguments carry payload values; it hashes the
+    spec's flat :meth:`~repro.dist.programs.ProgramSpec.signature`, as an
+    analysis template hit does (:mod:`repro.service.templates`).
     """
     ops = build_operations(spec, pipeline.num_shards, build_field(spec))
     record("program", *spec.signature())

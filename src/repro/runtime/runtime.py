@@ -455,6 +455,10 @@ class Context:
         self._lowered: Dict[Tuple[bool, Tuple],
                             Tuple[Tuple[CoarseRequirement, ...], Tuple]] = {}
         self._lowered_at = runtime.fields_removed
+        # Region trees this shard created, by tree id: False once it
+        # deleted the tree, in its own program order — in-process replicas
+        # replay after the driver has run to the end.
+        self._trees: Dict[int, bool] = {}
         # The explicit trace this shard has open, as a 1-tuple, or ().
         self._open_trace: Tuple = ()
 
@@ -502,6 +506,19 @@ class Context:
         self._fut_cursor += 1
         return fut
 
+    def _check_live(self, call: str, *targets: Any) -> None:
+        """Reject a region or partition of a tree this shard deleted, or
+        of one another runtime created, at the call that names it."""
+        for target in targets:
+            region = target.parent_region if isinstance(target, Partition) \
+                else target
+            live = self._trees.get(region.tree_id)
+            if not live:
+                raise ValueError(
+                    f"{call} on region {region.name}, which "
+                    + ("this runtime has deleted" if live is False
+                       else "another runtime created"))
+
     def _finish(self) -> None:
         if self._open_trace:
             raise ValueError(
@@ -538,11 +555,14 @@ class Context:
             region = LogicalRegion(ispace, fspace, name=name)
             self.runtime.store.allocate(region)
             return region
-        return self._intern_resource("create_region", make)
+        region = self._intern_resource("create_region", make)
+        self._trees[region.tree_id] = True
+        return region
 
     def partition_equal(self, region: LogicalRegion, pieces: int,
                         dim: int = 0, name: str = "") -> Partition:
         """Disjoint, complete blockwise partition along one dimension."""
+        self._check_live("partition_equal", region)
         self._record("partition_equal", region, pieces, dim, name)
         return self._intern_resource(
             "partition_equal",
@@ -551,6 +571,7 @@ class Context:
     def partition_tiles(self, region: LogicalRegion, tiles: Tuple[int, ...],
                         name: str = "") -> Partition:
         """Disjoint, complete n-D tiling of a region."""
+        self._check_live("partition_tiles", region)
         self._record("partition_tiles", region, list(tiles), name)
         return self._intern_resource(
             "partition_tiles", lambda: region.partition_tiles(tiles, name=name))
@@ -559,6 +580,7 @@ class Context:
                         halo: int, dim: Optional[int] = None,
                         name: str = "") -> Partition:
         """Aliased ghost partition: each base piece grown by ``halo``."""
+        self._check_live("partition_ghost", region, base)
         self._record("partition_ghost", region, base, halo,
                      -1 if dim is None else dim, name)
         return self._intern_resource(
@@ -574,6 +596,7 @@ class Context:
         region is folded into the call hash.
         """
         from ..regions import partition_by_field
+        self._check_live("partition_by_field", region)
         assignment = [(list(p), str(color_of(p)))
                       for p in region.index_space]
         self._record("partition_by_field", region, assignment, name)
@@ -585,6 +608,7 @@ class Context:
                            pointer: Callable, name: str = "") -> Partition:
         """Dependent partitioning: image of a pointer field (OOPSLA'16)."""
         from ..regions import partition_by_image
+        self._check_live("partition_by_image", dest, source)
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for sub in source for p in sub.index_space]
         self._record("partition_by_image", dest, source, arrows, name)
@@ -596,6 +620,7 @@ class Context:
                               pointer: Callable, name: str = "") -> Partition:
         """Dependent partitioning: preimage of a pointer field."""
         from ..regions import partition_by_preimage
+        self._check_live("partition_by_preimage", dest, target)
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for p in dest.index_space]
         self._record("partition_by_preimage", dest, target, arrows, name)
@@ -609,6 +634,7 @@ class Context:
                             name: str = "") -> Partition:
         """Arbitrary (possibly dynamic) partition from explicit point lists —
         the circuit app's dynamically computed graph partition."""
+        self._check_live("partition_by_points", region)
         norm = {
             color: tuple(sorted((p,) if isinstance(p, int) else tuple(p)
                                 for p in pts))
@@ -640,6 +666,7 @@ class Context:
         builds in O(pieces), independent of element count.  Colors are the
         rect list positions.
         """
+        self._check_live("partition_rects", region)
         norm = tuple((tuple(int(x) for x in lo), tuple(int(x) for x in hi))
                      for lo, hi in rects)
         self._record("partition_rects", region,
@@ -660,6 +687,7 @@ class Context:
     def fill(self, region: LogicalRegion,
              fields: Union[str, Iterable[str]], value) -> None:
         """Fill the named fields of a region with one value (an operation)."""
+        self._check_live("fill", region)
         names = [fields] if isinstance(fields, str) else sorted(fields)
         fobjs = _fields_of(region.field_space, names, region)
         self._record("fill", region, names, float(value))
@@ -698,12 +726,12 @@ class Context:
             hit = self._lowered[key] = self._lower_reqs_uncached(reqs, group)
         return hit
 
-    @staticmethod
-    def _lower_reqs_uncached(reqs: Sequence[Tuple], group: bool
+    def _lower_reqs_uncached(self, reqs: Sequence[Tuple], group: bool
                              ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple]:
         norm = []
         for spec in reqs:
             target, fields, priv = spec[0], spec[1], _privilege(spec[2])
+            self._check_live("index_launch" if group else "launch", target)
             is_part = isinstance(target, Partition)
             if is_part and not group:
                 raise TypeError(
@@ -935,6 +963,9 @@ class Context:
             self.runtime.deferred.announce(self.shard, region.uid)
             return
         self._record("delete_region", region)
+        # Launches lowered before this call must be checked again.
+        self._trees[region.tree_id] = False
+        self._lowered.clear()
         if self.is_driver:
             self.runtime._apply_deletion(region)
 

@@ -17,10 +17,20 @@ the determinism stream (:func:`repro.dist.worker.op_signature`): an op's
 ``value`` is structural only for ``spot`` (it selects the owner shard);
 every other value is pure payload.  The one place payload values enter the
 conformance artifacts is API call 0 — ``record("program",
-*spec.signature())`` — so a template hit recomputes exactly that digest
-and refolds the cached structure-only tail, yielding a determinism digest
-byte-identical to what a cold run of the patched spec would produce
-(property-tested in ``tests/service/test_service_conformance.py``).
+*spec.signature())``, the spec in its flat form — so a template hit pays
+only for that: it hashes call 0 afresh and folds it with the recording's
+tail of call digests, kept already serialised
+(:func:`~repro.core.determinism.serialise_calls`), in one
+:func:`~repro.core.determinism.fold_calls`.  The result is byte-identical
+to what a cold run of the patched spec would produce (property-tested in
+``tests/service/test_service_conformance.py``).
+
+The conformance verdict is decided once, when the template is recorded:
+:meth:`TemplateStore.record` merges the recorded shard reports and refuses
+a run that is not conformant.  Nothing a hit's merge would compare can
+differ — every shard report of a hit comes from that one recording and
+carries the same fresh digest — so a hit returns the recorded merged
+report with its per-job fields replaced.
 """
 
 from __future__ import annotations
@@ -28,11 +38,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..core.determinism import ShardHasher, stream_digest
+from ..core.determinism import ShardHasher, fold_calls, serialise_calls
 from ..dist.programs import ProgramSpec
-from ..dist.report import MergedReport, ShardReport, merge_reports
+from ..dist.report import MergedReport, merge_reports
 
 __all__ = ["structural_signature", "AnalysisTemplate", "TemplateStore"]
 
@@ -57,33 +67,35 @@ class AnalysisTemplate:
 
     shape: tuple                       # structural_signature, the key
     num_shards: int
-    shards: Tuple[ShardReport, ...]    # cold reports, call digests stripped
-    call_digest_tail: Tuple[int, ...]  # per-call digests after call 0
+    report: MergedReport               # the recorded verdict, no digests
+    call_tail: bytes                   # serialised call digests after call 0
     recorded_from: str                 # program_id of the cold run
     hits: int = 0
 
     def patch(self, spec: ProgramSpec, program_id: str = "",
-              session: str = "", batch: int = 0) -> MergedReport:
+              session: str = "") -> MergedReport:
         """Serve one submission from this template, analysis-free.
 
         The only artifact that depends on payload values is the
-        determinism digest, through API call 0 (the program signature);
-        recompute that one digest and refold the cached structure-only
-        tail.  Everything else — graph digest, fence sequence, counters —
-        is byte-identical to a cold run of ``spec`` by construction.
+        determinism digest, through API call 0 (the program signature):
+        hash that one call and fold it with the serialised tail.
+        Everything else — graph digest, fence sequence, counters, the
+        verdict — is the recording's, byte-identical to a cold run of
+        ``spec`` by construction.  Each shard report's ``wall_s`` is this
+        hit's serve time and its ``pid`` the serving process.
         """
-        hasher = ShardHasher(0)
-        head = hasher.record("program", *spec.signature())
-        digest = stream_digest([head, *self.call_digest_tail])
-        now = time.perf_counter()
-        reports = [replace(cold, determinism_digest=digest,
-                           program_id=program_id, session=session,
-                           wall_s=time.perf_counter() - now, pid=os.getpid())
-                   for cold in self.shards]
+        t0 = time.perf_counter()
+        head = ShardHasher(0).record("program", *spec.signature())
+        digest = fold_calls(serialise_calls((head,)) + self.call_tail)
+        recorded = self.report
+        wall_s, pid = time.perf_counter() - t0, os.getpid()
+        shards = tuple(replace(r, determinism_digest=digest,
+                               program_id=program_id, session=session,
+                               wall_s=wall_s, pid=pid)
+                       for r in recorded.shards)
         self.hits += 1
-        return merge_reports(reports, backend="template",
-                             program_id=program_id, session=session,
-                             template_hit=True)
+        return replace(recorded, determinism_digest=digest,
+                       program_id=program_id, session=session, shards=shards)
 
 
 class TemplateStore:
@@ -125,10 +137,14 @@ class TemplateStore:
         tpl = AnalysisTemplate(
             shape=structural_signature(spec, num_shards),
             num_shards=num_shards,
-            # The tail is stored once; per-shard copies would multiply the
-            # footprint by N for data conformance proved identical.
-            shards=tuple(replace(r, call_digests=()) for r in merged.shards),
-            call_digest_tail=tuple(head.call_digests[1:]),
+            # The verdict every hit returns, reached by the conformant
+            # recording checked above.  The tail is stored once: per-shard
+            # copies would multiply the footprint by N for data
+            # conformance proved identical.
+            report=merge_reports(
+                [replace(r, call_digests=()) for r in merged.shards],
+                backend="template", template_hit=True),
+            call_tail=serialise_calls(head.call_digests[1:]),
             recorded_from=head.program_id)
         # Pop first: re-recording a shape must move it to the young end,
         # and assigning to an existing key keeps the dict's old position.

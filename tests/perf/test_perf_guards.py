@@ -276,3 +276,37 @@ class TestEachEdgeIsStoredOnce:
 
         hashes()                                # fill lazy memos first
         assert hashes() <= 15000                # 43 505 with four stores
+
+
+class TestTemplateHitPaysOnlyForItsParameters:
+    """A template hit hashes call 0 in its flat form, folds the recorded
+    tail with one digest, and returns the verdict the recording reached:
+    it does not walk a nested tuple per op, fold the tail digest by digest
+    or merge the shard reports again.  Counted as Python and C calls (the
+    ``call`` and ``c_call`` events of ``sys.setprofile``), no timings."""
+
+    def test_one_hit_makes_few_calls(self):
+        from repro.dist import merge_reports
+        from repro.service import ServiceGang, TemplateStore
+        from repro.service.loadgen import make_shape_pool
+
+        spec = make_shape_pool(8, 8, 16, 1)[0]
+        with ServiceGang(2, backend="loopback") as gang:
+            reports = gang.run_job(spec, capture_digests=True)
+        tpl = TemplateStore().record(
+            spec, 2, merge_reports(reports, backend="loopback"))
+        calls = 0
+
+        def on_event(_frame, event, _arg):
+            nonlocal calls
+            calls += event == "call" or event == "c_call"
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(on_event)
+        try:
+            tpl.patch(spec, program_id="p", session="s")
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert calls <= 150     # 114; 813 with call 0 nested, a merge a hit

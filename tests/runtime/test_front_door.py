@@ -101,3 +101,86 @@ def test_get_value_of_a_non_future_is_rejected(backend):
 
     with pytest.raises(TypeError, match="get_value takes a Future"):
         _run(backend, main)
+
+
+def _noop(*_args):
+    """A body that touches no data, so only the front door can object."""
+
+
+#: Every call that names a region, as ``use(ctx, region, partition)``.
+USES = {
+    "launch": lambda ctx, r, p: ctx.launch(_noop, [(r, "x", "rw")]),
+    "index_launch": lambda ctx, r, p: ctx.index_launch(
+        _noop, (0, 1), [(p, "x", "rw")]),
+    "fill": lambda ctx, r, p: ctx.fill(r, "x", 1.0),
+    "partition_equal": lambda ctx, r, p: ctx.partition_equal(r, 4),
+    "partition_ghost": lambda ctx, r, p: ctx.partition_ghost(r, p, 1),
+}
+
+
+@pytest.mark.parametrize("use", sorted(USES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_deleted_region_is_rejected_at_the_call(backend, use):
+    def main(ctx):
+        r = _region(ctx)
+        p = ctx.partition_equal(r, 2)
+        ctx.launch(_noop, [(r, "x", "rw")])     # lowered while still live
+        ctx.delete_region(r)
+        USES[use](ctx, r, p)
+
+    with pytest.raises(ValueError, match=f"{use} on region r, which this "
+                                         f"runtime has deleted"):
+        _run(backend, main)
+
+
+def _foreign():
+    """A region, and a partition of it, that another runtime created."""
+    def main(ctx):
+        r = _region(ctx)
+        return r, ctx.partition_equal(r, 2)
+
+    return Runtime(num_shards=1).execute(main)
+
+
+@pytest.mark.parametrize("use", sorted(USES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_foreign_region_is_rejected_at_the_call(backend, use):
+    r, p = _foreign()
+
+    def main(ctx):
+        _region(ctx)
+        USES[use](ctx, r, p)
+
+    with pytest.raises(ValueError, match=f"{use} on region r, which "
+                                         f"another runtime created"):
+        _run(backend, main)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_replica_deletes_in_its_own_program_order(backend):
+    """In-process replicas replay after the driver has deleted the region:
+    their uses before the deletion are still valid."""
+    def main(ctx):
+        r, keep = _region(ctx), _region(ctx)
+        ctx.fill(keep, "x", 0.0)
+        ctx.launch(_touch, [(r, "x", "rw")])
+        ctx.delete_region(r)
+        ctx.launch(_touch, [(keep, "x", "rw")])
+        return keep
+
+    rt = Runtime(num_shards=2, backend=backend)
+    keep = rt.execute(main)
+    assert (rt.store.raw(keep.tree_id, keep.field_space["x"]) == 1.0).all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_finalizer_deletion_is_not_a_use_after_delete(backend):
+    """A deletion deferred through a finalizer is not in program order."""
+    def main(ctx):
+        r = _region(ctx)
+        ctx.fill(r, "x", 0.0)
+        with ctx.finalizer():
+            ctx.delete_region(r)
+        ctx.launch(_touch, [(r, "x", "rw")])
+
+    _run(backend, main)

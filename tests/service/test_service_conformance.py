@@ -43,8 +43,13 @@ def _assert_identical(a, b):
     assert a.conformant and b.conformant
     assert a.graph_digest == b.graph_digest
     assert a.determinism_digest == b.determinism_digest
-    assert a.shards[0].fence_sequence == b.shards[0].fence_sequence
-    assert a.shards[0].call_count == b.shards[0].call_count
+    assert len(a.shards) == len(b.shards)
+    for x, y in zip(a.shards, b.shards):
+        assert x.shard == y.shard
+        assert x.graph_digest == y.graph_digest
+        assert x.fence_sequence == y.fence_sequence
+        assert x.call_count == y.call_count
+        assert x.determinism_digest == y.determinism_digest
 
 
 @settings(max_examples=10, deadline=None,

@@ -1,7 +1,13 @@
 """Analysis-template keying and parameter patching, in isolation."""
 
+import dataclasses
+import os
+import random
+
 import pytest
 
+from repro.core.determinism import ShardHasher, serialise_calls, \
+    stream_digest
 from repro.dist import OpSpec, ProgramSpec, merge_reports, run_reference, \
     stencil_program
 from repro.service import ServiceGang, TemplateStore, structural_signature
@@ -131,3 +137,31 @@ def test_patch_counts_hits():
     tpl.patch(spec)
     tpl.patch(spec)
     assert tpl.hits == 2
+
+
+@pytest.mark.parametrize("tail_len", [0, 1, 34])
+def test_patch_folds_head_and_serialised_tail_like_stream_digest(tail_len):
+    """The hit's fold of call 0 with the pre-serialised tail is the one
+    :func:`stream_digest` of the whole stream."""
+    spec = stencil_program(4, steps=1)
+    tpl = TemplateStore().record(spec, 2, _cold_merged(spec, 2))
+    rng = random.Random(tail_len)
+    tail = [rng.getrandbits(128) for _ in range(tail_len)]
+    tpl = dataclasses.replace(tpl, call_tail=serialise_calls(tail))
+    head = ShardHasher(0).record("program", *spec.signature())
+    served = tpl.patch(spec)
+    assert served.determinism_digest == stream_digest([head, *tail])
+    assert {r.determinism_digest for r in served.shards} \
+        == {served.determinism_digest}
+
+
+def test_patch_reports_its_own_serve_time_and_process():
+    spec = stencil_program(6, steps=2)
+    tpl = TemplateStore().record(spec, 2, _cold_merged(spec, 2))
+    served = tpl.patch(spec, program_id="s/p1", session="s")
+    assert len(served.shards) == 2
+    for r in served.shards:
+        assert r.wall_s > 0 and r.pid == os.getpid()
+        assert r.program_id == "s/p1" and r.session == "s"
+        assert r.call_digests == ()
+    assert served.backend == "template" and served.template_hit
