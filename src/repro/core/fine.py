@@ -146,10 +146,11 @@ class FineAnalysis:
             shard = op.shard_of(point, self.num_shards)
             tasks.append(PointTask(op, point, shard, reqs))
             points[shard] = points.get(shard, 0) + 1
-        # Points within one group launch are pairwise independent by
-        # construction (the group-launch well-formedness condition), so they
-        # are analyzed against prior state only: the whole group is one
-        # arrival, and the epochs are walked once per (requirement, field).
+        # Points within one group launch are pairwise independent (the
+        # group-launch well-formedness condition, which Context.index_launch
+        # checks at the call), so they are analyzed against prior state
+        # only: the whole group is one arrival, and the epochs are walked
+        # once per (requirement, field).
         self._analyze_launch(op, tasks)
         self._update(op, tasks)
         edges, cross = self.admit(tasks)

@@ -148,6 +148,21 @@ class CoarseRequirement:
                     f"have (colours {sorted(colours, key=repr)})")
 
 
+def check_launch_domain(name: str,
+                        coarse_reqs: Sequence[CoarseRequirement],
+                        dom: Tuple[Hashable, ...]) -> None:
+    """A launch names each point once, and every point projects to a
+    colour of every partition it names."""
+    if len(set(dom)) != len(dom):
+        seen: set = set()
+        repeated = next(p for p in dom if p in seen or seen.add(p))
+        raise ValueError(
+            f"{name}: launch domain names point {repeated!r} "
+            f"more than once")
+    for cr in coarse_reqs:
+        cr.check_domain(dom, name)
+
+
 class Operation:
     """One entry of the replicated control program's operation stream."""
 
@@ -181,18 +196,8 @@ class Operation:
         self.seq: int = -1               # program-order index, set by pipeline
 
     def _check_domain(self) -> None:
-        """A launch names each point once, and every point projects to a
-        colour of every partition it names — checked here, before the op
-        enters either analysis stage."""
-        dom = self.launch_domain
-        if len(set(dom)) != len(dom):
-            seen: set = set()
-            repeated = next(p for p in dom if p in seen or seen.add(p))
-            raise ValueError(
-                f"{self.name}: launch domain names point {repeated!r} "
-                f"more than once")
-        for cr in self.coarse_reqs:
-            cr.check_domain(dom, self.name)
+        """Checked here, before the op enters either analysis stage."""
+        check_launch_domain(self.name, self.coarse_reqs, self.launch_domain)
 
     # -- group structure ------------------------------------------------------
 

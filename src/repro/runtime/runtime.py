@@ -34,15 +34,17 @@ from ..core import (CoarseRequirement, Collectives, DCRPipeline,
                     DeferredOpManager, DeterminismMonitor,
                     IDENTITY_PROJECTION, Operation, PointTask)
 from ..core.determinism import ControlDeterminismViolation, stream_digest
+from ..core.operation import check_launch_domain
 from ..core.rng import CounterRNG
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
 from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, EV_CONTROL_REPLAY,
                           EV_EXEC_POINT, EV_SHARD_CRASH)
 from ..obs.profiler import Profiler, get_profiler
-from ..oracle import (Privilege, READ_ONLY, READ_WRITE, RegionRequirement,
-                      WRITE_DISCARD, reduce_priv)
+from ..oracle import (Privilege, PrivilegeKind, READ_ONLY, READ_WRITE,
+                      RegionRequirement, WRITE_DISCARD, reduce_priv,
+                      requirements_conflict)
 from ..regions import (Field, FieldSpace, IndexSpace, LogicalRegion,
-                       Partition, Rect)
+                       Partition, Rect, cached_may_alias)
 from .future import Future, FutureMap
 from .mapper import DefaultMapper, Mapper
 from .store import FieldAccessor, RegionStore
@@ -84,6 +86,95 @@ def _fields_of(fspace: FieldSpace, names: Sequence[str],
             raise ValueError(f"{target.name} has no field {name!r} "
                              f"(its fields: {have})")
     return frozenset(fspace[n] for n in names)
+
+
+def _both_write(a: Privilege, b: Privilege) -> bool:
+    """Whether two requirements of one task may not name the same data:
+    both write (``rw``, ``wd``, or reductions with different operators).
+    ``rw`` beside ``ro`` is legal (``LegateArray.axpy(alpha, self)``)."""
+    return a.kind is not PrivilegeKind.READ_ONLY \
+        and b.kind is not PrivilegeKind.READ_ONLY and a.conflicts_with(b)
+
+
+def _two_writers(call: str, i: int, j: int, a: CoarseRequirement,
+                 b: CoarseRequirement, where: str = "") -> ValueError:
+    names = ", ".join(sorted(f.name for f in a.fields & b.fields))
+    return ValueError(
+        f"{call}{where}: requirements {i} and {j} both write field(s) "
+        f"{names} of {a.upper.name} and {b.upper.name}, which alias — one "
+        f"task may write the same data through one requirement only")
+
+
+def _check_writers(call: str, norm: Sequence[CoarseRequirement]) -> None:
+    """Reject a task with two requirements that both write the same data."""
+    for i, a in enumerate(norm):
+        for j in range(i + 1, len(norm)):
+            b = norm[j]
+            if _both_write(a.privilege, b.privilege) \
+                    and a.fields & b.fields \
+                    and cached_may_alias(a.upper, b.upper):
+                raise _two_writers(call, i, j, a, b)
+
+
+def _splits(cr: CoarseRequirement) -> bool:
+    """Whether distinct points of a launch get disjoint pieces of ``cr``:
+    a disjoint partition under the identity projection (points are
+    distinct, see :func:`check_launch_domain`)."""
+    return isinstance(cr.upper, Partition) and cr.upper.disjoint \
+        and cr.projection is IDENTITY_PROJECTION
+
+
+def _check_group(name: str, norm: Sequence[CoarseRequirement],
+                 dom: Tuple[Hashable, ...]) -> None:
+    """Reject a group launch whose points interfere, or one of whose points
+    has two requirements that both write the same data.
+
+    The first is the executable spec's ``TaskGroup`` rule
+    (:func:`~repro.oracle.tasks_interfere` between any two points), which
+    the fine stage's one-arrival analysis of a launch relies on.  Pairs of
+    requirements that cannot conflict are settled without a point: the
+    privileges do not conflict (every requirement reads, or reduces with
+    one operator), the fields or the region trees are apart, or both are
+    the same disjoint partition under the identity projection, so two
+    points get disjoint pieces.  The rest are decided point by point.
+    Called once per call-site shape and domain, never per launch.
+    """
+    across: List[Tuple[int, int]] = []   # may conflict between two points
+    within: List[Tuple[int, int]] = []   # may both write in one point
+    for i, a in enumerate(norm):
+        for j in range(i, len(norm)):
+            b = norm[j]
+            if not a.privilege.conflicts_with(b.privilege) \
+                    or not a.fields & b.fields \
+                    or not cached_may_alias(a.bound_region(),
+                                            b.bound_region()):
+                continue
+            if len(dom) > 1 \
+                    and not (a.upper is b.upper and _splits(a) and _splits(b)):
+                across.append((i, j))
+            if i < j and _both_write(a.privilege, b.privilege):
+                within.append((i, j))
+    if not across and not within:
+        return
+    check_launch_domain(name, norm, dom)
+    reqs = [cr.point_requirements(dom, dom) for cr in norm]
+    for i, j in within:
+        for p, (ra, rb) in enumerate(zip(reqs[i], reqs[j])):
+            if cached_may_alias(ra.region, rb.region):
+                raise _two_writers("index_launch", i, j, norm[i], norm[j],
+                                   f" of {name} at point {dom[p]!r}")
+    n = len(dom)
+    for i, j in across:
+        ri, rj = reqs[i], reqs[j]
+        for p in range(n):
+            for q in range(p + 1 if i == j else 0, n):
+                if p != q and requirements_conflict(ri[p], rj[q]):
+                    raise ValueError(
+                        f"index_launch of {name}: points {dom[p]!r} and "
+                        f"{dom[q]!r} interfere through requirements {i} "
+                        f"({ri[p].region.name}) and {j} "
+                        f"({rj[q].region.name}) — the points of one launch "
+                        f"must be independent")
 
 
 class RegionArg:
@@ -450,10 +541,12 @@ class Context:
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False
-        # Coarse requirements and launch descriptor per (group launch?,
-        # reqs spec), while no field has been removed since they were built.
+        # Coarse requirements, launch descriptor and the launch domains
+        # found independent per (group launch?, reqs spec), while no field
+        # has been removed since they were built.
         self._lowered: Dict[Tuple[bool, Tuple],
-                            Tuple[Tuple[CoarseRequirement, ...], Tuple]] = {}
+                            Tuple[Tuple[CoarseRequirement, ...], Tuple,
+                                  set]] = {}
         self._lowered_at = runtime.fields_removed
         # Region trees this shard created, by tree id: False once it
         # deleted the tree, in its own program order — in-process replicas
@@ -704,8 +797,9 @@ class Context:
     # -- task launches -------------------------------------------------------------------------
 
     def _lower_reqs(self, reqs: Sequence[Tuple], group: bool
-                    ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple]:
-        """The launch's coarse requirements and the descriptor it hashes.
+                    ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple, set]:
+        """The launch's coarse requirements, the descriptor it hashes, and
+        the set of launch domains already found independent under them.
 
         Memoised per hashable ``reqs`` spec: the descriptor is then the same
         tuple every time, which the hasher's skeleton reuses, and so are
@@ -727,7 +821,8 @@ class Context:
         return hit
 
     def _lower_reqs_uncached(self, reqs: Sequence[Tuple], group: bool
-                             ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple]:
+                             ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple,
+                                        set]:
         norm = []
         for spec in reqs:
             target, fields, priv = spec[0], spec[1], _privilege(spec[2])
@@ -750,9 +845,10 @@ class Context:
                           cr.projection.pid if cr.projection else -1)
                          for cr in norm)
         else:
+            _check_writers("launch", norm)
             desc = tuple((cr.upper, tuple(sorted(f.name for f in cr.fields)),
                           cr.privilege.kind.value) for cr in norm)
-        return tuple(norm), desc
+        return tuple(norm), desc, set()
 
     @staticmethod
     def _task_key(fn: Callable) -> str:
@@ -785,7 +881,7 @@ class Context:
         is hashed by *handle*, not value, so shards stay deterministic.
         """
         key = self._task_key(fn)
-        coarse_reqs, desc = self._lower_reqs(reqs, group=False)
+        coarse_reqs, desc, _ = self._lower_reqs(reqs, group=False)
         self._record("launch", key, desc, list(args), list(future_args),
                      owner_shard)
         def do() -> Future:
@@ -816,13 +912,17 @@ class Context:
         any other is hashed as a list of its points.
         """
         key = self._task_key(fn)
-        coarse_reqs, desc = self._lower_reqs(reqs, group=True)
+        coarse_reqs, desc, independent = self._lower_reqs(reqs, group=True)
         if type(domain) is not tuple:
             domain = list(domain)
         if not domain:
             raise ValueError(
                 f"index_launch of {fn.__name__} over an empty domain — "
                 f"launch at least one point (or skip the launch)")
+        points = domain if type(domain) is tuple else tuple(domain)
+        if points not in independent:
+            _check_group(fn.__name__, coarse_reqs, points)
+            independent.add(points)
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
         self._record("index_launch", key, domain, desc, list(args),
                      list(future_args), sharding.sid)

@@ -9,12 +9,18 @@ service multiplexes every session onto a single persistent
 * **admission control** — a bounded global queue and a per-session
   in-flight cap, both rejecting with :class:`AdmissionError` rather than
   queueing unboundedly (open-loop clients stay open-loop);
-* **fair scheduling** — one dispatcher thread round-robins the sessions,
-  so a chatty client cannot starve a quiet one;
+* **fair scheduling** — one dispatcher thread round-robins the sessions'
+  gang work, so a chatty client cannot starve a quiet one;
 * **analysis templates** — the first run of a program *shape* captures an
   :class:`~repro.service.templates.AnalysisTemplate`; every later
   submission of the same shape is served driver-side by parameter
-  patching, never touching the gang (see :mod:`repro.service.templates`);
+  patching, never touching the gang (see :mod:`repro.service.templates`).
+  A fault-free submission to a session with nothing in flight is looked
+  up at admission and, on a hit, answered before :meth:`DCRService.submit`
+  returns, with no dispatcher hop; on a miss it is queued already looked
+  up.  Any other submission is looked up when dispatched, so a session's
+  jobs still complete in submission order and each job counts as exactly
+  one template hit or miss;
 * **recovery** — a dead gang (crashed replica, divergence, timeout) is
   stopped and rebuilt per :func:`repro.resilience.plan_gang_recovery`:
   RESTART at full width, DEGRADE one shard narrower — both re-run the
@@ -46,7 +52,7 @@ from ..obs.events import (CAT_SERVICE, CONTROL_SHARD, EV_GANG_REBUILD,
 from ..obs.profiler import Profiler
 from ..resilience import ResilienceConfig, plan_gang_recovery
 from .gang import GANG_BACKENDS, GangFailure, ServiceGang
-from .templates import TemplateStore
+from .templates import AnalysisTemplate, TemplateStore
 
 __all__ = ["AdmissionError", "JobExpired", "JobHandle", "Session",
            "DCRService"]
@@ -103,7 +109,8 @@ class JobHandle:
 
 
 class _Job:
-    __slots__ = ("spec", "handle", "fault", "submitted_at", "deadline_at")
+    __slots__ = ("spec", "handle", "fault", "submitted_at", "deadline_at",
+                 "looked_up")
 
     def __init__(self, spec: ProgramSpec, handle: JobHandle,
                  fault: Optional[FaultPlan],
@@ -113,6 +120,7 @@ class _Job:
         self.fault = fault
         self.submitted_at = time.perf_counter()
         self.deadline_at = deadline_at     # service-clock instant, or None
+        self.looked_up = False             # missed the store at admission
 
 
 class _SessionState:
@@ -331,6 +339,11 @@ class DCRService:
         ``reason="deadline"``, and an admitted job that nevertheless
         misses its deadline resolves with :class:`JobExpired` at
         dispatch time instead of occupying the gang.
+
+        A fault-free job of a session with nothing in flight is looked
+        up here: a template hit is resolved before this returns.  So a
+        job admitted while its shape's first cold run is still on the
+        gang misses and runs cold itself.
         """
         prof = self.profiler
         with self._cond:
@@ -386,12 +399,23 @@ class DCRService:
             handle = JobHandle(job_id=f"job-{self._job_seq}",
                                program_id=f"{session}/p{state.submitted}",
                                session=session)
-            state.queue.append(_Job(spec, handle, fault, deadline_at))
-            state.inflight += 1
-            self._pending_total += 1
+            job = _Job(spec, handle, fault, deadline_at)
             if prof.enabled:
                 prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_JOB_ADMIT,
                              session=session, program=handle.program_id)
+            # Serve at admission: with nothing of this session in flight
+            # no earlier job of it can still complete, so a hit answered
+            # here keeps submission order.  A fault plan must reach the
+            # gang (see _execute), so such a job is never looked up.
+            if fault is None and state.inflight == 0:
+                tpl = self.templates.lookup(spec, self._width)
+                if tpl is not None:
+                    self._serve_hit(job, tpl)
+                    return handle
+                job.looked_up = True
+            state.queue.append(job)
+            state.inflight += 1
+            self._pending_total += 1
             self._cond.notify_all()
         return handle
 
@@ -444,27 +468,24 @@ class DCRService:
         # A submission carrying a fault plan must reach the gang — serving
         # it from a template would silently skip the injection the caller
         # asked for (the chaos tests and the service chaos soak depend on
-        # this).
-        tpl = None if job.fault is not None \
-            else self.templates.lookup(job.spec, self._width)
-        if tpl is not None:
-            report = tpl.patch(job.spec, program_id=handle.program_id,
-                               session=handle.session)
-            self.template_serves += 1
-            if prof.enabled:
-                prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_TEMPLATE_HIT,
-                             program=handle.program_id,
-                             recorded_from=tpl.recorded_from)
+        # this).  A job that missed at admission is not looked up again.
+        if job.fault is None and not job.looked_up:
+            with self._cond:
+                tpl = self.templates.lookup(job.spec, self._width)
+                if tpl is not None:
+                    self._job_resolved_locked(handle.session)
+                    self._serve_hit(job, tpl)
+                    self._cond.notify_all()
+                    return
+        cold0 = time.perf_counter()
+        try:
+            report = self._run_cold(job)
+        except BaseException as exc:  # noqa: BLE001 - resolved below
+            error = exc
         else:
-            cold0 = time.perf_counter()
-            try:
-                report = self._run_cold(job)
-            except BaseException as exc:  # noqa: BLE001 - resolved below
-                error = exc
-            else:
-                observed = time.perf_counter() - cold0
-                self._job_ewma_s = observed if self._job_ewma_s == 0.0 \
-                    else 0.7 * self._job_ewma_s + 0.3 * observed
+            observed = time.perf_counter() - cold0
+            self._job_ewma_s = observed if self._job_ewma_s == 0.0 \
+                else 0.7 * self._job_ewma_s + 0.3 * observed
         with self._cond:
             self._job_resolved_locked(handle.session)
             if error is None:
@@ -476,10 +497,36 @@ class DCRService:
             prof.complete(CONTROL_SHARD, CAT_SERVICE, EV_JOB_DISPATCH, t0,
                           prof.now_us() - t0, program=handle.program_id,
                           session=handle.session,
-                          template_hit=bool(tpl), ok=error is None)
+                          template_hit=False, ok=error is None)
             prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_JOB_DONE,
                          program=handle.program_id, ok=error is None)
         handle._resolve(report, error)
+
+    def _serve_hit(self, job: _Job, tpl: AnalysisTemplate) -> None:
+        """Answer ``job`` from ``tpl`` and resolve its handle.
+
+        The one way a hit is served, from :meth:`submit` (admission) and
+        from :meth:`_execute` (dispatch); called with the service lock
+        held, which is also what guards the template store.
+        """
+        handle = job.handle
+        prof = self.profiler
+        t0 = prof.now_us() if prof.enabled else 0.0
+        report = tpl.patch(job.spec, program_id=handle.program_id,
+                           session=handle.session)
+        self.template_serves += 1
+        self.jobs_completed += 1
+        if prof.enabled:
+            prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_TEMPLATE_HIT,
+                         program=handle.program_id,
+                         recorded_from=tpl.recorded_from)
+            prof.complete(CONTROL_SHARD, CAT_SERVICE, EV_JOB_DISPATCH, t0,
+                          prof.now_us() - t0, program=handle.program_id,
+                          session=handle.session, template_hit=True,
+                          ok=True)
+            prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_JOB_DONE,
+                         program=handle.program_id, ok=True)
+        handle._resolve(report, None)
 
     def _run_cold(self, job: _Job) -> MergedReport:
         """Analyze on the gang; recover from gang death per policy."""
@@ -504,9 +551,10 @@ class DCRService:
                 shard_reports, backend=self.backend,
                 program_id=handle.program_id, session=handle.session)
             if merged.conformant:
-                if self.templates.record(job.spec, self._width,
-                                         merged) is not None \
-                        and self.profiler.enabled:
+                with self._lock:
+                    recorded = self.templates.record(job.spec, self._width,
+                                                     merged)
+                if recorded is not None and self.profiler.enabled:
                     self.profiler.instant(
                         CONTROL_SHARD, CAT_SERVICE, EV_TEMPLATE_RECORDED,
                         program=handle.program_id)
@@ -524,7 +572,8 @@ class DCRService:
             return False
         new_width = int(plan.details["new_width"])
         self._gang.stop()
-        self._width = new_width
+        with self._lock:       # submit reads the width under the lock
+            self._width = new_width
         self._gang = self._build_gang(new_width)
         if self.profiler.enabled:
             self.profiler.instant(

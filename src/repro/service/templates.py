@@ -8,9 +8,9 @@ the program's structural shape, and serves later submissions by *patching
 parameters* into the cached products.
 
 Templates are keyed by the shape itself — :func:`structural_signature` is
-a hashable tuple, so the LRU dict's own hashing and equality are the whole
-lookup: equal shapes hit, anything else misses, and there is no separate
-hash to collide.
+a flat tuple of five scalars, the op codes one comma-joined string — so
+the LRU dict's own hashing and equality are the whole lookup: equal shapes
+hit, anything else misses, and there is no separate hash to collide.
 
 What counts as *shape* vs *parameter* mirrors what the workers hash into
 the determinism stream (:func:`repro.dist.worker.op_signature`): an op's
@@ -30,21 +30,31 @@ The conformance verdict is decided once, when the template is recorded:
 a run that is not conformant.  Nothing a hit's merge would compare can
 differ — every shard report of a hit comes from that one recording and
 carries the same fresh digest — so a hit returns the recorded merged
-report with its per-job fields replaced.
+report with its per-job fields replaced.  Those copies go through
+:func:`copy_report`, which copies the recorded instance's ``__dict__``
+instead of re-running the report's generated ``__init__`` over every
+field as :func:`dataclasses.replace` would.
+
+The store is not thread-safe by itself: :class:`~repro.service.service.
+DCRService` calls :meth:`TemplateStore.lookup`, :meth:`TemplateStore.record`
+and :meth:`AnalysisTemplate.patch` only under its service lock, from the
+submitting thread (a hit at admission) or the dispatcher.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, TypeVar
 
 from ..core.determinism import ShardHasher, fold_calls, serialise_calls
 from ..dist.programs import ProgramSpec
 from ..dist.report import MergedReport, merge_reports
 
 __all__ = ["structural_signature", "AnalysisTemplate", "TemplateStore"]
+
+_Report = TypeVar("_Report")
 
 
 def structural_signature(spec: ProgramSpec, num_shards: int) -> tuple:
@@ -54,11 +64,29 @@ def structural_signature(spec: ProgramSpec, num_shards: int) -> tuple:
     digests, fence sequences, and analyze-call streams at ``num_shards``
     shards; they may differ only in payload values (which reach the
     artifacts solely through the program-signature API call).
+
+    Flat: ``(tiles, cells_per_tile, sharding, num_shards, ops)`` with
+    ``ops`` the comma-joined op codes, each ``spot`` written with its
+    owner shard (``spot1``).  No code contains a comma or ends in a digit
+    (``OP_CODES``), so the string determines the codes and the owners.
     """
-    ops = tuple(
-        (op.code, op.value % num_shards if op.code == "spot" else None)
-        for op in spec.ops)
+    ops = ",".join([f"spot{op.value % num_shards}" if op.code == "spot"
+                    else op.code for op in spec.ops])
     return (spec.tiles, spec.cells_per_tile, spec.sharding, num_shards, ops)
+
+
+def copy_report(report: _Report, changes: Dict[str, Any]) -> _Report:
+    """``dataclasses.replace(report, **changes)`` for a frozen report.
+
+    Copies the instance dict into a new instance instead of re-running the
+    generated ``__init__`` over every field.  Equal to ``replace`` for
+    :class:`~repro.dist.report.ShardReport` and
+    :class:`~repro.dist.report.MergedReport`: neither has a
+    ``__post_init__`` or an ``init=False`` field for the copy to skip.
+    """
+    new = object.__new__(type(report))
+    object.__setattr__(new, "__dict__", {**report.__dict__, **changes})
+    return new
 
 
 @dataclass
@@ -87,15 +115,15 @@ class AnalysisTemplate:
         t0 = time.perf_counter()
         head = ShardHasher(0).record("program", *spec.signature())
         digest = fold_calls(serialise_calls((head,)) + self.call_tail)
+        job = {"determinism_digest": digest, "program_id": program_id,
+               "session": session}
+        served = {**job, "wall_s": time.perf_counter() - t0,
+                  "pid": os.getpid()}
         recorded = self.report
-        wall_s, pid = time.perf_counter() - t0, os.getpid()
-        shards = tuple(replace(r, determinism_digest=digest,
-                               program_id=program_id, session=session,
-                               wall_s=wall_s, pid=pid)
-                       for r in recorded.shards)
+        job["shards"] = tuple([copy_report(r, served)
+                               for r in recorded.shards])
         self.hits += 1
-        return replace(recorded, determinism_digest=digest,
-                       program_id=program_id, session=session, shards=shards)
+        return copy_report(recorded, job)
 
 
 class TemplateStore:
@@ -116,12 +144,13 @@ class TemplateStore:
     def lookup(self, spec: ProgramSpec,
                num_shards: int) -> Optional[AnalysisTemplate]:
         """The template for this program shape, or None (counted a miss)."""
-        tpl = self._entries.pop(structural_signature(spec, num_shards), None)
+        shape = structural_signature(spec, num_shards)
+        tpl = self._entries.pop(shape, None)
         if tpl is None:
             self.misses += 1
             return None
         self.hits += 1
-        self._entries[tpl.shape] = tpl   # LRU touch: back in at the young end
+        self._entries[shape] = tpl       # LRU touch: back in at the young end
         return tpl
 
     def record(self, spec: ProgramSpec, num_shards: int,
@@ -142,7 +171,8 @@ class TemplateStore:
             # copies would multiply the footprint by N for data
             # conformance proved identical.
             report=merge_reports(
-                [replace(r, call_digests=()) for r in merged.shards],
+                [copy_report(r, {"call_digests": ()})
+                 for r in merged.shards],
                 backend="template", template_hit=True),
             call_tail=serialise_calls(head.call_digests[1:]),
             recorded_from=head.program_id)

@@ -120,15 +120,18 @@ def run_demo(path: str, shards: int = 4, steps: int = 6,
 
     from ..runtime import Runtime
 
-    def _diffuse(point, owned, ghost):
-        owned["x"].view[...] = 0.5 * owned["x"].view + \
+    # Double-buffered: a point reads its neighbours' ``x`` through the
+    # ghost partition, so it writes ``y`` — writing ``x`` there would race
+    # with the neighbours' reads, and the runtime rejects such a launch.
+    def _diffuse(point, out, owned, ghost):
+        out["y"].view[...] = 0.5 * owned["x"].view + \
             0.5 * float(ghost["x"].view.mean())
 
     def _scale(point, owned):
-        owned["x"].view[...] *= 1.001
+        owned["x"].view[...] = owned["y"].view * 1.001
 
     def control(ctx):
-        fs = ctx.create_field_space([("x", "f8")])
+        fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
         cells = ctx.create_region(ctx.create_index_space(tiles * 8), fs,
                                   "cells")
         owned = ctx.partition_equal(cells, tiles, name="owned")
@@ -137,8 +140,9 @@ def run_demo(path: str, shards: int = 4, steps: int = 6,
         dom = list(range(tiles))
         for _ in range(steps):
             ctx.index_launch(_diffuse, dom,
-                             [(owned, "x", "rw"), (ghost, "x", "ro")])
-            ctx.index_launch(_scale, dom, [(owned, "x", "rw")])
+                             [(owned, "y", "wd"), (owned, "x", "ro"),
+                              (ghost, "x", "ro")])
+            ctx.index_launch(_scale, dom, [(owned, ("x", "y"), "rw")])
 
     prof = Profiler().enable()
     rt = Runtime(num_shards=shards, auto_trace=True, profiler=prof)

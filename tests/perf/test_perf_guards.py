@@ -280,12 +280,15 @@ class TestEachEdgeIsStoredOnce:
 
 class TestTemplateHitPaysOnlyForItsParameters:
     """A template hit hashes call 0 in its flat form, folds the recorded
-    tail with one digest, and returns the verdict the recording reached:
-    it does not walk a nested tuple per op, fold the tail digest by digest
-    or merge the shard reports again.  Counted as Python and C calls (the
-    ``call`` and ``c_call`` events of ``sys.setprofile``), no timings."""
+    tail with one digest, and returns the verdict the recording reached,
+    copying the recorded reports' dicts: it does not walk a nested tuple
+    per op, fold the tail digest by digest, merge the shard reports again
+    or re-run the reports' constructors.  Its lookup key is flat too.
+    Counted as Python and C calls (the ``call`` and ``c_call`` events of
+    ``sys.setprofile``), no timings."""
 
-    def test_one_hit_makes_few_calls(self):
+    @staticmethod
+    def _recorded():
         from repro.dist import merge_reports
         from repro.service import ServiceGang, TemplateStore
         from repro.service.loadgen import make_shape_pool
@@ -293,8 +296,12 @@ class TestTemplateHitPaysOnlyForItsParameters:
         spec = make_shape_pool(8, 8, 16, 1)[0]
         with ServiceGang(2, backend="loopback") as gang:
             reports = gang.run_job(spec, capture_digests=True)
-        tpl = TemplateStore().record(
-            spec, 2, merge_reports(reports, backend="loopback"))
+        store = TemplateStore()
+        tpl = store.record(spec, 2, merge_reports(reports, backend="loopback"))
+        return spec, store, tpl
+
+    @staticmethod
+    def _calls(fn):
         calls = 0
 
         def on_event(_frame, event, _arg):
@@ -305,8 +312,22 @@ class TestTemplateHitPaysOnlyForItsParameters:
         gc.disable()
         sys.setprofile(on_event)
         try:
-            tpl.patch(spec, program_id="p", session="s")
+            fn()
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert calls <= 150     # 114; 813 with call 0 nested, a merge a hit
+        return calls
+
+    def test_one_hit_makes_few_calls(self):
+        spec, _store, tpl = self._recorded()
+        calls = self._calls(
+            lambda: tpl.patch(spec, program_id="p", session="s"))
+        # 50; 115 copying the reports with dataclasses.replace, 813 with
+        # call 0 nested and a merge a hit
+        assert calls <= 80
+
+    def test_one_lookup_makes_few_calls(self):
+        spec, store, tpl = self._recorded()
+        calls = self._calls(lambda: store.lookup(spec, 2))
+        assert store.hits == 1 and store.lookup(spec, 2) is tpl
+        assert calls <= 15      # 7; 40 with a key tuple per op

@@ -2,8 +2,10 @@
 them, with a typed error, on the in-process and the loopback backend alike
 — not accepted, and not failing deep inside the runtime."""
 
+import numpy as np
 import pytest
 
+from repro.legate import LegateContext
 from repro.runtime import Runtime
 
 BACKENDS = ["inprocess", "loopback"]
@@ -184,3 +186,104 @@ def test_a_finalizer_deletion_is_not_a_use_after_delete(backend):
         ctx.launch(_touch, [(r, "x", "rw")])
 
     _run(backend, main)
+
+
+def _ghost(ctx, r):
+    """Four overlapping pieces: each tile of two cells plus a neighbour."""
+    return ctx.partition_ghost(r, ctx.partition_equal(r, 4), 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_interfering_group_launch_is_rejected(backend):
+    """Neighbouring points of a ghost-partition write share cells, so the
+    points of the launch are not independent."""
+    def main(ctx):
+        r = _region(ctx)
+        ctx.index_launch(_noop, range(4), [(_ghost(ctx, r), "x", "rw")])
+
+    with pytest.raises(ValueError, match=r"index_launch of _noop: points 0 "
+                                         r"and 1 interfere"):
+        _run(backend, main)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_group_writing_what_another_point_reads_is_rejected(backend):
+    def main(ctx):
+        r = _region(ctx)
+        tiles = ctx.partition_equal(r, 4)
+        ctx.index_launch(_noop, range(4), [(tiles, "x", "rw"),
+                                           (_ghost(ctx, r), "x", "ro")])
+
+    with pytest.raises(ValueError, match="interfere through requirements"):
+        _run(backend, main)
+
+
+@pytest.mark.parametrize("spec", ["rw", "wd", "red<*>"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_two_writers_in_one_task_are_rejected(backend, spec):
+    def main(ctx):
+        r = _region(ctx)
+        ctx.launch(_noop, [(r, "x", "red<+>"), (r, ["x", "y"], spec)])
+
+    with pytest.raises(ValueError, match=r"launch: requirements 0 and 1 "
+                                         r"both write field\(s\) x of r"):
+        _run(backend, main)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_two_writers_in_one_point_are_rejected(backend):
+    def main(ctx):
+        r = _region(ctx)
+        tiles = ctx.partition_equal(r, 4)
+        ctx.index_launch(_noop, range(4), [(tiles, "x", "rw"),
+                                           (_ghost(ctx, r), "x", "wd")])
+
+    with pytest.raises(ValueError, match=r"index_launch of _noop at point 0: "
+                                         r"requirements 0 and 1 both write"):
+        _run(backend, main)
+
+
+def _add_point(point, arg):
+    arg["x"].view[...] += point + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_same_operator_reduction_through_the_ghost_is_accepted(backend):
+    def main(ctx):
+        r = _region(ctx)
+        ctx.fill(r, "x", 0.0)
+        ghost = _ghost(ctx, r)
+        for _ in range(2):                   # the second launch is memoised
+            ctx.index_launch(_noop, range(4), [(ghost, "x", "red<+>")])
+        return r
+
+    rt = Runtime(num_shards=2, backend=backend)
+    r = rt.execute(main)
+    assert rt.store.raw(r.tree_id, r.field_space["x"]).shape == (8,)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_one_point_ghost_write_is_accepted(backend):
+    def main(ctx):
+        r = _region(ctx)
+        ctx.fill(r, "x", 0.0)
+        ctx.index_launch(_add_point, (1,), [(_ghost(ctx, r), "x", "rw")])
+        return r
+
+    rt = Runtime(num_shards=2, backend=backend)
+    r = rt.execute(main)
+    assert rt.store.raw(r.tree_id, r.field_space["x"]).tolist() \
+        == [0, 2, 2, 2, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_axpy_of_an_array_with_itself_is_accepted(backend):
+    """``rw`` and ``ro`` on the same data in one task is legal."""
+    def main(ctx):
+        lg = LegateContext(ctx, num_tiles=4)
+        a = lg.from_values(np.arange(8.0))
+        a.axpy(2.0, a)
+        return a.to_numpy()
+
+    got = Runtime(num_shards=2, backend=backend).execute(main)
+    assert (got == 3.0 * np.arange(8.0)).all()
