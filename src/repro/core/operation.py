@@ -21,7 +21,7 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..oracle import Privilege, RegionRequirement
-from ..regions import Field, LogicalRegion, Partition
+from ..regions import LogicalRegion, Partition
 from .sharding import ShardingFunction
 
 __all__ = ["ProjectionFunction", "IDENTITY_PROJECTION", "CoarseRequirement",
@@ -125,43 +125,6 @@ class CoarseRequirement:
             reqs.append(req)
         return tuple(reqs)
 
-    def check_domain(self, launch_domain: Tuple[Hashable, ...],
-                     name: str) -> None:
-        """Reject a launch point whose projected colour the partition does
-        not have, naming the point, the colour and the partition."""
-        upper = self.upper
-        if not isinstance(upper, Partition):
-            return
-        proj = self.projection
-        colours = upper.subregions
-        if proj is None or proj is IDENTITY_PROJECTION:
-            if colours.keys() >= set(launch_domain):
-                return
-            pairs = ((p, p) for p in launch_domain)
-        else:
-            pairs = ((p, proj(p, launch_domain)) for p in launch_domain)
-        for point, colour in pairs:
-            if colour not in colours:
-                raise ValueError(
-                    f"{name}: launch point {point!r} projects to colour "
-                    f"{colour!r}, which partition {upper.name} does not "
-                    f"have (colours {sorted(colours, key=repr)})")
-
-
-def check_launch_domain(name: str,
-                        coarse_reqs: Sequence[CoarseRequirement],
-                        dom: Tuple[Hashable, ...]) -> None:
-    """A launch names each point once, and every point projects to a
-    colour of every partition it names."""
-    if len(set(dom)) != len(dom):
-        seen: set = set()
-        repeated = next(p for p in dom if p in seen or seen.add(p))
-        raise ValueError(
-            f"{name}: launch domain names point {repeated!r} "
-            f"more than once")
-    for cr in coarse_reqs:
-        cr.check_domain(dom, name)
-
 
 class Operation:
     """One entry of the replicated control program's operation stream."""
@@ -183,10 +146,8 @@ class Operation:
         self.coarse_reqs = tuple(coarse_reqs)
         self.launch_domain: Optional[Tuple[Hashable, ...]] = (
             tuple(launch_domain) if launch_domain is not None else None)
-        if self.launch_domain is not None:
-            if sharding is None:
-                raise ValueError("group launches require a sharding function")
-            self._check_domain()
+        if self.launch_domain is not None and sharding is None:
+            raise ValueError("group launches require a sharding function")
         self.sharding = sharding
         self.owner_shard = owner_shard   # for individual (non-group) ops
         self.body = body                 # executed per point by the runtime
@@ -194,10 +155,6 @@ class Operation:
         self.fill_value = None           # for kind == "fill"
         self.cost = cost                 # modeled execution time per point (s)
         self.seq: int = -1               # program-order index, set by pipeline
-
-    def _check_domain(self) -> None:
-        """Checked here, before the op enters either analysis stage."""
-        check_launch_domain(self.name, self.coarse_reqs, self.launch_domain)
 
     # -- group structure ------------------------------------------------------
 

@@ -74,10 +74,16 @@ class ProgramSpec:
             raise ValueError(
                 f"unknown sharding {self.sharding!r}; "
                 f"expected one of {sorted(SHARDINGS)}")
+        codes, values = [], []
         for op in self.ops:
             if op.code not in OP_CODES:
                 raise ValueError(f"unknown op code {op.code!r}; "
                                  f"expected one of {OP_CODES}")
+            codes.append(op.code)
+            values.append(str(op.value))
+        object.__setattr__(self, "_signature", (
+            self.tiles, self.cells_per_tile, self.sharding,
+            ",".join(codes), ",".join(values)))
 
     def signature(self) -> tuple:
         """Canonical description — what the workers hash as API call 0.
@@ -86,11 +92,17 @@ class ProgramSpec:
         a few per op: the op codes and the op values each as one
         comma-joined string.  No code contains a comma (``OP_CODES``), nor
         does an integer's decimal form, so the strings determine the ops.
+        Built once, by the walk that validates the ops.
         """
-        ops = self.ops
-        return (self.tiles, self.cells_per_tile, self.sharding,
-                ",".join([op.code for op in ops]),
-                ",".join([str(op.value) for op in ops]))
+        return self._signature
+
+    # The signature is derived, so a pickle carries the fields alone.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_signature"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 def build_field(spec: ProgramSpec) -> TiledField:

@@ -26,15 +26,16 @@ failures shrink well because every step is locally droppable.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..runtime import Runtime
 from .array import LegateContext
 
-__all__ = ["run_numpy", "run_deferred", "format_program",
-           "program_to_json", "program_from_json", "MAX_EXACT"]
+__all__ = ["run_numpy", "run_deferred", "deferred_control",
+           "format_program", "program_to_json", "program_from_json",
+           "MAX_EXACT"]
 
 #: Magnitude cap for generated intermediates: products stay below this and
 #: reduction totals below 2**53, so float64 arithmetic is exact.
@@ -164,14 +165,10 @@ def run_numpy(program: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 # -- deferred-frontend interpreter --------------------------------------------
 
-def run_deferred(program: List[Dict[str, Any]], num_shards: int = 1,
-                 backend: str = "inprocess", num_tiles: int = 4
-                 ) -> Tuple[Dict[str, Any], List[int]]:
-    """Run the program replicated; returns (outputs, per-shard digests).
-
-    Digest vectors depend only on the program, so they compare equal
-    across repeated runs (and backends) in one process.
-    """
+def deferred_control(program: List[Dict[str, Any]], num_tiles: int = 4
+                     ) -> Callable[[Any], Dict[str, Any]]:
+    """The control function that runs the program on the deferred
+    frontend and returns its outputs."""
 
     def control(ctx):
         lg = LegateContext(ctx, num_tiles=num_tiles)
@@ -202,8 +199,19 @@ def run_deferred(program: List[Dict[str, Any]], num_shards: int = 1,
         return {"arrays": [a.to_numpy() for a in arrays],
                 "scalars": scalars}
 
+    return control
+
+
+def run_deferred(program: List[Dict[str, Any]], num_shards: int = 1,
+                 backend: str = "inprocess", num_tiles: int = 4
+                 ) -> Tuple[Dict[str, Any], List[int]]:
+    """Run the program replicated; returns (outputs, per-shard digests).
+
+    Digest vectors depend only on the program, so they compare equal
+    across repeated runs (and backends) in one process.
+    """
     rt = Runtime(num_shards=num_shards, backend=backend)
-    out = rt.execute(control)
+    out = rt.execute(deferred_control(program, num_tiles))
     return out, rt.determinism_digests()
 
 

@@ -1,8 +1,8 @@
 """Kernel registry and task bodies for the deferred array frontend.
 
 Every array operation launches one of a handful of *generic* task bodies
-defined at module level (their :func:`~repro.runtime.runtime.Context._task_key`
-identities are stable across shards and backends).  The actual arithmetic
+defined at module level (their task keys, made by ``FrontDoor.lower``,
+are stable across shards and backends).  The actual arithmetic
 is looked up by a kernel code carried in the hashed task arguments, and
 operands arrive as base-region blocks plus a :class:`~.views.ViewSpec`
 transform description — :func:`~.views.extract_block` reorients each block

@@ -16,7 +16,7 @@ the fine analysis stage.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..regions import cached_may_alias, may_alias
 from .requirement import RegionRequirement

@@ -8,7 +8,7 @@ can intersect field sets cheaply.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class FieldSpace:
         self.uid = next(_fs_ids)
         self.name = name or f"fspace{self.uid}"
         self._by_name: Dict[str, Field] = {}
+        # Every field the space was given, removed or not: a replica may
+        # not have reached a removal yet (see repro.runtime.frontdoor).
+        self.declared: Dict[str, Field] = {}
         for fname, dtype in fields:
             self.add_field(fname, dtype)
 
@@ -58,15 +61,12 @@ class FieldSpace:
         if name in self._by_name:
             raise ValueError(f"duplicate field {name!r} in {self.name}")
         field = Field(next(FieldSpace._next_fid), name, np.dtype(dtype))
-        self._by_name[name] = field
+        self._by_name[name] = self.declared[name] = field
         return field
 
     def remove_field(self, name: str) -> None:
-        """Deallocate a field (used by deferred-deletion tests)."""
+        """Deallocate a field: it leaves the live names, not ``declared``."""
         del self._by_name[name]
-
-    def field(self, name: str) -> Field:
-        return self._by_name[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -77,9 +77,6 @@ class FieldSpace:
     @property
     def fields(self) -> Tuple[Field, ...]:
         return tuple(self._by_name.values())
-
-    def field_ids(self) -> FrozenSet[int]:
-        return frozenset(f.fid for f in self._by_name.values())
 
     def __hash__(self) -> int:
         return hash(self.uid)

@@ -2,10 +2,11 @@
 
 from .attach import (attach_array, attach_file, attach_file_group,
                      detach_array, detach_file, detach_file_group)
+from .frontdoor import PRIVILEGES
 from .future import Future, FutureMap
 from .mapper import (AutoReplicationMapper, BlockedMapper, DefaultMapper,
                      Mapper, PerTaskMapper)
-from .runtime import Context, PRIVILEGES, RegionArg, Runtime
+from .runtime import Context, RegionArg, Runtime
 from .store import FieldAccessor, PrivilegeError, RegionStore
 
 __all__ = [

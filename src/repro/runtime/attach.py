@@ -19,7 +19,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from ..core import CoarseRequirement, Operation
+from ..core import Operation
 from ..oracle import READ_ONLY, READ_WRITE
 from ..regions import LogicalRegion, Partition
 from .runtime import Context
@@ -29,13 +29,18 @@ __all__ = ["attach_array", "detach_array", "attach_file", "detach_file",
 
 
 def _issue(ctx: Context, kind: str, region: LogicalRegion, field_name: str,
-           writes_region: bool) -> None:
-    f = region.field_space[field_name]
-    priv = READ_WRITE if writes_region else READ_ONLY
-    op = Operation(kind, [CoarseRequirement(region, frozenset([f]), priv)],
-                   name=f"{kind}({region.name}.{field_name})")
-    if ctx.is_driver:
-        ctx.runtime.pipeline.analyze(op)
+           writes_region: bool):
+    """Check and analyse one attach or detach of ``region.field_name``;
+    on the driver, return the region's block of the field's array."""
+    _names, req = ctx._door.region_req(
+        kind, region, field_name, READ_WRITE if writes_region else READ_ONLY)
+    op = Operation(kind, [req], name=f"{kind}({region.name}.{field_name})")
+    if not ctx.is_driver:
+        return None
+    ctx.runtime.pipeline.analyze(op)
+    field, = req.fields
+    rect = region.index_space.rect
+    return ctx.runtime.store.raw(region.tree_id, field)[rect.to_slices()]
 
 
 def attach_array(ctx: Context, region: LogicalRegion, field_name: str,
@@ -48,49 +53,36 @@ def attach_array(ctx: Context, region: LogicalRegion, field_name: str,
     """
     ctx._record("attach_array", region, field_name,
                 list(array.shape), str(array.dtype))
-    _issue(ctx, "attach", region, field_name, writes_region=True)
-    if ctx.is_driver:
-        f = region.field_space[field_name]
-        dst = ctx.runtime.store.raw(region.tree_id, f)
-        rect = region.index_space.rect
-        dst[rect.to_slices()] = np.asarray(array).reshape(rect.extents)
+    block = _issue(ctx, "attach", region, field_name, writes_region=True)
+    if block is not None:
+        block[...] = np.asarray(array).reshape(block.shape)
 
 
 def detach_array(ctx: Context, region: LogicalRegion, field_name: str,
                  array: np.ndarray) -> None:
     """Flush the region's contents back into the external allocation."""
     ctx._record("detach_array", region, field_name)
-    _issue(ctx, "detach", region, field_name, writes_region=False)
-    if ctx.is_driver:
-        f = region.field_space[field_name]
-        src = ctx.runtime.store.raw(region.tree_id, f)
-        rect = region.index_space.rect
-        np.copyto(array.reshape(rect.extents), src[rect.to_slices()])
+    block = _issue(ctx, "detach", region, field_name, writes_region=False)
+    if block is not None:
+        np.copyto(array.reshape(block.shape), block)
 
 
 def attach_file(ctx: Context, region: LogicalRegion, field_name: str,
                 path: str) -> None:
     """Read a ``.npy`` file into the region; performed by one owner shard."""
     ctx._record("attach_file", region, field_name, path)
-    _issue(ctx, "attach", region, field_name, writes_region=True)
-    if ctx.is_driver:
-        data = np.load(path)
-        f = region.field_space[field_name]
-        dst = ctx.runtime.store.raw(region.tree_id, f)
-        rect = region.index_space.rect
-        dst[rect.to_slices()] = data.reshape(rect.extents)
+    block = _issue(ctx, "attach", region, field_name, writes_region=True)
+    if block is not None:
+        block[...] = np.load(path).reshape(block.shape)
 
 
 def detach_file(ctx: Context, region: LogicalRegion, field_name: str,
                 path: str) -> None:
     """Write the region's contents to a ``.npy`` file and detach."""
     ctx._record("detach_file", region, field_name, path)
-    _issue(ctx, "detach", region, field_name, writes_region=False)
-    if ctx.is_driver:
-        f = region.field_space[field_name]
-        src = ctx.runtime.store.raw(region.tree_id, f)
-        rect = region.index_space.rect
-        np.save(path, src[rect.to_slices()])
+    block = _issue(ctx, "detach", region, field_name, writes_region=False)
+    if block is not None:
+        np.save(path, block)
 
 
 def attach_file_group(ctx: Context, partition: Partition, field_name: str,
@@ -100,14 +92,10 @@ def attach_file_group(ctx: Context, partition: Partition, field_name: str,
     ctx._record("attach_file_group", partition, field_name,
                 [path_of(c) for c in colors])
     for color in colors:
-        sub = partition[color]
-        _issue(ctx, "attach", sub, field_name, writes_region=True)
-        if ctx.is_driver:
-            data = np.load(path_of(color))
-            f = sub.field_space[field_name]
-            dst = ctx.runtime.store.raw(sub.tree_id, f)
-            rect = sub.index_space.rect
-            dst[rect.to_slices()] = data.reshape(rect.extents)
+        block = _issue(ctx, "attach", partition[color], field_name,
+                       writes_region=True)
+        if block is not None:
+            block[...] = np.load(path_of(color)).reshape(block.shape)
 
 
 def detach_file_group(ctx: Context, partition: Partition, field_name: str,
@@ -117,11 +105,8 @@ def detach_file_group(ctx: Context, partition: Partition, field_name: str,
     ctx._record("detach_file_group", partition, field_name,
                 [path_of(c) for c in colors])
     for color in colors:
-        sub = partition[color]
-        _issue(ctx, "detach", sub, field_name, writes_region=False)
-        if ctx.is_driver:
-            f = sub.field_space[field_name]
-            src = ctx.runtime.store.raw(sub.tree_id, f)
-            rect = sub.index_space.rect
+        block = _issue(ctx, "detach", partition[color], field_name,
+                       writes_region=False)
+        if block is not None:
             os.makedirs(os.path.dirname(path_of(color)) or ".", exist_ok=True)
-            np.save(path_of(color), src[rect.to_slices()])
+            np.save(path_of(color), block)

@@ -30,152 +30,26 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
 
 import numpy as np
 
-from ..core import (CoarseRequirement, Collectives, DCRPipeline,
-                    DeferredOpManager, DeterminismMonitor,
-                    IDENTITY_PROJECTION, Operation, PointTask)
+from ..core import (Collectives, DCRPipeline, DeferredOpManager,
+                    DeterminismMonitor, Operation, PointTask)
 from ..core.determinism import ControlDeterminismViolation, stream_digest
-from ..core.operation import check_launch_domain
 from ..core.rng import CounterRNG
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
 from ..obs.events import (CAT_CONTROL, CAT_EXEC, CAT_FAULT, EV_CONTROL_REPLAY,
                           EV_EXEC_POINT, EV_SHARD_CRASH)
 from ..obs.profiler import Profiler, get_profiler
-from ..oracle import (Privilege, PrivilegeKind, READ_ONLY, READ_WRITE,
-                      RegionRequirement, WRITE_DISCARD, reduce_priv,
-                      requirements_conflict)
+from ..oracle import RegionRequirement, WRITE_DISCARD
 from ..regions import (Field, FieldSpace, IndexSpace, LogicalRegion,
-                       Partition, Rect, cached_may_alias)
+                       Partition, Rect)
+from .frontdoor import FrontDoor
 from .future import Future, FutureMap
 from .mapper import DefaultMapper, Mapper
 from .store import FieldAccessor, RegionStore
 
-__all__ = ["Runtime", "Context", "RegionArg", "PRIVILEGES"]
+__all__ = ["Runtime", "Context", "RegionArg"]
 
 #: One shared deadline for every replica of a gang backend to report.
 REPLICA_TIMEOUT_S = 120.0
-
-PRIVILEGES = {
-    "ro": READ_ONLY,
-    "rw": READ_WRITE,
-    "wd": WRITE_DISCARD,
-}
-
-
-def _privilege(spec: Union[str, Privilege]) -> Privilege:
-    if isinstance(spec, Privilege):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"privilege spec {spec!r} is neither a Privilege nor one of "
-            f"the strings {sorted(PRIVILEGES)} or 'red<op>'")
-    if spec in PRIVILEGES:
-        return PRIVILEGES[spec]
-    if spec.startswith("red"):
-        return reduce_priv(spec[len("red"):].strip("<>") or "+")
-    raise ValueError(f"unknown privilege spec {spec!r}")
-
-
-def _fields_of(fspace: FieldSpace, names: Sequence[str],
-               target: Union[LogicalRegion, Partition]) -> frozenset:
-    """The named fields of a launch or fill target; a name the field space
-    does not hold (never added, or deleted since) is rejected here, at the
-    call, on every shard alike."""
-    for name in names:
-        if name not in fspace:
-            have = ", ".join(f.name for f in fspace.fields) or "none"
-            raise ValueError(f"{target.name} has no field {name!r} "
-                             f"(its fields: {have})")
-    return frozenset(fspace[n] for n in names)
-
-
-def _both_write(a: Privilege, b: Privilege) -> bool:
-    """Whether two requirements of one task may not name the same data:
-    both write (``rw``, ``wd``, or reductions with different operators).
-    ``rw`` beside ``ro`` is legal (``LegateArray.axpy(alpha, self)``)."""
-    return a.kind is not PrivilegeKind.READ_ONLY \
-        and b.kind is not PrivilegeKind.READ_ONLY and a.conflicts_with(b)
-
-
-def _two_writers(call: str, i: int, j: int, a: CoarseRequirement,
-                 b: CoarseRequirement, where: str = "") -> ValueError:
-    names = ", ".join(sorted(f.name for f in a.fields & b.fields))
-    return ValueError(
-        f"{call}{where}: requirements {i} and {j} both write field(s) "
-        f"{names} of {a.upper.name} and {b.upper.name}, which alias — one "
-        f"task may write the same data through one requirement only")
-
-
-def _check_writers(call: str, norm: Sequence[CoarseRequirement]) -> None:
-    """Reject a task with two requirements that both write the same data."""
-    for i, a in enumerate(norm):
-        for j in range(i + 1, len(norm)):
-            b = norm[j]
-            if _both_write(a.privilege, b.privilege) \
-                    and a.fields & b.fields \
-                    and cached_may_alias(a.upper, b.upper):
-                raise _two_writers(call, i, j, a, b)
-
-
-def _splits(cr: CoarseRequirement) -> bool:
-    """Whether distinct points of a launch get disjoint pieces of ``cr``:
-    a disjoint partition under the identity projection (points are
-    distinct, see :func:`check_launch_domain`)."""
-    return isinstance(cr.upper, Partition) and cr.upper.disjoint \
-        and cr.projection is IDENTITY_PROJECTION
-
-
-def _check_group(name: str, norm: Sequence[CoarseRequirement],
-                 dom: Tuple[Hashable, ...]) -> None:
-    """Reject a group launch whose points interfere, or one of whose points
-    has two requirements that both write the same data.
-
-    The first is the executable spec's ``TaskGroup`` rule
-    (:func:`~repro.oracle.tasks_interfere` between any two points), which
-    the fine stage's one-arrival analysis of a launch relies on.  Pairs of
-    requirements that cannot conflict are settled without a point: the
-    privileges do not conflict (every requirement reads, or reduces with
-    one operator), the fields or the region trees are apart, or both are
-    the same disjoint partition under the identity projection, so two
-    points get disjoint pieces.  The rest are decided point by point.
-    Called once per call-site shape and domain, never per launch.
-    """
-    across: List[Tuple[int, int]] = []   # may conflict between two points
-    within: List[Tuple[int, int]] = []   # may both write in one point
-    for i, a in enumerate(norm):
-        for j in range(i, len(norm)):
-            b = norm[j]
-            if not a.privilege.conflicts_with(b.privilege) \
-                    or not a.fields & b.fields \
-                    or not cached_may_alias(a.bound_region(),
-                                            b.bound_region()):
-                continue
-            if len(dom) > 1 \
-                    and not (a.upper is b.upper and _splits(a) and _splits(b)):
-                across.append((i, j))
-            if i < j and _both_write(a.privilege, b.privilege):
-                within.append((i, j))
-    if not across and not within:
-        return
-    check_launch_domain(name, norm, dom)
-    reqs = [cr.point_requirements(dom, dom) for cr in norm]
-    for i, j in within:
-        for p, (ra, rb) in enumerate(zip(reqs[i], reqs[j])):
-            if cached_may_alias(ra.region, rb.region):
-                raise _two_writers("index_launch", i, j, norm[i], norm[j],
-                                   f" of {name} at point {dom[p]!r}")
-    n = len(dom)
-    for i, j in across:
-        ri, rj = reqs[i], reqs[j]
-        for p in range(n):
-            for q in range(p + 1 if i == j else 0, n):
-                if p != q and requirements_conflict(ri[p], rj[q]):
-                    raise ValueError(
-                        f"index_launch of {name}: points {dom[p]!r} and "
-                        f"{dom[q]!r} interfere through requirements {i} "
-                        f"({ri[p].region.name}) and {j} "
-                        f"({rj[q].region.name}) — the points of one launch "
-                        f"must be independent")
-
 
 class RegionArg:
     """What a task body receives for one region requirement.
@@ -258,9 +132,6 @@ class Runtime:
         self._futures: List[Union[Future, FutureMap]] = []
         self._deferred_keys: Dict[int, Any] = {}
         self.executed_points: int = 0
-        # Fields removed so far: a Context's lowered requirements name
-        # Field objects, which a removal retires.
-        self.fields_removed: int = 0
         self._result: Any = None
         # Gang backends: per-replica verification summaries and (forked
         # replicas) profiler snapshots, shipped back over the channels.
@@ -470,7 +341,6 @@ class Runtime:
             self.store.deallocate_field(region.tree_id, field)
             if field.name in region.field_space:
                 region.field_space.remove_field(field.name)
-                self.fields_removed += 1
         elif isinstance(target, LogicalRegion):
             for f in target.field_space.fields:
                 self.store.deallocate_field(target.tree_id, f)
@@ -541,19 +411,7 @@ class Context:
         self._res_cursor = 0
         self._fut_cursor = 0
         self._in_finalizer = False
-        # Coarse requirements, launch descriptor and the launch domains
-        # found independent per (group launch?, reqs spec), while no field
-        # has been removed since they were built.
-        self._lowered: Dict[Tuple[bool, Tuple],
-                            Tuple[Tuple[CoarseRequirement, ...], Tuple,
-                                  set]] = {}
-        self._lowered_at = runtime.fields_removed
-        # Region trees this shard created, by tree id: False once it
-        # deleted the tree, in its own program order — in-process replicas
-        # replay after the driver has run to the end.
-        self._trees: Dict[int, bool] = {}
-        # The explicit trace this shard has open, as a 1-tuple, or ().
-        self._open_trace: Tuple = ()
+        self._door = FrontDoor()
 
     @property
     def is_driver(self) -> bool:
@@ -599,26 +457,9 @@ class Context:
         self._fut_cursor += 1
         return fut
 
-    def _check_live(self, call: str, *targets: Any) -> None:
-        """Reject a region or partition of a tree this shard deleted, or
-        of one another runtime created, at the call that names it."""
-        for target in targets:
-            region = target.parent_region if isinstance(target, Partition) \
-                else target
-            live = self._trees.get(region.tree_id)
-            if not live:
-                raise ValueError(
-                    f"{call} on region {region.name}, which "
-                    + ("this runtime has deleted" if live is False
-                       else "another runtime created"))
-
     def _finish(self) -> None:
-        if self._open_trace:
-            raise ValueError(
-                f"the control program returned with trace "
-                f"{self._open_trace[0]!r} still open: end it with "
-                f"end_trace()")
-        self._record("task_complete", self.shard >= -1)
+        self._door.finish()
+        self._record("task_complete", True)
 
     # -- resource creation ----------------------------------------------------------------
 
@@ -649,13 +490,13 @@ class Context:
             self.runtime.store.allocate(region)
             return region
         region = self._intern_resource("create_region", make)
-        self._trees[region.tree_id] = True
+        self._door.created(region)
         return region
 
     def partition_equal(self, region: LogicalRegion, pieces: int,
                         dim: int = 0, name: str = "") -> Partition:
         """Disjoint, complete blockwise partition along one dimension."""
-        self._check_live("partition_equal", region)
+        self._door.check_live("partition_equal", region)
         self._record("partition_equal", region, pieces, dim, name)
         return self._intern_resource(
             "partition_equal",
@@ -664,7 +505,7 @@ class Context:
     def partition_tiles(self, region: LogicalRegion, tiles: Tuple[int, ...],
                         name: str = "") -> Partition:
         """Disjoint, complete n-D tiling of a region."""
-        self._check_live("partition_tiles", region)
+        self._door.check_live("partition_tiles", region)
         self._record("partition_tiles", region, list(tiles), name)
         return self._intern_resource(
             "partition_tiles", lambda: region.partition_tiles(tiles, name=name))
@@ -673,7 +514,7 @@ class Context:
                         halo: int, dim: Optional[int] = None,
                         name: str = "") -> Partition:
         """Aliased ghost partition: each base piece grown by ``halo``."""
-        self._check_live("partition_ghost", region, base)
+        self._door.check_live("partition_ghost", region, base)
         self._record("partition_ghost", region, base, halo,
                      -1 if dim is None else dim, name)
         return self._intern_resource(
@@ -689,7 +530,7 @@ class Context:
         region is folded into the call hash.
         """
         from ..regions import partition_by_field
-        self._check_live("partition_by_field", region)
+        self._door.check_live("partition_by_field", region)
         assignment = [(list(p), str(color_of(p)))
                       for p in region.index_space]
         self._record("partition_by_field", region, assignment, name)
@@ -701,7 +542,7 @@ class Context:
                            pointer: Callable, name: str = "") -> Partition:
         """Dependent partitioning: image of a pointer field (OOPSLA'16)."""
         from ..regions import partition_by_image
-        self._check_live("partition_by_image", dest, source)
+        self._door.check_live("partition_by_image", dest, source)
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for sub in source for p in sub.index_space]
         self._record("partition_by_image", dest, source, arrows, name)
@@ -713,7 +554,7 @@ class Context:
                               pointer: Callable, name: str = "") -> Partition:
         """Dependent partitioning: preimage of a pointer field."""
         from ..regions import partition_by_preimage
-        self._check_live("partition_by_preimage", dest, target)
+        self._door.check_live("partition_by_preimage", dest, target)
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for p in dest.index_space]
         self._record("partition_by_preimage", dest, target, arrows, name)
@@ -727,7 +568,7 @@ class Context:
                             name: str = "") -> Partition:
         """Arbitrary (possibly dynamic) partition from explicit point lists —
         the circuit app's dynamically computed graph partition."""
-        self._check_live("partition_by_points", region)
+        self._door.check_live("partition_by_points", region)
         norm = {
             color: tuple(sorted((p,) if isinstance(p, int) else tuple(p)
                                 for p in pts))
@@ -759,7 +600,7 @@ class Context:
         builds in O(pieces), independent of element count.  Colors are the
         rect list positions.
         """
-        self._check_live("partition_rects", region)
+        self._door.check_live("partition_rects", region)
         norm = tuple((tuple(int(x) for x in lo), tuple(int(x) for x in hi))
                      for lo, hi in rects)
         self._record("partition_rects", region,
@@ -780,14 +621,10 @@ class Context:
     def fill(self, region: LogicalRegion,
              fields: Union[str, Iterable[str]], value) -> None:
         """Fill the named fields of a region with one value (an operation)."""
-        self._check_live("fill", region)
-        names = [fields] if isinstance(fields, str) else sorted(fields)
-        fobjs = _fields_of(region.field_space, names, region)
+        names, req = self._door.region_req("fill", region, fields,
+                                           WRITE_DISCARD)
         self._record("fill", region, names, float(value))
-        op = Operation(
-            "fill",
-            [CoarseRequirement(region, fobjs, WRITE_DISCARD)],
-            name=f"fill({region.name})")
+        op = Operation("fill", [req], name=f"fill({region.name})")
         op.fill_value = value
         if self.is_driver:
             self.runtime.pipeline.analyze(op)
@@ -795,78 +632,6 @@ class Context:
                 self.runtime.store.fill(region, region.field_space[n], value)
 
     # -- task launches -------------------------------------------------------------------------
-
-    def _lower_reqs(self, reqs: Sequence[Tuple], group: bool
-                    ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple, set]:
-        """The launch's coarse requirements, the descriptor it hashes, and
-        the set of launch domains already found independent under them.
-
-        Memoised per hashable ``reqs`` spec: the descriptor is then the same
-        tuple every time, which the hasher's skeleton reuses, and so are
-        the ``CoarseRequirement`` objects, whose per-colour point
-        requirements (and the analysis stages' class tags on both) persist
-        from launch to launch.  A spec with an unhashable part, such as a
-        list of field names, is lowered anew.
-        """
-        if self._lowered_at != self.runtime.fields_removed:
-            self._lowered.clear()
-            self._lowered_at = self.runtime.fields_removed
-        try:
-            key = (group, tuple(reqs))
-            hit = self._lowered.get(key)
-        except TypeError:
-            return self._lower_reqs_uncached(reqs, group)
-        if hit is None:
-            hit = self._lowered[key] = self._lower_reqs_uncached(reqs, group)
-        return hit
-
-    def _lower_reqs_uncached(self, reqs: Sequence[Tuple], group: bool
-                             ) -> Tuple[Tuple[CoarseRequirement, ...], Tuple,
-                                        set]:
-        norm = []
-        for spec in reqs:
-            target, fields, priv = spec[0], spec[1], _privilege(spec[2])
-            self._check_live("index_launch" if group else "launch", target)
-            is_part = isinstance(target, Partition)
-            if is_part and not group:
-                raise TypeError(
-                    f"launch() takes a region, not partition {target.name}: "
-                    f"use index_launch() to launch one point per colour")
-            proj = spec[3] if len(spec) > 3 else IDENTITY_PROJECTION
-            fspace = (target.parent_region.field_space if is_part
-                      else target.field_space)
-            names = [fields] if isinstance(fields, str) else sorted(fields)
-            fobjs = _fields_of(fspace, names, target)
-            norm.append(CoarseRequirement(target, fobjs, priv,
-                                          proj if is_part else None))
-        if group:
-            desc = tuple((cr.upper, tuple(sorted(f.name for f in cr.fields)),
-                          cr.privilege.kind.value,
-                          cr.projection.pid if cr.projection else -1)
-                         for cr in norm)
-        else:
-            _check_writers("launch", norm)
-            desc = tuple((cr.upper, tuple(sorted(f.name for f in cr.fields)),
-                          cr.privilege.kind.value) for cr in norm)
-        return tuple(norm), desc, set()
-
-    @staticmethod
-    def _task_key(fn: Callable) -> str:
-        """A stable identity for a task function, equal across shards.
-
-        ``__name__`` alone is not enough: two different lambdas both hash as
-        "<lambda>" and a divergent branch between them would go unnoticed.
-        The defining module and line pin down the code object.
-        """
-        if not hasattr(fn, "__name__"):
-            raise TypeError(
-                f"task function {fn!r} has no __name__ (a functools.partial "
-                f"or a callable object?): launch a named function and pass "
-                f"bound values through args=")
-        code = getattr(fn, "__code__", None)
-        if code is None:
-            return fn.__qualname__
-        return f"{fn.__module__}:{fn.__qualname__}:{code.co_firstlineno}"
 
     def launch(self, fn: Callable[..., Any], reqs: Sequence[Tuple],
                args: Sequence[Any] = (), owner_shard: int = 0,
@@ -880,8 +645,7 @@ class Context:
         future is resolved by the time the task body runs, and the argument
         is hashed by *handle*, not value, so shards stay deterministic.
         """
-        key = self._task_key(fn)
-        coarse_reqs, desc, _ = self._lower_reqs(reqs, group=False)
+        key, coarse_reqs, desc, _ = self._door.lower(fn, reqs, False)
         self._record("launch", key, desc, list(args), list(future_args),
                      owner_shard)
         def do() -> Future:
@@ -911,18 +675,8 @@ class Context:
         hashed as it is (a frontend hands the same one over and over);
         any other is hashed as a list of its points.
         """
-        key = self._task_key(fn)
-        coarse_reqs, desc, independent = self._lower_reqs(reqs, group=True)
-        if type(domain) is not tuple:
-            domain = list(domain)
-        if not domain:
-            raise ValueError(
-                f"index_launch of {fn.__name__} over an empty domain — "
-                f"launch at least one point (or skip the launch)")
-        points = domain if type(domain) is tuple else tuple(domain)
-        if points not in independent:
-            _check_group(fn.__name__, coarse_reqs, points)
-            independent.add(points)
+        key, coarse_reqs, desc, domain = self._door.index_launch(
+            fn, domain, reqs)
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
         self._record("index_launch", key, domain, desc, list(args),
                      list(future_args), sharding.sid)
@@ -947,8 +701,6 @@ class Context:
 
     def _execute_point(self, op: Operation, pt: PointTask,
                        args: Sequence[Any]) -> Any:
-        if not self.is_driver:  # pragma: no cover - only the driver executes
-            return None
         self.runtime.executed_points += 1
         assert op.body is not None
         store = self.runtime.store
@@ -1030,16 +782,13 @@ class Context:
     def begin_trace(self, trace_id: int) -> None:
         """Start capturing (or replaying) a trace of the following launches."""
         self._record("begin_trace", trace_id)
-        self._open_trace = (trace_id,)
+        self._door.begin_trace(trace_id)
         if self.is_driver:
             self.runtime.pipeline.begin_trace(trace_id)
 
     def end_trace(self) -> None:
         """Finish the current trace capture/replay."""
-        if not self._open_trace:
-            raise ValueError("end_trace() with no trace open: every "
-                             "end_trace() closes one begin_trace()")
-        self._open_trace = ()
+        self._door.end_trace()
         self._record("end_trace")
         if self.is_driver:
             self.runtime.pipeline.end_trace()
@@ -1062,21 +811,20 @@ class Context:
             self.runtime._deferred_keys[region.uid] = region
             self.runtime.deferred.announce(self.shard, region.uid)
             return
+        self._door.delete_region(region)
         self._record("delete_region", region)
-        # Launches lowered before this call must be checked again.
-        self._trees[region.tree_id] = False
-        self._lowered.clear()
         if self.is_driver:
             self.runtime._apply_deletion(region)
 
     def delete_field(self, region: LogicalRegion, field_name: str) -> None:
         """Delete one field (deferred when inside a finalizer)."""
-        f = region.field_space[field_name]
         if self._in_finalizer:
+            f = region.field_space[field_name]
             key = ("field", region.uid, f.fid)
             self.runtime._deferred_keys[key] = ("field", region, f)
             self.runtime.deferred.announce(self.shard, key)
             return
+        f = self._door.delete_field(region, field_name)
         self._record("delete_field", region, field_name)
         if self.is_driver:
             self.runtime._apply_deletion(("field", region, f))

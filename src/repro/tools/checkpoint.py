@@ -28,20 +28,20 @@ def save_region(ctx: Context, region: LogicalRegion, directory: str) -> None:
     ctx._record("save_region", region, directory)
     if ctx.is_driver:
         os.makedirs(directory, exist_ok=True)
-    for f in sorted(region.field_space.fields, key=lambda f: f.name):
-        detach_file(ctx, region, f.name,
-                    _field_path(directory, region.name, f.name))
+    for name in sorted(ctx._door.field_names(region.field_space)):
+        detach_file(ctx, region, name,
+                    _field_path(directory, region.name, name))
 
 
 def load_region(ctx: Context, region: LogicalRegion, directory: str) -> None:
     """Restore every field of ``region`` from ``directory``."""
     ctx._record("load_region", region, directory)
-    for f in sorted(region.field_space.fields, key=lambda f: f.name):
-        path = _field_path(directory, region.name, f.name)
+    for name in sorted(ctx._door.field_names(region.field_space)):
+        path = _field_path(directory, region.name, name)
         if ctx.is_driver and not os.path.exists(path):
             raise FileNotFoundError(
                 f"checkpoint is missing field file {path}")
-        attach_file(ctx, region, f.name, path)
+        attach_file(ctx, region, name, path)
 
 
 def save_partitioned(ctx: Context, partition: Partition, field_name: str,

@@ -12,7 +12,9 @@ discrepancy:
   independent (precision bug: legal but performance-relevant);
 * **backward edge** — an edge against program order (would deadlock);
 * **cycle** — the graph is not a DAG;
-* **malformed group** — a group launch whose points interfere pairwise.
+* **group** — an edge between two points of one group launch (the front
+  door rejects a launch whose points interfere at the call, by the model's
+  rule :func:`repro.core.semantics.group_interference`).
 
 `validate_run` returns a :class:`SpyReport`; the test-suite runs it over
 every functional app and also checks the negative controls (corrupting a
@@ -109,22 +111,6 @@ def validate_run(runtime: Runtime, check_precision: bool = True
                 "group",
                 f"edge inside one group launch {a.op.name}: points "
                 f"{a.point} and {b.point} interfere"))
-
-    # Group well-formedness: points of one launch must be independent.
-    by_op = {}
-    for t in tasks:
-        by_op.setdefault(t.op, []).append(t)
-    for op, pts in by_op.items():
-        if len(pts) < 2:
-            continue
-        for i, ta in enumerate(pts):
-            for tb in pts[i + 1:]:
-                report.pairs_checked += 1
-                if tasks_interfere(ta.requirements, tb.requirements):
-                    report.findings.append(SpyFinding(
-                        "group",
-                        f"group {op.name} points {ta.point}/{tb.point} are "
-                        f"not independent"))
 
     reach = _reachability(tasks, graph.deps)
     edge_set: Set[Tuple[PointTask, PointTask]] = set(graph.deps)

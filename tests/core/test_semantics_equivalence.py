@@ -67,7 +67,7 @@ class TestTheorem1:
         program, num_shards = prog_shards
         oracle = DependenceOracle()
         for tg in program:
-            tg.validate(oracle)
+            tg.validate()
         seq_graph = sequential_analysis(program, oracle)
         rep = ReplicatedAnalysis(program, num_shards, oracle)
         rep_graph = rep.run(random.Random(seed))
@@ -139,7 +139,6 @@ class TestWellFormedness:
 
     def test_group_independence_validation(self):
         fs, cells, owned, _ghost = build_environment()
-        oracle = DependenceOracle()
         conflicting = TaskGroup([
             ModelTask([RegionRequirement(cells, fs["state"], READ_WRITE)],
                       owner=0),
@@ -147,7 +146,7 @@ class TestWellFormedness:
                       owner=1),
         ])
         with pytest.raises(ValueError):
-            conflicting.validate(oracle)
+            conflicting.validate()
 
     def test_duplicate_task_rejected(self):
         fs, _cells, owned, _ghost = build_environment()

@@ -1,10 +1,10 @@
 """Kitchen-sink integration: every runtime feature in one control program.
 
 One replicated program that exercises, together: dependent partitioning
-from computed data, traced loops, future-driven control flow, nested child
-launches with subsumption, checkpoint/restore, an execution fence, and a
-GC-deferred deletion — then the full validation battery (graph signature
-equivalence across shard counts, fence coverage, spy, out-of-order replay).
+from computed data, traced loops, future-driven control flow,
+checkpoint/restore, an execution fence, and a GC-deferred deletion — then
+the full validation battery (graph signature equivalence across shard
+counts, fence coverage, spy, out-of-order replay).
 Features that work in isolation can still interact badly; this test is the
 interaction coverage.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.runtime import Runtime
 from repro.runtime.events import EventGraphReplayer
-from repro.runtime.nested import launch_with_context
 from repro.tools import load_region, save_region, validate_run
 
 
@@ -70,39 +69,29 @@ def kitchen_sink(ctx, checkpoint_dir):
                       for q in sorted(a.region.index_space.point_set())],
         [0, 1], [(split, "x", "rw")])
 
-    # 4. Nested child launches under privilege subsumption.
-    def parent(tctx, arg):
-        return sum(tctx.index_launch(
-            lambda p, a: float(a["x"].view.sum()), range(4),
-            [(tiles, "x", "ro")]))
-
-    grand_total = ctx.get_value(
-        launch_with_context(ctx, parent, [(data, "x", "ro")]))
-
-    # 5. Execution fence, then checkpoint the region.
+    # 4. Execution fence, then checkpoint the region.
     ctx.execution_fence()
     save_region(ctx, data, checkpoint_dir)
 
-    # 6. A scratch region deleted from a finalizer (GC-deferred).
+    # 5. A scratch region deleted from a finalizer (GC-deferred).
     scratch = ctx.create_region(ctx.create_index_space(4), fs, "scratch")
     ctx.fill(scratch, "x", 0.0)
     with ctx.finalizer():
         ctx.delete_region(scratch)
 
-    return data, grand_total
+    return data
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_all_features_compose(tmp_path, shards):
     rt = Runtime(num_shards=shards)
-    data, grand_total = rt.execute(kitchen_sink, str(tmp_path / f"s{shards}"))
+    data = rt.execute(kitchen_sink, str(tmp_path / f"s{shards}"))
     x = rt.store.raw(data.tree_id, data.field_space["x"]).copy()
 
     rt1 = Runtime(num_shards=1)
-    data1, gt1 = rt1.execute(kitchen_sink, str(tmp_path / "ref"))
+    data1 = rt1.execute(kitchen_sink, str(tmp_path / "ref"))
     x1 = rt1.store.raw(data1.tree_id, data1.field_space["x"])
     assert np.array_equal(x, x1)
-    assert grand_total == gt1
 
     rt.pipeline.validate()
     assert validate_run(rt).clean
@@ -113,7 +102,7 @@ def test_all_features_compose(tmp_path, shards):
 
 def test_checkpoint_restores_in_new_runtime(tmp_path):
     rt = Runtime(num_shards=2)
-    data, _ = rt.execute(kitchen_sink, str(tmp_path))
+    data = rt.execute(kitchen_sink, str(tmp_path))
     expected = rt.store.raw(data.tree_id, data.field_space["x"]).copy()
 
     def restore(ctx):

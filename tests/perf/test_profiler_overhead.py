@@ -17,6 +17,7 @@ literally nothing across a full run, and an instrumented end-to-end run
 stays within the soak budget the suite already enforces.
 """
 
+import sys
 import time
 import timeit
 
@@ -129,3 +130,58 @@ def test_disabled_injector_within_guard_budget():
     # End-to-end sanity: generous 25% wall-clock envelope (noise-tolerant;
     # the per-op bound above is the real guard).
     assert faulted < base * 1.25 + 0.05, (base, faulted)
+
+
+_CALLS = """
+import gc, sys
+from repro.apps.stencil import stencil2d_control
+from repro.faults import FaultInjector, FaultPlan
+from repro.runtime import Runtime
+
+def run(injector):
+    Runtime(num_shards=4, injector=injector).execute(
+        stencil2d_control, 16, 4, 8)
+
+def injector():
+    return FaultInjector(FaultPlan(seed=1)) if {disabled} else None
+
+calls = 0
+
+def on_event(_frame, event, _arg):
+    global calls
+    calls += event == "call"
+
+run(injector())         # fill lazy memos first
+counted = injector()
+gc.collect()
+gc.disable()            # a collection would run finalizers mid-count
+sys.setprofile(on_event)
+run(counted)
+sys.setprofile(None)
+print(calls)
+"""
+
+
+def test_disabled_injector_makes_no_extra_calls():
+    """The count twin of the wall-clock check above: a run with a disabled
+    injector makes exactly as many Python calls as one with none, so
+    every fault site costs only its guard, however loaded the machine is.
+
+    Each count runs in a fresh interpreter with one hash seed: field ids
+    come from a process-wide counter and order the fence index's probes,
+    whose lazily extended rank arrays then make a call more or fewer."""
+    import os
+    import subprocess
+
+    import repro
+
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.dirname(
+        os.path.dirname(repro.__file__)))
+
+    def python_calls(disabled):
+        out = subprocess.run(
+            [sys.executable, "-c", _CALLS.format(disabled=disabled)],
+            env=env, check=True, capture_output=True, text=True)
+        return int(out.stdout)
+
+    assert python_calls(True) == python_calls(False)

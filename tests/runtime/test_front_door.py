@@ -5,8 +5,10 @@ them, with a typed error, on the in-process and the loopback backend alike
 import numpy as np
 import pytest
 
+from front_door_cases import ILL_FORMED
 from repro.legate import LegateContext
 from repro.runtime import Runtime
+from repro.tools import save_region
 
 BACKENDS = ["inprocess", "loopback"]
 
@@ -287,3 +289,76 @@ def test_axpy_of_an_array_with_itself_is_accepted(backend):
 
     got = Runtime(num_shards=2, backend=backend).execute(main)
     assert (got == 3.0 * np.arange(8.0)).all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_replica_deletes_fields_in_its_own_program_order(backend,
+                                                              tmp_path):
+    """A launch (or a checkpoint) on a field that a later call deletes is
+    legal on every shard, although the driver has deleted it by the time a
+    replica launches."""
+    def main(ctx):
+        r = _region(ctx)
+        ctx.fill(r, ["x", "y"], 0.0)
+        ctx.launch(_touch_y, [(r, "y", "rw")])
+        ctx.index_launch(_noop, range(2),
+                         [(ctx.partition_equal(r, 2), "y", "ro")])
+        save_region(ctx, r, str(tmp_path))
+        ctx.delete_field(r, "y")
+        ctx.launch(_touch, [(r, "x", "rw")])
+        return r
+
+    rt = Runtime(num_shards=2, backend=backend)
+    r = rt.execute(main)
+    assert "y" not in r.field_space
+    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 1.0).all()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.x.npy",
+                                                           "r.y.npy"]
+
+
+def _touch_y(arg):
+    arg["y"].view[...] += 1
+
+
+DELETIONS = ["delete_field_of_an_unknown_field", "a_field_deleted_twice",
+             "delete_field_of_a_deleted_region", "a_region_deleted_twice"]
+
+
+def _rejects_at_its_call(case, shards, backend):
+    """Run one ill-formed case; the error must come from its call (or, for
+    a trace left open, from the return), not from its legal setup."""
+    reached = []
+
+    def main(ctx):
+        env = case.setup(ctx)
+        reached.append(ctx.shard)
+        case.call(ctx, env)
+        reached.append("returned")
+
+    with pytest.raises(case.error, match=case.match):
+        Runtime(num_shards=shards, backend=backend).execute(main)
+    # The driver runs first and raises: no replica gets as far.
+    assert reached == ([0, "returned"] if case.at_return else [0])
+
+
+@pytest.mark.parametrize("case", DELETIONS)
+@pytest.mark.parametrize("shards,backend", [(1, "inprocess"), (2, "inprocess"),
+                                            (2, "loopback")])
+def test_an_ill_formed_deletion_raises_at_the_call(shards, backend, case):
+    _rejects_at_its_call(ILL_FORMED[case], shards, backend)
+
+
+@pytest.mark.parametrize("case", sorted(ILL_FORMED))
+def test_each_ill_formed_case_raises_at_its_call(case):
+    _rejects_at_its_call(ILL_FORMED[case], 2, "inprocess")
+
+
+def test_every_rejection_here_is_an_ill_formed_case():
+    """The fuzz tier draws its ill-formed calls from ``ILL_FORMED``: each
+    rejection test of this module has its case there."""
+    tests = [name[len("test_"):] for name in globals()
+             if name.startswith("test_") and "rejected" in name]
+    missing = [t for t in tests
+               if not any(k == t or k.startswith(t + "[")
+                          for k in ILL_FORMED)]
+    assert len(tests) >= 12 and not missing, missing

@@ -132,26 +132,32 @@ def test_unknown_privilege_spec_rejected():
         Runtime(num_shards=1).execute(main)
 
 
+#: Every width a deletion is checked at: replicas replay after the driver
+#: has deleted, in-process and on a gang alike.
+WIDTHS = [(1, "inprocess"), (2, "inprocess"), (2, "loopback")]
+
+
 def test_immediate_deletions():
     def main(ctx):
         fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
         r = ctx.create_region(ctx.create_index_space(4), fs, "r")
         ctx.fill(r, "x", 1.0)
+        ctx.fill(r, "y", 2.0)           # a use of y before it is deleted
         ctx.delete_field(r, "y")
         return r
 
-    rt = Runtime(num_shards=1)
-    r = rt.execute(main)
-    assert "y" not in r.field_space
-    assert rt.store.has_field(r.tree_id, r.field_space["x"])
+    for shards, backend in WIDTHS:
+        rt = Runtime(num_shards=shards, backend=backend)
+        r = rt.execute(main)
+        assert "y" not in r.field_space
+        assert rt.store.has_field(r.tree_id, r.field_space["x"])
 
 
 def test_deleted_storage_is_released_during_the_execute():
     """The region arguments and accessors the driver keeps for a point
     requirement do not pin a deleted region's or field's array: it is
-    freed at the deletion, while the execute goes on."""
-    refs = {}
-
+    freed at the deletion, while the execute goes on.  Every replica uses
+    ``y`` before it deletes it, after the driver already has."""
     def touch(arg):
         for f in arg.fields():
             arg[f.name].view[...] += 1.0
@@ -160,7 +166,7 @@ def test_deleted_storage_is_released_during_the_execute():
     def touch_point(_point, arg):
         return touch(arg)
 
-    def main(ctx):
+    def main(ctx, rt, refs):
         fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
         r = ctx.create_region(ctx.create_index_space(8), fs, "r")
         s = ctx.create_region(ctx.create_index_space(8), fs, "s")
@@ -170,16 +176,20 @@ def test_deleted_storage_is_released_during_the_execute():
             ctx.index_launch(touch_point, range(2), [(part, "x", "rw")])
             # a list of fields is an unhashable spec: lowered afresh
             ctx.launch(touch, [(s, ["x", "y"], "rw")])
-        refs["r"] = weakref.ref(rt.store.raw(r.tree_id, fs["x"]))
-        refs["s.y"] = weakref.ref(rt.store.raw(s.tree_id, fs["y"]))
+        if ctx.is_driver:
+            refs["r"] = weakref.ref(rt.store.raw(r.tree_id, fs["x"]))
+            refs["s.y"] = weakref.ref(rt.store.raw(s.tree_id, fs["y"]))
         ctx.delete_region(r)
         ctx.delete_field(s, "y")
-        refs["freed"] = [k for k in ("r", "s.y") if refs[k]() is None]
+        if ctx.is_driver:
+            refs["freed"] = [k for k in ("r", "s.y") if refs[k]() is None]
         ctx.launch(touch, [(s, "x", "rw")])
 
-    rt = Runtime(num_shards=1)
-    rt.execute(main)
-    assert refs["freed"] == ["r", "s.y"]
+    for shards, backend in WIDTHS:
+        refs = {}
+        rt = Runtime(num_shards=shards, backend=backend)
+        rt.execute(main, rt, refs)
+        assert refs["freed"] == ["r", "s.y"]
 
 
 def test_runtime_single_use():

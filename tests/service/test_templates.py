@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import pickle
 import random
 
 import pytest
@@ -46,6 +47,20 @@ def test_key_depends_on_width_and_shape():
     # independently, and hashable.
     again = structural_signature(stencil_program(6, steps=2), 2)
     assert {structural_signature(spec, 2)} == {again}
+
+
+def test_call_zero_is_built_once_and_equality_and_pickles_keep_the_fields():
+    spec = ProgramSpec(tiles=4, sharding="cyclic",
+                       ops=(OpSpec("spot", 7), OpSpec("fill"),
+                            OpSpec("bump", 12)))
+    assert spec.signature() == (4, 4, "cyclic", "spot,fill,bump", "7,0,12")
+    assert spec.signature() is spec.signature()
+    blob = pickle.dumps(spec)
+    assert b"spot,fill,bump" not in blob        # the fields, not call 0
+    clone = pickle.loads(blob)
+    assert clone == spec and hash(clone) == hash(spec)
+    assert clone.signature() == spec.signature()
+    assert dataclasses.replace(spec, tiles=5).signature()[0] == 5
 
 
 # -- store ------------------------------------------------------------------

@@ -72,6 +72,14 @@
   The last tests fail if a module-level table, the generation protocol or
   the registry grows back, or if a process-wide memo appears under the
   core, the regions or the oracle without a listed reason.
+* One front door.  ``repro/runtime/frontdoor.py`` lowers every ``reqs``
+  spec and makes every call-time check, and the rule that the points of
+  one launch are pairwise independent is written once, as
+  ``core/semantics.py``'s ``group_interference``.  The rule used to be
+  written three times (the runtime's group check, ``TaskGroup.validate``
+  and a post-hoc loop in ``spy``), the privilege parser twice, and
+  ``runtime/nested.py`` lowered child launches a second way, outside the
+  checks and the pipeline; the last tests fail if any of that grows back.
 """
 
 import ast
@@ -578,7 +586,7 @@ PROCESS_WIDE_MEMOS = {
         "a constant dispatch table, never written after import",
     "core/determinism.py:_KINDS":
         "a constant type-tag table, never written after import",
-    "runtime/runtime.py:PRIVILEGES":
+    "runtime/frontdoor.py:PRIVILEGES":
         "a constant table of privilege specs, never written after import",
     "legate/ops.py:KERNELS":
         "a constant kernel registry, never written after import",
@@ -682,3 +690,96 @@ def test_process_wide_memos_are_listed():
         if not present:
             stale.append(key)
     assert not stale, f"listed but gone (drop them): {stale}"
+
+
+# -- one front door -------------------------------------------------------------
+
+FRONT_DOOR = "runtime/frontdoor.py"
+GROUP_RULE = "group_interference"
+
+
+def _calls_to(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == name]
+
+
+def _function(tree, name):
+    fn, = [node for node in ast.walk(tree)
+           if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
+def test_group_independence_is_defined_once():
+    trees = dict(_trees(("",)))
+    defs = [rel for rel, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == GROUP_RULE]
+    assert defs == ["core/semantics.py"], defs
+    # The spec's TaskGroup and the front door both ask the one rule.
+    assert _calls_to(_function(trees["core/semantics.py"], "validate"),
+                     GROUP_RULE)
+    assert _calls_to(_function(trees[FRONT_DOOR], "check_group"), GROUP_RULE)
+    # Everything else that compares two tasks' requirements decides a
+    # dependence between operations, not a group's well-formedness: the
+    # fine stage, and spy's completeness check (one call).
+    pair_tests = {"requirements_conflict", "tasks_interfere", "interfere"}
+    callers = sorted({rel for rel, tree in trees.items()
+                      if not rel.startswith("oracle/")
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and _callee(node) in pair_tests})
+    assert callers == ["core/fine.py", "core/semantics.py", "tools/spy.py"], \
+        callers
+    assert len(_calls_to(trees["tools/spy.py"], "tasks_interfere")) == 1, (
+        "a group launch whose points interfere is rejected at the call; spy "
+        "checks edges between operations only")
+
+
+def test_one_privilege_spec_parser():
+    offenders = []
+    for rel, tree in _trees(("",)):
+        if rel == FRONT_DOOR:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) == "startswith" \
+                    and any(isinstance(a, ast.Constant) and a.value == "red"
+                            for a in node.args):
+                offenders.append(f"{rel}:{node.lineno}: startswith('red')")
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "_privilege":
+                offenders.append(f"{rel}:{node.lineno}: def _privilege")
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "PRIVILEGES"
+                    for t in node.targets):
+                offenders.append(f"{rel}:{node.lineno}: PRIVILEGES =")
+    assert not offenders, (
+        "a privilege spec is parsed in the front door only:\n  "
+        + "\n  ".join(offenders))
+
+
+def test_only_the_front_door_lowers_a_reqs_spec():
+    """On the control program's side of the runtime, requirements are
+    built by the front door alone; the analysis (``core/``) and the
+    applications that build operations for it directly are not lowering a
+    call."""
+    offenders = [f"{rel}:{node.lineno}: {_callee(node)}(...)"
+                 for rel, tree in _trees(("runtime/", "legate/", "tools/",
+                                          "service/"))
+                 if rel != FRONT_DOOR
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _callee(node) in (
+                     "CoarseRequirement", "RegionRequirement", "_privilege")]
+    assert not offenders, (
+        "lower a reqs spec through the front door:\n  "
+        + "\n  ".join(offenders))
+
+
+def test_the_nested_launch_path_stays_deleted():
+    assert not (SRC / "runtime" / "nested.py").exists()
+    gone = {"TaskContext", "launch_with_context", "_check_subsumed"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    assert not offenders, (
+        "child launches inside a task body ran outside the front door and "
+        "the pipeline:\n  " + "\n  ".join(offenders))
