@@ -133,8 +133,14 @@ class SeqStamps:
 
     def covers(self, earlier_seq: int, later_seq: int) -> bool:
         """Any channel position in ``(earlier_seq, later_seq]``?  Two
-        O(1) rank lookups and one comparison."""
-        return self.fine_at(later_seq) > self.fine_at(earlier_seq)
+        O(1) rank lookups (:meth:`fine_at`, read inline) and one
+        comparison."""
+        ranks = self._ranks
+        top = later_seq if later_seq > earlier_seq else earlier_seq
+        if top >= len(ranks):
+            self._extend(top)
+        later = ranks[later_seq] if later_seq >= 0 else 0
+        return later > (ranks[earlier_seq] if earlier_seq >= 0 else 0)
 
     def _extend(self, seq: int) -> None:
         pos = self._positions
@@ -256,9 +262,18 @@ class FenceStore:
     def covers(self, earlier_seq: int, later_seq: int,
                region: LogicalRegion, fields: frozenset) -> bool:
         """Any fence in (earlier_seq, later_seq] whose scope orders the
-        given data?  One rank comparison on the global channel, then one
-        per (aliasing scope, query field) channel — O(1) per probe and
-        flat in the total fence population.
+        given data?  :meth:`covers_fids` over the fields' sorted ids."""
+        return self.covers_fids(earlier_seq, later_seq, region,
+                                sorted([fl.fid for fl in fields]))
+
+    def covers_fids(self, earlier_seq: int, later_seq: int,
+                    region: LogicalRegion, fids: Sequence[int]) -> bool:
+        """:meth:`covers` for the fields whose ids are ``fids``, in
+        ascending order.  One rank comparison on the global channel, then
+        one per (aliasing scope, query field) channel — O(1) per probe and
+        flat in the total fence population.  The fields are probed in fid
+        order, so the probes (and the rank arrays they extend) depend on
+        the program alone, not on how a set of fields happens to iterate.
 
         Equivalent to the naive walk: a fence covers the edge iff it is
         global, or some field in ``f.fields & fields`` exists and
@@ -281,8 +296,8 @@ class FenceStore:
             if not hit:
                 continue
             by_fid = chan.by_fid
-            for fl in fields:
-                ss = by_fid.get(fl.fid)
+            for fid in fids:
+                ss = by_fid.get(fid)
                 if ss is not None and ss.covers(earlier_seq, later_seq):
                     return True
         return False
@@ -396,13 +411,13 @@ class CoarseAnalysis:
 
         dep_ops: Dict[Operation, List[Tuple[CoarseRequirement,
                                             CoarseRequirement]]] = {}
-        for req in op.coarse_reqs:
-            bound = req.bound_region()
+        launch = self._launch(op)
+        for req, bound, lcid in launch:
             for fid in sorted_fids(req):
                 state = self._state.get((bound.tree_id, fid))
                 if state is not None:
-                    self._scan(op, req, bound, state, dep_ops)
-        self._update(op)
+                    self._scan(op, req, lcid, state, dep_ops)
+        self._update(op, launch)
 
         new_deps: Set[Tuple[Operation, Operation]] = set()
         new_fences: List[Fence] = []
@@ -463,33 +478,48 @@ class CoarseAnalysis:
         applied — otherwise operations issued after the trace would compare
         against pre-trace state and miss dependences on replayed work.
         """
-        self._update(op)
+        self._update(op, self._launch(op))
 
     # -- scanning ------------------------------------------------------------------
 
-    def _scan(self, op: Operation, req: CoarseRequirement,
-              bound: LogicalRegion, state: FieldState,
-              dep_ops: Dict[Operation, List[Tuple[CoarseRequirement,
-                                                  CoarseRequirement]]]) -> None:
-        scanned, found = state.scan(op, req, bound)
-        self.result.users_scanned += scanned
-        for hits in found:
-            # Insertion order within the epoch: a single bucket already is;
-            # several merge by the entries' leading insertion index.
-            entries = hits[0].entries if len(hits) == 1 else \
-                sorted(e for b in hits for e in b.entries)
-            for _index, prev_op, _user, prev_req in entries:
-                dep_ops.setdefault(prev_op, []).append((prev_req, req))
-
-    def _update(self, op: Operation) -> None:
+    def _launch(self, op: Operation
+                ) -> List[Tuple[CoarseRequirement, LogicalRegion, int]]:
+        """Each requirement of ``op`` with its bound and the launch class
+        of its width-1 entry."""
+        single = self._classes.single
+        launch = []
         for req in op.coarse_reqs:
             bound = req.bound_region()
+            launch.append((req, bound, single(req, bound)))
+        return launch
+
+    def _scan(self, op: Operation, req: CoarseRequirement, lcid: int,
+              state: FieldState,
+              dep_ops: Dict[Operation, List[Tuple[CoarseRequirement,
+                                                  CoarseRequirement]]]) -> None:
+        scanned, found = state.scan(op, lcid, req.privilege)
+        self.result.users_scanned += scanned
+        for hits in found:
+            # Every entry is one op (width 1), so a bucket that hits is a
+            # bucket whose entries all conflict.  Insertion order within the
+            # epoch: a single bucket already is; several merge by the
+            # entries' leading insertion index.
+            entries = hits[0][0] if len(hits) == 1 else \
+                sorted(e for entries, _pairs in hits for e in entries)
+            for _index, prev_op, _users, prev_reqs in entries:
+                dep_ops.setdefault(prev_op, []).append((prev_reqs[0], req))
+
+    def _update(self, op: Operation,
+                launch: List[Tuple[CoarseRequirement, LogicalRegion, int]]
+                ) -> None:
+        users = (op,)
+        for req, bound, lcid in launch:
             for fid in sorted_fids(req):
                 key = (bound.tree_id, fid)
                 state = self._state.get(key)
                 if state is None:
                     state = self._state[key] = FieldState(self._classes)
-                state.update(op, op, req, bound)
+                state.update(op, users, (req,), lcid, bound)
 
     # -- fence insertion / elision ----------------------------------------------------
 

@@ -24,29 +24,34 @@ is one walk over the tasks' predecessors that tests each cross-shard one
 against the fences, so it builds no edge set either.
 
 Launch granularity: the points of a group launch are pairwise
-independent, so a launch is one arrival.  The epochs are walked once per
+independent, so a fresh launch is analysed as one unit.  Its point→shard
+assignment comes from one memo per (sharding id, launch domain) owned by
+the instance, and its point tasks are built in one call.  It enters each
+(requirement, field) epoch as **one entry** holding its points' users and
+requirements, bucketed by the requirement's *launch class* — the interned
+tuple of the points' class ids.  The epochs are walked once per
 (requirement, field, probed epoch) per launch; a bucket's verdict for all
-the launch's points is one probe of a memo keyed by (bucket class, launch
-class) — the launch class being the interned tuple of the points' class
-ids — that is computed from the per-pair decisions.  Each point's hits are
-gathered in per-point order (requirement, field, epoch, bucket), so its
-dependence set and the edge order are those of a point-by-point scan.  A
-launch never scans its own entries, so every point is charged the probed
-epoch's size, as the per-point loop reported.
+the launch's points is one probe of a memo keyed by (bucket launch class,
+query launch class) that names the conflicting (query point, bucket
+point) pairs, computed from the per-pair decisions, so every point's
+dependence set is the one a point-by-point scan builds.  A launch never
+scans its own entries, so every point is charged the probed epoch's user
+count, as the per-point loop reported.
 
 Scaling note: the point epochs are the shared index of
 :mod:`repro.core.epochs`, instantiated here with the fine class key
 ``(privilege, region uid, field ids)`` — the exact inputs of the pairwise
-requirement test — and ``requirements_conflict`` as the decision, so a scan
-makes one packed-int dict probe per bucket instead of one oracle call per
-entry (that call chain dominated the whole analysis at 1024+ ops), and one
-per bucket per launch rather than per point.
-``scans_per_shard`` still counts one unit per epoch entry visited,
-identical to the naive per-entry loop (pinned by the differential tests
-against tests/helpers.py).  What keeps the epochs — and with them scans
-and edges — proportional to a region's *live* users is retirement: a group
-write retires every older user inside the union of the pieces it wrote
-(:meth:`FineAnalysis._update`).
+requirement test — and ``requirements_conflict`` as the decision, so a
+scan makes one packed-int dict probe per bucket of launch entries instead
+of one oracle call per user (that call chain dominated the whole analysis
+at 1024+ ops).  ``scans_per_shard`` still counts one unit per user
+visited, identical to the naive per-entry loop (pinned by the
+differential tests against tests/helpers.py).  What keeps the epochs —
+and with them scans and edges — proportional to a region's *live* users
+is retirement: a group write retires every older user inside the union of
+the pieces it wrote (:meth:`FineAnalysis._update`), one memoised (bound,
+launch class) probe per bucket, and what is left of a launch's entry
+stays as a smaller entry.
 """
 
 from __future__ import annotations
@@ -138,21 +143,52 @@ class FineAnalysis:
         # field ids) of each side: that triple is the requirement class.
         self._classes = ClassTable("_fine_cid", _class_key, _classes_conflict)
         self._state: Dict[Tuple[int, int], FieldState] = {}
+        # (sharding id, launch domain) -> (each point's shard, (shard,
+        # points) in first-appearance order): sharding functions are pure.
+        self._shards: Dict[Tuple[int, Tuple], Tuple[Tuple[int, ...],
+                                                    Tuple[Tuple[int, int],
+                                                          ...]]] = {}
+
+    def _assignment(self, op: Operation
+                    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+        """The shard of each of ``op``'s points and the points per shard,
+        evaluated once per (sharding function, launch domain)."""
+        dom = op.launch_domain
+        if dom is None:
+            shard = op.owner_shard % self.num_shards
+            return (shard,), ((shard, 1),)
+        sharding = op.sharding
+        key = (sharding.sid, dom)
+        hit = self._shards.get(key)
+        if hit is None:
+            n, width = len(dom), self.num_shards
+            shards = tuple([sharding(p, n, width) for p in dom])
+            counts: Dict[int, int] = {}
+            for shard in shards:
+                counts[shard] = counts.get(shard, 0) + 1
+            hit = self._shards[key] = (shards, tuple(counts.items()))
+        return hit
 
     def analyze(self, op: Operation) -> List[PointTask]:
-        tasks: List[PointTask] = []
-        points = self.result.points_per_shard
-        for point, reqs in zip(op.points(), op.launch_requirements()):
-            shard = op.shard_of(point, self.num_shards)
-            tasks.append(PointTask(op, point, shard, reqs))
-            points[shard] = points.get(shard, 0) + 1
+        shards, counts = self._assignment(op)
+        points = op.points()
+        dom = op.launch_domain or ()
+        # Each requirement's point requirements, in point order: the
+        # launch's users for that requirement.
+        launch = [cr.point_requirements(points, dom) for cr in op.coarse_reqs]
+        tasks = PointTask.launch(op, points, shards, list(zip(*launch))
+                                 if launch else [()] * len(points))
+        tally = self.result.points_per_shard
+        for shard, n in counts:
+            tally[shard] = tally.get(shard, 0) + n
+        lcids = [self._classes.launch_class(reqs) for reqs in launch]
         # Points within one group launch are pairwise independent (the
         # group-launch well-formedness condition, which Context.index_launch
         # checks at the call), so they are analyzed against prior state
         # only: the whole group is one arrival, and the epochs are walked
         # once per (requirement, field).
-        self._analyze_launch(op, tasks)
-        self._update(op, tasks)
+        self._analyze_launch(op, tasks, counts, launch, lcids)
+        self._update(op, tasks, launch, lcids)
         edges, cross = self.admit(tasks)
         prof = self.profiler
         if prof.enabled:
@@ -189,9 +225,11 @@ class FineAnalysis:
         """
         self._update(op, tasks)
 
-    def _update(self, op: Operation, tasks: List[PointTask]) -> None:
-        """Enter an operation's points into the epochs and retire what
-        they dominate.
+    def _update(self, op: Operation, tasks: List[PointTask],
+                launch: Optional[List[Tuple[RegionRequirement, ...]]] = None,
+                lcids: Optional[List[int]] = None) -> None:
+        """Enter an operation's points into the epochs, one entry per
+        (requirement, field), and retire what they dominate.
 
         An individual write retires the older users its region contains.
         The points of a group launch that writes through a *disjoint*
@@ -206,67 +244,75 @@ class FineAnalysis:
         launch over part of the colour space retires only under those
         pieces.  Without the group rule, readers that straddle two written
         tiles are never retired and the fine analysis turns quadratic in
-        program length.
+        program length.  A launch that also writes outside a disjoint
+        partition retires point by point, so it enters point by point, in
+        the order the points retire.
         """
         if not tasks:
             return
-        grouped = [k for k, cr in enumerate(op.coarse_reqs)
+        table = self._classes
+        if launch is None:
+            launch = list(zip(*[t.requirements for t in tasks]))
+            lcids = [table.launch_class(reqs) for reqs in launch]
+        coarse_reqs = op.coarse_reqs
+        grouped = [k for k, cr in enumerate(coarse_reqs)
                    if cr.privilege.writes and isinstance(cr.upper, Partition)
-                   and cr.upper.disjoint] if op.is_group else ()
-        # Every point of requirement k touches the same (tree, field)
-        # states; they are looked up (and made, in the per-point order)
-        # once per launch, and the points still enter them one by one.
-        states = self._state
-        plan = []
-        for k, req in enumerate(tasks[0].requirements):
-            tree_id = req.region.tree_id
-            targets = []
-            for fid in sorted_fids(req):
-                state = states.get((tree_id, fid))
-                if state is None:
-                    state = states[(tree_id, fid)] = FieldState(self._classes)
-                targets.append(state)
-            plan.append((k, k not in grouped, targets))
-        for task in tasks:
-            reqs = task.requirements
-            for k, retire, targets in plan:
-                req = reqs[k]
-                region = req.region
-                for state in targets:
-                    state.update(op, task, req, region, retire)
+                   and cr.upper.disjoint] if op.is_group else []
+        single = [k for k, cr in enumerate(coarse_reqs)
+                  if cr.privilege.writes and k not in grouped]
+        if single and len(tasks) > 1:
+            for task in tasks:
+                reqs = task.requirements
+                self._enter(op, (task,), [(req,) for req in reqs],
+                            [table.single(req, req.region) for req in reqs],
+                            single)
+        else:
+            self._enter(op, tuple(tasks), launch, lcids, single)
         if not grouped:
             return
         own = {id(t) for t in tasks}
+        states = self._state
         for k in grouped:
-            cr = op.coarse_reqs[k]
+            cr = coarse_reqs[k]
             tree_id = cr.upper.parent_region.tree_id
-            pieces = tuple(dict.fromkeys(
-                [t.requirements[k].region for t in tasks]))
+            lcid = lcids[k]
             for fid in sorted_fids(cr):
-                self._state[(tree_id, fid)].retire(pieces, own)
+                states[(tree_id, fid)].retire(~lcid, lcid, own)
 
-    def _analyze_launch(self, op: Operation, tasks: List[PointTask]) -> None:
+    def _enter(self, op: Operation, users: Tuple[PointTask, ...],
+               launch, lcids: List[int], single: List[int]) -> None:
+        """Enter ``users`` as one entry per (requirement, field) state,
+        making the states on first use; a write of a requirement in
+        ``single`` first retires under its one region."""
+        states = self._state
+        for k, (cr, reqs, lcid) in enumerate(zip(op.coarse_reqs, launch,
+                                                 lcids)):
+            region = reqs[0].region
+            bound = region if k in single else None
+            tree_id = region.tree_id
+            for fid in sorted_fids(cr):
+                state = states.get((tree_id, fid))
+                if state is None:
+                    state = states[(tree_id, fid)] = FieldState(self._classes)
+                state.update(op, users, reqs, lcid, bound)
+
+    def _analyze_launch(self, op: Operation, tasks: List[PointTask],
+                        counts: Tuple[Tuple[int, int], ...],
+                        launch: List[Tuple[RegionRequirement, ...]],
+                        lcids: List[int]) -> None:
         """Find every point's dependences on the prior epoch state in one
         walk per (requirement, field, probed epoch).
 
-        A bucket's decision for all the launch's points at once is one
-        memoized mask lookup keyed by (bucket class, launch class).  Each
-        point's hits are gathered in the per-point order — requirement,
-        field, epoch, bucket — so its dependence set is built by the same
-        insertion sequence, and the edges come out in the same order, as
-        when every point was scanned on its own.  A launch never scans its
-        own entries, so each point is charged the probed epoch's size."""
-        result = self.result
-        if not tasks:
-            return
+        Each bucket is one memoised probe keyed by (bucket launch class,
+        query launch class) that names the conflicting (query point,
+        bucket point) pairs; every entry of the bucket then hands the
+        named users to the named points.  A launch never scans its own
+        entries, so each point is charged the probed epoch's size."""
         states = self._state
-        table = self._classes
         deps: List[Optional[Set[PointTask]]] = [None] * len(tasks)
         scanned = 0
-        for k, cr in enumerate(op.coarse_reqs):
-            reqs = [t.requirements[k] for t in tasks]
+        for cr, reqs, lcid in zip(op.coarse_reqs, launch, lcids):
             tree_id = reqs[0].region.tree_id
-            lcid = -1
             for fid in sorted_fids(cr):
                 state = states.get((tree_id, fid))
                 if state is None:
@@ -274,46 +320,23 @@ class FineAnalysis:
                 for epoch, reduce_only in state.probes(cr.privilege):
                     if not epoch._size:
                         continue
-                    if lcid < 0:
-                        lcid = table.launch_class(reqs)
-                    matched = epoch.match_launch(op, lcid, reduce_only)
-                    if matched is None:
-                        scanned += self._match_points(epoch, op, reqs,
-                                                      reduce_only, deps)
-                        continue
-                    n, found = matched
+                    n, found = epoch.match(op, lcid, reduce_only)
                     scanned += n
-                    for b, mask in found:
-                        for i in mask:
-                            d = deps[i]
-                            if d is None:
-                                d = deps[i] = set()
-                            d.update(b.users)
-        scans = result.scans_per_shard
+                    for entries, pairs in found:
+                        for e in entries:
+                            users = e[2]
+                            for i, j in pairs:
+                                d = deps[i]
+                                if d is None:
+                                    d = deps[i] = set()
+                                d.add(users[j])
         if scanned:
-            for task in tasks:
-                scans[task.shard] = scans.get(task.shard, 0) + scanned
+            scans = self.result.scans_per_shard
+            for shard, n in counts:
+                scans[shard] = scans.get(shard, 0) + scanned * n
         for task, d in zip(tasks, deps):
             if d:
                 task.preds = tuple(d)
-
-    @staticmethod
-    def _match_points(epoch, op: Operation, reqs: List[RegionRequirement],
-                      reduce_only: bool,
-                      deps: List[Optional[Set[PointTask]]]) -> int:
-        """Per-point matching for an epoch that holds entries of ``op``
-        itself (a re-analysed op), which every point must skip; returns
-        the entries one point scans (the skip does not depend on the
-        point)."""
-        scanned = 0
-        for i, req in enumerate(reqs):
-            scanned, hits = epoch.match(op, req, req.region, reduce_only)
-            for b in hits:
-                d = deps[i]
-                if d is None:
-                    d = deps[i] = set()
-                d.update(b.users)
-        return scanned
 
     # -- soundness of fence elision ------------------------------------------------
 
@@ -331,19 +354,26 @@ class FineAnalysis:
         from the interned decision table and coverage through the fence
         channels, so each pair probe is O(1).
         """
-        covers = coarse.covers_cross_edge
-        conflicting_pairs = self._classes.conflicting_pairs
+        covers = coarse.fences.covers_fids
+        probes_of = self._classes.probes
+        # A replay's tasks carry their recording's requirement tuples, so
+        # each recorded pair of tuples is classed once per walk (every task
+        # is alive throughout, so the ids are stable).
+        seen: Dict[Tuple[int, int], List] = {}
         bad = []
         for task in self.result.tasks:
             shard, later = task.shard, task.op.seq
+            reqs = task.requirements
             for prev in task.preds:
                 if prev.shard == shard:
                     continue
+                key = (id(prev.requirements), id(reqs))
+                probes = seen.get(key)
+                if probes is None:
+                    probes = seen[key] = probes_of(prev.requirements, reqs)
                 earlier = prev.op.seq
-                for preq, nreq in conflicting_pairs(prev.requirements,
-                                                    task.requirements):
-                    if covers(earlier, later, nreq.region,
-                              nreq.fields | preq.fields):
+                for region, fids in probes:
+                    if covers(earlier, later, region, fids):
                         break
                 else:
                     bad.append((prev, task))

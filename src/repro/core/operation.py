@@ -187,16 +187,6 @@ class Operation:
         return tuple([cr.point_requirements((point,), dom)[0]
                       for cr in self.coarse_reqs])
 
-    def launch_requirements(self) -> List[Tuple[RegionRequirement, ...]]:
-        """:meth:`point_requirements` of every point, in :meth:`points`
-        order, built one coarse requirement at a time."""
-        points = self.points()
-        if not self.coarse_reqs:
-            return [()] * len(points)
-        dom = self.launch_domain or ()
-        return list(zip(*[cr.point_requirements(points, dom)
-                          for cr in self.coarse_reqs]))
-
     def __repr__(self) -> str:  # pragma: no cover
         dom = f", |dom|={len(self.launch_domain)}" if self.is_group else ""
         return f"Operation({self.name}, kind={self.kind}{dom})"
@@ -224,6 +214,27 @@ class PointTask:
             if requirements is None else requirements
         self.preds: Tuple["PointTask", ...] = ()
         self._hash = hash((op.uid, point))
+
+    @staticmethod
+    def launch(op: Operation, points: Sequence[Hashable],
+               shards: Sequence[int],
+               requirements: Sequence[Tuple[RegionRequirement, ...]]
+               ) -> List["PointTask"]:
+        """The point tasks of one launch of ``op``, built in one call from
+        parallel sequences: what ``PointTask(op, point, shard, reqs)``
+        builds for each point, without a constructor call per point."""
+        new, uid = PointTask.__new__, op.uid
+        tasks = []
+        for point, shard, reqs in zip(points, shards, requirements):
+            task = new(PointTask)
+            task.op = op
+            task.point = point
+            task.shard = shard
+            task.requirements = reqs
+            task.preds = ()
+            task._hash = hash((uid, point))
+            tasks.append(task)
+        return tasks
 
     def __hash__(self) -> int:
         return self._hash

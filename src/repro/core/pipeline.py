@@ -320,15 +320,15 @@ class DCRPipeline:
         prof.metrics.count("fine.ops")
 
     def _integrate_replay(self, op: Operation, entry, tasks, fences,
-                          coarse_deps) -> OpRecord:
+                          coarse_deps, rec, served: int) -> OpRecord:
         """Join one replayed op's products to the global analysis results.
 
         Only *results* are produced here; the op's effect on the epoch
-        state waits in ``_run`` for :meth:`settle`."""
-        traces = self._traces
-        rec = traces.recording
+        state waits in ``_run`` for :meth:`settle`.  ``rec`` is the
+        recording being replayed and ``served`` how many of its ops the
+        replay has served, this one included."""
         if self._run and (rec is not self._run_rec or (
-                traces.served == 1 and len(self._run) % len(rec.entries))):
+                served == 1 and len(self._run) % len(rec.entries))):
             # A different recording, or a new fragment after a partial one:
             # what is waiting is not a prefix of this run.
             self.settle()
@@ -344,9 +344,12 @@ class DCRPipeline:
         # record holds the fences actually inserted so ``stats.fences`` and
         # the simulator's collective charges count each fence exactly once
         # — identical to an untraced run.
+        inserted = []
+        for fence in fences:
+            if coarse.fences.add(fence):
+                inserted.append(fence)
         record = OpRecord(
-            op=op, coarse_deps=coarse_deps,
-            fences=[f for f in fences if coarse.fences.add(f)],
+            op=op, coarse_deps=coarse_deps, fences=inserted,
             point_tasks=tasks, coarse_scans=0, traced=True,
             # Replayed elisions are credited from the recording so the
             # tracing x elision ablation attributes them to every
@@ -410,34 +413,41 @@ class DCRPipeline:
 
     def _carry_of(self, frag: List[OpRecord]) -> List[Tuple]:
         """What is left of ``frag`` in the epochs now that the fragment
-        after it is folded too, as ``(field state, op offset, task index,
-        requirement index, region)`` — positions any occurrence can be
-        read through — in each epoch's insertion order.  The task index is
-        None for the coarse stage, whose user is the op itself."""
+        after it is folded too, as ``(field state, op offset, task
+        positions, requirement index, launch class)`` per entry — positions
+        any occurrence can be read through — in each epoch's insertion
+        order.  The task positions are None for the coarse stage, whose
+        user is the op itself."""
         offsets = {id(r.op): i for i, r in enumerate(frag)}
+        positions = {id(t): i for r in frag
+                     for i, t in enumerate(r.point_tasks)}
         carry = []
         for stage in (self.coarse, self.fine):
-            for state, op, user, req, region in entries_of(stage._state,
+            for state, op, users, reqs, lcid in entries_of(stage._state,
                                                            offsets):
                 off = offsets[id(op)]
-                if user is op:
-                    where = None, op.coarse_reqs.index(req)
+                if users[0] is op:
+                    where = None, op.coarse_reqs.index(reqs[0])
                 else:
-                    where = (frag[off].point_tasks.index(user),
-                             user.requirements.index(req))
-                carry.append((state, off, *where, region))
+                    where = (tuple([positions[id(u)] for u in users]),
+                             users[0].requirements.index(reqs[0]))
+                carry.append((state, off, *where, lcid))
         return carry
 
     @staticmethod
     def _enter_carry(carry: List[Tuple], frag: List[OpRecord]) -> int:
-        for state, off, index, k, region in carry:
+        for state, off, index, k, lcid in carry:
             op = frag[off].op
             if index is None:
-                user, req = op, op.coarse_reqs[k]
+                users, reqs = (op,), (op.coarse_reqs[k],)
             else:
-                user = frag[off].point_tasks[index]
-                req = user.requirements[k]
-            state.update(op, user, req, region, retire=False)
+                tasks = frag[off].point_tasks
+                users, reqs = [], []
+                for i in index:
+                    users.append(tasks[i])
+                    reqs.append(tasks[i].requirements[k])
+                users, reqs = tuple(users), tuple(reqs)
+            state.update(op, users, reqs, lcid)
         return len(carry)
 
     def run_program(self, ops: Sequence[Operation]) -> List[OpRecord]:

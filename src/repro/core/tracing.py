@@ -79,11 +79,14 @@ def _trace_label(trace_id: Hashable) -> str:
     return repr(trace_id)[:60]
 
 
-def _op_signature(op: Operation) -> Tuple:
+def _requirement_signature(cr) -> Tuple:
+    """What a coarse requirement contributes to its op's signature,
+    computed once per (frozen) requirement object."""
     from ..regions import Partition
 
-    reqs = tuple(
-        (
+    sig = getattr(cr, "_signature", None)
+    if sig is None:
+        sig = (
             cr.upper.uid,
             isinstance(cr.upper, Partition),
             sorted_fids(cr),
@@ -93,14 +96,23 @@ def _op_signature(op: Operation) -> Tuple:
             # collide with IDENTITY_PROJECTION, whose real pid is 0.
             cr.projection.pid if cr.projection is not None else None,
         )
-        for cr in op.coarse_reqs
-    )
+        object.__setattr__(cr, "_signature", sig)
+    return sig
+
+
+def _op_signature(op: Operation) -> Tuple:
+    reqs = []
+    for cr in op.coarse_reqs:
+        # the cached signature, read inline (a Context reuses requirements)
+        sig = getattr(cr, "_signature", None)
+        reqs.append(sig if sig is not None else _requirement_signature(cr))
+    dom = op.launch_domain
     return (
         op.kind,
-        op.launch_domain,
+        dom,
         op.sharding.sid if op.sharding else None,
-        op.owner_shard if not op.is_group else None,
-        reqs,
+        op.owner_shard if dom is None else None,
+        tuple(reqs),
     )
 
 
@@ -110,9 +122,11 @@ class _TraceEntry:
 
     signature: Tuple
     fence_scopes: List[Tuple[object, frozenset]] = field(default_factory=list)
-    # Point templates: the recorded tasks, whose point, shard and (frozen)
-    # requirements every occurrence's tasks share.
-    tasks: List[PointTask] = field(default_factory=list)
+    # Point templates: the recorded tasks' points, shards and (frozen)
+    # requirements, which every occurrence's tasks share.
+    points: Tuple = ()
+    shards: Tuple[int, ...] = ()
+    requirements: Tuple[Tuple, ...] = ()
     shard_points: Dict[int, int] = field(default_factory=dict)
     # Per recorded task, its predecessors inside the fragment as (source op
     # offset within trace, source task index) pairs, in ``preds`` order.
@@ -144,7 +158,7 @@ class TraceCache:
         self.profiler = profiler if profiler is not None else get_profiler()
         self.injector = injector
         self._traces: Dict[Hashable, _Recording] = {}
-        self._state = self.IDLE
+        self.active = self.IDLE       # IDLE or REPLAYING; read-only outside
         self._tid: Optional[Hashable] = None
         self._rec: Optional[_Recording] = None
         self._index = 0
@@ -158,11 +172,11 @@ class TraceCache:
 
     def begin(self, trace_id: Hashable) -> bool:
         """Start replaying ``trace_id``; False when nothing is recorded."""
-        if self._state != self.IDLE:
+        if self.active != self.IDLE:
             raise RuntimeError("traces do not nest")
         if trace_id not in self._traces:
             return False
-        self._state = self.REPLAYING
+        self.active = self.REPLAYING
         self._tid = trace_id
         self._rec = self._traces[trace_id]
         self._index = 0
@@ -205,7 +219,7 @@ class TraceCache:
     def end(self) -> None:
         """Leave a replay; raises when it served fewer ops than recorded."""
         try:
-            if self._state == self.REPLAYING \
+            if self.active == self.REPLAYING \
                     and self._index != len(self._rec.entries):
                 raise TraceMismatch(
                     f"trace {self._tid} replay ended after {self._index} "
@@ -214,7 +228,7 @@ class TraceCache:
             # Never leave the cache wedged in REPLAYING: even when the
             # mismatch is raised, the state resets so the caller can fall
             # back to fresh analysis.
-            self._state = self.IDLE
+            self.active = self.IDLE
             self._tid = self._rec = None
             self._index = 0
 
@@ -228,11 +242,11 @@ class TraceCache:
         With ``evict`` the stale recording is dropped so the next occurrence
         re-records instead of diverging again.
         """
-        if self._state != self.REPLAYING:
+        if self.active != self.REPLAYING:
             return 0
         served = self._index
         tid = self._tid
-        self._state = self.IDLE
+        self.active = self.IDLE
         self._tid = self._rec = None
         self._index = 0
         self._replay_ops = []
@@ -252,10 +266,6 @@ class TraceCache:
         return trace_id in self._traces
 
     @property
-    def active(self) -> str:
-        return self._state
-
-    @property
     def current_trace(self) -> Optional[Hashable]:
         return self._tid
 
@@ -273,7 +283,7 @@ class TraceCache:
     @property
     def replay_done(self) -> bool:
         """True when an active replay has served every recorded op."""
-        return self._state == self.REPLAYING \
+        return self.active == self.REPLAYING \
             and self._index >= len(self._rec.entries)
 
     # -- recording ------------------------------------------------------------------
@@ -288,7 +298,7 @@ class TraceCache:
         model's streams have no analysis products: it hands in
         signature-only entries, kept as is.
         """
-        if self._state != self.IDLE:
+        if self.active != self.IDLE:
             raise RuntimeError("cannot record while replaying")
         if records and isinstance(records[0], _TraceEntry):
             entries = list(records)
@@ -312,7 +322,9 @@ class TraceCache:
                    index_of: Dict[int, int]) -> _TraceEntry:
         entry = _TraceEntry(
             signature=_op_signature(record.op),
-            tasks=record.point_tasks,
+            points=tuple([t.point for t in record.point_tasks]),
+            shards=tuple([t.shard for t in record.point_tasks]),
+            requirements=tuple([t.requirements for t in record.point_tasks]),
             shard_points=Counter(t.shard for t in record.point_tasks),
             fences_elided=record.fences_elided,
             coarse_scans=record.coarse_scans,
@@ -343,7 +355,7 @@ class TraceCache:
         is expected to recover via :meth:`abort_replay` and fresh analysis
         — no partial replay state survives a mismatch.
         """
-        if self._state != self.REPLAYING:
+        if self.active != self.REPLAYING:
             return None
         rec = self._rec
         if self._index >= len(rec.entries):
@@ -361,9 +373,9 @@ class TraceCache:
     def try_replay(self, op: Operation, signature: Tuple):
         """Serve one op from the active replay, or return None.
 
-        Returns ``(entry, point tasks, fences, coarse deps)`` for this
-        occurrence, each task's ``preds`` written from the recording; the
-        caller builds its own record from them.  ``op.seq`` is already
+        Returns ``(entry, point tasks, fences, coarse deps, recording,
+        ops served)`` for this occurrence, each task's ``preds`` written
+        from the recording; the caller builds its own record from them.  ``op.seq`` is already
         assigned; :meth:`match` may raise :class:`TraceMismatch`.
         """
         entry = self.match(signature)
@@ -371,12 +383,14 @@ class TraceCache:
             return None
         seq = op.seq
         ops, served = self._replay_ops, self._replay_tasks
-        tasks = []
-        for t, preds in zip(entry.tasks, entry.task_preds):
-            task = PointTask(op, t.point, t.shard, t.requirements)
+        tasks = PointTask.launch(op, entry.points, entry.shards,
+                                 entry.requirements)
+        for task, preds in zip(tasks, entry.task_preds):
             if preds:
-                task.preds = tuple([served[off][i] for off, i in preds])
-            tasks.append(task)
+                found = []
+                for off, i in preds:
+                    found.append(served[off][i])
+                task.preds = tuple(found)
         if not ops:
             # Global entry fence: orders everything before the trace.  It
             # subsumes any recorded scoped fence at this position (a global
@@ -385,12 +399,15 @@ class TraceCache:
             # double-charge collectives the entry fence already performs.
             fences = [Fence(at_seq=seq, region=None, fields=frozenset())]
         else:
-            fences = [Fence(at_seq=seq, region=region, fields=fields)
-                      for region, fields in entry.fence_scopes]
-        coarse_deps = {(ops[off], op) for off in entry.coarse_dep_offsets}
+            fences = []
+            for region, fields in entry.fence_scopes:
+                fences.append(Fence(at_seq=seq, region=region, fields=fields))
+        coarse_deps = set()
+        for off in entry.coarse_dep_offsets:
+            coarse_deps.add((ops[off], op))
         ops.append(op)
         served.append(tasks)
-        return entry, tasks, fences, coarse_deps
+        return entry, tasks, fences, coarse_deps, self._rec, self._index
 
 
 # ---------------------------------------------------------------------------

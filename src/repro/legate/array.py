@@ -245,12 +245,15 @@ class LegateArray:
         self.lease.release()
 
     def _tiling(self, row_only: bool = False):
-        return self.lg._tiling(self.shape, row_only)
+        return self.lg._tiling(self.view.shape, row_only)
 
     def _partition(self, tiling):
         """The key partition of this view under ``tiling``, looked up by
         (backing region, view, tiling) before any rect is mapped."""
-        key = (self.block.region.uid, self.view, tiling)
+        view = self.view
+        # the view's fields, not the view: a tuple of ints hashes in C
+        key = (self.block.region.uid, view.base_shape, view.shape, view.axes,
+               view.offsets, view.stretched, tiling)
         part = self.lg._key_parts.get(key)
         if part is None:
             rects = [self.view.base_rect(lo, hi) for lo, hi in tiling]
@@ -276,7 +279,7 @@ class LegateArray:
 
     def __getitem__(self, key) -> "LegateArray":
         """A step-1 slice view (no data movement, shared lease)."""
-        bounds = _slice_bounds(key, self.shape)
+        bounds = _slice_bounds(key, self.view.shape)
         return LegateArray(self.lg, self.block, self.lease,
                            self.view.sliced(bounds))
 
@@ -316,7 +319,7 @@ class LegateArray:
         if not self.view.writable:
             raise ValueError("cannot write through a transposed or "
                              "broadcast view")
-        bounds = _slice_bounds(key, self.shape)
+        bounds = _slice_bounds(key, self.view.shape)
         dst = LegateArray(self.lg, self.block, self.lease,
                           self.view.sliced(bounds))
         tiling = dst._tiling()
@@ -331,8 +334,9 @@ class LegateArray:
             # Aliased source: materialize first, so the write has NumPy's
             # copy semantics instead of an order-dependent overlap.
             value = value._materialized()
-        src = value if value.shape == dst.shape \
-            else value.broadcast_to(dst.shape)
+        shape = dst.view.shape
+        src = value if value.view.shape == shape \
+            else value.broadcast_to(shape)
         self.lg.fields.note_launch()
         self.lg.ctx.index_launch(
             ops.setitem_body, self.lg._domain(len(tiling)),

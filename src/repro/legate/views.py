@@ -79,7 +79,7 @@ class ViewSpec:
 
     def sliced(self, bounds: Sequence[Tuple[int, int]]) -> "ViewSpec":
         """Compose a step-1 slice: per logical dim, [lo, stop) bounds."""
-        if len(bounds) != self.ndim:
+        if len(bounds) != len(self.shape):
             raise ValueError("slice bounds must cover every dimension")
         shape: List[int] = []
         offsets = list(self.offsets)

@@ -9,8 +9,11 @@ changes, and region trees only grow (new partitions never change the
 relationship between existing nodes).  That makes a memo keyed on
 ``(region uid, region uid)`` sound forever, with no invalidation protocol,
 and safe to share across threads: racing writers store the same answer.
-These two pair caches are the only region memos that outlive a pipeline;
-they hold uids, never regions.  Everything else the analysis memoizes —
+Two structured regions skip the memo: :func:`may_alias` and
+:func:`region_contains` answer them with a rectangle test that costs no
+more than a probe, and a program's fresh regions would only fill the
+cache, execute after execute.  These two pair caches are the only region
+memos that outlive a pipeline; they hold uids, never regions.  Everything else the analysis memoizes —
 requirement classes, their decisions, retirement containment — belongs to
 the stage instance that uses it (:class:`repro.core.epochs.ClassTable`).
 
@@ -78,9 +81,14 @@ _contains_cache = PairCache()
 
 
 def cached_may_alias(a: LogicalRegion, b: LogicalRegion) -> bool:
-    """Memoized :func:`repro.regions.may_alias` (symmetric key)."""
+    """Memoized :func:`repro.regions.may_alias` (symmetric key).  Two
+    structured regions are not memoized: their rectangle test costs no
+    more than a probe, and each execute's fresh regions would only fill
+    the cache."""
     if a is b:
         return not a.index_space.empty
+    if a.index_space._rect is not None and b.index_space._rect is not None:
+        return may_alias(a, b)
     key = (a.uid, b.uid) if a.uid <= b.uid else (b.uid, a.uid)
     hit = _alias_cache.get(key)
     if hit is not None:
@@ -93,22 +101,39 @@ def cached_may_alias(a: LogicalRegion, b: LogicalRegion) -> bool:
 def region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
     """True when ``outer`` provably covers every point of ``inner``.
 
-    Ancestry first (symbolic, exact by the region-tree superset property),
-    then rectangle containment, then the explicit point-set fallback.
+    Two structured regions of one tree: rectangle containment, read
+    straight off the corners (an ancestor's rectangle contains its
+    descendants', so ancestry needs no walk).  Otherwise ancestry first
+    (symbolic, exact by the region-tree superset property), then the
+    explicit point-set fallback.
     """
     if outer.tree_id != inner.tree_id:
         return False
+    ro, ri = outer.index_space._rect, inner.index_space._rect
+    if ro is not None and ri is not None:
+        for lo, hi in zip(ri.lo, ri.hi):
+            if lo > hi:
+                return True         # the empty rectangle
+        if len(ro.lo) != len(ri.lo):
+            return False
+        for olo, ohi, ilo, ihi in zip(ro.lo, ro.hi, ri.lo, ri.hi):
+            if ilo < olo or ihi > ohi:
+                return False
+        return True
     if outer.is_ancestor_of(inner):
         return True
-    if outer.index_space.structured and inner.index_space.structured:
-        return outer.index_space.rect.contains_rect(inner.index_space.rect)
     return inner.index_space.point_set() <= outer.index_space.point_set()
 
 
 def cached_region_contains(outer: LogicalRegion, inner: LogicalRegion) -> bool:
-    """Memoized :func:`region_contains` (asymmetric key)."""
+    """Memoized :func:`region_contains` (asymmetric key); two structured
+    regions are answered by the rectangle test, unmemoized, as in
+    :func:`cached_may_alias`."""
     if outer is inner:
         return True
+    if outer.index_space._rect is not None \
+            and inner.index_space._rect is not None:
+        return region_contains(outer, inner)
     key = (outer.uid, inner.uid)
     hit = _contains_cache.get(key)
     if hit is not None:

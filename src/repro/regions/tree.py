@@ -2,10 +2,18 @@
 
 The coarse analysis over-approximates any set of regions by their least
 common ancestor in the region tree (paper §4), and the dependence oracle
-needs a *may-alias* test between two regions of the same tree.  Two regions
-provably do not alias when the partition at which their root paths diverge
-is disjoint; otherwise we fall back to an exact geometric intersection test
-on their index spaces (which is sound because our index spaces are concrete).
+needs a *may-alias* test between two regions of the same tree.
+
+Two structured regions of one tree are answered by a direct rectangle
+test: a region's rectangle lies inside its parent's (partitions check
+that at creation), so an ancestor overlaps a descendant exactly when the
+descendant is non-empty, and the pieces of a disjoint partition — with
+everything below them — have disjoint rectangles.  The rectangle test
+therefore gives the answer the region-tree walk below would, without
+walking (the walk is kept as the reference in tests/helpers.py).
+Unstructured regions keep the walk: two regions provably do not alias when
+the partition at which their root paths diverge is disjoint; otherwise
+the exact point-set intersection decides.
 """
 
 from __future__ import annotations
@@ -74,13 +82,23 @@ def _child_partition_below(
 def may_alias(a: LogicalRegion, b: LogicalRegion) -> bool:
     """Sound may-alias test between two regions.
 
-    Symbolic fast paths (same region, different trees, ancestor relation,
-    divergence at a disjoint partition) before the exact geometric test.
+    Same region, different trees, then — both structured — the rectangle
+    overlap test, read straight off the corners; otherwise the symbolic
+    walk (ancestor relation, divergence at a disjoint partition) before
+    the exact geometric test.
     """
     if a is b:
         return True
     if a.tree_id != b.tree_id:
         return False
+    ra, rb = a.index_space._rect, b.index_space._rect
+    if ra is not None and rb is not None:
+        if len(ra.lo) != len(rb.lo):
+            return False
+        for alo, ahi, blo, bhi in zip(ra.lo, ra.hi, rb.lo, rb.hi):
+            if (alo if alo > blo else blo) > (ahi if ahi < bhi else bhi):
+                return False
+        return True
     lca = lowest_common_ancestor(a, b)
     if lca is a or lca is b:
         # An ancestor is a superset of every descendant, so they share points

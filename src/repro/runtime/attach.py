@@ -34,10 +34,10 @@ def _issue(ctx: Context, kind: str, region: LogicalRegion, field_name: str,
     on the driver, return the region's block of the field's array."""
     _names, req = ctx._door.region_req(
         kind, region, field_name, READ_WRITE if writes_region else READ_ONLY)
-    op = Operation(kind, [req], name=f"{kind}({region.name}.{field_name})")
     if not ctx.is_driver:
         return None
-    ctx.runtime.pipeline.analyze(op)
+    ctx.runtime.pipeline.analyze(
+        Operation(kind, [req], name=f"{kind}({region.name}.{field_name})"))
     field, = req.fields
     rect = region.index_space.rect
     return ctx.runtime.store.raw(region.tree_id, field)[rect.to_slices()]

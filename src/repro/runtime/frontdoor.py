@@ -169,7 +169,7 @@ class FrontDoor:
     def __init__(self) -> None:
         # (group launch?, reqs spec) -> coarse requirements, descriptor and
         # the domains found independent; a deletion clears it.
-        self._lowered: Dict[Tuple[bool, Tuple], Tuple] = {}
+        self._lowered: Dict[Tuple, Tuple] = {}
         # tree id -> True while this shard has the tree, False once deleted
         self._trees: Dict[int, bool] = {}
         # (field space uid, field name) of every field this shard deleted.
@@ -256,9 +256,16 @@ class FrontDoor:
         key = fn.__qualname__ if code is None \
             else f"{fn.__module__}:{fn.__qualname__}:{code.co_firstlineno}"
         try:
-            spec = (group, tuple(reqs))
+            # keyed by the targets' uids, which hash in C (a target is a
+            # partition or a region, whose uids are counted apart)
+            spec = [group]
+            for req in reqs:
+                target = req[0]
+                spec.append((target.uid, isinstance(target, Partition))
+                            + tuple(req[1:]))
+            spec = tuple(spec)
             hit = self._lowered.get(spec)
-        except TypeError:
+        except (TypeError, AttributeError):
             return (key,) + self._lower_uncached(reqs, group)
         if hit is None:
             hit = self._lowered[spec] = self._lower_uncached(reqs, group)

@@ -403,6 +403,9 @@ class Context:
                  monitor: Optional[DeterminismMonitor] = None):
         self.runtime = runtime
         self.shard = shard
+        # Whether this shard performs effects: shard 0 analyses and runs
+        # every launch, the other shards replay against its logs.
+        self.is_driver = shard == 0
         self.num_shards = runtime.num_shards
         # A gang replica brings its own rank-local monitor; in-process
         # shards share the runtime's.
@@ -412,12 +415,6 @@ class Context:
         self._fut_cursor = 0
         self._in_finalizer = False
         self._door = FrontDoor()
-
-    @property
-    def is_driver(self) -> bool:
-        """Whether this shard performs effects: shard 0 analyses and runs
-        every launch, the other shards replay against its logs."""
-        return self.shard == 0
 
     # -- internal plumbing ------------------------------------------------------------
 
@@ -624,9 +621,10 @@ class Context:
         names, req = self._door.region_req("fill", region, fields,
                                            WRITE_DISCARD)
         self._record("fill", region, names, float(value))
-        op = Operation("fill", [req], name=f"fill({region.name})")
-        op.fill_value = value
         if self.is_driver:
+            # only the driver analyses, so only it builds the operation
+            op = Operation("fill", [req], name=f"fill({region.name})")
+            op.fill_value = value
             self.runtime.pipeline.analyze(op)
             for n in names:
                 self.runtime.store.fill(region, region.field_space[n], value)
@@ -713,14 +711,15 @@ class Context:
                 object.__setattr__(req, "_region_arg", arg)
             region_args.append(arg)
         prof = self.runtime.profiler
+        group = op.launch_domain is not None
         if not prof.enabled:
-            if op.is_group:
+            if group:
                 return op.body(pt.point, *region_args, *args)
             return op.body(*region_args, *args)
         # Profiled path: the span lands on the *owning* shard's timeline
         # even though the functional executor runs everything on shard 0.
         t0 = prof.now_us()
-        if op.is_group:
+        if group:
             value = op.body(pt.point, *region_args, *args)
         else:
             value = op.body(*region_args, *args)

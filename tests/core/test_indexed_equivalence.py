@@ -636,8 +636,7 @@ def epoch_snapshot(fine):
     """Who is left in the fine epochs, by program position."""
     def users(epoch):
         return {(op.seq, user.point, req)
-                for b in epoch._buckets.values()
-                for _index, op, user, req in b.entries}
+                for _index, op, user, req in epoch}
     return {key: (users(state.read_epoch), users(state.write_epoch))
             for key, state in fine._state.items()}
 
@@ -717,22 +716,18 @@ class EagerPipeline(DCRPipeline):
 def ordered_snapshot(stage):
     """Who is left in a stage's epochs, by program position and in each
     epoch's insertion order (the coarse stage observes it) — after checking
-    the counters every epoch keeps against the entries it holds.  Only
-    read epochs dedupe ``(user, req)``, so only they keep a membership
-    set."""
+    the counters every epoch keeps against the users it holds.  Only read
+    epochs dedupe ``(user, req)``, so only they hold each pair once."""
     def users(epoch, reads):
-        held = sorted((e for b in epoch._buckets.values() for e in b.entries),
-                      key=lambda e: e[0])
-        assert all(b.entries and len(b.users) == len(b.entries)
-                   for b in epoch._buckets.values())
+        epoch.check_invariants()
+        held = list(epoch)
+        assert [e[0] for e in held] == sorted(e[0] for e in held)
         assert epoch._size == len(epoch) == len(held)
         assert epoch._reduce_size == sum(
-            len(b.entries) for b in epoch._buckets.values() if b.is_reduce)
+            1 for _i, _op, _u, req in held if req.privilege.is_reduce)
+        pairs = [(user, req) for _i, _op, user, req in held]
         if reads:
-            assert epoch._members == {(user, req)
-                                      for _i, _op, user, req in held}
-        else:
-            assert epoch._members is None
+            assert len(set(pairs)) == len(pairs)
         assert epoch._op_counts == Counter(id(op) for _i, op, _u, _r in held)
         return [(op.seq, getattr(user, "point", None), req)
                 for _index, op, user, req in held]

@@ -4,7 +4,9 @@ Besides the brute-force sequential ground truth, this module keeps *naive
 reference implementations* of the coarse and fine stages: the plain
 list-scan algorithms the indexed implementations in ``repro.core`` replaced,
 with no memoization anywhere on their paths (they use
-``requirements_conflict_uncached`` and the raw region predicates).  The
+:func:`naive_requirements_conflict` and the region-tree walks
+:func:`tree_may_alias` / :func:`tree_region_contains`, which the
+rectangle tests in ``repro.regions`` replaced).  The
 differential tests (tests/core/test_indexed_equivalence.py) run both over
 the same programs and require byte-identical products — dependences, fence
 sequences, elision counts, scan counts, graphs.
@@ -79,8 +81,30 @@ def reachability(graph):
 # Naive reference implementations (pre-index algorithms, zero memoization)
 # ---------------------------------------------------------------------------
 
-def _naive_contains(outer, inner):
-    """Uncached region containment — the predicate the epochs retire on."""
+def tree_may_alias(a, b):
+    """The region-tree walk ``may_alias`` answered before structured pairs
+    got a rectangle test: same region, trees, ancestry, divergence at a
+    disjoint partition, then geometry — the reference the rectangle test
+    must agree with on every well-formed tree."""
+    from repro.regions import divergence_partition, lowest_common_ancestor
+
+    if a is b:
+        return True
+    if a.tree_id != b.tree_id:
+        return False
+    lca = lowest_common_ancestor(a, b)
+    if lca is a or lca is b:
+        return not (a.index_space.empty or b.index_space.empty)
+    part = divergence_partition(a, b)
+    if part is not None and part.disjoint:
+        return False
+    return a.index_space.intersects(b.index_space)
+
+
+def tree_region_contains(outer, inner):
+    """Uncached region containment by the tree walk — ancestry, then
+    rectangles, then point sets: the predicate the epochs retire on, and
+    the reference for ``repro.regions.region_contains``."""
     if outer.tree_id != inner.tree_id:
         return False
     if outer.is_ancestor_of(inner):
@@ -88,6 +112,17 @@ def _naive_contains(outer, inner):
     if outer.index_space.structured and inner.index_space.structured:
         return outer.index_space.rect.contains_rect(inner.index_space.rect)
     return inner.index_space.point_set() <= outer.index_space.point_set()
+
+
+def naive_requirements_conflict(a, b):
+    """The pairwise requirement test with no memoization anywhere on its
+    path and the tree-walk alias test."""
+    if not a.privilege._conflicts_uncached(b.privilege):
+        return False
+    if not (frozenset(f.fid for f in a.fields)
+            & frozenset(f.fid for f in b.fields)):
+        return False
+    return tree_may_alias(a.region, b.region)
 
 
 class NaiveCoarseAnalysis:
@@ -138,8 +173,6 @@ class NaiveCoarseAnalysis:
         return new_deps, inserted
 
     def _scan(self, op, req, bound, state, dep_ops):
-        from repro.regions import may_alias
-
         read_epoch, write_epoch = state[1], state[0]
 
         def check(entries):
@@ -149,7 +182,7 @@ class NaiveCoarseAnalysis:
                 self.result.users_scanned += 1
                 if not prev_req.privilege._conflicts_uncached(req.privilege):
                     continue
-                if may_alias(prev_req.bound_region(), bound):
+                if tree_may_alias(prev_req.bound_region(), bound):
                     dep_ops.setdefault(prev_op, []).append((prev_req, req))
 
         if req.privilege.writes or req.privilege.is_reduce:
@@ -162,10 +195,10 @@ class NaiveCoarseAnalysis:
     def _update(self, op, req, bound, state):
         entry = (op, req)
         if req.privilege.writes:
-            state[1][:] = [e for e in state[1]
-                           if not _naive_contains(bound, e[1].bound_region())]
-            state[0][:] = [e for e in state[0]
-                           if not _naive_contains(bound, e[1].bound_region())]
+            state[1][:] = [e for e in state[1] if not tree_region_contains(
+                bound, e[1].bound_region())]
+            state[0][:] = [e for e in state[0] if not tree_region_contains(
+                bound, e[1].bound_region())]
             state[0].append(entry)
         else:
             if entry not in state[1]:
@@ -187,7 +220,7 @@ class NaiveCoarseAnalysis:
                 if b.tree_id != scope_region.tree_id:
                     scope_region = None
                     break
-                if not _naive_contains(scope_region, b):
+                if not tree_region_contains(scope_region, b):
                     scope_region = scope_region.root()
         return self._Fence(at_seq=op.seq, region=scope_region,
                            fields=scope_fields)
@@ -221,13 +254,11 @@ class NaiveCoarseAnalysis:
 
 def naive_covers_cross_edge(fences, earlier_seq, later_seq, region, fields):
     """Linear walk over a fence list — the covers query's specification."""
-    from repro.regions import may_alias
-
     for f in fences:
         if earlier_seq < f.at_seq <= later_seq:
             if f.region is None:
                 return True
-            if (f.fields & fields) and may_alias(f.region, region):
+            if (f.fields & fields) and tree_may_alias(f.region, region):
                 return True
     return False
 
@@ -322,8 +353,6 @@ class NaiveFineAnalysis:
                 self.result.cross_edges.add(edge)
 
     def _scan(self, task, req, state, deps):
-        from repro.oracle import requirements_conflict_uncached
-
         shard = task.shard
         write_epoch, read_epoch = state
 
@@ -333,7 +362,7 @@ class NaiveFineAnalysis:
                     continue
                 self.result.scans_per_shard[shard] = \
                     self.result.scans_per_shard.get(shard, 0) + 1
-                if requirements_conflict_uncached(prev_req, req):
+                if naive_requirements_conflict(prev_req, req):
                     deps.add(prev_task)
 
         if req.privilege.writes or req.privilege.is_reduce:
@@ -353,10 +382,10 @@ class NaiveFineAnalysis:
                     state[0].append(entry)
                 elif req.privilege.writes:
                     state[1][:] = [e for e in state[1]
-                                   if not _naive_contains(req.region,
+                                   if not tree_region_contains(req.region,
                                                           e[1].region)]
                     state[0][:] = [e for e in state[0]
-                                   if not _naive_contains(req.region,
+                                   if not tree_region_contains(req.region,
                                                           e[1].region)]
                     state[0].append(entry)
                 else:

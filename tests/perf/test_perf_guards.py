@@ -238,15 +238,17 @@ class TestReplayedIterationCostsNoAnalysis:
 
     def test_fresh_iteration_analyses_each_launch_as_one_arrival(self):
         """The fine stage walks each probed epoch once per (requirement,
-        field) of a launch, not once per point, a call-site shape's point
-        requirements are built once, each point records its predecessors
-        once, and a point requirement's region argument, accessors and
-        slices are built once: a fresh iteration's three launches on four
-        shards stay under 3 000 calls (6 012 when every point was scanned
-        on its own with requirements built anew, 4 174 when every edge went
-        into four containers and the launch plumbing was rebuilt per
-        point)."""
-        assert self._calls_per_iteration(False) <= 3000
+        field) of a launch, not once per point, enters each as one entry,
+        shards a launch domain once and builds its point tasks in one call;
+        a call-site shape's point requirements are built once, each point
+        records its predecessors once, and a point requirement's region
+        argument, accessors and slices are built once: a fresh iteration's
+        three launches on four shards stay under 1 700 calls (1 613
+        measured; 6 012 when every point was scanned on its own with
+        requirements built anew, 4 174 when every edge went into four
+        containers and the launch plumbing was rebuilt per point, 2 440
+        when every point entered the epochs on its own)."""
+        assert self._calls_per_iteration(False) <= 1700
 
     def test_replayed_iteration_pays_no_lowering_or_encoding_again(self):
         """Each shard lowers an array op and encodes its hash once per
@@ -275,7 +277,52 @@ class TestEachEdgeIsStoredOnce:
             return h.call_count
 
         hashes()                                # fill lazy memos first
-        assert hashes() <= 15000                # 43 505 with four stores
+        # 9 361 measured; 43 505 with four stores, 11 645 with an epoch
+        # entry per point
+        assert hashes() <= 10000
+
+
+class TestFreshLaunchIsAnalysedAsOneUnit:
+    """A fresh launch enters each (requirement, field) epoch as one entry,
+    and a class decision reads two rectangles instead of walking the
+    region tree.  Counts on the benchmark program, no timings."""
+
+    def test_each_requirement_field_arrival_is_one_entry(self):
+        def entries():
+            with mock.patch.object(Epoch, "add", autospec=True,
+                                   side_effect=Epoch.add) as add:
+                Runtime(num_shards=4).execute(sliced_stencil,
+                                              make_wave(2048), 50, 8)
+            return add.call_count
+
+        # 702 measured: 351 (requirement, field) arrivals per stage; 3 159
+        # when the fine stage entered every point on its own
+        assert entries() <= 720
+
+    def test_a_class_decision_makes_few_region_tree_calls(self):
+        from repro.core.epochs import ClassTable
+
+        decide, seen = ClassTable.decide, [0, 0]
+
+        def counted(table, bcid, qcid):
+            def on_event(frame, event, _arg):
+                if event == "call" and \
+                        "/repro/regions/" in frame.f_code.co_filename:
+                    seen[1] += 1
+
+            sys.setprofile(on_event)
+            try:
+                return decide(table, bcid, qcid)
+            finally:
+                sys.setprofile(None)
+                seen[0] += 1
+
+        with mock.patch.object(ClassTable, "decide", counted):
+            Runtime(num_shards=4).execute(sliced_stencil, make_wave(2048),
+                                          50, 8)
+        # 2.9 measured (the cached alias probe and, on a miss, the
+        # rectangle test); ~25 through the ancestor walk
+        assert seen[0] and seen[1] <= 5 * seen[0]
 
 
 class TestTemplateHitPaysOnlyForItsParameters:

@@ -309,3 +309,44 @@ def test_execution_fence_replicates():
     rt = Runtime(num_shards=3)
     r = rt.execute(main)
     assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 5.0).all()
+
+
+def test_replicas_build_no_fill_or_attach_operation():
+    """Only the driver analyses, so only it builds operations: a 4-shard
+    execute with fills, an attach and a detach constructs exactly the ops
+    the pipeline analysed (27 when every replica built and dropped its own
+    fills and attaches), and the determinism digests keep their pin."""
+    import hashlib
+    from unittest import mock
+
+    from repro.core.operation import Operation
+    from repro.runtime.attach import attach_array, detach_array
+
+    def main(ctx):
+        fs = ctx.create_field_space([("x", "f8"), ("y", "f8")])
+        r = ctx.create_region(ctx.create_index_space(16), fs, "r")
+        tiles = ctx.partition_equal(r, 4)
+        ctx.fill(r, ["x", "y"], 1.0)
+        attach_array(ctx, r, "y", np.arange(16.0))
+
+        def bump(point, arg):
+            arg["x"].view[...] += point
+
+        for step in range(3):
+            ctx.fill(r, "x", float(step))
+            ctx.index_launch(bump, range(4), [(tiles, "x", "rw")])
+        detach_array(ctx, r, "y", np.zeros(16))
+
+    built = []
+    init = Operation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(Operation, "__init__", counting):
+        rt = Runtime(num_shards=4)
+        rt.execute(main)
+    assert len(built) == rt.pipeline.stats.ops == 9
+    assert hashlib.sha256(repr(rt.determinism_digests()).encode()) \
+        .hexdigest()[:16] == "21a803827c0cb9dc"

@@ -333,12 +333,16 @@ def test_replays_are_folded_into_the_epochs_in_one_place():
 
 def test_replayed_tasks_come_from_the_recorded_ones():
     """The signature a replay matched pins every point's shard and
-    requirements: the cache re-derives neither."""
+    requirements: the cache re-derives neither, and builds the occurrence's
+    tasks from the recorded ones with ``PointTask.launch``."""
     (_, tree), = _trees((TRACING,))
     cache, = [n for n in tree.body
               if isinstance(n, ast.ClassDef) and n.name == "TraceCache"]
     called = {_callee(n) for n in ast.walk(cache) if isinstance(n, ast.Call)}
-    assert "PointTask" in called
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "launch"
+               and getattr(n.func.value, "id", "") == "PointTask"
+               for n in ast.walk(cache))
     assert not called & {"shard_of", "point_requirements", "points"}, called
 
 
