@@ -16,14 +16,16 @@ for real over a transport:
   control determinism is checked across ranks;
 * :mod:`~repro.dist.programs` — serializable program specs every replica
   expands identically;
-* :mod:`~repro.dist.worker` / :mod:`~repro.dist.runner` — one shard
-  replica, and the one-shot run of N of them;
-* :mod:`~repro.dist.heartbeat` — phi-accrual liveness for serving gangs;
+* :mod:`~repro.dist.worker` — one shard replica, the code every rank of
+  a serving gang runs;
+* :mod:`~repro.dist.runner` — the serial in-process reference run every
+  backend must match;
 * :mod:`~repro.dist.report` — per-shard artifacts and the conformance
   merge.
 
 ``python -m repro.tools.dist`` drives a complete run from the command
-line; see ``docs/dist.md``.
+line, on a one-job :class:`~repro.service.gang.ServiceGang`; see
+``docs/dist.md``.
 """
 
 from .collectives import DistCollectives
@@ -33,7 +35,7 @@ from .gang import Channel, ChannelClosed, Gang
 from .programs import OpSpec, ProgramSpec, build_field, build_operations, \
     stencil_program
 from .report import MergedReport, ShardReport, merge_reports
-from .runner import BACKENDS, DistRunner, run_reference
+from .runner import BACKENDS, run_reference
 from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, \
     Fabric, LoopbackFabric, PeerGone, ReorderWindowExceeded, \
     SharedMemFabric, TCPFabric, Transport, TransportError, \
@@ -53,5 +55,5 @@ __all__ = [
     "ShardReport", "MergedReport", "merge_reports",
     "Gang", "Channel", "ChannelClosed",
     "ShardWorker", "op_signature", "replay",
-    "DistRunner", "run_reference", "BACKENDS",
+    "run_reference", "BACKENDS",
 ]

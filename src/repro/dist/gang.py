@@ -4,14 +4,14 @@ A *gang* is N ranks of one program over one fabric.  How a rank is
 started — thread or forked process, start method, daemon flag, which
 copies of the mesh endpoints the launching process must let go of, how a
 rank that will not exit is reaped — is decided here and nowhere else.
-The three consumers (:class:`~repro.runtime.Runtime`'s replicas,
-:class:`~repro.dist.runner.DistRunner`'s one-shot workers and
+The two consumers (:class:`~repro.runtime.Runtime`'s replicas and
 :class:`~repro.service.gang.ServiceGang`'s serving workers) differ only
 in the ``main`` they hand to :meth:`Gang.spawn`.
 
 Lifecycle: :meth:`Gang.spawn` each rank → :meth:`Gang.release_parent`
-once → :meth:`Gang.collect` (one-shot gangs) or a conversation over the
-per-rank :class:`Channel`\\ s (serving gangs) → :meth:`Gang.terminate`.
+once → :meth:`Gang.collect` (the runtime's one-shot replicas) or a
+conversation over the per-rank :class:`Channel`\\ s (a serving gang) →
+:meth:`Gang.terminate`.
 A gang lives on one fabric: a serving gang that loses a rank is
 terminated and a new one is built.  ``docs/dist.md`` ("Gang lifecycle")
 has the long form.
@@ -50,8 +50,9 @@ class Channel:
 
     The same three calls whether the rank is a thread (a pair of queues)
     or a process (a duplex ``multiprocessing`` pipe): :meth:`send` is
-    safe from several threads of one end (a serving rank's heartbeat
-    ticker shares the channel with its serve loop); :meth:`recv` returns
+    safe from several threads of one end (a service that gives up waiting
+    for its dispatcher stops the gang the dispatcher may still be
+    sending a job to); :meth:`recv` returns
     the next message, or ``None`` when none arrives within ``timeout_s``
     (``None`` waits forever, ``0`` polls); both raise
     :class:`ChannelClosed` once the conversation is over.
@@ -288,10 +289,9 @@ class Gang:
         launcher's end of its channel reads :class:`ChannelClosed` once
         drained.  A process is SIGKILLed — not SIGTERMed, which a
         ``SIGSTOP``-ped (stalled) worker merely queues — and its pipe
-        reports EOF by itself (it is closed in :meth:`terminate`, never
-        here, where another thread may be polling it).  A thread cannot
-        be killed: closing the channel makes it exit at its next read,
-        or at its next collective.  Idempotent.
+        reports EOF by itself (it is closed in :meth:`terminate`).  A
+        thread cannot be killed: closing the channel makes it exit at its
+        next read, or at its next collective.  Idempotent.
         """
         m = self._members[rank]
         self.fabric.mark_closed(rank)

@@ -34,7 +34,8 @@ from .programs import ProgramSpec, build_field, build_operations
 from .report import ShardReport
 from .transport import Transport
 
-__all__ = ["ShardWorker", "op_signature", "replay", "replay_spec"]
+__all__ = ["ShardWorker", "op_signature", "profile_path", "replay",
+           "replay_spec"]
 
 
 def op_signature(op: Operation) -> tuple:
@@ -99,6 +100,12 @@ def replay_spec(spec: ProgramSpec, pipeline: DCRPipeline,
     return replay(pipeline, ops, record, on_fence)
 
 
+def profile_path(profile_dir: str, rank: int) -> str:
+    """Where rank ``rank``'s worker saves its profile under
+    ``profile_dir``."""
+    return os.path.join(profile_dir, f"shard{rank}.profile.json")
+
+
 class ShardWorker:
     """One shard replica: one transport, any number of programs.
 
@@ -112,8 +119,8 @@ class ShardWorker:
     ``TestClassTableOwnership::test_concurrent_pipelines_match_naive`` in
     tests/core/test_indexed_equivalence.py), so a program's conformance
     artifacts are identical whether it ran first or thousandth on the
-    gang.  A one-shot :class:`~repro.dist.runner.DistRunner` run is the
-    one-job case: it calls :meth:`run_job` once and exits.
+    gang.  ``python -m repro.tools.dist`` is the one-job case: its gang
+    calls :meth:`run_job` once and stops.
     """
 
     def __init__(self, transport: Transport, backend: str, batch: int = 64,
@@ -182,7 +189,6 @@ class ShardWorker:
         if self.profile_dir is None or not self.profiler.enabled:
             return ""
         os.makedirs(self.profile_dir, exist_ok=True)
-        path = os.path.join(self.profile_dir,
-                            f"shard{self.rank}.profile.json")
+        path = profile_path(self.profile_dir, self.rank)
         self.profiler.save(path)
         return path

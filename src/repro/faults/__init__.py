@@ -17,13 +17,10 @@ Fault sites (docs/resilience.md has the full catalog):
 * ``shard_crash``   — raise :class:`ShardCrash` from one shard's control
   replay, mid-batch;
 * ``trace_corrupt`` — corrupt a recorded :class:`repro.core.tracing.
-  TraceCache` entry so the next replay diverges into the safe fallback;
-* ``hb_loss`` / ``shard_stall`` — silence a window of one rank's
-  heartbeats.
+  TraceCache` entry so the next replay diverges into the safe fallback.
 
-Divergence-class faults (flips, crashes, corruptions) fire **once** per
-site, so recovery re-execution converges instead of re-tripping the same
-fault forever.
+Every fault fires **once** per site, so recovery re-execution converges
+instead of re-tripping the same fault forever.
 """
 
 from .injector import CollectiveTimeout, FaultInjector, ShardCrash

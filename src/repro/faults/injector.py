@@ -1,6 +1,6 @@
 """The fault injector: deterministic decisions from a :class:`FaultPlan`.
 
-Instrumented components (hasher, trace cache, heartbeats) hold an optional
+Instrumented components (hasher, trace cache) hold an optional
 injector reference and consult it behind an ``inj is not None and
 inj.enabled`` guard — the same zero-perturbation discipline the profiler
 uses, so a run without an injector (the default) takes no new branches in
@@ -10,8 +10,8 @@ Determinism: a fault fires only at the coordinates its plan names, so two
 runs with the same plan inject the same faults regardless of timing; the
 one derived choice — which entry of a recording ``trace_corrupt`` damages
 — is ``threefry2x64(seed, H(site, indices))``, a pure function of the
-plan.  Divergence-class faults (``hash_flip``, ``shard_crash``,
-``trace_corrupt``) fire **at most once per key** per injector, so the
+plan.  Every fault (``hash_flip``, ``shard_crash``,
+``trace_corrupt``) fires **at most once per key** per injector, so the
 injection log names each planned fault once and an injector handed to a
 second run is spent.
 """
@@ -104,28 +104,6 @@ class FaultInjector:
         for c in self.plan.crashes:
             if c.shard == shard and c.call == call:
                 return self._fire_once(("shard_crash", shard, call))
-        return False
-
-    # -- sites: hb_loss / shard_stall (heartbeat suppression) -----------------
-
-    def drop_beat(self, shard: int, beat: int) -> bool:
-        """Should heartbeat number ``beat`` of ``shard`` be suppressed?
-
-        Covers both liveness sites: a :class:`~repro.faults
-        .plan.PlannedBeatLoss` window (``hb_loss``) and a
-        :class:`~repro.faults.plan.PlannedStall` window (``shard_stall``)
-        both silence the beat; only the window length differs.  Unlike the
-        divergence sites these are *per-beat* decisions, not one-shot per
-        injector — a stall silences every beat in its window.
-        """
-        for b in self.plan.beat_losses:
-            if b.shard == shard and b.beat <= beat < b.beat + b.count:
-                self.injected.append(("hb_loss", shard, beat))
-                return True
-        for s in self.plan.stalls:
-            if s.shard == shard and s.beat <= beat < s.beat + s.beats:
-                self.injected.append(("shard_stall", shard, beat))
-                return True
         return False
 
     # -- site: trace_corrupt --------------------------------------------------

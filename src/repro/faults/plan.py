@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-__all__ = ["PlannedFlip", "PlannedCrash", "PlannedBeatLoss", "PlannedStall",
-           "FaultPlan"]
+__all__ = ["PlannedFlip", "PlannedCrash", "FaultPlan"]
 
 
 @dataclass(frozen=True)
@@ -33,36 +32,6 @@ class PlannedCrash:
     call: int
 
 
-@dataclass(frozen=True)
-class PlannedBeatLoss:
-    """Suppress ``count`` heartbeats of ``shard`` starting at beat ``beat``.
-
-    A lost beat leaves the worker perfectly functional — only its
-    liveness signal disappears, so the supervisor's suspicion accrues on
-    a rank that would still answer jobs (the false-positive pressure a
-    phi detector must tolerate below ``phi_dead``).
-    """
-
-    shard: int
-    beat: int
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class PlannedStall:
-    """``shard`` goes silent for ``beats`` beat-intervals from ``beat``.
-
-    The slow-shard model: like :class:`PlannedBeatLoss` but long enough
-    that suspicion should cross ``phi_suspect`` (and, if ``beats`` is
-    large, ``phi_dead``) — the site chaos tests use to prove *slow* and
-    *dead* are distinguished.
-    """
-
-    shard: int
-    beat: int
-    beats: int = 1
-
-
 @dataclass
 class FaultPlan:
     """A complete, replayable description of a run's perturbations.
@@ -75,11 +44,7 @@ class FaultPlan:
     crashes: List[PlannedCrash] = field(default_factory=list)
     #: Ordinals of trace recordings to corrupt (0 = first recording).
     trace_corruptions: List[int] = field(default_factory=list)
-    # -- liveness sites (heartbeats, see docs/resilience.md) ----------------
-    beat_losses: List[PlannedBeatLoss] = field(default_factory=list)
-    stalls: List[PlannedStall] = field(default_factory=list)
 
     @property
     def any_faults(self) -> bool:
-        return bool(self.flips or self.crashes or self.trace_corruptions
-                    or self.beat_losses or self.stalls)
+        return bool(self.flips or self.crashes or self.trace_corruptions)

@@ -30,7 +30,6 @@ __all__ = [
     "EV_SESSION_OPEN", "EV_SESSION_CLOSE", "EV_JOB_ADMIT", "EV_JOB_REJECT",
     "EV_JOB_DISPATCH", "EV_JOB_DONE", "EV_JOB_EXPIRE", "EV_TEMPLATE_HIT",
     "EV_TEMPLATE_RECORDED", "EV_GANG_START", "EV_GANG_REBUILD",
-    "EV_HB_SUSPECT", "EV_HB_DEAD",
     "ANALYSIS_CATEGORIES",
 ]
 
@@ -84,5 +83,3 @@ EV_TEMPLATE_RECORDED = "service.template.record"  # instant: template cached
 EV_GANG_START = "service.gang.start"   # instant: persistent gang launched
 EV_GANG_REBUILD = "service.gang.rebuild"  # instant: gang rebuilt (recovery)
 EV_JOB_EXPIRE = "service.job.expire"   # instant: deadline missed pre-dispatch
-EV_HB_SUSPECT = "resilience.hb.suspect"  # instant: phi crossed phi_suspect
-EV_HB_DEAD = "resilience.hb.dead"      # instant: phi crossed phi_dead

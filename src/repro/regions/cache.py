@@ -85,8 +85,6 @@ def cached_may_alias(a: LogicalRegion, b: LogicalRegion) -> bool:
     structured regions are not memoized: their rectangle test costs no
     more than a probe, and each execute's fresh regions would only fill
     the cache."""
-    if a is b:
-        return not a.index_space.empty
     if a.index_space._rect is not None and b.index_space._rect is not None:
         return may_alias(a, b)
     key = (a.uid, b.uid) if a.uid <= b.uid else (b.uid, a.uid)

@@ -82,13 +82,14 @@ def _child_partition_below(
 def may_alias(a: LogicalRegion, b: LogicalRegion) -> bool:
     """Sound may-alias test between two regions.
 
-    Same region, different trees, then — both structured — the rectangle
-    overlap test, read straight off the corners; otherwise the symbolic
-    walk (ancestor relation, divergence at a disjoint partition) before
-    the exact geometric test.
+    Same region (which aliases itself unless it is empty), different
+    trees, then — both structured — the rectangle overlap test, read
+    straight off the corners; otherwise the symbolic walk (ancestor
+    relation, divergence at a disjoint partition) before the exact
+    geometric test.
     """
     if a is b:
-        return True
+        return not a.index_space.empty
     if a.tree_id != b.tree_id:
         return False
     ra, rb = a.index_space._rect, b.index_space._rect

@@ -88,10 +88,6 @@ class RecoveryReport:
     diagnosis: Optional[Dict[str, Any]] = None
     injected: List[List[str]] = field(default_factory=list)
     details: Dict[str, Any] = field(default_factory=dict)
-    #: Heartbeat monitor snapshot at failure time ("wall of suspicion");
-    #: timestamps are relative to monitor start, so with an injectable
-    #: clock the whole report is deterministic.
-    suspicion: Optional[Dict[str, Any]] = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, default=str)
@@ -115,9 +111,7 @@ class RecoveryReport:
 
 
 def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
-                       num_shards: int, attempt: int, *,
-                       suspicion: Optional[Dict[str, Any]] = None
-                       ) -> RecoveryReport:
+                       num_shards: int, attempt: int) -> RecoveryReport:
     """Decide how a persistent shard gang recovers from a dead gang.
 
     When a gang dies under a streaming workload (a crashed or diverged
@@ -136,8 +130,7 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
       *service* survives even when the *job* does not.
 
     Returns a :class:`RecoveryReport` whose ``details`` carry the planned
-    ``new_width`` and whether the failed job should be ``retried``, and
-    whose ``suspicion`` is the failure-time heartbeat snapshot;
+    ``new_width`` and whether the failed job should be ``retried``;
     ``action="exhausted"`` once
     ``attempt`` exceeds ``config.max_recoveries`` (the service then
     refuses further work).
@@ -161,9 +154,7 @@ def plan_gang_recovery(config: ResilienceConfig, failure: BaseException,
         seq=failure.seq if isinstance(failure, ShardCrash) else None,
         attempt=attempt, diagnosis=diagnosis,
         details={"num_shards": num_shards, "new_width": new_width,
-                 "retry": retry},
-        suspicion=dict(suspicion) if suspicion else
-        dict(getattr(failure, "suspicion", None) or {}) or None)
+                 "retry": retry})
     if config.report_dir:
         report.write(config.report_dir, attempt)
     return report

@@ -5,24 +5,26 @@ starts N :class:`~repro.dist.worker.ShardWorker` replicas on a
 :class:`~repro.dist.gang.Gang` — threads for ``loopback``, forked
 processes over the backend's fabric otherwise; the launcher hides which
 — and keeps them alive across many programs.  Each :meth:`run_job`
-broadcasts one job to every replica and collects N
-:class:`~repro.dist.report.ShardReport`\\ s under a single shared
-deadline.
+sends one job to every replica and reads the N
+:class:`~repro.dist.report.ShardReport`\\ s back, each off its rank's own
+channel.  A one-job gang is how ``python -m repro.tools.dist`` runs a
+program.
 
-Failure detection:
+Failure detection is the channels and one rule:
 
-* every worker runs a **heartbeat ticker** beside its serve loop,
-  beating on a deterministic Threefry schedule over the same control
-  channel results travel on; a driver-side **channel pump** thread
-  drains every channel into per-rank mailboxes and feeds the beats to a
-  :class:`~repro.dist.heartbeat.HeartbeatMonitor`, so a silent shard is
-  *declared dead* at ``phi_dead`` beat-intervals — far below the
-  transport's receive deadline — and quarantined mid-job;
+* a rank that dies closes its channel, so the driver's read raises
+  :class:`~repro.dist.gang.ChannelClosed`: the rank is **dead**;
+* every read of one job shares one deadline, the job's **silence
+  budget** (:func:`silence_budget`): a few dozen times what the gang's
+  own successful jobs took per unit of work, never below
+  :data:`FLOOR_S`, never above ``job_timeout_s``.  A rank still silent
+  when it runs out is **stalled** (stopped, wedged or livelocked), is
+  killed, and is named a culprit — when its peers are blocked in a
+  collective with it, that is all of them;
 * a worker that observes a **secondary** failure (``PeerGone`` /
   ``CollectiveTimeout`` echoes of somebody else's death) reports it,
   closes its mesh endpoints so the abort cascades, and waits for
-  ``stop`` instead of dying, so the suspicion snapshot names only the
-  culprit as dead;
+  ``stop`` instead of dying, so only the culprit's channel closes;
 * failure *attribution* is structured (:func:`classify_worker_failure`),
   not string matching: crashes blame the crashed rank, determinism
   violations blame exactly the divergent shards even though every rank
@@ -31,62 +33,72 @@ Failure detection:
 A rank whose worker reports a **primary** failure (crash, divergence, a
 real bug) dies — its transport closes behind it, so its peers fail
 fast — and :meth:`run_job` raises :class:`GangFailure` naming the
-culprit ranks plus the monitor's suspicion snapshot.  The gang is then
-inert (``alive`` is False); the *service* stops it and builds a new one
-at the width its recovery policy plans.
+culprit ranks.  The gang is then inert (``alive`` is False); the
+*service* stops it and builds a new one at the width its recovery policy
+plans.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.determinism import ControlDeterminismViolation
-from ..dist.heartbeat import (HB_SUSPECTED, HeartbeatMonitor,
-                              heartbeat_interval)
+from ..dist.gang import Channel, ChannelClosed, Gang
 from ..dist.programs import ProgramSpec
 from ..dist.report import ShardReport
-from ..dist.gang import Channel, ChannelClosed, Gang
-from ..dist.transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, Transport
+from ..dist.runner import BACKENDS as GANG_BACKENDS
+from ..dist.transport import DEFAULT_DEADLINE_S, Transport
 from ..dist.worker import ShardWorker
 from ..faults.injector import CollectiveTimeout, FaultInjector, ShardCrash
 from ..faults.plan import FaultPlan
-from ..obs.events import (CAT_RESILIENCE, CONTROL_SHARD, EV_HB_DEAD,
-                          EV_HB_SUSPECT)
-from ..obs.profiler import Profiler
 
 __all__ = ["GangFailure", "ServiceGang", "GANG_BACKENDS",
-           "classify_worker_failure"]
+           "classify_worker_failure", "silence_budget", "units",
+           "FLOOR_S", "K"]
 
-GANG_BACKENDS = ("loopback",) + PROCESS_BACKENDS
+#: The silence budget never drops below this many seconds, whatever the
+#: gang's jobs have taken so far.
+FLOOR_S = 2.0
+#: The budget is this many times the expected duration of the job.
+K = 50
 
-#: Heartbeat schedule seed and the phi thresholds of the gang's monitor: a
-#: rank is suspected at phi 4 and declared dead at phi 12.
-_HB_SEED = 0
-_PHI_SUSPECT = 4.0
-_PHI_DEAD = 12.0
+
+def units(spec: ProgramSpec) -> int:
+    """A job's size for the budget: tiles times operations."""
+    return max(1, spec.tiles * len(spec.ops))
+
+
+def silence_budget(spec: ProgramSpec, s_per_unit: Optional[float],
+                   job_timeout_s: float) -> float:
+    """Seconds a gang waits for ``spec``'s results before it calls the
+    silent ranks stalled.
+
+    ``s_per_unit`` is the gang's EWMA of seconds per :func:`units` over
+    its successful jobs (``None`` before the first one, when the budget
+    is ``job_timeout_s``).  Scaling by the job's size keeps the first run
+    of a much larger shape from reading as a stall.
+    """
+    if s_per_unit is None:
+        return job_timeout_s
+    return min(job_timeout_s, max(FLOOR_S, K * s_per_unit * units(spec)))
 
 
 class GangFailure(RuntimeError):
-    """The gang died (or timed out) executing one job.
+    """The gang died (or stalled) executing one job.
 
     ``culprit_shards`` names the ranks whose workers reported primary
-    failures (crashes and divergences, as opposed to the peers that merely
-    observed the resulting dead collectives) — the duck-typed attribute
-    :func:`repro.resilience.identify_culprits` looks for.  ``suspicion``
-    is the heartbeat monitor's snapshot at failure time, carried into
-    recovery reports.
+    failures, died, or stayed silent past the job's budget (as opposed to
+    the peers that merely observed the resulting dead collectives) — the
+    duck-typed attribute :func:`repro.resilience.identify_culprits` looks
+    for.
     """
 
     def __init__(self, job_id: str, failures: List[str],
-                 culprit_shards: Optional[List[int]] = None,
-                 suspicion: Optional[Dict[str, Any]] = None):
+                 culprit_shards: Optional[List[int]] = None):
         self.job_id = job_id
         self.failures = list(failures)
         self.culprit_shards = list(culprit_shards or [])
-        self.suspicion = dict(suspicion or {})
         super().__init__(
             f"gang failed job {job_id or '<unnamed>'}: "
             + "; ".join(self.failures))
@@ -138,36 +150,15 @@ def classify_worker_failure(exc: BaseException, rank: int
     return message, True, [rank]
 
 
-def _ticker_loop(send_beat: Callable[[int], None], rank: int,
-                 stop: threading.Event, interval_s: float, seed: int,
-                 injector: Optional[FaultInjector]) -> None:
-    """Worker-side heartbeat: deterministic schedule, injectable loss."""
-    k = 0
-    while not stop.is_set():
-        if stop.wait(heartbeat_interval(seed, rank, k, interval_s)):
-            return
-        if not (injector is not None and injector.enabled
-                and injector.drop_beat(rank, k)):
-            try:
-                send_beat(k)
-            except Exception:  # noqa: BLE001 - channel gone: stop beating
-                return
-        k += 1
-
-
 class ServiceGang:
     """N persistent replicas plus the driver-side job broadcast."""
 
     def __init__(self, num_shards: int, backend: str = "loopback",
                  batch: int = 64, deadline_s: float = DEFAULT_DEADLINE_S,
                  job_timeout_s: float = 60.0,
-                 profile_dir: Optional[str] = None,
-                 profiler: Optional[Profiler] = None,
-                 hb_interval_s: float = 0.25,
-                 clock: Callable[[], float] = time.monotonic,
-                 fault: Optional[FaultPlan] = None):
+                 profile_dir: Optional[str] = None):
         if backend not in GANG_BACKENDS:
-            raise ValueError(f"unknown gang backend {backend!r}; "
+            raise ValueError(f"unknown backend {backend!r}; "
                              f"expected one of {GANG_BACKENDS}")
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
@@ -177,27 +168,15 @@ class ServiceGang:
         self.deadline_s = deadline_s
         self.job_timeout_s = job_timeout_s
         self.profile_dir = profile_dir
-        self.profiler = profiler if profiler is not None \
-            else Profiler(enabled=False)
-        self.hb_interval_s = hb_interval_s
         self.jobs_run = 0
-        self._clock = clock
         self._alive = False
         self._started = False
         self._stopped = False
-        # gang-level chaos plan (heartbeat loss and stalls live here;
-        # per-job plans ride the job payload)
-        self._fault = fault
         self._gang: Optional[Gang] = None
-        # The driver's end of each live rank's control channel, drained by
-        # the pump into per-rank mailboxes.
-        self._channels: Dict[int, Channel] = {}
-        self._channel_lock = threading.Lock()
-        self._mailbox: Dict[int, "queue.Queue"] = {
-            r: queue.Queue() for r in range(num_shards)}
-        self._monitor: Optional[HeartbeatMonitor] = None
-        self._pump: Optional[threading.Thread] = None
-        self._pump_stop = threading.Event()
+        #: The driver's end of each rank's control channel, by rank.
+        self._channels: List[Channel] = []
+        #: EWMA of seconds per unit of work over the successful jobs.
+        self._s_per_unit: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -213,19 +192,13 @@ class ServiceGang:
         if self._started:
             raise RuntimeError("gang already started")
         self._started = True
-        self._monitor = HeartbeatMonitor(
-            self.num_shards, self.hb_interval_s,
-            phi_suspect=_PHI_SUSPECT, phi_dead=_PHI_DEAD, clock=self._clock)
         self._gang = Gang(self.backend, self.num_shards,
                           name="repro-svc-shard", deadline_s=self.deadline_s)
-        for rank in range(self.num_shards):
-            self._channels[rank] = self._gang.spawn(
-                rank, _serve, self.backend, self.batch, self.profile_dir,
-                self.hb_interval_s, self._fault)
+        self._channels = [
+            self._gang.spawn(rank, _serve, self.backend, self.batch,
+                             self.profile_dir)
+            for rank in range(self.num_shards)]
         self._gang.release_parent()
-        self._pump = threading.Thread(target=self._pump_loop,
-                                      name="svc-gang-pump", daemon=True)
-        self._pump.start()
         self._alive = True
         return self
 
@@ -235,12 +208,7 @@ class ServiceGang:
             return
         self._stopped = True
         self._alive = False
-        # The pump goes down first so worker exits don't get booked as
-        # heartbeat deaths during an orderly shutdown.
-        self._pump_stop.set()
-        if self._pump is not None:
-            self._pump.join(2.0)
-        for channel in self._channels.values():
+        for channel in self._channels:
             try:
                 channel.send(("stop",))
             except ChannelClosed:
@@ -255,113 +223,39 @@ class ServiceGang:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    # -- liveness ------------------------------------------------------------
-
-    def suspicion(self) -> Dict[str, Any]:
-        """The heartbeat monitor's JSON-safe snapshot (health endpoint)."""
-        if self._monitor is None:
-            return {}
-        return self._monitor.snapshot(self._clock())
-
-    def _pump_loop(self) -> None:
-        """Drain every worker channel continuously.
-
-        Beats feed the monitor; everything else lands in the sender's
-        mailbox for :meth:`_await_results` to consume.
-        Runs even between jobs, so idle-time deaths are detected (and
-        reported as profiler events) before the next dispatch.
-        """
-        prof = self.profiler
-        monitor = self._monitor
-        while not self._pump_stop.is_set():
-            moved = False
-            with self._channel_lock:
-                channels = list(self._channels.items())
-            for rank, channel in channels:
-                for _ in range(64):         # bounded drain per channel
-                    try:
-                        msg = channel.recv(0)
-                    except ChannelClosed:
-                        with self._channel_lock:
-                            if self._channels.get(rank) is channel:
-                                del self._channels[rank]
-                        if monitor.force_dead(rank) and prof.enabled:
-                            prof.instant(CONTROL_SHARD, CAT_RESILIENCE,
-                                         EV_HB_DEAD, rank=rank,
-                                         reason="channel-eof")
-                        self._mailbox[rank].put(
-                            ("gone", "worker channel closed "
-                                     "(died without a result)"))
-                        break
-                    if msg is None:
-                        break
-                    moved = True
-                    if msg[0] == "beat":
-                        monitor.beat(rank)
-                    else:
-                        self._mailbox[rank].put(msg)
-            for state, rank, _at in monitor.poll():
-                if prof.enabled:
-                    ev = EV_HB_SUSPECT if state == HB_SUSPECTED \
-                        else EV_HB_DEAD
-                    prof.instant(CONTROL_SHARD, CAT_RESILIENCE, ev,
-                                 rank=rank, phi=round(monitor.phi(rank), 3))
-            if not moved:
-                self._pump_stop.wait(0.003)
-
-    def _drain_mailbox(self, rank: int) -> None:
-        box = self._mailbox[rank]
-        while True:
-            try:
-                box.get_nowait()
-            except queue.Empty:
-                return
-
     # -- the one public operation --------------------------------------------
 
     def run_job(self, spec: ProgramSpec, job_id: str = "",
                 program_id: str = "", session: str = "",
                 capture_digests: bool = False,
                 fault: Optional[FaultPlan] = None) -> List[ShardReport]:
-        """Broadcast one program to every replica; N conformant reports.
+        """Send one program to every replica; N conformant reports.
 
         Raises :class:`GangFailure` — and marks the gang dead — if any
-        replica errors, goes heartbeat-dead, or the shared deadline
-        passes.  ``fault`` scopes an injected fault plan to this job
+        replica errors, dies, or stays silent past the job's silence
+        budget.  ``fault`` scopes an injected fault plan to this job
         (chaos testing / CI).
         """
         if not self._alive:
-            raise GangFailure(job_id, ["gang is down"], [],
-                              suspicion=self.suspicion())
-        dead = self._monitor.dead_ranks(self._clock()) \
-            if self._monitor is not None else []
-        if dead:
-            # Idle-time death, caught by the pump before any dispatch:
-            # fail fast instead of feeding a job to a broken gang.
-            self._alive = False
-            for r in dead:
-                self._gang.kill(r)
-            raise GangFailure(
-                job_id,
-                [f"shard {r}: declared dead by heartbeat suspicion "
-                 f"before dispatch" for r in dead],
-                list(dead), suspicion=self.suspicion())
+            raise GangFailure(job_id, ["gang is down"], [])
         self.jobs_run += 1
         job = {"spec": spec, "job_id": job_id,
                "program_id": program_id, "session": session,
                "capture": capture_digests,
                "fault": fault}
-        for rank in range(self.num_shards):
-            self._drain_mailbox(rank)
         results: Dict[int, tuple] = {}
-        with self._channel_lock:
-            channels = dict(self._channels)
-        for rank in range(self.num_shards):
+        for rank, channel in enumerate(self._channels):
             try:
-                channels[rank].send(("job", job))
-            except (KeyError, ChannelClosed):
+                channel.send(("job", job))
+            except ChannelClosed:
                 results[rank] = ("gone", "worker control channel is closed")
-        self._await_results(results)
+        t0 = time.monotonic()
+        budget = silence_budget(spec, self._s_per_unit, self.job_timeout_s)
+        for rank in self._await_results(results, t0 + budget):
+            # Stalled: end the wait on it, and its peers' with it.
+            self._gang.kill(rank)
+            results[rank] = ("silent", f"no result within the {budget:.2f}s "
+                                       f"silence budget")
         reports: Dict[int, ShardReport] = {}
         failures: List[str] = []
         culprits: List[int] = []
@@ -377,78 +271,46 @@ class ServiceGang:
                 culprits.extend(c for c in named if c not in culprits)
             else:
                 failures.append(f"shard {rank}: {payload}")
-                blamed = status in ("gone", "hb-dead") or (
+                blamed = status in ("gone", "silent") or (
                     status == "error" and _primary_failure(str(payload)))
                 if blamed and rank not in culprits:
                     culprits.append(rank)
         if failures:
             self._alive = False
-            raise GangFailure(job_id, failures, sorted(culprits),
-                              suspicion=self.suspicion())
+            raise GangFailure(job_id, failures, sorted(culprits))
+        per_unit = (time.monotonic() - t0) / units(spec)
+        self._s_per_unit = per_unit if self._s_per_unit is None \
+            else 0.7 * self._s_per_unit + 0.3 * per_unit
         return [reports[r] for r in sorted(reports)]
 
-    def _await_results(self, results: Dict[int, tuple]) -> None:
-        """Fill ``results`` for every rank, or classify the silence.
-
-        The early-exit path is the heartbeat payoff: a rank the monitor
-        declares dead is quarantined immediately (its peers fail fast
-        with ``PeerGone``), and once every still-pending rank is
-        declared, the wait ends — detection latency is bounded by
-        ``phi_dead`` beat-intervals, not by the transport deadline.
-        """
-        deadline = self._clock() + self.job_timeout_s
-        pending = set(range(self.num_shards)) - set(results)
-        declared: set = set()
-        while pending:
-            got = False
-            for rank in sorted(pending):
-                try:
-                    msg = self._mailbox[rank].get_nowait()
-                except queue.Empty:
-                    continue
+    def _await_results(self, results: Dict[int, tuple],
+                       deadline: float) -> List[int]:
+        """Read each pending rank's one message off its own channel, in
+        rank order, all against ``deadline``; return the ranks still
+        silent at it.  A rank whose channel closes is ``gone``."""
+        silent: List[int] = []
+        for rank, channel in enumerate(self._channels):
+            if rank in results:
+                continue
+            try:
+                msg = channel.recv(max(0.0, deadline - time.monotonic()))
+            except ChannelClosed:
+                results[rank] = ("gone", "worker channel closed "
+                                         "(died without a result)")
+                continue
+            if msg is None:
+                silent.append(rank)
+            else:
                 results[rank] = (msg[0], msg[1])
-                pending.discard(rank)
-                got = True
-            if not pending:
-                return
-            now = self._clock()
-            for rank in self._monitor.dead_ranks(now):
-                if rank in pending and rank not in declared:
-                    declared.add(rank)
-                    self._gang.kill(rank)
-            if pending <= declared:
-                # Every rank still owing a result is heartbeat-dead: no
-                # answer can arrive, stop waiting out the deadline.
-                for rank in pending:
-                    results[rank] = (
-                        "hb-dead",
-                        f"declared dead by heartbeat suspicion "
-                        f"(phi >= {self._monitor.phi_dead})")
-                return
-            if now >= deadline:
-                for rank in pending:
-                    results[rank] = ("timeout",
-                                     f"no result within "
-                                     f"{self.job_timeout_s}s")
-                return
-            if not got:
-                time.sleep(0.002)
+        return silent
 
 
 def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
-           profile_dir: Optional[str], hb_interval_s: float,
-           fault: Optional[FaultPlan]) -> None:
+           profile_dir: Optional[str]) -> None:
     """A serving rank: run jobs off the channel until stop or death."""
     rank = transport.rank
     worker = ShardWorker(transport, backend=backend, batch=batch,
                          profile_dir=profile_dir)
-    stop_beats = threading.Event()
-    ticker = threading.Thread(
-        target=_ticker_loop,
-        args=(lambda k: channel.send(("beat", rank, k)), rank, stop_beats,
-              hb_interval_s, _HB_SEED, _injector_for(fault)),
-        name=f"svc-hb-{rank}", daemon=True)
-    ticker.start()
     try:
         while True:
             cmd = channel.recv()
@@ -475,13 +337,12 @@ def _serve(transport: Transport, channel: Channel, backend: str, batch: int,
                 # *cascades* — a peer waiting on us fails fast with
                 # PeerGone instead of draining its whole recv deadline —
                 # then wait for stop.  Staying alive keeps our channel
-                # open, so the monitor names only the culprit as dead.
+                # open, so only the culprit's channel reads closed.
                 worker.transport.close()
                 continue
             channel.send(("ok", report))
     except ChannelClosed:
         return                          # driver is gone; fold quietly
     finally:
-        stop_beats.set()
         worker.save_profile()
         worker.transport.close()

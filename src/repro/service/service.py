@@ -30,8 +30,8 @@ service multiplexes every session onto a single persistent
 * **overload protection** — deadline-aware admission (work that cannot
   start before its deadline is rejected up front, and expired at
   dispatch time if the estimate was wrong), plus a :meth:`DCRService.
-  health` endpoint summarizing width, heartbeat suspicion and
-  backpressure for load generators to steer by.
+  health` endpoint summarizing width and backpressure for load
+  generators to steer by.
 """
 
 from __future__ import annotations
@@ -175,7 +175,6 @@ class DCRService:
                  deadline_s: float = 30.0, job_timeout_s: float = 60.0,
                  profile_dir: Optional[str] = None,
                  profiler: Optional[Profiler] = None,
-                 hb_interval_s: float = 0.25,
                  clock: Callable[[], float] = time.monotonic):
         if backend not in GANG_BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; "
@@ -192,7 +191,6 @@ class DCRService:
         self.profile_dir = profile_dir
         self.profiler = profiler if profiler is not None else Profiler(
             enabled=profile_dir is not None)
-        self.hb_interval_s = hb_interval_s
         self.clock = clock
         self.templates = TemplateStore(capacity=template_capacity)
         self._width = num_shards
@@ -270,10 +268,7 @@ class DCRService:
         gang = ServiceGang(width, backend=self.backend, batch=self.batch,
                            deadline_s=self.deadline_s,
                            job_timeout_s=self.job_timeout_s,
-                           profile_dir=self.profile_dir,
-                           profiler=self.profiler,
-                           hb_interval_s=self.hb_interval_s,
-                           clock=self.clock).start()
+                           profile_dir=self.profile_dir).start()
         prof = self.profiler
         if prof.enabled:
             prof.instant(CONTROL_SHARD, CAT_SERVICE, EV_GANG_START,
@@ -564,8 +559,7 @@ class DCRService:
         """Rebuild the gang per policy; True if the job should retry."""
         self._recoveries += 1
         plan = plan_gang_recovery(
-            self.resilience, failure, self._width, self._recoveries,
-            suspicion=failure.suspicion or self._gang.suspicion())
+            self.resilience, failure, self._width, self._recoveries)
         if plan.action == "exhausted":
             with self._lock:
                 self._failed_permanently = True
@@ -606,26 +600,20 @@ class DCRService:
         """The health endpoint: one dict a load balancer could poll.
 
         ``status`` summarizes the whole service: ``ok`` (full width, not
-        backpressured), ``degraded`` (serving below target width, or a
-        replica under heartbeat suspicion), ``overloaded`` (admission is
-        rejecting — clients should back off), ``down`` (recovery budget
-        exhausted or not running).
+        backpressured), ``degraded`` (serving below target width),
+        ``overloaded`` (admission is rejecting — clients should back
+        off), ``down`` (recovery budget exhausted or not running).
         """
         with self._lock:
             running = self._running and not self._failed_permanently
             pending = self._pending_total
             width = self._width
-            gang = self._gang
-        suspicion = gang.suspicion() if gang is not None else {}
-        suspect_ranks = sorted(
-            int(r) for r, s in suspicion.get("ranks", {}).items()
-            if s["state"] != "healthy")
         backpressure = pending >= self.max_pending
         if not running:
             status = "down"
         elif backpressure:
             status = "overloaded"
-        elif width < self._target_width or suspect_ranks:
+        elif width < self._target_width:
             status = "degraded"
         else:
             status = "ok"
@@ -637,8 +625,6 @@ class DCRService:
             "pending": pending,
             "max_pending": self.max_pending,
             "backpressure": backpressure,
-            "suspect_ranks": suspect_ranks,
-            "suspicion": suspicion,
             "jobs": {"completed": self.jobs_completed,
                      "failed": self.jobs_failed,
                      "rejected": self.jobs_rejected,

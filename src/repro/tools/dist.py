@@ -7,8 +7,10 @@
         --profile-dir out/ --verify
 
 Runs the canonical stencil program (or a custom ``--steps``/``--tiles``
-shape) with one OS process per shard over the chosen fabric, merges the
-per-shard reports, and prints the conformance verdict.  ``--verify``
+shape) as the one job of a :class:`~repro.service.gang.ServiceGang` — one
+OS process per shard over the chosen fabric, or one thread per shard for
+``loopback`` — merges the per-shard reports, and prints the conformance
+verdict.  ``--verify``
 additionally runs the serial in-process reference and checks the
 distributed artifacts against it byte for byte.  ``--profile-dir`` saves a
 per-shard profile plus a Chrome trace next to each.
@@ -26,10 +28,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from ..dist import BACKENDS, DistRunner, run_reference, stencil_program
+from ..dist import BACKENDS, merge_reports, run_reference, stencil_program
 from ..dist.programs import SHARDINGS
+from ..dist.worker import profile_path
 from ..obs.chrome import export_chrome_trace
 from ..obs.profiler import Profiler
+from ..service.gang import ServiceGang
 
 __all__ = ["main"]
 
@@ -69,13 +73,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     spec = stencil_program(args.tiles, steps=args.steps,
                            sharding=args.sharding)
-    runner = DistRunner(spec, args.shards, backend=args.backend,
-                        batch=args.batch, profile_dir=args.profile_dir)
     try:
-        merged = runner.run()
+        with ServiceGang(args.shards, backend=args.backend,
+                         batch=args.batch,
+                         profile_dir=args.profile_dir) as gang:
+            reports = gang.run_job(spec)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if args.profile_dir:
+        # The workers saved their profiles as the gang stopped.
+        reports = [dataclasses.replace(
+            r, profile_path=profile_path(args.profile_dir, r.shard))
+            for r in reports]
+    merged = merge_reports(reports, backend=args.backend)
 
     print(merged.render())
     ok = merged.conformant

@@ -140,8 +140,6 @@ def _aliased_write_program():
                                        IDENTITY_PROJECTION)],
             launch_domain=dom, sharding=CYCLIC)
 
-    # (An empty region is never used twice: the tree walk says it aliases
-    # itself, the memoised test says it does not.)
     ops = [single(cells, READ_WRITE), group(owned, READ_ONLY, [0, 1, 2, 3]),
            single(holes[2], READ_ONLY, 1), single(holes[1], READ_ONLY, 2),
            aliased([0, 2, 3]), group(owned, READ_ONLY, [0, 1, 2, 3]),
@@ -151,13 +149,12 @@ def _aliased_write_program():
     return ops
 
 
-def test_a_launch_writing_outside_a_disjoint_partition_matches_naive():
+def _assert_matches_naive(ops):
     from helpers import run_naive_analysis
 
     from repro.core.coarse import CoarseAnalysis
     from repro.core.fine import FineAnalysis
 
-    ops = _aliased_write_program()
     coarse, fine = CoarseAnalysis(3), FineAnalysis(3)
     for op in ops:
         coarse.analyze(op)
@@ -168,3 +165,30 @@ def test_a_launch_writing_outside_a_disjoint_partition_matches_naive():
     assert analysis_digest(coarse.result, fine.result) == \
         analysis_digest(naive_coarse.result, naive_fine.result)
     assert fine.uncovered_cross_edges(coarse.result) == []
+
+
+def test_a_launch_writing_outside_a_disjoint_partition_matches_naive():
+    _assert_matches_naive(_aliased_write_program())
+
+
+def test_an_empty_region_named_twice_matches_naive():
+    """An empty region aliases nothing, itself included: two writes of
+    one empty piece on two shards are not ordered, by the indexed stages
+    and by the naive reference alike."""
+    from repro.core.operation import CoarseRequirement, Operation
+    from repro.oracle import READ_WRITE
+    from repro.regions import IndexSpace, LogicalRegion, Rect
+
+    fs = FieldSpace([("state", "f8")])
+    cells = LogicalRegion(IndexSpace.line(8), fs, name="cells")
+    pieces = cells.partition_by_spaces(
+        {0: IndexSpace(rect=Rect((0,), (3,))),
+         1: IndexSpace(rect=Rect((5,), (4,)))}, name="pieces")
+    state = frozenset(fs.fields)
+    ops = [Operation("task", [CoarseRequirement(region, state, READ_WRITE)],
+                     owner_shard=shard)
+           for region, shard in ((pieces[1], 0), (pieces[1], 1),
+                                 (pieces[0], 2), (pieces[1], 0))]
+    for i, op in enumerate(ops):
+        op.seq = i
+    _assert_matches_naive(ops)

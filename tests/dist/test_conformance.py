@@ -1,19 +1,20 @@
 """The headline property: every backend produces byte-identical artifacts.
 
 Hypothesis-generated programs, replayed under the serial in-process
-reference, the loopback (threads) backend, and every process backend
-(shm rings, tcp sockets) at 2-4 shards, must agree
-on the task-graph digest, the fence sequence, and the determinism hash —
-the conformance criterion of the ISSUE's tentpole.
+reference and as the one job of a serving gang on the loopback (threads)
+backend and every process backend (shm rings, tcp sockets) at 2-4 shards,
+must agree on the task-graph digest, the fence sequence, and the
+determinism hash.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dist import (PROCESS_BACKENDS, DistRunner, OpSpec, ProgramSpec,
+from repro.dist import (PROCESS_BACKENDS, OpSpec, ProgramSpec, merge_reports,
                         run_reference, stencil_program)
 from repro.dist.programs import OP_CODES, SHARDINGS
+from repro.service.gang import GangFailure, ServiceGang
 
 op_specs = st.builds(OpSpec,
                      code=st.sampled_from(OP_CODES),
@@ -24,6 +25,12 @@ program_specs = st.builds(
     tiles=st.integers(min_value=2, max_value=8),
     sharding=st.sampled_from(sorted(SHARDINGS)),
     ops=st.lists(op_specs, min_size=1, max_size=10).map(tuple))
+
+
+def run_on_gang(spec, num_shards, backend, batch=64):
+    """``spec`` as the one job of a fresh serving gang, merged."""
+    with ServiceGang(num_shards, backend=backend, batch=batch) as gang:
+        return merge_reports(gang.run_job(spec), backend=backend)
 
 
 def assert_conformant(merged, reference):
@@ -41,8 +48,7 @@ def assert_conformant(merged, reference):
 @given(spec=program_specs, num_shards=st.integers(min_value=2, max_value=4))
 def test_loopback_matches_reference(spec, num_shards):
     reference = run_reference(spec, num_shards)
-    merged = DistRunner(spec, num_shards, backend="loopback",
-                        batch=8).run()
+    merged = run_on_gang(spec, num_shards, "loopback", batch=8)
     assert_conformant(merged, reference)
 
 
@@ -51,8 +57,7 @@ def test_loopback_matches_reference(spec, num_shards):
 def test_process_backends_match_reference_stencil(backend, num_shards):
     spec = stencil_program(6, steps=2)
     reference = run_reference(spec, num_shards)
-    merged = DistRunner(spec, num_shards, backend=backend,
-                        batch=8).run()
+    merged = run_on_gang(spec, num_shards, backend, batch=8)
     assert_conformant(merged, reference)
     pids = {shard.pid for shard in merged.shards}
     assert len(pids) == num_shards  # genuinely separate OS processes
@@ -65,7 +70,7 @@ def test_forked_gang_matches_reference_irregular():
         OpSpec("bump"), OpSpec("fill"), OpSpec("readx"),
         OpSpec("spot", 7), OpSpec("scale")))
     reference = run_reference(spec, 3)
-    merged = DistRunner(spec, 3, backend="tcp", batch=4).run()
+    merged = run_on_gang(spec, 3, "tcp", batch=4)
     assert_conformant(merged, reference)
 
 
@@ -73,7 +78,7 @@ def test_all_backends_agree():
     """Byte-identical digests across every fabric, at one go."""
     spec = stencil_program(6, steps=2)
     reference = run_reference(spec, 3)
-    runs = {backend: DistRunner(spec, 3, backend=backend, batch=8).run()
+    runs = {backend: run_on_gang(spec, 3, backend, batch=8)
             for backend in ("loopback",) + PROCESS_BACKENDS}
     for backend, merged in runs.items():
         assert merged.conformant, (backend, merged.mismatches)
@@ -88,8 +93,8 @@ def test_long_check_windows_preserve_conformance():
     """The window size must not change any artifact digest."""
     spec = stencil_program(6, steps=3)
     reference = run_reference(spec, 3)
-    plain = DistRunner(spec, 3, backend="shm", batch=4).run()
-    merged = DistRunner(spec, 3, backend="shm", batch=32).run()
+    plain = run_on_gang(spec, 3, "shm", batch=4)
+    merged = run_on_gang(spec, 3, "shm", batch=32)
     assert_conformant(plain, reference)
     assert_conformant(merged, reference)
     # The whole point: far fewer collective rounds than short windows.
@@ -100,7 +105,7 @@ def test_long_check_windows_preserve_conformance():
 def test_single_shard_degenerate():
     spec = stencil_program(4, steps=1)
     reference = run_reference(spec, 1)
-    merged = DistRunner(spec, 1, backend="loopback").run()
+    merged = run_on_gang(spec, 1, "loopback")
     assert_conformant(merged, reference)
 
 
@@ -113,31 +118,33 @@ def test_distinct_programs_get_distinct_digests():
 
 def test_runner_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
-        DistRunner(stencil_program(4), 2, backend="smoke-signals")
+        ServiceGang(2, backend="smoke-signals")
 
 
 def test_worker_crash_fails_run_without_orphans(monkeypatch):
     import multiprocessing
     import os
 
-    import repro.dist.runner as runner_mod
+    import repro.service.gang as gang_mod
 
     spec = stencil_program(6, steps=2)
-    runner = DistRunner(spec, 3, backend="tcp",
-                        join_timeout_s=30.0)
     # Sabotage: rank 2's forked copy of the rank entrypoint dies without a
     # report (and without closing anything), as a crashed process would.
-    real_run_one_job = runner_mod._run_one_job
+    real_serve = gang_mod._serve
 
-    def crashing_run_one_job(transport, channel, *args):
+    def crashing_serve(transport, channel, *args):
         if transport.rank == 2:
             os._exit(3)
-        real_run_one_job(transport, channel, *args)
+        real_serve(transport, channel, *args)
 
-    monkeypatch.setattr(runner_mod, "_run_one_job", crashing_run_one_job)
-    with pytest.raises(RuntimeError, match="tcp run failed") as exc:
-        runner.run()
-    assert "shard 2: died without a report" in str(exc.value)
+    monkeypatch.setattr(gang_mod, "_serve", crashing_serve)
+    with ServiceGang(3, backend="tcp", job_timeout_s=30.0) as gang:
+        with pytest.raises(GangFailure) as exc:
+            gang.run_job(spec)
+    # Its channel is closed: whether the job could not be sent or found
+    # no result, the dead rank alone is blamed.
+    assert "shard 2: worker" in str(exc.value)
+    assert exc.value.culprit_shards == [2]
     # The no-orphans sweep: nothing from this gang is still alive.
     assert not [p for p in multiprocessing.active_children()
-                if p.name.startswith("repro-shard-")]
+                if p.name.startswith("repro-svc-shard-")]

@@ -61,9 +61,10 @@ def _many_senders(transport, channel):
 
 @pytest.mark.parametrize("backend", GANGS)
 def test_concurrent_senders_share_one_channel_without_corruption(backend):
-    """A serving rank's heartbeat ticker and serve loop share the channel;
-    frames from concurrent senders must arrive whole and in per-sender
-    order (a lost or torn frame breaks the count or the unpickling)."""
+    """A service that gives up waiting for its dispatcher stops the gang
+    the dispatcher may still be sending to; frames from concurrent
+    senders on one end must arrive whole and in per-sender order (a lost
+    or torn frame breaks the count or the unpickling)."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     gang = Gang(backend, 1)

@@ -6,20 +6,23 @@ to prevent: joining each worker with ``remaining + 5.0`` *sequentially*
 full timeout (N x total wall clock for N wedged shards) and then never
 looking whether it actually finished.  ``Gang.collect`` shares one
 monotonic deadline across all waits and treats silence as a failure —
-for thread gangs and process gangs alike.
+for thread gangs and process gangs alike — and a serving gang's job reads
+its ranks' results against one silence budget the same way.
 """
 
 import os
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
-import repro.dist.runner as runner_mod
 import repro.runtime.runtime as runtime_mod
-from repro.dist import DistRunner, Gang, stencil_program
+import repro.service.gang as service_gang_mod
+from repro.dist import Gang, stencil_program
 from repro.runtime import Runtime
+from repro.service.gang import GangFailure, ServiceGang
 
 GANGS = ["loopback", "tcp"]
 
@@ -81,22 +84,32 @@ class _WedgedShardWorker:
     def __init__(self, transport, backend, **kwargs):
         self.transport = transport
 
-    def run_job(self, spec):
+    def run_job(self, spec, **kwargs):
         _RELEASE.wait(120.0)
+
+    def save_profile(self):
+        return ""
 
 
 @pytest.mark.parametrize("backend", GANGS)
 def test_runner_join_shares_one_deadline(monkeypatch, backend):
-    monkeypatch.setattr(runner_mod, "ShardWorker", _WedgedShardWorker)
-    runner = DistRunner(stencil_program(4, steps=1), 4, backend=backend,
-                        join_timeout_s=1.0)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="no report within"):
-        runner.run()
-    elapsed = time.monotonic() - start
-    # All four wedged shards share one 1s deadline; the old code gave
-    # each the full timeout (>= 4s total).
-    assert elapsed < 3.0, f"wedged gang held the runner {elapsed:.1f}s"
+    monkeypatch.setattr(service_gang_mod, "ShardWorker", _WedgedShardWorker)
+    # A fresh event per run: forked ranks inherit it unset, and releasing
+    # it afterwards lets the loopback threads leave before the gang stops.
+    monkeypatch.setattr(sys.modules[__name__], "_RELEASE", threading.Event())
+    gang = ServiceGang(4, backend=backend, job_timeout_s=1.0).start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(GangFailure, match="silence budget") as err:
+            gang.run_job(stencil_program(4, steps=1))
+        elapsed = time.monotonic() - start
+    finally:
+        _RELEASE.set()
+        gang.stop()
+    assert err.value.culprit_shards == [0, 1, 2, 3]
+    # All four wedged shards share one 1s budget; the old code gave each
+    # the full timeout (>= 4s total).
+    assert elapsed < 3.0, f"wedged gang held the driver {elapsed:.1f}s"
 
 
 def test_wedged_loopback_replica_raises_instead_of_returning(monkeypatch):

@@ -236,7 +236,7 @@ def test_cli_smoke(tmp_path):
     assert len(payload["shards"]) == 3
     assert len({s["pid"] for s in payload["shards"]}) == 3
     assert not [p for p in multiprocessing.active_children()
-                if p.name.startswith("repro-shard-")]
+                if p.name.startswith("repro-svc-shard-")]
 
 
 def test_cli_loopback_with_profiles(tmp_path):

@@ -89,7 +89,7 @@ def tree_may_alias(a, b):
     from repro.regions import divergence_partition, lowest_common_ancestor
 
     if a is b:
-        return True
+        return not a.index_space.empty
     if a.tree_id != b.tree_id:
         return False
     lca = lowest_common_ancestor(a, b)

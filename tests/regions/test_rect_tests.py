@@ -4,7 +4,8 @@
 tree from their rectangles alone.  On every well-formed structured tree —
 disjoint tilings, ghost (aliased) partitions, hand-cut rectangle
 partitions, empty pieces, partitions of partitions — both must equal the
-tree-walk references kept in tests/helpers.py.
+tree-walk references kept in tests/helpers.py, and the memoised test
+must agree with both — an empty piece named twice included.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import tree_may_alias, tree_region_contains
 
 from repro.regions import (FieldSpace, IndexSpace, LogicalRegion, Rect,
-                           may_alias, region_contains)
+                           cached_may_alias, may_alias, region_contains)
 
 
 def _empty(rect):
@@ -59,6 +60,10 @@ def structured_trees(draw):
                     {c: IndexSpace(rect=draw(_sub_rect(rect)))
                      for c in range(draw(st.integers(1, 4)))})
             tree += list(part)
+        # Every tree holds an empty piece, so its self-pair is drawn.
+        lo = root.index_space.rect.lo
+        tree += list(root.partition_by_spaces(
+            {0: IndexSpace(rect=Rect(lo, tuple(x - 1 for x in lo)))}))
         regions += tree
     return regions
 
@@ -67,7 +72,10 @@ def structured_trees(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(structured_trees())
 def test_rectangle_tests_match_the_tree_walk(regions):
+    assert any(a.index_space.empty for a in regions)
     for a in regions:
+        assert may_alias(a, a) is cached_may_alias(a, a) \
+            is (not a.index_space.empty), a.name
         for b in regions:
             assert may_alias(a, b) == tree_may_alias(a, b), (a.name, b.name)
             assert region_contains(a, b) == tree_region_contains(a, b), \

@@ -3,7 +3,6 @@
 import dataclasses
 
 from repro.faults import FaultInjector, FaultPlan, PlannedCrash, PlannedFlip
-from repro.faults.plan import PlannedBeatLoss, PlannedStall
 
 
 class TestPlan:
@@ -15,16 +14,13 @@ class TestPlan:
         assert FaultPlan(flips=[PlannedFlip(0, 1)]).any_faults
         assert FaultPlan(crashes=[PlannedCrash(0, 1)]).any_faults
         assert FaultPlan(trace_corruptions=[0]).any_faults
-        assert FaultPlan(beat_losses=[PlannedBeatLoss(0, 1)]).any_faults
-        assert FaultPlan(stalls=[PlannedStall(0, 1)]).any_faults
         assert not FaultPlan(seed=7).any_faults
 
     def test_site_vocabulary_is_complete(self):
         """One list per planned site, plus the seed that picks a corrupted
         recording's victim entry."""
         assert [f.name for f in dataclasses.fields(FaultPlan)] == [
-            "seed", "flips", "crashes", "trace_corruptions", "beat_losses",
-            "stalls"]
+            "seed", "flips", "crashes", "trace_corruptions"]
 
 
 class TestDecisions:

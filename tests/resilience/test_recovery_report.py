@@ -1,8 +1,7 @@
-"""RecoveryReport JSON round-trips, including the suspicion snapshot."""
+"""RecoveryReport JSON round-trips, and older reports still load."""
 
 import json
 
-from repro.dist.heartbeat import HeartbeatMonitor
 from repro.faults.injector import ShardCrash
 from repro.resilience import (RecoveryPolicy, RecoveryReport,
                               ResilienceConfig, plan_gang_recovery)
@@ -12,17 +11,28 @@ def roundtrip(report: RecoveryReport) -> RecoveryReport:
     return RecoveryReport.from_json(report.to_json())
 
 
-def suspicion_snapshot():
-    """A deterministic monitor snapshot from an injectable clock."""
-    now = [50.0]
-    mon = HeartbeatMonitor(4, 0.25, clock=lambda: now[0])
-    mon.beat(0, at=50.25)
-    mon.beat(1, at=50.25)
-    now[0] = 50.3
-    mon.force_dead(3, at=now[0])
-    now[0] = 52.0
-    mon.poll(now[0])
-    return mon.snapshot(now[0])
+#: A report as written while a heartbeat monitor watched serving gangs:
+#: it carried the monitor's per-rank snapshot under ``suspicion``.
+HEARTBEAT_ERA_REPORT = """{
+  "policy": "restart",
+  "action": "restart",
+  "failure": "ShardCrash: shard 3 crashed at API call #9 (injected fault)",
+  "culprit_shards": [3],
+  "seq": 9,
+  "attempt": 2,
+  "diagnosis": null,
+  "injected": [],
+  "details": {"num_shards": 4, "new_width": 4, "retry": true},
+  "suspicion": {
+    "interval_s": 0.25, "phi_suspect": 4.0, "phi_dead": 8.0,
+    "ranks": {
+      "0": {"state": "suspected", "phi": 7.0, "beats": 1,
+            "last_beat_age_s": 1.75, "suspected_at": 2.0, "dead_at": null},
+      "3": {"state": "dead", "phi": 8.0, "beats": 0,
+            "last_beat_age_s": 2.0, "suspected_at": 0.3, "dead_at": 0.3}
+    }
+  }
+}"""
 
 
 class TestRoundTrip:
@@ -35,27 +45,14 @@ class TestRoundTrip:
             assert again == plan
             assert again.policy == policy.value
 
-    def test_suspicion_snapshot_survives_the_wire(self):
+    def test_old_report_with_suspicion_loads(self):
         cfg = ResilienceConfig(policy=RecoveryPolicy.RESTART,
                                max_recoveries=5)
-        snap = suspicion_snapshot()
-        plan = plan_gang_recovery(cfg, ShardCrash(3, 9), 4, 2,
-                                  suspicion=snap)
-        assert plan.action == "restart"
-        assert plan.culprit_shards == [3]
-        again = roundtrip(plan)
-        assert again == plan
-        assert again.suspicion == snap
-        assert again.suspicion["ranks"]["3"]["state"] == "dead"
-
-    def test_suspicion_timestamps_deterministic_from_injectable_clock(self):
-        """Monitor timestamps are relative to monitor start, so two
-        identically driven monitors serialize byte-identically."""
-        a = suspicion_snapshot()
-        b = suspicion_snapshot()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        # And the absolute clock epoch (50.0) leaked nowhere.
-        assert a["ranks"]["3"]["dead_at"] < 10.0
+        plan = plan_gang_recovery(cfg, ShardCrash(3, 9), 4, 2)
+        old = RecoveryReport.from_json(HEARTBEAT_ERA_REPORT)
+        assert old == plan
+        assert not hasattr(old, "suspicion")
+        assert "suspicion" not in json.loads(roundtrip(old).to_json())
 
     def test_from_dict_ignores_unknown_fields(self):
         plan = plan_gang_recovery(

@@ -69,10 +69,11 @@ def test_the_check_window_has_one_knob():
     import inspect
 
     from repro.core import DeterminismMonitor
-    from repro.dist import DistRunner, ShardWorker
+    from repro.dist import ShardWorker
     from repro.runtime import Runtime
+    from repro.service import ServiceGang
 
-    for fn in (DeterminismMonitor, Runtime, ShardWorker, DistRunner):
+    for fn in (DeterminismMonitor, Runtime, ShardWorker, ServiceGang):
         params = inspect.signature(fn.__init__).parameters
         assert not {"coalesce", "check_coalesce"} & set(params), fn
 
@@ -158,13 +159,14 @@ def test_a_fault_fires_only_where_planned():
 
 def test_the_wire_has_one_encoder_one_decoder_and_no_rendezvous():
     """Frames decode to copies on every fabric, nothing launches a
-    multi-host mesh, LOCALIZE always runs and ``DistRunner`` forwards no
+    multi-host mesh, LOCALIZE always runs and ``ServiceGang`` forwards no
     fabric options."""
     import inspect
 
     import repro.dist as dist
     from repro.core import DeterminismMonitor
     from repro.dist import frames, transport
+    from repro.service import ServiceGang
 
     for gone in ("decode_frame_view", "ZERO_COPY_MIN_BYTES"):
         assert gone not in frames.__all__ and not hasattr(frames, gone)
@@ -176,7 +178,7 @@ def test_the_wire_has_one_encoder_one_decoder_and_no_rendezvous():
     assert "localize" not in \
         inspect.signature(DeterminismMonitor.__init__).parameters
     assert inspect.Parameter.VAR_KEYWORD not in {
-        p.kind for p in inspect.signature(dist.DistRunner).parameters.values()}
+        p.kind for p in inspect.signature(ServiceGang).parameters.values()}
 
 
 def test_order_maintenance_labels_stay_deleted():

@@ -80,6 +80,12 @@
   and a post-hoc loop in ``spy``), the privilege parser twice, and
   ``runtime/nested.py`` lowered child launches a second way, outside the
   checks and the pipeline; the last tests fail if any of that grows back.
+* One liveness rule, one job driver.  A serving gang reads each rank's
+  result off the rank's channel under one silence budget.  It once also
+  ran a heartbeat plane (a ticker thread per worker, a driver pump
+  polling every channel into mailboxes, a phi monitor), and a second
+  one-shot driver (``DistRunner``) sat beside the one-job serving gang;
+  the last test fails if any of that grows back.
 """
 
 import ast
@@ -88,12 +94,9 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 LAUNCHER = "dist/gang.py"
 
-#: Threads that are not ranks of a gang, by (file, target): the service
-#: gang's driver-side channel pump and worker-side heartbeat ticker, the
-#: service's job scheduler, and the load generator's client threads.
+#: Threads that are not ranks of a gang, by (file, target): the service's
+#: job scheduler and the load generator's client threads.
 HELPER_THREADS = {
-    ("service/gang.py", "_pump_loop"),
-    ("service/gang.py", "_ticker_loop"),
     ("service/service.py", "_dispatch_loop"),
     ("service/loadgen.py", "client"),
 }
@@ -117,6 +120,7 @@ def _thread_target(node: ast.Call) -> str:
 def test_ranks_are_launched_in_one_module_only():
     offenders = []
     launcher_sites = set()
+    helpers_seen = set()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -127,8 +131,10 @@ def test_ranks_are_launched_in_one_module_only():
                 continue
             if rel == LAUNCHER:
                 launcher_sites.add(name)
-            elif name != "Thread" or \
-                    (rel, _thread_target(node)) not in HELPER_THREADS:
+            elif name == "Thread" and \
+                    (rel, _thread_target(node)) in HELPER_THREADS:
+                helpers_seen.add((rel, _thread_target(node)))
+            else:
                 offenders.append(f"{rel}:{node.lineno}: {name}(...)")
     assert not offenders, (
         "rank launches outside repro/dist/gang.py — start ranks through "
@@ -136,6 +142,8 @@ def test_ranks_are_launched_in_one_module_only():
         "HELPER_THREADS with a reason):\n  " + "\n  ".join(offenders))
     # The guard is looking at the right things: the launcher has all three.
     assert launcher_sites == {"get_context", "Process", "Thread"}
+    stale = sorted(HELPER_THREADS - helpers_seen)
+    assert not stale, f"HELPER_THREADS lists threads that are gone: {stale}"
 
 
 # -- one schedule, one monitor, three fabrics --------------------------------
@@ -787,3 +795,26 @@ def test_the_nested_launch_path_stays_deleted():
     assert not offenders, (
         "child launches inside a task body ran outside the front door and "
         "the pipeline:\n  " + "\n  ".join(offenders))
+
+
+# -- one liveness rule, one job driver ----------------------------------------
+
+
+def test_the_heartbeat_plane_and_the_second_job_driver_stay_deleted():
+    assert not (SRC / "dist" / "heartbeat.py").exists()
+    gone = {"HeartbeatMonitor", "heartbeat_interval", "hb_interval_s",
+            "PlannedBeatLoss", "PlannedStall", "drop_beat", "DistRunner",
+            "suspicion", "_pump_loop", "_ticker_loop", "_drain_mailbox"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    offenders += [f"{rel}:{node.lineno}: import {node.module}"
+                  for rel, tree in _trees(("",))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").endswith("heartbeat")]
+    assert not offenders, (
+        "a serving gang's liveness is its result channels under one "
+        "silence budget, and a one-job ServiceGang is the one-shot "
+        "driver:\n  " + "\n  ".join(offenders))

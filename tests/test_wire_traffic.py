@@ -2,8 +2,8 @@
 
 Every frame goes through ``Transport.send``.  This test records them on
 loopback for each sender the system has — a ``Runtime`` gang,
-``DistRunner``, ``DCRService`` (a cold run and a template hit) and a
-LOCALIZE divergence — and checks that no payload holds an ndarray.
+``DCRService`` (a cold run and a template hit) and a LOCALIZE
+divergence — and checks that no payload holds an ndarray.
 Window all-reduces and barriers are under 1 KiB.  LOCALIZE's all-gather
 is the one frame that grows: it carries, per shard row, the failed
 window's per-call digests and call names, so it is bounded by the window
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.determinism import ControlDeterminismViolation
-from repro.dist import DistRunner, stencil_program
+from repro.dist import stencil_program
 from repro.dist.frames import Frame, encode_frame
 from repro.dist.transport import Transport
 from repro.legate import reference_stencil, sliced_stencil
@@ -74,14 +74,6 @@ def test_runtime_gang_sends_only_small_frames(wire):
     got = Runtime(num_shards=2, backend="loopback").execute(
         sliced_stencil, init, 4, 4)
     np.testing.assert_array_equal(got, reference_stencil(init, 4))
-    _check(wire)
-    assert "allgather" not in {kind for kind, _n, _payload in wire}
-
-
-def test_dist_runner_sends_only_small_frames(wire):
-    merged = DistRunner(stencil_program(6, steps=2), 3,
-                        backend="loopback").run()
-    assert merged.conformant
     _check(wire)
     assert "allgather" not in {kind for kind, _n, _payload in wire}
 
