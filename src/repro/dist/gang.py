@@ -221,10 +221,10 @@ class Gang:
         Call once, after the last :meth:`spawn` of a batch.  A launcher
         that is itself rank ``keep`` (the Runtime's driver shard) drops
         every endpoint but that rank's; one that is no rank drops them
-        all where the fabric needs it (fd-based meshes: a dead rank's
-        peers only see EOF once no copy of its write ends survives).  The
-        shm fabric keeps its segments mapped here — its crash detection
-        runs off the status board, and the creator must live to unlink.
+        all where the fabric needs it (the socket meshes, tcp and the shm
+        doorbells: a dead rank's peers only see EOF once no copy of its
+        ends survives; the shm segments are unlinked here too, since the
+        ranks keep their mappings).
         """
         if keep is not None:
             self.fabric.close_other_ends(keep)
@@ -310,36 +310,23 @@ class Gang:
         The no-orphans sweep.  ``grace_s`` is one shared allowance for
         ranks already told to finish (a serving gang's ``("stop",)``) to
         exit by themselves; whatever is still alive after it is killed
-        as in :meth:`kill`, escalating SIGTERM → SIGKILL for processes.
-        Idempotent and order-independent: a second call, a gang that
-        already exited or an already-closed channel must never raise or
-        leave a process behind.
+        as in :meth:`kill` — a process SIGKILLed at once, since a
+        ``SIGSTOP``-ped rank only queues a SIGTERM and the ranks handle
+        neither — and joined.  Idempotent and order-independent: a
+        second call, a gang that already exited or an already-closed
+        channel must never raise or leave a process behind.
         """
         members = list(self._members.values())
         self._join(members, time.monotonic() + grace_s)
         for m in members:
-            self.fabric.mark_closed(m.rank)
+            self.kill(m.rank)
             m.channel.close()
-            if self.forks:
-                try:
-                    if m.handle.is_alive():
-                        m.handle.terminate()
-                except (ValueError, OSError):
-                    pass
-        if self.forks:
-            for m in members:
-                try:
-                    m.handle.join(5.0)
-                    if m.handle.is_alive():  # pragma: no cover - last resort
-                        m.handle.kill()
-                        m.handle.join(5.0)
-                except (ValueError, OSError):
-                    pass
-        else:
-            # A poisoned thread leaves at its next channel read or
-            # collective poll — milliseconds; one that is wedged elsewhere
-            # cannot be killed, and waiting longer would not change that.
-            self._join(members, time.monotonic() + 0.5)
+        # A SIGKILLed process is gone in milliseconds.  A poisoned thread
+        # leaves at its next channel read or collective receive, which
+        # the closed channel and the fabric's end-of-stream both wake;
+        # one that is wedged elsewhere cannot be killed, and waiting
+        # longer would not change that.
+        self._join(members, time.monotonic() + (5.0 if self.forks else 0.5))
         # Unlinks shm segments / closes whatever the launcher still
         # holds; a no-op the second time round.
         self.fabric.close_all()

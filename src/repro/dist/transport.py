@@ -12,9 +12,11 @@ which it holds:
   matching logic.
 * :class:`SharedMemFabric` — one single-producer/single-consumer ring
   buffer in ``multiprocessing.shared_memory`` per directed (src, dst)
-  channel.  Frames are written once into the ring, decoded in place on
-  the receive side (decoded values are copied out, ndarrays included)
-  and their slot is freed as soon as the decode returns.
+  channel, plus one socket pair per rank pair as the doorbell.  Frames
+  are written once into the ring, decoded in place on the receive side
+  (decoded values are copied out, ndarrays included) and their slot is
+  freed as soon as the decode returns; the sender rings the doorbell
+  (one byte) after publishing a frame.
 * :class:`TCPFabric` — one TCP socket per channel carrying length-prefixed
   frames (:mod:`repro.dist.frames`), pre-connected in the parent; a gang
   runs on one host.
@@ -35,14 +37,15 @@ Delivery semantics shared by all (implemented in the base class):
   bounded: a peer that skips ahead more than ``max_reorder`` sequence
   numbers surfaces as a structured :class:`ReorderWindowExceeded`
   instead of unbounded state growth;
-* every :meth:`recv` has a **hard deadline**: rather than hang on a dead
-  or diverged peer, it raises :class:`~repro.faults.injector
-  .CollectiveTimeout` carrying the caller's real ``(kind, op)`` tag and
-  the actual number of poll attempts made (polling backs off
-  geometrically between attempts, and resets to the base interval
-  whenever a poll succeeds so bursts drain at full speed);
-* a peer that closed its end (worker crash) surfaces immediately as
-  :class:`PeerGone` (a ``CollectiveTimeout`` subclass), never a hang;
+* a receive **waits, it does not poll** — in ``select`` (tcp, the shm
+  doorbell) or ``Queue.get`` (loopback) — for a frame, the peer's
+  end-of-stream or its **hard deadline**, past which it raises
+  :class:`~repro.faults.injector.CollectiveTimeout` with the caller's
+  ``(kind, op)`` tag and the number of waits made;
+* a dead peer is end-of-stream on every fabric — socket EOF on tcp and
+  on the shm doorbell, a sentinel in the loopback queues — so it
+  surfaces as :class:`PeerGone` (a ``CollectiveTimeout`` subclass) at
+  once, after the frames it committed;
 * a transport that has been :meth:`~Transport.close`\\ d rejects further
   ``send``/``recv`` with :class:`TransportError` — a secondary observer
   that cascade-closed its endpoints cannot silently push frames into a
@@ -73,13 +76,6 @@ __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
 #: Default hard deadline on every receive.  Generous for CI machines, but
 #: finite: a dead peer turns into an exception, never a hang.
 DEFAULT_DEADLINE_S = 30.0
-
-#: recv polling starts at the base interval and backs off geometrically
-#: (by ``POLL_FACTOR`` per idle poll) to the cap while the channel is idle;
-#: any successful poll resets it.
-POLL_BASE_S = 0.0005
-POLL_CAP_S = 0.05
-POLL_FACTOR = 2.0
 
 #: Bound on the per-peer out-of-order window: a frame whose seq is this far
 #: above the contiguous watermark is a protocol violation, not reordering.
@@ -143,7 +139,7 @@ class Transport:
     :meth:`_poll_frame`); this base class
     implements framing, per-peer sequence numbering, duplicate
     suppression, tag matching, and deadlines.  ``clock`` is injectable so
-    deadline/backoff behavior is testable without real sleeps.
+    deadline behavior is testable without real sleeps.
     """
 
     def __init__(self, rank: int, num_shards: int,
@@ -192,8 +188,11 @@ class Transport:
     def _poll_frame(self, src: int, timeout_s: float) -> Optional[Frame]:
         """One decoded frame from ``src``, or None if none within timeout.
 
-        Raises :class:`PeerGone` (with a generic tag) if the peer's
-        endpoint is closed, :class:`TransportError` on a corrupt frame.
+        Waits in the kernel or the queue, not in a sleep; None may also
+        come early, from a wakeup without a whole frame.  Raises
+        :class:`PeerGone` (with a generic tag) once the peer's endpoint
+        is closed and its committed frames are read,
+        :class:`TransportError` on a corrupt frame.
         """
         raise NotImplementedError
 
@@ -235,13 +234,12 @@ class Transport:
         ``recv`` calls (out-of-order delivery is resolved here).  Raises
         :class:`CollectiveTimeout` when the deadline expires and
         :class:`PeerGone` when the peer's endpoint is closed — both carry
-        the caller's tag and the actual number of poll attempts made.
+        the caller's tag and the number of waits made.
         """
         self._require_open(f"recv({kind} #{op})")
         tag = (kind, op, round_)
         deadline = self._clock() + (timeout_s if timeout_s is not None
                                     else self.deadline_s)
-        poll_s = POLL_BASE_S
         attempts = 0
         while True:
             bucket = self._pending.get((src, tag))
@@ -258,18 +256,11 @@ class Transport:
                 raise CollectiveTimeout(kind, op, src, max(1, attempts))
             attempts += 1
             try:
-                frame = self._poll_frame(src, min(poll_s, remaining))
+                frame = self._poll_frame(src, remaining)
             except PeerGone:
                 raise PeerGone(kind, op, src, attempts=attempts) from None
-            if frame is None:
-                # Geometric backoff between polls; the deadline stays hard.
-                poll_s = min(poll_s * POLL_FACTOR, POLL_CAP_S)
-                continue
-            # A successful poll resets the backoff: a burst of buffered
-            # frames (e.g. out-of-order drain) is consumed at the base
-            # interval instead of the capped idle interval.
-            poll_s = POLL_BASE_S
-            self._accept(src, frame, expected_tag=tag)
+            if frame is not None:
+                self._accept(src, frame, expected_tag=tag)
 
     def _accept(self, src: int, frame: Frame,
                 expected_tag: Tuple[str, int, int]) -> None:
@@ -337,14 +328,68 @@ class Fabric:
         return [self.transport(r) for r in range(self.num_shards)]
 
     def mark_closed(self, rank: int) -> None:
-        """Declare ``rank`` dead so peers polling it get :class:`PeerGone`
-        (fd-based fabrics deliver that as EOF on their own)."""
+        """Declare ``rank`` dead so peers waiting on it get
+        :class:`PeerGone` (socket fabrics see EOF on their own once the
+        rank's process exits or its transport closes)."""
 
     def close_other_ends(self, rank: int) -> None:
         """In the process that is ``rank``: drop every foreign endpoint."""
 
     def close_all(self) -> None:
         """Release everything this process still holds of the mesh."""
+
+
+def _close_sockets(socks) -> None:
+    """Shut down and close sockets: peers see EOF though a copy survives."""
+    for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
+class _SocketPairFabric(Fabric):
+    """A mesh with one connected socket pair per unordered rank pair.
+
+    ``_ends[(a, b)]`` (``a < b``) is ``(end_a, end_b)``, made by
+    ``connect()`` in rank-pair order and non-blocking: rank ``a`` uses
+    ``end_a`` and rank ``b`` uses ``end_b``.  Each rank keeps only its
+    own ends and the launcher drops all of them, so a rank's end reads
+    EOF as soon as its peer's process exits or its transport closes.
+    """
+
+    parent_must_release = True
+
+    def __init__(self, num_shards: int, deadline_s: float,
+                 connect: Callable[[], Tuple[socket.socket, socket.socket]]):
+        self.num_shards = num_shards
+        self.deadline_s = deadline_s
+        self._ends = {(a, b): connect() for a in range(num_shards)
+                      for b in range(a + 1, num_shards)}
+        for ends in self._ends.values():
+            for sock in ends:
+                sock.setblocking(False)
+
+    def _own_ends(self, rank: int) -> Dict[int, socket.socket]:
+        """``rank``'s end of each pair, by peer."""
+        return {(b if rank == a else a): ends[(a, b).index(rank)]
+                for (a, b), ends in self._ends.items() if rank in (a, b)}
+
+    def close_other_ends(self, rank: int) -> None:
+        """In a worker: drop every socket not belonging to ``rank``."""
+        for pair, ends in self._ends.items():
+            for owner, sock in zip(pair, ends):
+                if owner != rank:
+                    sock.close()
+
+    def close_all(self) -> None:
+        for ends in self._ends.values():
+            for sock in ends:
+                sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +415,10 @@ class _LoopbackTransport(Transport):
         try:
             raw = q.get(timeout=timeout_s)
         except queue.Empty:
-            if self._fabric.is_closed(src):
-                raise PeerGone("recv", 0, src) from None
             return None
+        if raw is None:                 # the peer's end-of-stream
+            q.put(None)                 # every later read sees it too
+            raise PeerGone("recv", 0, src)
         try:
             return decode_frame(raw)
         except FrameError as exc:
@@ -382,7 +428,7 @@ class _LoopbackTransport(Transport):
 
     def close(self) -> None:
         # The queue mesh has no descriptor whose closing peers could
-        # observe; say it out loud, as the shm status board does.
+        # observe; end this rank's queues out loud instead.
         super().close()
         self._fabric.mark_closed(self.rank)
 
@@ -395,7 +441,9 @@ class LoopbackFabric(Fabric):
     optional ``scramble(src, dst, pending) -> list`` hook reorders (or
     duplicates) queued deliveries, modelling an adversarial network, and
     an optional ``clock`` is threaded into every transport so deadline
-    and backoff behavior can be driven by a fake clock in tests.
+    behavior can be driven by a fake clock in tests.  A closed rank's
+    outbound queues end with ``None``, the end-of-stream a blocked
+    ``Queue.get`` wakes on.
     """
 
     def __init__(self, num_shards: int,
@@ -419,6 +467,8 @@ class LoopbackFabric(Fabric):
         return self._channels[(src, dst)]
 
     def deliver(self, src: int, dst: int, data: bytes) -> None:
+        if src in self._closed:
+            return                      # nothing is read past its end
         q = self._channels[(src, dst)]
         if self.scramble is None:
             q.put(data)
@@ -439,8 +489,14 @@ class LoopbackFabric(Fabric):
             q.put(item)
 
     def mark_closed(self, rank: int) -> None:
-        """Declare ``rank`` dead: peers polling it get :class:`PeerGone`."""
+        """Declare ``rank`` dead: end each of its outbound queues, so a
+        peer reads what ``rank`` queued before, then :class:`PeerGone`."""
+        if rank in self._closed:
+            return
         self._closed.add(rank)
+        for dst in range(self.num_shards):
+            if dst != rank:
+                self._channels[(rank, dst)].put(None)
 
     def is_closed(self, rank: int) -> bool:
         return rank in self._closed
@@ -584,100 +640,37 @@ class _ShmRing:
             pass
 
 
-class _ShmStatus:
-    """Tiny shared status board: per-rank pid + closed flag.
-
-    Shared-memory rings have no file descriptor to deliver EOF, so crash
-    detection is explicit: every transport announces its pid, ``close``
-    raises its closed flag, and peers combine the flag with a throttled
-    liveness probe (``os.kill(pid, 0)``) to turn a dead peer into
-    :class:`PeerGone` instead of a hang.
-    """
-
-    STRIDE = 16  # u64 pid + u8 closed + padding
-
-    def __init__(self, shm):
-        self._shm = shm
-        self._buf = shm.buf
-        self._released = False
-        self._buf[:shm.size] = b"\x00" * shm.size
-
-    @classmethod
-    def create(cls, num_shards: int) -> "_ShmStatus":
-        from multiprocessing import shared_memory
-        return cls(shared_memory.SharedMemory(create=True,
-                                              size=cls.STRIDE * num_shards))
-
-    def announce(self, rank: int) -> None:
-        struct.pack_into("<Q", self._buf, rank * self.STRIDE, os.getpid())
-
-    def mark_closed(self, rank: int) -> None:
-        if not self._released:      # nobody left to tell once unmapped
-            self._buf[rank * self.STRIDE + 8] = 1
-
-    def is_closed(self, rank: int) -> bool:
-        return self._buf[rank * self.STRIDE + 8] == 1
-
-    def alive(self, rank: int) -> bool:
-        pid = struct.unpack_from("<Q", self._buf, rank * self.STRIDE)[0]
-        if pid == 0:
-            return True  # not announced yet — assume starting up
-        # /proc tells zombies apart from live processes: a crashed sibling
-        # stays kill(0)-visible until the common parent reaps it, which
-        # would turn every crash into a full deadline stall.
-        try:
-            with open(f"/proc/{pid}/stat", "rb") as fh:
-                stat = fh.read()
-            return stat.rsplit(b")", 1)[1].split()[0] != b"Z"
-        except FileNotFoundError:
-            return False
-        except OSError:
-            pass
-        try:
-            os.kill(pid, 0)
-            return True
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-
-    def close(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        try:
-            self._buf = None
-            self._shm.close()
-        except (BufferError, OSError):
-            pass
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
 class _SharedMemTransport(Transport):
-    """One rank's view of the shm ring mesh; decodes frames in place."""
+    """One rank's view of the shm ring mesh; decodes frames in place.
 
-    #: Seconds between liveness probes of a silent peer.
-    LIVENESS_INTERVAL_S = 0.05
+    ``bells[p]`` is this rank's end of the socket pair it shares with
+    peer ``p``.  A sender rings it (one byte) after publishing a frame to
+    ``p``'s ring; a receiver whose ring is empty waits in ``select`` on
+    it.  It reads EOF once ``p``'s process exits or its transport
+    closes, which is how a dead peer is seen.
+    """
 
     def __init__(self, rank: int, num_shards: int,
                  rings_out: Dict[int, _ShmRing],
                  rings_in: Dict[int, _ShmRing],
-                 status: _ShmStatus,
+                 bells: Dict[int, socket.socket],
                  deadline_s: float = DEFAULT_DEADLINE_S):
         super().__init__(rank, num_shards, deadline_s=deadline_s)
         self._rings_out = rings_out
         self._rings_in = rings_in
-        self._status = status
+        self._bells = bells
         # Frames drained opportunistically while a send was stalled on a
         # full outbound ring, waiting for their recv.
         self._stash: Dict[int, deque] = {s: deque() for s in rings_in}
-        self._next_liveness: Dict[int, float] = {s: 0.0 for s in rings_in}
-        status.announce(rank)
+
+    def _ring(self, dst: int) -> None:
+        """Wake ``dst``; :class:`PeerGone` if its end of the bell is closed."""
+        try:
+            self._bells[dst].send(b"\x01")
+        except (BlockingIOError, InterruptedError):
+            pass    # bytes already wait unread: dst wakes anyway
+        except (BrokenPipeError, ConnectionResetError):
+            raise PeerGone("send", 0, dst) from None
 
     def _send_frame(self, dst: int, frame: Frame) -> None:
         # The encoded parts go straight into the ring: an array payload
@@ -699,13 +692,13 @@ class _SharedMemTransport(Transport):
                     drained = True
             if drained:
                 continue
-            if self._status.is_closed(dst) or not self._status.alive(dst):
-                raise PeerGone("send", 0, dst)
+            self._ring(dst)     # a dead receiver is a broken pipe
             if time.monotonic() >= deadline:
                 raise TransportError(
                     f"shard {self.rank}: shm ring to shard {dst} stayed "
                     f"full for {self.deadline_s}s (receiver not draining)")
             time.sleep(0.0002)
+        self._ring(dst)
 
     def _take_one(self, src: int) -> Optional[Frame]:
         """Decode the next frame from ``src``'s ring, if one is ready, and
@@ -729,51 +722,52 @@ class _SharedMemTransport(Transport):
         stash = self._stash[src]
         if stash:
             return stash.popleft()
-        deadline = time.monotonic() + timeout_s
-        while True:
-            frame = self._take_one(src)
-            if frame is not None:
-                return frame
-            now = time.monotonic()
-            dead = self._status.is_closed(src)
-            if not dead and now >= self._next_liveness[src]:
-                self._next_liveness[src] = now + self.LIVENESS_INTERVAL_S
-                dead = not self._status.alive(src)
-            if dead:
-                # A peer commits its final frames to the ring *before*
-                # closing or exiting, so drain once more after observing
-                # death — tcp gets the same ordering for free from
-                # kernel EOF semantics (buffered data before EOF).
-                frame = self._take_one(src)
-                if frame is not None:
-                    return frame
-                raise PeerGone("recv", 0, src)
-            if now >= deadline:
-                return None
-            time.sleep(0.0002)
+        frame = self._take_one(src)
+        if frame is not None:
+            return frame
+        bell = self._bells[src]
+        try:
+            readable, _, _ = select.select([bell], [], [], timeout_s)
+        except (ValueError, OSError):
+            raise PeerGone("recv", 0, src) from None
+        if not readable:
+            return None
+        try:
+            ended = not bell.recv(4096)     # drain the rung bytes
+        except (BlockingIOError, InterruptedError):
+            ended = False
+        except ConnectionResetError:
+            ended = True
+        # A peer publishes a frame before it rings, and commits its final
+        # frames before it closes or exits: read the ring once more, so
+        # what it sent is delivered before its end-of-stream.
+        frame = self._take_one(src)
+        if frame is None and ended:
+            raise PeerGone("recv", 0, src)
+        return frame
 
     def close(self) -> None:
         super().close()
-        self._status.mark_closed(self.rank)
+        _close_sockets(self._bells.values())
 
 
-class SharedMemFabric(Fabric):
+class SharedMemFabric(_SocketPairFabric):
     """Mesh of shared-memory rings, one per directed channel.
 
     Frames are written once into a per-(src, dst) SPSC ring
     (:class:`_ShmRing`), decoded in place on the receive side and freed
-    as soon as they are decoded.  Workers inherit the mappings across
-    ``fork``.  Crash detection is via a shared status board (pid liveness
-    + closed flags) rather than fd EOF, so the parent keeps its mappings
-    until :meth:`close_all`, which also unlinks the segments (exactly
-    once, in the creating process).
+    as soon as they are decoded.  One socket pair per rank pair is the
+    doorbell and the death signal (:class:`_SharedMemTransport`).
+    Workers inherit the mappings and the sockets across ``fork``; a
+    mapping outlives the segment's name, so the creator unlinks the
+    segments (exactly once) in :meth:`close_all` — which the launcher
+    calls as soon as every rank is started.
     """
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
                  ring_bytes: int = DEFAULT_RING_BYTES):
-        self.num_shards = num_shards
-        self.deadline_s = deadline_s
+        super().__init__(num_shards, deadline_s, socket.socketpair)
         self.ring_bytes = ring_bytes
         self._creator_pid = os.getpid()
         self._unlinked = False
@@ -781,7 +775,6 @@ class SharedMemFabric(Fabric):
             (s, d): _ShmRing.create(ring_bytes)
             for s in range(num_shards) for d in range(num_shards) if s != d
         }
-        self._status = _ShmStatus.create(num_shards)
 
     def transport(self, rank: int) -> Transport:
         rings_out = {d: self._rings[(rank, d)]
@@ -789,29 +782,25 @@ class SharedMemFabric(Fabric):
         rings_in = {s: self._rings[(s, rank)]
                     for s in range(self.num_shards) if s != rank}
         return _SharedMemTransport(rank, self.num_shards, rings_out,
-                                   rings_in, self._status,
+                                   rings_in, self._own_ends(rank),
                                    deadline_s=self.deadline_s)
 
-    def mark_closed(self, rank: int) -> None:
-        """Declare ``rank`` dead: peers polling it get :class:`PeerGone`."""
-        self._status.mark_closed(rank)
-
     def close_other_ends(self, rank: int) -> None:
-        """In a worker: unmap every ring not touching ``rank``."""
+        """In a worker: drop every doorbell and ring not touching ``rank``."""
+        super().close_other_ends(rank)
         for (s, d), ring in self._rings.items():
             if rank not in (s, d):
                 ring.close()
 
     def close_all(self) -> None:
-        """Unmap everything; unlink the segments if we created them."""
+        """Drop everything; unlink the segments if we created them."""
+        super().close_all()
         for ring in self._rings.values():
             ring.close()
-        self._status.close()
         if not self._unlinked and os.getpid() == self._creator_pid:
             self._unlinked = True
             for ring in self._rings.values():
                 ring.unlink()
-            self._status.unlink()
 
     def __del__(self):
         try:
@@ -838,8 +827,6 @@ class _TCPTransport(Transport):
         self._decoders: Dict[int, FrameDecoder] = {
             p: FrameDecoder() for p in socks}
         self._ready: Dict[int, deque] = {p: deque() for p in socks}
-        for sock in socks.values():
-            sock.setblocking(False)
 
     def _send_bytes(self, dst: int, data: bytes) -> None:
         sock = self._socks[dst]
@@ -893,8 +880,7 @@ class _TCPTransport(Transport):
             return ready.popleft()
         sock = self._socks[src]
         try:
-            readable, _, _ = select.select([sock], [], [], max(0.0,
-                                                               timeout_s))
+            readable, _, _ = select.select([sock], [], [], timeout_s)
         except (ValueError, OSError):
             raise PeerGone("recv", 0, src) from None
         if not readable:
@@ -918,79 +904,42 @@ class _TCPTransport(Transport):
 
     def close(self) -> None:
         super().close()
-        for sock in self._socks.values():
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+        _close_sockets(self._socks.values())
 
 
-class TCPFabric(Fabric):
+class TCPFabric(_SocketPairFabric):
     """Full mesh of TCP socket pairs, pre-connected in the parent.
 
     Every pair is connected up front over loopback and the endpoints are
     inherited across ``fork``.
     """
 
-    parent_must_release = True
-
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
                  host: str = "127.0.0.1"):
-        self.num_shards = num_shards
-        self.deadline_s = deadline_s
-        # _ends[(a, b)] = (socket held by a, socket held by b), for a < b.
-        self._ends: Dict[Tuple[int, int], Tuple[socket.socket,
-                                                socket.socket]] = {}
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.bind((host, 0))
             listener.listen(max(1, num_shards * num_shards))
             addr = listener.getsockname()
-            for a in range(num_shards):
-                for b in range(a + 1, num_shards):
-                    # Sequential connect-then-accept keeps the pairing
-                    # deterministic on the single accept queue.
-                    end_b = socket.create_connection(addr)
-                    end_a, _ = listener.accept()
-                    for sock in (end_a, end_b):
-                        sock.setsockopt(socket.IPPROTO_TCP,
-                                        socket.TCP_NODELAY, 1)
-                    self._ends[(a, b)] = (end_a, end_b)
+
+            def connect() -> Tuple[socket.socket, socket.socket]:
+                # Sequential connect-then-accept keeps the pairing
+                # deterministic on the single accept queue.
+                end_b = socket.create_connection(addr)
+                end_a, _ = listener.accept()
+                for sock in (end_a, end_b):
+                    sock.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+                return end_a, end_b
+
+            super().__init__(num_shards, deadline_s, connect)
         finally:
             listener.close()
 
     def transport(self, rank: int) -> Transport:
-        socks: Dict[int, socket.socket] = {}
-        for (a, b), (end_a, end_b) in self._ends.items():
-            if rank == a:
-                socks[b] = end_a
-            elif rank == b:
-                socks[a] = end_b
-        return _TCPTransport(rank, self.num_shards, socks,
+        return _TCPTransport(rank, self.num_shards, self._own_ends(rank),
                              deadline_s=self.deadline_s)
-
-    def close_other_ends(self, rank: int) -> None:
-        """In a worker: drop every socket not belonging to ``rank``."""
-        for (a, b), (end_a, end_b) in self._ends.items():
-            for owner, sock in ((a, end_a), (b, end_b)):
-                if owner != rank:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
-
-    def close_all(self) -> None:
-        for end_a, end_b in self._ends.values():
-            for sock in (end_a, end_b):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
 
 
 # ---------------------------------------------------------------------------

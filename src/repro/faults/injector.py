@@ -48,7 +48,7 @@ class CollectiveTimeout(RuntimeError):
         self.attempts = attempts
         super().__init__(
             f"collective {kind} #{op}: no message from shard {peer} "
-            f"before the receive deadline ({attempts} polls)")
+            f"before the receive deadline ({attempts} waits)")
 
 
 #: Domain-separation stream for fault draws (arbitrary non-zero constant).

@@ -9,6 +9,7 @@ surfacing as :class:`PeerGone` across a real fork.
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -171,8 +172,7 @@ def test_shm_frame_larger_than_ring_rejected():
 
 def test_shm_segments_unlinked_after_close_all():
     fabric = SharedMemFabric(2, deadline_s=5.0)
-    names = [fabric._status._shm.name] + [
-        ring._shm.name for ring in fabric._rings.values()]
+    names = [ring._shm.name for ring in fabric._rings.values()]
     fabric.close_all()
     leftovers = [n for n in names
                  if os.path.exists(f"/dev/shm/{n.lstrip('/')}")]
@@ -250,3 +250,153 @@ def test_fabric_registry_dispatch():
     for gone in ("smoke-signals", "multiprocess"):
         with pytest.raises(ValueError, match="no fabric for backend"):
             fabric_for_backend(gone, 2)
+
+
+# -- a receive waits, and a dead peer wakes it --------------------------------
+
+
+def test_shm_receive_waits_without_sleeping(monkeypatch):
+    # Two transports of one fabric ping-pong on two threads; a receive
+    # that found its ring empty and slept would raise here.
+    def no_sleep(seconds):
+        raise AssertionError(f"time.sleep({seconds}) on the receive path")
+
+    fabric = SharedMemFabric(2, deadline_s=10.0)
+    t0, t1 = fabric.transports()
+    payload = np.arange(128, dtype=np.float64)          # 1 KiB
+    errs = []
+
+    def echo():
+        try:
+            for rnd in range(500):
+                t1.send(0, "pong", 0, rnd, t1.recv(0, "ping", 0, rnd))
+        except Exception as exc:  # noqa: BLE001 - surfaced to assert
+            errs.append(exc)
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    peer = threading.Thread(target=echo, daemon=True)
+    try:
+        peer.start()
+        for rnd in range(500):
+            t0.send(1, "ping", 0, rnd, payload)
+            np.testing.assert_array_equal(t0.recv(1, "pong", 0, rnd),
+                                          payload)
+        peer.join(10.0)
+        assert not peer.is_alive()
+    finally:
+        monkeypatch.undo()
+        t0.close()
+        t1.close()
+        fabric.close_all()
+    assert not errs
+
+
+def test_shm_send_stalled_on_a_full_ring_sees_the_receiver_close():
+    fabric = SharedMemFabric(2, deadline_s=30.0, ring_bytes=4096)
+    t0, t1 = fabric.transports()
+    chunk = np.zeros(256, dtype=np.float64)            # 2 KiB frames
+    closer = threading.Timer(0.2, t1.close)
+    try:
+        t0.send(1, "fill", 0, 0, chunk)                 # t1 never reads
+        closer.start()
+        start = time.monotonic()
+        with pytest.raises(PeerGone) as exc:
+            t0.send(1, "fill", 0, 1, chunk)
+        assert 0.1 < time.monotonic() - start < 1.0     # stalled, then woke
+        assert exc.value.kind == "fill"
+    finally:
+        closer.join(5.0)
+        t0.close()
+        fabric.close_all()
+
+
+def _claim_then_close_and_linger(fabric, rank):
+    if fabric.parent_must_release:
+        fabric.close_other_ends(rank)
+    tp = fabric.transport(rank)
+    time.sleep(0.2)
+    tp.close()
+    time.sleep(30.0)            # alive, until the test kills it
+
+
+def _claim_and_linger(fabric, rank):
+    fabric.close_other_ends(rank)
+    fabric.transport(rank)
+    time.sleep(30.0)
+
+
+def _proc_state(pid):
+    with open(f"/proc/{pid}/stat", "rb") as fh:
+        return fh.read().rsplit(b")", 1)[1].split()[0]
+
+
+def _start_peer(kind, fabric, body):
+    """Run ``body(fabric, 1)`` in a forked process, or a thread on
+    loopback; returns the handle once rank 0 holds only its own ends."""
+    if kind == "loopback":
+        handle = threading.Thread(target=body, args=(fabric, 1), daemon=True)
+        handle.start()
+        return handle
+    handle = multiprocessing.get_context("fork").Process(
+        target=body, args=(fabric, 1), daemon=True)
+    handle.start()
+    fabric.close_other_ends(0)
+    return handle
+
+
+@pytest.mark.parametrize("kind", FABRIC_KINDS)
+def test_a_peer_closing_its_transport_wakes_a_blocked_receive(kind):
+    fabric = make_fabric(kind, 2, deadline_s=30.0)
+    t0 = fabric.transport(0)
+    peer = _start_peer(kind, fabric, _claim_then_close_and_linger)
+    try:
+        start = time.monotonic()
+        with pytest.raises(PeerGone) as exc:
+            t0.recv(1, "barrier", 4, 0)
+        assert time.monotonic() - start < 1.0
+        assert exc.value.op == 4
+        assert peer.is_alive()              # closed, not dead
+    finally:
+        t0.close()
+        if kind != "loopback":
+            peer.kill()
+            peer.join(5.0)
+        fabric.close_all()
+
+
+@pytest.mark.parametrize("kind", PROCESS_BACKENDS)
+def test_an_unreaped_killed_peer_wakes_a_blocked_receive(kind):
+    # The zombie case: the peer is SIGKILLed and nobody waits for it, so
+    # its pid lives on while its descriptors are already closed.
+    fabric = make_fabric(kind, 2, deadline_s=30.0)
+    t0 = fabric.transport(0)
+    peer = _start_peer(kind, fabric, _claim_and_linger)
+    killer = threading.Timer(0.2, os.kill, (peer.pid, signal.SIGKILL))
+    try:
+        killer.start()
+        start = time.monotonic()
+        with pytest.raises(PeerGone):
+            t0.recv(1, "allreduce", 9, 0)
+        assert time.monotonic() - start < 1.0
+        # Nothing has reaped it: its pid turns (or already is) a zombie.
+        deadline = time.monotonic() + 5.0
+        while _proc_state(peer.pid) != b"Z" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _proc_state(peer.pid) == b"Z"
+    finally:
+        killer.join(5.0)
+        t0.close()
+        peer.join(5.0)                      # reaped only now
+        fabric.close_all()
+
+
+def test_loopback_mark_closed_wakes_a_blocked_receive():
+    fabric = LoopbackFabric(2, deadline_s=30.0)
+    t1 = fabric.transport(1)
+    closer = threading.Timer(0.2, fabric.mark_closed, (0,))
+    closer.start()
+    start = time.monotonic()
+    with pytest.raises(PeerGone):
+        t1.recv(0, "barrier", 0, 0)
+    assert time.monotonic() - start < 1.0
+    closer.join(5.0)

@@ -152,7 +152,10 @@ def test_terminate_is_idempotent_and_orphan_free(backend):
     if gang.forks:
         # rank 2 stalled: SIGTERM queues, only KILL works
         os.kill(gang.process(2).pid, signal.SIGSTOP)
+    start = time.monotonic()
     gang.terminate()
+    # The stopped rank is SIGKILLed at once, not after a SIGTERM's wait.
+    assert time.monotonic() - start < 1.0
     gang.terminate()                         # second sweep: strict no-op
     for rank in range(4):
         assert not gang.process(rank).is_alive(), \

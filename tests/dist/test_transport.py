@@ -61,7 +61,7 @@ def test_recv_deadline_raises_collective_timeout():
     assert exc.value.op == 3
     assert exc.value.peer == 0
     assert "shard 0" in str(exc.value)
-    assert f"{exc.value.attempts} polls" in str(exc.value)
+    assert f"{exc.value.attempts} waits" in str(exc.value)
     assert "retry" not in str(exc.value)
 
 
@@ -88,6 +88,28 @@ def test_scramble_identity_preserves_fifo_order():
     assert [t1.recv(0, "reduce", 0, 0) for _ in range(3)] \
         == ["payload-0", "payload-1", "payload-2"]
     assert t1.out_of_order == 0
+
+
+def test_loopback_end_of_stream_follows_the_queued_frames():
+    # mark_closed ends rank 0's queues: what it sent before is read first,
+    # then PeerGone on every later read; the scramble hook only ever sees
+    # frames, even for a send the closed rank makes afterwards.
+    seen = []
+
+    def scramble(src, dst, pending):
+        seen.extend(pending)
+        return list(pending)
+
+    fabric = LoopbackFabric(2, deadline_s=5.0, scramble=scramble)
+    t0, t1 = fabric.transport(0), fabric.transport(1)
+    t0.send(1, "reduce", 0, 0, "before")
+    fabric.mark_closed(0)
+    t0.send(1, "reduce", 0, 1, "after")      # nothing is read past the end
+    assert t1.recv(0, "reduce", 0, 0) == "before"
+    for _ in range(2):
+        with pytest.raises(PeerGone):
+            t1.recv(0, "reduce", 0, 1)
+    assert seen and all(isinstance(item, bytes) for item in seen)
 
 
 def test_scramble_identity_is_byte_identical_on_the_wire():

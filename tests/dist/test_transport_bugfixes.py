@@ -2,8 +2,6 @@
 
 Each test here failed before its fix:
 
-* the recv poll backoff never reset after a successful poll, so a burst
-  of buffered frames was consumed at the capped idle interval;
 * ``PeerGone`` / ``CollectiveTimeout`` raised from inside the poll loop
   carried a generic ``("recv", 0)`` tag and a hardcoded attempt count,
   so failure attribution pointed at the wrong collective;
@@ -16,8 +14,7 @@ Each test here failed before its fix:
 import pytest
 
 from repro.dist.frames import Frame, encode_frame
-from repro.dist.transport import (POLL_BASE_S, POLL_CAP_S, LoopbackFabric,
-                                  PeerGone,
+from repro.dist.transport import (LoopbackFabric, PeerGone,
                                   ReorderWindowExceeded, SharedMemFabric,
                                   TCPFabric, TransportError)
 from repro.faults.injector import CollectiveTimeout
@@ -36,61 +33,7 @@ class FakeClock:
         self.now += dt
 
 
-# -- bugfix 1: backoff resets after a successful poll ------------------------
-
-
-def test_backoff_resets_after_successful_poll():
-    clock = FakeClock()
-    fabric = LoopbackFabric(2, deadline_s=1000.0, clock=clock)
-    t0, t1 = fabric.transport(0), fabric.transport(1)
-    real_poll = t1._poll_frame
-    timeouts = []
-
-    def scripted_poll(src, timeout_s):
-        # Simulate the sleep so the fake deadline still moves, then
-        # script the wire: 5 idle polls (backoff grows), one successful
-        # poll of a *different* tag, then the requested frame.
-        timeouts.append(timeout_s)
-        clock.advance(timeout_s)
-        k = len(timeouts)
-        if k <= 5:
-            return None
-        if k == 6:
-            t0.send(1, "allgather", 0, 99, "other-tag")
-        elif k == 7:
-            t0.send(1, "allreduce", 0, 0, "wanted")
-        return real_poll(src, 0.001)
-
-    t1._poll_frame = scripted_poll
-    assert t1.recv(0, "allreduce", 0, 0) == "wanted"
-    # Idle polls back off geometrically...
-    assert timeouts[0] == POLL_BASE_S
-    assert timeouts[4] > timeouts[0]
-    assert all(b >= a for a, b in zip(timeouts[:5], timeouts[1:5]))
-    # ...and the successful poll at k=6 resets the next interval to the
-    # base, instead of leaving it at the inflated idle value (the bug).
-    assert timeouts[6] == POLL_BASE_S
-
-
-def test_backoff_still_capped_while_idle():
-    clock = FakeClock()
-    fabric = LoopbackFabric(2, deadline_s=10.0, clock=clock)
-    t1 = fabric.transport(1)
-    timeouts = []
-
-    def idle_poll(src, timeout_s):
-        timeouts.append(timeout_s)
-        clock.advance(timeout_s)
-        return None
-
-    t1._poll_frame = idle_poll
-    with pytest.raises(CollectiveTimeout):
-        t1.recv(0, "barrier", 0, 0)
-    assert max(timeouts) <= POLL_CAP_S
-    assert timeouts[-1] == pytest.approx(POLL_CAP_S, rel=0.5)
-
-
-# -- bugfix 2: failures carry the caller's tag and real attempt count --------
+# -- bugfix 1: failures carry the caller's tag and real attempt count --------
 
 
 def test_timeout_carries_callers_tag_and_attempt_count():
@@ -109,8 +52,10 @@ def test_timeout_carries_callers_tag_and_attempt_count():
         t1.recv(0, "allgather", 11, 3)
     assert exc.value.kind == "allgather"     # not a generic ("recv", 0)
     assert exc.value.op == 11
-    assert exc.value.attempts == len(polls)  # the real poll count
-    assert exc.value.attempts > 1
+    assert exc.value.attempts == len(polls)  # the real wait count
+    # Each wait is handed the whole remaining deadline, so one wait that
+    # comes back empty at the deadline is enough to time out.
+    assert exc.value.attempts >= 1
 
 
 def test_peer_gone_carries_callers_tag_and_attempt_count():
@@ -135,7 +80,7 @@ def test_send_to_dead_peer_carries_callers_tag():
     assert exc.value.op == 9
 
 
-# -- bugfix 3: use-after-close raises instead of silently proceeding ---------
+# -- bugfix 2: use-after-close raises instead of silently proceeding ---------
 
 
 @pytest.mark.parametrize("kind", ["loopback", "shm", "tcp"])
@@ -174,7 +119,7 @@ def test_shm_frames_committed_before_close_are_not_lost():
     t0, t1 = fabric.transports()
     try:
         t0.send(1, "bench", 1, 0, "final-ack")
-        t0.close()                       # marks rank 0 closed on the board
+        t0.close()                       # rank 0's doorbells read EOF
         assert t1.recv(0, "bench", 1, 0) == "final-ack"
         with pytest.raises(PeerGone):
             t1.recv(0, "bench", 1, 1)
@@ -183,7 +128,7 @@ def test_shm_frames_committed_before_close_are_not_lost():
         fabric.close_all()
 
 
-# -- bugfix 4: the out-of-order window is bounded ----------------------------
+# -- bugfix 3: the out-of-order window is bounded ----------------------------
 
 
 def test_reorder_window_overflow_raises_structured_error():

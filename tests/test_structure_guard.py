@@ -85,11 +85,18 @@
   ran a heartbeat plane (a ticker thread per worker, a driver pump
   polling every channel into mailboxes, a phi monitor), and a second
   one-shot driver (``DistRunner``) sat beside the one-job serving gang;
-  the last test fails if any of that grows back.
+  the next test fails if any of that grows back.
+* One wait and one death signal.  Every fabric's receive blocks until a
+  frame, the peer's end-of-stream or the deadline.  The shm fabric once
+  slept 0.2 ms per empty look at its ring and found dead peers through a
+  shared-memory status board of pids read from ``/proc``, and a
+  geometric poll backoff sat above all three fabrics; the last test
+  fails if any of that grows back.
 """
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 LAUNCHER = "dist/gang.py"
@@ -467,8 +474,8 @@ def test_transports_take_no_retry_config():
                  or (isinstance(node, ast.Attribute) and node.attr == "retry")
                  or "RetryConfig" in _names(node)]
     assert not offenders, (
-        "the recv poll schedule is a module constant and its deadline "
-        "raises CollectiveTimeout; nothing retransmits:\n  "
+        "a receive waits for a frame, end-of-stream or its deadline, "
+        "which raises CollectiveTimeout; nothing retransmits:\n  "
         + "\n  ".join(offenders))
 
 
@@ -818,3 +825,44 @@ def test_the_heartbeat_plane_and_the_second_job_driver_stay_deleted():
         "a serving gang's liveness is its result channels under one "
         "silence budget, and a one-job ServiceGang is the one-shot "
         "driver:\n  " + "\n  ".join(offenders))
+
+
+# -- one wait and one death signal on every fabric ----------------------------
+
+
+def _sleeps_by_function(tree: ast.AST):
+    """``(qualified function name, lineno)`` of every ``sleep(...)`` call."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                yield from walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == "sleep":
+                yield ".".join(scope), child.lineno
+            yield from walk(child, scope)
+    return list(walk(tree, ()))
+
+
+def test_the_fabric_poll_plane_stays_deleted():
+    gone = {"_ShmStatus", "POLL_BASE_S", "POLL_CAP_S", "POLL_FACTOR",
+            "LIVENESS_INTERVAL_S", "_next_liveness"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    offenders += [f"{rel}:{node.lineno}: reads {node.value!r}"
+                  for rel, tree in _trees(("dist/",))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.search(r"/proc\b", node.value)]
+    (_, tree), = _trees(("dist/transport.py",))
+    offenders += [f"dist/transport.py:{line}: sleep in {where}"
+                  for where, line in _sleeps_by_function(tree)
+                  if where != "_SharedMemTransport._send_frame"]
+    assert not offenders, (
+        "a receive blocks in select or Queue.get until a frame, the peer's "
+        "end-of-stream or its deadline, and a dead peer is end-of-stream "
+        "on every fabric; only a send stalled on a full shm ring "
+        "sleeps:\n  " + "\n  ".join(offenders))
