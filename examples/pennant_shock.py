@@ -5,10 +5,14 @@ Runs the functional staggered-grid Lagrangian hydro solver (the mini
 version of the paper's Pennant application, §5.1) replicated over shards,
 verifies it against a plain-NumPy reference, prints the analysis report
 from `repro.tools`, and writes the coarse dependence graph as Graphviz DOT
-(the machine-drawn analogue of the paper's Fig. 10).
+(the machine-drawn analogue of the paper's Fig. 10) into the temporary
+directory (``$TMPDIR``, else ``/tmp``).
 
 Run:  python examples/pennant_shock.py
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -38,7 +42,7 @@ if __name__ == "__main__":
     print("\n" + analyze_run(runtime).render())
 
     dot = coarse_graph_dot(runtime.coarse_result())
-    out = "/tmp/pennant_coarse.dot"
+    out = os.path.join(tempfile.gettempdir(), "pennant_coarse.dot")
     with open(out, "w") as fh:
         fh.write(dot)
     print(f"\ncoarse dependence graph written to {out} "

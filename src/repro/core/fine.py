@@ -21,12 +21,16 @@ the point tasks in analysis order; the graph, the shard-local and
 cross-shard edge sets and a record's in-edges are views derived from them
 on demand.  The soundness check (:meth:`FineAnalysis.uncovered_cross_edges`)
 is one walk over the tasks' predecessors that tests each cross-shard one
-against the fences, so it builds no edge set either.
+against the fences, so it builds no edge set either; it classes each pair
+of requirement tuples once, and the launches of a shape share theirs.
 
 Launch granularity: the points of a group launch are pairwise
-independent, so a fresh launch is analysed as one unit.  Its point→shard
-assignment comes from one memo per (sharding id, launch domain) owned by
-the instance, and its point tasks are built in one call.  It enters each
+independent, so a fresh launch is analysed as one unit.  What a launch
+derives from its shape alone — points and shards, each requirement's
+point requirements and launch class, each point's requirement tuple and
+the field plan — is one :class:`LaunchPlan`, kept by the instance per
+(the front door's ``coarse_reqs`` tuple, launch domain, sharding), and
+its point tasks are built in one call from the plan's tuples.  It enters each
 (requirement, field) epoch as **one entry** holding its points' users and
 requirements, bucketed by the requirement's *launch class* — the interned
 tuple of the points' class ids.  The epochs are walked once per
@@ -56,7 +60,7 @@ stays as a smaller entry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..obs.profiler import Profiler, get_profiler
 from ..oracle import RegionRequirement, requirements_conflict
@@ -67,6 +71,8 @@ from .operation import Operation, PointTask
 from .taskgraph import PointGraph
 
 __all__ = ["FineResult", "FineAnalysis"]
+
+_MAX_PLANS = 1 << 12     # a full plan memo is cleared: recomputation only
 
 
 class FineResult:
@@ -125,6 +131,60 @@ def _classes_conflict(breq: RegionRequirement, _bregion: LogicalRegion,
     return requirements_conflict(breq, qreq)
 
 
+# Per requirement: (privilege, its (tree id, field id) state keys in fid
+# order, a group write through a disjoint partition, another write).
+_Field = Tuple[Any, Tuple[Tuple[int, int], ...], bool, bool]
+
+
+class LaunchPlan:
+    """What every launch of one shape derives alike, derived once.
+
+    A shape is a call-site's coarse requirements (the one tuple the front
+    door hands to each of its launches), the launch domain and the
+    sharding (the owner shard of an individual launch).  The plan holds
+    the points and each point's shard, the per-shard counts, each
+    requirement's point requirements (``launch``) and launch class, each
+    point's requirement tuple (``reqs``, which its point task carries) and
+    the per-requirement field plan.  Because every launch of a shape hands
+    its point tasks the same requirement tuples, the soundness walk's
+    per-pair memo hits across launches.  ``singles`` is, for a launch of
+    several points with a write outside a disjoint partition, each
+    point's width-1 requirements and launch classes (such a launch enters
+    point by point), and None otherwise.
+    """
+
+    __slots__ = ("coarse_reqs", "points", "shards", "counts", "launch",
+                 "lcids", "reqs", "fields", "singles")
+
+    def __init__(self, table: ClassTable, coarse_reqs: Tuple, group: bool,
+                 points: Tuple, shards: Tuple[int, ...],
+                 counts: Tuple[Tuple[int, int], ...],
+                 launch: List[Tuple[RegionRequirement, ...]],
+                 reqs: List[Tuple[RegionRequirement, ...]]) -> None:
+        self.coarse_reqs = coarse_reqs      # keeps the key's id taken
+        self.points = points
+        self.shards = shards
+        self.counts = counts
+        self.launch = launch
+        self.lcids = [table.launch_class(r) for r in launch]
+        self.reqs = reqs
+        fields = []
+        for cr in coarse_reqs:
+            writes = cr.privilege.writes
+            grouped = writes and group and isinstance(cr.upper, Partition) \
+                and cr.upper.disjoint
+            tree_id = cr.bound_region().tree_id
+            fields.append((cr.privilege,
+                           tuple([(tree_id, fid) for fid in sorted_fids(cr)]),
+                           grouped, writes and not grouped))
+        self.fields: Tuple[_Field, ...] = tuple(fields)
+        self.singles = None
+        if len(reqs) > 1 and any(f[3] for f in fields):
+            self.singles = [([(req,) for req in point],
+                             [table.single(req, req.region) for req in point])
+                            for point in reqs]
+
+
 class FineAnalysis:
     """Incremental precise analysis over expanded point tasks.
 
@@ -143,52 +203,56 @@ class FineAnalysis:
         # field ids) of each side: that triple is the requirement class.
         self._classes = ClassTable("_fine_cid", _class_key, _classes_conflict)
         self._state: Dict[Tuple[int, int], FieldState] = {}
-        # (sharding id, launch domain) -> (each point's shard, (shard,
-        # points) in first-appearance order): sharding functions are pure.
-        self._shards: Dict[Tuple[int, Tuple], Tuple[Tuple[int, ...],
-                                                    Tuple[Tuple[int, int],
-                                                          ...]]] = {}
+        # (id of the coarse requirements, launch domain, sharding id or
+        # owner shard) -> the launch's plan; each plan holds its coarse
+        # requirements, so no id in a key passes to another tuple.
+        self._plans: Dict[Tuple, LaunchPlan] = {}
 
-    def _assignment(self, op: Operation
-                    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-        """The shard of each of ``op``'s points and the points per shard,
-        evaluated once per (sharding function, launch domain)."""
-        dom = op.launch_domain
-        if dom is None:
-            shard = op.owner_shard % self.num_shards
-            return (shard,), ((shard, 1),)
-        sharding = op.sharding
-        key = (sharding.sid, dom)
-        hit = self._shards.get(key)
-        if hit is None:
-            n, width = len(dom), self.num_shards
-            shards = tuple([sharding(p, n, width) for p in dom])
-            counts: Dict[int, int] = {}
+    def _plan(self, op: Operation) -> LaunchPlan:
+        """``op``'s :class:`LaunchPlan`, derived once per launch shape: the
+        front door hands one ``coarse_reqs`` tuple to every launch of a
+        call-site shape, and sharding functions are pure.  A full memo is
+        cleared, which costs recomputation only."""
+        coarse_reqs, dom = op.coarse_reqs, op.launch_domain
+        key = (id(coarse_reqs), dom,
+               op.owner_shard if dom is None else op.sharding.sid)
+        plan = self._plans.get(key)
+        if plan is None:
+            points = op.points()
+            if dom is None:
+                shard = op.owner_shard % self.num_shards
+                shards: Tuple[int, ...] = (shard,)
+            else:
+                sharding, n, width = op.sharding, len(dom), self.num_shards
+                shards = tuple([sharding(p, n, width) for p in dom])
+            tally: Dict[int, int] = {}
             for shard in shards:
-                counts[shard] = counts.get(shard, 0) + 1
-            hit = self._shards[key] = (shards, tuple(counts.items()))
-        return hit
+                tally[shard] = tally.get(shard, 0) + 1
+            # Each requirement's point requirements, in point order: the
+            # launch's users for that requirement.
+            launch = [cr.point_requirements(points, dom or ())
+                      for cr in coarse_reqs]
+            reqs = list(zip(*launch)) if launch else [()] * len(points)
+            if len(self._plans) >= _MAX_PLANS:
+                self._plans.clear()
+            plan = self._plans[key] = LaunchPlan(
+                self._classes, coarse_reqs, op.is_group, points, shards,
+                tuple(tally.items()), launch, reqs)
+        return plan
 
     def analyze(self, op: Operation) -> List[PointTask]:
-        shards, counts = self._assignment(op)
-        points = op.points()
-        dom = op.launch_domain or ()
-        # Each requirement's point requirements, in point order: the
-        # launch's users for that requirement.
-        launch = [cr.point_requirements(points, dom) for cr in op.coarse_reqs]
-        tasks = PointTask.launch(op, points, shards, list(zip(*launch))
-                                 if launch else [()] * len(points))
+        plan = self._plan(op)
+        tasks = PointTask.launch(op, plan.points, plan.shards, plan.reqs)
         tally = self.result.points_per_shard
-        for shard, n in counts:
+        for shard, n in plan.counts:
             tally[shard] = tally.get(shard, 0) + n
-        lcids = [self._classes.launch_class(reqs) for reqs in launch]
         # Points within one group launch are pairwise independent (the
         # group-launch well-formedness condition, which Context.index_launch
         # checks at the call), so they are analyzed against prior state
         # only: the whole group is one arrival, and the epochs are walked
         # once per (requirement, field).
-        self._analyze_launch(op, tasks, counts, launch, lcids)
-        self._update(op, tasks, launch, lcids)
+        self._analyze_launch(op, tasks, plan)
+        self._update(op, tasks, plan)
         edges, cross = self.admit(tasks)
         prof = self.profiler
         if prof.enabled:
@@ -221,13 +285,18 @@ class FineAnalysis:
 
         Keeps post-trace analysis correct: later operations must find the
         replayed writers/readers in the epochs, or they would silently
-        order themselves against pre-trace state.
+        order themselves against pre-trace state.  The tasks carry their
+        recording's requirements, which the plan is built from here.
         """
-        self._update(op, tasks)
+        if not tasks:
+            return
+        reqs = [t.requirements for t in tasks]
+        self._update(op, tasks, LaunchPlan(
+            self._classes, op.coarse_reqs, op.is_group, (), (), (),
+            list(zip(*reqs)), reqs))
 
     def _update(self, op: Operation, tasks: List[PointTask],
-                launch: Optional[List[Tuple[RegionRequirement, ...]]] = None,
-                lcids: Optional[List[int]] = None) -> None:
+                plan: LaunchPlan) -> None:
         """Enter an operation's points into the epochs, one entry per
         (requirement, field), and retire what they dominate.
 
@@ -248,58 +317,39 @@ class FineAnalysis:
         partition retires point by point, so it enters point by point, in
         the order the points retire.
         """
-        if not tasks:
-            return
-        table = self._classes
-        if launch is None:
-            launch = list(zip(*[t.requirements for t in tasks]))
-            lcids = [table.launch_class(reqs) for reqs in launch]
-        coarse_reqs = op.coarse_reqs
-        grouped = [k for k, cr in enumerate(coarse_reqs)
-                   if cr.privilege.writes and isinstance(cr.upper, Partition)
-                   and cr.upper.disjoint] if op.is_group else []
-        single = [k for k, cr in enumerate(coarse_reqs)
-                  if cr.privilege.writes and k not in grouped]
-        if single and len(tasks) > 1:
-            for task in tasks:
-                reqs = task.requirements
-                self._enter(op, (task,), [(req,) for req in reqs],
-                            [table.single(req, req.region) for req in reqs],
-                            single)
+        fields = plan.fields
+        singles = plan.singles
+        if singles is not None:
+            for task, (launch, lcids) in zip(tasks, singles):
+                self._enter(op, (task,), launch, lcids, fields)
         else:
-            self._enter(op, tuple(tasks), launch, lcids, single)
-        if not grouped:
-            return
-        own = {id(t) for t in tasks}
+            self._enter(op, tuple(tasks), plan.launch, plan.lcids, fields)
+        own = None
         states = self._state
-        for k in grouped:
-            cr = coarse_reqs[k]
-            tree_id = cr.upper.parent_region.tree_id
-            lcid = lcids[k]
-            for fid in sorted_fids(cr):
-                states[(tree_id, fid)].retire(~lcid, lcid, own)
+        for (_priv, keys, grouped, _single), lcid in zip(fields, plan.lcids):
+            if grouped:
+                if own is None:
+                    own = {id(t) for t in tasks}
+                for key in keys:
+                    states[key].retire(~lcid, lcid, own)
 
     def _enter(self, op: Operation, users: Tuple[PointTask, ...],
-               launch, lcids: List[int], single: List[int]) -> None:
+               launch, lcids: List[int], fields: Tuple[_Field, ...]) -> None:
         """Enter ``users`` as one entry per (requirement, field) state,
-        making the states on first use; a write of a requirement in
-        ``single`` first retires under its one region."""
+        making the states on first use; a write the field plan marks
+        single first retires under its one region."""
         states = self._state
-        for k, (cr, reqs, lcid) in enumerate(zip(op.coarse_reqs, launch,
-                                                 lcids)):
-            region = reqs[0].region
-            bound = region if k in single else None
-            tree_id = region.tree_id
-            for fid in sorted_fids(cr):
-                state = states.get((tree_id, fid))
+        for (_priv, keys, _grouped, single), reqs, lcid in zip(fields, launch,
+                                                               lcids):
+            bound = reqs[0].region if single else None
+            for key in keys:
+                state = states.get(key)
                 if state is None:
-                    state = states[(tree_id, fid)] = FieldState(self._classes)
+                    state = states[key] = FieldState(self._classes)
                 state.update(op, users, reqs, lcid, bound)
 
     def _analyze_launch(self, op: Operation, tasks: List[PointTask],
-                        counts: Tuple[Tuple[int, int], ...],
-                        launch: List[Tuple[RegionRequirement, ...]],
-                        lcids: List[int]) -> None:
+                        plan: LaunchPlan) -> None:
         """Find every point's dependences on the prior epoch state in one
         walk per (requirement, field, probed epoch).
 
@@ -311,13 +361,13 @@ class FineAnalysis:
         states = self._state
         deps: List[Optional[Set[PointTask]]] = [None] * len(tasks)
         scanned = 0
-        for cr, reqs, lcid in zip(op.coarse_reqs, launch, lcids):
-            tree_id = reqs[0].region.tree_id
-            for fid in sorted_fids(cr):
-                state = states.get((tree_id, fid))
+        for (priv, keys, _grouped, _single), lcid in zip(plan.fields,
+                                                         plan.lcids):
+            for key in keys:
+                state = states.get(key)
                 if state is None:
                     continue
-                for epoch, reduce_only in state.probes(cr.privilege):
+                for epoch, reduce_only in state.probes(priv):
                     if not epoch._size:
                         continue
                     n, found = epoch.match(op, lcid, reduce_only)
@@ -332,7 +382,7 @@ class FineAnalysis:
                                 d.add(users[j])
         if scanned:
             scans = self.result.scans_per_shard
-            for shard, n in counts:
+            for shard, n in plan.counts:
                 scans[shard] = scans.get(shard, 0) + scanned * n
         for task, d in zip(tasks, deps):
             if d:
@@ -356,9 +406,10 @@ class FineAnalysis:
         """
         covers = coarse.fences.covers_fids
         probes_of = self._classes.probes
-        # A replay's tasks carry their recording's requirement tuples, so
-        # each recorded pair of tuples is classed once per walk (every task
-        # is alive throughout, so the ids are stable).
+        # Every launch of a shape hands its points the plan's requirement
+        # tuples, and a replay the recorded ones, so each pair of tuples
+        # is classed once per walk (every task is alive throughout, so the
+        # ids are stable).
         seen: Dict[Tuple[int, int], List] = {}
         bad = []
         for task in self.result.tasks:

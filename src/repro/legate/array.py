@@ -39,6 +39,8 @@ from .views import ViewSpec, choose_tiling
 
 __all__ = ["LegateContext", "LegateArray"]
 
+_MAX_ARGS = 1 << 10      # elementwise args tuples held per context
+
 
 def _slice_bounds(key, shape: Tuple[int, ...]):
     """Normalize a getitem/setitem key into per-dim [lo, stop) bounds."""
@@ -84,6 +86,7 @@ class LegateContext:
         self._domains: dict = {}
         self._key_parts: dict = {}
         self._canon: dict = {}
+        self._args: dict = {}
         hook = getattr(ctx.runtime, "add_drain_hook", None)
         if hook is not None:
             hook(self.fields.flush)
@@ -137,9 +140,11 @@ class LegateContext:
     def _canonical(self, value: Tuple) -> Tuple:
         """The one tuple equal to ``value`` this context hands to launches.
 
-        Only for the frontend's own kinds, task specs and tile shapes,
-        whose members are strings, ints and ``None``: equal values encode
-        identically there, so keying by ``==`` is safe.
+        Only for the frontend's own kinds, task specs and tile shapes, and
+        args tuples made of them and of kernel codes, whose members are
+        strings, ints and ``None``: equal values encode identically there,
+        so keying by ``==`` is safe.  Args with a float go through
+        :meth:`_elementwise_args` or stay fresh.
         """
         return self._canon.setdefault(value, value)
 
@@ -201,9 +206,25 @@ class LegateContext:
         specs = self._canonical(tuple([v.view.task_spec() for v in views]))
         self.ctx.index_launch(ops.elementwise_body,
                               self._domain(len(tiling)), reqs,
-                              args=(code, self._canonical(tuple(kinds)),
-                                    specs, tuple(scalars)))
+                              args=self._elementwise_args(
+                                  code, self._canonical(tuple(kinds)), specs,
+                                  scalars))
         return out
+
+    def _elementwise_args(self, code: str, kinds: Tuple, specs: Tuple,
+                          scalars: Sequence[float]) -> Tuple:
+        """The one args tuple this context hands to every elementwise
+        launch of (code, kinds, specs, scalars), so the hasher's skeleton
+        serves it.  Scalars are keyed by ``float.hex``, which tells -0.0
+        from 0.0 (``==`` does not) exactly as their encoding does; the
+        memo is cleared when full, as scalars may differ at every call."""
+        key = (code, kinds, specs, tuple([s.hex() for s in scalars]))
+        args = self._args.get(key)
+        if args is None:
+            if len(self._args) >= _MAX_ARGS:
+                self._args.clear()
+            args = self._args[key] = (code, kinds, specs, tuple(scalars))
+        return args
 
 
 class LegateArray:
@@ -342,7 +363,7 @@ class LegateArray:
             ops.setitem_body, self.lg._domain(len(tiling)),
             [(dst._partition(tiling), "v", "rw"),
              (src._partition(tiling), "v", "ro")],
-            args=(src._task_spec(),))
+            args=self.lg._canonical((src._task_spec(),)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -464,7 +485,8 @@ class LegateArray:
         fm = self.lg.ctx.index_launch(
             ops.reduce_tile_body, self.lg._domain(len(tiling)),
             [(self._partition(tiling), "v", "ro")],
-            args=(code, self._task_spec(), self._tile_shapes(tiling)))
+            args=self.lg._canonical(
+                (code, self._task_spec(), self._tile_shapes(tiling))))
         if code == "sum":
             return fm.reduce(lambda a, b: a + b)
         return fm.reduce(max if code == "max" else min)
@@ -483,12 +505,13 @@ class LegateArray:
             ops.axis0_partial_body, self.lg._domain(ntiles),
             [(partials._partition(prow), "v", "wd"),
              (self._partition(tiling), "v", "ro")],
-            args=(code, self._task_spec(), self._tile_shapes(tiling)))
+            args=self.lg._canonical(
+                (code, self._task_spec(), self._tile_shapes(tiling))))
         self.lg.fields.note_launch()
         self.lg.ctx.launch(
             ops.axis0_combine_body,
             [(partials.region, "v", "ro"), (out.region, "v", "wd")],
-            args=(code,))
+            args=self.lg._canonical((code,)))
         partials.free()
         return out
 
@@ -512,7 +535,8 @@ class LegateArray:
             ops.rowsum_body, self.lg._domain(len(tiling)),
             [(out._partition(out._tiling()), "v", "wd"),
              (self._partition(tiling), "v", "ro")],
-            args=(self._task_spec(), self._tile_shapes(tiling)))
+            args=self.lg._canonical(
+                (self._task_spec(), self._tile_shapes(tiling))))
         return out
 
     def max(self, axis: Optional[int] = None):
@@ -548,8 +572,8 @@ class LegateArray:
             ops.dot_tile_body, self.lg._domain(len(tiling)),
             [(self._partition(tiling), "v", "ro"),
              (other._partition(tiling), "v", "ro")],
-            args=(self._task_spec(), other._task_spec(),
-                  self._tile_shapes(tiling)))
+            args=self.lg._canonical((self._task_spec(), other._task_spec(),
+                                     self._tile_shapes(tiling))))
         return fm.reduce(lambda a, b: a + b)
 
     # -- linear algebra ------------------------------------------------------
@@ -572,7 +596,7 @@ class LegateArray:
             [(out._partition(out._tiling()), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (vec_d.region, "v", "ro")],
-            args=(mat._task_spec(),))
+            args=self.lg._canonical((mat._task_spec(),)))
         return out
 
     def rmatvec(self, vec: "LegateArray") -> "LegateArray":
@@ -599,7 +623,8 @@ class LegateArray:
             [(partials._partition(prow), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (vecb._partition(vtiling), "v", "ro")],
-            args=(mat._task_spec(), vecb._task_spec()))
+            args=self.lg._canonical((mat._task_spec(),
+                                     vecb._task_spec())))
         self.lg.fields.note_launch()
         self.lg.ctx.launch(
             ops.rmatvec_combine_body,
@@ -626,7 +651,7 @@ class LegateArray:
             [(out._partition(out._tiling(row_only=True)), "v", "wd"),
              (mat._partition(tiling), "v", "ro"),
              (rhs.region, "v", "ro")],
-            args=(mat._task_spec(),))
+            args=self.lg._canonical((mat._task_spec(),)))
         return out
 
     # -- export --------------------------------------------------------------

@@ -51,6 +51,15 @@ __all__ = ["Runtime", "Context", "RegionArg"]
 #: One shared deadline for every replica of a gang backend to report.
 REPLICA_TIMEOUT_S = 120.0
 
+
+def _as_hashed(values: Sequence[Any]) -> Sequence[Any]:
+    """A launch's ``args`` or ``future_args`` as the call hashes them: a
+    tuple as it is, so one the caller hands over again is encoded from the
+    hasher's skeleton, anything else as a list of its items.  Both encode
+    as ``T(...)``, so the digest does not depend on which was given."""
+    return values if type(values) is tuple else list(values)
+
+
 class RegionArg:
     """What a task body receives for one region requirement.
 
@@ -642,10 +651,13 @@ class Context:
         on a value (Fig. 5's ``launch_task1(precondition=future)``): the
         future is resolved by the time the task body runs, and the argument
         is hashed by *handle*, not value, so shards stay deterministic.
+        ``args`` and ``future_args`` are hashed as given: a tuple as it is,
+        so a caller that hands over the same tuple again has its bytes
+        reused by the hasher's skeleton, anything else as a list.
         """
         key, coarse_reqs, desc, _ = self._door.lower(fn, reqs, False)
-        self._record("launch", key, desc, list(args), list(future_args),
-                     owner_shard)
+        self._record("launch", key, desc, _as_hashed(args),
+                     _as_hashed(future_args), owner_shard)
         def do() -> Future:
             op = Operation(
                 "task",
@@ -671,13 +683,14 @@ class Context:
         the coarse analysis cost independent of the number of points.
         ``future_args`` behave as in :meth:`launch`.  A tuple domain is
         hashed as it is (a frontend hands the same one over and over);
-        any other is hashed as a list of its points.
+        any other is hashed as a list of its points.  ``args`` and
+        ``future_args`` are hashed the same way.
         """
         key, coarse_reqs, desc, domain = self._door.index_launch(
             fn, domain, reqs)
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
-        self._record("index_launch", key, domain, desc, list(args),
-                     list(future_args), sharding.sid)
+        self._record("index_launch", key, domain, desc, _as_hashed(args),
+                     _as_hashed(future_args), sharding.sid)
         def do() -> FutureMap:
             op = Operation(
                 "task",

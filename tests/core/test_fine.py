@@ -1,5 +1,7 @@
 """Fine-stage analysis: precise point graphs and fence-elision soundness."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -282,3 +284,79 @@ class TestUncoveredCrossEdgesCheck:
             coarse.result.fences.clear()
             coarse.result.fences.append(bad)
             assert fine.uncovered_cross_edges(coarse.result)
+
+
+def _touch(*_args):
+    pass
+
+
+def _relaunch_after_delete(ctx):
+    """Two launch shapes, each launched before and after a ``delete_field``
+    of a field neither names."""
+    fs = ctx.create_field_space([("a", "f8"), ("b", "f8"), ("c", "f8")],
+                                "fs")
+    cells = ctx.create_region(ctx.create_index_space(16), fs, "cells")
+    owned = ctx.partition_equal(cells, 4, name="owned")
+    ghost = ctx.partition_ghost(cells, owned, 1, name="ghost")
+    ctx.fill(cells, ["a", "b", "c"], 1.0)
+    for step in range(2):
+        if step:
+            ctx.delete_field(cells, "b")
+        ctx.index_launch(_touch, range(4), [(owned, "a", "rw"),
+                                            (ghost, "c", "ro")])
+        ctx.index_launch(_touch, range(4), [(owned, "c", "rw"),
+                                            (ghost, "a", "ro")])
+
+
+def _products(rt):
+    from repro.core.pipeline import analysis_digest
+
+    pipeline = rt.pipeline
+    fine = pipeline.fine
+
+    def name(task):
+        return task.op.seq, task.point
+
+    preds = [(name(t), sorted(map(name, t.preds))) for t in fine.result.tasks]
+    uncovered = [(name(a), name(b)) for a, b in
+                 fine.uncovered_cross_edges(pipeline.coarse.result)]
+    return (preds, analysis_digest(pipeline.coarse_result,
+                                   pipeline.fine_result), uncovered)
+
+
+class TestLaunchPlans:
+    """A launch shape's plan is keyed by the front door's coarse
+    requirements, so whatever clears the lowering memo gives the next
+    launch a fresh plan, and reusing a plan changes no product."""
+
+    def test_a_field_deletion_gives_the_next_launch_a_fresh_plan(self):
+        from repro.runtime import Runtime
+
+        rt = Runtime(num_shards=2)
+        rt.execute(_relaunch_after_delete)
+        ops = [r.op for r in rt.pipeline.records if r.op.is_group]
+        assert len(ops) == 4
+        # each shape is lowered anew after the deletion ...
+        assert ops[2].coarse_reqs is not ops[0].coarse_reqs
+        assert ops[3].coarse_reqs is not ops[1].coarse_reqs
+        plans = rt.pipeline.fine._plans.values()
+        assert {id(p.coarse_reqs) for p in plans} >= \
+            {id(op.coarse_reqs) for op in ops}
+        # ... and its points carry the fresh plan's requirement tuples
+        first, again = ([t.requirements for t in rt.pipeline.fine.result.tasks
+                         if t.op is op] for op in (ops[0], ops[2]))
+        assert first == again
+        assert all(a is not b for a, b in zip(first, again))
+
+        planned = _products(rt)
+        plan = FineAnalysis._plan
+
+        def unplanned(fine, op):
+            fine._plans.clear()         # every launch derives its own plan
+            return plan(fine, op)
+
+        with mock.patch.object(FineAnalysis, "_plan", unplanned):
+            fresh = Runtime(num_shards=2)
+            fresh.execute(_relaunch_after_delete)
+        assert planned == _products(fresh)
+        assert planned[0] and planned[2] == []

@@ -95,3 +95,59 @@ def test_determinism_digests_ignore_earlier_work(backend):
             rt.execute(fn, *args)
             assert _streams(rt) == pinned[fn.__name__, str(shards)], \
                 (fn.__name__, shards)
+
+
+def _read(_a, *_args):
+    return 1.0
+
+
+def _scale(_point, _a, *_args):
+    pass
+
+
+def _launches(as_given):
+    """A program whose launches pass ``args`` and ``future_args`` through
+    ``as_given`` (``list`` or ``tuple``)."""
+    def control(ctx):
+        fs = ctx.create_field_space([("a", "f8")], "fs")
+        cells = ctx.create_region(ctx.create_index_space(8), fs, "cells")
+        halves = ctx.partition_equal(cells, 2, name="halves")
+        ctx.fill(cells, "a", 1.0)
+        for step in range(3):
+            total = ctx.launch(_read, [(cells, "a", "ro")],
+                               args=as_given([step, 0.5]))
+            ctx.index_launch(_scale, range(2), [(halves, "a", "rw")],
+                             args=as_given([(step, "x"), -0.0]),
+                             future_args=as_given([total]))
+    return control
+
+
+def test_list_and_tuple_arguments_hash_alike():
+    """A launch hashes its ``args`` and ``future_args`` as given, a tuple
+    without a copy: a list and a tuple of the same items encode alike."""
+    streams = []
+    for as_given in (list, tuple):
+        rt = Runtime(num_shards=2)
+        rt.execute(_launches(as_given))
+        streams.append(rt.determinism_digests())
+    assert streams[0] == streams[1]
+
+
+def test_signed_zero_scalars_hash_apart():
+    """The frontend hands one args tuple per elementwise (code, operands,
+    scalars), keyed by each scalar's ``float.hex``: after ``x + 0.0``,
+    ``x + -0.0`` still hashes its own scalar."""
+    from repro.legate import LegateContext
+
+    def streams(second):
+        def control(ctx):
+            lg = LegateContext(ctx, 2)
+            x = lg.zeros(8)
+            x + 0.0
+            x + second
+        rt = Runtime(num_shards=2)
+        rt.execute(control)
+        return rt.determinism_digests()
+
+    assert streams(0.0) == streams(0.0)
+    assert streams(-0.0) != streams(0.0)
