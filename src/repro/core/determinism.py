@@ -15,25 +15,23 @@ the culprit shard(s), which a serving gang's recovery reports
 Hashing detail: :meth:`ShardHasher.record` encodes a call's whole argument
 tree in one pass — scalars by value and type, containers recursively, and
 NumPy arrays at any depth by dtype, shape and a 128-bit digest of their
-bytes read in place, so the check never pays per element.  Raw Python
-identities differ between shards even for logically identical resources,
-so runtime resources (regions, partitions, fields, futures...) are
-*interned* into shard-local ids in first-use order, which control
-determinism makes identical across shards; any other object is interned
-the same way, i.e. by identity, not content.  The hasher holds every
-object it interned for as long as it lives, so a freed object's address
-never passes its id to a newcomer.
+bytes read in place, so the check never pays per element.  A runtime
+resource (region, partition, index or field space, future) is encoded by
+its ``structural_key``, its name by how the program built it
+(:class:`~repro.regions.LogicalRegion`), never by identity or a process
+counter; an unkeyed one raises ``TypeError``.  Any other object is
+encoded by its class's qualified name.
 
 The digest skeleton: a tuple whose members are only ``None``, ``bool``,
 ``int``, ``float``, ``str``, ``bytes`` (exactly those types, or
-``np.float64``), interned resources and tuples of the same encodes to
-bytes that cannot change while it is alive.  From its second sighting on, its bytes are reused, keyed by
-its identity — never by ``==``, under which ``1``, ``1.0`` and ``True``
-collide — and the hasher holds it.  The frontend hands the same launch
-domains, view specs and requirement descriptors over and over, so a
-repeated call encodes only its fresh values.  Lists, dicts, sets, arrays
-and subclasses are encoded anew every time, and so is any tuple holding
-one.
+``np.float64``), resources, other objects and tuples of the same encodes
+to bytes that cannot change while it is alive.  From its second sighting
+on, its bytes are reused, keyed by its identity — never by ``==``, under
+which ``1``, ``1.0`` and ``True`` collide — and the hasher holds it.  The
+frontend hands the same launch domains, view specs and requirement
+descriptors over and over, so a repeated call encodes only its fresh
+values.  Lists, dicts, sets, arrays and subclasses are encoded anew every
+time, and so is any tuple holding one.
 """
 
 from __future__ import annotations
@@ -226,8 +224,8 @@ class ControlDeterminismViolation(RuntimeError):
 
 #: Exact type -> how :meth:`ShardHasher._encode` encodes it.  A subclass
 #: (IntEnum, namedtuple, np.int64 ...) encodes as its first base listed
-#: here, in MRO order; ``object`` is a runtime resource, interned by first
-#: use.  ``np.float64`` is listed to keep ``tuple(array)`` off that walk.
+#: here, in MRO order; ``object`` is a resource (by its key) or any other
+#: object (by its class).  ``np.float64`` keeps ``tuple(array)`` off it.
 _KINDS = {type(None): "N", bool: "B", int: "I", float: "F", np.float64: "F",
           str: "S", bytes: "Y", tuple: "T", list: "T", dict: "D", set: "Z",
           frozenset: "Z", np.generic: "G", np.ndarray: "A", object: "R"}
@@ -241,7 +239,7 @@ _SEEN_LIMIT = 512
 
 
 class ShardHasher:
-    """Per-shard API-call hasher with resource interning.
+    """Per-shard API-call hasher.
 
     When a :class:`~repro.faults.FaultInjector` is attached, two fault
     sites live here: ``hash_flip`` perturbs the digest (and tags the
@@ -255,24 +253,12 @@ class ShardHasher:
                  injector: Optional[FaultInjector] = None):
         self.shard = shard
         self.injector = injector
-        self._intern: Dict[int, int] = {}
-        # Everything interned, in id order: holding the objects keeps
-        # CPython from handing a freed one's address to a newcomer.
-        self._held: List[Any] = []
         # The digest skeleton: id(tuple) -> (tuple, its bytes), for frozen
         # tuples seen at least twice; ``_seen`` holds those seen once.
         self._skeleton: Dict[int, Tuple[tuple, bytes]] = {}
         self._seen: Dict[int, tuple] = {}
         self.calls: List[int] = []          # 128-bit hashes, in call order
         self.descriptions: List[str] = []   # human-readable, for error messages
-
-    def intern(self, obj: Any) -> int:
-        """Shard-local id for a runtime resource, by first-use order."""
-        n = self._intern.get(id(obj))
-        if n is None:
-            n = self._intern[id(obj)] = len(self._held)
-            self._held.append(obj)
-        return n
 
     def _encode(self, value: Any, out: List[bytes]) -> bool:
         """Append the canonical byte encoding of ``value`` to ``out``.
@@ -299,7 +285,17 @@ class ShardHasher:
             kind = next(_KINDS[base] for base in cls.__mro__
                         if base in _KINDS)
         if kind == "R":
-            out.append(b"R" + str(self.intern(value)).encode())
+            # A resource by its key, its bytes cached on it (a key never
+            # changes once set); any other object (no such slot) by class.
+            key = getattr(value, "structural_bytes", cls)
+            if key is cls:
+                key = b"O" + cls.__qualname__.encode()
+            elif key is None:
+                if value.structural_key is None:
+                    raise TypeError(f"{value!r} has no structural key")
+                key = value.structural_bytes = \
+                    b"R" + repr(value.structural_key).encode()
+            out.append(key)
             return True
         if kind == "I":
             out.append(b"I" + str(value).encode())

@@ -62,33 +62,21 @@ __all__ = ["OpRecord", "PipelineStats", "DCRPipeline", "analysis_digest",
            "fence_sequence"]
 
 
-def fence_sequence(coarse_result) -> List[Tuple[int, int, Tuple[int, ...]]]:
+def fence_sequence(coarse_result) -> List[tuple]:
     """The fence stream as canonical, serializable keys.
 
-    One ``(at_seq, region_key, field_keys)`` triple per fence, in insertion
-    order (``region_key`` is -1 for a global fence).  Resource identity is
-    *interned* — scoped regions and fields are numbered by first appearance
-    in the fence stream rather than by their process-global ``uid``/``fid``
-    counters — so two analyses of the same program in different processes
-    (or a second analysis in the same process, whose counters have moved
-    on) produce equal sequences iff their fence structures match.  This is
-    what the multiprocess conformance tier compares across backends,
-    element for element.
+    One ``(at_seq, region key, field names)`` triple per fence, in
+    insertion order: the region's ``structural_key`` (``None`` for a
+    global fence) and its fields' sorted names, never a process-global
+    ``uid`` or ``fid``.  So two analyses of the same program in different
+    processes (or a second one in the same process) produce equal
+    sequences iff their fence structures match; the multiprocess
+    conformance tier compares them across backends, element for element.
     """
-    regions: Dict[int, int] = {}
-    fields: Dict[int, int] = {}
-    out: List[Tuple[int, int, Tuple[int, ...]]] = []
-    for f in coarse_result.fences:
-        if f.region is None:
-            key = -1
-        else:
-            key = regions.setdefault(f.region.uid, len(regions))
-        # Sorting by raw fid first = creation order, which every replica
-        # shares, so the interned numbering is process-independent.
-        fkeys = [fields.setdefault(fl.fid, len(fields))
-                 for fl in sorted(f.fields, key=lambda fl: fl.fid)]
-        out.append((f.at_seq, key, tuple(sorted(fkeys))))
-    return out
+    return [(f.at_seq,
+             None if f.region is None else f.region.structural_key,
+             tuple(sorted(fl.name for fl in f.fields)))
+            for f in coarse_result.fences]
 
 
 def analysis_digest(coarse_result, fine_result) -> str:

@@ -121,7 +121,7 @@ def build_operations(spec: ProgramSpec, num_shards: int,
     produces operations with identical structure (kinds, requirements,
     launch domains, sharding ids, owner shards, names) — uids and object
     identities differ, which is why all cross-process comparisons go
-    through interned digests.
+    through structural keys.
     """
     if num_shards < 1:
         raise ValueError(f"need at least one shard, got {num_shards}")

@@ -2,7 +2,7 @@
 
 A :class:`ShardReport` is what one shard replica returns after replaying
 its program: the three conformance artifacts the headline property compares
-— the task-graph :func:`~repro.core.pipeline.analysis_digest`, the interned
+— the task-graph :func:`~repro.core.pipeline.analysis_digest`, the keyed
 :func:`~repro.core.pipeline.fence_sequence`, and the control-determinism
 :func:`~repro.core.determinism.stream_digest` — plus analysis counters,
 the canonical collective schedule, and the transport's true wire traffic.
@@ -34,7 +34,7 @@ class ShardReport:
     num_shards: int
     backend: str                 # "inprocess" | "loopback" | "shm" | "tcp"
     graph_digest: str            # analysis_digest (sha256 hex)
-    fence_sequence: tuple        # interned (at_seq, region, fids) triples
+    fence_sequence: tuple        # (at_seq, region key, field names) triples
     determinism_digest: int      # stream_digest of the full call stream
     call_count: int              # API calls hashed
     checks: int                  # determinism windows verified

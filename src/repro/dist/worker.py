@@ -41,8 +41,9 @@ __all__ = ["ShardWorker", "op_signature", "profile_path", "replay",
 def op_signature(op: Operation) -> tuple:
     """Canonical, process-independent description of one operation.
 
-    Region/partition objects are passed through for the hasher to intern
-    by first-use order; everything else is plain data (sharding *ids*, not
+    Region/partition objects are passed through for the hasher to encode
+    by their structural keys, fields by their names (unique within the
+    field space); everything else is plain data (sharding *ids*, not
     objects, mirroring how the coarse stage reasons symbolically).
     """
     return (
@@ -51,11 +52,8 @@ def op_signature(op: Operation) -> tuple:
         -1 if op.launch_domain is None else len(op.launch_domain),
         -1 if op.sharding is None else op.sharding.sid,
         op.owner_shard,
-        # Fields are passed as *objects* (sorted by fid, i.e. creation
-        # order, which every replica shares) so the hasher interns them by
-        # first use — raw fids are process-global counters and differ.
         tuple((req.upper,
-               tuple(sorted(req.fields, key=lambda f: f.fid)),
+               tuple(sorted(f.name for f in req.fields)),
                req.privilege.kind.value,
                req.privilege.redop or "",
                req.projection.pid if req.projection is not None else -1)

@@ -14,7 +14,7 @@ task bodies.  Per iteration:
   map-reduce shape a centralized scheduler would bottleneck on).
 
 Branching on a cluster count is §3-safe: the count folds deterministically
-from interned per-tile futures, so every shard takes the same branch.
+from shared per-tile futures, so every shard takes the same branch.
 
 :func:`explicit_kmeans` is the explicit-region mirror: the same tilings
 (:func:`~.views.choose_tiling`) and the same per-tile NumPy expressions as

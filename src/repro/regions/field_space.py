@@ -49,6 +49,7 @@ class FieldSpace:
     def __init__(self, fields: Iterable[Tuple[str, object]] = (), name: str = ""):
         self.uid = next(_fs_ids)
         self.name = name or f"fspace{self.uid}"
+        self.structural_key = self.structural_bytes = None
         self._by_name: Dict[str, Field] = {}
         # Every field the space was given, removed or not: a replica may
         # not have reached a removal yet (see repro.runtime.frontdoor).

@@ -32,7 +32,8 @@ class IndexSpace:
     `ispace` creation returns a fresh handle even for equal bounds.
     """
 
-    __slots__ = ("uid", "name", "_rect", "_points", "_pset")
+    __slots__ = ("uid", "name", "_rect", "_points", "_pset", "structural_key",
+                 "structural_bytes")
 
     def __init__(
         self,
@@ -44,6 +45,7 @@ class IndexSpace:
             raise ValueError("provide exactly one of rect= or points=")
         self.uid = next(_ids)
         self.name = name or f"ispace{self.uid}"
+        self.structural_key = self.structural_bytes = None
         self._rect = rect
         self._points: Optional[FrozenSet[Point]] = (
             frozenset(points) if points is not None else None

@@ -35,11 +35,15 @@ class LogicalRegion:
 
     ``parent`` is the partition this region is a subregion of (``None`` for
     the root).  ``tree_id`` identifies the whole tree; regions in different
-    trees never alias.
+    trees never alias.  ``structural_key`` names it by how the program
+    built it: a root by its given name (a ``Context``'s by its creating
+    call), a subregion by (partition key, colour); ``uid`` is in-process
+    identity only.
     """
 
     __slots__ = ("uid", "name", "index_space", "field_space", "parent",
-                 "partitions", "tree_id", "depth")
+                 "partitions", "tree_id", "depth", "structural_key",
+                 "structural_bytes")
 
     def __init__(
         self,
@@ -54,6 +58,8 @@ class LogicalRegion:
         self.field_space = field_space
         self.parent = parent
         self.partitions: List["Partition"] = []
+        self.structural_key = (name or None) if parent is None else None
+        self.structural_bytes = None
         if parent is None:
             self.tree_id = self.uid
             self.depth = 0
@@ -191,11 +197,12 @@ class Partition:
     Partitions are first-class: group task launches name a partition plus a
     *projection function* from launch-space points to colors, and the coarse
     analysis treats the partition itself as the upper bound of everything the
-    group touches.
+    group touches.  The k-th partition cut from a region is keyed (region
+    key, k), its subregions (partition key, colour); ``None`` if unkeyed.
     """
 
     __slots__ = ("uid", "name", "parent_region", "subregions",
-                 "disjoint", "complete")
+                 "disjoint", "complete", "structural_key", "structural_bytes")
 
     def __init__(
         self,
@@ -208,14 +215,19 @@ class Partition:
         self.uid = next(_partition_ids)
         self.name = name or f"partition{self.uid}"
         self.parent_region = parent_region
+        parent_key = parent_region.structural_key
+        key = self.structural_key = None if parent_key is None \
+            else (parent_key, len(parent_region.partitions))
+        self.structural_bytes = None
         self.subregions: Dict[Hashable, LogicalRegion] = {}
         for color, space in subspaces.items():
             if not parent_region.index_space.bounds().contains_rect(space.bounds()):
                 raise ValueError(
                     f"subspace {space.name} escapes parent {parent_region.name}")
-            self.subregions[color] = LogicalRegion(
+            sub = self.subregions[color] = LogicalRegion(
                 space, parent_region.field_space,
                 name=f"{self.name}[{color}]", parent=self)
+            sub.structural_key = None if key is None else (key, color)
         self.disjoint = self._compute_disjoint() if disjoint is None else disjoint
         self.complete = self._compute_complete() if complete is None else complete
 

@@ -166,7 +166,8 @@ class FrontDoor:
     returns what the call needs or raises the call's typed error.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, task_keys: Dict[str, List[Any]]) -> None:
+        self._task_keys = task_keys     # shared by the shards: see lower()
         # (group launch?, reqs spec) -> coarse requirements, descriptor and
         # the domains found independent; a deletion clears it.
         self._lowered: Dict[Tuple, Tuple] = {}
@@ -240,21 +241,26 @@ class FrontDoor:
         """A launch's task key, its coarse requirements, the descriptor it
         hashes, and the set of launch domains already found independent.
 
-        The key pins the task function across shards by module, name and
-        line: two different lambdas share ``__name__``.  The rest is
-        memoised per hashable ``reqs`` spec, so the descriptor (which the
-        hasher's skeleton reuses) and the ``CoarseRequirement`` objects,
-        with their per-colour point requirements and class tags, persist
-        from launch to launch; an unhashable spec is lowered anew.
+        The key pins the task function across shards by module and
+        qualified name, never by source line; bodies sharing both (lambdas)
+        add their ordinal in the driver's order of first launch.  The rest
+        is memoised per hashable ``reqs`` spec, so the descriptor (which
+        the hasher's skeleton reuses) and the ``CoarseRequirement``
+        objects, with their per-colour point requirements and class tags,
+        persist from launch to launch; an unhashable spec is lowered anew.
         """
         if not hasattr(fn, "__name__"):
             raise TypeError(
                 f"task function {fn!r} has no __name__ (a functools.partial "
                 f"or a callable object?): launch a named function and pass "
                 f"bound values through args=")
+        key = f"{fn.__module__}:{fn.__qualname__}"
+        codes = self._task_keys.setdefault(key, [])
         code = getattr(fn, "__code__", None)
-        key = fn.__qualname__ if code is None \
-            else f"{fn.__module__}:{fn.__qualname__}:{code.co_firstlineno}"
+        if code not in codes:
+            codes.append(code)
+        if codes.index(code):
+            key += f"#{codes.index(code)}"
         try:
             # keyed by the targets' uids, which hash in C (a target is a
             # partition or a region, whose uids are counted apart)

@@ -1,8 +1,8 @@
 """Futures: deferred task return values.
 
 In the replicated runtime all shards receive the *same* future object for
-the same launch (resources are interned by creation order), so reading a
-future's value is control deterministic by construction.  ``is_ready`` is
+the same launch (the driver's, by creation order), so reading a future's
+value is control deterministic by construction.  ``is_ready`` is
 the one timing-dependent query (paper §3, Fig. 5); the runtime routes it
 through a *timing oracle* so tests can simulate shard-dependent timing and
 demonstrate the determinism checker catching the violation.
@@ -21,10 +21,12 @@ _future_ids = itertools.count()
 class Future:
     """A handle for a value a task will produce."""
 
-    __slots__ = ("uid", "_value", "_resolved", "_timing_oracle")
+    __slots__ = ("uid", "_value", "_resolved", "_timing_oracle",
+                 "structural_key", "structural_bytes")
 
     def __init__(self, timing_oracle: Optional[Callable[["Future"], bool]] = None):
         self.uid = next(_future_ids)
+        self.structural_key = self.structural_bytes = None
         self._value: Any = None
         self._resolved = False
         self._timing_oracle = timing_oracle
@@ -62,14 +64,19 @@ class Future:
 class FutureMap:
     """One future per point of an index launch."""
 
-    __slots__ = ("uid", "_futures")
+    __slots__ = ("uid", "_futures", "structural_key", "structural_bytes")
 
     def __init__(self, futures: Dict[Hashable, Future]):
         self.uid = next(_future_ids)
+        self.structural_key = self.structural_bytes = None
         self._futures = dict(futures)
 
     def __getitem__(self, point: Hashable) -> Future:
-        return self._futures[point]
+        """The point's future, keyed (map key, point) when handed out."""
+        future = self._futures[point]
+        if future.structural_key is None and self.structural_key is not None:
+            future.structural_key = (self.structural_key, point)
+        return future
 
     def get_all(self) -> Dict[Hashable, Any]:
         """All point values, keyed by launch point."""

@@ -10,10 +10,11 @@ control function once per shard:
   its point tasks synchronously (program order is a legal topological order
   of the precise task graph, so results equal a sequential execution);
 * **shards 1..N-1** replay the control program against the shard-0 resource
-  and future logs: resources are interned by creation order, so all shards
-  hold identical handles, and every runtime API call is hashed and checked
-  by the control-determinism monitor (§3).  A shard that launches different
-  work, in a different order, or branches differently raises
+  and future logs by creation order, so all shards hold identical handles,
+  each named by how the program built it, and every runtime API call is
+  hashed and checked by the control-determinism monitor (§3).  A shard
+  that launches different work, in a different order, or branches
+  differently raises
   :class:`~repro.core.determinism.ControlDeterminismViolation`.
 
 The division of labor with the simulator layer is deliberate (DESIGN.md
@@ -139,7 +140,8 @@ class Runtime:
         # Driver logs replayed by the other shards, keyed by call order.
         self._resources: List[Any] = []
         self._futures: List[Union[Future, FutureMap]] = []
-        self._deferred_keys: Dict[int, Any] = {}
+        self._deferred_keys: Dict[Hashable, Tuple] = {}
+        self._task_keys: Dict[str, List[Any]] = {}     # see FrontDoor.lower
         self.executed_points: int = 0
         self._result: Any = None
         # Gang backends: per-replica verification summaries and (forked
@@ -342,17 +344,15 @@ class Runtime:
         for hook in self._drain_hooks:
             hook()
         for key in self.deferred.poll():
-            self._apply_deletion(self._deferred_keys.pop(key))
+            self._apply_deletion(*self._deferred_keys.pop(key))
 
-    def _apply_deletion(self, target: Any) -> None:
-        if isinstance(target, tuple) and target[0] == "field":
-            _tag, region, field = target
-            self.store.deallocate_field(region.tree_id, field)
-            if field.name in region.field_space:
-                region.field_space.remove_field(field.name)
-        elif isinstance(target, LogicalRegion):
-            for f in target.field_space.fields:
-                self.store.deallocate_field(target.tree_id, f)
+    def _apply_deletion(self, region: LogicalRegion,
+                        field: Optional[Field]) -> None:
+        """Free ``field`` of ``region``'s tree, or all its fields."""
+        for f in region.field_space.fields if field is None else (field,):
+            self.store.deallocate_field(region.tree_id, f)
+        if field is not None and field.name in region.field_space:
+            region.field_space.remove_field(field.name)
 
     # -- task graph accessors ----------------------------------------------------------
 
@@ -420,10 +420,9 @@ class Context:
         # shards share the runtime's.
         self._monitor = monitor if monitor is not None else runtime.monitor
         self._hasher = self._monitor.hasher(shard)
-        self._res_cursor = 0
-        self._fut_cursor = 0
+        self._cursors = [0, 0]          # into the resource and future logs
         self._in_finalizer = False
-        self._door = FrontDoor()
+        self._door = FrontDoor(runtime._task_keys)
 
     # -- internal plumbing ------------------------------------------------------------
 
@@ -432,36 +431,26 @@ class Context:
         self._monitor.maybe_check()
 
     def _intern_resource(self, call: str, factory: Callable[[], Any]) -> Any:
-        """Create on the driver, replay by creation order on other shards."""
-        log = self.runtime._resources
+        """Create on the driver, replay by creation order on other shards
+        (a launch's future from the futures log).  The driver keys a root
+        or a future (map) by its creating call's index in the hashed
+        stream; a partition is keyed below its region."""
+        launch = call.endswith("launch")
+        log = self.runtime._futures if launch else self.runtime._resources
+        at = self._cursors[launch]
         if self.is_driver:
             obj = factory()
+            if not isinstance(obj, Partition):
+                obj.structural_key = len(self._hasher.calls) - 1
             log.append(obj)
+        elif at < len(log):
+            obj = log[at]
         else:
-            if self._res_cursor >= len(log):
-                raise ControlDeterminismViolation(
-                    self._res_cursor,
-                    [f"shard {self.shard} issued extra {call}"],
-                    shard_ids=[self.shard])
-            obj = log[self._res_cursor]
-        self._res_cursor += 1
+            raise ControlDeterminismViolation(
+                at, [f"shard {self.shard} issued an extra {call}"],
+                shard_ids=[self.shard])
+        self._cursors[launch] = at + 1
         return obj
-
-    def _intern_future(self, factory: Callable[[], Union[Future, FutureMap]]
-                       ) -> Union[Future, FutureMap]:
-        log = self.runtime._futures
-        if self.is_driver:
-            fut = factory()
-            log.append(fut)
-        else:
-            if self._fut_cursor >= len(log):
-                raise ControlDeterminismViolation(
-                    self._fut_cursor,
-                    [f"shard {self.shard} issued an extra launch"],
-                    shard_ids=[self.shard])
-            fut = log[self._fut_cursor]
-        self._fut_cursor += 1
-        return fut
 
     def _finish(self) -> None:
         self._door.finish()
@@ -671,7 +660,7 @@ class Context:
             fut = Future(self._oracle_binding())
             fut.resolve(value)
             return fut
-        return self._intern_future(do)  # type: ignore[return-value]
+        return self._intern_resource("launch", do)
 
     def index_launch(self, fn: Callable[..., Any], domain: Sequence[Hashable],
                      reqs: Sequence[Tuple], args: Sequence[Any] = (),
@@ -708,7 +697,7 @@ class Context:
                 f.resolve(value)
                 futures[pt.point] = f
             return FutureMap(futures)
-        return self._intern_future(do)  # type: ignore[return-value]
+        return self._intern_resource("index_launch", do)
 
     def _execute_point(self, op: Operation, pt: PointTask,
                        args: Sequence[Any]) -> Any:
@@ -744,9 +733,9 @@ class Context:
     def _oracle_binding(self):
         """Bind ``is_ready`` to the *currently replaying* shard.
 
-        Futures are interned (all shards share one object), so the timing
-        oracle must look up which shard is asking at call time — that is
-        what lets tests model per-shard timing skew (Fig. 5).
+        All shards share one future object, so the timing oracle must
+        look up which shard is asking at call time — that is what lets
+        tests model per-shard timing skew (Fig. 5).
         """
         oracle = self.runtime.timing_oracle
         runtime = self.runtime
@@ -820,23 +809,24 @@ class Context:
     def delete_region(self, region: LogicalRegion) -> None:
         """Delete a region's storage (deferred when inside a finalizer)."""
         if self._in_finalizer:
-            self.runtime._deferred_keys[region.uid] = region
-            self.runtime.deferred.announce(self.shard, region.uid)
-            return
+            return self._defer(region.structural_key, region, None)
         self._door.delete_region(region)
         self._record("delete_region", region)
         if self.is_driver:
-            self.runtime._apply_deletion(region)
+            self.runtime._apply_deletion(region, None)
 
     def delete_field(self, region: LogicalRegion, field_name: str) -> None:
         """Delete one field (deferred when inside a finalizer)."""
         if self._in_finalizer:
-            f = region.field_space[field_name]
-            key = ("field", region.uid, f.fid)
-            self.runtime._deferred_keys[key] = ("field", region, f)
-            self.runtime.deferred.announce(self.shard, key)
-            return
+            return self._defer(("field", region.structural_key, field_name),
+                               region, region.field_space[field_name])
         f = self._door.delete_field(region, field_name)
         self._record("delete_field", region, field_name)
         if self.is_driver:
-            self.runtime._apply_deletion(("field", region, f))
+            self.runtime._apply_deletion(region, f)
+
+    def _defer(self, key: Hashable, region: LogicalRegion,
+               field: Optional[Field]) -> None:
+        """Announce a finalizer's deletion under a structural key."""
+        self.runtime._deferred_keys[key] = (region, field)
+        self.runtime.deferred.announce(self.shard, key)

@@ -41,26 +41,39 @@ class TestHashing:
         assert a.record("op", {4, 5}) == b.record("op", {5, 4})
         assert a.record("op", {"k": 1}) == b.record("op", {"k": 1})
 
-    def test_resource_interning_by_first_use(self):
-        """Different objects in the same usage order hash identically —
-        the property that makes per-shard resource handles comparable."""
-        res_a, res_b = object(), object()
-        other_a, other_b = object(), object()
+    def test_resources_hash_by_structural_key(self):
+        """Distinct objects with equal keys hash identically, whatever the
+        order they are used in — the property that makes per-shard and
+        per-process resource handles comparable — and a resource is told
+        apart from another by its key, never by its use order."""
         h0, h1 = ShardHasher(0), ShardHasher(1)
-        d0 = [h0.record("use", res_a), h0.record("use", other_a)]
-        d1 = [h1.record("use", res_b), h1.record("use", other_b)]
+        d0 = [h0.record("use", _Resource(3)), h0.record("use", _Resource(5))]
+        d1 = [h1.record("use", _Resource(3)), h1.record("use", _Resource(5))]
         assert d0 == d1
-        # Swapped usage order changes the digests.
         h2 = ShardHasher(2)
-        d2 = [h2.record("use", other_a), h2.record("use", res_a)]
-        assert d2 == d0  # first-use interning is positional, so still equal
+        d2 = [h2.record("use", _Resource(5)), h2.record("use", _Resource(3))]
+        assert d2 == d0[::-1]
+        assert d0[0] != d0[1]
 
     def test_resource_reuse_stable(self):
-        res = object()
+        res = _Resource((4, 1))
         h = ShardHasher(0)
         first = h.record("use", res)
         second = h.record("use", res)
         assert first == second
+
+    def test_a_resource_without_a_key_is_refused(self):
+        with pytest.raises(TypeError, match="structural key"):
+            ShardHasher(0).record("use", [(_Resource(None),)])
+
+    _keys = st.recursive(st.integers(-3, 3) | st.text("ab", max_size=2),
+                         lambda inner: st.tuples(inner, inner), max_leaves=4)
+
+    @given(_keys, _keys)
+    def test_equal_keys_hash_alike_and_different_keys_apart(self, a, b):
+        da = ShardHasher(0).record("use", _Resource(a), (_Resource(a),))
+        db = ShardHasher(1).record("use", _Resource(b), (_Resource(b),))
+        assert (da == db) == (a == b)
 
     @given(st.lists(st.integers(), max_size=6))
     def test_hash_is_128_bit(self, args):
@@ -256,10 +269,9 @@ class TestArrayValues:
 
 class _ReferenceHasher:
     """The recursive encoder this repo shipped before the type-dispatched
-    one, kept verbatim as the executable spec of the byte stream."""
-
-    def __init__(self):
-        self.interned = {}
+    one, kept as the executable spec of the byte stream; its last branch
+    names a resource by its structural key and any other object by its
+    class, as the hasher has since resources were keyed."""
 
     def canon(self, value):
         if value is None:
@@ -283,8 +295,10 @@ class _ReferenceHasher:
         if isinstance(value, (set, frozenset)):
             return b"Z(" + b",".join(
                 sorted(self.canon(v) for v in value)) + b")"
-        return b"R" + str(self.interned.setdefault(
-            id(value), len(self.interned))).encode()
+        key = getattr(value, "structural_key", _NO_KEY)
+        if key is _NO_KEY:
+            return b"O" + type(value).__qualname__.encode()
+        return b"R" + repr(key).encode()
 
     def record(self, api_call, *args, **kwargs):
         h = hashlib.blake2b(digest_size=16)
@@ -296,8 +310,21 @@ class _ReferenceHasher:
         return int.from_bytes(h.digest(), "little")
 
 
+_NO_KEY = object()
+
+
 class _Resource:
-    """Stands in for a region/partition/future: hashed by first-use order."""
+    """Stands in for a region/partition/future: hashed by its key."""
+
+    __slots__ = ("structural_key", "structural_bytes")
+
+    def __init__(self, key):
+        self.structural_key = key
+        self.structural_bytes = None
+
+
+class _Plain:
+    """An object of no runtime kind: hashed by its class's name."""
 
 
 class _Color(enum.IntEnum):
@@ -306,7 +333,8 @@ class _Color(enum.IntEnum):
 
 
 _Point = collections.namedtuple("_Point", "x y")
-_RESOURCES = [_Resource() for _ in range(4)]
+_RESOURCES = [_Resource(k) for k in (0, 1, (0, 2), ((0, 2), "c"))] \
+    + [_Plain(), _Plain()]
 
 _leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2 ** 90, 2 ** 90),
@@ -331,8 +359,9 @@ _values = st.recursive(
 
 
 class TestEncoderEquivalence:
-    """Values without arrays hash to exactly what they always have, so
-    service streams, templates and ``run_reference`` digests do not move."""
+    """Values without arrays hash to exactly what the recursive reference
+    encoder gives, so service streams, templates and ``run_reference``
+    digests move only when the byte stream's spec does."""
 
     @given(st.lists(st.tuples(st.lists(_values, max_size=3),
                               st.dictionaries(st.sampled_from("abcd"),
@@ -343,8 +372,6 @@ class TestEncoderEquivalence:
         for args, kwargs in calls:
             assert hasher.record("op", *args, **kwargs) == \
                 reference.record("op", *args, **kwargs)
-        # ... and resources were interned in the same first-use order.
-        assert hasher._intern == reference.interned
 
     @given(st.lists(st.lists(_values, max_size=3), min_size=1, max_size=4))
     def test_repeated_records_match_the_reference_encoder(self, calls):
@@ -361,8 +388,10 @@ class TestEncoderEquivalence:
         """One value of each kind, digests read off commit ef03407 (the
         last one with the recursive encoder) — so "non-array digests do
         not move" is checked against the real parent, not only against
-        the copy above."""
-        a, b = _Resource(), _Resource()
+        the copy above.  The "resource" and "kwargs" cases hold keyed
+        resources, a root created at call 5 and its first partition; their
+        pins were read again when resources got structural keys."""
+        a, b = _Resource(5), _Resource((5, 0))
         cases = {
             "none": ((None,), {}),
             "bool": ((True, False), {}),
@@ -390,8 +419,8 @@ class TestEncoderEquivalence:
             "list": 0x5b4c5f2b2d63f7804d1a5fbcbf43a878,
             "dict": 0xb9f764823ba79ff5b06a51acf6418401,
             "set": 0x6f9bb448f092649ca27d13b2e66846a0,
-            "resource": 0xae12486f0dbc590a19ada22d21524c76,
-            "kwargs": 0xc1b6f138176aae83e89ca9885180435a,
+            "resource": 0x95789dc6a8a6773587a7e3cd9ecefc52,
+            "kwargs": 0xc86932c435786a2da66ac171ef39df25,
             "no-args": 0x8f8eb280db092eb61ac1ad16feb683e5,
             "subclass": 0x84956bbf8150bc86be339981043d1338,
         }
@@ -450,12 +479,27 @@ class TestDigestSkeleton:
 
 
 class TestInterning:
+    """Nothing is interned: a resource hashes by its structural key and
+    any other object by its class's qualified name, so no identity and no
+    first-use order reaches a digest, and the hasher holds no object."""
+
     def test_a_freed_object_never_passes_its_id_on(self):
         """CPython reuses a freed object's address at once; the hasher
-        holds what it interned, so each newcomer gets a new id."""
+        reads no address, so fresh objects of one class hash alike, of
+        two classes apart, and each is freed after its call."""
+        import weakref
+
         hasher = ShardHasher(0)
-        assert [hasher.intern(object()) for _ in range(50)] == \
-            list(range(50))
+        digests, refs = set(), []
+        for _ in range(50):
+            obj = _Plain()
+            refs.append(weakref.ref(obj))
+            digests.add(hasher.record("use", [obj]))
+            del obj
+        assert len(digests) == 1
+        assert all(ref() is None for ref in refs)
+        assert hasher.record("use", [_Resource(0)]) not in digests
+        assert hasher.record("use", [TestInterning()]) not in digests
 
     def test_fresh_argument_objects_hash_alike_on_every_shard(self):
         """Shard 0 keeps its launch arguments alive, a replaying shard

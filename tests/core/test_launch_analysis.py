@@ -5,12 +5,14 @@ takes a launch's shards from one evaluation per launch domain, and decides
 classes with rectangle tests.  The pins below are the analysis products of
 the benchmark programs as the per-point analysis computed them: the
 task-graph digest (dependences, fences, elisions, scan counts, the point
-graph and its per-shard attribution) and the interned fence sequence.
+graph and its per-shard attribution) and the fence sequence, keyed by
+the regions' structural keys and the fields' names.
 """
 
 import gc
 import hashlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,28 @@ from repro.runtime import Runtime
 
 # program, auto_trace -> (analysis digest, fences, sha256 of the sequence)
 PINNED = {
+    ("sliced_stencil", False): (
+        "4f4b1b11d77aad6559ec48bed2a02214f3b514598df9d14adc805f2e7c2e2673",
+        100,
+        "ec282f97717817fe9e69fc1d2a0ad48bff61f4baa364a321ceea896cb2432ccf"),
+    ("sliced_stencil", True): (
+        "5f34681d647a681a166da30fc574afb9166c3efb9426d3b0c43e62ef1c1a735e",
+        100,
+        "a8f61e43439fb9a3e9fb7c917418828285a2726f9d0662f6585c0cfe445f06b0"),
+    ("preconditioned_cg", False): (
+        "e81119c6431d5e3ad91dedc68b1aff35c6d0ebcb0d52f0f672a565491efd1af8",
+        41,
+        "65582bf9c7101699a83d2fae1947db15bf861305778b7d3ccab69a92444abeba"),
+    ("preconditioned_cg", True): (
+        "1b4dec7f3ff7d732124bffe4a6592e39918b898c79c773d9971225441d498e5d",
+        41,
+        "b9ba5e6f73f93da64ccd19c2b79d687e85adfaa324cb3c0c55cd13d1c24aab6e"),
+}
+
+#: The same products with fences keyed the interned way
+#: (``helpers.interned_fence_sequence``), as pinned before regions carried
+#: structural keys.
+INTERNED = {
     ("sliced_stencil", False): (
         "4cf3a3a7a8b4d614c1c8d5f217697362bd123a6a9e520d031b76254438ccd412",
         100,
@@ -60,14 +84,35 @@ def _run(name, auto_trace):
     return rt.pipeline
 
 
+def _products(pipeline, fences):
+    return (analysis_digest(pipeline.coarse_result, pipeline.fine_result),
+            len(fences), hashlib.sha256(repr(fences).encode()).hexdigest())
+
+
 @pytest.mark.parametrize("name, auto_trace", sorted(PINNED))
 def test_analysis_products_are_pinned(name, auto_trace):
     pipeline = _run(name, auto_trace)
     pipeline.settle()
-    fences = fence_sequence(pipeline.coarse_result)
-    got = (analysis_digest(pipeline.coarse_result, pipeline.fine_result),
-           len(fences), hashlib.sha256(repr(fences).encode()).hexdigest())
-    assert got == PINNED[name, auto_trace]
+    assert _products(pipeline, fence_sequence(pipeline.coarse_result)) \
+        == PINNED[name, auto_trace]
+
+
+@pytest.mark.parametrize("name, auto_trace", sorted(INTERNED))
+def test_structural_keys_renamed_the_fences_and_changed_nothing(
+        name, auto_trace):
+    """Keyed the interned way, the same fences and the whole analysis
+    digest are the ones pinned before: only the names moved."""
+    from helpers import interned_fence_sequence
+
+    from repro.core import pipeline as pipeline_module
+
+    pipeline = _run(name, auto_trace)
+    pipeline.settle()
+    with mock.patch.object(pipeline_module, "fence_sequence",
+                           interned_fence_sequence):
+        got = _products(pipeline,
+                        interned_fence_sequence(pipeline.coarse_result))
+    assert got == INTERNED[name, auto_trace]
 
 
 def _coarse_calls():

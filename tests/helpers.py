@@ -413,3 +413,22 @@ def analysis_digest(coarse_result, fine_result):
     """
     from repro.core.pipeline import analysis_digest as _impl
     return _impl(coarse_result, fine_result)
+
+
+def interned_fence_sequence(coarse_result):
+    """The fence stream as :func:`repro.core.pipeline.fence_sequence`
+    keyed it before regions carried structural keys: region uids and
+    field fids renumbered by first appearance in the stream.  Kept as the
+    reference that shows a move of the structural form renamed fences and
+    changed none: it still reproduces the counts and sha256 values pinned
+    in that form."""
+    regions, fields, out = {}, {}, []
+    for f in coarse_result.fences:
+        if f.region is None:
+            key = -1
+        else:
+            key = regions.setdefault(f.region.uid, len(regions))
+        fkeys = [fields.setdefault(fl.fid, len(fields))
+                 for fl in sorted(f.fields, key=lambda fl: fl.fid)]
+        out.append((f.at_seq, key, tuple(sorted(fkeys))))
+    return out

@@ -145,7 +145,7 @@ class TestFunctionalSoak:
         of every later write of its neighbour tile, which is the part of
         ``deps`` above 2x.  A same-class supersession rule would remove
         them; it does not move the 50-iteration benchmark and is filed
-        under ROADMAP 7c."""
+        under ROADMAP item 24."""
         from repro.legate import make_wave, sliced_stencil
 
         def analyse(k):

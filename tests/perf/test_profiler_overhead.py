@@ -10,11 +10,13 @@ workload shape (the alternating two-field halo chain of
 
 There is no uninstrumented build to diff against, so the bound is built
 from first principles: measure the cost of one ``prof.enabled`` attribute
-check, multiply by a generous over-estimate of guard sites evaluated per
-operation, and require that to be <5% of the measured per-op pipeline
-cost.  Two absolute checks back it up: a disabled profiler records
-literally nothing across a full run, and an instrumented end-to-end run
-stays within the soak budget the suite already enforces.
+check, multiply by the number of checks a run actually makes per analysed
+operation (counted, see :func:`_guard_reads_per_op`), and require that to
+be <5% of the measured per-op pipeline cost.  The count has its own gate,
+which is what fails, every time, when guards are added.  Two absolute
+checks back it up: a disabled profiler records literally nothing across a
+full run, and an instrumented end-to-end run stays within the soak budget
+the suite already enforces.
 """
 
 import sys
@@ -24,12 +26,42 @@ import timeit
 from repro.obs import Profiler, get_profiler
 from repro.runtime import Runtime
 
-#: Upper bound on ``prof.enabled`` evaluations per analyzed operation:
-#: pipeline entry/exit, coarse, fine, trace begin/end, determinism, plus
-#: one per point task and per collective round on every shard.  Measured
-#: instrumentation density is far lower; 64 is a safe over-estimate for
-#: the 4-shard, 4-tile headline chain shape.
-GUARD_SITES_PER_OP = 64
+#: Upper bound on ``prof.enabled`` reads per analysed operation of the
+#: 4-shard 2-D stencil: 89 reads over 9 ops measured (pipeline, coarse and
+#: fine stages, determinism windows, collectives, on every shard), so one
+#: more read per op anywhere (98 over 9) fails it.
+GUARD_READS_PER_OP_BOUND = 10
+
+
+class _CountingProfiler(Profiler):
+    """A disabled profiler that counts the reads of ``enabled``."""
+
+    @property
+    def enabled(self):
+        self.reads += 1
+        return False
+
+    @enabled.setter
+    def enabled(self, _value):     # Profiler.__init__ starts the count
+        self.reads = 0
+
+
+def _guard_reads_per_op():
+    """``prof.enabled`` reads per analysed op of one disabled run of
+    ``stencil2d_control(16, 4, 8)`` on four shards: a count, so it is the
+    same on a loaded machine as on an idle one."""
+    from repro.apps.stencil import stencil2d_control
+
+    prof = _CountingProfiler()
+    rt = Runtime(num_shards=4, profiler=prof)
+    rt.execute(stencil2d_control, 16, 4, 8)
+    return prof.reads / rt.pipeline.stats.ops
+
+
+def test_guard_reads_per_op_are_counted_and_bounded():
+    """The count twin of the two wall-clock budgets below: the guard
+    density they multiply by, gated exactly."""
+    assert _guard_reads_per_op() <= GUARD_READS_PER_OP_BOUND
 
 
 def _measure_guard_cost_us():
@@ -54,7 +86,7 @@ def test_disabled_guard_under_five_percent_of_op_cost():
         coarse.analyze(op)
     per_op_us = (time.perf_counter() - t0) / len(ops) * 1e6
 
-    overhead_us = guard_us * GUARD_SITES_PER_OP
+    overhead_us = guard_us * _guard_reads_per_op()
     # The coarse stage alone is the *cheapest* stage an op passes through,
     # so this is conservative twice over.
     assert overhead_us < 0.05 * per_op_us, (
@@ -104,7 +136,7 @@ def test_disabled_injector_within_guard_budget():
 
     # Reuse the profiler budget math: the injector adds strictly fewer
     # guard sites than the profiler (hasher, collectives, trace cache).
-    overhead_us = guard_us * GUARD_SITES_PER_OP
+    overhead_us = guard_us * _guard_reads_per_op()
 
     def once(injector):
         t0 = time.perf_counter()

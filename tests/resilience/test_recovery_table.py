@@ -8,6 +8,9 @@ call.  LOCALIZE reported and re-raised, so a ``Runtime`` with no policy
 must reproduce each row exactly; the rows keep what a run still exposes
 (the quarantine set and driver shard were always empty and 0, and the
 report's culprits and call index are read from the raised exception).
+The last column, the short digest of ``determinism_digests()``, was read
+again when resources were named by structural keys and tasks by
+``module:qualname``; every other column kept its recorded value.
 The ``dev`` profile (tier-1) replays a fixed slice of the rows;
 ``REPRO_EQUIV_PROFILE=ci`` or ``extended`` replays them all.
 """

@@ -143,12 +143,12 @@ def test_real_weakref_finalizer(tmp_path):
         class Guard:
             pass
 
+        def finalize():
+            with ctx.finalizer():
+                ctx.delete_region(r)
+
         guard = Guard()
-        shard = ctx.shard
-        weakref.finalize(
-            guard,
-            lambda: ctx.runtime.deferred.announce(shard, r.uid)
-            or ctx.runtime._deferred_keys.setdefault(r.uid, r))
+        weakref.finalize(guard, finalize)
         # Every shard performs identical hashed work, but drops the guard
         # (triggering collection) at a shard-dependent point within it.
         for i in range(4):

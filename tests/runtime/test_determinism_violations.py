@@ -227,8 +227,10 @@ class TestArrayArguments:
 
 
 class TestUnnamedTaskFunctions:
-    """A task is identified across shards by its function's name and
-    definition site; a callable without one is refused up front."""
+    """A task is identified across shards by its function's module and
+    qualified name (and, for bodies that share both, the order the driver
+    first launched them in); a callable without a name is refused up
+    front."""
 
     @staticmethod
     def _body(point, tile, alpha):
@@ -252,6 +254,67 @@ class TestUnnamedTaskFunctions:
 
         with pytest.raises(TypeError, match="args="):
             Runtime(num_shards=2).execute(main)
+
+
+_TASK_SOURCE = """
+def body(point, tile):
+    tile["x"].view[...] += point
+"""
+
+
+def _compiled_body(blank_lines):
+    """``body`` of one module, compiled ``blank_lines`` lines further
+    down its file."""
+    namespace = {"__name__": "tasks_under_test"}
+    exec(compile("\n" * blank_lines + _TASK_SOURCE, "tasks_under_test.py",
+                 "exec"), namespace)
+    return namespace["body"]
+
+
+class TestTaskKeys:
+    """A task key is a function of the program, not of its source layout."""
+
+    def test_moving_a_task_body_down_its_file_changes_no_digest(self):
+        def digests(body):
+            def main(ctx):
+                _r, tiles = _scaffold(ctx)
+                ctx.index_launch(body, range(4), [(tiles, "x", "rw")])
+
+            rt = Runtime(num_shards=2)
+            rt.execute(main)
+            return rt.determinism_digests()
+
+        a, b = _compiled_body(0), _compiled_body(1)
+        assert a.__code__.co_firstlineno != b.__code__.co_firstlineno
+        assert (a.__module__, a.__qualname__) == \
+            (b.__module__, b.__qualname__)
+        assert digests(a) == digests(b)
+
+    @pytest.mark.parametrize("backend", ["inprocess", "tcp"])
+    def test_two_lambdas_are_two_tasks_and_a_swap_is_localized(self,
+                                                                backend):
+        # One line: one qualified name and one first line for both.
+        bodies = (lambda p, t: None, lambda p, t: None)
+
+        def program(swapping_shard):
+            def main(ctx):
+                _r, tiles = _scaffold(ctx)
+                order = bodies[::-1] if ctx.shard == swapping_shard \
+                    else bodies
+                for body in order:
+                    ctx.index_launch(body, range(4), [(tiles, "x", "ro")])
+            return main
+
+        rt = Runtime(num_shards=1)
+        rt.execute(program(None))
+        hasher = rt.monitor.hasher(0)
+        first = hasher.descriptions.index("index_launch")
+        assert hasher.calls[first] != hasher.calls[first + 1]
+        with pytest.raises(ControlDeterminismViolation) as exc:
+            Runtime(num_shards=3, backend=backend).execute(program(2))
+        diagnosis = exc.value.diagnosis
+        assert diagnosis.seq == first
+        assert diagnosis.divergent_shards == (2,)
 
 
 def _read_tile(point, tile):

@@ -79,3 +79,33 @@ def test_chained_futures():
         return ctx.get_value(f)
 
     assert Runtime(num_shards=2).execute(main) == 32.0
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "tcp"])
+def test_a_future_map_point_is_named_by_its_launch_and_point(backend):
+    """A point's future hashes as (launch call index, point), not by when
+    a shard first used it: a shard that reads another point of equal
+    value diverges at that read, and a clean run hashes the same on every
+    backend."""
+    from repro.core import ControlDeterminismViolation
+
+    def program(skewed_shard):
+        def main(ctx):
+            fs = ctx.create_field_space([("x", "f8")])
+            r = ctx.create_region(ctx.create_index_space(8), fs, "r")
+            tiles = ctx.partition_equal(r, 4)
+            ctx.fill(r, "x", 1.0)
+            sums = ctx.index_launch(lambda p, a: float(a["x"].view.sum()),
+                                    range(4), [(tiles, "x", "ro")])
+            return ctx.get_value(sums[3 if ctx.shard == skewed_shard else 1])
+        return main
+
+    rt = Runtime(num_shards=2, backend=backend)
+    assert rt.execute(program(None)) == 2.0
+    reference = Runtime(num_shards=2)
+    reference.execute(program(None))
+    assert rt.determinism_digests() == reference.determinism_digests()
+    with pytest.raises(ControlDeterminismViolation) as exc:
+        Runtime(num_shards=2, backend=backend).execute(program(1))
+    assert exc.value.diagnosis.divergent_shards == (1,)
+    assert exc.value.diagnosis.descriptions == ("future_get", "future_get")

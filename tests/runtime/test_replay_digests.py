@@ -8,7 +8,11 @@ program a replay serves, so the pins keep covering the replay path.  The
 per-shard determinism digests were pinned in a fresh interpreter; the
 tests reproduce every pin inside the test process after unrelated work
 (another program, other field spaces), so no process-global id can reach
-a digest.
+a digest.  Both columns moved once, when resources were named by
+structural keys and tasks by ``module:qualname``; the task-graph digests
+moved only through the fence sequence's keys
+(``tests/core/test_launch_analysis.py`` reproduces the earlier pins from
+the same products keyed the interned way).
 """
 
 import hashlib
@@ -25,18 +29,18 @@ from repro.runtime import Runtime
 
 # program, shards, replayed ops, ops, task-graph digest, determinism digest
 _PINNED = """\
-sliced_stencil 1 144 151 b10770072c5f0a6b 1b7b8a34bb2ed194
-sliced_stencil 3 144 151 e3b4dfb4ee9f5735 632fff7586c21afd
-sliced_stencil 4 144 151 845001324fc1eb65 9253d8f23ca1bc04
-preconditioned_cg 1 96 169 88575a9fe7324270 3b3fcc4736dabcb6
-preconditioned_cg 3 96 169 ae8501366576bebf 04ce2341b4d3b97f
-preconditioned_cg 4 96 169 ac4a567e11dc7078 19912281d55afd42
-kmeans 1 0 198 854ab996a3d8b083 d0c83c29890c900f
-kmeans 3 0 198 df5751c2f55784f7 086e30c0ed7050c9
-kmeans 4 0 198 8e2e5a0b8e736542 7b10697ddef0ea0a
-logistic_regression 1 0 39 87d3a9c3d65dd850 3153dd5e44188e4f
-logistic_regression 3 0 39 b659a730226cb2a6 b0e0605dae8362f1
-logistic_regression 4 0 39 62b3245ef458118e 039305a258c3e19e
+sliced_stencil 1 144 151 215f902768d3bbca 6e2ba01c5068a347
+sliced_stencil 3 144 151 d75c996ca32bdc21 f1abc5413bfbb648
+sliced_stencil 4 144 151 5f34681d647a681a 14be187d2d51a94c
+preconditioned_cg 1 96 169 f4f6ea832530b8f7 e7eb777b1c985f8e
+preconditioned_cg 3 96 169 f0faf551d56e3002 92cd233c41ae23e7
+preconditioned_cg 4 96 169 62fdad8683e60a0e 4a98efec41a2609b
+kmeans 1 0 198 854ab996a3d8b083 15d922aaba9b9fb3
+kmeans 3 0 198 c3f33b611524c3a2 ccb4a7c0db7375b7
+kmeans 4 0 198 7a44ce6a525ba464 62547e1e0d7ee455
+logistic_regression 1 0 39 87d3a9c3d65dd850 0e265916c3124ab0
+logistic_regression 3 0 39 ed3a73d6214ffbdf 8504d8eedc1c0b07
+logistic_regression 4 0 39 600b0ef44ac26a73 f8851c4aabe6a74a
 """
 
 

@@ -349,4 +349,4 @@ def test_replicas_build_no_fill_or_attach_operation():
         rt.execute(main)
     assert len(built) == rt.pipeline.stats.ops == 9
     assert hashlib.sha256(repr(rt.determinism_digests()).encode()) \
-        .hexdigest()[:16] == "21a803827c0cb9dc"
+        .hexdigest()[:16] == "c3b62f5cc4e3344b"

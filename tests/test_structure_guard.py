@@ -90,8 +90,15 @@
   frame, the peer's end-of-stream or the deadline.  The shm fabric once
   slept 0.2 ms per empty look at its ring and found dead peers through a
   shared-memory status board of pids read from ``/proc``, and a
-  geometric poll backoff sat above all three fabrics; the last test
+  geometric poll backoff sat above all three fabrics; the next test
   fails if any of that grows back.
+* A resource is named by how the program built it.  The hasher once
+  numbered every object by first use and held each one so that CPython
+  could not reuse a freed id, ``fence_sequence`` renumbered region uids
+  and field fids by first appearance, finalizer deletions were agreed on
+  under uids, and a task was keyed by its source line, so adding a
+  docstring line moved every pinned digest; the last test fails if any
+  of that grows back.
 """
 
 import ast
@@ -866,3 +873,44 @@ def test_the_fabric_poll_plane_stays_deleted():
         "end-of-stream or its deadline, and a dead peer is end-of-stream "
         "on every fabric; only a send stalled on a full shm ring "
         "sleeps:\n  " + "\n  ".join(offenders))
+
+
+# -- one structural name per resource -----------------------------------------
+
+#: Where a name crosses a shard, a process or an execute: each reads the
+#: structural key, never a process-global ``uid`` or ``fid``.
+STRUCTURAL_READERS = {
+    "core/determinism.py": ("ShardHasher",),
+    "core/pipeline.py": ("fence_sequence",),
+    "dist/worker.py": ("op_signature",),
+    "runtime/runtime.py": ("delete_region", "delete_field",
+                           "_drain_deferred"),
+}
+
+
+def test_resources_are_named_by_structure_not_by_counters():
+    trees = dict(_trees(("",)))
+    offenders = [f"core/determinism.py:{node.lineno}: {name}"
+                 for node in ast.walk(trees["core/determinism.py"])
+                 for name in sorted(_names(node)
+                                    & {"intern", "_intern", "_held"})]
+    offenders += [f"{rel}:{node.lineno}: co_firstlineno"
+                  for rel, tree in trees.items() for node in ast.walk(tree)
+                  if "co_firstlineno" in _names(node)]
+    for rel, names in STRUCTURAL_READERS.items():
+        for node in ast.walk(trees[rel]):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) \
+                    and node.name in names:
+                offenders += [f"{rel}:{n.lineno}: .{n.attr} in {node.name}"
+                              for n in ast.walk(node)
+                              if isinstance(n, ast.Attribute)
+                              and n.attr in ("uid", "fid")]
+    assert not offenders, (
+        "a resource crosses shards, processes and executes under its "
+        "structural key and a task under module:qualname; uids and fids "
+        "are in-process identity:\n  " + "\n  ".join(offenders))
+    found = {node.name for rel in STRUCTURAL_READERS
+             for node in ast.walk(trees[rel])
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert found >= {n for names in STRUCTURAL_READERS.values()
+                     for n in names}
