@@ -7,7 +7,7 @@ for real over a transport:
 * :mod:`~repro.dist.frames` — the length-prefixed canonical wire format;
 * :mod:`~repro.dist.transport` — tagged, sequenced, deadline-bounded
   shard-to-shard exchange over three interchangeable fabrics (in-process
-  queues, shared-memory rings, TCP sockets);
+  queues, AF_UNIX socket pairs, loopback TCP sockets);
 * :mod:`~repro.dist.gang` — the one launcher that starts, supervises and
   reaps the ranks of a gang, as threads or forked processes;
 * :mod:`~repro.dist.collectives` — the rank-local executor of the
@@ -38,14 +38,14 @@ from .report import MergedReport, ShardReport, merge_reports
 from .runner import BACKENDS, run_reference
 from .transport import DEFAULT_DEADLINE_S, PROCESS_BACKENDS, \
     Fabric, LoopbackFabric, PeerGone, ReorderWindowExceeded, \
-    SharedMemFabric, TCPFabric, Transport, TransportError, \
+    TCPFabric, Transport, TransportError, UnixFabric, \
     fabric_for_backend
 from .worker import ShardWorker, op_signature, replay
 
 __all__ = [
     "Frame", "FrameDecoder", "FrameError", "decode_frame", "encode_frame",
     "pack", "unpack",
-    "Transport", "Fabric", "LoopbackFabric", "SharedMemFabric", "TCPFabric",
+    "Transport", "Fabric", "LoopbackFabric", "UnixFabric", "TCPFabric",
     "TransportError", "ReorderWindowExceeded",
     "PeerGone", "DEFAULT_DEADLINE_S", "PROCESS_BACKENDS",
     "fabric_for_backend",

@@ -23,14 +23,13 @@ Layout of one frame on the wire::
     | 2 B   | u32 BE   | packed header + payload     |
     +-------+----------+-----------------------------+
 
-One encoder and one decoder serve every fabric.  The encoder produces a
-frame as a list of parts in which an ndarray contributes its own buffer
-(:func:`encode_frame_parts`; :func:`encode_frame` joins them, the shm
-rings copy them straight in).  The decoder parses a frame in place from
-bytes, a bytearray or a memoryview and copies out only the decoded
+One encoder and one decoder serve every fabric.  :func:`encode_frame`
+returns a frame as one bytes object.  The decoder parses a frame in place
+from bytes, a bytearray or a memoryview and copies out only the decoded
 values, so nothing it returns aliases the wire buffer:
-:func:`decode_frame` takes one whole frame (loopback queues, shm ring
-slots) and :class:`FrameDecoder` splits a byte stream (tcp sockets).
+:func:`decode_frame` takes one whole frame (the loopback queues) and
+:class:`FrameDecoder` splits a byte stream (the socket fabrics, shm and
+tcp).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 __all__ = ["Frame", "FrameError", "pack", "unpack", "encode_frame",
-           "encode_frame_parts", "decode_frame", "FrameDecoder", "MAGIC"]
+           "decode_frame", "FrameDecoder", "MAGIC"]
 
 MAGIC = b"\xd5\x01"          # frame marker + wire-format version 1
 _MAX_FRAME = 64 * 1024 * 1024  # sanity bound on one frame's body
@@ -126,8 +125,8 @@ def _pack_into(value: Any, out: List[Any]) -> None:
         out.append(struct.pack(">I", arr.ndim))
         out.append(struct.pack(f">{arr.ndim}q", *arr.shape))
         out.append(struct.pack(">I", arr.nbytes))
-        # The array's own bytes (the view keeps ``arr`` alive): whoever
-        # joins or copies the parts makes the one copy.
+        # The array's own bytes (the view keeps ``arr`` alive): the join
+        # in the encoder makes the one copy.
         out.append(arr.reshape(-1).view(np.uint8).data)
     else:
         raise FrameError(
@@ -255,27 +254,17 @@ class Frame:
         return (self.kind, self.op, self.round)
 
 
-def encode_frame_parts(frame: Frame) -> Tuple[List[Any], int]:
-    """``(parts, total_bytes)`` — the one frame encoder.
-
-    ``parts`` are bytes-like pieces, length prefix first; an ndarray
-    payload contributes its own buffer, so a fabric that writes the
-    pieces into its wire buffer (the shm rings) copies it once end to
-    end.
-    """
-    out: List[Any] = []
+def encode_frame(frame: Frame) -> bytes:
+    """Serialize one frame, length prefix included — the one encoder."""
+    out: List[Any] = [b""]          # the prefix, once the body is sized
     _pack_into((frame.kind, frame.op, frame.round,
                 frame.src, frame.dst, frame.seq, frame.payload), out)
-    body_len = sum(len(p) for p in out)
+    body_len = sum(map(len, out))
     if body_len > _MAX_FRAME:
         raise FrameError(f"frame body of {body_len} bytes exceeds the "
                          f"{_MAX_FRAME}-byte bound")
-    return [MAGIC + struct.pack(">I", body_len)] + out, 6 + body_len
-
-
-def encode_frame(frame: Frame) -> bytes:
-    """Serialize one frame, length prefix included."""
-    return b"".join(encode_frame_parts(frame)[0])
+    out[0] = MAGIC + struct.pack(">I", body_len)
+    return b"".join(out)
 
 
 def _parse_frame(buf, pos: int = 0) -> Tuple[Optional[Frame], int]:

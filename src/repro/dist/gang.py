@@ -163,13 +163,11 @@ class Gang:
     processes for :data:`~repro.dist.transport.PROCESS_BACKENDS`.
 
     ``name`` prefixes every thread/process name (``{name}-{rank}``).
-    ``fabric_kwargs`` go to the fabric constructor.
     """
 
     def __init__(self, backend: str, num_shards: int,
                  name: str = "repro-shard",
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 **fabric_kwargs: Any):
+                 deadline_s: float = DEFAULT_DEADLINE_S):
         self.backend = backend
         self.num_shards = num_shards
         self.name = name
@@ -181,8 +179,7 @@ class Gang:
         self._ctx = multiprocessing.get_context("fork") if self.forks \
             else None
         self.fabric = fabric_for_backend(backend, num_shards,
-                                         deadline_s=deadline_s,
-                                         **fabric_kwargs)
+                                         deadline_s=deadline_s)
         self._members: Dict[int, _Member] = {}
 
     # -- launch --------------------------------------------------------------
@@ -221,10 +218,9 @@ class Gang:
         Call once, after the last :meth:`spawn` of a batch.  A launcher
         that is itself rank ``keep`` (the Runtime's driver shard) drops
         every endpoint but that rank's; one that is no rank drops them
-        all where the fabric needs it (the socket meshes, tcp and the shm
-        doorbells: a dead rank's peers only see EOF once no copy of its
-        ends survives; the shm segments are unlinked here too, since the
-        ranks keep their mappings).
+        all where the fabric needs it (the socket meshes of shm and tcp:
+        a dead rank's peers only see EOF once no copy of its ends
+        survives).
         """
         if keep is not None:
             self.fabric.close_other_ends(keep)
@@ -327,6 +323,6 @@ class Gang:
         # one that is wedged elsewhere cannot be killed, and waiting
         # longer would not change that.
         self._join(members, time.monotonic() + (5.0 if self.forks else 0.5))
-        # Unlinks shm segments / closes whatever the launcher still
-        # holds; a no-op the second time round.
+        # Closes whatever the launcher still holds; a no-op the second
+        # time round.
         self.fabric.close_all()

@@ -23,8 +23,8 @@ from .worker import replay_spec
 __all__ = ["run_reference", "BACKENDS"]
 
 #: "loopback" threads transports in one process; the rest fork one worker
-#: process per shard over the matching fabric ("shm" = shared-memory
-#: rings, "tcp" = socket mesh).
+#: process per shard over the matching fabric ("shm" = AF_UNIX socket
+#: pairs, "tcp" = loopback TCP sockets).
 BACKENDS = ("loopback",) + PROCESS_BACKENDS
 
 

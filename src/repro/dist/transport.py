@@ -10,20 +10,20 @@ which it holds:
   unit-test fabric.  Threads stand in for processes, and an optional
   ``scramble`` hook reorders deliveries to exercise the tag/sequence
   matching logic.
-* :class:`SharedMemFabric` — one single-producer/single-consumer ring
-  buffer in ``multiprocessing.shared_memory`` per directed (src, dst)
-  channel, plus one socket pair per rank pair as the doorbell.  Frames
-  are written once into the ring, decoded in place on the receive side
-  (decoded values are copied out, ndarrays included) and their slot is
-  freed as soon as the decode returns; the sender rings the doorbell
-  (one byte) after publishing a frame.
-* :class:`TCPFabric` — one TCP socket per channel carrying length-prefixed
-  frames (:mod:`repro.dist.frames`), pre-connected in the parent; a gang
-  runs on one host.
+* :class:`UnixFabric` (backend ``"shm"``, the name the CLIs, the
+  benchmarks and CI select it by) — one ``socket.socketpair()`` stream
+  per rank pair.
+* :class:`TCPFabric` (backend ``"tcp"``) — one loopback TCP connection
+  per rank pair.
 
-Every fabric encodes through :func:`~repro.dist.frames.encode_frame_parts`
-and decodes through the one in-place parse of :mod:`repro.dist.frames`.
-The control plane sends small frames — window digests, fence barriers,
+The two process fabrics differ only in how they build a pair's ends:
+both are a :class:`_SocketPairFabric`, pre-connected in the parent and
+inherited across ``fork`` (a gang runs on one host), and both hand each
+rank one :class:`_SocketTransport` that writes length-prefixed frames
+(:mod:`repro.dist.frames`) onto the stream and splits them back out.
+Every fabric encodes through :func:`~repro.dist.frames.encode_frame` and
+decodes through the one in-place parse of :mod:`repro.dist.frames`.  The
+control plane sends small frames — window digests, fence barriers,
 LOCALIZE's per-call digests — and no ndarrays (``docs/dist.md``, "What
 the wire carries").
 
@@ -37,13 +37,13 @@ Delivery semantics shared by all (implemented in the base class):
   bounded: a peer that skips ahead more than ``max_reorder`` sequence
   numbers surfaces as a structured :class:`ReorderWindowExceeded`
   instead of unbounded state growth;
-* a receive **waits, it does not poll** — in ``select`` (tcp, the shm
-  doorbell) or ``Queue.get`` (loopback) — for a frame, the peer's
+* a receive **waits, it does not poll** — in ``select`` (the socket
+  fabrics) or ``Queue.get`` (loopback) — for a frame, the peer's
   end-of-stream or its **hard deadline**, past which it raises
   :class:`~repro.faults.injector.CollectiveTimeout` with the caller's
   ``(kind, op)`` tag and the number of waits made;
-* a dead peer is end-of-stream on every fabric — socket EOF on tcp and
-  on the shm doorbell, a sentinel in the loopback queues — so it
+* a dead peer is end-of-stream on every fabric — socket EOF on shm and
+  tcp, a sentinel in the loopback queues — so it
   surfaces as :class:`PeerGone` (a ``CollectiveTimeout`` subclass) at
   once, after the frames it committed;
 * a transport that has been :meth:`~Transport.close`\\ d rejects further
@@ -54,24 +54,22 @@ Delivery semantics shared by all (implemented in the base class):
 
 from __future__ import annotations
 
-import os
 import queue
 import select
 import socket
-import struct
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..faults.injector import CollectiveTimeout
-from .frames import (MAGIC, Frame, FrameDecoder, FrameError, decode_frame,
-                     encode_frame, encode_frame_parts)
+from .frames import (Frame, FrameDecoder, FrameError, decode_frame,
+                     encode_frame)
 
 __all__ = ["TransportError", "PeerGone", "ReorderWindowExceeded",
            "Transport", "Fabric", "LoopbackFabric",
-           "SharedMemFabric", "TCPFabric",
+           "UnixFabric", "TCPFabric",
            "fabric_for_backend", "PROCESS_BACKENDS",
-           "DEFAULT_DEADLINE_S", "DEFAULT_RING_BYTES", "DEFAULT_MAX_REORDER"]
+           "DEFAULT_DEADLINE_S", "DEFAULT_MAX_REORDER"]
 
 #: Default hard deadline on every receive.  Generous for CI machines, but
 #: finite: a dead peer turns into an exception, never a hang.
@@ -80,11 +78,6 @@ DEFAULT_DEADLINE_S = 30.0
 #: Bound on the per-peer out-of-order window: a frame whose seq is this far
 #: above the contiguous watermark is a protocol violation, not reordering.
 DEFAULT_MAX_REORDER = 4096
-
-#: Per-channel shared-memory ring capacity.  One frame must fit
-#: contiguously, so fabrics carrying large ndarray payloads should size
-#: this to a few multiples of the largest expected frame.
-DEFAULT_RING_BYTES = 4 * 1024 * 1024
 
 #: Backends that run real worker processes over a fabric from this module
 #: (as opposed to "loopback", which threads transports in-process).
@@ -173,16 +166,9 @@ class Transport:
 
     # -- subclass interface --------------------------------------------------
 
-    def _send_frame(self, dst: int, frame: Frame) -> None:
-        """Encode and transmit one frame.
-
-        The default joins the encoded parts into one bytes object for
-        :meth:`_send_bytes`; the shm rings override this to copy the
-        parts straight into the ring.
-        """
-        self._send_bytes(dst, encode_frame(frame))
-
     def _send_bytes(self, dst: int, data: bytes) -> None:
+        """Transmit one encoded frame; :class:`PeerGone` if ``dst`` is
+        closed."""
         raise NotImplementedError
 
     def _poll_frame(self, src: int, timeout_s: float) -> Optional[Frame]:
@@ -219,7 +205,7 @@ class Transport:
         frame = Frame(kind=kind, op=op, round=round_, src=self.rank,
                       dst=dst, seq=seq, payload=payload)
         try:
-            self._send_frame(dst, frame)
+            self._send_bytes(dst, encode_frame(frame))
         except PeerGone:
             # Re-tag with the caller's collective so failure attribution
             # sees the real (kind, op) instead of a generic ("send", 0).
@@ -339,59 +325,6 @@ class Fabric:
         """Release everything this process still holds of the mesh."""
 
 
-def _close_sockets(socks) -> None:
-    """Shut down and close sockets: peers see EOF though a copy survives."""
-    for sock in socks:
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
-class _SocketPairFabric(Fabric):
-    """A mesh with one connected socket pair per unordered rank pair.
-
-    ``_ends[(a, b)]`` (``a < b``) is ``(end_a, end_b)``, made by
-    ``connect()`` in rank-pair order and non-blocking: rank ``a`` uses
-    ``end_a`` and rank ``b`` uses ``end_b``.  Each rank keeps only its
-    own ends and the launcher drops all of them, so a rank's end reads
-    EOF as soon as its peer's process exits or its transport closes.
-    """
-
-    parent_must_release = True
-
-    def __init__(self, num_shards: int, deadline_s: float,
-                 connect: Callable[[], Tuple[socket.socket, socket.socket]]):
-        self.num_shards = num_shards
-        self.deadline_s = deadline_s
-        self._ends = {(a, b): connect() for a in range(num_shards)
-                      for b in range(a + 1, num_shards)}
-        for ends in self._ends.values():
-            for sock in ends:
-                sock.setblocking(False)
-
-    def _own_ends(self, rank: int) -> Dict[int, socket.socket]:
-        """``rank``'s end of each pair, by peer."""
-        return {(b if rank == a else a): ends[(a, b).index(rank)]
-                for (a, b), ends in self._ends.items() if rank in (a, b)}
-
-    def close_other_ends(self, rank: int) -> None:
-        """In a worker: drop every socket not belonging to ``rank``."""
-        for pair, ends in self._ends.items():
-            for owner, sock in zip(pair, ends):
-                if owner != rank:
-                    sock.close()
-
-    def close_all(self) -> None:
-        for ends in self._ends.values():
-            for sock in ends:
-                sock.close()
-
-
 # ---------------------------------------------------------------------------
 # Loopback (in-process) fabric
 # ---------------------------------------------------------------------------
@@ -503,321 +436,34 @@ class LoopbackFabric(Fabric):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory ring fabric
-# ---------------------------------------------------------------------------
-
-class _ShmRing:
-    """One direction of one channel: an SPSC byte ring in shared memory.
-
-    Layout: 16-byte header (``head`` — total bytes published, written only
-    by the producer; ``tail`` — total bytes released, written only by the
-    consumer; both monotonic u64 counters) followed by ``capacity`` data
-    bytes.  Frames are always stored contiguously: when one would straddle
-    the end of the buffer the producer stamps a one-byte PAD marker
-    (0xFF — unambiguous, the frame magic starts 0xD5) and skips to offset
-    zero.  The consumer parses at its private ``_read`` cursor and
-    publishes ``tail`` once the frame is decoded.
-
-    Single-producer/single-consumer with the producer publishing ``head``
-    strictly after the frame body is in place; no locks needed.
-    """
-
-    HDR = 16
-    PAD = 0xFF
-
-    def __init__(self, shm):
-        self._shm = shm
-        self.capacity = shm.size - self.HDR
-        self._buf = shm.buf
-        struct.pack_into("<QQ", self._buf, 0, 0, 0)
-        self._head = 0
-        self._read = 0
-        self._released = False
-
-    @classmethod
-    def create(cls, ring_bytes: int) -> "_ShmRing":
-        from multiprocessing import shared_memory
-        return cls(shared_memory.SharedMemory(create=True,
-                                              size=ring_bytes + cls.HDR))
-
-    # -- producer side -------------------------------------------------------
-
-    def _load_tail(self) -> int:
-        return struct.unpack_from("<Q", self._buf, 8)[0]
-
-    def try_write_parts(self, parts, n: int) -> bool:
-        """Append one frame given as bytes-like pieces totalling ``n``.
-
-        Pieces are copied into the ring back to back, so an ndarray
-        payload handed over as its own buffer
-        (:func:`~repro.dist.frames.encode_frame_parts`) is copied once
-        end to end.
-        """
-        cap = self.capacity
-        if n > cap:
-            raise TransportError(
-                f"frame of {n} bytes exceeds the shm ring capacity "
-                f"({cap} bytes); construct the fabric with a larger "
-                f"ring_bytes")
-        head = self._head
-        pos = head % cap
-        if pos + n > cap:
-            # The frame must be contiguous: stamp a PAD marker and skip to
-            # offset zero.  The skipped remainder counts as live span, so
-            # it must itself fit before we commit it.
-            pad = cap - pos
-            if (head - self._load_tail()) + pad > cap:
-                return False
-            self._buf[self.HDR + pos] = self.PAD
-            head += pad
-            self._head = head
-            struct.pack_into("<Q", self._buf, 0, head)
-            pos = 0
-        if (head - self._load_tail()) + n > cap:
-            return False
-        off = self.HDR + pos
-        for part in parts:
-            ln = len(part)
-            self._buf[off:off + ln] = part
-            off += ln
-        self._head = head + n
-        # Publish strictly after the body so the consumer never parses a
-        # half-written frame.
-        struct.pack_into("<Q", self._buf, 0, self._head)
-        return True
-
-    # -- consumer side -------------------------------------------------------
-
-    def _load_head(self) -> int:
-        return struct.unpack_from("<Q", self._buf, 0)[0]
-
-    def try_read(self) -> Optional[Tuple[memoryview, int]]:
-        """``(frame_view, cursor_after)`` for the next frame, or None.
-
-        The view aliases ring storage: the caller decodes it, releases
-        it, then calls :meth:`release` with ``cursor_after``.
-        """
-        cap = self.capacity
-        while True:
-            head = self._load_head()
-            if self._read >= head:
-                return None
-            rpos = self._read % cap
-            first = self._buf[self.HDR + rpos]
-            if first == self.PAD:
-                self._read += cap - rpos
-                continue
-            hdr = bytes(self._buf[self.HDR + rpos:self.HDR + rpos + 6])
-            if hdr[:2] != MAGIC:
-                raise FrameError(f"bad frame magic {hdr[:2]!r} in shm ring")
-            total = 6 + struct.unpack(">I", hdr[2:])[0]
-            view = memoryview(self._buf)[self.HDR + rpos:
-                                         self.HDR + rpos + total]
-            self._read += total
-            return view, self._read
-
-    def release(self, upto: int) -> None:
-        """Publish ``tail``: the producer may now reuse bytes below it."""
-        struct.pack_into("<Q", self._buf, 8, upto)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Unmap this process's view of the segment (idempotent)."""
-        if self._released:
-            return
-        self._released = True
-        try:
-            self._buf = None
-            self._shm.close()
-        except (BufferError, OSError):
-            pass    # the mapping dies with the process instead
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-
-
-class _SharedMemTransport(Transport):
-    """One rank's view of the shm ring mesh; decodes frames in place.
-
-    ``bells[p]`` is this rank's end of the socket pair it shares with
-    peer ``p``.  A sender rings it (one byte) after publishing a frame to
-    ``p``'s ring; a receiver whose ring is empty waits in ``select`` on
-    it.  It reads EOF once ``p``'s process exits or its transport
-    closes, which is how a dead peer is seen.
-    """
-
-    def __init__(self, rank: int, num_shards: int,
-                 rings_out: Dict[int, _ShmRing],
-                 rings_in: Dict[int, _ShmRing],
-                 bells: Dict[int, socket.socket],
-                 deadline_s: float = DEFAULT_DEADLINE_S):
-        super().__init__(rank, num_shards, deadline_s=deadline_s)
-        self._rings_out = rings_out
-        self._rings_in = rings_in
-        self._bells = bells
-        # Frames drained opportunistically while a send was stalled on a
-        # full outbound ring, waiting for their recv.
-        self._stash: Dict[int, deque] = {s: deque() for s in rings_in}
-
-    def _ring(self, dst: int) -> None:
-        """Wake ``dst``; :class:`PeerGone` if its end of the bell is closed."""
-        try:
-            self._bells[dst].send(b"\x01")
-        except (BlockingIOError, InterruptedError):
-            pass    # bytes already wait unread: dst wakes anyway
-        except (BrokenPipeError, ConnectionResetError):
-            raise PeerGone("send", 0, dst) from None
-
-    def _send_frame(self, dst: int, frame: Frame) -> None:
-        # The encoded parts go straight into the ring: an array payload
-        # is copied once (array -> ring), not joined first.
-        parts, total = encode_frame_parts(frame)
-        ring = self._rings_out[dst]
-        deadline = time.monotonic() + self.deadline_s
-        while not ring.try_write_parts(parts, total):
-            # Drain our inbound rings while stalled: with symmetric large
-            # exchanges every peer may be mid-send, and nobody's outbound
-            # ring empties until somebody consumes.
-            drained = False
-            for src in self._rings_in:
-                while True:
-                    frame = self._take_one(src)
-                    if frame is None:
-                        break
-                    self._stash[src].append(frame)
-                    drained = True
-            if drained:
-                continue
-            self._ring(dst)     # a dead receiver is a broken pipe
-            if time.monotonic() >= deadline:
-                raise TransportError(
-                    f"shard {self.rank}: shm ring to shard {dst} stayed "
-                    f"full for {self.deadline_s}s (receiver not draining)")
-            time.sleep(0.0002)
-        self._ring(dst)
-
-    def _take_one(self, src: int) -> Optional[Frame]:
-        """Decode the next frame from ``src``'s ring, if one is ready, and
-        free its slot."""
-        ring = self._rings_in[src]
-        try:
-            out = ring.try_read()
-            if out is None:
-                return None
-            view, cursor = out
-            with view:
-                frame = decode_frame(view)
-        except FrameError as exc:
-            raise TransportError(
-                f"shard {self.rank}: corrupt frame from shard {src}: "
-                f"{exc}") from exc
-        ring.release(cursor)
-        return frame
-
-    def _poll_frame(self, src: int, timeout_s: float) -> Optional[Frame]:
-        stash = self._stash[src]
-        if stash:
-            return stash.popleft()
-        frame = self._take_one(src)
-        if frame is not None:
-            return frame
-        bell = self._bells[src]
-        try:
-            readable, _, _ = select.select([bell], [], [], timeout_s)
-        except (ValueError, OSError):
-            raise PeerGone("recv", 0, src) from None
-        if not readable:
-            return None
-        try:
-            ended = not bell.recv(4096)     # drain the rung bytes
-        except (BlockingIOError, InterruptedError):
-            ended = False
-        except ConnectionResetError:
-            ended = True
-        # A peer publishes a frame before it rings, and commits its final
-        # frames before it closes or exits: read the ring once more, so
-        # what it sent is delivered before its end-of-stream.
-        frame = self._take_one(src)
-        if frame is None and ended:
-            raise PeerGone("recv", 0, src)
-        return frame
-
-    def close(self) -> None:
-        super().close()
-        _close_sockets(self._bells.values())
-
-
-class SharedMemFabric(_SocketPairFabric):
-    """Mesh of shared-memory rings, one per directed channel.
-
-    Frames are written once into a per-(src, dst) SPSC ring
-    (:class:`_ShmRing`), decoded in place on the receive side and freed
-    as soon as they are decoded.  One socket pair per rank pair is the
-    doorbell and the death signal (:class:`_SharedMemTransport`).
-    Workers inherit the mappings and the sockets across ``fork``; a
-    mapping outlives the segment's name, so the creator unlinks the
-    segments (exactly once) in :meth:`close_all` — which the launcher
-    calls as soon as every rank is started.
-    """
-
-    def __init__(self, num_shards: int,
-                 deadline_s: float = DEFAULT_DEADLINE_S,
-                 ring_bytes: int = DEFAULT_RING_BYTES):
-        super().__init__(num_shards, deadline_s, socket.socketpair)
-        self.ring_bytes = ring_bytes
-        self._creator_pid = os.getpid()
-        self._unlinked = False
-        self._rings: Dict[Tuple[int, int], _ShmRing] = {
-            (s, d): _ShmRing.create(ring_bytes)
-            for s in range(num_shards) for d in range(num_shards) if s != d
-        }
-
-    def transport(self, rank: int) -> Transport:
-        rings_out = {d: self._rings[(rank, d)]
-                     for d in range(self.num_shards) if d != rank}
-        rings_in = {s: self._rings[(s, rank)]
-                    for s in range(self.num_shards) if s != rank}
-        return _SharedMemTransport(rank, self.num_shards, rings_out,
-                                   rings_in, self._own_ends(rank),
-                                   deadline_s=self.deadline_s)
-
-    def close_other_ends(self, rank: int) -> None:
-        """In a worker: drop every doorbell and ring not touching ``rank``."""
-        super().close_other_ends(rank)
-        for (s, d), ring in self._rings.items():
-            if rank not in (s, d):
-                ring.close()
-
-    def close_all(self) -> None:
-        """Drop everything; unlink the segments if we created them."""
-        super().close_all()
-        for ring in self._rings.values():
-            ring.close()
-        if not self._unlinked and os.getpid() == self._creator_pid:
-            self._unlinked = True
-            for ring in self._rings.values():
-                ring.unlink()
-
-    def __del__(self):
-        try:
-            self.close_all()
-        except Exception:
-            pass
-
-
-# ---------------------------------------------------------------------------
-# TCP socket fabric
+# Socket-pair fabrics (shm: AF_UNIX pairs, tcp: loopback TCP)
 # ---------------------------------------------------------------------------
 
 _RECV_CHUNK = 1 << 18
 
 
-class _TCPTransport(Transport):
-    """One rank's sockets of the TCP mesh, with per-peer stream decoders."""
+def _close_sockets(socks) -> None:
+    """Shut down and close sockets: peers see EOF though a copy survives."""
+    for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
+
+
+class _SocketTransport(Transport):
+    """One rank's ends of a socket-pair mesh, with per-peer stream decoders.
+
+    ``socks[p]`` is this rank's end of the stream it shares with peer
+    ``p``; frames cross it length-prefixed and are split back out by a
+    :class:`~repro.dist.frames.FrameDecoder`.  It reads EOF once ``p``'s
+    process exits or its transport closes, which is how a dead peer is
+    seen — after every byte ``p`` sent before.
+    """
 
     def __init__(self, rank: int, num_shards: int,
                  socks: Dict[int, socket.socket],
@@ -840,7 +486,7 @@ class _TCPTransport(Transport):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TransportError(
-                        f"shard {self.rank}: tcp send to shard {dst} "
+                        f"shard {self.rank}: send to shard {dst} "
                         f"stalled for {self.deadline_s}s")
                 # Drain inbound buffers while stalled: with symmetric
                 # large exchanges every peer may be mid-send, and no
@@ -907,12 +553,61 @@ class _TCPTransport(Transport):
         _close_sockets(self._socks.values())
 
 
-class TCPFabric(_SocketPairFabric):
-    """Full mesh of TCP socket pairs, pre-connected in the parent.
+class _SocketPairFabric(Fabric):
+    """A mesh with one connected socket pair per unordered rank pair.
 
-    Every pair is connected up front over loopback and the endpoints are
-    inherited across ``fork``.
+    ``_ends[(a, b)]`` (``a < b``) is ``(end_a, end_b)``, made by
+    ``connect()`` in rank-pair order and non-blocking: rank ``a`` uses
+    ``end_a`` and rank ``b`` uses ``end_b``.  The ends are inherited
+    across ``fork``; each rank keeps only its own and the launcher drops
+    all of them, so a rank's end reads EOF as soon as its peer's process
+    exits or its transport closes.  Subclasses differ only in
+    ``connect``.
     """
+
+    parent_must_release = True
+
+    def __init__(self, num_shards: int, deadline_s: float,
+                 connect: Callable[[], Tuple[socket.socket, socket.socket]]):
+        self.num_shards = num_shards
+        self.deadline_s = deadline_s
+        self._ends = {(a, b): connect() for a in range(num_shards)
+                      for b in range(a + 1, num_shards)}
+        for ends in self._ends.values():
+            for sock in ends:
+                sock.setblocking(False)
+
+    def transport(self, rank: int) -> Transport:
+        own = {(b if rank == a else a): ends[(a, b).index(rank)]
+               for (a, b), ends in self._ends.items() if rank in (a, b)}
+        return _SocketTransport(rank, self.num_shards, own,
+                                deadline_s=self.deadline_s)
+
+    def close_other_ends(self, rank: int) -> None:
+        """In a worker: drop every socket not belonging to ``rank``."""
+        for pair, ends in self._ends.items():
+            for owner, sock in zip(pair, ends):
+                if owner != rank:
+                    sock.close()
+
+    def close_all(self) -> None:
+        for ends in self._ends.values():
+            for sock in ends:
+                sock.close()
+
+
+class UnixFabric(_SocketPairFabric):
+    """Full mesh of ``socket.socketpair()`` streams (AF_UNIX): the
+    ``"shm"`` backend, one host, no address to bind."""
+
+    def __init__(self, num_shards: int,
+                 deadline_s: float = DEFAULT_DEADLINE_S):
+        super().__init__(num_shards, deadline_s, socket.socketpair)
+
+
+class TCPFabric(_SocketPairFabric):
+    """Full mesh of TCP socket pairs, connected in the parent over
+    loopback: the ``"tcp"`` backend."""
 
     def __init__(self, num_shards: int,
                  deadline_s: float = DEFAULT_DEADLINE_S,
@@ -937,28 +632,22 @@ class TCPFabric(_SocketPairFabric):
         finally:
             listener.close()
 
-    def transport(self, rank: int) -> Transport:
-        return _TCPTransport(rank, self.num_shards, self._own_ends(rank),
-                             deadline_s=self.deadline_s)
-
 
 # ---------------------------------------------------------------------------
 # Fabric registry
 # ---------------------------------------------------------------------------
 
 def fabric_for_backend(backend: str, num_shards: int,
-                       deadline_s: float = DEFAULT_DEADLINE_S,
-                       **kwargs) -> Fabric:
+                       deadline_s: float = DEFAULT_DEADLINE_S) -> Fabric:
     """The fabric a gang on ``backend`` runs over.
 
     ``"loopback"`` is the in-process queue mesh (ranks are threads);
-    ``"shm"`` and ``"tcp"`` select the shared-memory ring and TCP socket
-    fabrics (ranks are forked processes).  Extra ``kwargs`` (e.g.
-    ``ring_bytes``) go to the fabric constructor.
+    ``"shm"`` and ``"tcp"`` select the AF_UNIX and the TCP socket-pair
+    fabrics (ranks are forked processes).
     """
-    fabrics = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+    fabrics = {"loopback": LoopbackFabric, "shm": UnixFabric,
                "tcp": TCPFabric}
     if backend not in fabrics:
         raise ValueError(f"no fabric for backend {backend!r}; expected "
                          f"'loopback' or one of {PROCESS_BACKENDS}")
-    return fabrics[backend](num_shards, deadline_s=deadline_s, **kwargs)
+    return fabrics[backend](num_shards, deadline_s=deadline_s)

@@ -54,9 +54,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="sharding function (default blocked)")
     parser.add_argument("--backend", choices=BACKENDS,
                         default="tcp",
-                        help="transport backend: tcp = socket mesh, "
-                             "shm = shared-memory rings, loopback = "
-                             "in-process threads (default tcp)")
+                        help="transport backend: tcp = loopback TCP "
+                             "sockets, shm = AF_UNIX socket pairs, "
+                             "loopback = in-process threads (default tcp)")
     parser.add_argument("--batch", type=int, default=16,
                         help="determinism check window (default 16)")
     parser.add_argument("--verify", action="store_true",

@@ -208,10 +208,7 @@ def test_bulk_allgather_allreduce_complete_inside_the_deadline(backend, n):
 
     from repro.dist import Gang
 
-    # One frame must fit a shm ring contiguously, and dissemination's
-    # last round carries up to n-1 arrays in one frame.
-    kwargs = {"ring_bytes": 32 << 20} if backend == "shm" else {}
-    gang = Gang(backend, n, deadline_s=BULK_DEADLINE_S, **kwargs)
+    gang = Gang(backend, n, deadline_s=BULK_DEADLINE_S)
     start = time.monotonic()
     try:
         for rank in range(n):

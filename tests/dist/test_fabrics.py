@@ -2,9 +2,9 @@
 
 Every fabric behind the :class:`~repro.dist.transport.Transport` seam
 must exhibit identical tagged-exchange semantics — same payload bytes,
-same tag matching, same deadline and dead-peer behavior — plus each
-fabric's own mechanics: shm ring wrap-around and slot reuse, crash
-surfacing as :class:`PeerGone` across a real fork.
+same tag matching, same deadline and dead-peer behavior — plus the
+socket fabrics' own mechanics: stream framing, a send stalled on a full
+socket buffer, crash surfacing as :class:`PeerGone` across a real fork.
 """
 
 import multiprocessing
@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 
 from repro.dist.transport import (PROCESS_BACKENDS, LoopbackFabric, PeerGone,
-                                  SharedMemFabric, TCPFabric,
-                                  TransportError, fabric_for_backend)
+                                  TCPFabric, UnixFabric, fabric_for_backend)
 from repro.faults.injector import CollectiveTimeout
 
 FABRIC_KINDS = ["loopback", "shm", "tcp"]
 
 
 def make_fabric(kind, num_shards, **kwargs):
-    cls = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+    cls = {"loopback": LoopbackFabric, "shm": UnixFabric,
            "tcp": TCPFabric}[kind]
     return cls(num_shards, **kwargs)
 
@@ -81,7 +80,7 @@ def test_recv_deadline_bounded(fabric_pair):
 
 def test_bidirectional_concurrent_exchange(fabric_pair):
     # Symmetric sends from both ends at once: the drain-while-stalled
-    # logic must prevent a ring/socket-buffer deadlock.
+    # logic must prevent a socket-buffer deadlock.
     kind, (t0, t1) = fabric_pair
     arr = np.arange(20_000, dtype=np.float64)
     errs = []
@@ -105,13 +104,15 @@ def test_bidirectional_concurrent_exchange(fabric_pair):
     assert not errs
 
 
-# -- shm mechanics ----------------------------------------------------------
+# -- socket mechanics -------------------------------------------------------
 
 
-def test_shm_ring_wraparound_soak():
-    # A ring far smaller than the traffic: every frame wraps many times,
-    # exercising the PAD-marker skip and head/tail release protocol.
-    fabric = SharedMemFabric(2, deadline_s=20.0, ring_bytes=8192)
+@pytest.mark.parametrize("kind", PROCESS_BACKENDS)
+def test_a_stream_of_varied_frames_arrives_intact(kind):
+    # Frames of 300 different sizes back to back on one stream: every
+    # receive chunk boundary falls somewhere inside a frame, and the
+    # decoder must split each one out whole and in order.
+    fabric = make_fabric(kind, 2, deadline_s=20.0)
     t0, t1 = fabric.transports()
     try:
         rounds = 300
@@ -137,46 +138,6 @@ def test_shm_ring_wraparound_soak():
         t0.close()
         t1.close()
         fabric.close_all()
-
-
-def test_shm_ring_slot_is_free_while_the_receiver_keeps_the_array():
-    # A received array is a copy, so keeping it does not hold its ring
-    # slot: a ring that fits only one 9 600-byte frame at a time carries
-    # eight of them to a receiver that keeps every one.
-    fabric = SharedMemFabric(2, deadline_s=2.0, ring_bytes=16384)
-    t0, t1 = fabric.transports()
-    try:
-        kept = []
-        for rnd in range(8):
-            t0.send(1, "stream", 0, rnd, np.full(1200, rnd, dtype=np.float64))
-            kept.append(t1.recv(0, "stream", 0, rnd))
-        for rnd, got in enumerate(kept):
-            assert got.shape == (1200,) and (got == rnd).all()
-    finally:
-        t0.close()
-        t1.close()
-        fabric.close_all()
-
-
-def test_shm_frame_larger_than_ring_rejected():
-    fabric = SharedMemFabric(2, deadline_s=5.0, ring_bytes=4096)
-    t0, t1 = fabric.transports()
-    try:
-        with pytest.raises(TransportError, match="exceeds the shm ring"):
-            t0.send(1, "bcast", 0, 0, np.zeros(4096, dtype=np.float64))
-    finally:
-        t0.close()
-        t1.close()
-        fabric.close_all()
-
-
-def test_shm_segments_unlinked_after_close_all():
-    fabric = SharedMemFabric(2, deadline_s=5.0)
-    names = [ring._shm.name for ring in fabric._rings.values()]
-    fabric.close_all()
-    leftovers = [n for n in names
-                 if os.path.exists(f"/dev/shm/{n.lstrip('/')}")]
-    assert leftovers == []
 
 
 # -- crash surfacing across a real fork -------------------------------------
@@ -242,7 +203,7 @@ def test_cross_fork_large_array_exchange(kind):
 
 def test_fabric_registry_dispatch():
     for backend, cls in (("loopback", LoopbackFabric),
-                         ("shm", SharedMemFabric), ("tcp", TCPFabric)):
+                         ("shm", UnixFabric), ("tcp", TCPFabric)):
         fabric = fabric_for_backend(backend, 2, deadline_s=5.0)
         assert isinstance(fabric, cls)
         fabric.close_all()
@@ -255,13 +216,14 @@ def test_fabric_registry_dispatch():
 # -- a receive waits, and a dead peer wakes it --------------------------------
 
 
-def test_shm_receive_waits_without_sleeping(monkeypatch):
+@pytest.mark.parametrize("kind", PROCESS_BACKENDS)
+def test_a_receive_waits_without_sleeping(monkeypatch, kind):
     # Two transports of one fabric ping-pong on two threads; a receive
-    # that found its ring empty and slept would raise here.
+    # that found its socket empty and slept would raise here.
     def no_sleep(seconds):
         raise AssertionError(f"time.sleep({seconds}) on the receive path")
 
-    fabric = SharedMemFabric(2, deadline_s=10.0)
+    fabric = make_fabric(kind, 2, deadline_s=10.0)
     t0, t1 = fabric.transports()
     payload = np.arange(128, dtype=np.float64)          # 1 KiB
     errs = []
@@ -291,17 +253,19 @@ def test_shm_receive_waits_without_sleeping(monkeypatch):
     assert not errs
 
 
-def test_shm_send_stalled_on_a_full_ring_sees_the_receiver_close():
-    fabric = SharedMemFabric(2, deadline_s=30.0, ring_bytes=4096)
+@pytest.mark.parametrize("kind", PROCESS_BACKENDS)
+def test_a_send_stalled_on_a_full_socket_buffer_sees_the_receiver_close(kind):
+    fabric = make_fabric(kind, 2, deadline_s=30.0)
     t0, t1 = fabric.transports()
-    chunk = np.zeros(256, dtype=np.float64)            # 2 KiB frames
+    # 16 MiB: more than the kernel buffers of both ends hold while the
+    # receiver reads nothing, so the send stalls part way.
+    chunk = np.zeros(2 << 20, dtype=np.float64)
     closer = threading.Timer(0.2, t1.close)
     try:
-        t0.send(1, "fill", 0, 0, chunk)                 # t1 never reads
         closer.start()
         start = time.monotonic()
         with pytest.raises(PeerGone) as exc:
-            t0.send(1, "fill", 0, 1, chunk)
+            t0.send(1, "fill", 0, 0, chunk)             # t1 never reads
         assert 0.1 < time.monotonic() - start < 1.0     # stalled, then woke
         assert exc.value.kind == "fill"
     finally:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dist.frames import (MAGIC, Frame, FrameDecoder, FrameError,
-                               decode_frame, encode_frame,
-                               encode_frame_parts, pack, unpack)
+                               decode_frame, encode_frame, pack, unpack)
 
 PAYLOADS = [
     None,
@@ -107,8 +106,8 @@ def test_frame_roundtrip_every_field():
 
 
 def test_frame_bytes_pinned():
-    # Every fabric encodes through encode_frame_parts: an array's own
-    # buffer is one of the parts.  The joined bytes must not move.
+    # Every fabric encodes through encode_frame.  Its bytes must not
+    # move.
     frame = Frame("bcast", 1, 2, 0, 1, 3, {
         "a": np.arange(6, dtype=np.int16).reshape(2, 3)[:, ::2],
         "d": (1 << 127) + 5, "s": "x", "f": 0.5, "n": None,
@@ -122,8 +121,6 @@ def test_frame_bytes_pinned():
         "0010800000000000000000000000000000057300000001666"
         "63fe000000000000073000000016c6c000000025462000000017a730000000"
         "16e4e730000000173730000000178")
-    parts, total = encode_frame_parts(frame)
-    assert total == len(raw) and b"".join(parts) == raw
     out = decode_frame(memoryview(raw))
     np.testing.assert_array_equal(out.payload["a"], [[0, 2], [3, 5]])
     assert out.payload["d"] == (1 << 127) + 5

@@ -5,7 +5,6 @@ Deadlines, silent ranks and the no-orphan sweep are in
 rank guarantees, on a thread gang and on a process gang.
 """
 
-import os
 import sys
 import threading
 import time
@@ -114,19 +113,3 @@ def test_kill_unblocks_peers_and_ends_the_conversation(backend):
     finally:
         gang.terminate()
     assert not gang.process(1).is_alive()
-
-
-def test_shm_segments_are_unlinked_once_the_ranks_are_started():
-    # The ranks keep their mappings, so the launcher unlinks every ring
-    # segment at release_parent: a launcher that dies later leaks none.
-    gang = Gang("shm", 2)
-    try:
-        channels = [gang.spawn(r, _await_command) for r in range(2)]
-        names = [ring._shm.name.lstrip("/")
-                 for ring in gang.fabric._rings.values()]
-        gang.release_parent()
-        assert [n for n in names if os.path.exists(f"/dev/shm/{n}")] == []
-        for rank, channel in enumerate(channels):
-            assert channel.recv(10.0) == ("up", rank)
-    finally:
-        gang.terminate()

@@ -15,8 +15,8 @@ import pytest
 
 from repro.dist.frames import Frame, encode_frame
 from repro.dist.transport import (LoopbackFabric, PeerGone,
-                                  ReorderWindowExceeded, SharedMemFabric,
-                                  TCPFabric, TransportError)
+                                  ReorderWindowExceeded, TCPFabric,
+                                  TransportError, UnixFabric)
 from repro.faults.injector import CollectiveTimeout
 
 
@@ -85,7 +85,7 @@ def test_send_to_dead_peer_carries_callers_tag():
 
 @pytest.mark.parametrize("kind", ["loopback", "shm", "tcp"])
 def test_use_after_close_raises_transport_error(kind):
-    cls = {"loopback": LoopbackFabric, "shm": SharedMemFabric,
+    cls = {"loopback": LoopbackFabric, "shm": UnixFabric,
            "tcp": TCPFabric}[kind]
     fabric = cls(2, deadline_s=5.0)
     t0, t1 = fabric.transports()
@@ -110,16 +110,16 @@ def test_use_after_close_raises_transport_error(kind):
 # -- bugfix: a dead peer's committed frames are drained before PeerGone ------
 
 
-def test_shm_frames_committed_before_close_are_not_lost():
+@pytest.mark.parametrize("kind", ["shm", "tcp"])
+def test_frames_committed_before_close_are_not_lost(kind):
     # A peer that sends its last frame and immediately closes (or exits)
-    # must not take the frame with it: the consumer drains the ring
-    # before honouring the death notice, mirroring kernel EOF semantics
-    # where buffered data is delivered before EOF.
-    fabric = SharedMemFabric(2, deadline_s=5.0)
+    # must not take the frame with it: the consumer reads what is
+    # buffered on the stream before it honours the end-of-stream.
+    fabric = (UnixFabric if kind == "shm" else TCPFabric)(2, deadline_s=5.0)
     t0, t1 = fabric.transports()
     try:
         t0.send(1, "bench", 1, 0, "final-ack")
-        t0.close()                       # rank 0's doorbells read EOF
+        t0.close()                       # rank 0's ends read EOF
         assert t1.recv(0, "bench", 1, 0) == "final-ack"
         with pytest.raises(PeerGone):
             t1.recv(0, "bench", 1, 1)

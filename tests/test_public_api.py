@@ -58,7 +58,7 @@ def test_dist_has_no_twins_of_core_mechanisms():
                  "claimed_transport", "monitor"):
         assert gone not in dist.__all__ and not hasattr(dist, gone), gone
     assert issubclass(dist.DistCollectives, ScheduledCollectives)
-    assert {"LoopbackFabric", "SharedMemFabric", "TCPFabric"} \
+    assert {"LoopbackFabric", "UnixFabric", "TCPFabric"} \
         <= set(dist.__all__)
     assert dist.PROCESS_BACKENDS == ("shm", "tcp")
 
@@ -100,7 +100,7 @@ def test_recovery_surfaces_carry_no_dead_knobs():
         & params(DeferredOpManager.__init__)
     for fn in (transport.Transport.__init__,
                transport.LoopbackFabric.__init__,
-               transport.SharedMemFabric.__init__,
+               transport.UnixFabric.__init__,
                transport.TCPFabric.__init__,
                transport.fabric_for_backend):
         assert "retry" not in params(fn), fn.__qualname__
@@ -168,10 +168,14 @@ def test_the_wire_has_one_encoder_one_decoder_and_no_rendezvous():
     from repro.dist import frames, transport
     from repro.service import ServiceGang
 
-    for gone in ("decode_frame_view", "ZERO_COPY_MIN_BYTES"):
+    for gone in ("decode_frame_view", "ZERO_COPY_MIN_BYTES",
+                 "encode_frame_parts"):
         assert gone not in frames.__all__ and not hasattr(frames, gone)
-    assert {"encode_frame", "encode_frame_parts", "decode_frame",
-            "FrameDecoder"} <= set(frames.__all__)
+    assert {"encode_frame", "decode_frame", "FrameDecoder"} \
+        <= set(frames.__all__)
+    for gone in ("SharedMemFabric", "DEFAULT_RING_BYTES"):
+        for mod in (dist, transport):
+            assert gone not in mod.__all__ and not hasattr(mod, gone), gone
     for mod in (dist, transport):
         assert "connect_tcp_mesh" not in mod.__all__
         assert not hasattr(mod, "connect_tcp_mesh")

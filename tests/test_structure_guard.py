@@ -92,6 +92,21 @@
   shared-memory status board of pids read from ``/proc``, and a
   geometric poll backoff sat above all three fabrics; the next test
   fails if any of that grows back.
+* One socket transport for both process fabrics.  The shm fabric once
+  copied every frame into a single-producer ring in
+  ``multiprocessing.shared_memory`` per directed channel, sized by a
+  ``ring_bytes`` knob that ``fabric_for_backend`` and ``Gang`` forwarded
+  as ``**kwargs``, and rang a socket pair per rank pair as its doorbell
+  — two hand-offs per frame where the socket pair alone delivers it,
+  faster for every frame the wire carries.  The next test fails if the
+  ring, its knob, its part-wise encoder or a forwarded ``**kwargs``
+  grows back.
+* Every ``src`` module has a consumer outside its own package's
+  ``__init__``: another ``src`` module, ``benchmarks/`` or
+  ``examples/``.  The modules only tests use are listed, each with the
+  ROADMAP item that retires it or the reason it stays (a CLI, the fuzz
+  tier), so adding one is deliberate; the consumer test fails on an
+  unlisted one or a stale entry.
 * A resource is named by how the program built it.  The hasher once
   numbered every object by first use and held each one so that CPython
   could not reuse a freed id, ``fence_sequence`` renumbered region uids
@@ -866,13 +881,42 @@ def test_the_fabric_poll_plane_stays_deleted():
                   and re.search(r"/proc\b", node.value)]
     (_, tree), = _trees(("dist/transport.py",))
     offenders += [f"dist/transport.py:{line}: sleep in {where}"
-                  for where, line in _sleeps_by_function(tree)
-                  if where != "_SharedMemTransport._send_frame"]
+                  for where, line in _sleeps_by_function(tree)]
     assert not offenders, (
         "a receive blocks in select or Queue.get until a frame, the peer's "
-        "end-of-stream or its deadline, and a dead peer is end-of-stream "
-        "on every fabric; only a send stalled on a full shm ring "
-        "sleeps:\n  " + "\n  ".join(offenders))
+        "end-of-stream or its deadline, a dead peer is end-of-stream on "
+        "every fabric, and nothing in the transports sleeps:\n  "
+        + "\n  ".join(offenders))
+
+
+# -- one socket transport for both process fabrics ----------------------------
+
+
+def test_the_shared_memory_ring_stays_deleted():
+    import inspect
+
+    from repro.dist import Gang, fabric_for_backend
+
+    gone = {"_ShmRing", "ring_bytes", "DEFAULT_RING_BYTES", "shared_memory",
+            "encode_frame_parts"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    offenders += [f"{rel}:{node.lineno}: imports {node.module}"
+                  for rel, tree in _trees(("",))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and "shared_memory" in (node.module or "")]
+    offenders += [f"{fn.__qualname__} takes **{p.name}"
+                  for fn in (Gang.__init__, fabric_for_backend)
+                  for p in inspect.signature(fn).parameters.values()
+                  if p.kind is inspect.Parameter.VAR_KEYWORD]
+    assert not offenders, (
+        "both process fabrics send length-prefixed frames over one socket "
+        "pair per rank pair through one transport; a frame crosses one "
+        "hand-off, and no fabric or gang takes a size knob:\n  "
+        + "\n  ".join(offenders))
 
 
 # -- one structural name per resource -----------------------------------------
@@ -914,3 +958,104 @@ def test_resources_are_named_by_structure_not_by_counters():
              if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
     assert found >= {n for names in STRUCTURAL_READERS.values()
                      for n in names}
+
+
+# -- every src module has a consumer besides the tests ------------------------
+
+ROOT = SRC.parent.parent
+
+#: ``src`` modules that nothing imports outside their own package's
+#: ``__init__`` — no other ``src`` module, nothing under ``benchmarks/`` or
+#: ``examples/`` — with the ROADMAP item that retires each one or the
+#: reason it stays.
+TEST_ONLY_MODULES = {
+    "apps/htr_mini.py": "item 20: a test program, moves under tests/",
+    "apps/soleil_mini.py": "item 20: a test program, moves under tests/",
+    "flexflow/training.py": "item 20: only tests train the MLP",
+    "legate/fuzz.py": "stays: the differential fuzz tier's driver",
+    "models/des.py": "item 9: the calibrated simulator consumes it",
+    "runtime/events.py": "item 10: the one executor replaces it",
+    "tools/bench_gate.py": "stays: a CLI (python -m repro.tools.bench_gate)",
+    "tools/checkpoint.py": "item 20: only tests save or load a region",
+    "tools/dist.py": "stays: a CLI (python -m repro.tools.dist)",
+    "tools/prof.py": "stays: a CLI (python -m repro.tools.prof)",
+    "tools/serve.py": "stays: a CLI (python -m repro.tools.serve)",
+    "tools/spy.py": "item 20: only tests validate a run",
+}
+
+
+def _dotted(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported(tree: ast.AST, package: str):
+    """``(module, name)`` for each ``import module`` (name None) and each
+    name of a ``from module import name``, relative imports resolved
+    against ``package``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                base = package.split(".")[:len(package.split(".")) -
+                                          node.level + 1]
+                module = ".".join(base + ([module] if module else []))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def _unconsumed_modules():
+    paths = {_dotted(p): p for p in sorted(SRC.rglob("*.py"))}
+    packages = {m for m, p in paths.items() if p.name == "__init__.py"}
+    trees = {m: ast.parse(p.read_text(), str(p)) for m, p in paths.items()}
+
+    def package_of(module):
+        return module if module in packages else module.rpartition(".")[0]
+
+    # What each package __init__ re-exports, by name: its source module.
+    exported = {pkg: {name: src for src, name in _imported(trees[pkg], pkg)
+                      if name and src in paths}
+                for pkg in packages}
+
+    def target(module, name):
+        if name and f"{module}.{name}" in paths:
+            return f"{module}.{name}"               # a submodule
+        source = exported.get(module, {}).get(name)
+        if source is None:
+            return module
+        return target(source, name) if source in packages else source
+
+    consumers = [(m, trees[m], package_of(m)) for m in paths]
+    consumers += [(None, ast.parse(p.read_text(), str(p)), "")
+                  for top in ("benchmarks", "examples")
+                  for p in sorted((ROOT / top).rglob("*.py"))]
+    consumed = set()
+    for who, tree, package in consumers:
+        for module, name in _imported(tree, package):
+            used = target(module, name)
+            # A package __init__ re-exporting from inside its own tree
+            # consumes nothing: the name counts once someone outside
+            # imports it from there.
+            if used != who and not (who in packages
+                                    and used.startswith(who + ".")):
+                consumed.add(used)
+    return {paths[m].relative_to(SRC).as_posix() for m in paths
+            if m not in packages | consumed
+            and not m.endswith(".__main__")}
+
+
+def test_every_src_module_has_a_consumer_besides_the_tests():
+    found = _unconsumed_modules()
+    unlisted = sorted(found - TEST_ONLY_MODULES.keys())
+    stale = sorted(TEST_ONLY_MODULES.keys() - found)
+    assert not unlisted, (
+        "modules no src module, benchmark or example imports (a re-export "
+        "through their package __init__ alone does not count); give each a "
+        "consumer, move it under tests/, or list it in TEST_ONLY_MODULES "
+        "with the ROADMAP item that retires it:\n  " + "\n  ".join(unlisted))
+    assert not stale, (
+        f"TEST_ONLY_MODULES lists modules that now have a consumer or are "
+        f"gone: {stale}")

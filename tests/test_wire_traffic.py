@@ -8,9 +8,10 @@ Window all-reduces and barriers are under 1 KiB.  LOCALIZE's all-gather
 is the one frame that grows: it carries, per shard row, the failed
 window's per-call digests and call names, so it is bounded by the window
 length times the rows it carries, never by the program's data.  The shm
-fabric copies each received frame out of its ring; shipping bulk data
-over the gang wire is a design change that should revisit that receive
-path on purpose.
+and tcp fabrics send each frame over one socket pair per rank pair,
+which beats a shared-memory ring on every frame this size; shipping bulk
+data over the gang wire is a design change that should revisit that
+transport on purpose.
 """
 
 import numpy as np
