@@ -6,7 +6,9 @@ are stable across shards and backends).  The actual arithmetic
 is looked up by a kernel code carried in the hashed task arguments, and
 operands arrive as base-region blocks plus a :class:`~.views.ViewSpec`
 transform description — :func:`~.views.extract_block` reorients each block
-into logical order, and NumPy broadcasting does the rest.
+into logical order, and NumPy broadcasting does the rest.  A kernel writes
+its tile in place through ``out=``; no body builds a temporary the size of
+the tile only to copy it.
 """
 
 from __future__ import annotations
@@ -22,72 +24,78 @@ __all__ = ["KERNELS", "elementwise_body", "setitem_body", "fill_tile_body",
            "matmat_body", "axpy_body"]
 
 
-def _f(x):
-    return x.astype(np.float64)
+def _sigmoid(a, out):
+    np.negative(a, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
 
 
-#: code -> kernel over logical-order operand blocks (arrays broadcast).
+def _copy(a, out):
+    np.copyto(out, a)
+
+
+def _where(c, a, b, out):
+    np.copyto(out, b)
+    np.copyto(out, a, where=c != 0)
+
+
+#: code -> kernel over logical-order operand blocks, writing the tile
+#: through ``out=`` (operands broadcast against it).
 KERNELS = {
     # arithmetic
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.true_divide,
     # unary
-    "neg": lambda a: -a,
-    "abs": lambda a: np.abs(a),
-    "exp": lambda a: np.exp(a),
-    "log": lambda a: np.log(a),
-    "sqrt": lambda a: np.sqrt(a),
-    "tanh": lambda a: np.tanh(a),
-    "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a)),
-    "copy": lambda a: a,
+    "neg": np.negative,
+    "abs": np.absolute,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "tanh": np.tanh,
+    "sigmoid": _sigmoid,
+    "copy": _copy,
     # scalar-parameterized
-    "pow": lambda a, e: np.power(a, e),
-    "clip": lambda a, lo, hi: np.clip(a, lo, hi),
+    "pow": np.power,
+    "clip": np.clip,
     # binary selections
-    "maximum": lambda a, b: np.maximum(a, b),
-    "minimum": lambda a, b: np.minimum(a, b),
+    "maximum": np.maximum,
+    "minimum": np.minimum,
     # comparisons (0.0/1.0 doubles — the NumPy-bool analogue)
-    "gt": lambda a, b: _f(a > b),
-    "ge": lambda a, b: _f(a >= b),
-    "lt": lambda a, b: _f(a < b),
-    "le": lambda a, b: _f(a <= b),
-    "eq": lambda a, b: _f(a == b),
-    "ne": lambda a, b: _f(a != b),
+    "gt": np.greater,
+    "ge": np.greater_equal,
+    "lt": np.less,
+    "le": np.less_equal,
+    "eq": np.equal,
+    "ne": np.not_equal,
     # ternary select: cond != 0 ? a : b
-    "where": lambda c, a, b: np.where(c != 0, a, b),
+    "where": _where,
 }
 
 
-def _operands(rargs, kinds, specs, scalars):
-    """Interleave array blocks and scalars back into kernel-call order."""
-    arrs = iter(rargs)
+def elementwise_body(point, *packed):
+    """Generic elementwise kernel over one aligned tile: array blocks and
+    scalars are interleaved back into kernel-call order."""
+    code, kinds, specs, scalars = packed[-4:]
+    arrs = iter(packed[1:-4])
     svals = iter(scalars)
     spec_it = iter(specs)
-    out = []
+    ops = []
     for k in kinds:
         if k == "a":
-            out.append(extract_block(next(arrs)["v"].view, next(spec_it)))
+            ops.append(extract_block(next(arrs)["v"].view, next(spec_it)))
         else:
-            out.append(next(svals))
-    return out
-
-
-def elementwise_body(point, *packed):
-    """Generic elementwise kernel over one aligned tile."""
-    code, kinds, specs, scalars = packed[-4:]
-    out = packed[0]["v"].view
-    ops = _operands(packed[1:-4], kinds, specs, scalars)
-    np.copyto(out, KERNELS[code](*ops))
+            ops.append(next(svals))
+    KERNELS[code](*ops, out=packed[0]["v"].view)
 
 
 def setitem_body(point, *packed):
-    """Copy a (possibly transformed) source tile into a destination slice."""
+    """Copy a (possibly transformed) source tile into a destination slice
+    (``copyto`` broadcasts a size-1 source itself)."""
     spec, = packed[-1:]
-    out = packed[0]["v"].view
-    src = extract_block(packed[1]["v"].view, spec)
-    np.copyto(out, np.broadcast_to(src, out.shape))
+    np.copyto(packed[0]["v"].view, extract_block(packed[1]["v"].view, spec))
 
 
 def fill_tile_body(point, out_arg, value):
@@ -113,14 +121,18 @@ def init_body(point, out, payload, shape):
 
 # -- reductions ---------------------------------------------------------------
 
-def reduce_tile_body(point, a_arg, code, spec, shapes):
-    """Per-tile scalar partial of a full reduction (sum/max/min).
+def _tile(arg, spec, shape):
+    """An operand's block in logical order, stretched to the logical tile
+    ``shape`` only when it is not that shape already: broadcast views
+    deliver size-1 blocks that must count once per logical element."""
+    block = extract_block(arg["v"].view, spec)
+    return block if block.shape == shape else np.broadcast_to(block, shape)
 
-    ``shapes[point]`` is the logical tile shape: broadcast views deliver
-    size-1 blocks that must count once per logical element.
-    """
-    block = np.broadcast_to(extract_block(a_arg["v"].view, spec),
-                            shapes[point])
+
+def reduce_tile_body(point, a_arg, code, spec, shapes):
+    """Per-tile scalar partial of a full reduction (sum/max/min);
+    ``shapes[point]`` is the logical tile shape."""
+    block = _tile(a_arg, spec, shapes[point])
     if code == "sum":
         return float(np.sum(block))
     if code == "max":
@@ -130,15 +142,14 @@ def reduce_tile_body(point, a_arg, code, spec, shapes):
 
 def dot_tile_body(point, a_arg, b_arg, spec_a, spec_b, shapes):
     """Per-tile partial inner product."""
-    a = np.broadcast_to(extract_block(a_arg["v"].view, spec_a), shapes[point])
-    b = np.broadcast_to(extract_block(b_arg["v"].view, spec_b), shapes[point])
-    return float(np.sum(a * b))
+    shape = shapes[point]
+    a = _tile(a_arg, spec_a, shape)
+    return float(np.sum(a * _tile(b_arg, spec_b, shape)))
 
 
 def axis0_partial_body(point, p_arg, a_arg, code, spec, shapes):
     """One row of the (tiles, M) partials region for an axis-0 reduction."""
-    block = np.broadcast_to(extract_block(a_arg["v"].view, spec),
-                            shapes[point])
+    block = _tile(a_arg, spec, shapes[point])
     p = p_arg["v"].view
     if code == "sum":
         p[...] = block.sum(axis=0)
@@ -158,9 +169,7 @@ def axis0_combine_body(p_arg, o_arg, code):
 
 def rowsum_body(point, out_arg, a_arg, spec, shapes):
     """Tile-local axis-1 sum (rows stay whole under row tiling)."""
-    block = np.broadcast_to(extract_block(a_arg["v"].view, spec),
-                            shapes[point])
-    out_arg["v"].view[...] = block.sum(axis=1)
+    out_arg["v"].view[...] = _tile(a_arg, spec, shapes[point]).sum(axis=1)
 
 
 # -- linear algebra -----------------------------------------------------------

@@ -175,9 +175,12 @@ def extract_block(block: np.ndarray,
 
     ``block`` carries base dimensions in base order; the result carries the
     logical dimensions (new/stretched axes as size-1, so it broadcasts
-    against the launch tile's shape inside a kernel).
+    against the launch tile's shape inside a kernel).  Under the identity
+    axes the block already is in logical order and comes back untouched.
     """
     (axes,) = spec
+    if axes == tuple(range(block.ndim)):
+        return block
     arr = block.transpose([b for b in axes if b is not None]
                           if None in axes else axes)
     for d, b in enumerate(axes):

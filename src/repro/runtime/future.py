@@ -62,29 +62,39 @@ class Future:
 
 
 class FutureMap:
-    """One future per point of an index launch."""
+    """The values of an index launch, one per point.  A point's
+    :class:`Future` is made when the point is first indexed; replica
+    threads indexing at once all get the one ``setdefault`` kept."""
 
-    __slots__ = ("uid", "_futures", "structural_key", "structural_bytes")
+    __slots__ = ("uid", "_values", "_futures", "_timing_oracle",
+                 "structural_key", "structural_bytes")
 
-    def __init__(self, futures: Dict[Hashable, Future]):
+    def __init__(self, values: Dict[Hashable, Any],
+                 timing_oracle: Optional[Callable[[Future], bool]] = None):
         self.uid = next(_future_ids)
         self.structural_key = self.structural_bytes = None
-        self._futures = dict(futures)
+        self._values = values
+        self._futures: Dict[Hashable, Future] = {}
+        self._timing_oracle = timing_oracle
 
     def __getitem__(self, point: Hashable) -> Future:
-        """The point's future, keyed (map key, point) when handed out."""
-        future = self._futures[point]
-        if future.structural_key is None and self.structural_key is not None:
-            future.structural_key = (self.structural_key, point)
+        """The point's future, keyed (map key, point)."""
+        future = self._futures.get(point)
+        if future is None:
+            future = Future(self._timing_oracle)
+            future.resolve(self._values[point])
+            if self.structural_key is not None:
+                future.structural_key = (self.structural_key, point)
+            future = self._futures.setdefault(point, future)
         return future
 
     def get_all(self) -> Dict[Hashable, Any]:
         """All point values, keyed by launch point."""
-        return {p: f.get() for p, f in self._futures.items()}
+        return dict(self._values)
 
     def reduce(self, op: Callable[[Any, Any], Any]) -> Any:
         """Combine all point values in deterministic (sorted-point) order."""
-        items = [self._futures[p].get() for p in sorted(self._futures)]
+        items = [self._values[p] for p in sorted(self._values)]
         if not items:
             raise ValueError("empty future map")
         acc = items[0]
@@ -93,7 +103,7 @@ class FutureMap:
         return acc
 
     def __len__(self) -> int:
-        return len(self._futures)
+        return len(self._values)
 
     def __iter__(self):
-        return iter(sorted(self._futures))
+        return iter(sorted(self._values))

@@ -666,7 +666,8 @@ class Context:
                      reqs: Sequence[Tuple], args: Sequence[Any] = (),
                      future_args: Sequence[Future] = (),
                      cost: float = 0.0) -> FutureMap:
-        """Launch a group (index) task over ``domain``; one future per point.
+        """Launch a group (index) task over ``domain``; returns the map of
+        its point values (indexing a point makes that point's future).
 
         This is the Regent-transformed form ``t(p[f(i)])`` (§4) that makes
         the coarse analysis cost independent of the number of points.
@@ -689,14 +690,9 @@ class Context:
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
-            futures: Dict[Hashable, Future] = {}
-            binding = self._oracle_binding()
-            for pt in record.point_tasks:
-                value = self._execute_point(op, pt, op.body_args)
-                f = Future(binding)
-                f.resolve(value)
-                futures[pt.point] = f
-            return FutureMap(futures)
+            values = {pt.point: self._execute_point(op, pt, op.body_args)
+                      for pt in record.point_tasks}
+            return FutureMap(values, self._oracle_binding())
         return self._intern_resource("index_launch", do)
 
     def _execute_point(self, op: Operation, pt: PointTask,

@@ -317,7 +317,7 @@ class TestAutoTracerPipeline:
 
 
 def test_executes_leave_nothing_behind_in_tracing():
-    """ROADMAP 7c: signatures carry one run's region uids, so a table that
+    """ROADMAP 23: signatures carry one run's region uids, so a table that
     outlives its pipeline is pure retention.  After a warm-up, further
     auto-traced executes must leave no live allocation made by
     ``repro.core.tracing`` behind."""

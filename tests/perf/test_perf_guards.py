@@ -258,11 +258,12 @@ class TestReplayedIterationCostsNoAnalysis:
         return (python_calls(40) - python_calls(20)) / 20
 
     def test_replayed_iteration_makes_far_fewer_calls_than_a_fresh_one(self):
-        """A replayed iteration stays under 968 calls: 0.6 x the 1 613 a
-        fresh one made when this bound was a share of fresh analysis.  An
-        absolute bound, so a cut to fresh analysis alone cannot fail it
-        (946 measured)."""
-        assert self._calls_per_iteration(True) <= 968
+        """A replayed iteration stays under 819 calls (797 measured).  An
+        absolute bound, so a cut to fresh analysis alone cannot fail it.
+        It read 946 while every point built a `Future` and every kernel a
+        temporary, against a bound of 968: 0.6 x the 1 613 a fresh
+        iteration made when this bound was a share of fresh analysis."""
+        assert self._calls_per_iteration(True) <= 819
 
     def test_fresh_iteration_analyses_each_launch_as_one_arrival(self):
         """The fine stage walks each probed epoch once per (requirement,
@@ -272,13 +273,16 @@ class TestReplayedIterationCostsNoAnalysis:
         records its predecessors once, and a point requirement's region
         argument, accessors and slices are built once, and a launch shape's
         plan (points, shards, requirement tuples, launch classes, field
-        plan) is derived once: a fresh iteration's three launches on four
-        shards stay under 1 575 calls (1 502 measured; 6 012 when every
-        point was scanned on its own with requirements built anew, 4 174
-        when every edge went into four containers and the launch plumbing
-        was rebuilt per point, 2 440 when every point entered the epochs
-        on its own, 1 613 when each launch derived its plan anew)."""
-        assert self._calls_per_iteration(False) <= 1575
+        plan) is derived once, and a point's kernel writes its tile in
+        place with no `Future` made for it: a fresh iteration's three
+        launches on four shards stay under 1 426 calls (1 353 measured;
+        6 012 when every point was scanned on its own with requirements
+        built anew, 4 174 when every edge went into four containers and
+        the launch plumbing was rebuilt per point, 2 440 when every point
+        entered the epochs on its own, 1 613 when each launch derived its
+        plan anew, 1 502 when every point built a `Future` and every
+        kernel a temporary)."""
+        assert self._calls_per_iteration(False) <= 1426
 
     def test_replayed_iteration_pays_no_lowering_or_encoding_again(self):
         """Each shard lowers an array op and encodes its hash once per
@@ -288,6 +292,41 @@ class TestReplayedIterationCostsNoAnalysis:
         skeleton and region arguments memoised (3 647 calls when all of it
         was redone, 2 276 with every replayed edge stored four times)."""
         assert self._calls_per_iteration(True) <= 1700
+
+
+class TestAnIndexLaunchReturnsOneMapOfValues:
+    """An index launch keeps its points' values in one map and makes a
+    point's `Future` only when the program indexes that point.  A count on
+    the benchmark program, no timings."""
+
+    def test_index_launch_makes_no_future_per_point(self):
+        from repro.runtime import Future, FutureMap
+        from repro.runtime.runtime import Context
+
+        made, launches, indexed = [0], [0], set()
+        init, launch = Future.__init__, Context.launch
+        getitem = FutureMap.__getitem__
+
+        def counted_init(self, *args):
+            made[0] += 1
+            init(self, *args)
+
+        def counted_launch(self, *args, **kwargs):
+            launches[0] += self.is_driver      # replicas take the driver's
+            return launch(self, *args, **kwargs)
+
+        def counted_getitem(self, point):
+            indexed.add((self.uid, point))
+            return getitem(self, point)
+
+        rt = Runtime(num_shards=4)
+        with mock.patch.object(Future, "__init__", counted_init), \
+                mock.patch.object(Context, "launch", counted_launch), \
+                mock.patch.object(FutureMap, "__getitem__", counted_getitem):
+            rt.execute(sliced_stencil, make_wave(2048), 50, 8)
+        assert rt.executed_points == 1208
+        # 1 208 when every point of every index launch made its own
+        assert made[0] == launches[0] + len(indexed)
 
 
 class TestEachEdgeIsStoredOnce:
