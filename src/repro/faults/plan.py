@@ -36,7 +36,8 @@ class PlannedCrash:
 class FaultPlan:
     """A complete, replayable description of a run's perturbations.
 
-    ``seed`` picks the corrupted entry of each corrupted trace recording.
+    ``seed`` picks the corrupted entry of each corrupted trace recording,
+    and the order the runtime's queue runs points in under ``reorder``.
     """
 
     seed: int = 0
@@ -44,6 +45,10 @@ class FaultPlan:
     crashes: List[PlannedCrash] = field(default_factory=list)
     #: Ordinals of trace recordings to corrupt (0 = first recording).
     trace_corruptions: List[int] = field(default_factory=list)
+    #: Run the queued points in a seeded random order of the point graph
+    #: instead of program order: an adversarial schedule, not a fault, so
+    #: it leaves ``any_faults`` alone.
+    reorder: bool = False
 
     @property
     def any_faults(self) -> bool:

@@ -6,9 +6,11 @@ Legion-like tasking runtime whose top-level control program can be
 control function once per shard:
 
 * **shard 0** drives the real work — every launch flows through the
-  two-stage DCR analysis pipeline (:mod:`repro.core.pipeline`) and executes
-  its point tasks synchronously (program order is a legal topological order
-  of the precise task graph, so results equal a sequential execution);
+  two-stage DCR analysis pipeline (:mod:`repro.core.pipeline`) and joins
+  the runtime's queue; the queue runs its point tasks when control code
+  needs a result (:meth:`Runtime.drain`), in program order or, under a
+  ``FaultPlan(reorder=True)``, in a seeded random order of the point
+  graph — so a dependence the analysis missed changes the bytes;
 * **shards 1..N-1** replay the control program against the shard-0 resource
   and future logs by creation order, so all shards hold identical handles,
   each named by how the program built it, and every runtime API call is
@@ -26,6 +28,9 @@ paper's scaling numbers.
 from __future__ import annotations
 
 import contextlib
+import random
+from bisect import bisect_right
+from itertools import groupby
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -108,6 +113,7 @@ class Runtime:
         self.num_shards = num_shards
         self.mapper = mapper or DefaultMapper()
         self.store = RegionStore()
+        self.store.before_read = self.drain
         # One profiler spans analysis, collectives, determinism checks and
         # execution; it is the disabled global no-op unless a live one is
         # passed (or the global one is enabled), and never perturbs results.
@@ -115,6 +121,15 @@ class Runtime:
         # Fault injection: only what the caller passes in, None by default
         # — the same zero-perturbation discipline as the profiler.
         self.injector = injector
+        # Launches analysed but not yet run, in program order: (driver
+        # context, op, point tasks, value slot); see drain().
+        self._pending: List[Tuple[Context, Operation, List[PointTask],
+                                  Union[Future, FutureMap, None]]] = []
+        # The queue's random order under FaultPlan(reorder=True), or None
+        # for program order.
+        self._reorder =(random.Random(injector.plan.seed)
+                         if injector is not None and injector.plan.reorder
+                         else None)
         if backend == "loopback" and timing_oracle is not None:
             # The oracle dispatches on runtime._current_shard, which
             # concurrent replica threads race on.
@@ -349,10 +364,84 @@ class Runtime:
     def _apply_deletion(self, region: LogicalRegion,
                         field: Optional[Field]) -> None:
         """Free ``field`` of ``region``'s tree, or all its fields."""
+        self.drain()
         for f in region.field_space.fields if field is None else (field,):
             self.store.deallocate_field(region.tree_id, f)
         if field is not None and field.name in region.field_space:
             region.field_space.remove_field(field.name)
+
+    # -- the executor ------------------------------------------------------------------
+
+    def drain(self) -> None:
+        """Run every queued launch's points, then fill its value slot.
+
+        A launch joins the queue once it is analysed; the queue runs when
+        control code needs a result — a future's value, a store read, a
+        deletion, the end of a shard's program.  It runs in program order,
+        one topological order of the point graph, or under a
+        ``FaultPlan(reorder=True)`` in a seeded random one."""
+        batch = self._pending
+        if not batch:
+            return
+        self._pending = []
+        points = [(ctx, op, t) for ctx, op, tasks, _ in batch for t in tasks]
+        if self._reorder is not None:
+            points = self._reordered(points)
+        values = {}
+        for ctx, op, task in points:
+            if op.kind == "fill":
+                for req in task.requirements:
+                    for f in req.fields:
+                        self.store.fill(req.region, f, op.fill_value)
+            else:
+                values[id(task)] = ctx._execute_point(op, task, op.body_args)
+        for _, op, tasks, slot in batch:
+            if isinstance(slot, Future):
+                slot.resolve(values[id(tasks[0])])
+            elif slot is not None:
+                slot.fill({pt.point: values[id(pt)] for pt in tasks})
+
+    def _reordered(self, points: List[Tuple]) -> List[Tuple]:
+        """``points``, in program order, in a seeded random topological one.
+
+        A point waits for its ``preds`` inside the batch (the rest ran in an
+        earlier batch).  A global fence is a barrier: the analysis summarises
+        the dependences entering a trace replay by one instead of by edges.
+        Reductions into one (tree, field) keep program order, so their
+        floating-point sums do not change with the order."""
+        barriers = sorted(f.at_seq for f in self.pipeline.coarse_result.fences
+                          if f.region is None)
+        order: List[Tuple] = []
+        for _, era in groupby(points,
+                              key=lambda e: bisect_right(barriers, e[1].seq)):
+            era = list(era)
+            index = {id(t): i for i, (_, _, t) in enumerate(era)}
+            waits, succs, last = [0] * len(era), [[] for _ in era], {}
+            for i, (_, _, task) in enumerate(era):
+                before = {index[id(p)] for p in task.preds if id(p) in index}
+                for req in task.requirements:
+                    if req.privilege.is_reduce:
+                        for f in req.fields:
+                            key = (req.region.tree_id, f.fid)
+                            before.add(last.get(key, i))
+                            last[key] = i
+                before.discard(i)
+                waits[i] = len(before)
+                for j in before:
+                    succs[j].append(i)
+            ready = [i for i, n in enumerate(waits) if not n]
+            while ready:
+                i = ready.pop(self._reorder.randrange(len(ready)))
+                order.append(era[i])
+                for j in succs[i]:
+                    waits[j] -= 1
+                    if not waits[j]:
+                        ready.append(j)
+            if any(waits):
+                raise RuntimeError("task graph contains a cycle — the "
+                                   "analysis produced an unexecutable "
+                                   "schedule")
+        return order
 
     # -- task graph accessors ----------------------------------------------------------
 
@@ -453,6 +542,7 @@ class Context:
         return obj
 
     def _finish(self) -> None:
+        self.runtime.drain()
         self._door.finish()
         self._record("task_complete", True)
 
@@ -623,9 +713,9 @@ class Context:
             # only the driver analyses, so only it builds the operation
             op = Operation("fill", [req], name=f"fill({region.name})")
             op.fill_value = value
-            self.runtime.pipeline.analyze(op)
-            for n in names:
-                self.runtime.store.fill(region, region.field_space[n], value)
+            record = self.runtime.pipeline.analyze(op)
+            self.runtime._pending.append(
+                (self, op, record.point_tasks, None))
 
     # -- task launches -------------------------------------------------------------------------
 
@@ -655,10 +745,8 @@ class Context:
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
-            value = self._execute_point(op, record.point_tasks[0],
-                                        op.body_args)
-            fut = Future(self._oracle_binding())
-            fut.resolve(value)
+            fut = Future(self._oracle_binding(), self.runtime.drain)
+            self.runtime._pending.append((self, op, record.point_tasks, fut))
             return fut
         return self._intern_resource("launch", do)
 
@@ -690,9 +778,9 @@ class Context:
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
-            values = {pt.point: self._execute_point(op, pt, op.body_args)
-                      for pt in record.point_tasks}
-            return FutureMap(values, self._oracle_binding())
+            fm = FutureMap(None, self._oracle_binding(), self.runtime.drain)
+            self.runtime._pending.append((self, op, record.point_tasks, fm))
+            return fm
         return self._intern_resource("index_launch", do)
 
     def _execute_point(self, op: Operation, pt: PointTask,
@@ -760,9 +848,9 @@ class Context:
         ordered before everything after it (Legion's execution fence).
 
         Implemented as a global analysis fence occupying one program-order
-        slot, so fence-coverage checks, the spy validator, and the event
-        replayer's barrier eras all see it; the synchronous executor
-        already honors program order.
+        slot, so fence-coverage checks and the spy validator see it, and
+        the queue treats it as a barrier in any order it runs
+        (:meth:`Runtime._reordered`).
         """
         self._record("execution_fence")
         if not self.is_driver:

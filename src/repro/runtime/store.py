@@ -5,14 +5,17 @@ index space's bounding rectangle.  Subregions are accessed through
 privilege-checked :class:`FieldAccessor` views: structured subregions get
 zero-copy slices, unstructured ones get gather/scatter access by point list.
 
-The functional runtime executes synchronously, so a single array per field
-is the authoritative copy; per-node instances and data movement are a
+The functional runtime runs every point task on the driver, from its
+dependence-ordered queue, so a single array per field is the
+authoritative copy; per-node instances and data movement are a
 performance concern handled by the simulator layer (DESIGN.md §2).
+Control code reads a field through :meth:`RegionStore.raw`, which first
+runs the points still queued (``before_read``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +35,9 @@ class RegionStore:
     def __init__(self) -> None:
         self._arrays: Dict[Tuple[int, int], np.ndarray] = {}
         self._offsets: Dict[int, Tuple[int, ...]] = {}
+        # Run by raw() before it hands an array to control code; the owning
+        # runtime sets it to the queue's drain.
+        self.before_read: Callable[[], None] = lambda: None
 
     def allocate(self, root: LogicalRegion) -> None:
         """Allocate backing arrays for every field of a root region."""
@@ -55,7 +61,9 @@ class RegionStore:
         self._arrays.pop((tree_id, f.fid), None)
 
     def raw(self, tree_id: int, f: Field) -> np.ndarray:
-        """The root-wide backing array of one field (authoritative copy)."""
+        """The root-wide backing array of one field (authoritative copy),
+        once every queued point has run."""
+        self.before_read()
         return self._arrays[(tree_id, f.fid)]
 
     def has_field(self, tree_id: int, f: Field) -> bool:

@@ -48,10 +48,11 @@ def test_dcr_graph_and_fences_validate():
 
 
 def test_replayable_out_of_order():
-    from repro.runtime.events import EventGraphReplayer
+    """Out of program order the bytes are the same: the heat deposits into
+    one field keep program order among themselves, so their sums do too."""
+    from helpers import field_bytes, reordered_runtime
     rt = Runtime(num_shards=2)
     rt.execute(soleil_mini_control, 16, 4, 8, 4)
-    replayer = EventGraphReplayer(rt)
-    # Reductions commute; tolerance comparison absorbs reordering.
-    assert replayer.matches_original(replayer.replay(seed=1), rtol=1e-9,
-                                     atol=1e-9)
+    reordered = reordered_runtime(1, num_shards=2)
+    reordered.execute(soleil_mini_control, 16, 4, 8, 4)
+    assert field_bytes(reordered) == field_bytes(rt)

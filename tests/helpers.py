@@ -432,3 +432,50 @@ def interned_fence_sequence(coarse_result):
                  for fl in sorted(f.fields, key=lambda fl: fl.fid)]
         out.append((f.at_seq, key, tuple(sorted(fkeys))))
     return out
+
+
+# -- adversarial execution order ---------------------------------------------
+
+#: Seeds at which the adversarial-order tests run the runtime's queue.
+REORDER_SEEDS = (0, 1, 2)
+
+
+def reordered_runtime(seed: int, **kwargs):
+    """A runtime whose queue runs points in a seeded random topological
+    order of the point graph instead of program order."""
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.runtime import Runtime
+    return Runtime(injector=FaultInjector(FaultPlan(seed=seed, reorder=True)),
+                   **kwargs)
+
+
+def field_bytes(rt) -> dict:
+    """Every allocated field of every root region a finished run's
+    operations touched, as bytes keyed by (root's structural key, field
+    name) — the same keys for the same program in any run."""
+    out = {}
+    for rec in rt.pipeline.records:
+        for task in rec.point_tasks:
+            for req in task.requirements:
+                root = req.region.root()
+                for f in root.field_space.fields:
+                    if rt.store.has_field(root.tree_id, f):
+                        out[(root.structural_key, f.name)] = \
+                            rt.store.raw(root.tree_id, f).tobytes()
+    return out
+
+
+def drop_fine_edges(monkeypatch) -> None:
+    """The dropped-edge mutant: the fine stage records no ``preds`` for any
+    launch, so only program order would still put a point after its
+    producers."""
+    from repro.core.fine import FineAnalysis
+    analyze = FineAnalysis.analyze
+
+    def no_preds(self, op):
+        tasks = analyze(self, op)
+        for task in tasks:
+            task.preds = ()
+        return tasks
+
+    monkeypatch.setattr(FineAnalysis, "analyze", no_preds)

@@ -6,11 +6,16 @@ hand-written explicit-region version using the same
 per-tile NumPy expressions.  Floating point is deterministic, so the
 outputs must match to the byte — any drift means the frontend changed the
 launch structure (tiling, partial/combine shape, or expression order).
+
+Run out of program order, in a seeded random order of the point graph,
+both must still produce the same bytes; with the fine stage's edges
+dropped, they must not.
 """
 
 import numpy as np
 import pytest
 
+from helpers import REORDER_SEEDS, drop_fine_edges, reordered_runtime
 from repro.legate import (explicit_kmeans, explicit_logistic_regression,
                           explicit_stencil, kmeans, logistic_regression,
                           make_blobs, make_problem, make_wave,
@@ -63,3 +68,43 @@ class TestByteIdentityAcrossTilings:
         w2 = Runtime(num_shards=2).execute(
             explicit_logistic_regression, x, y, 4, 0.5, tiles)
         assert w1.tobytes() == w2.tobytes()
+
+
+def _programs():
+    """(name, array program, explicit mirror, args) of each demo."""
+    x, y = make_problem(29, 5)
+    return [("logistic_regression", logistic_regression,
+             explicit_logistic_regression, (x, y, 6, 0.5, 4)),
+            ("kmeans", kmeans, explicit_kmeans,
+             (make_blobs(24, 3, 3), 3, 5, 4)),
+            ("stencil", sliced_stencil, explicit_stencil,
+             (make_wave(33), 7, 4))]
+
+
+def _bytes(result) -> bytes:
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"|".join(np.ascontiguousarray(p).tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("seed", REORDER_SEEDS)
+def test_programs_match_program_order_out_of_order(seed, shards):
+    """Each demo and its mirror, their points run in a seeded random
+    topological order, return the bytes program order returns."""
+    for name, program, mirror, args in _programs():
+        expected = _bytes(Runtime(num_shards=shards).execute(program, *args))
+        for control in (program, mirror):
+            got = reordered_runtime(seed, num_shards=shards).execute(
+                control, *args)
+            assert _bytes(got) == expected, (name, control.__name__)
+
+
+def test_a_dropped_edge_changes_the_bytes(monkeypatch):
+    """The dropped-edge mutant: with no fine edges, the random order
+    changes every demo's bytes at every seed."""
+    drop_fine_edges(monkeypatch)
+    for name, program, _mirror, args in _programs():
+        expected = _bytes(Runtime(num_shards=2).execute(program, *args))
+        for seed in REORDER_SEEDS:
+            got = reordered_runtime(seed, num_shards=2).execute(program, *args)
+            assert _bytes(got) != expected, (name, seed)

@@ -15,12 +15,14 @@ class TestPlan:
         assert FaultPlan(crashes=[PlannedCrash(0, 1)]).any_faults
         assert FaultPlan(trace_corruptions=[0]).any_faults
         assert not FaultPlan(seed=7).any_faults
+        assert not FaultPlan(reorder=True).any_faults
 
     def test_site_vocabulary_is_complete(self):
-        """One list per planned site, plus the seed that picks a corrupted
-        recording's victim entry."""
+        """One list per planned site, the seed that picks a corrupted
+        recording's victim entry and the queue's order, and the switch to
+        the adversarial execution order."""
         assert [f.name for f in dataclasses.fields(FaultPlan)] == [
-            "seed", "flips", "crashes", "trace_corruptions"]
+            "seed", "flips", "crashes", "trace_corruptions", "reorder"]
 
 
 class TestDecisions:

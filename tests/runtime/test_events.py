@@ -1,53 +1,47 @@
-"""Event-graph replay: the analysis's graph suffices out of program order."""
+"""Adversarial execution order: the point graph alone orders the kernels.
 
-import numpy as np
+The runtime's queue normally runs points in program order.  Under a
+``FaultPlan(reorder=True)`` it runs them in a seeded random topological
+order of the fine stage's ``preds`` (global fences as barriers), and every
+program must still write the same bytes.  The negative control drops the
+edges and must then change them.
+"""
+
 import pytest
 
+from helpers import drop_fine_edges, field_bytes, reordered_runtime
 from repro.apps.circuit import circuit_control
 from repro.apps.stencil import stencil2d_control
 from repro.runtime import Runtime
-from repro.runtime.events import EventGraphReplayer
+
+
+def _bytes(rt, control, *args):
+    rt.execute(control, *args)
+    return field_bytes(rt)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
 def test_stencil_replays_in_any_topological_order(seed):
-    rt = Runtime(num_shards=2)
-    rt.execute(stencil2d_control, 12, 4, 4)
-    replayer = EventGraphReplayer(rt)
-    assert replayer.matches_original(replayer.replay(seed=seed))
-
-
-def test_stencil_replays_in_reverse_biased_order():
-    """Maximally anti-program-order scheduling still works — there are no
-    missing dependences to exploit."""
-    rt = Runtime(num_shards=3)
-    rt.execute(stencil2d_control, 12, 4, 5)
-    replayer = EventGraphReplayer(rt)
-    assert replayer.matches_original(replayer.replay(reverse_bias=True))
+    expected = _bytes(Runtime(num_shards=2), stencil2d_control, 12, 4, 4)
+    assert _bytes(reordered_runtime(seed, num_shards=2),
+                  stencil2d_control, 12, 4, 4) == expected
 
 
 def test_circuit_replays():
-    rt = Runtime(num_shards=2)
-    rt.execute(circuit_control, 3, 6, 8, 3)
-    replayer = EventGraphReplayer(rt)
+    expected = _bytes(Runtime(num_shards=2), circuit_control, 3, 6, 8, 3)
     for seed in (0, 5):
-        assert replayer.matches_original(replayer.replay(seed=seed))
+        assert _bytes(reordered_runtime(seed, num_shards=2),
+                      circuit_control, 3, 6, 8, 3) == expected
 
 
-def test_replay_detects_missing_dependences():
-    """Negative control: delete the graph's edges and the out-of-order
-    replay must produce wrong data (otherwise this test proves nothing)."""
-    rt = Runtime(num_shards=2)
-    rt.execute(stencil2d_control, 12, 4, 5)
-    replayer = EventGraphReplayer(rt)
-    replayer.graph.deps.clear()
-    mismatched = False
+def test_replay_detects_missing_dependences(monkeypatch):
+    """Negative control: with no fine edges, every seed's order writes
+    different bytes (otherwise the tests above prove nothing)."""
+    drop_fine_edges(monkeypatch)
+    expected = _bytes(Runtime(num_shards=2), stencil2d_control, 12, 4, 5)
     for seed in range(6):
-        if not replayer.matches_original(
-                replayer.replay(seed=seed, reverse_bias=(seed % 2 == 0))):
-            mismatched = True
-            break
-    assert mismatched
+        assert _bytes(reordered_runtime(seed, num_shards=2),
+                      stencil2d_control, 12, 4, 5) != expected, seed
 
 
 def test_replay_scalar_args_preserved():
@@ -64,8 +58,6 @@ def test_replay_scalar_args_preserved():
         ctx.index_launch(scale, range(4), [(tiles, "x", "rw")], args=(5.0,))
         return r
 
-    rt = Runtime(num_shards=1)
+    rt = reordered_runtime(9, num_shards=1)
     r = rt.execute(main)
-    replayer = EventGraphReplayer(rt)
-    fresh = replayer.replay(seed=9)
-    assert (fresh.raw(r.tree_id, r.field_space["x"]) == 15.0).all()
+    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 15.0).all()

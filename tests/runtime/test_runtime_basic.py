@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import REORDER_SEEDS, reordered_runtime
 from repro.runtime import Runtime
 
 
@@ -260,9 +261,10 @@ def test_index_launch_rejects_a_point_outside_the_partition():
 
 
 def test_execution_fence_orders_independent_work():
-    """Two independent launch chains separated by an execution fence: the
-    replayer's barrier eras keep them ordered even out of program order."""
-    def main(ctx):
+    """Two independent launch chains separated by an execution fence: in
+    any order the queue runs, no point issued after the fence runs before
+    a point issued before it."""
+    def main(ctx, fence, ran):
         fs = ctx.create_field_space([("x", "f8")])
         a = ctx.create_region(ctx.create_index_space(4), fs, "a")
         b = ctx.create_region(ctx.create_index_space(4), fs, "b")
@@ -270,31 +272,40 @@ def test_execution_fence_orders_independent_work():
         bt = ctx.partition_equal(b, 2)
         ctx.fill(a, "x", 1.0)
         ctx.fill(b, "x", 1.0)
-        ctx.index_launch(lambda p, r: r["x"].view.__iadd__(1.0), range(2),
-                         [(at, "x", "rw")])
-        ctx.execution_fence()
-        ctx.index_launch(lambda p, r: r["x"].view.__imul__(3.0), range(2),
-                         [(bt, "x", "rw")])
+
+        def add(p, r):
+            ran.append("a")
+            r["x"].view[...] += 1.0
+
+        def scale(p, r):
+            ran.append("b")
+            r["x"].view[...] *= 3.0
+
+        ctx.index_launch(add, range(2), [(at, "x", "rw")])
+        if fence:
+            ctx.execution_fence()
+        ctx.index_launch(scale, range(2), [(bt, "x", "rw")])
         return a, b
 
     rt = Runtime(num_shards=2)
-    ra, rb = rt.execute(main)
+    ra, rb = rt.execute(main, True, [])
     assert (rt.store.raw(ra.tree_id, ra.field_space["x"]) == 2.0).all()
     assert (rt.store.raw(rb.tree_id, rb.field_space["x"]) == 3.0).all()
     # The fence is visible as a global analysis fence...
-    fences = rt.coarse_result().fences
-    assert any(f.region is None for f in fences)
-    # ...and the replayer treats it as a barrier: tasks on region b run in
-    # a later era than tasks on region a.
-    from repro.runtime.events import EventGraphReplayer
-    rep = EventGraphReplayer(rt)
-    eras = {rep._era(t) for t in rt.task_graph().tasks}
-    assert eras == {0, 1}              # the fence splits the run in two
-    # Everything after the fence (higher seq) is in the later era.
-    fence_pos = min(f.at_seq for f in fences if f.region is None)
-    for t in rt.task_graph().tasks:
-        assert rep._era(t) == (1 if t.op.seq >= fence_pos else 0)
-    assert rep.matches_original(rep.replay(seed=3))
+    assert any(f.region is None for f in rt.coarse_result().fences)
+    # ...and the queue treats it as a barrier at every seed.
+    for seed in REORDER_SEEDS:
+        ran = []
+        reordered_runtime(seed, num_shards=2).execute(main, True, ran)
+        assert ran == ["a", "a", "b", "b"], seed
+    # Without the fence the chains are independent, and some seed runs a
+    # point of the second first: the check above has something to catch.
+    firsts = set()
+    for seed in REORDER_SEEDS:
+        ran = []
+        reordered_runtime(seed, num_shards=2).execute(main, False, ran)
+        firsts.add(ran[0])
+    assert firsts == {"a", "b"}
 
 
 def test_execution_fence_replicates():
@@ -331,6 +342,13 @@ def test_replicas_build_no_fill_or_attach_operation():
 
         def bump(point, arg):
             arg["x"].view[...] += point
+
+        # A task is keyed by its body's module and name, and pytest's
+        # import mode decides this module's name (``test_runtime_basic``
+        # by default, ``tests.runtime.test_runtime_basic`` under
+        # ``--import-mode=importlib``): fix it, so the pinned digest below
+        # holds under both.
+        bump.__module__ = "test_runtime_basic"
 
         for step in range(3):
             ctx.fill(r, "x", float(step))

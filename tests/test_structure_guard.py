@@ -974,7 +974,6 @@ TEST_ONLY_MODULES = {
     "flexflow/training.py": "item 20: only tests train the MLP",
     "legate/fuzz.py": "stays: the differential fuzz tier's driver",
     "models/des.py": "item 9: the calibrated simulator consumes it",
-    "runtime/events.py": "item 10: the one executor replaces it",
     "tools/bench_gate.py": "stays: a CLI (python -m repro.tools.bench_gate)",
     "tools/checkpoint.py": "item 20: only tests save or load a region",
     "tools/dist.py": "stays: a CLI (python -m repro.tools.dist)",
