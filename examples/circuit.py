@@ -22,7 +22,7 @@ if __name__ == "__main__":
     # --- functional run: real data, real dependence analysis -------------
     runtime = Runtime(num_shards=3)
     nodes_region = runtime.execute(circuit_control, 4, 8, 12, 5)
-    voltages = runtime.store.raw(nodes_region.tree_id,
+    voltages = runtime.store.raw(nodes_region,
                                  nodes_region.field_space["voltage"])
     assert np.allclose(voltages, reference_circuit(4, 8, 12, 5))
     print("simulated 5 steps of a 4-piece random circuit "

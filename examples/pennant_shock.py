@@ -26,8 +26,8 @@ if __name__ == "__main__":
     runtime = Runtime(num_shards=4)
     zones, points = runtime.execute(pennant_control, nzones, tiles, cycles)
 
-    rho = runtime.store.raw(zones.tree_id, zones.field_space["rho"])
-    x = runtime.store.raw(points.tree_id, points.field_space["x"])
+    rho = runtime.store.raw(zones, zones.field_space["rho"])
+    x = runtime.store.raw(points, points.field_space["x"])
     ref_rho, _ref_e, _ref_x = reference_pennant(nzones, cycles)
     assert np.allclose(rho, ref_rho)
 

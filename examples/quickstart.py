@@ -65,7 +65,7 @@ if __name__ == "__main__":
     runtime = Runtime(num_shards=4)
     cells = runtime.execute(main)
 
-    flux = runtime.store.raw(cells.tree_id, cells.field_space["flux"])
+    flux = runtime.store.raw(cells, cells.field_space["flux"])
     print("final flux:", flux)
 
     graph = runtime.task_graph()
@@ -82,7 +82,7 @@ if __name__ == "__main__":
     # The same program with one shard gives bit-identical results.
     solo = Runtime(num_shards=1)
     cells1 = solo.execute(main)
-    flux1 = solo.store.raw(cells1.tree_id, cells1.field_space["flux"])
+    flux1 = solo.store.raw(cells1, cells1.field_space["flux"])
     assert np.array_equal(flux, flux1)
     print("\n4-shard result == 1-shard result: the shards collectively "
           "behaved as a single logical task.")

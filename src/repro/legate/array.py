@@ -660,4 +660,4 @@ class LegateArray:
         """Copy out the view's current contents (test/debug helper)."""
         store = self.lg.ctx.runtime.store
         f = self.region.field_space["v"]
-        return self.view.read(store.raw(self.region.tree_id, f))
+        return self.view.read(store.raw(self.region, f))

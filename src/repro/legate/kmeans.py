@@ -179,8 +179,8 @@ def explicit_kmeans(ctx: Context, data: np.ndarray, k: int,
                            args=(c, cnt))
 
     store = ctx.runtime.store
-    cen = store.raw(centers.tree_id, centers.field_space["v"]).copy()
-    lbl = store.raw(labels.tree_id, labels.field_space["v"]).copy()
+    cen = store.raw(centers, centers.field_space["v"]).copy()
+    lbl = store.raw(labels, labels.field_space["v"]).copy()
     return cen, lbl
 
 

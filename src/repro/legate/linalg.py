@@ -145,7 +145,7 @@ def explicit_logistic_regression(ctx: Context, x_data: np.ndarray,
                          [(wrows, "v", "rw"), (grows, "v", "ro")],
                          args=(-lr / n,))
 
-    return ctx.runtime.store.raw(w.tree_id, w.field_space["v"]).copy()
+    return ctx.runtime.store.raw(w, w.field_space["v"]).copy()
 
 
 def reference_logistic_regression(x: np.ndarray, y: np.ndarray,

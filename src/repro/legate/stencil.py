@@ -109,7 +109,7 @@ def explicit_stencil(ctx: Context, init: np.ndarray, iterations: int = 10,
                           (parts[src.uid, "ghost"], "v", "ro")])
         src, dst = dst, src
 
-    return ctx.runtime.store.raw(src.tree_id, src.field_space["v"]).copy()
+    return ctx.runtime.store.raw(src, src.field_space["v"]).copy()
 
 
 def reference_stencil(init: np.ndarray, iterations: int = 10) -> np.ndarray:

@@ -51,9 +51,6 @@ class FieldSpace:
         self.name = name or f"fspace{self.uid}"
         self.structural_key = self.structural_bytes = None
         self._by_name: Dict[str, Field] = {}
-        # Every field the space was given, removed or not: a replica may
-        # not have reached a removal yet (see repro.runtime.frontdoor).
-        self.declared: Dict[str, Field] = {}
         for fname, dtype in fields:
             self.add_field(fname, dtype)
 
@@ -62,11 +59,12 @@ class FieldSpace:
         if name in self._by_name:
             raise ValueError(f"duplicate field {name!r} in {self.name}")
         field = Field(next(FieldSpace._next_fid), name, np.dtype(dtype))
-        self._by_name[name] = self.declared[name] = field
+        self._by_name[name] = field
         return field
 
     def remove_field(self, name: str) -> None:
-        """Deallocate a field: it leaves the live names, not ``declared``."""
+        """Deallocate a field: its name leaves the space (each shard's
+        own, as it deletes the field)."""
         del self._by_name[name]
 
     def __contains__(self, name: str) -> bool:

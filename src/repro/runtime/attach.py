@@ -40,7 +40,7 @@ def _issue(ctx: Context, kind: str, region: LogicalRegion, field_name: str,
         Operation(kind, [req], name=f"{kind}({region.name}.{field_name})"))
     field, = req.fields
     rect = region.index_space.rect
-    return ctx.runtime.store.raw(region.tree_id, field)[rect.to_slices()]
+    return ctx.runtime.store.raw(region, field)[rect.to_slices()]
 
 
 def attach_array(ctx: Context, region: LogicalRegion, field_name: str,
@@ -49,7 +49,7 @@ def attach_array(ctx: Context, region: LogicalRegion, field_name: str,
 
     Only the *shape* of the attachment is control (and hashed); the array
     contents are data — the driver may already have mutated them through an
-    earlier attach by the time later shards replay this call.
+    earlier attach by the time later shards make this call.
     """
     ctx._record("attach_array", region, field_name,
                 list(array.shape), str(array.dtype))

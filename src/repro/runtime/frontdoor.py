@@ -2,18 +2,19 @@
 checked here, before it is hashed and before it has any effect.
 
 A :class:`FrontDoor` belongs to one shard's ``Context`` and keeps what its
-checks decide from — the region trees and fields the shard created and
-deleted, its open trace and its lowering memo — in the shard's own program
-order.  Replicas replay after the driver has changed the shared trees and
-field spaces, so that is what gives every shard the same verdict at every
-width.  A group launch is held to the model's one rule, that the points of
-a group are independent (:func:`repro.core.semantics.group_interference`).
+checks decide from — the region trees the shard created and deleted, its
+open trace and its lowering memo — in the shard's own program order.  It
+checks fields against the shard's own field spaces, from which the shard
+removes each field it deletes, so every shard gives the same verdict at
+every width.  A group launch is held to the model's one rule, that the
+points of a group are independent
+(:func:`repro.core.semantics.group_interference`).
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Hashable, List, Sequence, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Hashable, List, Sequence, Tuple,
+                    Union)
 
 from ..core import CoarseRequirement, IDENTITY_PROJECTION
 from ..core.semantics import group_interference
@@ -173,8 +174,6 @@ class FrontDoor:
         self._lowered: Dict[Tuple, Tuple] = {}
         # tree id -> True while this shard has the tree, False once deleted
         self._trees: Dict[int, bool] = {}
-        # (field space uid, field name) of every field this shard deleted.
-        self._deleted: Set[Tuple[int, str]] = set()
         # The explicit trace this shard has open, as a 1-tuple, or ().
         self._open_trace: Tuple = ()
 
@@ -196,22 +195,17 @@ class FrontDoor:
                     + ("this runtime has deleted" if live is False
                        else "another runtime created"))
 
-    def field_names(self, fspace: FieldSpace) -> List[str]:
-        """The fields of ``fspace`` this shard has not deleted."""
-        return [n for n in fspace.declared
-                if (fspace.uid, n) not in self._deleted]
-
-    def fields_of(self, fspace: FieldSpace, names: Sequence[str],
+    @staticmethod
+    def fields_of(fspace: FieldSpace, names: Sequence[str],
                   target: Union[LogicalRegion, Partition]) -> frozenset:
         """The named fields of a call's target.  A name the field space
         was not built with, or that this shard has deleted, is rejected."""
-        declared, deleted, uid = fspace.declared, self._deleted, fspace.uid
         for name in names:
-            if name not in declared or (uid, name) in deleted:
-                have = ", ".join(self.field_names(fspace)) or "none"
+            if name not in fspace:
+                have = ", ".join(f.name for f in fspace.fields) or "none"
                 raise ValueError(f"{target.name} has no field {name!r} "
                                  f"(its fields: {have})")
-        return frozenset(declared[n] for n in names)
+        return frozenset(fspace[n] for n in names)
 
     def region_req(self, call: str, region: LogicalRegion,
                    fields: Union[str, Sequence[str]], priv: Privilege
@@ -231,7 +225,6 @@ class FrontDoor:
     def delete_field(self, region: LogicalRegion, name: str) -> Field:
         self.check_live("delete_field", region)
         field, = self.fields_of(region.field_space, (name,), region)
-        self._deleted.add((region.field_space.uid, name))
         self._lowered.clear()
         return field
 

@@ -1,9 +1,13 @@
 """Futures: deferred task return values.
 
-In the replicated runtime all shards receive the *same* future object for
-the same launch (the driver's, by creation order), so reading a future's
-value is control deterministic by construction.  A launch's future is
-made before its points run; reading its value runs the runtime's queue
+A launch's value is named by the launch: the index of its call in the
+shard's hashed stream, which is its ``structural_key`` and the same on
+every shard.  The driver runs the launch and files its value under that
+name in the runtime's table of launch values; every shard builds its own
+future and reads the table by name, so reading a future's value is
+control deterministic by construction.  A launch whose kernel raised
+holds the error instead, and every shard's future re-raises it.  A future
+is made before its points run; reading its value runs the runtime's queue
 (the ``drain`` callable it was made with) first.  ``is_ready`` is the one
 timing-dependent query (paper §3, Fig. 5); the runtime routes it through
 a *timing oracle* so tests can simulate shard-dependent timing and
@@ -20,97 +24,95 @@ __all__ = ["Future", "FutureMap"]
 _future_ids = itertools.count()
 
 
+class Failed:
+    """A launch's value when its kernel raised: reading it re-raises."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: BaseException):
+        self.error = error
+
+
+def _read(values: Dict[Hashable, Any], key: Hashable,
+          drain: Optional[Callable[[], None]]) -> Any:
+    """The value filed under ``key``, once the queue has run; a run of
+    the queue that meets a kernel's error raises it."""
+    if key not in values and drain is not None:
+        drain()
+    if key not in values:
+        raise RuntimeError("future read before its producing task ran")
+    value = values[key]
+    if type(value) is Failed:
+        raise value.error
+    return value
+
+
 class Future:
-    """A handle for a value a task will produce."""
+    """A handle for a value a task will produce, read from ``values``
+    under its ``structural_key``."""
 
-    __slots__ = ("uid", "_value", "_resolved", "_timing_oracle", "_drain",
-                 "structural_key", "structural_bytes")
+    __slots__ = ("structural_key", "structural_bytes", "_values", "_drain",
+                 "_timing_oracle")
 
-    def __init__(self, timing_oracle: Optional[Callable[["Future"], bool]] = None,
-                 drain: Optional[Callable[[], None]] = None):
-        self.uid = next(_future_ids)
-        self.structural_key = self.structural_bytes = None
-        self._value: Any = None
-        self._resolved = False
-        self._timing_oracle = timing_oracle
+    def __init__(self, key: Hashable, values: Dict[Hashable, Any],
+                 drain: Optional[Callable[[], None]] = None,
+                 timing_oracle: Optional[Callable[["Future"], bool]] = None):
+        self.structural_key = key
+        self.structural_bytes = None
+        self._values = values
         self._drain = drain
-
-    def resolve(self, value: Any) -> None:
-        """Install the producing task's value (and drop the queue, so a
-        resolved future holds no reference back to its runtime)."""
-        self._value = value
-        self._resolved = True
-        self._drain = None
+        self._timing_oracle = timing_oracle
 
     def get(self) -> Any:
-        """Block for the value: run the queue up to the producing task if
-        it has not run yet.  Identical on every shard."""
-        if not self._resolved and self._drain is not None:
-            self._drain()
-        if not self._resolved:
-            raise RuntimeError("future read before its producing task ran")
-        return self._value
+        """Block for the value: run the queue if the producing task has
+        not run yet.  Identical on every shard."""
+        return _read(self._values, self.structural_key, self._drain)
 
     def is_ready(self) -> bool:
         """Timing-dependent readiness probe.
 
         **Branching on this value is a control-determinism hazard** (Fig. 5)
         unless every shard observes the same answer.  The default oracle
-        reports the true resolution state, which depends on timing here
+        reports whether the value is filed, which depends on timing here
         too: the driver asks before its queue has run the producing task,
         a replica after.  Tests install per-shard oracles to model any
         timing skew.
         """
         if self._timing_oracle is not None:
             return self._timing_oracle(self)
-        return self._resolved
-
-    def __hash__(self) -> int:
-        return hash(self.uid)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Future) and other.uid == self.uid
+        return self.structural_key in self._values
 
 
 class FutureMap:
-    """The values of an index launch, one per point.  A point's
-    :class:`Future` is made when the point is first indexed; replica
-    threads indexing at once all get the one ``setdefault`` kept.
+    """The values of an index launch, one per point, filed in ``values``
+    under the map's ``structural_key`` as one dict.  A point's
+    :class:`Future` is made when the point is first indexed and keyed
+    (map key, point); every read runs the queue (``drain``) first."""
 
-    ``values`` is None until the launch's points have run; every read
-    runs the queue (``drain``) first."""
+    __slots__ = ("uid", "structural_key", "structural_bytes", "_values",
+                 "_futures", "_drain", "_timing_oracle")
 
-    __slots__ = ("uid", "_values", "_futures", "_timing_oracle", "_drain",
-                 "structural_key", "structural_bytes")
-
-    def __init__(self, values: Optional[Dict[Hashable, Any]],
-                 timing_oracle: Optional[Callable[[Future], bool]] = None,
-                 drain: Optional[Callable[[], None]] = None):
+    def __init__(self, key: Hashable, values: Dict[Hashable, Any],
+                 drain: Optional[Callable[[], None]] = None,
+                 timing_oracle: Optional[Callable[[Future], bool]] = None):
         self.uid = next(_future_ids)
-        self.structural_key = self.structural_bytes = None
+        self.structural_key = key
+        self.structural_bytes = None
         self._values = values
         self._futures: Dict[Hashable, Future] = {}
-        self._timing_oracle = timing_oracle
         self._drain = drain
-
-    def fill(self, values: Dict[Hashable, Any]) -> None:
-        """Install the points' values, in launch point order."""
-        self._values = values
-        self._drain = None
+        self._timing_oracle = timing_oracle
 
     def _ready(self) -> Dict[Hashable, Any]:
-        if self._values is None:
-            self._drain()
-        return self._values
+        return _read(self._values, self.structural_key, self._drain)
 
     def __getitem__(self, point: Hashable) -> Future:
         """The point's future, keyed (map key, point)."""
         future = self._futures.get(point)
         if future is None:
-            future = Future(self._timing_oracle)
-            future.resolve(self._ready()[point])
-            if self.structural_key is not None:
-                future.structural_key = (self.structural_key, point)
+            key = (self.structural_key, point)
+            future = Future(key, {key: self._ready()[point]}, None,
+                            self._timing_oracle)
             future = self._futures.setdefault(point, future)
         return future
 

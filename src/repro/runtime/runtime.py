@@ -5,18 +5,18 @@ Legion-like tasking runtime whose top-level control program can be
 *dynamically control replicated*.  ``Runtime.execute(control)`` runs the
 control function once per shard:
 
-* **shard 0** drives the real work — every launch flows through the
-  two-stage DCR analysis pipeline (:mod:`repro.core.pipeline`) and joins
-  the runtime's queue; the queue runs its point tasks when control code
-  needs a result (:meth:`Runtime.drain`), in program order or, under a
+* **shard 0** drives the real work — it alone allocates storage, and
+  every launch flows through the two-stage DCR analysis pipeline
+  (:mod:`repro.core.pipeline`) and joins the runtime's queue; the queue
+  runs its point tasks when control code needs a result
+  (:meth:`Runtime.drain`), in program order or, under a
   ``FaultPlan(reorder=True)``, in a seeded random order of the point
   graph — so a dependence the analysis missed changes the bytes;
-* **shards 1..N-1** replay the control program against the shard-0 resource
-  and future logs by creation order, so all shards hold identical handles,
-  each named by how the program built it, and every runtime API call is
-  hashed and checked by the control-determinism monitor (§3).  A shard
-  that launches different work, in a different order, or branches
-  differently raises
+* **every shard** builds its own handles, each named by how the program
+  built it, and reads a launch's value and a field's data from the driver
+  by that name; every runtime API call is hashed and checked by the
+  control-determinism monitor (§3).  A shard that launches different
+  work, in a different order, or branches differently raises
   :class:`~repro.core.determinism.ControlDeterminismViolation`.
 
 The division of labor with the simulator layer is deliberate (DESIGN.md
@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import random
 from bisect import bisect_right
+from functools import partial
 from itertools import groupby
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
@@ -48,7 +49,7 @@ from ..oracle import RegionRequirement, WRITE_DISCARD
 from ..regions import (Field, FieldSpace, IndexSpace, LogicalRegion,
                        Partition, Rect)
 from .frontdoor import FrontDoor
-from .future import Future, FutureMap
+from .future import Failed, Future, FutureMap
 from .mapper import DefaultMapper, Mapper
 from .store import FieldAccessor, RegionStore
 
@@ -95,7 +96,7 @@ class RegionArg:
 
 
 class Runtime:
-    """Owner of storage, analysis pipeline, and the shard logs."""
+    """Owner of storage, analysis pipeline, and the launch values."""
 
     def __init__(self, num_shards: int = 1, mapper: Optional[Mapper] = None,
                  safe_checks: bool = True, check_batch: int = 32,
@@ -122,19 +123,16 @@ class Runtime:
         # — the same zero-perturbation discipline as the profiler.
         self.injector = injector
         # Launches analysed but not yet run, in program order: (driver
-        # context, op, point tasks, value slot); see drain().
+        # context, op, point tasks, name — None for a fill); see drain().
         self._pending: List[Tuple[Context, Operation, List[PointTask],
-                                  Union[Future, FutureMap, None]]] = []
+                                  Optional[int]]] = []
+        # Every launch's value by its name, once its points have run.
+        self._values: Dict[Hashable, Any] = {}
         # The queue's random order under FaultPlan(reorder=True), or None
         # for program order.
         self._reorder =(random.Random(injector.plan.seed)
                          if injector is not None and injector.plan.reorder
                          else None)
-        if backend == "loopback" and timing_oracle is not None:
-            # The oracle dispatches on runtime._current_shard, which
-            # concurrent replica threads race on.
-            raise ValueError("the loopback backend does not support a "
-                             "timing_oracle; use backend='inprocess'")
         self._safe_checks = safe_checks
         self._check_batch = check_batch
         # One collectives instance spans the determinism checks and their
@@ -152,9 +150,6 @@ class Runtime:
             injector=self.injector)
         self.deferred = DeferredOpManager(num_shards)
         self.timing_oracle = timing_oracle
-        # Driver logs replayed by the other shards, keyed by call order.
-        self._resources: List[Any] = []
-        self._futures: List[Union[Future, FutureMap]] = []
         self._deferred_keys: Dict[Hashable, Tuple] = {}
         self._task_keys: Dict[str, List[Any]] = {}     # see FrontDoor.lower
         self.executed_points: int = 0
@@ -183,9 +178,9 @@ class Runtime:
         """
         if getattr(self, "_executed", False):
             raise RuntimeError(
-                "Runtime instances are single-use: the resource/future logs "
-                "and analysis state belong to one replicated execution — "
-                "create a fresh Runtime for another run")
+                "Runtime instances are single-use: the launch values, "
+                "storage and analysis state belong to one replicated "
+                "execution — create a fresh Runtime for another run")
         self._executed = True
         if self.backend != "inprocess":
             return self._execute_gang(control, args)
@@ -205,7 +200,6 @@ class Runtime:
                    args: Tuple[Any, ...],
                    monitor: Optional[DeterminismMonitor] = None) -> None:
         prof = self.profiler
-        self._current_shard = shard
         ctx = Context(self, shard, monitor=monitor)
         if prof.enabled:
             prof.begin(shard, CAT_CONTROL, EV_CONTROL_REPLAY)
@@ -231,15 +225,16 @@ class Runtime:
         """Replicated execution with each replica a rank of a gang.
 
         Phase 1 runs the driver, shard 0, in the calling thread exactly as
-        the in-process backend does — effects, analysis, and the
-        resource/future logs all live here, and the driver's API calls
-        accumulate in its hasher (``self.monitor`` hosts every shard, so it
-        never closes a window while the other hashers are empty).  Phase 2 starts one
-        replica per remaining shard on a :class:`~repro.dist.gang.Gang`
+        the in-process backend does — effects, analysis, storage and the
+        launch values all live here, and the driver's API calls accumulate
+        in its hasher (``self.monitor`` hosts every shard, so it never
+        closes a window while the other hashers are empty).  Phase 2 starts
+        one replica per remaining shard on a :class:`~repro.dist.gang.Gang`
         — a thread over the queue mesh for ``loopback``, a forked process
-        over the backend's fabric otherwise; each replays the control
-        program against the driver's logs (shared, or inherited across
-        the fork) with its own rank-local
+        over the backend's fabric otherwise; each runs the control program
+        on handles it builds itself, reads launch values and stored data
+        by structural name (shared, or inherited across the fork), with
+        its own rank-local
         :class:`~repro.core.determinism.DeterminismMonitor`, while the
         caller participates as the driver rank by feeding its
         pre-recorded digest stream through the same windowed all-reduce —
@@ -366,20 +361,25 @@ class Runtime:
         """Free ``field`` of ``region``'s tree, or all its fields."""
         self.drain()
         for f in region.field_space.fields if field is None else (field,):
-            self.store.deallocate_field(region.tree_id, f)
+            self.store.deallocate_field(region, f)
         if field is not None and field.name in region.field_space:
             region.field_space.remove_field(field.name)
 
     # -- the executor ------------------------------------------------------------------
 
     def drain(self) -> None:
-        """Run every queued launch's points, then fill its value slot.
+        """Run every queued launch's points, then file its value under its
+        name (a dict of point values for an index launch).
 
         A launch joins the queue once it is analysed; the queue runs when
         control code needs a result — a future's value, a store read, a
         deletion, the end of a shard's program.  It runs in program order,
         one topological order of the point graph, or under a
-        ``FaultPlan(reorder=True)`` in a seeded random one."""
+        ``FaultPlan(reorder=True)`` in a seeded random one.  A kernel that
+        raises ends the run and propagates: its launch and any launch only
+        some of whose points ran hold the error, which every shard's future
+        re-raises, and the launches none of whose points ran go back to
+        the queue in program order."""
         batch = self._pending
         if not batch:
             return
@@ -387,19 +387,39 @@ class Runtime:
         points = [(ctx, op, t) for ctx, op, tasks, _ in batch for t in tasks]
         if self._reorder is not None:
             points = self._reordered(points)
-        values = {}
-        for ctx, op, task in points:
-            if op.kind == "fill":
-                for req in task.requirements:
-                    for f in req.fields:
-                        self.store.fill(req.region, f, op.fill_value)
-            else:
-                values[id(task)] = ctx._execute_point(op, task, op.body_args)
-        for _, op, tasks, slot in batch:
-            if isinstance(slot, Future):
-                slot.resolve(values[id(tasks[0])])
-            elif slot is not None:
-                slot.fill({pt.point: values[id(pt)] for pt in tasks})
+        values: Dict[int, Any] = {}
+        try:
+            for ctx, op, task in points:
+                if op.kind == "fill":
+                    for req in task.requirements:
+                        for f in req.fields:
+                            self.store.fill(req.region, f, op.fill_value)
+                    values[id(task)] = None
+                else:
+                    values[id(task)] = ctx._execute_point(op, task,
+                                                          op.body_args)
+        except Exception as error:
+            values[id(task)] = failed = Failed(error)
+            done = []
+            for entry in batch:
+                ran = [values[id(t)] for t in entry[2] if id(t) in values]
+                if not ran:
+                    self._pending.append(entry)
+                elif len(ran) == len(entry[2]) \
+                        and all(v is not failed for v in ran):
+                    done.append(entry)
+                elif entry[3] is not None:
+                    self._values[entry[3]] = failed
+            self._file(done, values)
+            raise
+        self._file(batch, values)
+
+    def _file(self, batch: List[Tuple], values: Dict[int, Any]) -> None:
+        for _, op, tasks, name in batch:
+            if name is not None:
+                self._values[name] = values[id(tasks[0])] \
+                    if op.launch_domain is None \
+                    else {pt.point: values[id(pt)] for pt in tasks}
 
     def _reordered(self, points: List[Tuple]) -> List[Tuple]:
         """``points``, in program order, in a seeded random topological one.
@@ -457,12 +477,12 @@ class Runtime:
 def _replica_main(transport: Any, channel: Any, runtime: Runtime,
                   control: Callable[..., Any], args: Tuple[Any, ...],
                   ship_profile: bool) -> None:
-    """One replica rank: replay its shard, checking over the transport.
+    """One replica rank: run its shard, checking over the transport.
 
-    The replica sees the driver's resource/future logs (shared between
-    threads, inherited across a fork), so the replay resolves every
-    handle and future exactly as the in-process replicas do; only the
-    determinism checking changes transport.  ``ship_profile`` is set for
+    The replica builds its own handles and reads the driver's launch
+    values and stored data by structural name (shared between threads,
+    inherited across a fork), exactly as the in-process replicas do; only
+    the determinism checking changes transport.  ``ship_profile`` is set for
     forked replicas, whose profiler the driver cannot otherwise read.
     """
     monitor = runtime._dist_monitor(transport, injector=runtime.injector)
@@ -493,23 +513,27 @@ def _replica_main(transport: Any, channel: Any, runtime: Runtime,
 class Context:
     """Per-shard view of the runtime: the API control programs call.
 
-    Every method hashes itself into the determinism monitor.  Shard 0
-    performs effects; other shards replay against the logs.
+    Every method hashes itself into the determinism monitor, and every
+    shard builds its own handles, named by the call that made them.
+    Shard 0 performs effects; the other shards read its launch values and
+    stored data by those names.
     """
 
     def __init__(self, runtime: Runtime, shard: int,
                  monitor: Optional[DeterminismMonitor] = None):
         self.runtime = runtime
         self.shard = shard
-        # Whether this shard performs effects: shard 0 analyses and runs
-        # every launch, the other shards replay against its logs.
+        # Whether this shard performs effects: shard 0 allocates storage,
+        # analyses and runs every launch; the other shards read its values.
         self.is_driver = shard == 0
         self.num_shards = runtime.num_shards
         # A gang replica brings its own rank-local monitor; in-process
         # shards share the runtime's.
         self._monitor = monitor if monitor is not None else runtime.monitor
         self._hasher = self._monitor.hasher(shard)
-        self._cursors = [0, 0]          # into the resource and future logs
+        # The timing oracle, asked on this shard (Fig. 5).
+        oracle = runtime.timing_oracle
+        self._oracle = None if oracle is None else partial(oracle, shard)
         self._in_finalizer = False
         self._door = FrontDoor(runtime._task_keys)
 
@@ -519,26 +543,11 @@ class Context:
         self._hasher.record(call, *args)
         self._monitor.maybe_check()
 
-    def _intern_resource(self, call: str, factory: Callable[[], Any]) -> Any:
-        """Create on the driver, replay by creation order on other shards
-        (a launch's future from the futures log).  The driver keys a root
-        or a future (map) by its creating call's index in the hashed
-        stream; a partition is keyed below its region."""
-        launch = call.endswith("launch")
-        log = self.runtime._futures if launch else self.runtime._resources
-        at = self._cursors[launch]
-        if self.is_driver:
-            obj = factory()
-            if not isinstance(obj, Partition):
-                obj.structural_key = len(self._hasher.calls) - 1
-            log.append(obj)
-        elif at < len(log):
-            obj = log[at]
-        else:
-            raise ControlDeterminismViolation(
-                at, [f"shard {self.shard} issued an extra {call}"],
-                shard_ids=[self.shard])
-        self._cursors[launch] = at + 1
+    def _named(self, obj: Any) -> Any:
+        """Key a root or a space by its creating call's index in the hashed
+        stream, as a launch is keyed; a partition is keyed below its
+        region."""
+        obj.structural_key = len(self._hasher.calls) - 1
         return obj
 
     def _finish(self) -> None:
@@ -554,27 +563,22 @@ class Context:
         fields = list(fields)
         self._record("create_field_space",
                      [(n, str(np.dtype(d))) for n, d in fields], name)
-        return self._intern_resource(
-            "create_field_space", lambda: FieldSpace(fields, name=name))
+        return self._named(FieldSpace(fields, name=name))
 
     def create_index_space(self, extent: Union[int, Tuple[int, ...]],
                            name: str = "") -> IndexSpace:
         """Allocate a dense 0-based index space of the given extents."""
         ext = (extent,) if isinstance(extent, int) else tuple(extent)
         self._record("create_index_space", list(ext), name)
-        return self._intern_resource(
-            "create_index_space",
-            lambda: IndexSpace.from_extent(*ext, name=name))
+        return self._named(IndexSpace.from_extent(*ext, name=name))
 
     def create_region(self, ispace: IndexSpace, fspace: FieldSpace,
                       name: str = "") -> LogicalRegion:
         """Create a root region (and its backing storage)."""
         self._record("create_region", ispace, fspace, name)
-        def make() -> LogicalRegion:
-            region = LogicalRegion(ispace, fspace, name=name)
+        region = self._named(LogicalRegion(ispace, fspace, name=name))
+        if self.is_driver:
             self.runtime.store.allocate(region)
-            return region
-        region = self._intern_resource("create_region", make)
         self._door.created(region)
         return region
 
@@ -583,17 +587,14 @@ class Context:
         """Disjoint, complete blockwise partition along one dimension."""
         self._door.check_live("partition_equal", region)
         self._record("partition_equal", region, pieces, dim, name)
-        return self._intern_resource(
-            "partition_equal",
-            lambda: region.partition_equal(pieces, dim=dim, name=name))
+        return region.partition_equal(pieces, dim=dim, name=name)
 
     def partition_tiles(self, region: LogicalRegion, tiles: Tuple[int, ...],
                         name: str = "") -> Partition:
         """Disjoint, complete n-D tiling of a region."""
         self._door.check_live("partition_tiles", region)
         self._record("partition_tiles", region, list(tiles), name)
-        return self._intern_resource(
-            "partition_tiles", lambda: region.partition_tiles(tiles, name=name))
+        return region.partition_tiles(tiles, name=name)
 
     def partition_ghost(self, region: LogicalRegion, base: Partition,
                         halo: int, dim: Optional[int] = None,
@@ -602,9 +603,7 @@ class Context:
         self._door.check_live("partition_ghost", region, base)
         self._record("partition_ghost", region, base, halo,
                      -1 if dim is None else dim, name)
-        return self._intern_resource(
-            "partition_ghost",
-            lambda: region.partition_ghost(base, halo, dim=dim, name=name))
+        return region.partition_ghost(base, halo, dim=dim, name=name)
 
     def partition_by_field(self, region: LogicalRegion,
                            colors: Sequence[Hashable],
@@ -619,9 +618,7 @@ class Context:
         assignment = [(list(p), str(color_of(p)))
                       for p in region.index_space]
         self._record("partition_by_field", region, assignment, name)
-        return self._intern_resource(
-            "partition_by_field",
-            lambda: partition_by_field(region, colors, color_of, name=name))
+        return partition_by_field(region, colors, color_of, name=name)
 
     def partition_by_image(self, dest: LogicalRegion, source: Partition,
                            pointer: Callable, name: str = "") -> Partition:
@@ -631,9 +628,7 @@ class Context:
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for sub in source for p in sub.index_space]
         self._record("partition_by_image", dest, source, arrows, name)
-        return self._intern_resource(
-            "partition_by_image",
-            lambda: partition_by_image(dest, source, pointer, name=name))
+        return partition_by_image(dest, source, pointer, name=name)
 
     def partition_by_preimage(self, dest: LogicalRegion, target: Partition,
                               pointer: Callable, name: str = "") -> Partition:
@@ -643,9 +638,7 @@ class Context:
         arrows = [(list(p), sorted(map(str, pointer(p))))
                   for p in dest.index_space]
         self._record("partition_by_preimage", dest, target, arrows, name)
-        return self._intern_resource(
-            "partition_by_preimage",
-            lambda: partition_by_preimage(dest, target, pointer, name=name))
+        return partition_by_preimage(dest, target, pointer, name=name)
 
     def partition_by_points(self, region: LogicalRegion,
                             pieces: Dict[Hashable, Sequence],
@@ -663,14 +656,12 @@ class Context:
                      sorted((str(c), list(map(list, pts)))
                             for c, pts in norm.items()),
                      name)
-        def make() -> Partition:
-            spaces = {
-                color: IndexSpace(points=pts, name=f"{name}[{color}]")
-                for color, pts in norm.items()
-            }
-            return region.partition_by_spaces(spaces, disjoint=disjoint,
-                                              name=name)
-        return self._intern_resource("partition_by_points", make)
+        spaces = {
+            color: IndexSpace(points=pts, name=f"{name}[{color}]")
+            for color, pts in norm.items()
+        }
+        return region.partition_by_spaces(spaces, disjoint=disjoint,
+                                          name=name)
 
     def partition_rects(self, region: LogicalRegion,
                         rects: Sequence[Tuple[Sequence[int], Sequence[int]]],
@@ -692,14 +683,12 @@ class Context:
                      [[list(lo), list(hi)] for lo, hi in norm],
                      -1 if disjoint is None else int(disjoint),
                      -1 if complete is None else int(complete), name)
-        def make() -> Partition:
-            spaces = {
-                i: IndexSpace(rect=Rect(lo, hi), name=f"{name}[{i}]")
-                for i, (lo, hi) in enumerate(norm)
-            }
-            return region.partition_by_spaces(spaces, disjoint=disjoint,
-                                              complete=complete, name=name)
-        return self._intern_resource("partition_rects", make)
+        spaces = {
+            i: IndexSpace(rect=Rect(lo, hi), name=f"{name}[{i}]")
+            for i, (lo, hi) in enumerate(norm)
+        }
+        return region.partition_by_spaces(spaces, disjoint=disjoint,
+                                          complete=complete, name=name)
 
     # -- data operations --------------------------------------------------------------------
 
@@ -737,7 +726,8 @@ class Context:
         key, coarse_reqs, desc, _ = self._door.lower(fn, reqs, False)
         self._record("launch", key, desc, _as_hashed(args),
                      _as_hashed(future_args), owner_shard)
-        def do() -> Future:
+        name = self._launched("launch")
+        if self.is_driver:
             op = Operation(
                 "task",
                 coarse_reqs,
@@ -745,10 +735,9 @@ class Context:
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
-            fut = Future(self._oracle_binding(), self.runtime.drain)
-            self.runtime._pending.append((self, op, record.point_tasks, fut))
-            return fut
-        return self._intern_resource("launch", do)
+            self.runtime._pending.append((self, op, record.point_tasks, name))
+        return Future(name, self.runtime._values, self.runtime.drain,
+                      self._oracle)
 
     def index_launch(self, fn: Callable[..., Any], domain: Sequence[Hashable],
                      reqs: Sequence[Tuple], args: Sequence[Any] = (),
@@ -769,7 +758,8 @@ class Context:
         sharding = self.runtime.mapper.select_sharding("task", fn.__name__)
         self._record("index_launch", key, domain, desc, _as_hashed(args),
                      _as_hashed(future_args), sharding.sid)
-        def do() -> FutureMap:
+        name = self._launched("index_launch")
+        if self.is_driver:
             op = Operation(
                 "task",
                 coarse_reqs,
@@ -778,10 +768,9 @@ class Context:
                 name=fn.__name__, body=fn, cost=cost)
             op.body_args = tuple(args) + tuple(f.get() for f in future_args)
             record = self.runtime.pipeline.analyze(op)
-            fm = FutureMap(None, self._oracle_binding(), self.runtime.drain)
-            self.runtime._pending.append((self, op, record.point_tasks, fm))
-            return fm
-        return self._intern_resource("index_launch", do)
+            self.runtime._pending.append((self, op, record.point_tasks, name))
+        return FutureMap(name, self.runtime._values, self.runtime.drain,
+                         self._oracle)
 
     def _execute_point(self, op: Operation, pt: PointTask,
                        args: Sequence[Any]) -> Any:
@@ -814,18 +803,16 @@ class Context:
         prof.count("exec.points")
         return value
 
-    def _oracle_binding(self):
-        """Bind ``is_ready`` to the *currently replaying* shard.
-
-        All shards share one future object, so the timing oracle must
-        look up which shard is asking at call time — that is what lets
-        tests model per-shard timing skew (Fig. 5).
-        """
-        oracle = self.runtime.timing_oracle
-        runtime = self.runtime
-        if oracle is None:
-            return None
-        return lambda fut: oracle(getattr(runtime, "_current_shard", 0), fut)
+    def _launched(self, call: str) -> int:
+        """The name of the launch just hashed: its call's index.  The
+        driver has run by the time a replica does, so a name missing from
+        its values is a launch the driver never made."""
+        name = len(self._hasher.calls) - 1
+        if not self.is_driver and name not in self.runtime._values:
+            raise ControlDeterminismViolation(
+                name, [f"shard {self.shard} issued an extra {call}"],
+                shard_ids=[self.shard])
+        return name
 
     # -- futures & control helpers ------------------------------------------------------------
 
@@ -906,11 +893,15 @@ class Context:
                                region, region.field_space[field_name])
         f = self._door.delete_field(region, field_name)
         self._record("delete_field", region, field_name)
-        if self.is_driver:
+        if self.is_driver:     # removes the field once its queue has run
             self.runtime._apply_deletion(region, f)
+        else:
+            region.field_space.remove_field(field_name)
 
     def _defer(self, key: Hashable, region: LogicalRegion,
                field: Optional[Field]) -> None:
-        """Announce a finalizer's deletion under a structural key."""
-        self.runtime._deferred_keys[key] = (region, field)
+        """Announce a finalizer's deletion under a structural key; the
+        driver's handles are the ones it applies to."""
+        if self.is_driver:
+            self.runtime._deferred_keys[key] = (region, field)
         self.runtime.deferred.announce(self.shard, key)

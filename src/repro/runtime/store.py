@@ -1,9 +1,12 @@
 """Physical storage for region fields.
 
 Each (region tree, field) is backed by one NumPy array spanning the root
-index space's bounding rectangle.  Subregions are accessed through
-privilege-checked :class:`FieldAccessor` views: structured subregions get
-zero-copy slices, unstructured ones get gather/scatter access by point list.
+index space's bounding rectangle, named by the root's structural key and
+the field's name, so every shard's own handle finds the driver's array
+(a root without a structural key is refused).  Subregions are accessed
+through privilege-checked :class:`FieldAccessor` views: structured
+subregions get zero-copy slices, unstructured ones get gather/scatter
+access by point list.
 
 The functional runtime runs every point task on the driver, from its
 dependence-ordered queue, so a single array per field is the
@@ -15,7 +18,7 @@ runs the points still queued (``before_read``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -29,12 +32,16 @@ class PrivilegeError(RuntimeError):
     """A task touched a field in a way its privileges do not allow."""
 
 
+def _key(region: LogicalRegion, f: Field) -> Tuple[Hashable, str]:
+    return region.root().structural_key, f.name
+
+
 class RegionStore:
     """Root-region-wide arrays for every allocated field."""
 
     def __init__(self) -> None:
-        self._arrays: Dict[Tuple[int, int], np.ndarray] = {}
-        self._offsets: Dict[int, Tuple[int, ...]] = {}
+        self._arrays: Dict[Tuple[Hashable, str], np.ndarray] = {}
+        self._offsets: Dict[Hashable, Tuple[int, ...]] = {}
         # Run by raw() before it hands an array to control code; the owning
         # runtime sets it to the queue's drain.
         self.before_read: Callable[[], None] = lambda: None
@@ -43,37 +50,39 @@ class RegionStore:
         """Allocate backing arrays for every field of a root region."""
         if not root.is_root:
             raise ValueError("allocate on the root region only")
+        if root.structural_key is None:
+            raise TypeError(f"{root!r} has no structural key")
         bounds = root.index_space.bounds()
-        self._offsets[root.tree_id] = bounds.lo
+        self._offsets[root.structural_key] = bounds.lo
         for f in root.field_space.fields:
-            key = (root.tree_id, f.fid)
+            key = _key(root, f)
             if key not in self._arrays:
                 self._arrays[key] = np.zeros(bounds.extents, dtype=f.dtype)
 
     def allocate_field(self, root: LogicalRegion, f: Field) -> None:
         """Allocate one late-added field."""
         bounds = root.index_space.bounds()
-        self._arrays.setdefault((root.tree_id, f.fid),
+        self._arrays.setdefault(_key(root, f),
                                 np.zeros(bounds.extents, dtype=f.dtype))
 
-    def deallocate_field(self, tree_id: int, f: Field) -> None:
+    def deallocate_field(self, region: LogicalRegion, f: Field) -> None:
         """Drop one field's backing array."""
-        self._arrays.pop((tree_id, f.fid), None)
+        self._arrays.pop(_key(region, f), None)
 
-    def raw(self, tree_id: int, f: Field) -> np.ndarray:
+    def raw(self, region: LogicalRegion, f: Field) -> np.ndarray:
         """The root-wide backing array of one field (authoritative copy),
         once every queued point has run."""
         self.before_read()
-        return self._arrays[(tree_id, f.fid)]
+        return self._arrays[_key(region, f)]
 
-    def has_field(self, tree_id: int, f: Field) -> bool:
+    def has_field(self, region: LogicalRegion, f: Field) -> bool:
         """Whether the field's backing array is currently allocated."""
-        return (tree_id, f.fid) in self._arrays
+        return _key(region, f) in self._arrays
 
     def fill(self, region: LogicalRegion, f: Field, value) -> None:
         """Set one field to ``value`` over a (sub)region."""
-        arr = self._arrays[(region.tree_id, f.fid)]
-        off = self._offsets[region.tree_id]
+        key = _key(region, f)
+        arr, off = self._arrays[key], self._offsets[key[0]]
         if region.index_space.structured:
             rect = region.index_space.rect
             sl = tuple(slice(l - o, h - o + 1)
@@ -88,24 +97,25 @@ class RegionStore:
         if f not in req.fields:
             raise PrivilegeError(
                 f"field {f.name} not named by the region requirement")
-        if (req.region.tree_id, f.fid) not in self._arrays:
+        key = _key(req.region, f)
+        if key not in self._arrays:
             raise KeyError(f"field {f.name} of {req.region.name} is not "
                            f"allocated")
-        return FieldAccessor(self._arrays, self._offsets[req.region.tree_id],
+        return FieldAccessor(self._arrays, self._offsets[key[0]],
                              req.region, f, req.privilege)
 
 
 class FieldAccessor:
     """Privilege-checked access to one field over one region."""
 
-    def __init__(self, arrays: Dict[Tuple[int, int], np.ndarray],
+    def __init__(self, arrays: Dict[Tuple[Hashable, str], np.ndarray],
                  offset: Tuple[int, ...], region: LogicalRegion,
                  field: Field, privilege: Privilege):
         # The store's arrays and this field's key in them: the array is
         # looked up at each use, so a kept accessor never pins a deleted
         # field's storage and always reaches a reallocated one.
         self._arrays = arrays
-        self._key = (region.tree_id, field.fid)
+        self._key = _key(region, field)
         self._offset = offset
         self.region = region
         self.field = field

@@ -28,7 +28,7 @@ def save_region(ctx: Context, region: LogicalRegion, directory: str) -> None:
     ctx._record("save_region", region, directory)
     if ctx.is_driver:
         os.makedirs(directory, exist_ok=True)
-    for name in sorted(ctx._door.field_names(region.field_space)):
+    for name in sorted(f.name for f in region.field_space.fields):
         detach_file(ctx, region, name,
                     _field_path(directory, region.name, name))
 
@@ -36,7 +36,7 @@ def save_region(ctx: Context, region: LogicalRegion, directory: str) -> None:
 def load_region(ctx: Context, region: LogicalRegion, directory: str) -> None:
     """Restore every field of ``region`` from ``directory``."""
     ctx._record("load_region", region, directory)
-    for name in sorted(ctx._door.field_names(region.field_space)):
+    for name in sorted(f.name for f in region.field_space.fields):
         path = _field_path(directory, region.name, name)
         if ctx.is_driver and not os.path.exists(path):
             raise FileNotFoundError(

@@ -19,7 +19,7 @@ class TestTraining:
         x, y = problem
         rt = Runtime(num_shards=shards)
         wr, losses = rt.execute(train_mlp, x, y, 6, 10)
-        w = rt.store.raw(wr.tree_id, wr.field_space["w"]).copy()
+        w = rt.store.raw(wr, wr.field_space["w"]).copy()
         ref_w, ref_losses = reference_train_mlp(x, y, 6, 10)
         assert np.allclose(w, ref_w)
         assert np.allclose(losses, ref_losses)
@@ -38,7 +38,7 @@ class TestTraining:
         for tiles in (2, 4):
             rt = Runtime(num_shards=2)
             wr, _losses = rt.execute(train_mlp, x, y, 6, 8, 0.5, tiles)
-            w = rt.store.raw(wr.tree_id, wr.field_space["w"]).copy()
+            w = rt.store.raw(wr, wr.field_space["w"]).copy()
             ref_w, _ = reference_train_mlp(x, y, 6, 8, 0.5, tiles)
             assert np.allclose(w, ref_w), tiles
 

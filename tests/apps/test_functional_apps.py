@@ -18,13 +18,13 @@ class TestStencilFunctional:
         rt = Runtime(num_shards=2)
         cells = rt.execute(stencil2d_control, n, tiles, steps)
         out_field = "a" if steps % 2 == 0 else "b"
-        got = rt.store.raw(cells.tree_id, cells.field_space[out_field])
+        got = rt.store.raw(cells, cells.field_space[out_field])
         assert np.allclose(got, reference_stencil2d(n, steps))
 
     def test_zero_steps(self):
         rt = Runtime(num_shards=1)
         cells = rt.execute(stencil2d_control, 8, 2, 0, 3.0)
-        got = rt.store.raw(cells.tree_id, cells.field_space["a"])
+        got = rt.store.raw(cells, cells.field_space["a"])
         assert (got == 3.0).all()
 
 
@@ -46,7 +46,7 @@ class TestCircuitFunctional:
     def test_matches_reference(self, pieces, steps):
         rt = Runtime(num_shards=2)
         nodes = rt.execute(circuit_control, pieces, 6, 8, steps)
-        got = rt.store.raw(nodes.tree_id, nodes.field_space["voltage"])
+        got = rt.store.raw(nodes, nodes.field_space["voltage"])
         ref = reference_circuit(pieces, 6, 8, steps)
         assert np.allclose(got, ref)
 
@@ -54,7 +54,7 @@ class TestCircuitFunctional:
         """update_voltages clears charge each step."""
         rt = Runtime(num_shards=1)
         nodes = rt.execute(circuit_control)
-        charge = rt.store.raw(nodes.tree_id, nodes.field_space["charge"])
+        charge = rt.store.raw(nodes, nodes.field_space["charge"])
         assert np.allclose(charge, 0.0)
 
 
@@ -89,7 +89,7 @@ class TestTiled2DStencil:
 
         rt = Runtime(num_shards=shards)
         cells = rt.execute(stencil2d_tiled_control, 12, tx, ty, 5)
-        got = rt.store.raw(cells.tree_id, cells.field_space["b"])
+        got = rt.store.raw(cells, cells.field_space["b"])
         assert np.allclose(got, reference_stencil2d(12, 5))
 
     def test_2d_launch_points_validate(self):

@@ -11,8 +11,8 @@ from repro.runtime import Runtime
 def test_matches_reference(shards):
     rt = Runtime(num_shards=shards)
     cells = rt.execute(htr_mini_control, 32, 4, 6)
-    temp = rt.store.raw(cells.tree_id, cells.field_space["temp"])
-    fuel = rt.store.raw(cells.tree_id, cells.field_space["fuel"])
+    temp = rt.store.raw(cells, cells.field_space["temp"])
+    fuel = rt.store.raw(cells, cells.field_space["fuel"])
     ref_temp, ref_fuel = reference_htr_mini(32, 6)
     assert np.allclose(temp, ref_temp)
     assert np.allclose(fuel, ref_fuel)

@@ -23,9 +23,9 @@ class TestAgainstReference:
     def test_matches_reference(self, shards):
         rt = Runtime(num_shards=shards)
         zones, points = rt.execute(pennant_control, 24, 4, 8)
-        rho = rt.store.raw(zones.tree_id, zones.field_space["rho"])
-        e = rt.store.raw(zones.tree_id, zones.field_space["e"])
-        x = rt.store.raw(points.tree_id, points.field_space["x"])
+        rho = rt.store.raw(zones, zones.field_space["rho"])
+        e = rt.store.raw(zones, zones.field_space["e"])
+        x = rt.store.raw(points, points.field_space["x"])
         ref_rho, ref_e, ref_x = reference_pennant(24, 8)
         assert np.allclose(rho, ref_rho)
         assert np.allclose(e, ref_e)
@@ -37,7 +37,7 @@ class TestAgainstReference:
             rt = Runtime(num_shards=2)
             zones, _pts = rt.execute(pennant_control, 24, tiles, 6)
             results.append(
-                rt.store.raw(zones.tree_id,
+                rt.store.raw(zones,
                              zones.field_space["rho"]).copy())
         assert np.allclose(results[0], results[1])
         assert np.allclose(results[1], results[2])
@@ -53,8 +53,8 @@ class TestPhysics:
     def test_mass_conserved(self):
         rt = Runtime(num_shards=2)
         zones, points = rt.execute(pennant_control, 24, 4, 10)
-        rho = rt.store.raw(zones.tree_id, zones.field_space["rho"])
-        x = rt.store.raw(points.tree_id, points.field_space["x"])
+        rho = rt.store.raw(zones, zones.field_space["rho"])
+        x = rt.store.raw(points, points.field_space["x"])
         x0, rho0, _ = sod_initial_state(24)
         assert np.sum(rho * np.diff(x)) == pytest.approx(
             np.sum(rho0 * np.diff(x0)))
@@ -62,8 +62,8 @@ class TestPhysics:
     def test_walls_fixed(self):
         rt = Runtime(num_shards=1)
         _zones, points = rt.execute(pennant_control, 24, 4, 10)
-        x = rt.store.raw(points.tree_id, points.field_space["x"])
-        u = rt.store.raw(points.tree_id, points.field_space["u"])
+        x = rt.store.raw(points, points.field_space["x"])
+        u = rt.store.raw(points, points.field_space["u"])
         assert x[0] == 0.0 and x[-1] == 1.0
         assert u[0] == 0.0 and u[-1] == 0.0
 

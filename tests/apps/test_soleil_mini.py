@@ -12,9 +12,9 @@ from repro.runtime import Runtime
 def test_matches_reference(shards):
     rt = Runtime(num_shards=shards)
     cells, parts = rt.execute(soleil_mini_control, 32, 4, 16, 6)
-    ct = rt.store.raw(cells.tree_id, cells.field_space["t"])
-    px = rt.store.raw(parts.tree_id, parts.field_space["x"])
-    pt = rt.store.raw(parts.tree_id, parts.field_space["tp"])
+    ct = rt.store.raw(cells, cells.field_space["t"])
+    px = rt.store.raw(parts, parts.field_space["x"])
+    pt = rt.store.raw(parts, parts.field_space["tp"])
     ref_ct, ref_px, ref_pt = reference_soleil_mini(32, 16, 6)
     assert np.allclose(ct, ref_ct)
     assert np.allclose(px, ref_px)

@@ -132,7 +132,7 @@ def test_finalizer_deletion_waits_for_every_shard(backend, announcers,
     if "error" in out:
         raise out["error"]
     r = out["region"]
-    assert rt.store.has_field(r.tree_id, r.field_space["x"]) is not deleted
+    assert rt.store.has_field(r, r.field_space["x"]) is not deleted
     assert rt.deferred.outstanding == (0 if deleted else 1)
 
 

@@ -459,9 +459,9 @@ def field_bytes(rt) -> dict:
             for req in task.requirements:
                 root = req.region.root()
                 for f in root.field_space.fields:
-                    if rt.store.has_field(root.tree_id, f):
+                    if rt.store.has_field(root, f):
                         out[(root.structural_key, f.name)] = \
-                            rt.store.raw(root.tree_id, f).tobytes()
+                            rt.store.raw(root, f).tobytes()
     return out
 
 

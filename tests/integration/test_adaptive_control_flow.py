@@ -80,8 +80,8 @@ def test_adaptive_repartitioning():
     for shards in (1, 3):
         rt = Runtime(num_shards=shards)
         r, pieces, sizes = rt.execute(main)
-        out = rt.store.raw(r.tree_id, r.field_space["out"])
-        w = rt.store.raw(r.tree_id, r.field_space["w"])
+        out = rt.store.raw(r, r.field_space["out"])
+        w = rt.store.raw(r, r.field_space["w"])
         assert np.allclose(out, 2.0 * w)
         assert pieces == 4
         # The heavy half got small pieces, the light half big ones.
@@ -119,7 +119,7 @@ def test_convergence_controlled_iteration():
     rt4 = Runtime(num_shards=4)
     iters4, r = rt4.execute(main)
     assert iters1 == iters4 == 5          # 0.5^5 = 0.03125 < 0.05
-    assert np.allclose(rt4.store.raw(r.tree_id, r.field_space["x"]),
+    assert np.allclose(rt4.store.raw(r, r.field_space["x"]),
                        0.03125)
 
 
@@ -145,5 +145,5 @@ def test_branch_on_reduced_data():
     for bias, expected in ((1.0, 2.0), (0.25, 0.5)):
         rt = Runtime(num_shards=3)
         r = rt.execute(main, bias)
-        assert (rt.store.raw(r.tree_id, r.field_space["x"])
+        assert (rt.store.raw(r, r.field_space["x"])
                 == expected).all()

@@ -55,8 +55,8 @@ def test_auto_traced_equals_untraced(body_codes, loop_iters, shards):
     plain_rt = Runtime(num_shards=shards)
     r2 = plain_rt.execute(make_control(body_codes, loop_iters))
     for f in ("x", "y"):
-        a = auto_rt.store.raw(r1.tree_id, r1.field_space[f])
-        b = plain_rt.store.raw(r2.tree_id, r2.field_space[f])
+        a = auto_rt.store.raw(r1, r1.field_space[f])
+        b = plain_rt.store.raw(r2, r2.field_space[f])
         assert np.array_equal(a, b), (body_codes, loop_iters, f)
     # Identical task graphs op-for-op and point-for-point.
     auto_tasks = {(t.op.name, t.point)

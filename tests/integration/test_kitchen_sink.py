@@ -86,11 +86,11 @@ def kitchen_sink(ctx, checkpoint_dir):
 def test_all_features_compose(tmp_path, shards):
     rt = Runtime(num_shards=shards)
     data = rt.execute(kitchen_sink, str(tmp_path / f"s{shards}"))
-    x = rt.store.raw(data.tree_id, data.field_space["x"]).copy()
+    x = rt.store.raw(data, data.field_space["x"]).copy()
 
     rt1 = Runtime(num_shards=1)
     data1 = rt1.execute(kitchen_sink, str(tmp_path / "ref"))
-    x1 = rt1.store.raw(data1.tree_id, data1.field_space["x"])
+    x1 = rt1.store.raw(data1, data1.field_space["x"])
     assert np.array_equal(x, x1)
 
     rt.pipeline.validate()
@@ -104,7 +104,7 @@ def test_all_features_compose(tmp_path, shards):
 def test_checkpoint_restores_in_new_runtime(tmp_path):
     rt = Runtime(num_shards=2)
     data = rt.execute(kitchen_sink, str(tmp_path))
-    expected = rt.store.raw(data.tree_id, data.field_space["x"]).copy()
+    expected = rt.store.raw(data, data.field_space["x"]).copy()
 
     def restore(ctx):
         fs = ctx.create_field_space([("x", "f8"), ("w", "f8")], "F")
@@ -115,5 +115,5 @@ def test_checkpoint_restores_in_new_runtime(tmp_path):
 
     rt2 = Runtime(num_shards=3)
     r2 = rt2.execute(restore)
-    got = rt2.store.raw(r2.tree_id, r2.field_space["x"])
+    got = rt2.store.raw(r2, r2.field_space["x"])
     assert np.array_equal(got, expected)

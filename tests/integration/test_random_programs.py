@@ -88,9 +88,9 @@ def test_replication_transparent(script, shards, sharding):
     rep_region, rep_totals = rep_rt.execute(make_control(script))
 
     for field in ("x", "y"):
-        a = seq_rt.store.raw(seq_region.tree_id,
+        a = seq_rt.store.raw(seq_region,
                              seq_region.field_space[field])
-        b = rep_rt.store.raw(rep_region.tree_id,
+        b = rep_rt.store.raw(rep_region,
                              rep_region.field_space[field])
         assert np.array_equal(a, b)
     assert seq_totals == rep_totals
@@ -108,7 +108,7 @@ def test_rerun_is_deterministic(script):
     rt2 = Runtime(num_shards=3)
     r2, t2 = rt2.execute(make_control(script))
     assert t1 == t2
-    a = rt1.store.raw(r1.tree_id, r1.field_space["y"])
-    b = rt2.store.raw(r2.tree_id, r2.field_space["y"])
+    a = rt1.store.raw(r1, r1.field_space["y"])
+    b = rt2.store.raw(r2, r2.field_space["y"])
     assert np.array_equal(a, b)
     assert graph_signature(rt1) == graph_signature(rt2)

@@ -52,8 +52,8 @@ def test_traced_equals_untraced(body_codes, loop_iters, shards):
     plain_rt = Runtime(num_shards=shards)
     r2 = plain_rt.execute(make_control(body_codes, loop_iters, False))
     for f in ("x", "y"):
-        a = traced_rt.store.raw(r1.tree_id, r1.field_space[f])
-        b = plain_rt.store.raw(r2.tree_id, r2.field_space[f])
+        a = traced_rt.store.raw(r1, r1.field_space[f])
+        b = plain_rt.store.raw(r2, r2.field_space[f])
         assert np.array_equal(a, b), (body_codes, loop_iters, f)
     # All but the first loop iteration replayed from the trace.
     expected_traced = (loop_iters - 1) * len(body_codes)

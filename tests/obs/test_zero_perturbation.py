@@ -107,8 +107,8 @@ def run(script, shards, auto_trace, profiler=None, repeat=3, tail=()):
     rt = Runtime(num_shards=shards, auto_trace=auto_trace, **kwargs)
     region, totals = rt.execute(
         make_control(script, repeat=repeat, tail=tail))
-    x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()
-    y = rt.store.raw(region.tree_id, region.field_space["y"]).copy()
+    x = rt.store.raw(region, region.field_space["x"]).copy()
+    y = rt.store.raw(region, region.field_space["y"]).copy()
     return rt, totals, x, y
 
 

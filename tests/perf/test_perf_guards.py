@@ -88,7 +88,7 @@ class TestFunctionalSoak:
         rt = Runtime(num_shards=8)
         cells = rt.execute(stencil2d_control, 32, 8, 10)
         elapsed = time.perf_counter() - t0
-        got = rt.store.raw(cells.tree_id, cells.field_space["a"])
+        got = rt.store.raw(cells, cells.field_space["a"])
         assert np.allclose(got, reference_stencil2d(32, 10))
         rt.pipeline.validate()
         assert elapsed < 10.0

@@ -130,8 +130,8 @@ class TestRuntimeIntegration:
         w1 = rt1.execute(main)
         rt3 = Runtime(num_shards=3)
         w3 = rt3.execute(main)
-        a = rt1.store.raw(w1.tree_id, w1.field_space["i"])
-        b = rt3.store.raw(w3.tree_id, w3.field_space["i"])
+        a = rt1.store.raw(w1, w1.field_space["i"])
+        b = rt3.store.raw(w3, w3.field_space["i"])
         assert np.array_equal(a, b)
         assert list(a) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         rt3.pipeline.validate()

@@ -18,8 +18,8 @@ SCRIPT = [(0, 1.5), (2, 0.0), (3, 0.0), (1, 0.75)] * 2
 def run(**kwargs):
     rt = Runtime(num_shards=3, **kwargs)
     region, totals = rt.execute(make_control(SCRIPT))
-    x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()
-    y = rt.store.raw(region.tree_id, region.field_space["y"]).copy()
+    x = rt.store.raw(region, region.field_space["x"]).copy()
+    y = rt.store.raw(region, region.field_space["y"]).copy()
     return rt, totals, x, y
 
 

@@ -25,7 +25,7 @@ def run(injector=None, shards=3, profiler=None):
     kwargs = {"profiler": profiler} if profiler is not None else {}
     rt = Runtime(num_shards=shards, injector=injector, **kwargs)
     region, totals = rt.execute(make_control(SCRIPT))
-    x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()
+    x = rt.store.raw(region, region.field_space["x"]).copy()
     return rt, totals, x
 
 
@@ -77,8 +77,8 @@ class TestTraceCorruption:
         rt = Runtime(num_shards=2, auto_trace=True, injector=injector)
         region, totals = rt.execute(
             make_control([(0, 1.0), (1, 2.0), (3, 0.0)], repeat=4))
-        x = rt.store.raw(region.tree_id, region.field_space["x"]).copy()
-        y = rt.store.raw(region.tree_id, region.field_space["y"]).copy()
+        x = rt.store.raw(region, region.field_space["x"]).copy()
+        y = rt.store.raw(region, region.field_space["y"]).copy()
         return rt, totals, x, y
 
     def test_corrupted_trace_falls_back_safely(self):

@@ -65,8 +65,8 @@ def observe(kind, n, batch, victim, call):
         raised = type(exc).__name__
         report = f"{_ints(identify_culprits(exc))}/{exc.seq}"
     else:
-        x = rt.store.raw(region.tree_id, region.field_space["x"])
-        y = rt.store.raw(region.tree_id, region.field_space["y"])
+        x = rt.store.raw(region, region.field_space["x"])
+        y = rt.store.raw(region, region.field_space["y"])
         values = _short((x.tobytes(), y.tobytes(), totals))
     return " ".join([
         raised,

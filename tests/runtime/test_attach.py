@@ -96,7 +96,7 @@ def test_finalizer_detach_deferred(tmp_path):
     r = rt.execute(main)
     # All shards announced; the deferred manager applied the deletion.
     assert rt.deferred.outstanding == 0
-    assert not rt.store.has_field(r.tree_id, r.field_space["x"])
+    assert not rt.store.has_field(r, r.field_space["x"])
 
 
 def test_finalizer_at_shard_dependent_times(tmp_path):
@@ -122,9 +122,9 @@ def test_finalizer_at_shard_dependent_times(tmp_path):
     rt = Runtime(num_shards=3)
     regions = rt.execute(main)
     assert rt.deferred.outstanding == 0
-    assert not rt.store.has_field(regions[0].tree_id,
+    assert not rt.store.has_field(regions[0],
                                   regions[0].field_space["x"])
-    assert rt.store.has_field(regions[1].tree_id,
+    assert rt.store.has_field(regions[1],
                               regions[1].field_space["x"])
 
 
@@ -166,4 +166,4 @@ def test_real_weakref_finalizer(tmp_path):
     rt = Runtime(num_shards=3)
     r = rt.execute(main)
     assert rt.deferred.outstanding == 0
-    assert not rt.store.has_field(r.tree_id, r.field_space["x"])
+    assert not rt.store.has_field(r, r.field_space["x"])

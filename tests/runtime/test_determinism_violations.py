@@ -223,7 +223,7 @@ class TestArrayArguments:
 
         rt = Runtime(num_shards=2, backend=backend)
         r = rt.execute(main)
-        assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 6.0).all()
+        assert (rt.store.raw(r, r.field_space["x"]) == 6.0).all()
 
 
 class TestUnnamedTaskFunctions:

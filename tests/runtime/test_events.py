@@ -60,4 +60,4 @@ def test_replay_scalar_args_preserved():
 
     rt = reordered_runtime(9, num_shards=1)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 15.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 15.0).all()

@@ -61,7 +61,7 @@ def test_paired_traces_are_accepted(backend):
 
     rt = Runtime(num_shards=2, backend=backend)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 3.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 3.0).all()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -174,7 +174,7 @@ def test_each_replica_deletes_in_its_own_program_order(backend):
 
     rt = Runtime(num_shards=2, backend=backend)
     keep = rt.execute(main)
-    assert (rt.store.raw(keep.tree_id, keep.field_space["x"]) == 1.0).all()
+    assert (rt.store.raw(keep, keep.field_space["x"]) == 1.0).all()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -261,7 +261,7 @@ def test_a_same_operator_reduction_through_the_ghost_is_accepted(backend):
 
     rt = Runtime(num_shards=2, backend=backend)
     r = rt.execute(main)
-    assert rt.store.raw(r.tree_id, r.field_space["x"]).shape == (8,)
+    assert rt.store.raw(r, r.field_space["x"]).shape == (8,)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -274,7 +274,7 @@ def test_a_one_point_ghost_write_is_accepted(backend):
 
     rt = Runtime(num_shards=2, backend=backend)
     r = rt.execute(main)
-    assert rt.store.raw(r.tree_id, r.field_space["x"]).tolist() \
+    assert rt.store.raw(r, r.field_space["x"]).tolist() \
         == [0, 2, 2, 2, 2, 0, 0, 0]
 
 
@@ -311,7 +311,7 @@ def test_each_replica_deletes_fields_in_its_own_program_order(backend,
     rt = Runtime(num_shards=2, backend=backend)
     r = rt.execute(main)
     assert "y" not in r.field_space
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 1.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 1.0).all()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.x.npy",
                                                            "r.y.npy"]
 

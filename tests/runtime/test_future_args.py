@@ -23,7 +23,7 @@ def test_future_value_reaches_task_body():
 
     rt = Runtime(num_shards=1)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 4.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 4.0).all()
 
 
 def test_future_args_replicate_cleanly():
@@ -44,8 +44,8 @@ def test_future_args_replicate_cleanly():
     r1 = rt1.execute(main)
     rt3 = Runtime(num_shards=3)
     r3 = rt3.execute(main)
-    a = rt1.store.raw(r1.tree_id, r1.field_space["x"])
-    b = rt3.store.raw(r3.tree_id, r3.field_space["x"])
+    a = rt1.store.raw(r1, r1.field_space["x"])
+    b = rt3.store.raw(r3, r3.field_space["x"])
     assert np.array_equal(a, b)
     assert (a == 4.0).all()
 
@@ -66,7 +66,7 @@ def test_future_args_combined_with_scalars():
 
     rt = Runtime(num_shards=2)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 15.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 15.0).all()
 
 
 def test_chained_futures():
@@ -126,8 +126,7 @@ def test_threads_indexing_one_map_at_once_get_one_future_per_point():
     from repro.runtime import Future, FutureMap
 
     threads, points = 6, range(8)
-    fm = FutureMap({p: float(p) for p in points})
-    fm.structural_key = 7
+    fm = FutureMap(7, {7: {p: float(p) for p in points}})
     start, inside = threading.Barrier(threads), threading.Barrier(threads)
     seen = [None] * threads
     init = Future.__init__
@@ -190,7 +189,8 @@ def test_point_futures_as_arguments_hash_alike_on_loopback_and_inprocess():
 
 def test_a_point_future_asks_the_timing_oracle_on_the_asking_shard():
     """A map's point future answers `is_ready` for the shard that asks,
-    so a branch on it diverges (Fig. 5)."""
+    so a branch on it diverges (Fig. 5).  Each shard asks about its own
+    future, and the futures carry one structural key."""
     from repro.core import ControlDeterminismViolation
 
     asked = []
@@ -210,7 +210,9 @@ def test_a_point_future_asks_the_timing_oracle_on_the_asking_shard():
 
     assert Runtime(num_shards=4, timing_oracle=timing).execute(probe)
     assert [shard for shard, _ in asked] == [0, 1, 2, 3]
-    assert len({id(future) for _, future in asked}) == 1
+    futures = [future for _, future in asked]
+    assert len({id(future) for future in futures}) == 4
+    assert len({future.structural_key for future in futures}) == 1
 
     def branch(ctx):
         fs = ctx.create_field_space([("x", "f8")])

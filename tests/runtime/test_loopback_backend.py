@@ -1,12 +1,12 @@
 """The loopback backend: threaded replicas over the in-memory fabric.
 
-Loopback sits between inprocess (replicas replay sequentially against the
-global monitor) and the process backends (forked replicas over shm rings
-or tcp sockets): every
-replica runs the full distributed checking protocol on its own thread
-through a LoopbackFabric, sharing the driver's logs directly.  The fuzz
-tier leans on it for cross-backend digest comparison, so parity with the
-other two backends is load-bearing.
+Loopback sits between inprocess (replicas run in turn against the global
+monitor) and the process backends (forked replicas over shm or tcp
+sockets): every replica runs the full distributed checking protocol on
+its own thread through a LoopbackFabric, builds its own handles, and
+reads the driver's launch values and stored data by structural name.
+The fuzz tier leans on it for cross-backend digest comparison, so parity
+with the other two backends is load-bearing.
 """
 
 import numpy as np
@@ -86,10 +86,27 @@ def test_fault_environment_variables_are_ignored(monkeypatch):
         Runtime(num_shards=2).execute(stencil_control)
 
 
-def test_loopback_rejects_timing_oracle():
-    with pytest.raises(ValueError, match="timing_oracle"):
-        Runtime(num_shards=2, backend="loopback",
-                timing_oracle=lambda shard, fut: True)
+def _timing_branch(ctx):
+    fs = ctx.create_field_space([("x", "f8")])
+    r = ctx.create_region(ctx.create_index_space(8), fs, "r")
+    fut = ctx.launch(lambda a: 1.0, [(r, "x", "ro")])
+    ctx.fill(r, "x", 1.0 if fut.is_ready() else 2.0)
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "loopback", "shm", "tcp"])
+def test_a_timing_branch_is_localized_alike_on_every_backend(backend):
+    """Fig. 5 on every backend: each shard asks the timing oracle about
+    its own future, so a branch on `is_ready` is caught at the same call
+    and on the same shard whether the replicas run in turn, as threads or
+    as forked processes."""
+    def timing(shard, _future):
+        return shard % 2 == 0
+
+    rt = Runtime(num_shards=2, backend=backend, timing_oracle=timing)
+    with pytest.raises(ControlDeterminismViolation) as exc:
+        rt.execute(_timing_branch)
+    assert exc.value.diagnosis.seq == 4
+    assert exc.value.diagnosis.divergent_shards == (1,)
 
 
 def test_determinism_digests_match_other_backends():

@@ -60,7 +60,7 @@ class TestPerTaskMapper:
                      mapper=PerTaskMapper({"_stencil_task": BLOCKED},
                                           default=CYCLIC))
         cells = rt.execute(stencil2d_control, 12, 4, 4)
-        got = rt.store.raw(cells.tree_id, cells.field_space["a"])
+        got = rt.store.raw(cells, cells.field_space["a"])
         assert np.allclose(got, reference_stencil2d(12, 4))
 
 
@@ -79,7 +79,7 @@ class TestAutoReplicationMapper:
     def test_runs_programs(self):
         rt = Runtime(num_shards=4, mapper=AutoReplicationMapper(4))
         cells = rt.execute(stencil2d_control, 12, 4, 3)
-        got = rt.store.raw(cells.tree_id, cells.field_space["b"])
+        got = rt.store.raw(cells, cells.field_space["b"])
         assert np.allclose(got, reference_stencil2d(12, 3))
 
 

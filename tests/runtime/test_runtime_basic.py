@@ -25,7 +25,7 @@ def test_fill_and_single_launch():
     rt = Runtime(num_shards=1)
     total, region = rt.execute(main)
     assert total == 48.0
-    arr = rt.store.raw(region.tree_id, region.field_space["x"])
+    arr = rt.store.raw(region, region.field_space["x"])
     assert (arr == 6.0).all()
 
 
@@ -63,7 +63,7 @@ def test_scalar_args_passed_through():
 
     rt = Runtime(num_shards=1)
     r = rt.execute(main)
-    arr = rt.store.raw(r.tree_id, r.field_space["x"])
+    arr = rt.store.raw(r, r.field_space["x"])
     assert list(arr) == [10.0, 10.0, 12.0, 12.0]
 
 
@@ -84,7 +84,7 @@ def test_reduce_privilege_launch():
 
     rt = Runtime(num_shards=1)
     r = rt.execute(main)
-    arr = rt.store.raw(r.tree_id, r.field_space["acc"])
+    arr = rt.store.raw(r, r.field_space["acc"])
     # Interior cells are covered by 3 ghost pieces, edges by 2.
     assert list(arr) == [2.0, 3.0, 3.0, 2.0]
 
@@ -116,10 +116,11 @@ def test_task_graph_is_recorded():
 
 def test_future_read_before_resolution_fails():
     from repro.runtime import Future
-    f = Future()
+    values = {}
+    f = Future(0, values)
     with pytest.raises(RuntimeError):
         f.get()
-    f.resolve(3)
+    values[0] = 3
     assert f.get() == 3 and f.is_ready()
 
 
@@ -151,7 +152,7 @@ def test_immediate_deletions():
         rt = Runtime(num_shards=shards, backend=backend)
         r = rt.execute(main)
         assert "y" not in r.field_space
-        assert rt.store.has_field(r.tree_id, r.field_space["x"])
+        assert rt.store.has_field(r, r.field_space["x"])
 
 
 def test_deleted_storage_is_released_during_the_execute():
@@ -178,8 +179,8 @@ def test_deleted_storage_is_released_during_the_execute():
             # a list of fields is an unhashable spec: lowered afresh
             ctx.launch(touch, [(s, ["x", "y"], "rw")])
         if ctx.is_driver:
-            refs["r"] = weakref.ref(rt.store.raw(r.tree_id, fs["x"]))
-            refs["s.y"] = weakref.ref(rt.store.raw(s.tree_id, fs["y"]))
+            refs["r"] = weakref.ref(rt.store.raw(r, fs["x"]))
+            refs["s.y"] = weakref.ref(rt.store.raw(s, fs["y"]))
         ctx.delete_region(r)
         ctx.delete_field(s, "y")
         if ctx.is_driver:
@@ -289,8 +290,8 @@ def test_execution_fence_orders_independent_work():
 
     rt = Runtime(num_shards=2)
     ra, rb = rt.execute(main, True, [])
-    assert (rt.store.raw(ra.tree_id, ra.field_space["x"]) == 2.0).all()
-    assert (rt.store.raw(rb.tree_id, rb.field_space["x"]) == 3.0).all()
+    assert (rt.store.raw(ra, ra.field_space["x"]) == 2.0).all()
+    assert (rt.store.raw(rb, rb.field_space["x"]) == 3.0).all()
     # The fence is visible as a global analysis fence...
     assert any(f.region is None for f in rt.coarse_result().fences)
     # ...and the queue treats it as a barrier at every seed.
@@ -319,7 +320,7 @@ def test_execution_fence_replicates():
 
     rt = Runtime(num_shards=3)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 5.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 5.0).all()
 
 
 def test_replicas_build_no_fill_or_attach_operation():

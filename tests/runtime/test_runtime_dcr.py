@@ -28,7 +28,7 @@ def graph_signature(rt):
 def test_stencil_result_independent_of_shards(shards):
     rt = Runtime(num_shards=shards)
     cells = rt.execute(stencil2d_control, 12, 4, 5, 1.0)
-    got = rt.store.raw(cells.tree_id, cells.field_space["b"])
+    got = rt.store.raw(cells, cells.field_space["b"])
     assert np.allclose(got, reference_stencil2d(12, 5, 1.0))
 
 
@@ -45,7 +45,7 @@ def test_stencil_graph_independent_of_shards(shards):
 def test_circuit_result_independent_of_shards(shards):
     rt = Runtime(num_shards=shards)
     nodes = rt.execute(circuit_control)
-    got = rt.store.raw(nodes.tree_id, nodes.field_space["voltage"])
+    got = rt.store.raw(nodes, nodes.field_space["voltage"])
     assert np.allclose(got, reference_circuit())
 
 
@@ -56,7 +56,7 @@ def test_results_independent_of_sharding_function(mapper):
     performance may differ (paper §4)."""
     rt = Runtime(num_shards=3, mapper=mapper)
     cells = rt.execute(stencil2d_control, 12, 4, 3)
-    got = rt.store.raw(cells.tree_id, cells.field_space["b"])
+    got = rt.store.raw(cells, cells.field_space["b"])
     assert np.allclose(got, reference_stencil2d(12, 3))
     rt.pipeline.validate()
 
@@ -134,7 +134,7 @@ def test_nested_region_tree_under_dcr():
     for shards in (1, 3):
         rt = Runtime(num_shards=shards)
         r, sums = rt.execute(main)
-        arr = rt.store.raw(r.tree_id, r.field_space["x"])
+        arr = rt.store.raw(r, r.field_space["x"])
         assert list(arr[:4]) == [2.0] * 4      # quarter 0: +1
         assert list(arr[4:8]) == [3.0] * 4     # quarter 1: +2
         assert sums == {0: 20.0, 1: 8.0}

@@ -36,8 +36,8 @@ def test_traced_loop_matches_untraced():
     rt_plain = Runtime(num_shards=3)
     r2 = rt_plain.execute(traced_stencil, 8, False)
     for f in ("a", "b"):
-        a = rt_traced.store.raw(r1.tree_id, r1.field_space[f])
-        b = rt_plain.store.raw(r2.tree_id, r2.field_space[f])
+        a = rt_traced.store.raw(r1, r1.field_space[f])
+        b = rt_plain.store.raw(r2, r2.field_space[f])
         assert np.array_equal(a, b)
     # The traced run actually replayed: 3 of 4 loop bodies from the cache.
     assert rt_traced.pipeline.stats.traced_ops == 6
@@ -89,7 +89,7 @@ def test_divergent_trace_body_falls_back():
 
     rt = Runtime(num_shards=2)
     r = rt.execute(main)
-    assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 2.0).all()
+    assert (rt.store.raw(r, r.field_space["x"]) == 2.0).all()
     assert rt.pipeline.stats.trace_fallbacks == 1
     assert rt.pipeline.stats.traced_ops == 0
     rt.pipeline.validate()
@@ -107,8 +107,8 @@ class TestAutoTracing:
         rt_plain = Runtime(num_shards=3)
         r2 = rt_plain.execute(auto_stencil, 12)
         for f in ("a", "b"):
-            a = rt_auto.store.raw(r1.tree_id, r1.field_space[f])
-            b = rt_plain.store.raw(r2.tree_id, r2.field_space[f])
+            a = rt_auto.store.raw(r1, r1.field_space[f])
+            b = rt_plain.store.raw(r2, r2.field_space[f])
             assert np.array_equal(a, b)
         # The repeat detector found the loop and replayed it without a
         # single application annotation.
@@ -140,7 +140,7 @@ class TestAutoTracing:
 
         rt = Runtime(num_shards=2, auto_trace=True)
         r = rt.execute(main)
-        assert (rt.store.raw(r.tree_id, r.field_space["x"]) == 10.0).all()
+        assert (rt.store.raw(r, r.field_space["x"]) == 10.0).all()
         rt.pipeline.validate()
 
     def test_explicit_traces_still_work_with_auto_enabled(self):
@@ -151,6 +151,6 @@ class TestAutoTracing:
         rt_plain = Runtime(num_shards=3)
         r2 = rt_plain.execute(traced_stencil, 8, False)
         for f in ("a", "b"):
-            a = rt.store.raw(r.tree_id, r.field_space[f])
-            b = rt_plain.store.raw(r2.tree_id, r2.field_space[f])
+            a = rt.store.raw(r, r.field_space[f])
+            b = rt_plain.store.raw(r2, r2.field_space[f])
             assert np.array_equal(a, b)

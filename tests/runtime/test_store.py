@@ -21,8 +21,8 @@ def store_and_region():
 class TestAllocation:
     def test_arrays_allocated_per_field(self, store_and_region):
         store, region, fs = store_and_region
-        assert store.raw(region.tree_id, fs["a"]).shape == (8,)
-        assert store.raw(region.tree_id, fs["b"]).dtype == np.dtype("i8")
+        assert store.raw(region, fs["a"]).shape == (8,)
+        assert store.raw(region, fs["b"]).dtype == np.dtype("i8")
 
     def test_allocate_requires_root(self, store_and_region):
         store, region, _fs = store_and_region
@@ -30,38 +30,45 @@ class TestAllocation:
         with pytest.raises(ValueError):
             store.allocate(part[0])
 
+    def test_allocate_requires_a_structural_key(self):
+        """Storage is named by the root's structural key: two unnamed
+        roots would share one array."""
+        region = LogicalRegion(IndexSpace.line(4), FieldSpace([("a", "f8")]))
+        with pytest.raises(TypeError, match="no structural key"):
+            RegionStore().allocate(region)
+
     def test_late_field_allocation(self, store_and_region):
         store, region, fs = store_and_region
         c = region.field_space.add_field("c", "f4")
         store.allocate_field(region, c)
-        assert store.has_field(region.tree_id, c)
+        assert store.has_field(region, c)
 
     def test_deallocation(self, store_and_region):
         store, region, fs = store_and_region
-        store.deallocate_field(region.tree_id, fs["a"])
-        assert not store.has_field(region.tree_id, fs["a"])
+        store.deallocate_field(region, fs["a"])
+        assert not store.has_field(region, fs["a"])
 
     def test_2d_offset_regions(self):
         fs = FieldSpace([("a", "f8")])
         from repro.regions import Rect
         space = IndexSpace(rect=Rect((2, 3), (5, 7)))
-        region = LogicalRegion(space, fs)
+        region = LogicalRegion(space, fs, name="offset")
         store = RegionStore()
         store.allocate(region)
-        assert store.raw(region.tree_id, fs["a"]).shape == (4, 5)
+        assert store.raw(region, fs["a"]).shape == (4, 5)
 
 
 class TestFill:
     def test_fill_root(self, store_and_region):
         store, region, fs = store_and_region
         store.fill(region, fs["a"], 2.5)
-        assert (store.raw(region.tree_id, fs["a"]) == 2.5).all()
+        assert (store.raw(region, fs["a"]) == 2.5).all()
 
     def test_fill_subregion(self, store_and_region):
         store, region, fs = store_and_region
         part = region.partition_equal(2)
         store.fill(part[1], fs["a"], 9.0)
-        arr = store.raw(region.tree_id, fs["a"])
+        arr = store.raw(region, fs["a"])
         assert (arr[:4] == 0).all() and (arr[4:] == 9.0).all()
 
     def test_fill_unstructured(self, store_and_region):
@@ -69,7 +76,7 @@ class TestFill:
         part = region.partition_by_spaces(
             {0: IndexSpace(points=[(1,), (6,)])})
         store.fill(part[0], fs["a"], 3.0)
-        arr = store.raw(region.tree_id, fs["a"])
+        arr = store.raw(region, fs["a"])
         assert arr[1] == 3.0 and arr[6] == 3.0 and arr[0] == 0.0
 
 
@@ -80,7 +87,7 @@ class TestAccessors:
         req = RegionRequirement(part[0], fs["a"], READ_WRITE)
         acc = store.accessor(req, fs["a"])
         acc.view[...] = 7.0
-        assert (store.raw(region.tree_id, fs["a"])[:4] == 7.0).all()
+        assert (store.raw(region, fs["a"])[:4] == 7.0).all()
 
     def test_ro_view_is_frozen(self, store_and_region):
         store, region, fs = store_and_region
@@ -89,7 +96,7 @@ class TestAccessors:
         for _ in range(2):      # the slice is cached after the first view
             with pytest.raises((ValueError, RuntimeError)):
                 acc.view[...] = 1.0
-        assert store.raw(region.tree_id, fs["a"]).flags.writeable
+        assert store.raw(region, fs["a"]).flags.writeable
 
     def test_point_access_bounds_checked(self, store_and_region):
         store, region, fs = store_and_region
@@ -123,7 +130,7 @@ class TestAccessors:
             req = RegionRequirement(region, fs["a"], reduce_priv(op))
             acc = store.accessor(req, fs["a"])
             acc.reduce(0, 3.0)
-            assert store.raw(region.tree_id, fs["a"])[0] == expected, op
+            assert store.raw(region, fs["a"])[0] == expected, op
 
     def test_reduce_requires_reduce_privilege(self, store_and_region):
         store, region, fs = store_and_region
@@ -140,7 +147,7 @@ class TestAccessors:
         acc = store.accessor(req, fs["a"])
         acc.scatter([10.0, 20.0, 30.0])
         assert list(acc.gather()) == [10.0, 20.0, 30.0]
-        raw = store.raw(region.tree_id, fs["a"])
+        raw = store.raw(region, fs["a"])
         assert raw[1] == 10.0 and raw[3] == 20.0 and raw[5] == 30.0
 
 
@@ -158,7 +165,7 @@ class TestRegionArgMemo:
         acc = arg["a"]
         acc.view[...] = 4.0
         assert arg["a"] is acc
-        assert list(store.raw(region.tree_id, fs["a"])) == [0.0] * 4 + \
+        assert list(store.raw(region, fs["a"])) == [0.0] * 4 + \
             [4.0] * 4
 
     def test_reallocated_field_is_not_served_stale(self, store_and_region):
@@ -167,9 +174,9 @@ class TestRegionArgMemo:
         store, region, fs = store_and_region
         arg = RegionArg(store, RegionRequirement(region, fs["a"], READ_WRITE))
         arg["a"].view[...] = 1.0
-        store.deallocate_field(region.tree_id, fs["a"])
+        store.deallocate_field(region, fs["a"])
         with pytest.raises(KeyError):
             arg["a"].view
         store.allocate_field(region, fs["a"])
         arg["a"].view[...] = 2.0
-        assert (store.raw(region.tree_id, fs["a"]) == 2.0).all()
+        assert (store.raw(region, fs["a"]) == 2.0).all()

@@ -114,6 +114,14 @@
   under uids, and a task was keyed by its source line, so adding a
   docstring line moved every pinned digest; the last test fails if any
   of that grows back.
+* Every shard builds its own handles.  Replicas once took the driver's
+  regions, partitions, field spaces and futures from two creation-order
+  logs through ``Context._intern_resource``, so a replica read objects the
+  driver had already changed: field spaces kept every ``declared`` field
+  and the front door its own ``_deleted`` set, futures were resolved in
+  place, and the timing oracle asked ``runtime._current_shard``, which
+  loopback's replica threads raced on, so loopback refused an oracle.
+  The handle-ownership test fails if any of that grows back.
 """
 
 import ast
@@ -1058,3 +1066,52 @@ def test_every_src_module_has_a_consumer_besides_the_tests():
     assert not stale, (
         f"TEST_ONLY_MODULES lists modules that now have a consumer or are "
         f"gone: {stale}")
+
+
+# -- every shard builds its own handles ---------------------------------------
+
+#: (file, class) -> members that held or served the driver's shared handles.
+SHARED_HANDLE_MEMBERS = {
+    ("runtime/runtime.py", "Runtime"): {"_resources", "_futures",
+                                        "_current_shard"},
+    ("runtime/runtime.py", "Context"): {"_cursors", "_intern_resource",
+                                        "_oracle_binding"},
+    ("runtime/future.py", "Future"): {"resolve"},
+    ("runtime/future.py", "FutureMap"): {"fill"},
+    ("runtime/frontdoor.py", "FrontDoor"): {"_deleted", "field_names"},
+    ("regions/field_space.py", "FieldSpace"): {"declared"},
+}
+
+
+def test_replicas_build_their_own_handles():
+    trees = dict(_trees(("",)))
+    gone = {"_intern_resource", "_current_shard", "_oracle_binding",
+            "_cursors"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in trees.items()
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    for (rel, cls), members in SHARED_HANDLE_MEMBERS.items():
+        for node in ast.walk(trees[rel]):
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                offenders += [f"{rel}:{n.lineno}: {cls}.{name}"
+                              for n in ast.walk(node)
+                              for name in sorted(_names(n) & members)]
+    # a runtime's logs read from anywhere: ``ctx.runtime._futures``
+    offenders += [f"{rel}:{node.lineno}: runtime.{node.attr}"
+                  for rel, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("_resources", "_futures")
+                  and "runtime" in _names(node.value)]
+    offenders += [f"runtime/runtime.py:{node.lineno}: refuses an oracle"
+                  for node in ast.walk(trees["runtime/runtime.py"])
+                  if isinstance(node, ast.Raise)
+                  and any(isinstance(c, ast.Constant)
+                          and "timing_oracle" in str(c.value)
+                          for c in ast.walk(node))]
+    assert not offenders, (
+        "every shard builds its own handles and reads launch values and "
+        "stored data by structural name; the driver's logs, the shared "
+        "field bookkeeping and the loopback oracle refusal stay deleted:"
+        "\n  " + "\n  ".join(offenders))

@@ -157,8 +157,8 @@ class TestCheckpoint:
             return r
 
         r2 = rt2.execute(consumer)
-        assert (rt2.store.raw(r2.tree_id, r2.field_space["x"]) == 7.0).all()
-        assert (rt2.store.raw(r2.tree_id, r2.field_space["y"]) == -7.0).all()
+        assert (rt2.store.raw(r2, r2.field_space["x"]) == 7.0).all()
+        assert (rt2.store.raw(r2, r2.field_space["y"]) == -7.0).all()
 
     def test_missing_checkpoint_raises(self, tmp_path):
         rt = Runtime(num_shards=1)
@@ -200,5 +200,5 @@ class TestCheckpoint:
             return r
 
         r2 = rt2.execute(consumer)
-        got = rt2.store.raw(r2.tree_id, r2.field_space["x"])
+        got = rt2.store.raw(r2, r2.field_space["x"])
         assert list(got) == [0, 0, 1, 1, 2, 2, 3, 3]
