@@ -83,11 +83,10 @@ class FieldManager:
     def note_launch(self) -> None:
         """Called once per array-op launch; retires eligible frees."""
         self._launch_seq += 1
-        self._retire()
+        if self._pending:
+            self._retire()
 
     def _retire(self) -> None:
-        if not self._pending:
-            return
         still: List[Tuple[int, FieldBlock]] = []
         for seq, block in self._pending:
             if seq < self._launch_seq:
@@ -98,8 +97,7 @@ class FieldManager:
 
     def flush(self) -> None:
         """Retire every pending free (the runtime's deferred-drain hook)."""
-        self._launch_seq += 1
-        self._retire()
+        self.note_launch()
 
     def _release(self, block: FieldBlock) -> None:
         self.released += 1
@@ -110,7 +108,8 @@ class FieldManager:
     def checkout(self, shape: Tuple[int, ...]) -> Tuple[FieldBlock, _Lease]:
         """A backing block for ``shape``: pooled if possible, else fresh."""
         shape = tuple(map(int, shape))
-        self._retire()
+        if self._pending:
+            self._retire()
         pool = self._pool.get((shape, "f8"))
         if pool:
             block = pool.pop()

@@ -12,6 +12,10 @@ still launch as aligned group tasks over a key partition chosen per view
 
 The math here is deliberately pure: specs never touch the runtime, so view
 creation issues no API calls and costs nothing until a launch uses it.
+Each ``LegateContext`` interns the specs it derives in a
+:class:`ViewTable`, one object per value, so a repeated slice is one
+lookup and the context's memos can key on a spec's identity; specs still
+compare by value.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ViewSpec", "choose_tiling", "extract_block"]
+__all__ = ["ViewSpec", "ViewTable", "choose_tiling", "extract_block"]
 
 Rect2 = Tuple[Tuple[int, ...], Tuple[int, ...]]     # (lo, hi) inclusive
 
@@ -167,6 +171,88 @@ class ViewSpec:
         block = raw[tuple(sl)]
         arr = extract_block(block, self.task_spec())
         return np.broadcast_to(arr, self.shape).copy()
+
+
+def _slice_bounds(key, shape: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """Normalize a getitem/setitem key into per-dim [lo, stop) bounds."""
+    if not isinstance(key, tuple):
+        key = (key,)
+    if len(key) > len(shape):
+        raise IndexError(f"too many indices for shape {shape}")
+    bounds = []
+    for d, ext in enumerate(shape):
+        if d >= len(key):
+            bounds.append((0, ext))
+            continue
+        k = key[d]
+        if not isinstance(k, slice):
+            raise TypeError(
+                "deferred arrays support step-1 slice indexing only "
+                f"(got {k!r}); use a length-1 slice to keep the dimension")
+        if k.step not in (None, 1):
+            raise ValueError("only step-1 slices are supported")
+        lo, stop, _ = k.indices(ext)
+        bounds.append((lo, stop))
+    return bounds
+
+
+class ViewTable(dict):
+    """One context's interned views, cleared when it holds ``limit``.
+
+    Keys are a shape (its identity view), a parent view's ``id`` with a
+    slice key or a transform, and a view's five fields, which intern it
+    by value: equal views are one object, so a memo keyed by a view's
+    identity shares its entries across them.  Each value is ``(view,
+    parent)``: an entry whose key names a parent by ``id`` keeps the
+    parent alive, so the id cannot be reused while the key is here.
+    """
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def _intern(self, key, view: ViewSpec,
+                parent: Optional[ViewSpec] = None) -> ViewSpec:
+        if len(self) + 2 > self.limit:
+            self.clear()
+        view = self.setdefault((view.base_shape, view.shape, view.axes,
+                                view.offsets, view.stretched),
+                               (view, None))[0]
+        self[key] = (view, parent)
+        return view
+
+    def identity(self, shape: Tuple[int, ...]) -> ViewSpec:
+        hit = self.get(shape)
+        return hit[0] if hit is not None \
+            else self._intern(shape, ViewSpec.identity(shape))
+
+    def sliced(self, view: ViewSpec, key) -> ViewSpec:
+        """``view[key]``, looked up by the raw (start, stop, step) of each
+        slice, so a repeated slice skips :func:`_slice_bounds`; a key that
+        is not all slices raises there."""
+        skey = [id(view), "s"]
+        for k in key if type(key) is tuple else (key,):
+            if type(k) is not slice:
+                _slice_bounds(key, view.shape)          # raises
+            # with their classes: 1.0 == 1, but only the int is an index
+            skey += (k.start, k.stop, k.step, k.start.__class__,
+                     k.stop.__class__, k.step.__class__)
+        skey = tuple(skey)
+        hit = self.get(skey)
+        if hit is not None:
+            return hit[0]
+        return self._intern(skey, view.sliced(_slice_bounds(key, view.shape)),
+                            view)
+
+    def transformed(self, view: ViewSpec, how: str, arg=None) -> ViewSpec:
+        """``view`` transposed (``how == "T"``) or broadcast to the shape
+        ``arg`` (``"b"``)."""
+        key = (id(view), how, arg)
+        hit = self.get(key)
+        if hit is not None:
+            return hit[0]
+        return self._intern(key, view.transposed() if how == "T"
+                            else view.broadcast_to(arg), view)
 
 
 def extract_block(block: np.ndarray,

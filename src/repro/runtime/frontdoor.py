@@ -25,6 +25,8 @@ from ..regions import (Field, FieldSpace, LogicalRegion, Partition,
 
 __all__ = ["FrontDoor", "PRIVILEGES", "check_group"]
 
+_MAX_MEMO = 1 << 10      # entries a front-door memo holds (cleared when full)
+
 PRIVILEGES = {
     "ro": READ_ONLY,
     "rw": READ_WRITE,
@@ -169,8 +171,11 @@ class FrontDoor:
 
     def __init__(self, task_keys: Dict[str, List[Any]]) -> None:
         self._task_keys = task_keys     # shared by the shards: see lower()
+        # task function -> its task key, computed once per function object
+        self._keys: Dict[Callable, str] = {}
         # (group launch?, reqs spec) -> coarse requirements, descriptor and
-        # the domains found independent; a deletion clears it.
+        # the domains found independent; a deletion clears it, and so does
+        # a full memo.
         self._lowered: Dict[Tuple, Tuple] = {}
         # tree id -> True while this shard has the tree, False once deleted
         self._trees: Dict[int, bool] = {}
@@ -236,24 +241,18 @@ class FrontDoor:
 
         The key pins the task function across shards by module and
         qualified name, never by source line; bodies sharing both (lambdas)
-        add their ordinal in the driver's order of first launch.  The rest
-        is memoised per hashable ``reqs`` spec, so the descriptor (which
-        the hasher's skeleton reuses) and the ``CoarseRequirement``
-        objects, with their per-colour point requirements and class tags,
-        persist from launch to launch; an unhashable spec is lowered anew.
+        add their ordinal in the driver's order of first launch.  The key
+        is computed once per function object (an ordinal, once given,
+        never changes).  The rest is memoised per hashable ``reqs`` spec,
+        so the descriptor (which the hasher's skeleton reuses) and the
+        ``CoarseRequirement`` objects, with their per-colour point
+        requirements and class tags, persist from launch to launch; an
+        unhashable spec is lowered anew.
         """
-        if not hasattr(fn, "__name__"):
-            raise TypeError(
-                f"task function {fn!r} has no __name__ (a functools.partial "
-                f"or a callable object?): launch a named function and pass "
-                f"bound values through args=")
-        key = f"{fn.__module__}:{fn.__qualname__}"
-        codes = self._task_keys.setdefault(key, [])
-        code = getattr(fn, "__code__", None)
-        if code not in codes:
-            codes.append(code)
-        if codes.index(code):
-            key += f"#{codes.index(code)}"
+        try:
+            key = self._keys[fn]
+        except (KeyError, TypeError):
+            key = self._task_key(fn)
         try:
             # keyed by the targets' uids, which hash in C (a target is a
             # partition or a region, whose uids are counted apart)
@@ -267,8 +266,31 @@ class FrontDoor:
         except (TypeError, AttributeError):
             return (key,) + self._lower_uncached(reqs, group)
         if hit is None:
+            if len(self._lowered) >= _MAX_MEMO:
+                self._lowered.clear()
             hit = self._lowered[spec] = self._lower_uncached(reqs, group)
         return (key,) + hit
+
+    def _task_key(self, fn: Callable) -> str:
+        if not hasattr(fn, "__name__"):
+            raise TypeError(
+                f"task function {fn!r} has no __name__ (a functools.partial "
+                f"or a callable object?): launch a named function and pass "
+                f"bound values through args=")
+        key = f"{fn.__module__}:{fn.__qualname__}"
+        codes = self._task_keys.setdefault(key, [])
+        code = getattr(fn, "__code__", None)
+        if code not in codes:
+            codes.append(code)
+        if codes.index(code):
+            key += f"#{codes.index(code)}"
+        if len(self._keys) >= _MAX_MEMO:
+            self._keys.clear()
+        try:
+            self._keys[fn] = key
+        except TypeError:               # an unhashable callable
+            pass
+        return key
 
     def _lower_uncached(self, reqs: Sequence[Tuple], group: bool) -> Tuple:
         norm = []

@@ -611,34 +611,44 @@ class Context:
         """Dependent partitioning: piece = per-point color (OOPSLA'13).
 
         ``color_of`` must be control deterministic; its evaluation over the
-        region is folded into the call hash.
+        region is folded into the call hash, and the partition is built
+        from the same evaluation (one call per point).
         """
         from ..regions import partition_by_field
         self._door.check_live("partition_by_field", region)
-        assignment = [(list(p), str(color_of(p)))
-                      for p in region.index_space]
-        self._record("partition_by_field", region, assignment, name)
-        return partition_by_field(region, colors, color_of, name=name)
+        color = {p: color_of(p) for p in region.index_space}
+        self._record("partition_by_field", region,
+                     [(list(p), str(c)) for p, c in color.items()], name)
+        return partition_by_field(region, colors, color.__getitem__,
+                                  name=name)
 
     def partition_by_image(self, dest: LogicalRegion, source: Partition,
                            pointer: Callable, name: str = "") -> Partition:
-        """Dependent partitioning: image of a pointer field (OOPSLA'16)."""
+        """Dependent partitioning: image of a pointer field (OOPSLA'16).
+        ``pointer`` is called once per point, as in
+        :meth:`partition_by_field`."""
         from ..regions import partition_by_image
         self._door.check_live("partition_by_image", dest, source)
-        arrows = [(list(p), sorted(map(str, pointer(p))))
-                  for sub in source for p in sub.index_space]
+        points = [p for sub in source for p in sub.index_space]
+        targets = {p: list(pointer(p)) for p in dict.fromkeys(points)}
+        arrows = [(list(p), sorted(map(str, targets[p]))) for p in points]
         self._record("partition_by_image", dest, source, arrows, name)
-        return partition_by_image(dest, source, pointer, name=name)
+        return partition_by_image(dest, source, targets.__getitem__,
+                                  name=name)
 
     def partition_by_preimage(self, dest: LogicalRegion, target: Partition,
                               pointer: Callable, name: str = "") -> Partition:
-        """Dependent partitioning: preimage of a pointer field."""
+        """Dependent partitioning: preimage of a pointer field.
+        ``pointer`` is called once per point, as in
+        :meth:`partition_by_field`."""
         from ..regions import partition_by_preimage
         self._door.check_live("partition_by_preimage", dest, target)
-        arrows = [(list(p), sorted(map(str, pointer(p))))
-                  for p in dest.index_space]
-        self._record("partition_by_preimage", dest, target, arrows, name)
-        return partition_by_preimage(dest, target, pointer, name=name)
+        targets = {p: list(pointer(p)) for p in dest.index_space}
+        self._record("partition_by_preimage", dest, target,
+                     [(list(p), sorted(map(str, t)))
+                      for p, t in targets.items()], name)
+        return partition_by_preimage(dest, target, targets.__getitem__,
+                                     name=name)
 
     def partition_by_points(self, region: LogicalRegion,
                             pieces: Dict[Hashable, Sequence],

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.legate.views import ViewSpec, choose_tiling, extract_block
+from repro.legate.views import (ViewSpec, ViewTable, choose_tiling,
+                                extract_block)
 
 
 def tiles_cover(rects, shape):
@@ -121,3 +122,17 @@ class TestChooseTiling:
             for t in (1, 2, 4, 8):
                 for lo, hi in choose_tiling(shape, t):
                     assert all(h >= l for l, h in zip(lo, hi))
+
+
+class TestViewTable:
+    def test_equal_views_are_one_object_and_the_table_stays_bounded(self):
+        table = ViewTable(16)
+        base = table.identity((64,))
+        assert table.identity((64,)) is base
+        a = table.sliced(base, slice(0, 8))
+        assert table.sliced(base, (slice(0, 8),)) is a      # same triples
+        assert table.sliced(base, slice(None, 8)) is a      # equal view
+        assert table.transformed(a, "b", (3, 8)).shape == (3, 8)
+        for lo in range(40):
+            assert table.sliced(base, slice(lo, lo + 8)).offsets == (lo,)
+            assert len(table) <= 16

@@ -258,12 +258,14 @@ class TestReplayedIterationCostsNoAnalysis:
         return (python_calls(40) - python_calls(20)) / 20
 
     def test_replayed_iteration_makes_far_fewer_calls_than_a_fresh_one(self):
-        """A replayed iteration stays under 819 calls (797 measured).  An
+        """A replayed iteration stays under 614 calls (596 measured).  An
         absolute bound, so a cut to fresh analysis alone cannot fail it.
-        It read 946 while every point built a `Future` and every kernel a
-        temporary, against a bound of 968: 0.6 x the 1 613 a fresh
-        iteration made when this bound was a share of fresh analysis."""
-        assert self._calls_per_iteration(True) <= 819
+        It read 800 while every array op rebuilt its views, operand
+        lists, key-partition keys and task specs, and 946 while every
+        point built a `Future` and every kernel a temporary, against a
+        bound of 968: 0.6 x the 1 613 a fresh iteration made when this
+        bound was a share of fresh analysis."""
+        assert self._calls_per_iteration(True) <= 614
 
     def test_fresh_iteration_analyses_each_launch_as_one_arrival(self):
         """The fine stage walks each probed epoch once per (requirement,
@@ -274,24 +276,60 @@ class TestReplayedIterationCostsNoAnalysis:
         argument, accessors and slices are built once, and a launch shape's
         plan (points, shards, requirement tuples, launch classes, field
         plan) is derived once, and a point's kernel writes its tile in
-        place with no `Future` made for it: a fresh iteration's three
-        launches on four shards stay under 1 426 calls (1 353 measured;
-        6 012 when every point was scanned on its own with requirements
+        place with no `Future` made for it, and each shard lowers a
+        repeated array op from its op memo: a fresh iteration's three
+        launches on four shards stay under 1 187 calls (1 152 measured;
+        1 356 when every array op was lowered anew, 6 012 when every point was scanned on its own with requirements
         built anew, 4 174 when every edge went into four containers and
         the launch plumbing was rebuilt per point, 2 440 when every point
         entered the epochs on its own, 1 613 when each launch derived its
         plan anew, 1 502 when every point built a `Future` and every
         kernel a temporary)."""
-        assert self._calls_per_iteration(False) <= 1426
+        assert self._calls_per_iteration(False) <= 1187
 
     def test_replayed_iteration_pays_no_lowering_or_encoding_again(self):
         """Each shard lowers an array op and encodes its hash once per
         call-site shape, and a replayed point takes its predecessors from
         the recording: a replayed iteration's three launches on four
-        shards find their tilings, key partitions, requirements, digest
-        skeleton and region arguments memoised (3 647 calls when all of it
-        was redone, 2 276 with every replayed edge stored four times)."""
-        assert self._calls_per_iteration(True) <= 1700
+        shards find their views, tilings, key partitions, requirements,
+        task keys, digest skeleton and region arguments memoised, in 614
+        calls or fewer (596 measured; 800 with every view, operand list
+        and key-partition key rebuilt per op, 3 647 when all of it was
+        redone, 2 276 with every replayed edge stored four times)."""
+        assert self._calls_per_iteration(True) <= 614
+
+    def test_a_replica_shard_lowers_a_traced_iteration_in_few_calls(self):
+        """A replica shard neither analyses nor runs kernels, so what it
+        pays per iteration is the array frontend, the front door and the
+        hash: Python and C calls (the ``call`` and ``c_call`` events)
+        stay under 240 on shard 1 of four (228 measured; 345 when every
+        array op rebuilt its views, operand lists, key-partition keys,
+        task specs and task key)."""
+        def replica_calls(iterations):
+            calls = 0
+
+            def on_event(_frame, event, _arg):
+                nonlocal calls
+                calls += event == "call" or event == "c_call"
+
+            def control(ctx, *args):
+                if ctx.shard != 1:
+                    return sliced_stencil(ctx, *args)
+                gc.collect()
+                gc.disable()
+                sys.setprofile(on_event)
+                try:
+                    return sliced_stencil(ctx, *args)
+                finally:
+                    sys.setprofile(None)
+                    gc.enable()
+
+            Runtime(num_shards=4, auto_trace=True).execute(
+                control, make_wave(2048), iterations, 8)
+            return calls
+
+        replica_calls(20)                       # fill lazy memos first
+        assert (replica_calls(40) - replica_calls(20)) / 20 <= 240
 
 
 class TestAnIndexLaunchReturnsOneMapOfValues:

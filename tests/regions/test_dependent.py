@@ -135,3 +135,51 @@ class TestRuntimeIntegration:
         assert np.array_equal(a, b)
         assert list(a) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         rt3.pipeline.validate()
+
+
+def _count_evaluations(ctx, counts):
+    """The three dependent partitions of a 64-point line, each through a
+    program function that counts its calls on this shard."""
+    calls = counts.setdefault(ctx.shard, {"field": 0, "image": 0,
+                                          "preimage": 0})
+
+    def color_of(p):
+        calls["field"] += 1
+        return p[0] % 4
+
+    def image_of(p):
+        calls["image"] += 1
+        return [(p[0] * 5 + 1) % 64]
+
+    def preimage_of(p):
+        calls["preimage"] += 1
+        return [(p[0] * 3) % 64, (p[0] + 7) % 64]
+
+    fs = ctx.create_field_space([("x", "f8")], "fs")
+    r = ctx.create_region(ctx.create_index_space(64, "line"), fs, "r")
+    equal = ctx.partition_equal(r, 4, name="equal")
+    parts = [ctx.partition_by_field(r, range(4), color_of, name="by_field"),
+             ctx.partition_by_image(r, equal, image_of, name="image"),
+             ctx.partition_by_preimage(r, equal, preimage_of, name="pre")]
+    return [{c: sorted(sub.index_space) for c, sub in p.subregions.items()}
+            for p in parts]
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "loopback"])
+def test_each_shard_evaluates_the_program_once_per_point(backend):
+    """The hashed assignment and the partition come from one evaluation
+    per point (they took two), and the stream hashes as it did."""
+    from repro.runtime import Runtime
+
+    counts = {}
+    rt = Runtime(num_shards=2, backend=backend)
+    by_field, image, pre = rt.execute(_count_evaluations, counts)
+    assert counts == {s: {"field": 64, "image": 64, "preimage": 64}
+                      for s in (0, 1)}
+    assert rt.determinism_digests() == \
+        [0x77dd37ada98d26fa913cabc39b06ba45] * 2
+    assert by_field == {c: [(p,) for p in range(c, 64, 4)]
+                        for c in range(4)}
+    assert image[0] == sorted({((5 * p + 1) % 64,) for p in range(16)})
+    assert pre[0] == sorted({(p,) for p in range(64)
+                             if (3 * p) % 64 < 16 or (p + 7) % 64 < 16})

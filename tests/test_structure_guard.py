@@ -122,6 +122,11 @@
   place, and the timing oracle asked ``runtime._current_shard``, which
   loopback's replica threads raced on, so loopback refused an oracle.
   The handle-ownership test fails if any of that grows back.
+* A repeated array op is lowered from one memo.  Every operand of every
+  array op once rebuilt a 7-tuple of its view's fields to key a
+  key-partition table, beside a tiling and a domain table; the op memo,
+  keyed by the launch site and the operands' (block, view) identities,
+  subsumed all three, and the last test fails if they grow back.
 """
 
 import ast
@@ -1115,3 +1120,19 @@ def test_replicas_build_their_own_handles():
         "stored data by structural name; the driver's logs, the shared "
         "field bookkeeping and the loopback oracle refusal stay deleted:"
         "\n  " + "\n  ".join(offenders))
+
+
+def test_the_array_frontend_has_one_op_memo():
+    """Each shard lowers a repeated array op from one memo per launch
+    site, keyed by the operands' (block, view) identities.  The memos it
+    subsumed, a tiling and a domain table and the key-partition table
+    keyed by a 7-tuple of a view's fields, stay deleted, and so does the
+    binary-operator indirection every array op once went through."""
+    gone = {"_key_parts", "_tilings", "_domains", "_binary", "_rbinary"}
+    offenders = [f"{rel}:{node.lineno}: {name}"
+                 for rel, tree in _trees(("legate/",))
+                 for node in ast.walk(tree)
+                 for name in sorted(_names(node) & gone)]
+    assert not offenders, (
+        "a repeated array op is lowered from the op memo alone:\n  "
+        + "\n  ".join(offenders))
